@@ -5,9 +5,10 @@
 //! each model is compiled via [`urt_analysis::compile`] (so the
 //! whole-model analyzer gates it), handed to
 //! `HybridEngine::from_compiled`, and run for a few macro steps.
-//! Models without SPort links additionally run as a K-instance
-//! [`EnsembleEngine`], whose instance 0 must replay the standalone run
-//! bit-identically (the ensemble determinism anchor).
+//! Every model additionally runs as a K-instance [`EnsembleEngine`]
+//! (SPort links included), whose instance 0 must replay the standalone
+//! run bit-identically — probe series and controller message counts
+//! (the ensemble determinism anchor).
 //! The seeded negative models (`seeded-violations`, `seeded-cross-loop`,
 //! `seeded-over-budget`) must **refuse** to compile. Any deviation exits
 //! non-zero, which is what `scripts/check.sh` keys on.
@@ -58,14 +59,10 @@ fn main() -> ExitCode {
         }
         println!("urt-elab-smoke: `{name}` ok ({groups} group(s), {MACRO_STEPS} steps)");
 
-        // Ensemble smoke: the continuous half of every SPort-free model
-        // must also run as a K-instance lockstep ensemble, with instance
-        // 0 bit-identical to the standalone run just taken. The *same*
-        // compiled artifact serves both runs — compile once,
-        // instantiate many.
-        if sport_links > 0 {
-            continue;
-        }
+        // Ensemble smoke: every model must also run as a K-instance
+        // lockstep ensemble, with instance 0 bit-identical to the
+        // standalone run just taken. The *same* compiled artifact serves
+        // both runs — compile once, instantiate many.
         let mut ensemble = match EnsembleEngine::from_compiled(&compiled, ENSEMBLE_K, config) {
             Ok(e) => e,
             Err(e) => {
@@ -94,12 +91,20 @@ fn main() -> ExitCode {
                 diverged = true;
             }
         }
+        let (solo, ours) = (engine.controller(), ensemble.controller(0).expect("instance 0"));
+        if (solo.delivered_count(), solo.dropped_count())
+            != (ours.delivered_count(), ours.dropped_count())
+        {
+            eprintln!("urt-elab-smoke: `{name}` ensemble instance 0 diverged on message counts");
+            diverged = true;
+        }
         if diverged {
             failed = true;
             continue;
         }
         println!(
-            "urt-elab-smoke: `{name}` ensemble ok (K = {ENSEMBLE_K}, {} series bit-checked)",
+            "urt-elab-smoke: `{name}` ensemble ok (K = {ENSEMBLE_K}, {sport_links} SPort link(s), \
+             {} series and message counts checked)",
             series.len()
         );
     }

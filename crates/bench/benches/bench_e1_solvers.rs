@@ -1,13 +1,11 @@
 //! E1 bench: per-step cost of each solver strategy on the Van der Pol
 //! benchmark problem (the cost axis of the accuracy/cost table).
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_ode::solver::SolverKind;
 use urt_ode::system::library::VanDerPol;
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, report_header};
@@ -27,35 +25,3 @@ fn main() {
         println!("{report}");
     }
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let sys = VanDerPol { mu: 2.0 };
-    let mut g = c.benchmark_group("e1_solvers");
-    g.sample_size(30);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    for kind in SolverKind::ALL {
-        g.bench_with_input(BenchmarkId::new("step", kind), &kind, |b, &kind| {
-            let mut solver = kind.create();
-            let mut x = [2.0, 0.0];
-            let mut t = 0.0;
-            b.iter(|| {
-                let out = solver.step(&sys, t, black_box(&mut x), 1e-3).expect("step");
-                if out.accepted {
-                    t += out.h_taken;
-                }
-            })
-        });
-    }
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

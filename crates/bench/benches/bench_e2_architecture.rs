@@ -1,12 +1,10 @@
 //! E2 bench: one macro step of each architecture under a fixed continuous
 //! load (complements `report_e2`'s latency percentiles).
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_baselines::bichler::ArchitectureBenchmark;
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, report_header};
@@ -24,30 +22,3 @@ fn main() {
         println!("{report}");
     }
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("e2_architecture");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    for n_systems in [4usize, 32] {
-        let bench = ArchitectureBenchmark { n_systems, substeps: 16, n_steps: 20 };
-        g.bench_with_input(BenchmarkId::new("rtc_integrated", n_systems), &bench, |b, bench| {
-            b.iter(|| bench.run_rtc_integrated())
-        });
-        g.bench_with_input(BenchmarkId::new("unified", n_systems), &bench, |b, bench| {
-            b.iter(|| bench.run_unified())
-        });
-    }
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

@@ -1,15 +1,13 @@
 //! E3 bench: executing a Kühl-translated capsule network versus the same
 //! diagram compiled into one native streamer.
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_baselines::kuhl::translate_diagram;
 use urt_bench::feedback_diagram;
 use urt_dataflow::flowtype::FlowType;
 use urt_dataflow::graph::StreamerNetwork;
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, bench_batched, report_header};
@@ -49,62 +47,3 @@ fn main() {
         println!("{report}");
     }
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("e3_translation");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    for n_loops in [2usize, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("kuhl_capsules_10steps", n_loops),
-            &n_loops,
-            |b, &n| {
-                b.iter_batched(
-                    || {
-                        let (mut controller, _) =
-                            translate_diagram(feedback_diagram(n), 0.01).expect("translate");
-                        controller.start().expect("start");
-                        controller
-                    },
-                    |mut controller| {
-                        let t = controller.now();
-                        controller.run_until(t + 0.1).expect("run");
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("native_streamer_10steps", n_loops),
-            &n_loops,
-            |b, &n| {
-                let mut net = StreamerNetwork::new("native");
-                let streamer = feedback_diagram(n).into_streamer("plant").expect("compile");
-                // The diagram exposes one output per loop.
-                let outs: Vec<(String, FlowType)> =
-                    (0..n).map(|i| (format!("y{i}"), FlowType::scalar())).collect();
-                let outs_ref: Vec<(&str, FlowType)> =
-                    outs.iter().map(|(s, t)| (s.as_str(), t.clone())).collect();
-                net.add_streamer(streamer, &[], &outs_ref).expect("add");
-                net.initialize(0.0).expect("init");
-                b.iter(|| {
-                    for _ in 0..10 {
-                        net.step(black_box(0.01)).expect("step");
-                    }
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! E4 bench: simulating 100 ms of k Van der Pol streamers under each
 //! thread-assignment policy.
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::threading::{GroupingPolicy, ThreadPolicy};
@@ -73,7 +72,6 @@ fn make_engine(n: usize, grouping: GroupingPolicy, policy: ThreadPolicy) -> Hybr
     e
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use urt_bench::timer::{bench_batched, report_header};
 
@@ -90,32 +88,3 @@ fn main() {
         }
     }
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("e4_threading");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    for n in [4usize, 16] {
-        for (label, grouping, policy) in POLICIES {
-            g.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-                b.iter_batched(
-                    || make_engine(n, grouping, policy),
-                    |mut e| e.run_until(0.1).expect("run"),
-                    criterion::BatchSize::SmallInput,
-                )
-            });
-        }
-    }
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

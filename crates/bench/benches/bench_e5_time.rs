@@ -1,8 +1,7 @@
 //! E5 bench: cost of the two time services — the tick-quantised UML-RT
 //! timer heap versus the continuous Time clock.
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_core::time::SimClock;
 use urt_umlrt::capsule::TimerId;
@@ -17,7 +16,6 @@ fn loaded_service() -> TimerService {
     svc
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, bench_batched, report_header};
@@ -45,38 +43,3 @@ fn main() {
     });
     println!("{report}");
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("e5_time");
-    g.sample_size(30);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    g.bench_function("timer_service_schedule_and_fire", |b| {
-        b.iter_batched(
-            loaded_service,
-            |mut svc| black_box(svc.pop_due(1.0)),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("sim_clock_tick", |b| {
-        let mut clock = SimClock::new();
-        b.iter(|| {
-            clock.tick(black_box(1e-3));
-            black_box(clock.seconds())
-        })
-    });
-    g.bench_function("drift_closed_form", |b| {
-        b.iter(|| black_box(SimClock::drift_against_ticks(0.015, 0.010, 1000)))
-    });
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

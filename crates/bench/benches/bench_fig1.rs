@@ -2,13 +2,11 @@
 //! RK4 stepping versus the same solver behind `Box<dyn Solver>` (the
 //! pattern the paper's architecture relies on).
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_ode::solver::{Rk4, Solver, SolverKind};
 use urt_ode::system::library::VanDerPol;
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, report_header};
@@ -34,40 +32,3 @@ fn main() {
     });
     println!("{report}");
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let sys = VanDerPol { mu: 1.5 };
-    let mut g = c.benchmark_group("fig1_strategy");
-    g.sample_size(30);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    g.bench_function("monomorphic_rk4", |b| {
-        let mut solver = Rk4::new();
-        let mut x = [2.0, 0.0];
-        let mut t = 0.0;
-        b.iter(|| {
-            solver.step(&sys, t, black_box(&mut x), 1e-3).expect("step");
-            t += 1e-3;
-        })
-    });
-    g.bench_function("dyn_strategy_rk4", |b| {
-        let mut solver: Box<dyn Solver + Send> = SolverKind::Rk4.create();
-        let mut x = [2.0, 0.0];
-        let mut t = 0.0;
-        b.iter(|| {
-            solver.step(&sys, t, black_box(&mut x), 1e-3).expect("step");
-            t += 1e-3;
-        })
-    });
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

@@ -1,12 +1,10 @@
 //! Figure 2 bench: streamer-network validation and step cost versus
 //! network size (the abstract syntax scaled up).
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_bench::{chain_network, fig2_network};
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, bench_batched, report_header};
@@ -38,42 +36,3 @@ fn main() {
         println!("{report}");
     }
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("fig2_network");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-
-    g.bench_function("fig2_exact_topology_step", |b| {
-        let (mut net, _) = fig2_network();
-        net.initialize(0.0).expect("init");
-        b.iter(|| net.step(black_box(1e-3)).expect("step"))
-    });
-
-    for n in [4usize, 16, 64] {
-        g.bench_with_input(BenchmarkId::new("chain_step", n), &n, |b, &n| {
-            let mut net = chain_network(n);
-            net.initialize(0.0).expect("init");
-            b.iter(|| net.step(black_box(1e-3)).expect("step"))
-        });
-        g.bench_with_input(BenchmarkId::new("validate", n), &n, |b, &n| {
-            b.iter_batched(
-                || chain_network(n),
-                |mut net| net.validate().expect("validate"),
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

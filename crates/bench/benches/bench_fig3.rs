@@ -1,8 +1,7 @@
 //! Figure 3 bench: hybrid model step throughput — a capsule supervising
 //! streamers through the engine, the paper's end-to-end structure.
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::threading::ThreadPolicy;
@@ -54,7 +53,6 @@ fn engine() -> HybridEngine {
     e
 }
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, bench_batched, report_header};
@@ -72,32 +70,3 @@ fn main() {
     });
     println!("{report}");
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("fig3_hybrid");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    g.bench_function("engine_macro_step", |b| {
-        let mut e = engine();
-        b.iter(|| black_box(&mut e).step_once().expect("step"))
-    });
-    g.bench_function("engine_run_10ms", |b| {
-        b.iter_batched(
-            engine,
-            |mut e| e.run_until(0.01).expect("run"),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

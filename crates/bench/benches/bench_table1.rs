@@ -1,12 +1,10 @@
 //! Table 1 bench: stereotype registry rendering and lookups (the cost of
 //! the modeling-surface metadata is negligible — this pins that claim).
 //!
-//! Runs on the in-tree [`urt_bench::timer`] harness by default; the
-//! criterion variant is behind the `criterion-bench` feature.
+//! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_core::stereotype::{render_table1, Stereotype};
 
-#[cfg(not(feature = "criterion-bench"))]
 fn main() {
     use std::hint::black_box;
     use urt_bench::timer::{bench, report_header};
@@ -24,30 +22,3 @@ fn main() {
     });
     println!("{report}");
 }
-
-#[cfg(feature = "criterion-bench")]
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-#[cfg(feature = "criterion-bench")]
-fn bench(c: &mut Criterion) {
-    use std::time::Duration;
-    let mut g = c.benchmark_group("table1");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    g.bench_function("render", |b| b.iter(|| black_box(render_table1())));
-    g.bench_function("lookup_all", |b| {
-        b.iter(|| {
-            for s in Stereotype::ALL {
-                black_box(s.base_construct());
-                black_box(s.implemented_in());
-            }
-        })
-    });
-    g.finish();
-}
-
-#[cfg(feature = "criterion-bench")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-bench")]
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //!
 //! Every table and figure of the paper has a regenerator here:
 //!
-//! | Artifact | Report binary | Criterion bench |
+//! | Artifact | Report binary | Bench target |
 //! |----------|---------------|-----------------|
 //! | Table 1  | `report_table1` | `bench_table1` |
 //! | Figure 1 | `report_fig1` | `bench_fig1` |

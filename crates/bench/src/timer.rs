@@ -1,11 +1,10 @@
 //! A zero-dependency micro-benchmark harness over the monotonic clock.
 //!
-//! The default `cargo bench` path of this workspace must build offline,
-//! so criterion is opt-in (`--features criterion-bench`, which requires
-//! re-adding the registry dependency); this harness is what the bench
-//! targets run by default. It reports min / median / mean wall time per
-//! iteration — min and median because they are robust against scheduler
-//! noise on shared CI hardware, mean for comparability with criterion.
+//! `cargo bench` in this workspace must build offline, so the bench
+//! targets run on this harness instead of a registry crate. It reports
+//! min / median / mean wall time per iteration — min and median because
+//! they are robust against scheduler noise on shared CI hardware, mean
+//! for comparability with other harnesses.
 //!
 //! # Examples
 //!
@@ -104,7 +103,7 @@ pub fn bench<F: FnMut()>(label: &str, iters: usize, mut f: F) -> TimingReport {
 }
 
 /// Like [`bench`], but runs `setup` outside the timed region before each
-/// iteration and hands its value to `f` (criterion's `iter_batched`).
+/// iteration and hands its value to `f`.
 ///
 /// # Panics
 ///

@@ -278,9 +278,6 @@ impl CompiledSystem {
     }
 
     /// Number of resolved SPort links (capsule–streamer signal bridges).
-    /// Ensemble execution refuses systems with links
-    /// ([`EnsembleEngine::from_compiled`](crate::ensemble::EnsembleEngine::from_compiled)),
-    /// so callers batching a model catalogue use this to skip them.
     pub fn sport_link_count(&self) -> usize {
         self.links.len()
     }
@@ -328,7 +325,7 @@ impl CompiledSystem {
 
     /// Invokes the registered factory for the streamer realised at
     /// `(group, node)`, yielding one pristine behaviour — the ensemble
-    /// engine's replication path (K replicas = K invocations).
+    /// engine's replication path (instances 1..K each invoke it once).
     pub(crate) fn behavior_for(
         &self,
         group: usize,
@@ -408,6 +405,13 @@ impl CompiledSystem {
             }
             groups.push(net);
         }
+        Ok(SystemInstance { groups, controller: self.controller()? })
+    }
+
+    /// Builds a fresh capsule [`Controller`] with every capsule
+    /// instantiated — the capsule half of [`CompiledSystem::instantiate`],
+    /// and the ensemble engine's per-instance controller factory.
+    pub(crate) fn controller(&self) -> Result<Controller, CoreError> {
         let mut controller = Controller::new(self.model_name.as_str());
         for cap in &self.capsule_specs {
             let instance: Box<dyn Capsule> = match cap {
@@ -424,7 +428,7 @@ impl CompiledSystem {
             };
             controller.add_capsule(instance);
         }
-        Ok(SystemInstance { groups, controller })
+        Ok(controller)
     }
 }
 

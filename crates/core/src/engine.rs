@@ -9,63 +9,22 @@
 //! thread synchronised once per macro step. SPort links carry signal
 //! messages across the boundary in both directions over `std::sync::mpsc`
 //! channels.
+//!
+//! [`HybridEngine`] is the `K = 1` case of the execution core in
+//! [`crate::ensemble`]: it owns no network and no run loop of its own.
+//! [`HybridEngine::add_group`] consumes each network into its step plan
+//! and behaviours; every macro step, threaded batch and paced cycle runs
+//! on [`EnsembleEngine`]'s loop with one instance, recording probes under
+//! their plain series names.
 
-use crate::elaborate::{CompiledSystem, SystemInstance};
+use crate::elaborate::CompiledSystem;
+use crate::ensemble::{EnsembleEngine, VariantSpec};
 use crate::error::CoreError;
-use crate::pacer::{PacedConfig, PacedReport, PacedRunner};
-use crate::recorder::{Recorder, SeriesHandle};
-use crate::sync::{Mutex, SpinBarrier};
+use crate::pacer::{PacedConfig, PacedReport};
+use crate::recorder::Recorder;
 use crate::threading::ThreadPolicy;
-use crate::time::SimClock;
-use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, OutputHandle, StreamerNetwork};
+use urt_dataflow::graph::{NodeId, StreamerNetwork};
 use urt_umlrt::controller::Controller;
-use urt_umlrt::message::Message;
-
-/// A signal drained from a streamer group: `(node, sport, message)`.
-type DrainedSignal = (NodeId, String, Message);
-
-/// One recorded probe sample from a worker:
-/// `(probe index, post-tick time, value)`. The worker stamps the time
-/// itself (from its per-batch clock copy) so samples buffered across a
-/// batch merge into the recorder with exactly the instants the local
-/// path would have produced.
-type ProbeSample = (usize, f64, f64);
-
-/// Per-group buffers recycled through `Cmd::Step`: drained signals plus
-/// probe samples from the worker's last batch of macro steps.
-type StepBuffers = (Vec<DrainedSignal>, Vec<ProbeSample>);
-
-/// The two sample buffers of one cross-group flow channel, shared between
-/// the producer and the consumer thread.
-type ChannelBufs = Arc<[Mutex<Vec<f64>>; 2]>;
-
-/// Upper bound on the auto-computed macro-step batch size `K` in
-/// [`ThreadPolicy::DedicatedThreads`] runs: bounds the per-batch probe
-/// sample buffers (a few kilobytes per probe at this value) while still
-/// amortising the per-batch rendezvous to nothing.
-const DEFAULT_MAX_BATCH: u64 = 4096;
-
-/// A double-buffered dataflow channel carrying one cross-group flow.
-///
-/// Buffers are indexed by macro-step parity: during step `k` the consumer
-/// reads slot `k % 2` *before* its group steps, and the producer writes
-/// slot `(k + 1) % 2` *after* stepping. One barrier between consecutive
-/// macro steps is what separates every write of a slot from every read of
-/// the same slot, so there is no swap, no torn sample, and the consumer
-/// deterministically sees the producer's previous step's output — the
-/// documented one-macro-step channel delay (zero for lane values at
-/// step 0, where the consumer reads the initial all-zero buffer).
-struct FlowChannel {
-    from_group: usize,
-    from_handle: OutputHandle,
-    to_group: usize,
-    /// Lane offset inside the consumer group's exported-input vector.
-    to_offset: usize,
-    bufs: ChannelBufs,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,84 +47,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// An SPort bridge between a capsule port and a streamer node. The sport
-/// name lives in the engine's `link_index` (it is only ever consulted for
-/// routing lookups).
-#[derive(Debug)]
-struct SportLink {
-    group: usize,
-    node: NodeId,
-    capsule: usize,
-    capsule_port: String,
-    /// Drains messages the capsule sent out of its port.
-    from_capsule: Receiver<Message>,
-}
-
-/// A signal-series probe on a streamer output DPort. The port is
-/// resolved to an [`OutputHandle`] at registration, so per-step sampling
-/// is array indexing with no name lookup.
-#[derive(Debug, Clone)]
-struct Probe {
-    group: usize,
-    handle: OutputHandle,
-    series: String,
-}
-
 /// The unified execution engine (see module docs).
 ///
 /// Typical lifecycle: construct, [`HybridEngine::add_group`] /
 /// [`HybridEngine::link_sport`] / [`HybridEngine::add_probe`], then
 /// [`HybridEngine::run_until`] repeatedly.
+#[derive(Debug)]
 pub struct HybridEngine {
-    controller: Controller,
-    config: EngineConfig,
-    clock: SimClock,
-    groups: Vec<StreamerNetwork>,
-    links: Vec<SportLink>,
-    /// Dense routing table for streamer-emitted signals, maintained by
-    /// [`HybridEngine::link_sport`]: `link_index[group][node]` holds the
-    /// node's `(sport, link index)` pairs — direct array indexing to the
-    /// node, then a scan over its (almost always 0–2) linked sports. A
-    /// second link for the same `(group, node, sport)` is refused with
-    /// [`CoreError::DuplicateSportLink`].
-    link_index: Vec<Vec<Vec<(String, usize)>>>,
-    probes: Vec<Probe>,
-    /// Recorder series handles, parallel to `probes` — resolved once at
-    /// probe/recorder registration so the per-step record path never does
-    /// a string lookup. Empty while no recorder is attached.
-    probe_series: Vec<SeriesHandle>,
-    recorder: Option<Recorder>,
-    /// Cross-group flow channels registered by
-    /// [`HybridEngine::link_flow`].
-    channels: Vec<FlowChannel>,
-    /// Per-group staging for exported-input lanes, written from channel
-    /// front buffers before each macro step (local path only — workers
-    /// keep their own staging).
-    staging: Vec<Vec<f64>>,
-    /// Which groups receive at least one channel (their staging must be
-    /// latched every step).
-    has_incoming: Vec<bool>,
-    /// Upper bound on the auto-computed threaded batch size; 1 disables
-    /// batching ([`HybridEngine::set_max_batch`]).
-    max_batch: u64,
-    /// Declared per-macro-step deadline budget in nanoseconds, carried
-    /// over from the compiled system — the default budget of
-    /// [`HybridEngine::run_paced`].
-    step_budget_ns: Option<f64>,
-    /// Reused per-step buffer for drained streamer signals.
-    signal_scratch: Vec<DrainedSignal>,
-    started: bool,
-}
-
-impl fmt::Debug for HybridEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HybridEngine")
-            .field("time", &self.clock.seconds())
-            .field("groups", &self.groups.len())
-            .field("links", &self.links.len())
-            .field("policy", &self.config.policy)
-            .finish_non_exhaustive()
-    }
+    core: EnsembleEngine,
 }
 
 impl HybridEngine {
@@ -176,28 +65,14 @@ impl HybridEngine {
     /// Panics if `config.step` is not positive and finite.
     pub fn new(controller: Controller, config: EngineConfig) -> Self {
         assert!(config.step.is_finite() && config.step > 0.0, "macro step must be positive");
-        HybridEngine {
-            controller,
-            config,
-            clock: SimClock::new(),
-            groups: Vec::new(),
-            links: Vec::new(),
-            link_index: Vec::new(),
-            probes: Vec::new(),
-            probe_series: Vec::new(),
-            recorder: None,
-            channels: Vec::new(),
-            staging: Vec::new(),
-            has_incoming: Vec::new(),
-            max_batch: DEFAULT_MAX_BATCH,
-            step_budget_ns: None,
-            signal_scratch: Vec::new(),
-            started: false,
-        }
+        let mut core = EnsembleEngine::with_controllers(vec![controller], config);
+        core.plain_series = true;
+        HybridEngine { core }
     }
 
-    /// Adds a streamer group (one candidate solver thread). Returns the
-    /// group index.
+    /// Adds a streamer group (one candidate solver thread), consuming the
+    /// network into its step plan and behaviours. Returns the group
+    /// index.
     ///
     /// To receive cross-group flows ([`HybridEngine::link_flow`]), export
     /// the consumer inputs (`StreamerNetwork::export_input`) *before*
@@ -206,13 +81,9 @@ impl HybridEngine {
     /// # Errors
     ///
     /// Propagates network validation errors.
-    pub fn add_group(&mut self, mut network: StreamerNetwork) -> Result<usize, CoreError> {
-        network.validate()?;
-        self.link_index.push(vec![Vec::new(); network.node_count()]);
-        self.staging.push(vec![0.0; network.external_input_width()]);
-        self.has_incoming.push(false);
-        self.groups.push(network);
-        Ok(self.groups.len() - 1)
+    pub fn add_group(&mut self, network: StreamerNetwork) -> Result<usize, CoreError> {
+        let (plan, behaviours) = network.into_plan()?;
+        Ok(self.core.push_group(plan, behaviours))
     }
 
     /// Builds an engine from a compiled [`CompiledSystem`] artifact —
@@ -236,28 +107,9 @@ impl HybridEngine {
         compiled: &CompiledSystem,
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
-            return Err(CoreError::InvalidStep { step: config.step });
-        }
-        let SystemInstance { groups, controller } = compiled.instantiate()?;
-        let mut engine = HybridEngine::new(controller, config);
-        engine.step_budget_ns = compiled.step_budget_ns;
-        for net in groups {
-            engine.add_group(net)?;
-        }
-        for l in &compiled.links {
-            engine.link_sport(l.group, l.node, &l.sport, l.capsule, &l.capsule_port)?;
-        }
-        for p in &compiled.probes {
-            engine.add_probe(p.group, p.node, &p.port, &p.series)?;
-        }
-        for cf in &compiled.cross_flows {
-            engine.link_flow(
-                (cf.from_group, cf.from_node, &cf.from_port),
-                (cf.to_group, cf.to_node, &cf.to_port),
-            )?;
-        }
-        Ok(engine)
+        let mut core = EnsembleEngine::from_variants(compiled, &[VariantSpec::new()], config)?;
+        core.plain_series = true;
+        Ok(HybridEngine { core })
     }
 
     /// Connects a producer output DPort in one group to a consumer input
@@ -291,117 +143,15 @@ impl HybridEngine {
         from: (usize, NodeId, &str),
         to: (usize, NodeId, &str),
     ) -> Result<(), CoreError> {
-        let (fg, fnode, fport) = from;
-        let (tg, tnode, tport) = to;
-        for g in [fg, tg] {
-            if g >= self.groups.len() {
-                return Err(CoreError::Engine { detail: format!("no streamer group {g}") });
-            }
-        }
-        if fg == tg {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "flow endpoints are both in group {fg}; use an in-network flow (zero-delay) \
-                     instead of a channel"
-                ),
-            });
-        }
-        if self.groups[tg].node_feedthrough(tnode)? {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer declares direct \
-                     feedthrough, which a one-step-delay channel cannot honour (keep both \
-                     streamers on one thread or make the consumer non-feedthrough)",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
-        }
-        let from_handle = self.groups[fg].output_handle(fnode, fport)?;
-        // The paper's connection rule, channel edition: the producer's
-        // flow type must be a subset of the consumer's.
-        let src_ty = self.groups[fg]
-            .out_ports(fnode)?
-            .iter()
-            .find(|p| p.name() == fport)
-            .map(|p| p.flow_type().clone())
-            .ok_or(CoreError::Flow(urt_dataflow::FlowError::UnknownPort {
-                node: self.groups[fg].node_name(fnode).unwrap_or("?").to_owned(),
-                port: fport.to_owned(),
-            }))?;
-        let dst_spec =
-            self.groups[tg].in_ports(tnode)?.iter().find(|p| p.name() == tport).cloned().ok_or(
-                CoreError::Flow(urt_dataflow::FlowError::UnknownPort {
-                    node: self.groups[tg].node_name(tnode).unwrap_or("?").to_owned(),
-                    port: tport.to_owned(),
-                }),
-            )?;
-        if let Some(detail) = src_ty.subset_failure(dst_spec.flow_type()) {
-            return Err(CoreError::Flow(urt_dataflow::FlowError::TypeMismatch {
-                from: format!("{}.{fport}", self.groups[fg].node_name(fnode).unwrap_or("?")),
-                to: format!("{}.{tport}", self.groups[tg].node_name(tnode).unwrap_or("?")),
-                detail,
-            }));
-        }
-        // Resolve the consumer's lane offset inside its group's exported
-        // input vector (exports accumulate in registration order).
-        let mut to_offset = None;
-        let mut cursor = 0usize;
-        for (n, p) in self.groups[tg].exported_inputs() {
-            let width: usize = self.groups[tg]
-                .in_ports(n)?
-                .iter()
-                .find(|spec| spec.name() == p)
-                .map(|spec| spec.width())
-                .unwrap_or(0);
-            if n == tnode && p == tport {
-                to_offset = Some(cursor);
-                break;
-            }
-            cursor += width;
-        }
-        let Some(to_offset) = to_offset else {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer input is not exported — \
-                     call export_input before add_group",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
-        };
-        if self.channels.iter().any(|c| c.to_group == tg && c.to_offset == to_offset) {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "cross-group flow into `{}`.`{tport}`: the consumer input is already fed by \
-                     another channel",
-                    self.groups[tg].node_name(tnode).unwrap_or("?")
-                ),
-            });
-        }
-        let width = from_handle.width();
-        let bufs: ChannelBufs =
-            Arc::new([Mutex::new(vec![0.0; width]), Mutex::new(vec![0.0; width])]);
-        // Group construction may have widened the exported-input vector
-        // since add_group snapshotted it; re-sync the staging row.
-        let ext_width = self.groups[tg].external_input_width();
-        self.staging[tg].resize(ext_width, 0.0);
-        self.has_incoming[tg] = true;
-        self.channels.push(FlowChannel {
-            from_group: fg,
-            from_handle,
-            to_group: tg,
-            to_offset,
-            bufs,
-        });
-        Ok(())
+        self.core.link_flow(from, to)
     }
 
     /// Caps the batch size `K` the threaded scheduler may choose (1
-    /// forces every macro step through the full `Step`/`Done`
-    /// rendezvous, today's pre-batching behaviour). Values below 1 are
-    /// clamped to 1. Batching never changes results — only how often the
-    /// coordinator and the solver threads synchronise over mpsc.
+    /// forces every macro step through the full coordinator rendezvous).
+    /// Values below 1 are clamped to 1. Batching never changes results —
+    /// only how often the coordinator and the solver threads synchronise.
     pub fn set_max_batch(&mut self, max_batch: u64) {
-        self.max_batch = max_batch.max(1);
+        self.core.max_batch = max_batch.max(1);
     }
 
     /// Bridges a capsule SPort to a streamer SPort: messages the capsule
@@ -423,44 +173,12 @@ impl HybridEngine {
         capsule: usize,
         capsule_port: &str,
     ) -> Result<(), CoreError> {
-        if group >= self.groups.len() {
-            return Err(CoreError::Engine { detail: format!("no streamer group {group}") });
-        }
-        // When the node declares its SPorts, the link must name one.
-        let declared = self.groups[group].sports(node)?;
-        if !declared.is_empty() && !declared.iter().any(|s| s.name() == sport) {
-            return Err(CoreError::Engine {
-                detail: format!(
-                    "node `{}` declares no SPort `{sport}`",
-                    self.groups[group].node_name(node).unwrap_or("?")
-                ),
-            });
-        }
-        let by_node = &mut self.link_index[group][node.index()];
-        if by_node.iter().any(|(s, _)| s == sport) {
-            return Err(CoreError::DuplicateSportLink {
-                group,
-                node: self.groups[group].node_name(node).unwrap_or("?").to_owned(),
-                sport: sport.to_owned(),
-            });
-        }
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = channel();
-        self.controller.connect_external(capsule, capsule_port, tx)?;
-        let li = self.links.len();
-        self.links.push(SportLink {
-            group,
-            node,
-            capsule,
-            capsule_port: capsule_port.to_owned(),
-            from_capsule: rx,
-        });
-        self.link_index[group][node.index()].push((sport.to_owned(), li));
-        Ok(())
+        self.core.link_sport(group, node, sport, capsule, capsule_port)
     }
 
     /// Records the first lane of `(group, node, port)` into the recorder
-    /// series `series` after every macro step. The port is resolved to an
-    /// output handle here, once — recording never looks names up again.
+    /// series `series` after every macro step. The port is resolved to a
+    /// dense lane here, once — recording never looks names up again.
     ///
     /// # Errors
     ///
@@ -473,68 +191,34 @@ impl HybridEngine {
         port: &str,
         series: &str,
     ) -> Result<(), CoreError> {
-        if group >= self.groups.len() {
-            return Err(CoreError::Engine { detail: format!("no streamer group {group}") });
-        }
-        let handle = self.groups[group].output_handle(node, port)?;
-        self.probes.push(Probe { group, handle, series: series.to_owned() });
-        if let Some(rec) = &self.recorder {
-            self.probe_series.push(rec.handle(series));
-        }
-        Ok(())
+        self.core.add_probe(group, node, port, series)
     }
 
     /// Attaches a recorder for probes, interning every registered probe's
     /// series so the per-step record path is lookup-free.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.probe_series = self.probes.iter().map(|p| recorder.handle(&p.series)).collect();
-        self.recorder = Some(recorder);
+        self.core.set_recorder(recorder);
     }
 
     /// Current simulation time in seconds.
     pub fn time(&self) -> f64 {
-        self.clock.seconds()
+        self.core.time()
     }
 
     /// Number of macro steps taken.
     pub fn step_count(&self) -> u64 {
-        self.clock.step_count()
+        self.core.step_count()
     }
 
     /// The capsule controller (for injecting environment events and
     /// asserting on capsule state).
     pub fn controller(&self) -> &Controller {
-        &self.controller
+        &self.core.controllers[0]
     }
 
     /// Mutable access to the capsule controller.
     pub fn controller_mut(&mut self) -> &mut Controller {
-        &mut self.controller
-    }
-
-    /// Read access to a streamer group.
-    pub fn network(&self, group: usize) -> Option<&StreamerNetwork> {
-        self.groups.get(group)
-    }
-
-    /// Mutable access to a streamer group.
-    pub fn network_mut(&mut self, group: usize) -> Option<&mut StreamerNetwork> {
-        self.groups.get_mut(group)
-    }
-
-    fn start_if_needed(&mut self) -> Result<(), CoreError> {
-        if self.started {
-            return Ok(());
-        }
-        let t0 = self.clock.seconds();
-        for g in &mut self.groups {
-            g.initialize(t0)?;
-        }
-        if !self.controller.is_started() {
-            self.controller.start()?;
-        }
-        self.started = true;
-        Ok(())
+        &mut self.core.controllers[0]
     }
 
     /// Runs until simulation time `t_end`, in macro steps of
@@ -544,18 +228,14 @@ impl HybridEngine {
     ///
     /// Propagates solver, runtime and thread failures.
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
-        self.start_if_needed()?;
-        match self.config.policy {
-            ThreadPolicy::CurrentThread => self.run_local(t_end),
-            ThreadPolicy::DedicatedThreads => self.run_threaded(t_end, None),
-        }
+        self.core.run_until(t_end)
     }
 
     /// The per-macro-step deadline budget the engine carries (from the
     /// compiled system's declared budget), nanoseconds per macro step —
     /// the default budget of [`HybridEngine::run_paced`].
     pub fn step_budget_ns(&self) -> Option<f64> {
-        self.step_budget_ns
+        self.core.step_budget_ns()
     }
 
     /// Hard real-time mode: runs until simulation time `t_end` with each
@@ -594,20 +274,7 @@ impl HybridEngine {
     /// run exhausts its consecutive-miss tolerance, plus the usual
     /// solver, runtime and thread failures.
     pub fn run_paced(&mut self, t_end: f64, config: PacedConfig) -> Result<PacedReport, CoreError> {
-        self.start_if_needed()?;
-        let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
-        let threaded =
-            matches!(self.config.policy, ThreadPolicy::DedicatedThreads) && !self.groups.is_empty();
-        if threaded {
-            self.run_threaded(t_end, Some(&mut runner))?;
-        } else {
-            for _ in 0..self.steps_until(t_end) {
-                runner.begin();
-                self.step_once()?;
-                runner.end(1, self.clock.seconds())?;
-            }
-        }
-        Ok(runner.finish())
+        self.core.run_paced(t_end, config)
     }
 
     /// One macro step on the calling thread (exposed for fine-grained
@@ -617,398 +284,7 @@ impl HybridEngine {
     ///
     /// Propagates solver and runtime failures.
     pub fn step_once(&mut self) -> Result<(), CoreError> {
-        self.start_if_needed()?;
-        let h = self.config.step;
-        self.deliver_capsule_signals_local()?;
-        self.latch_channel_inputs_local();
-        for g in &mut self.groups {
-            g.step(h)?;
-        }
-        self.clock.tick(h);
-        self.publish_channel_outputs_local();
-        // Post-tick derived instant: the same drift-free product both
-        // thread policies stamp on probes and hand to the controller.
-        let t_next = self.clock.seconds();
-        self.collect_streamer_signals_local()?;
-        self.record_probes();
-        self.controller.run_until(t_next)?;
-        Ok(())
-    }
-
-    /// Copies every channel's front buffer (slot `step_count % 2`,
-    /// pre-tick) into its consumer group's exported-input lanes. Reads
-    /// the sample the producer published at the end of the *previous*
-    /// step — the channel's one-step delay.
-    fn latch_channel_inputs_local(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let src = ch.bufs[slot].lock();
-            let w = src.len();
-            self.staging[ch.to_group][ch.to_offset..ch.to_offset + w].copy_from_slice(&src);
-        }
-        for (gi, latch) in self.has_incoming.iter().enumerate() {
-            if *latch {
-                self.groups[gi].set_external_inputs(&self.staging[gi]);
-            }
-        }
-    }
-
-    /// Copies every channel's producer output into its back buffer (slot
-    /// `step_count % 2` *post-tick*, i.e. the slot the consumer will read
-    /// at the next step).
-    fn publish_channel_outputs_local(&mut self) {
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            ch.bufs[slot]
-                .lock()
-                .copy_from_slice(self.groups[ch.from_group].output_by_handle(&ch.from_handle));
-        }
-    }
-
-    /// Number of whole macro steps needed to reach `t_end` from the
-    /// current instant (see [`crate::time::steps_until`] for the
-    /// relative-tolerance rationale).
-    fn steps_until(&self, t_end: f64) -> u64 {
-        crate::time::steps_until(self.clock.seconds(), t_end, self.config.step)
-    }
-
-    fn run_local(&mut self, t_end: f64) -> Result<(), CoreError> {
-        for _ in 0..self.steps_until(t_end) {
-            self.step_once()?;
-        }
-        Ok(())
-    }
-
-    fn deliver_capsule_signals_local(&mut self) -> Result<(), CoreError> {
-        for li in 0..self.links.len() {
-            while let Ok(msg) = self.links[li].from_capsule.try_recv() {
-                let (group, node) = (self.links[li].group, self.links[li].node);
-                self.groups[group].send_signal(node, &msg)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn collect_streamer_signals_local(&mut self) -> Result<(), CoreError> {
-        let mut buf = std::mem::take(&mut self.signal_scratch);
-        let mut result = Ok(());
-        'groups: for gi in 0..self.groups.len() {
-            buf.clear();
-            self.groups[gi].drain_signals_into(&mut buf);
-            for (node, sport, msg) in buf.drain(..) {
-                if let Err(e) = self.route_streamer_signal(gi, node, &sport, msg) {
-                    result = Err(e);
-                    break 'groups;
-                }
-            }
-        }
-        buf.clear();
-        self.signal_scratch = buf;
-        result
-    }
-
-    fn route_streamer_signal(
-        &mut self,
-        group: usize,
-        node: NodeId,
-        sport: &str,
-        msg: Message,
-    ) -> Result<(), CoreError> {
-        let link = self
-            .link_index
-            .get(group)
-            .and_then(|by_node| by_node.get(node.index()))
-            .and_then(|sports| sports.iter().find(|(s, _)| s == sport))
-            .map(|&(_, li)| &self.links[li]);
-        if let Some(link) = link {
-            self.controller.inject(link.capsule, &link.capsule_port, msg)?;
-        }
-        Ok(())
-    }
-
-    fn record_probes(&mut self) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let t = self.clock.seconds();
-        for (p, series) in self.probes.iter().zip(&self.probe_series) {
-            if let Some(&v) = self.groups[p.group].output_by_handle(&p.handle).first() {
-                series.push(t, v);
-            }
-        }
-    }
-
-    /// Threaded execution: one worker per group, synchronised via
-    /// channels once per *batch* of macro steps (the paper's deployment,
-    /// with the rendezvous amortised).
-    ///
-    /// The coordinator picks the largest batch `K` such that nothing due
-    /// within the next `K` macro steps needs the coordinator: with SPort
-    /// links present a signal exchange may be due every step, so `K = 1`
-    /// (bit-exactly today's behaviour); without links `K` is only capped
-    /// by the remaining step count and [`HybridEngine::set_max_batch`].
-    /// Inside a batch, workers run counted inner loops; groups touching a
-    /// cross-group flow channel synchronise between sub-steps over a
-    /// [`SpinBarrier`] (one wait per sub-step), everyone else runs free.
-    /// Each worker stamps its probe samples from a private clock copy, so
-    /// batch-buffered samples carry exactly the local path's instants.
-    ///
-    /// Per-batch buffers (drained signals, probe samples) are recycled:
-    /// each `Cmd::Step` carries the previous batch's vectors back to the
-    /// worker, so the steady state allocates nothing.
-    ///
-    /// When `paced` is set ([`HybridEngine::run_paced`]), each batch is
-    /// bracketed by the runner at the batch barrier: the cycle starts
-    /// before capsule signals are flushed and ends once the batch's
-    /// results are merged, so the measured cycle covers exactly the work
-    /// the local path does for the same `K` steps.
-    fn run_threaded(
-        &mut self,
-        t_end: f64,
-        mut paced: Option<&mut PacedRunner>,
-    ) -> Result<(), CoreError> {
-        let h = self.config.step;
-        let n_groups = self.groups.len();
-        if n_groups == 0 {
-            // Pure event-driven run: no solver threads to coordinate, so
-            // the local path *is* the threaded path. (This also delivers
-            // capsule-bound SPort messages instead of discarding them —
-            // with zero groups no links can exist today, but the local
-            // loop keeps that invariant by construction.)
-            return self.run_local(t_end);
-        }
-        let n_steps = self.steps_until(t_end);
-
-        enum Cmd {
-            /// A batch of `k` macro steps, carrying recycled output
-            /// buffers and a clock copy for probe timestamps.
-            Step {
-                h: f64,
-                k: u64,
-                clock: SimClock,
-                signals: Vec<DrainedSignal>,
-                probes: Vec<ProbeSample>,
-            },
-            Signal {
-                node: NodeId,
-                msg: Message,
-            },
-        }
-        struct Done {
-            signals: Vec<DrainedSignal>,
-            probes: Vec<ProbeSample>,
-            result: Result<(), urt_dataflow::FlowError>,
-        }
-
-        let networks: Vec<StreamerNetwork> = std::mem::take(&mut self.groups);
-        let probes = self.probes.clone();
-        let record = self.recorder.is_some();
-
-        // Channel wiring per worker: which channels it reads before each
-        // sub-step and which it publishes after. Only channel-touching
-        // groups join the inner sub-step barrier.
-        let mut incoming: Vec<Vec<(ChannelBufs, usize)>> = vec![Vec::new(); n_groups];
-        let mut outgoing: Vec<Vec<(ChannelBufs, OutputHandle)>> = vec![Vec::new(); n_groups];
-        for ch in &self.channels {
-            incoming[ch.to_group].push((Arc::clone(&ch.bufs), ch.to_offset));
-            outgoing[ch.from_group].push((Arc::clone(&ch.bufs), ch.from_handle));
-        }
-        let participating: Vec<bool> =
-            (0..n_groups).map(|g| !incoming[g].is_empty() || !outgoing[g].is_empty()).collect();
-        let n_participants = participating.iter().filter(|&&p| p).count();
-        let barrier = (n_participants >= 2).then(|| Arc::new(SpinBarrier::new(n_participants)));
-
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(n_groups);
-        let mut done_rxs: Vec<Receiver<Done>> = Vec::with_capacity(n_groups);
-        let mut back_rxs: Vec<Receiver<StreamerNetwork>> = Vec::with_capacity(n_groups);
-
-        let result = std::thread::scope(|scope| -> Result<(), CoreError> {
-            for (gi, mut net) in networks.into_iter().enumerate() {
-                let (cmd_tx, cmd_rx) = channel::<Cmd>();
-                let (done_tx, done_rx) = channel::<Done>();
-                let (back_tx, back_rx) = channel::<StreamerNetwork>();
-                cmd_txs.push(cmd_tx);
-                done_rxs.push(done_rx);
-                back_rxs.push(back_rx);
-                let my_probes: Vec<(usize, Probe)> = probes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.group == gi)
-                    .map(|(i, p)| (i, p.clone()))
-                    .collect();
-                let my_incoming = std::mem::take(&mut incoming[gi]);
-                let my_outgoing = std::mem::take(&mut outgoing[gi]);
-                let my_barrier = participating[gi].then(|| barrier.clone()).flatten();
-                scope.spawn(move || {
-                    // First delivery failure, surfaced in the next Done so
-                    // both thread policies fail identically (the local path
-                    // propagates send_signal errors before stepping).
-                    let mut signal_err: Option<urt_dataflow::FlowError> = None;
-                    let mut staging = vec![0.0; net.external_input_width()];
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Signal { node, msg } => {
-                                if let Err(e) = net.send_signal(node, &msg) {
-                                    signal_err.get_or_insert(e);
-                                }
-                            }
-                            Cmd::Step { h, k, mut clock, mut signals, mut probes } => {
-                                signals.clear();
-                                probes.clear();
-                                let mut result = match signal_err.take() {
-                                    Some(e) => Err(e),
-                                    None => Ok(()),
-                                };
-                                for i in 0..k {
-                                    // Between consecutive sub-steps the
-                                    // channel-touching groups rendezvous:
-                                    // the wait separates last sub-step's
-                                    // slot writes from this sub-step's
-                                    // same-slot reads. A worker that
-                                    // already failed stops stepping and
-                                    // publishing but keeps waiting, so
-                                    // its peers never deadlock.
-                                    if i > 0 {
-                                        if let Some(b) = &my_barrier {
-                                            b.wait();
-                                        }
-                                    }
-                                    if result.is_ok() && !my_incoming.is_empty() {
-                                        // Front slot: pre-tick parity.
-                                        let slot = (clock.step_count() % 2) as usize;
-                                        for (bufs, off) in &my_incoming {
-                                            let src = bufs[slot].lock();
-                                            staging[*off..*off + src.len()].copy_from_slice(&src);
-                                        }
-                                        net.set_external_inputs(&staging);
-                                    }
-                                    if result.is_ok() {
-                                        result = net.step(h);
-                                    }
-                                    clock.tick(h);
-                                    if result.is_ok() {
-                                        // Back slot: post-tick parity (what
-                                        // consumers read next sub-step).
-                                        let slot = (clock.step_count() % 2) as usize;
-                                        for (bufs, handle) in &my_outgoing {
-                                            bufs[slot]
-                                                .lock()
-                                                .copy_from_slice(net.output_by_handle(handle));
-                                        }
-                                        net.drain_signals_into(&mut signals);
-                                        if record {
-                                            let t = clock.seconds();
-                                            for (pi, p) in &my_probes {
-                                                if let Some(&v) =
-                                                    net.output_by_handle(&p.handle).first()
-                                                {
-                                                    probes.push((*pi, t, v));
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                if done_tx.send(Done { signals, probes, result }).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    let _ = back_tx.send(net);
-                });
-            }
-
-            // Recycled per-group buffers for Cmd::Step, and the cross-group
-            // routing staging area — all allocated once per run.
-            let mut recycled: Vec<StepBuffers> =
-                (0..n_groups).map(|_| (Vec::new(), Vec::new())).collect();
-            let mut all_signals: Vec<(usize, NodeId, String, Message)> = Vec::new();
-            let mut remaining = n_steps;
-            while remaining > 0 {
-                // Batch size: with SPort links a signal exchange may be
-                // due after any step, so the rendezvous must run every
-                // step. Without links, nothing inside the batch needs the
-                // coordinator (probe samples buffer with their own
-                // timestamps; channels synchronise on the inner barrier).
-                let k = if self.links.is_empty() { remaining.min(self.max_batch) } else { 1 };
-                if let Some(runner) = paced.as_deref_mut() {
-                    runner.begin();
-                }
-                // 1. Capsule -> streamer signals.
-                for link in &self.links {
-                    while let Ok(msg) = link.from_capsule.try_recv() {
-                        cmd_txs[link.group]
-                            .send(Cmd::Signal { node: link.node, msg })
-                            .map_err(|_| CoreError::ThreadLost { group: link.group })?;
-                    }
-                }
-                // 2. Parallel batch of macro steps.
-                for (gi, tx) in cmd_txs.iter().enumerate() {
-                    let (signals, probes) = std::mem::take(&mut recycled[gi]);
-                    tx.send(Cmd::Step { h, k, clock: self.clock.clone(), signals, probes })
-                        .map_err(|_| CoreError::Engine { detail: "worker gone".into() })?;
-                }
-                // 3. Coordinator catch-up. Without links the controller
-                // cannot interact with the streamer world, so its
-                // per-instant catch-ups run here, overlapping the solver
-                // threads; with links (k = 1) it runs after signal
-                // routing below, exactly as the local path orders it.
-                if self.links.is_empty() {
-                    for _ in 0..k {
-                        self.clock.tick(h);
-                        self.controller.run_until(self.clock.seconds())?;
-                    }
-                } else {
-                    self.clock.tick(h);
-                }
-                let t_next = self.clock.seconds();
-                // 4. Batch barrier: gather results, signals, probes.
-                all_signals.clear();
-                for (gi, rx) in done_rxs.iter().enumerate() {
-                    let mut done = rx.recv().map_err(|_| CoreError::ThreadLost { group: gi })?;
-                    done.result.map_err(CoreError::Flow)?;
-                    for (node, sport, msg) in done.signals.drain(..) {
-                        all_signals.push((gi, node, sport, msg));
-                    }
-                    if record {
-                        for &(pi, t, v) in &done.probes {
-                            self.probe_series[pi].push(t, v);
-                        }
-                    }
-                    done.probes.clear();
-                    recycled[gi] = (done.signals, done.probes);
-                }
-                // 5. Streamer -> capsule signals.
-                for (gi, node, sport, msg) in all_signals.drain(..) {
-                    self.route_streamer_signal(gi, node, &sport, msg)?;
-                }
-                // 6. Event-driven world catches up (links path; without
-                // links it already ran in step 3).
-                if !self.links.is_empty() {
-                    self.controller.run_until(t_next)?;
-                }
-                if let Some(runner) = paced.as_deref_mut() {
-                    // Batch barrier pacing: K steps measured as one cycle,
-                    // budget attributed as K x the step budget. An early
-                    // SafetyStop return drops cmd_txs, so workers exit.
-                    runner.end(k, t_next)?;
-                }
-                remaining -= k;
-            }
-            drop(cmd_txs);
-            Ok(())
-        });
-
-        // Recover the networks regardless of success.
-        for rx in back_rxs {
-            if let Ok(net) = rx.recv() {
-                self.groups.push(net);
-            }
-        }
-        result
+        self.core.step_once()
     }
 }
 
@@ -1019,6 +295,7 @@ mod tests {
     use urt_dataflow::flowtype::FlowType;
     use urt_dataflow::streamer::FnStreamer;
     use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
+    use urt_umlrt::message::Message;
     use urt_umlrt::statemachine::StateMachineBuilder;
     use urt_umlrt::value::Value;
 

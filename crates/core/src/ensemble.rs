@@ -1,60 +1,77 @@
-//! Structure-of-arrays ensemble execution: step `K` parameter-variants
-//! of one [`CompiledSystem`] in lockstep.
+//! The execution core: `K` instances of one system stepped in lockstep
+//! over structure-of-arrays state, each with its own capsule controller.
 //!
-//! Parameter sweeps, Monte-Carlo robustness studies and scenario fans
-//! all run the *same* lowered model many times with slightly different
-//! parameters. Driving `K` independent [`HybridEngine`]s pays the full
-//! per-step bookkeeping — routing-table walks, barrier crossings,
-//! cross-group channel latching, clock arithmetic — once **per
-//! instance**. [`EnsembleEngine`] pays it once **per step**: each group's
-//! [`StepPlan`] (the dense routing schedule computed once from the
-//! network) is replayed with instance-major inner loops over contiguous
-//! state arrays, so the plan walk, the channel parity bookkeeping and the
-//! probe/clock overhead are amortised over all `K` instances, and the
-//! inner lane copies run over contiguous memory — auto-vectorisable where
-//! the block math allows.
+//! This is the crate's only macro-step implementation.
+//! [`HybridEngine`] is its `K = 1` case; parameter sweeps, Monte-Carlo
+//! robustness studies and scenario fans run the *same* lowered model
+//! many times through [`EnsembleEngine`]. Each group's [`StepPlan`] (the
+//! dense routing schedule a network consumes itself into) is replayed
+//! with instance-major inner loops over contiguous state arrays, so the
+//! plan walk, the channel parity bookkeeping and the probe/clock overhead
+//! are paid once per step, not once per instance, and the inner lane
+//! copies run over contiguous memory.
 //!
 //! Layout: instance `i` of a group owns lanes `[i*W .. (i+1)*W)` of that
 //! group's flat input/output arrays, where `W` is the per-instance dense
-//! width from the plan. Behaviours are replicated per instance by
-//! re-invoking the compiled system's behaviour factories (every
-//! registered behaviour replicates; the network-first
-//! [`EnsembleEngine::from_network`] path still falls back to
-//! [`StreamerBehavior::clone_fresh`]), with per-instance parameter
-//! overrides applied through [`StreamerBehavior::set_param`] before
-//! initialisation ([`VariantSpec`]).
+//! width from the plan. Instance 0 runs on the behaviours and controller
+//! of one [`CompiledSystem::instantiate`]; instances `1..K` re-invoke the
+//! compiled system's behaviour and capsule factories. Per-instance
+//! parameter overrides are applied through
+//! [`StreamerBehavior::set_param`] before initialisation
+//! ([`VariantSpec`]).
+//!
+//! One macro step, per group: capsule→streamer SPort messages are
+//! delivered to their lanes (`on_signal`), cross-group channel inputs are
+//! latched, the plan is replayed, channel outputs are published and
+//! probes are recorded. Signals the behaviours emit on linked SPorts are
+//! then injected into their instance's controller — per instance in group
+//! order, then plan order, exactly as [`StreamerNetwork::step`] emits
+//! them — and every controller runs to the post-step instant.
+//!
+//! Under [`ThreadPolicy::DedicatedThreads`] each group steps on its own
+//! worker for the length of a `run_until` segment, in batches of macro
+//! steps: a batch is one macro step while SPort links exist (a signal
+//! exchange may be due after any step), otherwise as long as the segment
+//! allows (capped by [`HybridEngine::set_max_batch`]), with the
+//! controllers catching up on the coordinator while the workers step.
 //!
 //! **Determinism is the correctness anchor**: instance `i` of a
-//! `K`-ensemble is bit-identical to a standalone run with the same
-//! variant parameters — same step plan semantics as
+//! `K`-ensemble is bit-identical to a standalone [`HybridEngine`] run
+//! with the same variant parameters — same plan semantics as
 //! [`StreamerNetwork::step`], same accumulated group time, same
-//! cross-group channel parity slots, same drift-free probe timestamps.
-//! The equivalence suites pin this for both thread policies.
-//!
-//! Scope: ensembles run the time-continuous half only. Systems with SPort
-//! links are refused (capsule signal routing is per-instance discrete
-//! state, which would serialise the ensemble); the compiled controller is
-//! not stepped, and signals emitted by behaviours are drained and
-//! dropped.
+//! cross-group channel parity slots, same drift-free probe timestamps,
+//! same controller message order. The equivalence suites pin this for
+//! both thread policies.
 
-use crate::elaborate::CompiledSystem;
+use crate::elaborate::{CompiledSystem, SystemInstance};
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
+use crate::pacer::{PacedConfig, PacedReport, PacedRunner};
 use crate::recorder::{Recorder, SeriesHandle};
 use crate::sync::{Mutex, SpinBarrier};
 use crate::threading::ThreadPolicy;
 use crate::time::SimClock;
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan, StreamerNetwork};
+use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_ode::solver::Solver;
 use urt_ode::system::BatchOdeSystem;
 use urt_ode::OdeSystem;
+use urt_umlrt::controller::Controller;
+use urt_umlrt::message::Message;
 
 #[cfg(doc)]
 use crate::engine::HybridEngine;
+#[cfg(doc)]
+use urt_dataflow::graph::StreamerNetwork;
+
+/// Upper bound on the macro steps one threaded batch may take when no
+/// SPort link forces per-step batches: amortises the coordinator
+/// rendezvous to nothing while keeping pacing release points bounded.
+const DEFAULT_MAX_BATCH: u64 = 4096;
 
 /// Per-instance parameter overrides for one ensemble member: a list of
 /// `(streamer, parameter, value)` assignments applied through
@@ -197,13 +214,55 @@ impl BatchOdeSystem for LaneBatchSystem<'_> {
     }
 }
 
-/// One group's ensemble state: the shared routing plan plus `K`
-/// instance-major copies of the dense per-instance arrays.
+/// The two parity slots of one cross-group channel, each carrying all
+/// `K` instances' samples. During step `n` the consumer reads slot
+/// `n % 2` before its group steps and the producer writes slot
+/// `(n + 1) % 2` after: the two never touch the same slot within a step,
+/// and the consumer deterministically sees the producer's previous step's
+/// output — the one-macro-step channel delay (all-zero lanes at step 0).
+type ChannelBufs = Arc<[Mutex<Vec<f64>>; 2]>;
+
+/// Per instance, the `(link, message)` signals one group's behaviours
+/// emitted on linked SPorts since the last routing, in plan order.
+type Emitted = Vec<Vec<(usize, Message)>>;
+
+/// One end of a cross-group channel, held by the group it touches.
+struct ChannelEnd {
+    bufs: ChannelBufs,
+    /// Per-instance lane offset: into the dense output array at the
+    /// producer, into the external-input staging at the consumer.
+    offset: usize,
+    width: usize,
+}
+
+/// A probe on the first lane of an output DPort, recorded per instance.
+struct Probe {
+    /// Per-instance dense output offset; `None` for a zero-width port,
+    /// which records nothing.
+    lane: Option<usize>,
+    series: String,
+    /// Interned series, one per instance; empty while no recorder is
+    /// attached.
+    handles: Vec<SeriesHandle>,
+}
+
+/// The streamer end of one SPort link: messages the capsule sends, one
+/// receiver per instance, delivered to the linked row's lanes.
+struct Inbox {
+    /// Plan row of the linked streamer (`None` for a relay, which has no
+    /// behaviour to deliver to).
+    row: Option<usize>,
+    rx: Vec<Receiver<Message>>,
+}
+
+/// One group's state: the shared routing plan, `K` instance-major copies
+/// of the dense per-instance arrays, and the group's ends of every
+/// channel, probe and SPort link.
 struct GroupState {
     plan: StepPlan,
-    /// `behaviours[r][i]` is instance `i` of the `r`-th *streamer* plan
-    /// node (relays carry no behaviour), in plan order.
-    behaviours: Vec<Vec<Box<dyn StreamerBehavior>>>,
+    /// `behaviours[r * K + i]` is instance `i` of the `r`-th *streamer*
+    /// plan node (relays carry no behaviour), rows in plan order.
+    behaviours: Vec<Box<dyn StreamerBehavior>>,
     /// `batch_rows[r]` is the batch-stepping state of the `r`-th streamer
     /// row, `None` for rows that are not batch-eligible. Built once at
     /// start (after `initialize`), empty before.
@@ -219,11 +278,105 @@ struct GroupState {
     /// Accumulated group time — `t += h` per step, exactly like
     /// `StreamerNetwork::step`, so behaviours see bit-identical instants.
     time: f64,
+    incoming: Vec<ChannelEnd>,
+    outgoing: Vec<ChannelEnd>,
+    probes: Vec<Probe>,
+    inboxes: Vec<Inbox>,
+    /// `routes[node]`: the node's linked SPorts as `(sport, link)` pairs —
+    /// direct indexing to the node, then a scan over its (almost always
+    /// 0–2) links.
+    routes: Vec<Vec<(String, usize)>>,
+    emitted: Emitted,
+}
+
+/// Routes the signals `b` emitted on linked SPorts into `out`; signals on
+/// unlinked SPorts are dropped, as on the network path.
+fn route_emitted(
+    b: &mut dyn StreamerBehavior,
+    routes: &[(String, usize)],
+    out: &mut Vec<(usize, Message)>,
+) {
+    for (sport, msg) in b.take_emitted() {
+        if let Some(&(_, link)) = routes.iter().find(|(s, _)| *s == sport) {
+            out.push((link, msg));
+        }
+    }
 }
 
 impl GroupState {
+    fn new(plan: StepPlan, behaviours: Vec<Box<dyn StreamerBehavior>>, k: usize) -> Self {
+        GroupState {
+            ins: vec![0.0; k * plan.in_width()],
+            outs: vec![0.0; k * plan.out_width()],
+            ext: vec![0.0; k * plan.ext_in_width()],
+            routes: vec![Vec::new(); plan.nodes().len()],
+            emitted: vec![Vec::new(); k],
+            plan,
+            behaviours,
+            batch_rows: Vec::new(),
+            kernel: EnsembleKernel::default(),
+            time: 0.0,
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
+            probes: Vec::new(),
+            inboxes: Vec::new(),
+        }
+    }
+
+    /// The plan row of a streamer node (`None` for relays).
+    fn row_of(&self, node: NodeId) -> Option<usize> {
+        self.plan
+            .nodes()
+            .iter()
+            .filter(|pn| matches!(pn.kind, PlanNodeKind::Streamer))
+            .position(|pn| pn.node == node)
+    }
+
+    /// One macro step of all `k` instances: deliver capsule messages,
+    /// latch channel inputs (slot `step % 2`), replay the plan, publish
+    /// channel outputs (slot `(step + 1) % 2`) and record probes at the
+    /// post-step instant `t`. `step` is the pre-step macro-step count.
+    fn macro_step(&mut self, h: f64, k: usize, step: u64, t: f64) -> Result<(), CoreError> {
+        for inbox in &self.inboxes {
+            for (i, rx) in inbox.rx.iter().enumerate() {
+                while let Ok(msg) = rx.try_recv() {
+                    if let Some(r) = inbox.row {
+                        self.behaviours[r * k + i].on_signal(&msg);
+                    }
+                }
+            }
+        }
+        let extw = self.plan.ext_in_width();
+        for ch in &self.incoming {
+            let src = ch.bufs[(step % 2) as usize].lock();
+            for i in 0..k {
+                let dst = i * extw + ch.offset;
+                self.ext[dst..dst + ch.width]
+                    .copy_from_slice(&src[i * ch.width..(i + 1) * ch.width]);
+            }
+        }
+        self.replay(h, k)?;
+        let outw = self.plan.out_width();
+        for ch in &self.outgoing {
+            let mut dst = ch.bufs[((step + 1) % 2) as usize].lock();
+            for i in 0..k {
+                let src = i * outw + ch.offset;
+                dst[i * ch.width..(i + 1) * ch.width]
+                    .copy_from_slice(&self.outs[src..src + ch.width]);
+            }
+        }
+        for p in &self.probes {
+            if let Some(lane) = p.lane {
+                for (i, series) in p.handles.iter().enumerate() {
+                    series.push(t, self.outs[i * outw + lane]);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Replays the plan once, advancing all `k` instances by `h`.
-    fn step(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
+    fn replay(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
         let t = self.time;
         let inw = self.plan.in_width();
         let outw = self.plan.out_width();
@@ -246,6 +399,7 @@ impl GroupState {
                 PlanNodeKind::Streamer => {
                     let r = row;
                     row += 1;
+                    let routes = &self.routes[pn.node.index()];
                     let batched = matches!(self.kernel, EnsembleKernel::Batched)
                         && matches!(self.batch_rows.get(r), Some(Some(_)));
                     if batched {
@@ -254,7 +408,7 @@ impl GroupState {
                         let t_end = t + h;
                         let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
                         {
-                            let lanes = &self.behaviours[r];
+                            let lanes = &self.behaviours[r * k..(r + 1) * k];
                             for (i, b) in lanes.iter().enumerate() {
                                 let lane =
                                     b.as_ode_lane().expect("batch rows contain only ODE lanes");
@@ -300,7 +454,7 @@ impl GroupState {
                             br.time = tl;
                             (br.scratch_x, br.scratch_d) = sys.scratch.into_inner();
                         }
-                        let lanes = &mut self.behaviours[r];
+                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
                         for (i, b) in lanes.iter_mut().enumerate() {
                             let ui = i * inw + pn.in_offset;
                             let yi = i * outw + pn.out_offset;
@@ -317,13 +471,10 @@ impl GroupState {
                                 &self.ins[ui..ui + pn.in_width],
                                 &mut self.outs[yi..yi + pn.out_width],
                             );
-                            // Parity with the scalar branch: batchable
-                            // lanes are guard-free so nothing can be
-                            // pending, but drain regardless.
-                            let _ = b.take_emitted();
+                            route_emitted(b.as_mut(), routes, &mut self.emitted[i]);
                         }
                     } else {
-                        let lanes = &mut self.behaviours[r];
+                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
                         for (i, b) in lanes.iter_mut().enumerate() {
                             let ui = i * inw + pn.in_offset;
                             let yi = i * outw + pn.out_offset;
@@ -334,9 +485,7 @@ impl GroupState {
                                 &mut self.outs[yi..yi + pn.out_width],
                             )
                             .map_err(|e| CoreError::Flow(e.into()))?;
-                            // No SPort links exist in an ensemble: drain
-                            // emitted signals so they cannot accumulate.
-                            let _ = b.take_emitted();
+                            route_emitted(b.as_mut(), routes, &mut self.emitted[i]);
                         }
                     }
                 }
@@ -358,30 +507,78 @@ impl GroupState {
     }
 }
 
-/// One cross-group flow, widened to `K` lanesets: double-buffered parity
-/// slots exactly like the [`HybridEngine`] channel (consumer reads slot
-/// `step % 2` pre-tick, producer writes the same index post-tick), but
-/// each slot carries all `K` instances' samples.
-struct EnsembleChannel {
-    from_group: usize,
-    /// Per-instance dense offset of the producer's first output lane.
-    from_base: usize,
-    width: usize,
-    to_group: usize,
-    /// Per-instance offset inside the consumer's external input staging.
-    to_offset: usize,
-    bufs: Arc<[Mutex<Vec<f64>>; 2]>,
+/// Decides, per streamer row, whether all K lanes can step through the
+/// batched kernel path: every lane must expose itself as a batchable
+/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free, handler-free, batched-kernel
+/// solver) and the row must be homogeneous in `dim` and `substep` — the
+/// lockstep schedule is shared. Called once after `initialize`.
+fn build_batch_rows(gs: &mut GroupState, k: usize) {
+    gs.batch_rows.clear();
+    for lanes in gs.behaviours.chunks(k) {
+        let candidate = (|| {
+            let first = lanes.first()?.as_ode_lane()?;
+            if !first.lane_batchable() {
+                return None;
+            }
+            let dim = first.lane_dim();
+            let substep = first.lane_substep();
+            if dim == 0 || !(substep.is_finite() && substep > 0.0) {
+                return None;
+            }
+            let time = first.lane_time()?;
+            for b in lanes {
+                let lane = b.as_ode_lane()?;
+                if !lane.lane_batchable()
+                    || lane.lane_dim() != dim
+                    || lane.lane_substep().to_bits() != substep.to_bits()
+                    || lane.lane_state().is_none()
+                    || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
+                {
+                    return None;
+                }
+            }
+            let solver = first.lane_clone_solver()?;
+            Some(BatchRow {
+                dim,
+                substep,
+                time,
+                solver,
+                states: vec![0.0; k * dim],
+                scratch_x: vec![0.0; dim],
+                scratch_d: vec![0.0; dim],
+            })
+        })();
+        gs.batch_rows.push(candidate);
+    }
 }
 
-/// One resolved probe: the first output lane of `(group, out_base)`,
-/// recorded per instance into series `{series}#{instance}`.
-struct EnsembleProbe {
-    group: usize,
-    out_base: usize,
-    series: String,
+/// Injects every routed streamer signal into its instance's controller:
+/// per instance, group order then plan order.
+fn inject_signals<'a>(
+    controllers: &mut [Controller],
+    links: &[(usize, String)],
+    emitted: impl Iterator<Item = &'a mut Emitted>,
+) -> Result<(), CoreError> {
+    for per_instance in emitted {
+        for (controller, signals) in controllers.iter_mut().zip(per_instance.iter_mut()) {
+            for (link, msg) in signals.drain(..) {
+                let (capsule, port) = &links[link];
+                controller.inject(*capsule, port, msg)?;
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The ensemble engine (see module docs): `K` parameter-variants of one
+/// Runs every controller to `t`.
+fn run_controllers(controllers: &mut [Controller], t: f64) -> Result<(), CoreError> {
+    for controller in controllers {
+        controller.run_until(t)?;
+    }
+    Ok(())
+}
+
+/// The execution core (see module docs): `K` instances of one
 /// [`CompiledSystem`] stepped in lockstep over structure-of-arrays state.
 ///
 /// Construct with [`EnsembleEngine::from_compiled`] (identical
@@ -421,12 +618,17 @@ pub struct EnsembleEngine {
     clock: SimClock,
     k: usize,
     groups: Vec<GroupState>,
-    channels: Vec<EnsembleChannel>,
-    probes: Vec<EnsembleProbe>,
-    /// `probe_series[p][i]`: interned handle of probe `p`, instance `i`.
-    /// Empty while no recorder is attached.
-    probe_series: Vec<Vec<SeriesHandle>>,
+    /// One capsule controller per instance.
+    pub(crate) controllers: Vec<Controller>,
+    /// The capsule end `(capsule, port)` of every SPort link, by link
+    /// index; the streamer end lives in its group's inbox and routes.
+    links: Vec<(usize, String)>,
     recorder: Option<Recorder>,
+    /// Whether probes record under their plain series name (the `K = 1`
+    /// [`HybridEngine`]) instead of `{series}#{instance}`.
+    pub(crate) plain_series: bool,
+    /// Upper bound on the threaded batch length; 1 disables batching.
+    pub(crate) max_batch: u64,
     /// Declared per-macro-step budget (ns) carried over from the
     /// compiled system — the default budget of
     /// [`EnsembleEngine::run_paced`]. The budget covers one macro step of
@@ -441,6 +643,7 @@ impl fmt::Debug for EnsembleEngine {
             .field("time", &self.clock.seconds())
             .field("instances", &self.k)
             .field("groups", &self.groups.len())
+            .field("links", &self.links.len())
             .field("policy", &self.config.policy)
             .finish_non_exhaustive()
     }
@@ -450,102 +653,24 @@ fn engine_err(detail: String) -> CoreError {
     CoreError::Engine { detail }
 }
 
-/// Builds one group's ensemble state: plan the network, replicate every
-/// streamer behaviour `k` times via `replicate` (a compiled system's
-/// behaviour factory, or `clone_fresh` on the network-first path), apply
-/// the overrides targeting group `gi`, and allocate the instance-major
-/// dense arrays.
-fn build_group(
-    net: &StreamerNetwork,
-    resolved: &[Vec<(usize, usize, &str, f64)>],
-    gi: usize,
-    k: usize,
-    replicate: &dyn Fn(NodeId) -> Result<Box<dyn StreamerBehavior>, CoreError>,
-) -> Result<GroupState, CoreError> {
-    let plan = net.step_plan().map_err(CoreError::Flow)?;
-    let mut behaviours: Vec<Vec<Box<dyn StreamerBehavior>>> = Vec::new();
-    for pn in plan.nodes() {
-        if !matches!(pn.kind, PlanNodeKind::Streamer) {
-            continue;
-        }
-        let mut lanes: Vec<Box<dyn StreamerBehavior>> = Vec::with_capacity(k);
-        for (i, overrides) in resolved.iter().enumerate() {
-            let mut b = replicate(pn.node)?;
-            for &(og, on, param, value) in overrides {
-                if og != gi || on != pn.node.index() {
-                    continue;
-                }
-                if !b.set_param(param, value) {
-                    return Err(engine_err(format!(
-                        "variant {i}: streamer `{}` does not recognise parameter `{param}`",
-                        net.node_name(pn.node).unwrap_or("?")
-                    )));
-                }
-            }
-            lanes.push(b);
-        }
-        behaviours.push(lanes);
-    }
-    Ok(GroupState {
-        ins: vec![0.0; k * plan.in_width()],
-        outs: vec![0.0; k * plan.out_width()],
-        ext: vec![0.0; k * plan.ext_in_width()],
-        plan,
-        behaviours,
-        batch_rows: Vec::new(),
-        kernel: EnsembleKernel::default(),
-        time: 0.0,
-    })
-}
-
-/// Decides, per streamer row, whether all K lanes can step through the
-/// batched kernel path: every lane must expose itself as a batchable
-/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free, handler-free, batched-kernel
-/// solver) and the row must be homogeneous in `dim` and `substep` — the
-/// lockstep schedule is shared. Called once after `initialize`.
-fn build_batch_rows(gs: &mut GroupState, k: usize) {
-    let rows = gs.behaviours.len();
-    gs.batch_rows.clear();
-    gs.batch_rows.reserve(rows);
-    for lanes in &gs.behaviours {
-        let candidate = (|| {
-            let first = lanes.first()?.as_ode_lane()?;
-            if !first.lane_batchable() {
-                return None;
-            }
-            let dim = first.lane_dim();
-            let substep = first.lane_substep();
-            if dim == 0 || !(substep.is_finite() && substep > 0.0) {
-                return None;
-            }
-            let time = first.lane_time()?;
-            for b in lanes {
-                let lane = b.as_ode_lane()?;
-                if !lane.lane_batchable()
-                    || lane.lane_dim() != dim
-                    || lane.lane_substep().to_bits() != substep.to_bits()
-                    || lane.lane_state().is_none()
-                    || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
-                {
-                    return None;
-                }
-            }
-            let solver = first.lane_clone_solver()?;
-            Some(BatchRow {
-                dim,
-                substep,
-                time,
-                solver,
-                states: vec![0.0; k * dim],
-                scratch_x: vec![0.0; dim],
-                scratch_d: vec![0.0; dim],
-            })
-        })();
-        gs.batch_rows.push(candidate);
-    }
-}
-
 impl EnsembleEngine {
+    /// An engine with no groups around one controller per instance.
+    pub(crate) fn with_controllers(controllers: Vec<Controller>, config: EngineConfig) -> Self {
+        EnsembleEngine {
+            config,
+            clock: SimClock::new(),
+            k: controllers.len(),
+            groups: Vec::new(),
+            controllers,
+            links: Vec::new(),
+            recorder: None,
+            plain_series: false,
+            max_batch: DEFAULT_MAX_BATCH,
+            step_budget_ns: None,
+            started: false,
+        }
+    }
+
     /// Builds a `k`-instance ensemble with identical parameters (the
     /// compiled system's own) for every instance.
     ///
@@ -562,22 +687,22 @@ impl EnsembleEngine {
 
     /// Builds one ensemble instance per [`VariantSpec`], applying each
     /// spec's overrides to its instance's freshly manufactured behaviours
-    /// before initialisation. Replication re-invokes the compiled
-    /// system's behaviour factories — every behaviour kind replicates,
-    /// with no [`StreamerBehavior::clone_fresh`] requirement (that
-    /// fallback remains only on the network-first
-    /// [`EnsembleEngine::from_network`] path).
+    /// before initialisation. Instance 0 takes its behaviours and
+    /// controller from one [`CompiledSystem::instantiate`]; the others
+    /// re-invoke the compiled system's factories, so every behaviour kind
+    /// replicates. SPort links, probes and cross-group channels are
+    /// resolved once and widened to all `K` instances.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
     ///   positive and finite.
-    /// * [`CoreError::Engine`] for an empty variant list, a system with
-    ///   SPort links (ensembles run the continuous half only), an
-    ///   override naming an unknown streamer, or a parameter the
-    ///   behaviour does not recognise.
-    /// * [`CoreError::Flow`] for structural errors surfaced while
-    ///   planning (same conditions as `StreamerNetwork::validate`).
+    /// * [`CoreError::Engine`] for an empty variant list, an override
+    ///   naming an unknown streamer, or a parameter the behaviour does not
+    ///   recognise.
+    /// * Instantiation and wiring errors (none are expected from a system
+    ///   produced by `elaborate`, which validates one instantiation at
+    ///   compile time).
     pub fn from_variants(
         compiled: &CompiledSystem,
         variants: &[VariantSpec],
@@ -590,16 +715,9 @@ impl EnsembleEngine {
         if k == 0 {
             return Err(engine_err("an ensemble needs at least one instance".into()));
         }
-        if compiled.sport_link_count() > 0 {
-            return Err(engine_err(format!(
-                "ensemble execution runs the continuous half only: the compiled system has {} \
-                 SPort link(s); run it on a HybridEngine instead",
-                compiled.sport_link_count()
-            )));
-        }
-        // Resolve overrides up front: instance -> (group, node index) ->
-        // (param, value), failing fast on unknown streamer names.
-        let mut resolved: Vec<Vec<(usize, usize, &str, f64)>> = Vec::with_capacity(k);
+        // Resolve overrides up front: instance -> (group, node, param,
+        // value), failing fast on unknown streamer names.
+        let mut resolved: Vec<Vec<(usize, NodeId, &str, f64)>> = Vec::with_capacity(k);
         for (i, v) in variants.iter().enumerate() {
             let mut per_instance = Vec::with_capacity(v.overrides.len());
             for (streamer, param, value) in &v.overrides {
@@ -608,166 +726,215 @@ impl EnsembleEngine {
                         "variant {i}: no streamer `{streamer}` in the compiled system"
                     )));
                 };
-                per_instance.push((group, node.index(), param.as_str(), *value));
+                per_instance.push((group, node, param.as_str(), *value));
             }
             resolved.push(per_instance);
         }
 
-        // One throwaway instantiation supplies the structural nets
-        // (plans, output handles, export lane layout); the K live
-        // behaviour sets come straight from the artifact's factories.
-        let instance = compiled.instantiate()?;
-        let nets = &instance.groups;
-        let mut groups = Vec::with_capacity(nets.len());
-        for (gi, net) in nets.iter().enumerate() {
-            let replicate = |node: NodeId| {
-                compiled.behavior_for(gi, node).ok_or_else(|| {
-                    engine_err(format!(
-                        "streamer `{}` has no behaviour factory in the compiled system",
-                        net.node_name(node).unwrap_or("?")
-                    ))
-                })
-            };
-            groups.push(build_group(net, &resolved, gi, k, &replicate)?);
+        let SystemInstance { groups: nets, controller } = compiled.instantiate()?;
+        let mut controllers = Vec::with_capacity(k);
+        controllers.push(controller);
+        for _ in 1..k {
+            controllers.push(compiled.controller()?);
         }
-
-        // Cross-group channels: same parity-slot protocol as the
-        // HybridEngine, each slot widened to K instances.
-        let mut channels = Vec::with_capacity(compiled.cross_flows.len());
-        for cf in &compiled.cross_flows {
-            let from_net = &nets[cf.from_group];
-            let handle =
-                from_net.output_handle(cf.from_node, &cf.from_port).map_err(CoreError::Flow)?;
-            let from_base = groups[cf.from_group]
-                .plan
-                .out_offset(handle.node())
-                .expect("plan covers every node")
-                + handle.offset();
-            let width = handle.width();
-            // Consumer lane offset inside its group's exported-input
-            // vector (exports accumulate in registration order).
-            let to_net = &nets[cf.to_group];
-            let mut to_offset = None;
-            let mut cursor = 0usize;
-            for (n, p) in to_net.exported_inputs() {
-                let w: usize = to_net
-                    .in_ports(n)
-                    .map_err(CoreError::Flow)?
-                    .iter()
-                    .find(|spec| spec.name() == p)
-                    .map(|spec| spec.width())
-                    .unwrap_or(0);
-                if n == cf.to_node && p == cf.to_port {
-                    to_offset = Some(cursor);
-                    break;
+        let mut engine = Self::with_controllers(controllers, config);
+        engine.step_budget_ns = compiled.step_budget_ns();
+        for (gi, net) in nets.into_iter().enumerate() {
+            let (plan, first) = net.into_plan()?;
+            let streamers = plan.nodes().iter().filter(|pn| pn.kind == PlanNodeKind::Streamer);
+            let mut behaviours = Vec::with_capacity(first.len() * k);
+            for (b0, pn) in first.into_iter().zip(streamers) {
+                let row = behaviours.len();
+                behaviours.push(b0);
+                for _ in 1..k {
+                    behaviours.push(compiled.behavior_for(gi, pn.node).ok_or_else(|| {
+                        engine_err(format!(
+                            "streamer `{}` has no behaviour factory in the compiled system",
+                            plan.node_name(pn.node).unwrap_or("?")
+                        ))
+                    })?);
                 }
-                cursor += w;
+                for (i, (b, overrides)) in behaviours[row..].iter_mut().zip(&resolved).enumerate() {
+                    for &(og, on, param, value) in overrides {
+                        if og == gi && on == pn.node && !b.set_param(param, value) {
+                            return Err(engine_err(format!(
+                                "variant {i}: streamer `{}` does not recognise parameter \
+                                 `{param}`",
+                                plan.node_name(pn.node).unwrap_or("?")
+                            )));
+                        }
+                    }
+                }
             }
-            let Some(to_offset) = to_offset else {
-                return Err(engine_err(format!(
-                    "cross-group flow into `{}`.`{}`: the consumer input is not exported",
-                    to_net.node_name(cf.to_node).unwrap_or("?"),
-                    cf.to_port
-                )));
-            };
-            channels.push(EnsembleChannel {
-                from_group: cf.from_group,
-                from_base,
-                width,
-                to_group: cf.to_group,
-                to_offset,
-                bufs: Arc::new([
-                    Mutex::new(vec![0.0; k * width]),
-                    Mutex::new(vec![0.0; k * width]),
-                ]),
-            });
+            engine.push_group(plan, behaviours);
         }
-
-        // Probes: resolved to per-instance dense offsets; recorded as
-        // `{series}#{instance}` once a recorder is attached.
-        let mut probes = Vec::with_capacity(compiled.probes.len());
+        for l in &compiled.links {
+            engine.link_sport(l.group, l.node, &l.sport, l.capsule, &l.capsule_port)?;
+        }
         for p in &compiled.probes {
-            let net = &nets[p.group];
-            let handle = net.output_handle(p.node, &p.port).map_err(CoreError::Flow)?;
-            let out_base =
-                groups[p.group].plan.out_offset(handle.node()).expect("plan covers every node")
-                    + handle.offset();
-            probes.push(EnsembleProbe { group: p.group, out_base, series: p.series.clone() });
+            engine.add_probe(p.group, p.node, &p.port, &p.series)?;
         }
-
-        Ok(EnsembleEngine {
-            config,
-            clock: SimClock::new(),
-            k,
-            groups,
-            channels,
-            probes,
-            probe_series: Vec::new(),
-            recorder: None,
-            step_budget_ns: compiled.step_budget_ns(),
-            started: false,
-        })
+        for cf in &compiled.cross_flows {
+            engine.link_flow(
+                (cf.from_group, cf.from_node, &cf.from_port),
+                (cf.to_group, cf.to_node, &cf.to_port),
+            )?;
+        }
+        Ok(engine)
     }
 
-    /// Builds a `k`-instance single-group ensemble over a raw
-    /// [`StreamerNetwork`] (the network-first path, no elaboration).
-    /// `probes` lists `(node, output port, series)` outputs to record —
-    /// raw networks carry no declared probes, so they are registered
-    /// here, against the borrowed network.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidStep`] (`URT116`) if `config.step` is not
-    ///   positive and finite.
-    /// * [`CoreError::Engine`] for `k == 0` or a behaviour that cannot
-    ///   be replicated ([`StreamerBehavior::clone_fresh`] returned
-    ///   `None` — with no behaviour registry in sight, `clone_fresh` is
-    ///   the only replication source on this path).
-    /// * [`CoreError::Flow`] for structural errors surfaced while
-    ///   planning and for unknown probe nodes/ports.
-    pub fn from_network(
-        net: &StreamerNetwork,
-        k: usize,
-        probes: &[(NodeId, &str, &str)],
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
-            return Err(CoreError::InvalidStep { step: config.step });
+    /// Adds a group from its plan and its behaviours (`behaviours[r * K +
+    /// i]`: instance `i` of plan row `r`). Returns the group index.
+    pub(crate) fn push_group(
+        &mut self,
+        plan: StepPlan,
+        behaviours: Vec<Box<dyn StreamerBehavior>>,
+    ) -> usize {
+        self.groups.push(GroupState::new(plan, behaviours, self.k));
+        self.groups.len() - 1
+    }
+
+    fn group(&mut self, group: usize) -> Result<&mut GroupState, CoreError> {
+        self.groups.get_mut(group).ok_or_else(|| engine_err(format!("no streamer group {group}")))
+    }
+
+    /// Bridges a capsule SPort to a streamer SPort in every instance (see
+    /// [`HybridEngine::link_sport`]).
+    pub(crate) fn link_sport(
+        &mut self,
+        group: usize,
+        node: NodeId,
+        sport: &str,
+        capsule: usize,
+        capsule_port: &str,
+    ) -> Result<(), CoreError> {
+        let link = self.links.len();
+        let gs = self
+            .groups
+            .get_mut(group)
+            .ok_or_else(|| engine_err(format!("no streamer group {group}")))?;
+        // When the node declares its SPorts, the link must name one.
+        let declared = gs.plan.sports(node)?;
+        if !declared.is_empty() && !declared.iter().any(|s| s.name() == sport) {
+            return Err(engine_err(format!(
+                "node `{}` declares no SPort `{sport}`",
+                gs.plan.node_name(node)?
+            )));
         }
-        if k == 0 {
-            return Err(engine_err("an ensemble needs at least one instance".into()));
+        if gs.routes[node.index()].iter().any(|(s, _)| s == sport) {
+            return Err(CoreError::DuplicateSportLink {
+                group,
+                node: gs.plan.node_name(node)?.to_owned(),
+                sport: sport.to_owned(),
+            });
         }
-        let resolved: Vec<Vec<(usize, usize, &str, f64)>> = vec![Vec::new(); k];
-        let replicate = |node: NodeId| {
-            net.try_clone_behavior(node).map_err(CoreError::Flow)?.ok_or_else(|| {
-                engine_err(format!(
-                    "streamer `{}` cannot be replicated for ensemble execution (clone_fresh \
-                     returned None — boxed handlers, guards and non-cloneable systems are not \
-                     replicable)",
-                    net.node_name(node).unwrap_or("?")
-                ))
+        let mut rx = Vec::with_capacity(self.k);
+        for controller in &mut self.controllers {
+            let (tx, r) = channel();
+            controller.connect_external(capsule, capsule_port, tx)?;
+            rx.push(r);
+        }
+        gs.routes[node.index()].push((sport.to_owned(), link));
+        gs.inboxes.push(Inbox { row: gs.row_of(node), rx });
+        self.links.push((capsule, capsule_port.to_owned()));
+        Ok(())
+    }
+
+    /// Interned series of `series`, one per instance.
+    fn series_handles(&self, recorder: &Recorder, series: &str) -> Vec<SeriesHandle> {
+        (0..self.k)
+            .map(|i| {
+                if self.plain_series {
+                    recorder.handle(series)
+                } else {
+                    recorder.handle(&Self::series_name(series, i))
+                }
             })
+            .collect()
+    }
+
+    /// Records the first lane of `(group, node, port)` into `series`
+    /// after every macro step (see [`HybridEngine::add_probe`]).
+    pub(crate) fn add_probe(
+        &mut self,
+        group: usize,
+        node: NodeId,
+        port: &str,
+        series: &str,
+    ) -> Result<(), CoreError> {
+        let handles = match &self.recorder {
+            Some(rec) => self.series_handles(rec, series),
+            None => Vec::new(),
         };
-        let group = build_group(net, &resolved, 0, k, &replicate)?;
-        let mut ensemble_probes = Vec::with_capacity(probes.len());
-        for &(node, port, series) in probes {
-            let handle = net.output_handle(node, port).map_err(CoreError::Flow)?;
-            let out_base = group.plan.out_offset(handle.node()).expect("plan covers every node")
-                + handle.offset();
-            ensemble_probes.push(EnsembleProbe { group: 0, out_base, series: series.to_owned() });
+        let gs = self.group(group)?;
+        let (out_base, spec) = gs.plan.output_port(node, port)?;
+        let lane = (spec.width() > 0).then_some(out_base);
+        gs.probes.push(Probe { lane, series: series.to_owned(), handles });
+        Ok(())
+    }
+
+    /// Connects an output DPort in one group to an exported input DPort in
+    /// another through a `K`-wide parity channel (see
+    /// [`HybridEngine::link_flow`]).
+    pub(crate) fn link_flow(
+        &mut self,
+        from: (usize, NodeId, &str),
+        to: (usize, NodeId, &str),
+    ) -> Result<(), CoreError> {
+        let (fg, fnode, fport) = from;
+        let (tg, tnode, tport) = to;
+        for g in [fg, tg] {
+            self.group(g)?;
         }
-        Ok(EnsembleEngine {
-            config,
-            clock: SimClock::new(),
-            k,
-            groups: vec![group],
-            channels: Vec::new(),
-            probes: ensemble_probes,
-            probe_series: Vec::new(),
-            recorder: None,
-            step_budget_ns: None,
-            started: false,
-        })
+        if fg == tg {
+            return Err(engine_err(format!(
+                "flow endpoints are both in group {fg}; use an in-network flow (zero-delay) \
+                 instead of a channel"
+            )));
+        }
+        let consumer = &self.groups[tg];
+        let name = consumer.plan.node_name(tnode)?;
+        if consumer.plan.node_feedthrough(tnode)? {
+            return Err(engine_err(format!(
+                "cross-group flow into `{name}`.`{tport}`: the consumer declares direct \
+                 feedthrough, which a one-step-delay channel cannot honour (keep both \
+                 streamers on one thread or make the consumer non-feedthrough)"
+            )));
+        }
+        let producer = &self.groups[fg].plan;
+        let (from_base, src) = producer.output_port(fnode, fport)?;
+        let (dense_in, dst) = consumer.plan.input_port(tnode, tport)?;
+        // The paper's connection rule, channel edition: the producer's
+        // flow type must be a subset of the consumer's.
+        if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
+            return Err(CoreError::Flow(urt_dataflow::FlowError::TypeMismatch {
+                from: format!("{}.{fport}", producer.node_name(fnode)?),
+                to: format!("{name}.{tport}"),
+                detail,
+            }));
+        }
+        let Some(to_offset) = consumer.plan.exported_offset(dense_in) else {
+            return Err(engine_err(format!(
+                "cross-group flow into `{name}`.`{tport}`: the consumer input is not exported — \
+                 call export_input before add_group"
+            )));
+        };
+        if consumer.incoming.iter().any(|c| c.offset == to_offset) {
+            return Err(engine_err(format!(
+                "cross-group flow into `{name}`.`{tport}`: the consumer input is already fed by \
+                 another channel"
+            )));
+        }
+        let width = src.width();
+        let slot = || Mutex::new(vec![0.0; self.k * width]);
+        let bufs: ChannelBufs = Arc::new([slot(), slot()]);
+        self.groups[fg].outgoing.push(ChannelEnd {
+            bufs: Arc::clone(&bufs),
+            offset: from_base,
+            width,
+        });
+        self.groups[tg].incoming.push(ChannelEnd { bufs, offset: to_offset, width });
+        Ok(())
     }
 
     /// The recorder series name of probe series `series` for ensemble
@@ -786,6 +953,12 @@ impl EnsembleEngine {
         self.groups.len()
     }
 
+    /// The capsule controller of instance `instance` (for asserting on
+    /// capsule state and message counts), `None` past the last instance.
+    pub fn controller(&self, instance: usize) -> Option<&Controller> {
+        self.controllers.get(instance)
+    }
+
     /// Current simulation time in seconds.
     pub fn time(&self) -> f64 {
         self.clock.seconds()
@@ -800,13 +973,11 @@ impl EnsembleEngine {
     /// per (probe, instance) pair so the per-step record path is
     /// lookup-free.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.probe_series = self
-            .probes
-            .iter()
-            .map(|p| {
-                (0..self.k).map(|i| recorder.handle(&Self::series_name(&p.series, i))).collect()
-            })
-            .collect();
+        let mut groups = std::mem::take(&mut self.groups);
+        for p in groups.iter_mut().flat_map(|gs| &mut gs.probes) {
+            p.handles = self.series_handles(&recorder, &p.series);
+        }
+        self.groups = groups;
         self.recorder = Some(recorder);
     }
 
@@ -817,12 +988,15 @@ impl EnsembleEngine {
         let t0 = self.clock.seconds();
         for gs in &mut self.groups {
             gs.time = t0;
-            for lanes in &mut gs.behaviours {
-                for b in lanes {
-                    b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
-                }
+            for b in &mut gs.behaviours {
+                b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
             }
             build_batch_rows(gs, self.k);
+        }
+        for controller in &mut self.controllers {
+            if !controller.is_started() {
+                controller.start()?;
+            }
         }
         self.started = true;
         Ok(())
@@ -844,18 +1018,13 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver and thread failures.
+    /// Propagates solver, runtime and thread failures.
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.start_if_needed()?;
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
         match self.config.policy {
-            ThreadPolicy::CurrentThread => {
-                for _ in 0..n {
-                    self.step_once()?;
-                }
-                Ok(())
-            }
-            ThreadPolicy::DedicatedThreads => self.run_threaded(n),
+            ThreadPolicy::CurrentThread => (0..n).try_for_each(|_| self.step_once()),
+            ThreadPolicy::DedicatedThreads => self.run_threaded(n, None),
         }
     }
 
@@ -865,40 +1034,37 @@ impl EnsembleEngine {
         self.step_budget_ns
     }
 
-    /// Hard real-time mode for ensembles: runs until `t_end` with each
-    /// macro step of the whole ensemble paced against the wall clock and
-    /// measured against the budget — the analogue of
-    /// [`HybridEngine::run_paced`](crate::engine::HybridEngine::run_paced),
-    /// with one cycle covering all `K` instances (hardware-in-the-loop
-    /// ensembles release every variant at the same instant).
+    /// Hard real-time mode: runs until `t_end` with each macro step of
+    /// the whole ensemble paced against the wall clock and measured
+    /// against the budget, one cycle covering all `K` instances
+    /// (hardware-in-the-loop ensembles release every variant at the same
+    /// instant). See [`HybridEngine::run_paced`] for the budget
+    /// resolution and the overrun policies.
     ///
-    /// A paced ensemble always steps on the calling thread, regardless of
-    /// `config.policy`: the dedicated-thread schedule hands each worker a
-    /// whole segment with no per-step release points, so there is nothing
-    /// for a pacer to anchor to (and spawning threads per step would put
-    /// allocation back into the loop). Results are bit-identical either
-    /// way — the policy-equivalence anchor pins local and threaded
-    /// ensemble runs to the same series.
+    /// Under [`ThreadPolicy::DedicatedThreads`] pacing happens at the
+    /// batch barrier — the only rendezvous the threaded schedule has —
+    /// and a batch of `n` macro steps is measured as one cycle against
+    /// `n ×` the step budget. Results are bit-identical to
+    /// [`EnsembleEngine::run_until`] over the same span.
     ///
     /// # Errors
     ///
     /// [`CoreError::DeadlineOverrun`] when an
     /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
-    /// run exhausts its consecutive-miss tolerance, plus the usual solver
-    /// failures.
-    pub fn run_paced(
-        &mut self,
-        t_end: f64,
-        config: crate::pacer::PacedConfig,
-    ) -> Result<crate::pacer::PacedReport, CoreError> {
+    /// run exhausts its consecutive-miss tolerance, plus the usual solver,
+    /// runtime and thread failures.
+    pub fn run_paced(&mut self, t_end: f64, config: PacedConfig) -> Result<PacedReport, CoreError> {
         self.start_if_needed()?;
-        let mut runner =
-            crate::pacer::PacedRunner::new(config, self.step_budget_ns, self.config.step);
+        let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
-        for _ in 0..n {
-            runner.begin();
-            self.step_once()?;
-            runner.end(1, self.clock.seconds())?;
+        if matches!(self.config.policy, ThreadPolicy::DedicatedThreads) && !self.groups.is_empty() {
+            self.run_threaded(n, Some(&mut runner))?;
+        } else {
+            for _ in 0..n {
+                runner.begin();
+                self.step_once()?;
+                runner.end(1, self.clock.seconds())?;
+            }
         }
         Ok(runner.finish())
     }
@@ -907,195 +1073,148 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures.
+    /// Propagates solver and runtime failures.
     pub fn step_once(&mut self) -> Result<(), CoreError> {
         self.start_if_needed()?;
         let h = self.config.step;
-        self.latch_channel_inputs();
-        let k = self.k;
+        let step = self.clock.step_count();
+        let mut next = self.clock.clone();
+        next.tick(h);
+        // Post-step derived instant: the same drift-free product both
+        // thread policies stamp on probes and hand to the controllers.
+        let t = next.seconds();
         for gs in &mut self.groups {
-            gs.step(h, k)?;
+            gs.macro_step(h, self.k, step, t)?;
         }
-        self.clock.tick(h);
-        self.publish_channel_outputs();
-        self.record_probes();
-        Ok(())
-    }
-
-    /// Copies every channel's front slot (`step_count % 2`, pre-tick)
-    /// into its consumer group's external staging — all `K` instances'
-    /// previous-step samples (the channel's one-step delay).
-    fn latch_channel_inputs(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let src = ch.bufs[slot].lock();
-            let gs = &mut self.groups[ch.to_group];
-            let extw = gs.plan.ext_in_width();
-            for i in 0..self.k {
-                let dst = i * extw + ch.to_offset;
-                gs.ext[dst..dst + ch.width].copy_from_slice(&src[i * ch.width..(i + 1) * ch.width]);
-            }
-        }
-    }
-
-    /// Copies every channel's producer lanes into its back slot
-    /// (`step_count % 2` post-tick — what consumers read next step).
-    fn publish_channel_outputs(&mut self) {
-        if self.channels.is_empty() {
-            return;
-        }
-        let slot = (self.clock.step_count() % 2) as usize;
-        for ch in &self.channels {
-            let mut dst = ch.bufs[slot].lock();
-            let gs = &self.groups[ch.from_group];
-            let outw = gs.plan.out_width();
-            for i in 0..self.k {
-                let src = i * outw + ch.from_base;
-                dst[i * ch.width..(i + 1) * ch.width]
-                    .copy_from_slice(&gs.outs[src..src + ch.width]);
-            }
-        }
-    }
-
-    fn record_probes(&mut self) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let t = self.clock.seconds();
-        for (p, handles) in self.probes.iter().zip(&self.probe_series) {
-            let gs = &self.groups[p.group];
-            let outw = gs.plan.out_width();
-            for (i, series) in handles.iter().enumerate() {
-                series.push(t, gs.outs[i * outw + p.out_base]);
-            }
-        }
+        self.clock = next;
+        inject_signals(
+            &mut self.controllers,
+            &self.links,
+            self.groups.iter_mut().map(|gs| &mut gs.emitted),
+        )?;
+        run_controllers(&mut self.controllers, t)
     }
 
     /// Threaded execution: one worker per group for the whole segment,
-    /// synchronised between sub-steps over a [`SpinBarrier`] only where
-    /// channels demand it (exactly the [`HybridEngine`] discipline).
-    /// Workers stamp probe samples from private clock copies, so the
-    /// series carry bit-identical instants to the local path.
-    fn run_threaded(&mut self, n_steps: u64) -> Result<(), CoreError> {
-        if n_steps == 0 {
-            return Ok(());
+    /// driven by the coordinator in batches of macro steps (the paper's
+    /// deployment, with the rendezvous amortised).
+    ///
+    /// The coordinator picks the largest batch such that nothing due
+    /// within it needs the coordinator: with SPort links a signal
+    /// exchange may be due after any step, so batches are one step long
+    /// and the controllers run after signal routing, exactly as
+    /// [`EnsembleEngine::step_once`] orders them; without links only the
+    /// remaining step count and `max_batch` bound a batch, and the
+    /// controllers catch up on the coordinator while the workers step.
+    /// Inside a batch, groups touching a cross-group channel rendezvous
+    /// between macro steps over a [`SpinBarrier`]; everyone else runs
+    /// free. Workers stamp probe samples from a private clock copy, so the
+    /// series carry exactly the local path's instants.
+    ///
+    /// When `paced` is set, each batch is one paced cycle, bracketed at
+    /// the batch barrier.
+    fn run_threaded(
+        &mut self,
+        n_steps: u64,
+        mut paced: Option<&mut PacedRunner>,
+    ) -> Result<(), CoreError> {
+        if self.groups.is_empty() || n_steps == 0 {
+            // Pure event-driven run: no solver threads to coordinate.
+            return (0..n_steps).try_for_each(|_| self.step_once());
+        }
+        struct Batch {
+            len: u64,
+            clock: SimClock,
+            /// Drained signal buffers, swapped for the group's own.
+            spare: Emitted,
+        }
+        struct Done {
+            result: Result<(), CoreError>,
+            emitted: Emitted,
         }
         let h = self.config.step;
-        if self.groups.is_empty() {
-            for _ in 0..n_steps {
-                self.clock.tick(h);
-            }
-            return Ok(());
-        }
         let k = self.k;
-        let n_groups = self.groups.len();
-        type Bufs = Arc<[Mutex<Vec<f64>>; 2]>;
-        let mut incoming: Vec<Vec<(Bufs, usize, usize)>> = vec![Vec::new(); n_groups];
-        let mut outgoing: Vec<Vec<(Bufs, usize, usize)>> = vec![Vec::new(); n_groups];
-        for ch in &self.channels {
-            incoming[ch.to_group].push((Arc::clone(&ch.bufs), ch.to_offset, ch.width));
-            outgoing[ch.from_group].push((Arc::clone(&ch.bufs), ch.from_base, ch.width));
-        }
-        let participating: Vec<bool> =
-            (0..n_groups).map(|g| !incoming[g].is_empty() || !outgoing[g].is_empty()).collect();
-        let n_participants = participating.iter().filter(|&&p| p).count();
-        let barrier = (n_participants >= 2).then(|| Arc::new(SpinBarrier::new(n_participants)));
-        let record = self.recorder.is_some();
-        let mut group_probes: Vec<Vec<(usize, Vec<SeriesHandle>)>> = vec![Vec::new(); n_groups];
-        if record {
-            for (p, handles) in self.probes.iter().zip(&self.probe_series) {
-                group_probes[p.group].push((p.out_base, handles.clone()));
-            }
-        }
-        let clock0 = self.clock.clone();
+        let Self { clock, groups, controllers, links, max_batch, .. } = self;
+        let touches_channel = |gs: &GroupState| !gs.incoming.is_empty() || !gs.outgoing.is_empty();
+        let participants = groups.iter().filter(|gs| touches_channel(gs)).count();
+        let barrier = (participants >= 2).then(|| SpinBarrier::new(participants));
+        let linked = !links.is_empty();
 
-        let result = std::thread::scope(|scope| -> Result<(), CoreError> {
-            let mut workers = Vec::with_capacity(n_groups);
-            for (gi, gs) in self.groups.iter_mut().enumerate() {
-                let my_in = std::mem::take(&mut incoming[gi]);
-                let my_out = std::mem::take(&mut outgoing[gi]);
-                let my_probes = std::mem::take(&mut group_probes[gi]);
-                let my_barrier = participating[gi].then(|| barrier.clone()).flatten();
-                let mut clock = clock0.clone();
-                workers.push(scope.spawn(move || -> Result<(), CoreError> {
-                    let mut result: Result<(), CoreError> = Ok(());
-                    for s in 0..n_steps {
-                        // A worker that already failed stops stepping and
-                        // publishing but keeps waiting at the sub-step
-                        // barrier, so its peers never deadlock.
-                        if s > 0 {
-                            if let Some(b) = &my_barrier {
-                                b.wait();
+        std::thread::scope(|scope| -> Result<(), CoreError> {
+            let mut workers = Vec::with_capacity(groups.len());
+            for gs in groups.iter_mut() {
+                let (batch_tx, batch_rx) = channel::<Batch>();
+                let (done_tx, done_rx) = channel::<Done>();
+                let barrier = barrier.as_ref().filter(|_| touches_channel(gs));
+                workers.push((batch_tx, done_rx, vec![Vec::new(); k]));
+                scope.spawn(move || {
+                    while let Ok(Batch { len, mut clock, spare }) = batch_rx.recv() {
+                        let mut result = Ok(());
+                        for s in 0..len {
+                            // The rendezvous separates last step's slot
+                            // writes from this step's same-slot reads. A
+                            // worker that already failed stops stepping
+                            // but keeps waiting, so its peers never
+                            // deadlock.
+                            if s > 0 {
+                                if let Some(b) = barrier {
+                                    b.wait();
+                                }
                             }
-                        }
-                        if result.is_err() {
+                            let step = clock.step_count();
                             clock.tick(h);
-                            continue;
-                        }
-                        if !my_in.is_empty() {
-                            let slot = (clock.step_count() % 2) as usize;
-                            let extw = gs.plan.ext_in_width();
-                            for (bufs, off, w) in &my_in {
-                                let src = bufs[slot].lock();
-                                for i in 0..k {
-                                    let dst = i * extw + off;
-                                    gs.ext[dst..dst + w].copy_from_slice(&src[i * w..(i + 1) * w]);
-                                }
+                            if result.is_ok() {
+                                result = gs.macro_step(h, k, step, clock.seconds());
                             }
                         }
-                        result = gs.step(h, k);
-                        clock.tick(h);
-                        if result.is_err() {
-                            continue;
-                        }
-                        if !my_out.is_empty() {
-                            let slot = (clock.step_count() % 2) as usize;
-                            let outw = gs.plan.out_width();
-                            for (bufs, base, w) in &my_out {
-                                let mut dst = bufs[slot].lock();
-                                for i in 0..k {
-                                    let src = i * outw + base;
-                                    dst[i * w..(i + 1) * w].copy_from_slice(&gs.outs[src..src + w]);
-                                }
-                            }
-                        }
-                        if !my_probes.is_empty() {
-                            let t = clock.seconds();
-                            let outw = gs.plan.out_width();
-                            for (base, series) in &my_probes {
-                                for (i, sh) in series.iter().enumerate() {
-                                    sh.push(t, gs.outs[i * outw + base]);
-                                }
-                            }
+                        let emitted = std::mem::replace(&mut gs.emitted, spare);
+                        if done_tx.send(Done { result, emitted }).is_err() {
+                            break;
                         }
                     }
-                    result
-                }));
+                });
             }
-            let mut first_err = None;
-            for w in workers {
-                match w.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
+
+            let mut remaining = n_steps;
+            while remaining > 0 {
+                let len = if linked { 1 } else { remaining.min(*max_batch) };
+                if let Some(runner) = paced.as_deref_mut() {
+                    runner.begin();
                 }
+                for (batch_tx, _, spare) in &mut workers {
+                    let batch = Batch { len, clock: clock.clone(), spare: std::mem::take(spare) };
+                    batch_tx.send(batch).map_err(|_| engine_err("worker gone".into()))?;
+                }
+                if linked {
+                    clock.tick(h);
+                } else {
+                    // Without links the controllers cannot interact with
+                    // the streamer world, so their per-instant catch-ups
+                    // overlap the solver threads.
+                    for _ in 0..len {
+                        clock.tick(h);
+                        run_controllers(controllers, clock.seconds())?;
+                    }
+                }
+                let t_next = clock.seconds();
+                for (gi, (_, done_rx, spare)) in workers.iter_mut().enumerate() {
+                    let done = done_rx.recv().map_err(|_| CoreError::ThreadLost { group: gi })?;
+                    done.result?;
+                    *spare = done.emitted;
+                }
+                if linked {
+                    inject_signals(controllers, links, workers.iter_mut().map(|w| &mut w.2))?;
+                    run_controllers(controllers, t_next)?;
+                }
+                if let Some(runner) = paced.as_deref_mut() {
+                    // An early SafetyStop return drops the batch senders,
+                    // so the workers exit.
+                    runner.end(len, t_next)?;
+                }
+                remaining -= len;
             }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        });
-        for _ in 0..n_steps {
-            self.clock.tick(h);
-        }
-        result
+            Ok(())
+        })
     }
 }
 
@@ -1104,12 +1223,15 @@ mod tests {
     use super::*;
     use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
     use crate::engine::HybridEngine;
-    use crate::model::{ModelBuilder, UnifiedModel};
-    use crate::recorder::Recorder;
+    use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
     use urt_dataflow::flowtype::FlowType;
+    use urt_dataflow::graph::StreamerNetwork;
     use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
     use urt_ode::solver::SolverKind;
     use urt_ode::system::InputSystem;
+    use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
+    use urt_umlrt::statemachine::StateMachineBuilder;
+    use urt_umlrt::value::Value;
 
     /// x' = -rate * x, a one-lane system with a named `rate` parameter.
     #[derive(Clone)]
@@ -1183,59 +1305,157 @@ mod tests {
         assert!(err.to_string().contains("at least one instance"), "{err}");
     }
 
-    #[test]
-    fn ensemble_refuses_sport_links() {
-        #[derive(Clone)]
-        struct P;
-        impl StreamerBehavior for P {
-            fn name(&self) -> &str {
-                "plant"
-            }
-            fn input_width(&self) -> usize {
-                0
-            }
-            fn output_width(&self) -> usize {
-                1
-            }
-            fn direct_feedthrough(&self) -> bool {
-                false
-            }
-            fn advance(
-                &mut self,
-                t: f64,
-                _h: f64,
-                _u: &[f64],
-                y: &mut [f64],
-            ) -> Result<(), urt_ode::SolveError> {
-                y[0] = t;
-                Ok(())
-            }
-            fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-                Some(Box::new(self.clone()))
+    /// A plant that relaxes toward the last `setpoint` its supervisor sent
+    /// and reports `status(y)` on SPort `ctl` every step.
+    struct Reporter {
+        name: String,
+        rate: f64,
+        y: f64,
+        setpoint: f64,
+        emitted: Vec<(String, Message)>,
+    }
+
+    impl StreamerBehavior for Reporter {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn input_width(&self) -> usize {
+            0
+        }
+        fn output_width(&self) -> usize {
+            1
+        }
+        fn direct_feedthrough(&self) -> bool {
+            false
+        }
+        fn advance(
+            &mut self,
+            t: f64,
+            h: f64,
+            _u: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), urt_ode::SolveError> {
+            self.y += h * self.rate * (self.setpoint - self.y);
+            y[0] = self.y;
+            let status = Message::new("status", Value::Real(self.y)).with_sent_at(t);
+            self.emitted.push(("ctl".to_owned(), status));
+            Ok(())
+        }
+        fn on_signal(&mut self, msg: &Message) {
+            if let Some(v) = msg.value().as_real() {
+                self.setpoint = v;
             }
         }
-        let mut b = ModelBuilder::new("m");
-        let cap = b.capsule("sup");
-        let s = b.streamer("plant", "none");
-        b.streamer_out(s, "y", FlowType::scalar());
-        b.streamer_feedthrough(s, false);
-        b.capsule_sport(cap, "p", "Ctl");
-        b.streamer_sport(s, "ctl", "Ctl");
-        b.sport_link(cap, "p", s, "ctl");
-        let registry = BehaviorRegistry::new().streamer("plant", || Box::new(P));
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
-        assert_eq!(compiled.sport_link_count(), 1);
-        let err = EnsembleEngine::from_compiled(&compiled, 4, EngineConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("SPort link"), "{err}");
+        fn take_emitted(&mut self) -> Vec<(String, Message)> {
+            std::mem::take(&mut self.emitted)
+        }
+        fn set_param(&mut self, name: &str, value: f64) -> bool {
+            name == "rate" && {
+                self.rate = value;
+                true
+            }
+        }
+    }
+
+    /// Two reporting plants on two solver threads, both SPort-linked to
+    /// one supervisor whose replies depend on the order its `status`
+    /// messages arrive in; every third message it also logs on an
+    /// unconnected port (a drop).
+    fn supervised_model(rates: [f64; 2]) -> CompiledSystem {
+        let mut b = ModelBuilder::new("supervised");
+        let sup = b.capsule("sup");
+        let mut registry = BehaviorRegistry::new();
+        for (i, rate) in rates.into_iter().enumerate() {
+            let name = format!("plant{i}");
+            let s = b.streamer(&name, "none");
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.streamer_feedthrough(s, false);
+            b.streamer_sport(s, "ctl", "Ctl");
+            b.assign_thread(s, i);
+            b.capsule_sport(sup, format!("p{i}"), "Ctl");
+            b.sport_link(sup, format!("p{i}"), s, "ctl");
+            b.probe(s, "y", format!("y{i}"));
+            registry = registry.streamer(name.clone(), move || {
+                Box::new(Reporter {
+                    name: name.clone(),
+                    rate,
+                    y: 0.0,
+                    setpoint: 1.0,
+                    emitted: Vec::new(),
+                })
+            });
+        }
+        let reply = |port: &'static str| {
+            move |n: &mut u32, m: &Message, ctx: &mut CapsuleContext| {
+                *n += 1;
+                let y = m.value().as_real().unwrap_or(0.0);
+                ctx.send(port, "setpoint", Value::Real(1.0 - 0.5 * y + f64::from(*n) * 1e-3));
+                if *n % 3 == 0 {
+                    ctx.send("aux", "log", Value::Empty);
+                }
+            }
+        };
+        registry = registry.capsule("sup", move || {
+            let machine = StateMachineBuilder::new("sup")
+                .state("s")
+                .initial("s", |_: &mut u32, _: &mut CapsuleContext| {})
+                .internal("s", ("p0", "status"), reply("p0"))
+                .internal("s", ("p1", "status"), reply("p1"))
+                .build()
+                .expect("machine");
+            Box::new(SmCapsule::new(machine, 0u32))
+        });
+        elaborate(&b.build(), registry, &validate_gate).expect("elaborates")
+    }
+
+    #[test]
+    fn sport_linked_variants_match_standalone_engines() {
+        let rates = [[1.0, 2.0], [3.0, 2.0], [2.0, 0.5], [1.0, 7.0]];
+        let variants: Vec<VariantSpec> = rates
+            .iter()
+            .map(|[r0, r1]| {
+                VariantSpec::new().set("plant0", "rate", *r0).set("plant1", "rate", *r1)
+            })
+            .collect();
+        let compiled = supervised_model(rates[0]);
+        assert_eq!(compiled.sport_link_count(), 2);
+        assert_eq!(compiled.group_count(), 2);
+        for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+            let config = EngineConfig { step: 0.01, policy };
+            let mut ensemble = EnsembleEngine::from_variants(&compiled, &variants, config).unwrap();
+            let rec = Recorder::new();
+            ensemble.set_recorder(rec.clone());
+            ensemble.run_until(0.3).unwrap();
+            for (i, r) in rates.iter().enumerate() {
+                let mut engine =
+                    HybridEngine::from_compiled(&supervised_model(*r), config).unwrap();
+                let hrec = Recorder::new();
+                engine.set_recorder(hrec.clone());
+                engine.run_until(0.3).unwrap();
+                for series in ["y0", "y1"] {
+                    bit_eq(
+                        &rec.series(&EnsembleEngine::series_name(series, i)),
+                        &hrec.series(series),
+                        &format!("{policy}: instance {i} {series}"),
+                    );
+                }
+                let (ours, solo) = (ensemble.controller(i).unwrap(), engine.controller());
+                assert_eq!(ours.delivered_count(), solo.delivered_count(), "{policy}: {i}");
+                assert_eq!(ours.dropped_count(), solo.dropped_count(), "{policy}: {i}");
+                assert_eq!(solo.delivered_count(), 60, "two statuses per step");
+                assert_eq!(solo.dropped_count(), 20, "every third reply logs");
+            }
+            let tail =
+                |i: usize| rec.series(&EnsembleEngine::series_name("y1", i)).last().unwrap().1;
+            assert!(tail(0) != tail(3), "{policy}: the variants diverge");
+        }
     }
 
     #[test]
     fn factory_replication_outlives_clone_fresh() {
         // A behaviour without a clone_fresh override cannot be *cloned*
-        // — but the compiled path replicates by re-invoking the registry
-        // factory, so the ensemble builds and runs anyway. Only the
-        // network-first path (no registry in sight) still depends on
-        // clone_fresh, and refuses.
+        // — but the ensemble replicates by re-invoking the registry
+        // factory, so it builds and runs anyway.
         struct Opaque;
         impl StreamerBehavior for Opaque {
             fn name(&self) -> &str {
@@ -1277,12 +1497,6 @@ mod tests {
             let series = rec.series(&EnsembleEngine::series_name("out", i));
             assert!(!series.is_empty(), "instance {i} produced no samples");
         }
-
-        // Network-first path: clone_fresh is the only replication source.
-        let mut net = StreamerNetwork::new("raw");
-        net.add_streamer(Opaque, &[], &[("y", FlowType::scalar())]).unwrap();
-        let err = EnsembleEngine::from_network(&net, 2, &[], EngineConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("cannot be replicated"), "{err}");
     }
 
     #[test]
@@ -1293,9 +1507,8 @@ mod tests {
         assert!(matches!(err, CoreError::InvalidStep { .. }), "{err}");
         assert!(err.to_string().starts_with("URT116: "), "{err}");
 
-        let net = StreamerNetwork::new("raw");
-        let bad = EngineConfig { step: f64::NAN, policy: ThreadPolicy::CurrentThread };
-        let err = EnsembleEngine::from_network(&net, 1, &[], bad).unwrap_err();
+        let bad = EngineConfig { step: f64::NAN, policy: ThreadPolicy::DedicatedThreads };
+        let err = EnsembleEngine::from_compiled(&compiled, 1, bad).unwrap_err();
         assert!(matches!(err, CoreError::InvalidStep { .. }), "{err}");
     }
 
@@ -1336,62 +1549,36 @@ mod tests {
     }
 
     #[test]
-    fn from_network_replays_a_relay_topology_bitwise() {
-        // A raw network with a relay node (which elaborate never emits):
-        // source -> relay(2) -> two sinks. All instances of the ensemble
-        // must be bit-identical to stepping the network directly.
-        let build = || {
-            let mut net = StreamerNetwork::new("fig2ish");
-            let src = net
-                .add_streamer(
-                    FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                        y[0] = (2.0 * t).sin()
-                    }),
-                    &[],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            let relay = net.add_relay("relay", FlowType::scalar(), 2).unwrap();
-            let dbl = net
-                .add_streamer(
-                    FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                        y[0] = 2.0 * u[0]
-                    }),
-                    &[("u", FlowType::scalar())],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            let sq = net
-                .add_streamer(
-                    FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                        y[0] = u[0] * u[0]
-                    }),
-                    &[("u", FlowType::scalar())],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            net.flow((src, "y"), (relay, "in")).unwrap();
-            net.flow((relay, "out0"), (dbl, "u")).unwrap();
-            net.flow((relay, "out1"), (sq, "u")).unwrap();
-            (net, dbl, sq)
+    fn relay_topology_replays_bitwise() {
+        // source -> relay -> {doubler, squarer}, stepped directly on the
+        // network, is the reference for two replays: a compiled model
+        // whose capsule relay DPort fans the source out (elaboration
+        // lowers it to two flows) at K = 3, and the raw network with its
+        // relay node on a hand-wired engine (relay plan rows).
+        let src = || {
+            FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                y[0] = (2.0 * t).sin()
+            })
         };
-        let (net, dbl, sq) = build();
-        let mut ensemble = EnsembleEngine::from_network(
-            &net,
-            3,
-            &[(dbl, "y", "dbl"), (sq, "y", "sq")],
-            EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-        )
-        .unwrap();
-        let rec = Recorder::new();
-        ensemble.set_recorder(rec.clone());
-        ensemble.run_until(0.2).unwrap();
-
-        // Reference: the network stepped directly.
-        let (mut reference, rdbl, rsq) = build();
+        let dbl =
+            || FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0]);
+        let sq =
+            || FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0]);
+        let raw = || {
+            let mut net = StreamerNetwork::new("fig2ish");
+            let s = net.add_streamer(src(), &[], &[("y", FlowType::scalar())]).unwrap();
+            let relay = net.add_relay("relay", FlowType::scalar(), 2).unwrap();
+            let io = [("u", FlowType::scalar())];
+            let d = net.add_streamer(dbl(), &io, &[("y", FlowType::scalar())]).unwrap();
+            let q = net.add_streamer(sq(), &io, &[("y", FlowType::scalar())]).unwrap();
+            net.flow((s, "y"), (relay, "in")).unwrap();
+            net.flow((relay, "out0"), (d, "u")).unwrap();
+            net.flow((relay, "out1"), (q, "u")).unwrap();
+            (net, d, q)
+        };
+        let (mut reference, rdbl, rsq) = raw();
         reference.initialize(0.0).unwrap();
-        let mut expect_dbl = Vec::new();
-        let mut expect_sq = Vec::new();
+        let (mut expect_dbl, mut expect_sq) = (Vec::new(), Vec::new());
         let mut clock = SimClock::new();
         for _ in 0..20 {
             reference.step(0.01).unwrap();
@@ -1400,18 +1587,47 @@ mod tests {
             expect_dbl.push((t, reference.output(rdbl, "y").unwrap()[0]));
             expect_sq.push((t, reference.output(rsq, "y").unwrap()[0]));
         }
-        for i in 0..3 {
-            bit_eq(
-                &rec.series(&EnsembleEngine::series_name("dbl", i)),
-                &expect_dbl,
-                &format!("relay instance {i} (dbl)"),
-            );
-            bit_eq(
-                &rec.series(&EnsembleEngine::series_name("sq", i)),
-                &expect_sq,
-                &format!("relay instance {i} (sq)"),
-            );
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+
+        let mut b = ModelBuilder::new("relayed");
+        let hub = b.capsule("hub");
+        b.capsule_dport(hub, "d", FlowType::scalar());
+        let s = b.streamer("src", "none");
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Capsule(hub, "d".into()));
+        for name in ["dbl", "sq"] {
+            let n = b.streamer(name, "none");
+            b.streamer_in(n, "u", FlowType::scalar());
+            b.streamer_out(n, "y", FlowType::scalar());
+            b.flow(FlowEnd::Capsule(hub, "d".into()), FlowEnd::Streamer(n, "u".into()));
+            b.probe(n, "y", name);
         }
+        let registry = BehaviorRegistry::new()
+            .streamer("src", move || Box::new(src()))
+            .streamer("dbl", move || Box::new(dbl()))
+            .streamer("sq", move || Box::new(sq()));
+        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let mut ensemble = EnsembleEngine::from_compiled(&compiled, 3, config).unwrap();
+        let rec = Recorder::new();
+        ensemble.set_recorder(rec.clone());
+        ensemble.run_until(0.2).unwrap();
+        for i in 0..3 {
+            for (name, expect) in [("dbl", &expect_dbl), ("sq", &expect_sq)] {
+                let got = rec.series(&EnsembleEngine::series_name(name, i));
+                bit_eq(&got, expect, &format!("compiled instance {i} ({name})"));
+            }
+        }
+
+        let (net, d, q) = raw();
+        let mut engine = HybridEngine::new(Controller::new("ev"), config);
+        let g = engine.add_group(net).unwrap();
+        let hrec = Recorder::new();
+        engine.set_recorder(hrec.clone());
+        engine.add_probe(g, d, "y", "dbl").unwrap();
+        engine.add_probe(g, q, "y", "sq").unwrap();
+        engine.run_until(0.2).unwrap();
+        bit_eq(&hrec.series("dbl"), &expect_dbl, "relay rows (dbl)");
+        bit_eq(&hrec.series("sq"), &expect_sq, "relay rows (sq)");
     }
 
     #[test]
@@ -1659,9 +1875,12 @@ mod tests {
             e.run_until(0.05).unwrap();
             rec
         };
-        // Paced always steps locally, even under DedicatedThreads (no
-        // per-step release points in the segment-wise threaded schedule).
-        for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+        // Locally every macro step is a cycle; under DedicatedThreads the
+        // link-free schedule runs the segment as one batch, paced at the
+        // batch barrier.
+        for (policy, samples) in
+            [(ThreadPolicy::CurrentThread, 50), (ThreadPolicy::DedicatedThreads, 1)]
+        {
             let mut e =
                 EnsembleEngine::from_compiled(&compiled, 3, EngineConfig { step: 1e-3, policy })
                     .unwrap();
@@ -1671,9 +1890,9 @@ mod tests {
             let report =
                 e.run_paced(0.05, PacedConfig::new().with_rate(1e9).with_budget_ns(1e12)).unwrap();
             assert_eq!(report.steps, 50, "{policy}");
-            assert_eq!(report.samples, 50, "{policy}: per-step cycles, never batched");
+            assert_eq!(report.samples, samples, "{policy}");
             assert_eq!(report.misses, 0, "{policy}");
-            assert!(!report.batched, "{policy}");
+            assert_eq!(report.batched, samples == 1, "{policy}");
             for i in 0..3 {
                 let name = EnsembleEngine::series_name("out", i);
                 bit_eq(&free.series(&name), &rec.series(&name), &name);

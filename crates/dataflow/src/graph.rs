@@ -116,21 +116,53 @@ pub struct PlanNode {
 /// offset/length copies between the two arrays, and nodes are listed in
 /// the same dependency order [`StreamerNetwork::step`] uses.
 ///
-/// This is the layout metadata ensemble execution runs on: K instances
+/// This is the layout metadata the engine runs on: K instances
 /// concatenate K copies of these arrays (instance-major) and replay the
 /// plan once per instance per macro step, paying the routing bookkeeping
 /// once instead of once per instance.
 ///
-/// Produced by [`StreamerNetwork::step_plan`]; a plan is only meaningful
-/// against the topology it was computed from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The plan also keeps each node's name, DPorts, SPorts and feedthrough
+/// flag, so ports can be resolved against it after the network that
+/// produced it is gone.
+///
+/// Produced by [`StreamerNetwork::into_plan`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepPlan {
     nodes: Vec<PlanNode>,
     ext_loads: Vec<PlanCopy>,
     in_width: usize,
     out_width: usize,
     ext_in_width: usize,
+    in_offsets: Vec<usize>,
     out_offsets: Vec<usize>,
+    shapes: Vec<NodeShape>,
+}
+
+/// The structural half of one node, moved out of its network by
+/// [`StreamerNetwork::into_plan`].
+#[derive(Debug, Clone, PartialEq)]
+struct NodeShape {
+    name: String,
+    in_ports: Vec<DPortSpec>,
+    out_ports: Vec<DPortSpec>,
+    sports: Vec<SPortSpec>,
+    feedthrough: bool,
+}
+
+/// Lane offset and spec of the port called `port` among `ports`.
+fn locate<'a>(
+    ports: &'a [DPortSpec],
+    node: &str,
+    port: &str,
+) -> Result<(usize, &'a DPortSpec), FlowError> {
+    let mut offset = 0;
+    for p in ports {
+        if p.name() == port {
+            return Ok((offset, p));
+        }
+        offset += p.width();
+    }
+    Err(FlowError::UnknownPort { node: node.to_owned(), port: port.to_owned() })
 }
 
 impl StepPlan {
@@ -162,10 +194,69 @@ impl StepPlan {
     }
 
     /// Offset of a node's output lanes in the dense output array, by raw
-    /// node index (`None` for an out-of-range index). Combined with
-    /// [`OutputHandle::offset`] this locates any output port's lanes.
+    /// node index (`None` for an out-of-range index).
     pub fn out_offset(&self, node: usize) -> Option<usize> {
         self.out_offsets.get(node).copied()
+    }
+
+    fn shape(&self, node: NodeId) -> Result<&NodeShape, FlowError> {
+        self.shapes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })
+    }
+
+    /// Node name lookup.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn node_name(&self, node: NodeId) -> Result<&str, FlowError> {
+        Ok(&self.shape(node)?.name)
+    }
+
+    /// SPorts declared on a node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn sports(&self, node: NodeId) -> Result<&[SPortSpec], FlowError> {
+        Ok(&self.shape(node)?.sports)
+    }
+
+    /// Whether a node has direct feedthrough (relays always do).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn node_feedthrough(&self, node: NodeId) -> Result<bool, FlowError> {
+        Ok(self.shape(node)?.feedthrough)
+    }
+
+    /// Dense output-array offset and spec of an output DPort.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
+    pub fn output_port(&self, node: NodeId, port: &str) -> Result<(usize, &DPortSpec), FlowError> {
+        let shape = self.shape(node)?;
+        let (offset, spec) = locate(&shape.out_ports, &shape.name, port)?;
+        Ok((self.out_offsets[node.0] + offset, spec))
+    }
+
+    /// Dense input-array offset and spec of an input DPort.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
+    pub fn input_port(&self, node: NodeId, port: &str) -> Result<(usize, &DPortSpec), FlowError> {
+        let shape = self.shape(node)?;
+        let (offset, spec) = locate(&shape.in_ports, &shape.name, port)?;
+        Ok((self.in_offsets[node.0] + offset, spec))
+    }
+
+    /// Offset inside the external input vector of the exported input whose
+    /// dense input-array offset is `dense_in` (`None` if that input is not
+    /// exported).
+    pub fn exported_offset(&self, dense_in: usize) -> Option<usize> {
+        self.ext_loads.iter().find(|c| c.dst == dense_in).map(|c| c.src)
     }
 }
 
@@ -608,42 +699,52 @@ impl StreamerNetwork {
     /// Collects **all** structural violations instead of failing fast:
     /// every undriven input DPort plus any direct-feedthrough cycle. This
     /// is the network half of the `urt_analysis` analyzer;
-    /// [`StreamerNetwork::validate`] is a thin wrapper that fails on the
-    /// first entry.
+    /// [`StreamerNetwork::validate`] fails on the first entry.
     pub fn lint(&self) -> Vec<FlowError> {
-        let mut found = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for (pi, port) in node.in_ports.iter().enumerate() {
-                let driven = self.flows.iter().any(|f| f.to_node == i && f.to_port == pi)
-                    || self.ext_inputs.contains(&(i, pi));
-                if !driven {
-                    found.push(FlowError::UnconnectedInput {
-                        node: node.name.clone(),
-                        port: port.name().to_owned(),
-                    });
-                }
-            }
-        }
+        let mut found: Vec<FlowError> = self.unconnected_inputs().collect();
         if let Some(nodes) = self.feedthrough_cycle() {
             found.push(FlowError::AlgebraicLoop { nodes });
         }
         found
     }
 
+    /// Every input DPort driven by neither a flow nor an export.
+    fn unconnected_inputs(&self) -> impl Iterator<Item = FlowError> + '_ {
+        self.nodes.iter().enumerate().flat_map(move |(i, node)| {
+            node.in_ports
+                .iter()
+                .enumerate()
+                .filter(move |&(pi, _)| {
+                    !self.flows.iter().any(|f| f.to_node == i && f.to_port == pi)
+                        && !self.ext_inputs.contains(&(i, pi))
+                })
+                .map(move |(_, port)| FlowError::UnconnectedInput {
+                    node: node.name.clone(),
+                    port: port.name().to_owned(),
+                })
+        })
+    }
+
+    /// The execution order, or the first finding [`StreamerNetwork::lint`]
+    /// would report (one Kahn pass instead of lint's plus the order's).
+    fn checked_order(&self) -> Result<Vec<usize>, FlowError> {
+        if let Some(first) = self.unconnected_inputs().next() {
+            return Err(first);
+        }
+        self.compute_order()
+    }
+
     /// Validates the whole network: every input driven (by a flow or an
     /// export), no algebraic loops. Computes the execution order as a side
-    /// effect. Runs the collecting analyzer ([`StreamerNetwork::lint`])
-    /// and fails on its first finding.
+    /// effect. Fails on the first finding [`StreamerNetwork::lint`] would
+    /// report.
     ///
     /// # Errors
     ///
     /// * [`FlowError::UnconnectedInput`] for an undriven input DPort.
     /// * [`FlowError::AlgebraicLoop`] for a direct-feedthrough cycle.
     pub fn validate(&mut self) -> Result<(), FlowError> {
-        if let Some(first) = self.lint().into_iter().next() {
-            return Err(first);
-        }
-        self.order = self.compute_order()?;
+        self.order = self.checked_order()?;
         Ok(())
     }
 
@@ -833,21 +934,18 @@ impl StreamerNetwork {
         &self.nodes[h.node].out_buf[h.offset..h.offset + h.width]
     }
 
-    /// Computes the dense-layout execution schedule of this network (see
-    /// [`StepPlan`]). Unlike [`StreamerNetwork::validate`] this takes
-    /// `&self`: lint and order run without caching, so a plan can be
-    /// taken from a network owned elsewhere (e.g. a compiled system
-    /// borrowed by an ensemble).
+    /// Consumes the network into its dense-layout execution schedule (see
+    /// [`StepPlan`]) and its streamer behaviours, one per plan row — the
+    /// streamer entries of [`StepPlan::nodes`], in execution order. The
+    /// nodes' names, ports and SPorts move into the plan, so nothing is
+    /// cloned.
     ///
     /// # Errors
     ///
     /// The same structural errors as [`StreamerNetwork::validate`]:
     /// undriven inputs and direct-feedthrough cycles.
-    pub fn step_plan(&self) -> Result<StepPlan, FlowError> {
-        if let Some(first) = self.lint().into_iter().next() {
-            return Err(first);
-        }
-        let order = self.compute_order()?;
+    pub fn into_plan(self) -> Result<(StepPlan, Vec<Box<dyn StreamerBehavior>>), FlowError> {
+        let order = self.checked_order()?;
 
         // Dense per-instance layout: node i's buffers occupy contiguous
         // spans at prefix-sum offsets, in node-index (not execution)
@@ -911,33 +1009,35 @@ impl StreamerNetwork {
             })
             .collect();
 
-        Ok(StepPlan {
+        let ext_in_width = self.ext_in_buf.len();
+        let mut behaviours = Vec::with_capacity(self.nodes.len());
+        let mut shapes = Vec::with_capacity(self.nodes.len());
+        for node in self.nodes {
+            let feedthrough = node.direct_feedthrough();
+            behaviours.push(match node.kind {
+                NodeKind::Streamer(b) => Some(b),
+                NodeKind::Relay => None,
+            });
+            shapes.push(NodeShape {
+                name: node.name,
+                in_ports: node.in_ports,
+                out_ports: node.out_ports,
+                sports: node.sports,
+                feedthrough,
+            });
+        }
+        let rows = order.iter().filter_map(|&i| behaviours[i].take()).collect();
+        let plan = StepPlan {
             nodes,
             ext_loads,
             in_width,
             out_width,
-            ext_in_width: self.ext_in_buf.len(),
+            ext_in_width,
+            in_offsets,
             out_offsets,
-        })
-    }
-
-    /// Clones a node's behaviour fresh (see
-    /// [`StreamerBehavior::clone_fresh`]). Returns `Ok(None)` for relays
-    /// (which have no behaviour) and for behaviours that cannot be
-    /// replicated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn try_clone_behavior(
-        &self,
-        node: NodeId,
-    ) -> Result<Option<Box<dyn StreamerBehavior>>, FlowError> {
-        let n = self.nodes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        Ok(match &n.kind {
-            NodeKind::Streamer(b) => b.clone_fresh(),
-            NodeKind::Relay => None,
-        })
+            shapes,
+        };
+        Ok((plan, rows))
     }
 
     /// Delivers a signal message to a node's behaviour (as if it arrived on
@@ -1440,7 +1540,6 @@ mod tests {
             .send_signal(bogus, &Message::new("x", urt_umlrt::value::Value::Empty))
             .is_err());
         assert!(net.add_sport(bogus, SPortSpec::new("p", Protocol::new("P"))).is_err());
-        assert!(net.try_clone_behavior(bogus).is_err());
     }
 
     /// Builds source -> relay -> {gain x2, gain x(-3)} with one external
@@ -1481,13 +1580,10 @@ mod tests {
     #[test]
     fn step_plan_replays_step_bit_identically() {
         let (mut net, g1, g2, ext) = plan_fixture();
-        let plan = net.step_plan().expect("plan computes without &mut");
-
-        // Execute the plan over dense arrays with freshly cloned
-        // behaviours.
-        let mut behaviors: Vec<Option<Box<dyn StreamerBehavior>>> =
-            (0..net.node_count()).map(|i| net.try_clone_behavior(NodeId(i)).unwrap()).collect();
-        for b in behaviors.iter_mut().flatten() {
+        // Execute the plan of an identical network over dense arrays,
+        // with the behaviours it hands over in plan-row order.
+        let (plan, mut behaviors) = plan_fixture().0.into_plan().expect("plan");
+        for b in &mut behaviors {
             b.initialize(0.0).unwrap();
         }
         let mut ins = vec![0.0; plan.in_width()];
@@ -1499,6 +1595,7 @@ mod tests {
             for c in plan.ext_loads() {
                 ins[c.dst..c.dst + c.len].copy_from_slice(&ext_u[c.src..c.src + c.len]);
             }
+            let mut row = 0;
             for pn in plan.nodes() {
                 for gth in &pn.gathers {
                     let (src, dst) = (gth.src, gth.dst);
@@ -1508,7 +1605,8 @@ mod tests {
                 }
                 match pn.kind {
                     PlanNodeKind::Streamer => {
-                        let b = behaviors[pn.node.index()].as_mut().expect("streamer clones");
+                        let b = &mut behaviors[row];
+                        row += 1;
                         let (i0, i1) = (pn.in_offset, pn.in_offset + pn.in_width);
                         let (o0, o1) = (pn.out_offset, pn.out_offset + pn.out_width);
                         // Split the borrow: inputs and outputs live in
@@ -1559,14 +1657,17 @@ mod tests {
             &[("o", FlowType::scalar())],
         )
         .unwrap();
-        assert!(matches!(net.step_plan(), Err(FlowError::UnconnectedInput { .. })));
+        assert!(matches!(net.into_plan(), Err(FlowError::UnconnectedInput { .. })));
     }
 
     #[test]
     fn plan_layout_is_dense_and_stable() {
-        let (net, _, _, _) = plan_fixture();
-        let plan = net.step_plan().unwrap();
-        assert_eq!(plan.nodes().len(), net.node_count());
+        let (net, g1, _, ext) = plan_fixture();
+        let node_count = net.node_count();
+        let (plan, rows) = net.into_plan().unwrap();
+        assert_eq!(plan.nodes().len(), node_count);
+        let streamers = plan.nodes().iter().filter(|n| n.kind == PlanNodeKind::Streamer).count();
+        assert_eq!(rows.len(), streamers, "one behaviour per streamer row");
         assert_eq!(plan.ext_in_width(), 1);
         assert_eq!(plan.ext_loads().len(), 1);
         // Spans tile the dense arrays without overlap: total width equals
@@ -1575,7 +1676,14 @@ mod tests {
         let out_sum: usize = plan.nodes().iter().map(|n| n.out_width).sum();
         assert_eq!(plan.in_width(), in_sum);
         assert_eq!(plan.out_width(), out_sum);
-        // Replanning yields the identical plan.
-        assert_eq!(net.step_plan().unwrap(), plan);
+        // Ports resolve against the plan once the network is gone.
+        let (dense, spec) = plan.output_port(g1, "o").unwrap();
+        assert_eq!((dense, spec.width()), (plan.out_offset(g1.index()).unwrap(), 1));
+        let (dense_in, _) = plan.input_port(ext, "i").unwrap();
+        assert_eq!(plan.exported_offset(dense_in), Some(0));
+        assert!(plan.output_port(g1, "ghost").is_err());
+        assert!(plan.node_name(NodeId(99)).is_err());
+        // Planning an identical network yields the identical plan.
+        assert_eq!(plan_fixture().0.into_plan().unwrap().0, plan);
     }
 }

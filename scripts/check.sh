@@ -9,8 +9,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
+
+# The benchmark package lives outside the workspace; building and testing
+# it here makes an engine API change that breaks it fail the gate.
+echo "==> perfbench: cargo build --release --offline"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench: cargo test -q --offline"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
