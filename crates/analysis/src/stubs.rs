@@ -65,12 +65,6 @@ impl StreamerBehavior for StubStreamer {
         }
         Ok(())
     }
-
-    fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-        // Stateless, so a plain clone is a pristine copy — this lets the
-        // elaboration smoke push stubbed models through ensemble runs.
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Builds a registry stubbing **every** streamer of `model` with widths
@@ -99,15 +93,6 @@ mod tests {
         assert_eq!(stub.input_width(), 1);
         assert_eq!(stub.output_width(), 2);
         assert!(!stub.direct_feedthrough());
-    }
-
-    #[test]
-    fn stub_clones_fresh() {
-        let stub = StubStreamer::new("vehicle", 1, 2, true);
-        let copy = stub.clone_fresh().expect("stubs are replicable");
-        assert_eq!(copy.input_width(), 1);
-        assert_eq!(copy.output_width(), 2);
-        assert!(copy.direct_feedthrough());
     }
 
     #[test]

@@ -10,14 +10,9 @@
 //!   cross-group double-buffered channels (measures the inter-group
 //!   dataflow the dedicated-threads policy exists for).
 //!
-//! Each configuration is measured along both construction paths:
-//!
-//! * `wired` — the engine assembled by hand (`add_group`/`add_probe`,
-//!   plus `export_input`/`link_flow` for the chain's channels);
-//! * `compiled` — the same system declared as a `UnifiedModel` and
-//!   lowered through `model → analyze → compile → run`.
-//!
-//! And, under `dedicated-threads`, along a `batch` axis:
+//! Each system is declared as a `UnifiedModel` and lowered through
+//! `model → analyze → compile → run`, and measured under
+//! `dedicated-threads` along a `batch` axis:
 //!
 //! * `k1` — `set_max_batch(1)`, one worker rendezvous per macro step
 //!   (the pre-batching schedule);
@@ -88,7 +83,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use urt_bench::{fig2_network, SineOsc, WrappedVdp};
+use urt_bench::{SineOsc, WrappedVdp};
 use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::ensemble::{EnsembleEngine, EnsembleKernel};
@@ -96,15 +91,12 @@ use urt_core::model::ModelBuilder;
 use urt_core::recorder::Recorder;
 use urt_core::threading::ThreadPolicy;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
 use urt_dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use urt_ode::solver::SolverKind;
 use urt_ode::system::library::VanDerPol;
 use urt_ode::system::OdeSystem;
 use urt_ode::SolveError;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::{SmSpec, StateMachineBuilder};
+use urt_umlrt::statemachine::SmSpec;
 
 const STEP: f64 = 1e-3;
 const CHAIN_STAGES: usize = 8;
@@ -235,26 +227,6 @@ impl Workload {
         }
     }
 
-    /// Builds one group's hand-wired network (fig2/vdp: every group is an
-    /// identical copy; the chain workload wires whole engines instead —
-    /// see [`chain_wired`]).
-    fn network(self, group: usize) -> (StreamerNetwork, urt_dataflow::graph::NodeId) {
-        match self {
-            Workload::Fig2 => {
-                let (net, [_, _, sub2, _]) = fig2_network();
-                (net, sub2)
-            }
-            Workload::Vdp => {
-                let mut net = StreamerNetwork::new(format!("vdp-g{group}"));
-                let node = net
-                    .add_streamer(vdp_streamer("vdp"), &[], &[("y", FlowType::vector(2))])
-                    .expect("add vdp streamer");
-                (net, node)
-            }
-            Workload::Chain => unreachable!("chain builds whole engines"),
-        }
-    }
-
     /// Declares the whole multi-group system as one `UnifiedModel` plus
     /// its behaviour registry. Streamer names carry a `-g{i}` suffix
     /// (model names are global) and each group is pinned to its own
@@ -363,89 +335,14 @@ fn chain_model(groups: usize) -> (urt_core::model::UnifiedModel, BehaviorRegistr
     (b.build(), registry)
 }
 
-/// Hand-wires the chain pipeline: block-partitions the stages into
-/// `groups` networks, keeps intra-block flows in-network, and links the
-/// block boundaries through `export_input` + `link_flow` channels.
-fn chain_wired(engine: &mut HybridEngine, groups: usize) {
-    let mut nets: Vec<StreamerNetwork> =
-        (0..groups).map(|g| StreamerNetwork::new(format!("chain-g{g}"))).collect();
-    let mut loc = Vec::new();
-    for i in 0..CHAIN_STAGES {
-        let g = chain_group_of(i, groups);
-        let node = if i == 0 {
-            nets[g].add_streamer_boxed(chain_stage(i), &[], &[("y", FlowType::scalar())])
-        } else {
-            nets[g].add_streamer_boxed(
-                chain_stage(i),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-        }
-        .expect("chain stage");
-        loc.push((g, node));
-    }
-    for i in 1..CHAIN_STAGES {
-        let (gp, np) = loc[i - 1];
-        let (gc, nc) = loc[i];
-        if gp == gc {
-            nets[gc].flow((np, "y"), (nc, "u")).expect("intra-group flow");
-        } else {
-            nets[gc].export_input(nc, "u").expect("export channel input");
-        }
-    }
-    let gids: Vec<usize> = nets.into_iter().map(|n| engine.add_group(n).expect("group")).collect();
-    for i in 1..CHAIN_STAGES {
-        let (gp, np) = loc[i - 1];
-        let (gc, nc) = loc[i];
-        if gp != gc {
-            engine.link_flow((gids[gp], np, "y"), (gids[gc], nc, "u")).expect("channel");
-        }
-    }
-    let (gl, nl) = loc[CHAIN_STAGES - 1];
-    engine.add_probe(gids[gl], nl, "y", "y0").expect("probe");
-}
-
 struct Measurement {
     workload: &'static str,
-    path: &'static str,
     groups: usize,
     policy: ThreadPolicy,
     batch: &'static str,
     steps: u64,
     wall_ns: u128,
     steps_per_sec: f64,
-}
-
-fn idle_controller() -> Controller {
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("idle machine");
-    let mut c = Controller::new("events");
-    c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    c
-}
-
-/// Assembles the engine by hand — the pre-elaboration construction path.
-fn wired_engine(
-    workload: Workload,
-    groups: usize,
-    policy: ThreadPolicy,
-) -> (HybridEngine, Recorder) {
-    let mut engine = HybridEngine::new(idle_controller(), EngineConfig { step: STEP, policy });
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    if workload == Workload::Chain {
-        chain_wired(&mut engine, groups);
-    } else {
-        for gi in 0..groups {
-            let (net, node) = workload.network(gi);
-            let g = engine.add_group(net).expect("group");
-            engine.add_probe(g, node, "y", &format!("y{gi}")).expect("probe");
-        }
-    }
-    (engine, rec)
 }
 
 /// Assembles the engine through the elaboration pipeline.
@@ -466,17 +363,13 @@ fn compiled_engine(
 
 fn measure(
     workload: Workload,
-    path: &'static str,
     groups: usize,
     policy: ThreadPolicy,
     batch: &'static str,
     steps: u64,
     smoke: bool,
 ) -> Measurement {
-    let (mut engine, rec) = match path {
-        "wired" => wired_engine(workload, groups, policy),
-        _ => compiled_engine(workload, groups, policy),
-    };
+    let (mut engine, rec) = compiled_engine(workload, groups, policy);
     if batch == "k1" {
         engine.set_max_batch(1);
     }
@@ -510,7 +403,6 @@ fn measure(
     let steps_per_sec = rep_steps as f64 / (wall_ns as f64 / 1e9);
     Measurement {
         workload: workload.name(),
-        path,
         groups,
         policy,
         batch,
@@ -942,7 +834,7 @@ fn render_json(
     smoke: bool,
 ) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"schema\":\"bench_engine/v7\",\"smoke\":{smoke},\"step_s\":{STEP}");
+    let _ = write!(s, "{{\"schema\":\"bench_engine/v8\",\"smoke\":{smoke},\"step_s\":{STEP}");
     let _ = write!(s, ",\"results\":[");
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -950,9 +842,9 @@ fn render_json(
         }
         let _ = write!(
             s,
-            "{{\"workload\":\"{}\",\"path\":\"{}\",\"groups\":{},\"policy\":\"{}\",\
-             \"batch\":\"{}\",\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
-            m.workload, m.path, m.groups, m.policy, m.batch, m.steps, m.wall_ns, m.steps_per_sec
+            "{{\"workload\":\"{}\",\"groups\":{},\"policy\":\"{}\",\"batch\":\"{}\",\
+             \"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
+            m.workload, m.groups, m.policy, m.batch, m.steps, m.wall_ns, m.steps_per_sec
         );
     }
     s.push_str("],\"ensemble\":[");
@@ -1037,10 +929,8 @@ fn render_json(
 /// streamer. The table's own fallback for unlisted solvers is twice the
 /// dearest measured solver — unknown means pessimistic, never free.
 fn emit_cost_table(path: &str) {
-    let fig2 =
-        measure(Workload::Fig2, "compiled", 1, ThreadPolicy::CurrentThread, "n/a", 20_000, false);
-    let vdp =
-        measure(Workload::Vdp, "compiled", 1, ThreadPolicy::CurrentThread, "n/a", 4_000, false);
+    let fig2 = measure(Workload::Fig2, 1, ThreadPolicy::CurrentThread, "n/a", 20_000, false);
+    let vdp = measure(Workload::Vdp, 1, ThreadPolicy::CurrentThread, "n/a", 4_000, false);
     let euler_ns = 1e9 / fig2.steps_per_sec / 3.0;
     let rk4_ns = 1e9 / vdp.steps_per_sec;
     let default_ns = 2.0 * euler_ns.max(rk4_ns);
@@ -1098,27 +988,23 @@ fn main() {
             (Workload::Fig2 | Workload::Chain, false) => 20_000,
         };
         for groups in [1usize, 2, 4] {
-            for path in ["wired", "compiled"] {
+            results.push(measure(
+                workload,
+                groups,
+                ThreadPolicy::CurrentThread,
+                "n/a",
+                steps,
+                smoke,
+            ));
+            for batch in ["k1", "auto"] {
                 results.push(measure(
                     workload,
-                    path,
                     groups,
-                    ThreadPolicy::CurrentThread,
-                    "n/a",
+                    ThreadPolicy::DedicatedThreads,
+                    batch,
                     steps,
                     smoke,
                 ));
-                for batch in ["k1", "auto"] {
-                    results.push(measure(
-                        workload,
-                        path,
-                        groups,
-                        ThreadPolicy::DedicatedThreads,
-                        batch,
-                        steps,
-                        smoke,
-                    ));
-                }
             }
         }
     }
@@ -1279,12 +1165,12 @@ fn main() {
     std::fs::write(&path, format!("{json}\n")).expect("write benchmark JSON");
     println!("engine steady-state baseline (macro step = {STEP} s)");
     println!();
-    println!("| workload | path | groups | policy | batch | steps | steps/sec |");
-    println!("|----------|------|--------|--------|-------|-------|-----------|");
+    println!("| workload | groups | policy | batch | steps | steps/sec |");
+    println!("|----------|--------|--------|-------|-------|-----------|");
     for m in &results {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {:.0} |",
-            m.workload, m.path, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
+            "| {} | {} | {} | {} | {} | {:.0} |",
+            m.workload, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
         );
     }
     println!();

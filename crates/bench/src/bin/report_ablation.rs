@@ -9,50 +9,18 @@
 //! Run with: `cargo run --release -p urt-bench --bin report_ablation`
 
 use std::time::Instant;
+use urt_bench::lag_system;
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::threading::ThreadPolicy;
-use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
 use urt_dataflow::streamer::OdeStreamer;
 use urt_ode::events::{locate_first_crossing, EventDirection, ZeroCrossing};
 use urt_ode::solver::{Rk4, Solver, SolverKind};
 use urt_ode::system::library::HarmonicOscillator;
-use urt_ode::system::{FnInputSystem, InputSystem};
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::StateMachineBuilder;
+use urt_ode::system::FnInputSystem;
 
 fn idle_engine(policy: ThreadPolicy, step: f64, substep: f64) -> HybridEngine {
-    #[derive(Clone)]
-    struct Lag;
-    impl InputSystem for Lag {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn input_dim(&self) -> usize {
-            0
-        }
-        fn derivatives(&self, _t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
-            dx[0] = 1.0 - x[0];
-        }
-    }
-    let mut net = StreamerNetwork::new("p");
-    net.add_streamer(
-        OdeStreamer::new("lag", Lag, SolverKind::Rk4.create(), &[0.0], substep),
-        &[],
-        &[("y", FlowType::scalar())],
-    )
-    .expect("add");
-    let sm = StateMachineBuilder::new("i")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut c = Controller::new("ev");
-    c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut e = HybridEngine::new(c, EngineConfig { step, policy });
-    e.add_group(net).expect("group");
-    e
+    HybridEngine::from_compiled(&lag_system(substep), EngineConfig { step, policy })
+        .expect("engine")
 }
 
 fn main() {

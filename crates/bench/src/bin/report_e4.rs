@@ -5,67 +5,15 @@
 //! Run with: `cargo run --release -p urt-bench --bin report_e4`
 
 use std::time::Instant;
+use urt_bench::vdp_grouping_system;
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::threading::{GroupingPolicy, ThreadPolicy};
-use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
-use urt_dataflow::streamer::OdeStreamer;
-use urt_ode::solver::SolverKind;
-use urt_ode::system::InputSystem;
-use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-use urt_umlrt::controller::Controller;
-use urt_umlrt::statemachine::StateMachineBuilder;
-
-#[derive(Clone)]
-
-struct Vdp {
-    mu: f64,
-}
-
-impl InputSystem for Vdp {
-    fn dim(&self) -> usize {
-        2
-    }
-    fn input_dim(&self) -> usize {
-        0
-    }
-    fn derivatives(&self, _t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
-        dx[0] = x[1];
-        dx[1] = self.mu * (1.0 - x[0] * x[0]) * x[1] - x[0];
-    }
-}
 
 fn run(n_streamers: usize, grouping: GroupingPolicy, policy: ThreadPolicy) -> f64 {
-    let assignment = grouping.assign(n_streamers);
-    let n_groups = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    let mut nets: Vec<StreamerNetwork> =
-        (0..n_groups).map(|g| StreamerNetwork::new(format!("g{g}"))).collect();
-    for (i, &g) in assignment.iter().enumerate() {
-        nets[g]
-            .add_streamer(
-                OdeStreamer::new(
-                    format!("vdp{i}"),
-                    Vdp { mu: 1.5 },
-                    SolverKind::Rk4.create(),
-                    &[2.0, 0.0],
-                    2e-6, // 500 substeps per macro step: real equation work
-                ),
-                &[],
-                &[("y", FlowType::vector(2))],
-            )
-            .expect("add streamer");
-    }
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 1e-3, policy });
-    for net in nets {
-        engine.add_group(net).expect("group");
-    }
+    // 2e-6 s substeps: 500 per macro step, real equation work.
+    let compiled = vdp_grouping_system(n_streamers, grouping, 2e-6);
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 1e-3, policy })
+        .expect("engine");
     let start = Instant::now();
     engine.run_until(0.25).expect("run");
     start.elapsed().as_secs_f64() * 1e3 * 4.0

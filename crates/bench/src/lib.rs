@@ -21,6 +21,9 @@ use urt_blocks::continuous::Integrator;
 use urt_blocks::diagram::BlockDiagram;
 use urt_blocks::math::{Gain, Sum};
 use urt_blocks::sources::Constant;
+use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+use urt_core::model::ModelBuilder;
+use urt_core::threading::GroupingPolicy;
 use urt_dataflow::flowtype::FlowType;
 use urt_dataflow::graph::{NodeId, StreamerNetwork};
 use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
@@ -237,6 +240,68 @@ impl urt_ode::system::InputSystem for WrappedVdp {
         use urt_ode::system::OdeSystem;
         self.0.derivatives(t, x, dx);
     }
+}
+
+/// The E4 thread-assignment system: `n` independent Van der Pol
+/// streamers (μ = 1.5, x0 = (2, 0), RK4 at `substep`), each declared on
+/// the solver thread `grouping` assigns it, beside one idle capsule.
+/// Shared by `report_e4` and `bench_e4_threading`.
+///
+/// # Panics
+///
+/// Panics only on internal construction errors (the topology is fixed).
+pub fn vdp_grouping_system(n: usize, grouping: GroupingPolicy, substep: f64) -> CompiledSystem {
+    let mut b = ModelBuilder::new("e4");
+    b.capsule("idle");
+    let mut registry = BehaviorRegistry::new();
+    for (i, thread) in grouping.assign(n).into_iter().enumerate() {
+        let name = format!("vdp{i}");
+        let s = b.streamer(&name, "rk4");
+        b.streamer_out(s, "y", FlowType::vector(2));
+        b.streamer_feedthrough(s, false);
+        b.assign_thread(s, thread);
+        registry = registry.streamer(name.clone(), move || {
+            Box::new(OdeStreamer::new(
+                name.clone(),
+                WrappedVdp(VanDerPol { mu: 1.5 }),
+                SolverKind::Rk4.create(),
+                &[2.0, 0.0],
+                substep,
+            ))
+        });
+    }
+    elaborate(&b.build(), registry, &validate_gate).expect("E4 system compiles")
+}
+
+/// One first-order lag streamer (x' = 1 - x, x0 = 0, RK4 at `substep`)
+/// beside one idle capsule: the smallest hybrid system, shared by
+/// `bench_fig3` and `report_ablation`.
+///
+/// # Panics
+///
+/// Panics only on internal construction errors (the topology is fixed).
+pub fn lag_system(substep: f64) -> CompiledSystem {
+    struct Lag;
+    impl urt_ode::system::InputSystem for Lag {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn input_dim(&self) -> usize {
+            0
+        }
+        fn derivatives(&self, _t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
+            dx[0] = 1.0 - x[0];
+        }
+    }
+    let mut b = ModelBuilder::new("lag");
+    b.capsule("idle");
+    let s = b.streamer("lag", "rk4");
+    b.streamer_out(s, "y", FlowType::scalar());
+    b.streamer_feedthrough(s, false);
+    let registry = BehaviorRegistry::new().streamer("lag", move || {
+        Box::new(OdeStreamer::new("lag", Lag, SolverKind::Rk4.create(), &[0.0], substep))
+    });
+    elaborate(&b.build(), registry, &validate_gate).expect("lag system compiles")
 }
 
 /// Builds the standard feedback block diagram of `n_loops` independent

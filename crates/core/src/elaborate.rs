@@ -5,10 +5,11 @@
 //! The paper's point is *one* model covering both the event-driven and
 //! the time-continuous half. This module closes the gap between the
 //! declarative model (what `urt-lint` and codegen consume) and the
-//! hand-wired runtime (`HybridEngine` + `StreamerNetwork` +
-//! `Controller`): [`elaborate`] resolves every name, port, flow, SPort
-//! link and probe **once**, at compile time, into dense integer ids, so
-//! the engine's hot path never compares strings or hashes keys.
+//! runtime (`StreamerNetwork` step plans + `Controller`): [`elaborate`]
+//! resolves every name, port, flow, SPort link and probe **once**, at
+//! compile time, into dense integer ids, so the engine's hot path never
+//! compares strings or hashes keys. A [`CompiledSystem`] is the only way
+//! to build an engine.
 //!
 //! Since the artifact/instance split, elaboration output is a **pure
 //! plan**: lowered per-group topology tables, cross-flow specs, resolved
@@ -167,7 +168,7 @@ pub(crate) struct CompiledProbe {
 /// feeding consumer input `(group, node, port)` in a *different* solver
 /// group, carried by a double-buffered channel with a deterministic
 /// one-macro-step delay (the consumer reads the producer's previous
-/// step's sample; see `HybridEngine::link_flow`).
+/// step's sample; see [`crate::engine`]).
 #[derive(Debug, Clone)]
 pub(crate) struct CrossGroupFlow {
     pub(crate) from_group: usize,
@@ -437,8 +438,8 @@ impl CompiledSystem {
 /// instantiated capsule [`Controller`]. Produced by
 /// [`CompiledSystem::instantiate`]; consumed by
 /// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
-/// — or taken apart with [`SystemInstance::into_parts`] for hand
-/// deployment.
+/// — or taken apart with [`SystemInstance::into_parts`] to step its
+/// networks directly.
 pub struct SystemInstance {
     pub(crate) groups: Vec<StreamerNetwork>,
     pub(crate) controller: Controller,
@@ -456,7 +457,8 @@ impl SystemInstance {
     }
 
     /// Decomposes the instance into its solver networks (in group order)
-    /// and controller, for manual engine assembly.
+    /// and controller, for driving the networks directly
+    /// (`StreamerNetwork::step`) below the engine.
     pub fn into_parts(self) -> (Vec<StreamerNetwork>, Controller) {
         (self.groups, self.controller)
     }

@@ -4,17 +4,23 @@
 //! "During implementation, capsules and streamers are assigned to
 //! different threads. Communication between capsules and streamers is
 //! realized by communication mechanism of threads." Here the capsule side
-//! is a [`Controller`]; each streamer *group* is a [`StreamerNetwork`]
-//! which, under [`ThreadPolicy::DedicatedThreads`], runs on its own solver
-//! thread synchronised once per macro step. SPort links carry signal
+//! is a [`Controller`]; each streamer *group* (one declared solver
+//! thread) under [`ThreadPolicy::DedicatedThreads`] runs on its own
+//! worker, synchronised once per macro step. SPort links carry signal
 //! messages across the boundary in both directions over `std::sync::mpsc`
-//! channels.
+//! channels. A model flow between streamers on different declared
+//! threads becomes a cross-group channel with a deterministic
+//! one-macro-step delay: during step `k` the consumer reads the sample
+//! the producer wrote at the end of step `k - 1` (all-zero lanes at step
+//! 0), identically under both thread policies and any threaded batch
+//! size.
 //!
 //! [`HybridEngine`] is the `K = 1` case of the execution core in
 //! [`crate::ensemble`]: it owns no network and no run loop of its own.
-//! [`HybridEngine::add_group`] consumes each network into its step plan
-//! and behaviours; every macro step, threaded batch and paced cycle runs
-//! on [`EnsembleEngine`]'s loop with one instance, recording probes under
+//! Like every engine, it is built from a [`CompiledSystem`] — the model
+//! is the only source of streamers, links, probes and thread assignment
+//! — and every macro step, threaded batch and paced cycle runs on
+//! [`EnsembleEngine`]'s loop with one instance, recording probes under
 //! their plain series names.
 
 use crate::elaborate::CompiledSystem;
@@ -23,7 +29,6 @@ use crate::error::CoreError;
 use crate::pacer::{PacedConfig, PacedReport};
 use crate::recorder::Recorder;
 use crate::threading::ThreadPolicy;
-use urt_dataflow::graph::{NodeId, StreamerNetwork};
 use urt_umlrt::controller::Controller;
 
 /// Engine configuration.
@@ -31,11 +36,9 @@ use urt_umlrt::controller::Controller;
 pub struct EngineConfig {
     /// Macro step in seconds: the synchronisation period between the
     /// capsule thread and the solver threads. Must be positive and
-    /// finite: the compiled-path constructors
-    /// ([`HybridEngine::from_compiled`], the ensemble constructors)
-    /// refuse anything else with [`CoreError::InvalidStep`] (URT116),
-    /// while the hand-wired [`HybridEngine::new`] keeps its documented
-    /// panic (API misuse at the lowest layer).
+    /// finite: [`HybridEngine::from_compiled`] and the ensemble
+    /// constructors refuse anything else with
+    /// [`CoreError::InvalidStep`] (URT116).
     pub step: f64,
     /// Thread assignment policy.
     pub policy: ThreadPolicy,
@@ -49,45 +52,18 @@ impl Default for EngineConfig {
 
 /// The unified execution engine (see module docs).
 ///
-/// Typical lifecycle: construct, [`HybridEngine::add_group`] /
-/// [`HybridEngine::link_sport`] / [`HybridEngine::add_probe`], then
-/// [`HybridEngine::run_until`] repeatedly.
+/// Typical lifecycle: `ModelBuilder` → `compile` (or `elaborate`) →
+/// [`HybridEngine::from_compiled`], optionally
+/// [`HybridEngine::set_recorder`], then [`HybridEngine::run_until`]
+/// repeatedly.
 #[derive(Debug)]
 pub struct HybridEngine {
     core: EnsembleEngine,
 }
 
 impl HybridEngine {
-    /// Creates an engine around a capsule controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.step` is not positive and finite.
-    pub fn new(controller: Controller, config: EngineConfig) -> Self {
-        assert!(config.step.is_finite() && config.step > 0.0, "macro step must be positive");
-        let mut core = EnsembleEngine::with_controllers(vec![controller], config);
-        core.plain_series = true;
-        HybridEngine { core }
-    }
-
-    /// Adds a streamer group (one candidate solver thread), consuming the
-    /// network into its step plan and behaviours. Returns the group
-    /// index.
-    ///
-    /// To receive cross-group flows ([`HybridEngine::link_flow`]), export
-    /// the consumer inputs (`StreamerNetwork::export_input`) *before*
-    /// adding the group — validation treats exported inputs as driven.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network validation errors.
-    pub fn add_group(&mut self, network: StreamerNetwork) -> Result<usize, CoreError> {
-        let (plan, behaviours) = network.into_plan()?;
-        Ok(self.core.push_group(plan, behaviours))
-    }
-
     /// Builds an engine from a compiled [`CompiledSystem`] artifact —
-    /// the model-first path (`ModelBuilder` → `compile` → instantiate →
+    /// the only constructor (`ModelBuilder` → `compile` → instantiate →
     /// run). The artifact is **borrowed**: this call stamps out a fresh
     /// [`SystemInstance`](crate::elaborate::SystemInstance) (behaviour
     /// factories re-invoked, networks re-wired), so one compile serves
@@ -112,86 +88,12 @@ impl HybridEngine {
         Ok(HybridEngine { core })
     }
 
-    /// Connects a producer output DPort in one group to a consumer input
-    /// DPort in *another* group through a double-buffered channel.
-    ///
-    /// Unlike an in-network flow (zero-delay, schedule-ordered), a
-    /// cross-group channel carries a deterministic **one-macro-step
-    /// delay**: during step `k` the consumer reads the sample the
-    /// producer wrote at the end of step `k - 1` (all-zero lanes at step
-    /// 0). The delay is what lets the two groups integrate concurrently —
-    /// it is identical under both thread policies and independent of the
-    /// threaded batch size.
-    ///
-    /// The consumer input must have been exported
-    /// (`StreamerNetwork::export_input`) before its group was added; the
-    /// elaboration pipeline does this automatically for model flows whose
-    /// endpoints carry distinct `assign_thread` declarations.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::Engine`] for bad group indices, endpoints in the
-    ///   same group, a direct-feedthrough consumer (the unit delay would
-    ///   break its same-step input dependency — lint URT207 catches this
-    ///   at model level), an unexported consumer input, or a consumer
-    ///   input already fed by another channel.
-    /// * [`CoreError::Flow`] for unknown nodes/ports and flow-type subset
-    ///   violations (the paper's connection rule, same as in-network
-    ///   flows).
-    pub fn link_flow(
-        &mut self,
-        from: (usize, NodeId, &str),
-        to: (usize, NodeId, &str),
-    ) -> Result<(), CoreError> {
-        self.core.link_flow(from, to)
-    }
-
     /// Caps the batch size `K` the threaded scheduler may choose (1
     /// forces every macro step through the full coordinator rendezvous).
     /// Values below 1 are clamped to 1. Batching never changes results —
     /// only how often the coordinator and the solver threads synchronise.
     pub fn set_max_batch(&mut self, max_batch: u64) {
         self.core.max_batch = max_batch.max(1);
-    }
-
-    /// Bridges a capsule SPort to a streamer SPort: messages the capsule
-    /// sends on `capsule_port` are delivered to the streamer's signal
-    /// handler, and signals the streamer emits on `sport` are injected
-    /// into the capsule on the same port.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::Engine`] for a bad group index.
-    /// * [`CoreError::DuplicateSportLink`] if `(group, node, sport)` is
-    ///   already linked — a second link would silently shadow the first.
-    /// * Runtime errors from the controller for bad capsule indices.
-    pub fn link_sport(
-        &mut self,
-        group: usize,
-        node: NodeId,
-        sport: &str,
-        capsule: usize,
-        capsule_port: &str,
-    ) -> Result<(), CoreError> {
-        self.core.link_sport(group, node, sport, capsule, capsule_port)
-    }
-
-    /// Records the first lane of `(group, node, port)` into the recorder
-    /// series `series` after every macro step. The port is resolved to a
-    /// dense lane here, once — recording never looks names up again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Engine`] for a bad group index and
-    /// [`CoreError::Flow`] for an unknown node or output port.
-    pub fn add_probe(
-        &mut self,
-        group: usize,
-        node: NodeId,
-        port: &str,
-        series: &str,
-    ) -> Result<(), CoreError> {
-        self.core.add_probe(group, node, port, series)
     }
 
     /// Attaches a recorder for probes, interning every registered probe's
@@ -226,7 +128,11 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver, runtime and thread failures.
+    /// Propagates solver, runtime and thread failures. After one, the
+    /// engine is failed: [`HybridEngine::time`] and
+    /// [`HybridEngine::step_count`] report the last macro step every
+    /// group completed, and every later step call returns
+    /// [`CoreError::Engine`] (`URT111`) naming the failed step.
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.core.run_until(t_end)
     }
@@ -282,7 +188,8 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver and runtime failures.
+    /// Propagates solver and runtime failures, which leave the engine
+    /// failed (see [`HybridEngine::run_until`]).
     pub fn step_once(&mut self) -> Result<(), CoreError> {
         self.core.step_once()
     }
@@ -291,47 +198,67 @@ impl HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+    use crate::model::ModelBuilder;
     use crate::threading::ThreadPolicy;
     use urt_dataflow::flowtype::FlowType;
-    use urt_dataflow::streamer::FnStreamer;
-    use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
+    use urt_dataflow::streamer::{FnStreamer, StreamerBehavior};
+    use urt_ode::SolveError;
+    use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
     use urt_umlrt::message::Message;
     use urt_umlrt::statemachine::StateMachineBuilder;
     use urt_umlrt::value::Value;
 
-    fn empty_controller() -> Controller {
-        let mut c = Controller::new("events");
-        let sm = StateMachineBuilder::new("idle")
-            .state("s")
-            .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-            .build()
-            .unwrap();
-        c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-        c
+    fn engine(compiled: &CompiledSystem, policy: ThreadPolicy) -> HybridEngine {
+        HybridEngine::from_compiled(compiled, EngineConfig { step: 0.01, policy }).unwrap()
     }
 
-    fn sine_net(name: &str) -> (StreamerNetwork, NodeId) {
-        let mut net = StreamerNetwork::new(name);
-        let n = net
-            .add_streamer(
-                FnStreamer::new("sine", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                    y[0] = t.sin()
-                }),
-                &[],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        (net, n)
+    /// One sine source probed as `series`.
+    fn sine_model(series: &str) -> CompiledSystem {
+        let mut b = ModelBuilder::new("sine");
+        let s = b.streamer("sine", "none");
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.probe(s, "y", series);
+        let registry = BehaviorRegistry::new().streamer("sine", || {
+            Box::new(FnStreamer::new("sine", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                y[0] = t.sin()
+            }))
+        });
+        elaborate(&b.build(), registry, &validate_gate).unwrap()
+    }
+
+    /// A model with one capsule and no streamers: a pure event run.
+    fn event_only_model() -> CompiledSystem {
+        let mut b = ModelBuilder::new("events");
+        b.capsule("idle");
+        elaborate(&b.build(), BehaviorRegistry::new(), &validate_gate).unwrap()
+    }
+
+    /// One streamer `plant` SPort-linked (`ctl`) to one capsule `driver`
+    /// (`plant`), with `plant.y` probed as `series` when it has an output.
+    fn linked_model(
+        streamer: impl Fn() -> Box<dyn StreamerBehavior> + Send + Sync + 'static,
+        capsule: impl Fn() -> Box<dyn Capsule> + Send + Sync + 'static,
+        series: Option<&str>,
+    ) -> CompiledSystem {
+        let mut b = ModelBuilder::new("linked");
+        let s = b.streamer("plant", "none");
+        let c = b.capsule("driver");
+        if let Some(series) = series {
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.probe(s, "y", series);
+        }
+        b.streamer_sport(s, "ctl", "Ctl");
+        b.capsule_sport(c, "plant", "Ctl");
+        b.sport_link(c, "plant", s, "ctl");
+        let registry =
+            BehaviorRegistry::new().streamer("plant", streamer).capsule("driver", capsule);
+        elaborate(&b.build(), registry, &validate_gate).unwrap()
     }
 
     #[test]
     fn local_engine_advances_time() {
-        let (net, _) = sine_net("p");
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-        );
-        e.add_group(net).unwrap();
+        let mut e = engine(&sine_model("sine"), ThreadPolicy::CurrentThread);
         e.run_until(0.1).unwrap();
         assert!((e.time() - 0.1).abs() < 1e-9);
         assert_eq!(e.step_count(), 10);
@@ -339,15 +266,9 @@ mod tests {
 
     #[test]
     fn probes_record_series() {
-        let (net, n) = sine_net("p");
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-        );
-        let g = e.add_group(net).unwrap();
+        let mut e = engine(&sine_model("sine"), ThreadPolicy::CurrentThread);
         let rec = Recorder::new();
         e.set_recorder(rec.clone());
-        e.add_probe(g, n, "y", "sine").unwrap();
         e.run_until(1.0).unwrap();
         let series = rec.series("sine");
         assert_eq!(series.len(), 100);
@@ -359,12 +280,9 @@ mod tests {
     #[test]
     fn threaded_engine_matches_local() {
         let run = |policy| {
-            let (net, n) = sine_net("p");
-            let mut e = HybridEngine::new(empty_controller(), EngineConfig { step: 0.01, policy });
-            let g = e.add_group(net).unwrap();
+            let mut e = engine(&sine_model("s"), policy);
             let rec = Recorder::new();
             e.set_recorder(rec.clone());
-            e.add_probe(g, n, "y", "s").unwrap();
             e.run_until(0.5).unwrap();
             rec.series("s")
         };
@@ -379,9 +297,6 @@ mod tests {
 
     #[test]
     fn sport_round_trip_capsule_to_streamer_and_back() {
-        use urt_dataflow::streamer::StreamerBehavior;
-        use urt_ode::SolveError;
-
         // A streamer that echoes every received signal value +1 as an
         // emitted `echo` signal.
         struct Echo {
@@ -423,13 +338,8 @@ mod tests {
             }
         }
 
-        for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-            let mut net = StreamerNetwork::new("p");
-            let node = net
-                .add_streamer(Echo { pending: Vec::new(), emitted: Vec::new() }, &[], &[])
-                .unwrap();
-
-            // Capsule: on start send `ping(41)`, count echo replies.
+        // Capsule: on start send `ping(41)`, count echo replies.
+        let driver = || -> Box<dyn Capsule> {
             let sm = StateMachineBuilder::new("driver")
                 .state("s")
                 .initial("s", |_d: &mut Vec<f64>, ctx: &mut CapsuleContext| {
@@ -440,12 +350,14 @@ mod tests {
                 })
                 .build()
                 .unwrap();
-            let mut controller = Controller::new("events");
-            let cap = controller.add_capsule(Box::new(SmCapsule::new(sm, Vec::new())));
-
-            let mut e = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-            let g = e.add_group(net).unwrap();
-            e.link_sport(g, node, "ctl", cap, "plant").unwrap();
+            Box::new(SmCapsule::new(sm, Vec::new()))
+        };
+        let echo = || -> Box<dyn StreamerBehavior> {
+            Box::new(Echo { pending: Vec::new(), emitted: Vec::new() })
+        };
+        let compiled = linked_model(echo, driver, None);
+        for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+            let mut e = engine(&compiled, policy);
             e.run_until(0.05).unwrap();
             // The reply arrived back in the capsule: verify by state data
             // via the controller debug path (delivered count >= 1).
@@ -455,9 +367,6 @@ mod tests {
 
     #[test]
     fn capsule_replies_pending_at_segment_end_survive_into_the_next_segment() {
-        use urt_dataflow::streamer::StreamerBehavior;
-        use urt_ode::SolveError;
-
         // Emits `tick` every step and reports how many `ack` replies it
         // has received so far as its output.
         struct Pinger {
@@ -500,7 +409,7 @@ mod tests {
         // discarded it, so a follow-up segment started one ack short on
         // the threaded path only. Every ack must now survive the segment
         // boundary under both policies.
-        let run = |policy| {
+        let driver = || -> Box<dyn Capsule> {
             let sm = StateMachineBuilder::new("driver")
                 .state("s")
                 .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
@@ -509,22 +418,15 @@ mod tests {
                 })
                 .build()
                 .unwrap();
-            let mut controller = Controller::new("events");
-            let cap = controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-            let mut net = StreamerNetwork::new("p");
-            let node = net
-                .add_streamer(
-                    Pinger { acks: 0, emitted: Vec::new() },
-                    &[],
-                    &[("y", FlowType::scalar())],
-                )
-                .unwrap();
-            let mut e = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-            let g = e.add_group(net).unwrap();
-            e.link_sport(g, node, "ctl", cap, "plant").unwrap();
+            Box::new(SmCapsule::new(sm, ()))
+        };
+        let pinger =
+            || -> Box<dyn StreamerBehavior> { Box::new(Pinger { acks: 0, emitted: Vec::new() }) };
+        let compiled = linked_model(pinger, driver, Some("acks"));
+        let run = |policy| {
+            let mut e = engine(&compiled, policy);
             let rec = Recorder::new();
             e.set_recorder(rec.clone());
-            e.add_probe(g, node, "y", "acks").unwrap();
             // Two segments: the segment boundary is where the old drain
             // lost the in-flight reply.
             e.run_until(0.05).unwrap();
@@ -550,70 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn declared_sports_are_checked_at_link_time() {
-        use urt_dataflow::port::SPortSpec;
-        use urt_umlrt::protocol::Protocol;
-
-        let (mut net, n) = sine_net("p");
-        net.add_sport(n, SPortSpec::new("ctl", Protocol::new("Ctl"))).unwrap();
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig::default());
-        let g = e.add_group(net).unwrap();
-        // Wrong sport name: rejected because the node declares its sports.
-        assert!(matches!(e.link_sport(g, n, "ghost", 0, "plant"), Err(CoreError::Engine { .. })));
-        // Declared name: accepted.
-        e.link_sport(g, n, "ctl", 0, "plant").unwrap();
-    }
-
-    #[test]
-    fn duplicate_sport_link_is_refused() {
-        // Regression: the old index kept the first link per key and
-        // silently dropped the second — now it is a stable-coded error.
-        let (net, n) = sine_net("p");
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig::default());
-        let g = e.add_group(net).unwrap();
-        e.link_sport(g, n, "ctl", 0, "plant").unwrap();
-        let err = e.link_sport(g, n, "ctl", 0, "other").unwrap_err();
-        assert!(matches!(err, CoreError::DuplicateSportLink { .. }));
-        assert!(err.to_string().starts_with("URT113: "), "stable code: {err}");
-        // A different sport on the same node is still fine.
-        e.link_sport(g, n, "aux", 0, "plant").unwrap();
-    }
-
-    #[test]
-    fn engine_errors_on_bad_indices() {
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig::default());
-        assert!(matches!(
-            e.add_probe(0, NodeId::from_index(0), "y", "s"),
-            Err(CoreError::Engine { .. })
-        ));
-        assert!(matches!(
-            e.link_sport(3, NodeId::from_index(0), "s", 0, "p"),
-            Err(CoreError::Engine { .. })
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "macro step must be positive")]
-    fn config_validates_step() {
-        let _ = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.0, policy: ThreadPolicy::CurrentThread },
-        );
-    }
-
-    #[test]
     fn from_compiled_refuses_bad_step_with_structured_error() {
-        use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
-        use crate::model::ModelBuilder;
-        let mut b = ModelBuilder::new("m");
-        let s = b.streamer("wave", "none");
-        b.streamer_out(s, "y", FlowType::scalar());
-        let registry = BehaviorRegistry::new().streamer("wave", || {
-            Box::new(FnStreamer::new("wave", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                y[0] = t
-            }))
-        });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+        let compiled = sine_model("y");
         for step in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = HybridEngine::from_compiled(
                 &compiled,
@@ -631,7 +471,7 @@ mod tests {
     /// the step start (for cross-group consumers, the channel's front
     /// sample — i.e. the producer's previous step's output).
     struct Witness;
-    impl urt_dataflow::streamer::StreamerBehavior for Witness {
+    impl StreamerBehavior for Witness {
         fn name(&self) -> &str {
             "witness"
         }
@@ -650,7 +490,7 @@ mod tests {
             _h: f64,
             u: &[f64],
             y: &mut [f64],
-        ) -> Result<(), urt_ode::SolveError> {
+        ) -> Result<(), SolveError> {
             y[0] = u[0];
             Ok(())
         }
@@ -658,7 +498,7 @@ mod tests {
 
     /// Non-feedthrough ramp source: y = 100 t at the step start.
     struct Ramp;
-    impl urt_dataflow::streamer::StreamerBehavior for Ramp {
+    impl StreamerBehavior for Ramp {
         fn name(&self) -> &str {
             "ramp"
         }
@@ -677,29 +517,36 @@ mod tests {
             _h: f64,
             _u: &[f64],
             y: &mut [f64],
-        ) -> Result<(), urt_ode::SolveError> {
+        ) -> Result<(), SolveError> {
             y[0] = 100.0 * t;
             Ok(())
         }
     }
 
+    /// A ramp on thread 0 feeding a witness on thread 1 (one lowered
+    /// cross-group channel), probed as `src` and `wit`.
     fn cross_group_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
-        let mut producer = StreamerNetwork::new("producer");
-        let src = producer.add_streamer(Ramp, &[], &[("y", FlowType::scalar())]).unwrap();
-        let mut consumer = StreamerNetwork::new("consumer");
-        let wit = consumer
-            .add_streamer(Witness, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-            .unwrap();
-        consumer.export_input(wit, "u").unwrap();
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig { step: 0.01, policy });
-        let gp = e.add_group(producer).unwrap();
-        let gc = e.add_group(consumer).unwrap();
-        e.link_flow((gp, src, "y"), (gc, wit, "y")).unwrap_err(); // wrong port direction
-        e.link_flow((gp, src, "y"), (gc, wit, "u")).unwrap();
+        let mut b = ModelBuilder::new("xg");
+        let r = b.streamer("ramp", "none");
+        let w = b.streamer("witness", "none");
+        b.streamer_out(r, "y", FlowType::scalar());
+        b.streamer_in(w, "u", FlowType::scalar());
+        b.streamer_out(w, "y", FlowType::scalar());
+        b.streamer_feedthrough(r, false);
+        b.streamer_feedthrough(w, false);
+        b.assign_thread(r, 0);
+        b.assign_thread(w, 1);
+        b.flow_between_streamers(r, "y", w, "u");
+        b.probe(r, "y", "src");
+        b.probe(w, "y", "wit");
+        let registry = BehaviorRegistry::new()
+            .streamer("ramp", || Box::new(Ramp))
+            .streamer("witness", || Box::new(Witness));
+        let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+        assert_eq!(compiled.cross_flow_count(), 1);
+        let mut e = engine(&compiled, policy);
         let rec = Recorder::new();
         e.set_recorder(rec.clone());
-        e.add_probe(gp, src, "y", "src").unwrap();
-        e.add_probe(gc, wit, "y", "wit").unwrap();
         (e, rec)
     }
 
@@ -770,90 +617,8 @@ mod tests {
     }
 
     #[test]
-    fn link_flow_validates_its_endpoints() {
-        let mut producer = StreamerNetwork::new("producer");
-        let src = producer.add_streamer(Ramp, &[], &[("y", FlowType::scalar())]).unwrap();
-        let mut consumer = StreamerNetwork::new("consumer");
-        let wit = consumer
-            .add_streamer(Witness, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-            .unwrap();
-        consumer.export_input(wit, "u").unwrap();
-        // A feedthrough consumer in a third group.
-        let mut ft_net = StreamerNetwork::new("ft");
-        let gain = ft_net
-            .add_streamer(
-                FnStreamer::new("gain", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0]),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        ft_net.export_input(gain, "u").unwrap();
-        // An unexported consumer in a fourth group (input driven in-network
-        // so the group still validates).
-        let mut closed = StreamerNetwork::new("closed");
-        let csrc = closed.add_streamer(Ramp, &[], &[("y", FlowType::scalar())]).unwrap();
-        let cwit = closed
-            .add_streamer(Witness, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-            .unwrap();
-        closed.flow((csrc, "y"), (cwit, "u")).unwrap();
-
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig::default());
-        let gp = e.add_group(producer).unwrap();
-        let gc = e.add_group(consumer).unwrap();
-        let gf = e.add_group(ft_net).unwrap();
-        let gx = e.add_group(closed).unwrap();
-
-        // Bad group index.
-        assert!(matches!(
-            e.link_flow((9, src, "y"), (gc, wit, "u")),
-            Err(CoreError::Engine { .. })
-        ));
-        // Same group.
-        let err = e.link_flow((gc, wit, "y"), (gc, wit, "u")).unwrap_err();
-        assert!(err.to_string().contains("in-network"), "{err}");
-        // Feedthrough consumer.
-        let err = e.link_flow((gp, src, "y"), (gf, gain, "u")).unwrap_err();
-        assert!(err.to_string().contains("feedthrough"), "{err}");
-        // Unexported consumer input.
-        let err = e.link_flow((gp, src, "y"), (gx, cwit, "u")).unwrap_err();
-        assert!(err.to_string().contains("not exported"), "{err}");
-        // Valid link, then a second channel into the same input.
-        e.link_flow((gp, src, "y"), (gc, wit, "u")).unwrap();
-        let err = e.link_flow((gx, csrc, "y"), (gc, wit, "u")).unwrap_err();
-        assert!(err.to_string().contains("already fed"), "{err}");
-    }
-
-    #[test]
-    fn link_flow_enforces_the_subset_rule() {
-        use urt_dataflow::flowtype::Unit;
-        let mut producer = StreamerNetwork::new("producer");
-        let src =
-            producer.add_streamer(Ramp, &[], &[("y", FlowType::with_unit(Unit::Kelvin))]).unwrap();
-        let mut consumer = StreamerNetwork::new("consumer");
-        let wit = consumer
-            .add_streamer(
-                Witness,
-                &[("u", FlowType::with_unit(Unit::Meter))],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        consumer.export_input(wit, "u").unwrap();
-        let mut e = HybridEngine::new(empty_controller(), EngineConfig::default());
-        let gp = e.add_group(producer).unwrap();
-        let gc = e.add_group(consumer).unwrap();
-        let err = e.link_flow((gp, src, "y"), (gc, wit, "u")).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Flow(urt_dataflow::FlowError::TypeMismatch { .. })),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn threaded_engine_with_no_groups_is_pure_event_run() {
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-        );
+        let mut e = engine(&event_only_model(), ThreadPolicy::DedicatedThreads);
         e.run_until(0.05).unwrap();
         assert!((e.time() - 0.05).abs() < 1e-9);
     }
@@ -893,23 +658,14 @@ mod tests {
         // Without SPort links the threaded scheduler batches; pacing then
         // happens per batch and the report says so. With max_batch capped
         // to 1 every macro step becomes its own cycle again.
-        let (net, _) = sine_net("p");
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-        );
-        e.add_group(net).unwrap();
+        let compiled = sine_model("y");
+        let mut e = engine(&compiled, ThreadPolicy::DedicatedThreads);
         let report = e.run_paced(0.1, PacedConfig::new().with_rate(1e9)).unwrap();
         assert_eq!(report.steps, 10);
         assert_eq!(report.samples, 1, "one 10-step batch");
         assert!(report.batched);
 
-        let (net, _) = sine_net("p");
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-        );
-        e.add_group(net).unwrap();
+        let mut e = engine(&compiled, ThreadPolicy::DedicatedThreads);
         e.set_max_batch(1);
         let report = e.run_paced(0.1, PacedConfig::new().with_rate(1e9)).unwrap();
         assert_eq!((report.steps, report.samples), (10, 10));
@@ -919,10 +675,7 @@ mod tests {
     #[test]
     fn run_paced_with_no_groups_paces_the_event_loop() {
         use crate::pacer::PacedConfig;
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-        );
+        let mut e = engine(&event_only_model(), ThreadPolicy::DedicatedThreads);
         let report = e.run_paced(0.05, PacedConfig::new().with_rate(1e9)).unwrap();
         assert_eq!(report.steps, 5);
         assert!((e.time() - 0.05).abs() < 1e-9);
@@ -934,12 +687,7 @@ mod tests {
         use crate::pacer::PacedConfig;
         // 10 steps of 10 ms sim at 10x real time = at least 10 ms of wall
         // time; a free run finishes in microseconds.
-        let (net, _) = sine_net("p");
-        let mut e = HybridEngine::new(
-            empty_controller(),
-            EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-        );
-        e.add_group(net).unwrap();
+        let mut e = engine(&sine_model("y"), ThreadPolicy::CurrentThread);
         let start = std::time::Instant::now();
         let report = e.run_paced(0.1, PacedConfig::new().with_rate(10.0)).unwrap();
         assert!(start.elapsed() >= std::time::Duration::from_millis(9), "paced to the clock");

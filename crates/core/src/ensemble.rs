@@ -433,6 +433,7 @@ impl GroupState {
                             // persistent row clock, so every lane sees the
                             // exact `(t, h)` sequence of a standalone run.
                             let mut tl = br.time;
+                            let mut stepped = Ok(());
                             while tl < t_end - resolution {
                                 let remaining = t_end - tl;
                                 if remaining <= resolution {
@@ -443,16 +444,21 @@ impl GroupState {
                                     continue;
                                 }
                                 let h_sub = br.substep.min(remaining);
-                                br.solver
-                                    .step_batch(&sys, tl, &mut br.states, dim, h_sub)
-                                    .map_err(|e| CoreError::Flow(e.into()))?;
+                                stepped =
+                                    br.solver.step_batch(&sys, tl, &mut br.states, dim, h_sub);
+                                if stepped.is_err() {
+                                    break;
+                                }
                                 tl += h_sub;
                                 if t_end - tl <= resolution {
                                     tl = t_end;
                                 }
                             }
-                            br.time = tl;
+                            // Park the scratch before propagating a solver
+                            // failure, so the row stays well-formed.
                             (br.scratch_x, br.scratch_d) = sys.scratch.into_inner();
+                            stepped.map_err(|e| CoreError::Flow(e.into()))?;
+                            br.time = tl;
                         }
                         let lanes = &mut self.behaviours[r * k..(r + 1) * k];
                         for (i, b) in lanes.iter_mut().enumerate() {
@@ -634,7 +640,7 @@ pub struct EnsembleEngine {
     /// [`EnsembleEngine::run_paced`]. The budget covers one macro step of
     /// the whole ensemble: all `K` instances advance inside it.
     step_budget_ns: Option<f64>,
-    started: bool,
+    lifecycle: Lifecycle,
 }
 
 impl fmt::Debug for EnsembleEngine {
@@ -653,6 +659,19 @@ fn engine_err(detail: String) -> CoreError {
     CoreError::Engine { detail }
 }
 
+/// Where an engine is in its life, checked once on entry to every step
+/// path (the check the hot path already paid for start-up).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Lifecycle {
+    /// Built; behaviours and controllers not yet started.
+    Fresh,
+    /// Started and stepping.
+    Running,
+    /// The macro step after `step` completed ones failed: the engine
+    /// refuses to step on.
+    Failed { step: u64 },
+}
+
 impl EnsembleEngine {
     /// An engine with no groups around one controller per instance.
     pub(crate) fn with_controllers(controllers: Vec<Controller>, config: EngineConfig) -> Self {
@@ -667,7 +686,7 @@ impl EnsembleEngine {
             plain_series: false,
             max_batch: DEFAULT_MAX_BATCH,
             step_budget_ns: None,
-            started: false,
+            lifecycle: Lifecycle::Fresh,
         }
     }
 
@@ -798,8 +817,15 @@ impl EnsembleEngine {
         self.groups.get_mut(group).ok_or_else(|| engine_err(format!("no streamer group {group}")))
     }
 
-    /// Bridges a capsule SPort to a streamer SPort in every instance (see
-    /// [`HybridEngine::link_sport`]).
+    /// Bridges a capsule SPort to a streamer SPort in every instance:
+    /// messages the capsule sends on `capsule_port` reach the streamer's
+    /// signal handler, and signals the streamer emits on `sport` are
+    /// injected into the capsule on the same port.
+    ///
+    /// Refuses a bad group index and, when the node declares its SPorts,
+    /// an undeclared `sport` ([`CoreError::Engine`]); a second link for
+    /// `(group, node, sport)` ([`CoreError::DuplicateSportLink`]); and bad
+    /// capsule indices (controller errors).
     pub(crate) fn link_sport(
         &mut self,
         group: usize,
@@ -854,7 +880,10 @@ impl EnsembleEngine {
     }
 
     /// Records the first lane of `(group, node, port)` into `series`
-    /// after every macro step (see [`HybridEngine::add_probe`]).
+    /// after every macro step, per instance. The port is resolved to a
+    /// dense lane here, once — recording never looks names up again.
+    /// Refuses a bad group index ([`CoreError::Engine`]) and an unknown
+    /// node or output port ([`CoreError::Flow`]).
     pub(crate) fn add_probe(
         &mut self,
         group: usize,
@@ -874,8 +903,15 @@ impl EnsembleEngine {
     }
 
     /// Connects an output DPort in one group to an exported input DPort in
-    /// another through a `K`-wide parity channel (see
-    /// [`HybridEngine::link_flow`]).
+    /// another through a `K`-wide parity channel, with the deterministic
+    /// one-macro-step delay of [`ChannelBufs`].
+    ///
+    /// Refuses ([`CoreError::Engine`]) bad group indices, endpoints in
+    /// one group, a direct-feedthrough consumer (the delay would break its
+    /// same-step input dependency — lint URT207 catches this at model
+    /// level), an unexported consumer input, and an input another channel
+    /// already feeds; and ([`CoreError::Flow`]) unknown nodes or ports and
+    /// flow-type subset violations (the paper's connection rule).
     pub(crate) fn link_flow(
         &mut self,
         from: (usize, NodeId, &str),
@@ -915,8 +951,8 @@ impl EnsembleEngine {
         }
         let Some(to_offset) = consumer.plan.exported_offset(dense_in) else {
             return Err(engine_err(format!(
-                "cross-group flow into `{name}`.`{tport}`: the consumer input is not exported — \
-                 call export_input before add_group"
+                "cross-group flow into `{name}`.`{tport}`: the consumer input is not exported \
+                 on its network boundary"
             )));
         };
         if consumer.incoming.iter().any(|c| c.offset == to_offset) {
@@ -982,8 +1018,16 @@ impl EnsembleEngine {
     }
 
     fn start_if_needed(&mut self) -> Result<(), CoreError> {
-        if self.started {
-            return Ok(());
+        match self.lifecycle {
+            Lifecycle::Running => return Ok(()),
+            Lifecycle::Failed { step } => {
+                return Err(engine_err(format!(
+                    "macro step {} (from t = {}) failed; the engine cannot step on",
+                    step + 1,
+                    self.clock.seconds()
+                )))
+            }
+            Lifecycle::Fresh => {}
         }
         let t0 = self.clock.seconds();
         for gs in &mut self.groups {
@@ -998,8 +1042,20 @@ impl EnsembleEngine {
                 controller.start()?;
             }
         }
-        self.started = true;
+        self.lifecycle = Lifecycle::Running;
         Ok(())
+    }
+
+    /// Marks the engine failed if `result` is a step failure. A paced
+    /// run's [`CoreError::DeadlineOverrun`] is not one: every step it
+    /// took completed, so the engine stays usable.
+    fn settle<T>(&mut self, result: Result<T, CoreError>) -> Result<T, CoreError> {
+        if let Err(e) = &result {
+            if !matches!(e, CoreError::DeadlineOverrun { .. }) {
+                self.lifecycle = Lifecycle::Failed { step: self.clock.step_count() };
+            }
+        }
+        result
     }
 
     /// Selects the ODE stepping kernel for all groups (see
@@ -1018,14 +1074,19 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver, runtime and thread failures.
+    /// Propagates solver, runtime and thread failures. After one, the
+    /// engine is failed: [`EnsembleEngine::time`] and
+    /// [`EnsembleEngine::step_count`] report the last macro step every
+    /// group completed, and every later step call returns
+    /// [`CoreError::Engine`] (`URT111`) naming the failed step.
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.start_if_needed()?;
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
-        match self.config.policy {
-            ThreadPolicy::CurrentThread => (0..n).try_for_each(|_| self.step_once()),
+        let result = match self.config.policy {
+            ThreadPolicy::CurrentThread => (0..n).try_for_each(|_| self.macro_step()),
             ThreadPolicy::DedicatedThreads => self.run_threaded(n, None),
-        }
+        };
+        self.settle(result)
     }
 
     /// The per-macro-step deadline budget the ensemble carries (from the
@@ -1057,15 +1118,18 @@ impl EnsembleEngine {
         self.start_if_needed()?;
         let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
-        if matches!(self.config.policy, ThreadPolicy::DedicatedThreads) && !self.groups.is_empty() {
-            self.run_threaded(n, Some(&mut runner))?;
+        let result = if matches!(self.config.policy, ThreadPolicy::DedicatedThreads)
+            && !self.groups.is_empty()
+        {
+            self.run_threaded(n, Some(&mut runner))
         } else {
-            for _ in 0..n {
+            (0..n).try_for_each(|_| {
                 runner.begin();
-                self.step_once()?;
-                runner.end(1, self.clock.seconds())?;
-            }
-        }
+                self.macro_step()?;
+                runner.end(1, self.clock.seconds())
+            })
+        };
+        self.settle(result)?;
         Ok(runner.finish())
     }
 
@@ -1073,9 +1137,17 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver and runtime failures.
+    /// Propagates solver and runtime failures, which leave the engine
+    /// failed (see [`EnsembleEngine::run_until`]).
     pub fn step_once(&mut self) -> Result<(), CoreError> {
         self.start_if_needed()?;
+        let result = self.macro_step();
+        self.settle(result)
+    }
+
+    /// One macro step of every group, then signal routing and the
+    /// controllers. The clock only advances once every group stepped.
+    fn macro_step(&mut self) -> Result<(), CoreError> {
         let h = self.config.step;
         let step = self.clock.step_count();
         let mut next = self.clock.clone();
@@ -1120,7 +1192,7 @@ impl EnsembleEngine {
     ) -> Result<(), CoreError> {
         if self.groups.is_empty() || n_steps == 0 {
             // Pure event-driven run: no solver threads to coordinate.
-            return (0..n_steps).try_for_each(|_| self.step_once());
+            return (0..n_steps).try_for_each(|_| self.macro_step());
         }
         struct Batch {
             len: u64,
@@ -1130,6 +1202,8 @@ impl EnsembleEngine {
         }
         struct Done {
             result: Result<(), CoreError>,
+            /// Macro steps of the batch the group completed.
+            completed: u64,
             emitted: Emitted,
         }
         let h = self.config.step;
@@ -1150,6 +1224,7 @@ impl EnsembleEngine {
                 scope.spawn(move || {
                     while let Ok(Batch { len, mut clock, spare }) = batch_rx.recv() {
                         let mut result = Ok(());
+                        let mut completed = 0;
                         for s in 0..len {
                             // The rendezvous separates last step's slot
                             // writes from this step's same-slot reads. A
@@ -1165,10 +1240,11 @@ impl EnsembleEngine {
                             clock.tick(h);
                             if result.is_ok() {
                                 result = gs.macro_step(h, k, step, clock.seconds());
+                                completed += u64::from(result.is_ok());
                             }
                         }
                         let emitted = std::mem::replace(&mut gs.emitted, spare);
-                        if done_tx.send(Done { result, emitted }).is_err() {
+                        if done_tx.send(Done { result, completed, emitted }).is_err() {
                             break;
                         }
                     }
@@ -1181,6 +1257,7 @@ impl EnsembleEngine {
                 if let Some(runner) = paced.as_deref_mut() {
                     runner.begin();
                 }
+                let start = clock.clone();
                 for (batch_tx, _, spare) in &mut workers {
                     let batch = Batch { len, clock: clock.clone(), spare: std::mem::take(spare) };
                     batch_tx.send(batch).map_err(|_| engine_err("worker gone".into()))?;
@@ -1197,10 +1274,31 @@ impl EnsembleEngine {
                     }
                 }
                 let t_next = clock.seconds();
+                // Report the first failure in group order, with the clock
+                // rewound to the last step every group completed — where
+                // the local path leaves it.
+                let mut completed = len;
+                let mut failure = None;
                 for (gi, (_, done_rx, spare)) in workers.iter_mut().enumerate() {
-                    let done = done_rx.recv().map_err(|_| CoreError::ThreadLost { group: gi })?;
-                    done.result?;
-                    *spare = done.emitted;
+                    let result = match done_rx.recv() {
+                        Ok(done) => {
+                            *spare = done.emitted;
+                            completed = completed.min(done.completed);
+                            done.result
+                        }
+                        Err(_) => {
+                            completed = 0;
+                            Err(CoreError::ThreadLost { group: gi })
+                        }
+                    };
+                    if let Err(e) = result {
+                        failure.get_or_insert(e);
+                    }
+                }
+                if let Some(e) = failure {
+                    *clock = start;
+                    (0..completed).for_each(|_| clock.tick(h));
+                    return Err(e);
                 }
                 if linked {
                     inject_signals(controllers, links, workers.iter_mut().map(|w| &mut w.2))?;
@@ -1297,6 +1395,207 @@ mod tests {
         }
     }
 
+    /// Non-feedthrough ramp source: y = slope * t at the step start.
+    struct Ramp {
+        slope: f64,
+    }
+    impl StreamerBehavior for Ramp {
+        fn name(&self) -> &str {
+            "ramp"
+        }
+        fn input_width(&self) -> usize {
+            0
+        }
+        fn output_width(&self) -> usize {
+            1
+        }
+        fn direct_feedthrough(&self) -> bool {
+            false
+        }
+        fn advance(
+            &mut self,
+            t: f64,
+            _h: f64,
+            _u: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), urt_ode::SolveError> {
+            y[0] = self.slope * t;
+            Ok(())
+        }
+        fn set_param(&mut self, name: &str, value: f64) -> bool {
+            name == "slope" && {
+                self.slope = value;
+                true
+            }
+        }
+    }
+
+    /// A non-feedthrough unit delay: output is the input latched at the
+    /// step start.
+    struct Witness;
+    impl StreamerBehavior for Witness {
+        fn name(&self) -> &str {
+            "witness"
+        }
+        fn input_width(&self) -> usize {
+            1
+        }
+        fn output_width(&self) -> usize {
+            1
+        }
+        fn direct_feedthrough(&self) -> bool {
+            false
+        }
+        fn advance(
+            &mut self,
+            _t: f64,
+            _h: f64,
+            u: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), urt_ode::SolveError> {
+            y[0] = u[0];
+            Ok(())
+        }
+    }
+
+    fn idle_controller() -> Controller {
+        let mut c = Controller::new("events");
+        let sm = StateMachineBuilder::new("idle")
+            .state("s")
+            .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
+            .build()
+            .unwrap();
+        c.add_capsule(Box::new(SmCapsule::new(sm, ())));
+        c
+    }
+
+    /// A `K = 1` core with one idle capsule and `nets` as its groups, in
+    /// order: the raw material `from_variants` links a compiled system's
+    /// tables into, so the link checks can be driven directly.
+    fn assemble(nets: Vec<StreamerNetwork>, config: EngineConfig) -> EnsembleEngine {
+        let mut e = EnsembleEngine::with_controllers(vec![idle_controller()], config);
+        e.plain_series = true;
+        for net in nets {
+            let (plan, behaviours) = net.into_plan().unwrap();
+            e.push_group(plan, behaviours);
+        }
+        e
+    }
+
+    fn scalar_source(name: &str) -> (StreamerNetwork, NodeId) {
+        let mut net = StreamerNetwork::new(name);
+        let n = net.add_streamer(Ramp { slope: 1.0 }, &[], &[("y", FlowType::scalar())]).unwrap();
+        (net, n)
+    }
+
+    #[test]
+    fn declared_sports_are_checked_at_link_time() {
+        use urt_dataflow::port::SPortSpec;
+        use urt_umlrt::protocol::Protocol;
+
+        let (mut net, n) = scalar_source("p");
+        net.add_sport(n, SPortSpec::new("ctl", Protocol::new("Ctl"))).unwrap();
+        let mut e = assemble(vec![net], EngineConfig::default());
+        // Wrong sport name: rejected because the node declares its sports.
+        assert!(matches!(e.link_sport(0, n, "ghost", 0, "plant"), Err(CoreError::Engine { .. })));
+        // Declared name: accepted.
+        e.link_sport(0, n, "ctl", 0, "plant").unwrap();
+    }
+
+    #[test]
+    fn duplicate_sport_link_is_refused() {
+        // Regression: the old index kept the first link per key and
+        // silently dropped the second — now it is a stable-coded error.
+        let (net, n) = scalar_source("p");
+        let mut e = assemble(vec![net], EngineConfig::default());
+        e.link_sport(0, n, "ctl", 0, "plant").unwrap();
+        let err = e.link_sport(0, n, "ctl", 0, "other").unwrap_err();
+        assert!(matches!(err, CoreError::DuplicateSportLink { .. }));
+        assert!(err.to_string().starts_with("URT113: "), "stable code: {err}");
+        // A different sport on the same node is still fine.
+        e.link_sport(0, n, "aux", 0, "plant").unwrap();
+    }
+
+    #[test]
+    fn link_checks_refuse_bad_indices() {
+        let mut e = assemble(Vec::new(), EngineConfig::default());
+        let n = NodeId::from_index(0);
+        assert!(matches!(e.add_probe(0, n, "y", "s"), Err(CoreError::Engine { .. })));
+        assert!(matches!(e.link_sport(3, n, "s", 0, "p"), Err(CoreError::Engine { .. })));
+    }
+
+    #[test]
+    fn link_flow_validates_its_endpoints() {
+        let (producer, src) = scalar_source("producer");
+        let mut consumer = StreamerNetwork::new("consumer");
+        let io = |net: &mut StreamerNetwork, b: Box<dyn StreamerBehavior>| {
+            net.add_streamer_boxed(b, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
+                .unwrap()
+        };
+        let wit = io(&mut consumer, Box::new(Witness));
+        consumer.export_input(wit, "u").unwrap();
+        // A feedthrough consumer in a third group.
+        let mut ft_net = StreamerNetwork::new("ft");
+        let gain = io(
+            &mut ft_net,
+            Box::new(FnStreamer::new("gain", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0])),
+        );
+        ft_net.export_input(gain, "u").unwrap();
+        // An unexported consumer in a fourth group (input driven in-network
+        // so the group still validates).
+        let (mut closed, csrc) = scalar_source("closed");
+        let cwit = io(&mut closed, Box::new(Witness));
+        closed.flow((csrc, "y"), (cwit, "u")).unwrap();
+
+        let mut e = assemble(vec![producer, consumer, ft_net, closed], EngineConfig::default());
+        let (gp, gc, gf, gx) = (0, 1, 2, 3);
+
+        // Bad group index.
+        assert!(matches!(
+            e.link_flow((9, src, "y"), (gc, wit, "u")),
+            Err(CoreError::Engine { .. })
+        ));
+        // Same group.
+        let err = e.link_flow((gc, wit, "y"), (gc, wit, "u")).unwrap_err();
+        assert!(err.to_string().contains("in-network"), "{err}");
+        // Wrong port direction at the consumer.
+        assert!(e.link_flow((gp, src, "y"), (gc, wit, "y")).is_err());
+        // Feedthrough consumer.
+        let err = e.link_flow((gp, src, "y"), (gf, gain, "u")).unwrap_err();
+        assert!(err.to_string().contains("feedthrough"), "{err}");
+        // Unexported consumer input.
+        let err = e.link_flow((gp, src, "y"), (gx, cwit, "u")).unwrap_err();
+        assert!(err.to_string().contains("not exported"), "{err}");
+        // Valid link, then a second channel into the same input.
+        e.link_flow((gp, src, "y"), (gc, wit, "u")).unwrap();
+        let err = e.link_flow((gx, csrc, "y"), (gc, wit, "u")).unwrap_err();
+        assert!(err.to_string().contains("already fed"), "{err}");
+    }
+
+    #[test]
+    fn link_flow_enforces_the_subset_rule() {
+        use urt_dataflow::flowtype::Unit;
+        let mut producer = StreamerNetwork::new("producer");
+        let src = producer
+            .add_streamer(Ramp { slope: 1.0 }, &[], &[("y", FlowType::with_unit(Unit::Kelvin))])
+            .unwrap();
+        let mut consumer = StreamerNetwork::new("consumer");
+        let wit = consumer
+            .add_streamer(
+                Witness,
+                &[("u", FlowType::with_unit(Unit::Meter))],
+                &[("y", FlowType::scalar())],
+            )
+            .unwrap();
+        consumer.export_input(wit, "u").unwrap();
+        let mut e = assemble(vec![producer, consumer], EngineConfig::default());
+        let err = e.link_flow((0, src, "y"), (1, wit, "u")).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Flow(urt_dataflow::FlowError::TypeMismatch { .. })),
+            "{err}"
+        );
+    }
+
     #[test]
     fn ensemble_refuses_zero_instances() {
         let compiled = compile(1.0, 1.0);
@@ -1390,7 +1689,7 @@ mod tests {
                 *n += 1;
                 let y = m.value().as_real().unwrap_or(0.0);
                 ctx.send(port, "setpoint", Value::Real(1.0 - 0.5 * y + f64::from(*n) * 1e-3));
-                if *n % 3 == 0 {
+                if n.is_multiple_of(3) {
                     ctx.send("aux", "log", Value::Empty);
                 }
             }
@@ -1452,10 +1751,9 @@ mod tests {
     }
 
     #[test]
-    fn factory_replication_outlives_clone_fresh() {
-        // A behaviour without a clone_fresh override cannot be *cloned*
-        // — but the ensemble replicates by re-invoking the registry
-        // factory, so it builds and runs anyway.
+    fn ensembles_replicate_opaque_behaviours_through_factories() {
+        // A behaviour that cannot be cloned still replicates: the
+        // ensemble re-invokes the registry factory per instance.
         struct Opaque;
         impl StreamerBehavior for Opaque {
             fn name(&self) -> &str {
@@ -1554,7 +1852,7 @@ mod tests {
         // network, is the reference for two replays: a compiled model
         // whose capsule relay DPort fans the source out (elaboration
         // lowers it to two flows) at K = 3, and the raw network with its
-        // relay node on a hand-wired engine (relay plan rows).
+        // relay node assembled straight into the core (relay plan rows).
         let src = || {
             FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
                 y[0] = (2.0 * t).sin()
@@ -1619,12 +1917,11 @@ mod tests {
         }
 
         let (net, d, q) = raw();
-        let mut engine = HybridEngine::new(Controller::new("ev"), config);
-        let g = engine.add_group(net).unwrap();
+        let mut engine = assemble(vec![net], config);
         let hrec = Recorder::new();
         engine.set_recorder(hrec.clone());
-        engine.add_probe(g, d, "y", "dbl").unwrap();
-        engine.add_probe(g, q, "y", "sq").unwrap();
+        engine.add_probe(0, d, "y", "dbl").unwrap();
+        engine.add_probe(0, q, "y", "sq").unwrap();
         engine.run_until(0.2).unwrap();
         bit_eq(&hrec.series("dbl"), &expect_dbl, "relay rows (dbl)");
         bit_eq(&hrec.series("sq"), &expect_sq, "relay rows (sq)");
@@ -1729,74 +2026,6 @@ mod tests {
     /// Cross-thread model: a non-feedthrough ramp on thread 0 feeding a
     /// non-feedthrough witness on thread 1 (lowered to a channel).
     fn cross_thread_model() -> (UnifiedModel, BehaviorRegistry) {
-        #[derive(Clone)]
-        struct Ramp {
-            slope: f64,
-        }
-        impl StreamerBehavior for Ramp {
-            fn name(&self) -> &str {
-                "ramp"
-            }
-            fn input_width(&self) -> usize {
-                0
-            }
-            fn output_width(&self) -> usize {
-                1
-            }
-            fn direct_feedthrough(&self) -> bool {
-                false
-            }
-            fn advance(
-                &mut self,
-                t: f64,
-                _h: f64,
-                _u: &[f64],
-                y: &mut [f64],
-            ) -> Result<(), urt_ode::SolveError> {
-                y[0] = self.slope * t;
-                Ok(())
-            }
-            fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-                Some(Box::new(self.clone()))
-            }
-            fn set_param(&mut self, name: &str, value: f64) -> bool {
-                if name == "slope" {
-                    self.slope = value;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-        #[derive(Clone)]
-        struct Witness;
-        impl StreamerBehavior for Witness {
-            fn name(&self) -> &str {
-                "witness"
-            }
-            fn input_width(&self) -> usize {
-                1
-            }
-            fn output_width(&self) -> usize {
-                1
-            }
-            fn direct_feedthrough(&self) -> bool {
-                false
-            }
-            fn advance(
-                &mut self,
-                _t: f64,
-                _h: f64,
-                u: &[f64],
-                y: &mut [f64],
-            ) -> Result<(), urt_ode::SolveError> {
-                y[0] = u[0];
-                Ok(())
-            }
-            fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-                Some(Box::new(self.clone()))
-            }
-        }
         let mut b = ModelBuilder::new("xg");
         let r = b.streamer("ramp", "none");
         let w = b.streamer("witness", "none");

@@ -24,9 +24,10 @@
 //!   strategies attachable to streamers at run time.
 //! * [`threading`] — thread-assignment policies ("assigned to one or
 //!   several threads").
-//! * [`engine`] — the hybrid co-simulation engine: a capsule controller
-//!   plus streamer groups on dedicated solver threads, bridged by channel
-//!   communication ("communication mechanism of threads").
+//! * [`engine`] — the hybrid co-simulation engine, built from a
+//!   `CompiledSystem`: a capsule controller plus streamer groups on
+//!   dedicated solver threads, bridged by channel communication
+//!   ("communication mechanism of threads").
 //! * [`ensemble`] — structure-of-arrays ensemble execution: `K`
 //!   parameter-variants of one compiled system stepped in lockstep, with
 //!   routing and channel bookkeeping paid once per step instead of once
@@ -39,39 +40,44 @@
 //!
 //! # Examples
 //!
-//! A thermostat capsule supervising a thermal plant streamer:
+//! A supervisor capsule beside an oscillator streamer, declared as a
+//! model, compiled, and run:
 //!
 //! ```
+//! use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 //! use urt_core::engine::{EngineConfig, HybridEngine};
+//! use urt_core::model::ModelBuilder;
+//! use urt_core::recorder::Recorder;
 //! use urt_core::threading::ThreadPolicy;
 //! use urt_dataflow::flowtype::FlowType;
-//! use urt_dataflow::graph::StreamerNetwork;
 //! use urt_dataflow::streamer::FnStreamer;
 //! use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
-//! use urt_umlrt::controller::Controller;
 //! use urt_umlrt::statemachine::StateMachineBuilder;
 //!
 //! # fn main() -> Result<(), urt_core::CoreError> {
-//! let mut net = StreamerNetwork::new("plant");
-//! let p = net.add_streamer(
-//!     FnStreamer::new("osc", 0, 1, |t, _h, _u, y| y[0] = t.sin()),
-//!     &[],
-//!     &[("y", FlowType::scalar())],
-//! )?;
-//! let sm = StateMachineBuilder::new("supervisor")
-//!     .state("watching")
-//!     .initial("watching", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-//!     .build()?;
-//! let mut controller = Controller::new("events");
-//! controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-//! let mut engine = HybridEngine::new(
-//!     controller,
-//!     EngineConfig { step: 0.001, policy: ThreadPolicy::CurrentThread },
-//! );
-//! engine.add_group(net)?;
+//! let mut b = ModelBuilder::new("plant");
+//! let osc = b.streamer("osc", "none");
+//! b.streamer_out(osc, "y", FlowType::scalar());
+//! b.probe(osc, "y", "osc.y");
+//! b.capsule("supervisor");
+//! let registry = BehaviorRegistry::new()
+//!     .streamer("osc", || Box::new(FnStreamer::new("osc", 0, 1, |t, _h, _u, y| y[0] = t.sin())))
+//!     .capsule("supervisor", || {
+//!         let sm = StateMachineBuilder::new("supervisor")
+//!             .state("watching")
+//!             .initial("watching", |_d: &mut (), _ctx: &mut CapsuleContext| {})
+//!             .build()
+//!             .expect("well-formed machine");
+//!         Box::new(SmCapsule::new(sm, ()))
+//!     });
+//! let compiled = elaborate(&b.build(), registry, &validate_gate)?;
+//! let config = EngineConfig { step: 0.001, policy: ThreadPolicy::CurrentThread };
+//! let mut engine = HybridEngine::from_compiled(&compiled, config)?;
+//! let rec = Recorder::new();
+//! engine.set_recorder(rec.clone());
 //! engine.run_until(0.1)?;
 //! assert!((engine.time() - 0.1).abs() < 1e-9);
-//! # let _ = p;
+//! assert_eq!(rec.series("osc.y").len(), 100);
 //! # Ok(())
 //! # }
 //! ```

@@ -16,9 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// sub-microsecond macro steps that would erase the batching win, so the
 /// inner sub-step barrier spins (briefly) and then yields. Batch
 /// boundaries still use a channel rendezvous, which parks properly —
-/// spinning is confined to the hot inner loop. Shared by the threaded
-/// paths of [`HybridEngine`](crate::engine::HybridEngine) and
-/// [`EnsembleEngine`](crate::ensemble::EnsembleEngine).
+/// spinning is confined to the hot inner loop. Used by the one threaded
+/// scheduler, [`EnsembleEngine`](crate::ensemble::EnsembleEngine)'s.
 pub(crate) struct SpinBarrier {
     participants: usize,
     count: AtomicUsize,

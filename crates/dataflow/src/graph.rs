@@ -1170,14 +1170,11 @@ mod tests {
     use crate::streamer::FnStreamer;
     use urt_umlrt::protocol::Protocol;
 
-    fn source(name: &str) -> FnStreamer<impl FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone> {
+    fn source(name: &str) -> impl StreamerBehavior {
         FnStreamer::new(name, 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = t)
     }
 
-    fn gain(
-        name: &str,
-        k: f64,
-    ) -> FnStreamer<impl FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone> {
+    fn gain(name: &str, k: f64) -> impl StreamerBehavior {
         FnStreamer::new(name, 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| y[0] = k * u[0])
     }
 
@@ -1599,9 +1596,7 @@ mod tests {
             for pn in plan.nodes() {
                 for gth in &pn.gathers {
                     let (src, dst) = (gth.src, gth.dst);
-                    for k in 0..gth.len {
-                        ins[dst + k] = outs[src + k];
-                    }
+                    ins[dst..dst + gth.len].copy_from_slice(&outs[src..src + gth.len]);
                 }
                 match pn.kind {
                     PlanNodeKind::Streamer => {

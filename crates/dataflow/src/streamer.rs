@@ -66,13 +66,12 @@ pub trait StreamerBehavior: Send {
         Vec::new()
     }
 
-    /// Creates a fresh copy of this behaviour with the same configuration,
-    /// or `None` when the behaviour cannot be replicated (stateful signal
-    /// handlers, zero-crossing guards, non-cloneable solvers). Ensemble
-    /// execution stamps per-instance behaviours out of one compiled
-    /// prototype through this hook, so implementations may assume the
-    /// prototype has not been stepped: "fresh" means a copy of the
-    /// behaviour *as configured*, before any `initialize`/`advance`.
+    /// Retired replication hook: no engine calls it and no library
+    /// behaviour overrides it — every instance of a compiled system,
+    /// ensemble replicas included, comes from re-invoking the registry's
+    /// behaviour factory. It stays, returning `None`, only because the
+    /// benchmark package's tracing wrapper (`perfbench/src/trace.rs`)
+    /// forwards it; remove it together with that forwarding.
     fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
         None
     }
@@ -189,9 +188,7 @@ impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> FnStreamer<F> {
     }
 }
 
-impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone + 'static> StreamerBehavior
-    for FnStreamer<F>
-{
+impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> StreamerBehavior for FnStreamer<F> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -207,18 +204,6 @@ impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send + Clone + 'static> StreamerBe
     fn advance(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
         (self.f)(t, h, u, y);
         Ok(())
-    }
-
-    fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-        // The closure is cloned as-is: captured mutable state is copied at
-        // its current value, which equals the initial value as long as the
-        // prototype has not been stepped (the clone_fresh contract).
-        Some(Box::new(FnStreamer {
-            name: self.name.clone(),
-            input_width: self.input_width,
-            output_width: self.output_width,
-            f: self.f.clone(),
-        }))
     }
 }
 
@@ -341,7 +326,7 @@ impl<S: InputSystem + Send> OdeStreamer<S> {
     }
 }
 
-impl<S: InputSystem + Send + Clone + 'static> StreamerBehavior for OdeStreamer<S> {
+impl<S: InputSystem + Send> StreamerBehavior for OdeStreamer<S> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -414,29 +399,6 @@ impl<S: InputSystem + Send + Clone + 'static> StreamerBehavior for OdeStreamer<S
         std::mem::take(&mut self.emitted)
     }
 
-    fn clone_fresh(&self) -> Option<Box<dyn StreamerBehavior>> {
-        // Boxed signal handlers and zero-crossing guards are not
-        // cloneable; a streamer carrying either cannot be replicated.
-        if self.handler.is_some() || !self.guards.is_empty() {
-            return None;
-        }
-        let solver = self.solver.clone_boxed()?;
-        Some(Box::new(OdeStreamer {
-            name: self.name.clone(),
-            system: self.system.clone(),
-            solver,
-            driver: None,
-            x0: self.x0.clone(),
-            guards: Vec::new(),
-            guard_values: Vec::new(),
-            handler: None,
-            emitted: Vec::new(),
-            event_sport: self.event_sport.clone(),
-            substep: self.substep,
-            param_fn: self.param_fn,
-        }))
-    }
-
     fn set_param(&mut self, name: &str, value: f64) -> bool {
         // Built-in override: `x0[i]` retargets one initial-state lane.
         // Effective only before `initialize`, which is when ensemble
@@ -464,7 +426,7 @@ impl<S: InputSystem + Send + Clone + 'static> StreamerBehavior for OdeStreamer<S
     }
 }
 
-impl<S: InputSystem + Send + Clone + 'static> OdeLane for OdeStreamer<S> {
+impl<S: InputSystem + Send> OdeLane for OdeStreamer<S> {
     fn lane_dim(&self) -> usize {
         self.system.dim()
     }
@@ -646,7 +608,7 @@ mod tests {
     use urt_ode::solver::SolverKind;
     use urt_ode::system::FnInputSystem;
 
-    fn first_order_plant() -> FnInputSystem<impl Fn(f64, &[f64], &[f64], &mut [f64]) + Clone> {
+    fn first_order_plant() -> impl InputSystem + Send {
         // x' = u - x : first-order lag.
         FnInputSystem::new(1, 1, |_t, x: &[f64], u: &[f64], dx: &mut [f64]| {
             dx[0] = u[0] - x[0];
@@ -841,48 +803,6 @@ mod tests {
         net.export_output(g, "y").unwrap();
         // Feedthrough path: gain from exported input to exported output.
         assert!(net.has_external_feedthrough());
-    }
-
-    #[test]
-    fn fn_streamer_clone_fresh_replicates_configuration() {
-        let s =
-            FnStreamer::new("gain2", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0]);
-        let mut copy = s.clone_fresh().expect("closures without state clone");
-        assert_eq!(copy.name(), "gain2");
-        assert_eq!(copy.input_width(), 1);
-        assert_eq!(copy.output_width(), 1);
-        let mut y = [0.0];
-        copy.advance(0.0, 0.1, &[21.0], &mut y).unwrap();
-        assert_eq!(y[0], 42.0);
-    }
-
-    #[test]
-    fn ode_streamer_clone_fresh_starts_from_x0() {
-        let proto =
-            OdeStreamer::new("lag", first_order_plant(), SolverKind::Rk4.create(), &[0.5], 1e-3);
-        let mut copy = proto.clone_fresh().expect("plain ODE streamers clone");
-        copy.initialize(0.0).unwrap();
-        let mut y_copy = [0.0];
-        copy.advance(0.0, 1e-3, &[1.0], &mut y_copy).unwrap();
-
-        let mut standalone =
-            OdeStreamer::new("lag", first_order_plant(), SolverKind::Rk4.create(), &[0.5], 1e-3);
-        standalone.initialize(0.0).unwrap();
-        let mut y_ref = [0.0];
-        standalone.advance(0.0, 1e-3, &[1.0], &mut y_ref).unwrap();
-        assert_eq!(y_copy[0].to_bits(), y_ref[0].to_bits(), "clone is bit-identical");
-    }
-
-    #[test]
-    fn clone_fresh_refuses_guards_and_handlers() {
-        let guarded =
-            OdeStreamer::new("g", first_order_plant(), SolverKind::Rk4.create(), &[0.0], 1e-3)
-                .with_guard(ZeroCrossing::new("up", EventDirection::Rising, |_t, x| x[0]));
-        assert!(guarded.clone_fresh().is_none(), "guards are not cloneable");
-        let handled =
-            OdeStreamer::new("h", first_order_plant(), SolverKind::Rk4.create(), &[0.0], 1e-3)
-                .with_signal_handler(|_msg, _sys, _state| {});
-        assert!(handled.clone_fresh().is_none(), "handlers are not cloneable");
     }
 
     #[test]

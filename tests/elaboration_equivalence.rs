@@ -1,37 +1,63 @@
-//! Elaboration equivalence: lowering a declarative `UnifiedModel` through
-//! `compile` (analyze → elaborate) must produce an engine whose behaviour
-//! is *bit-identical* to the same system wired by hand against the
-//! runtime APIs — recorder series, final capsule states, delivered
-//! counts, step counts, and final times, under both threading policies.
-//! Elaboration is a change of notation, never a change of semantics.
+//! Elaboration pins: lowering a declarative `UnifiedModel` through
+//! `compile` (analyze → elaborate) must keep producing the exact probe
+//! series it produced when every workload here was also wired by hand
+//! against the runtime and proven bit-identical to the lowered form.
+//! Those series are pinned as FNV-1a 64 checksums over (series name,
+//! time bits, value bits), under both threading policies. Elaboration
+//! is a change of notation, never a change of semantics.
 //!
-//! Two workloads are pinned:
+//! Pinned workloads:
 //!
 //! * **fig2** — the paper's Figure 2 streamer network (source, fan-out,
-//!   two consumers). The hand-wired form routes the fan-out through an
-//!   explicit relay node; the elaborated form duplicates the flow
-//!   directly. Relays copy samples exactly, so the two topologies must
-//!   agree to the last bit.
+//!   two consumers). Routing the fan-out through a capsule relay DPort
+//!   (Figure 3) lowers to the same flows, so it must agree to the last
+//!   bit with the direct fan-out.
+//! * **cross-group** — a wave source on one solver thread feeding a
+//!   hold + scaler on another through a one-step-delay channel.
 //! * **quickstart** — the bang-bang thermostat: an ODE streamer with
 //!   zero-crossing guards SPort-linked to a thermostat capsule.
+//! * **the catalogue** — every clean built-in model with stub behaviours
+//!   that log each step's inputs and outputs.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use unified_rt::analysis::compile;
+use unified_rt::analysis::examples;
+use unified_rt::analysis::stubs::StubStreamer;
+use unified_rt::core::cache::Fnv1a;
 use unified_rt::core::elaborate::BehaviorRegistry;
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
-use unified_rt::core::model::ModelBuilder;
+use unified_rt::core::model::{FlowEnd, ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::{FlowType, Unit};
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use unified_rt::ode::events::{EventDirection, ZeroCrossing};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::protocol::{PayloadKind, Protocol};
 use unified_rt::umlrt::statemachine::{SmSpec, StateMachineBuilder};
 use unified_rt::umlrt::value::Value;
+
+const POLICIES: [ThreadPolicy; 2] = [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads];
+
+/// fig2 to t = 2 s.
+const FIG2_CHECKSUM: u64 = 0xd79b_60e8_8573_6e00;
+/// The cross-group pipeline to t = 2 s.
+const CROSS_GROUP_CHECKSUM: u64 = 0xccbe_1534_e32b_3cd2;
+/// The thermostat to t = 120 s.
+const QUICKSTART_CHECKSUM: u64 = 0x68cd_a293_9beb_b29b;
+/// Every clean catalogue model with logging stubs, to t = 1 s at h = 0.01.
+const CATALOGUE_CHECKSUMS: &[(&str, u64)] = &[
+    ("demo", 0x4152_958b_c298_0b19),
+    ("fig2", 0x891e_358b_7476_4745),
+    ("fig3", 0xdce5_76a0_5b74_1b48),
+    ("cruise-control", 0x405f_1f45_2fad_ae51),
+    ("tank-level", 0xf53b_7fa6_e1a5_17e5),
+    ("inverted-pendulum", 0xeaed_dea9_0acd_9ece),
+    ("bouncing-ball", 0x2ddd_6ef3_2619_f41d),
+];
 
 /// Everything observable about a finished run, captured for bitwise
 /// comparison.
@@ -54,13 +80,13 @@ fn capture(engine: &HybridEngine, rec: &Recorder, capsule: Option<usize>) -> Run
     }
 }
 
-fn assert_bit_identical(wired: &Run, compiled: &Run, what: &str) {
-    assert_eq!(wired.step_count, compiled.step_count, "{what}: same number of macro steps");
-    assert_eq!(wired.time.to_bits(), compiled.time.to_bits(), "{what}: bit-identical final time");
-    assert_eq!(wired.final_state, compiled.final_state, "{what}: same capsule state");
-    assert_eq!(wired.delivered, compiled.delivered, "{what}: same delivered event count");
-    assert_eq!(wired.series.len(), compiled.series.len(), "{what}: same probe count");
-    for ((name_a, a), (name_b, b)) in wired.series.iter().zip(&compiled.series) {
+fn assert_bit_identical(a: &Run, b: &Run, what: &str) {
+    assert_eq!(a.step_count, b.step_count, "{what}: same number of macro steps");
+    assert_eq!(a.time.to_bits(), b.time.to_bits(), "{what}: bit-identical final time");
+    assert_eq!(a.final_state, b.final_state, "{what}: same capsule state");
+    assert_eq!(a.delivered, b.delivered, "{what}: same delivered event count");
+    assert_eq!(a.series.len(), b.series.len(), "{what}: same probe count");
+    for ((name_a, a), (name_b, b)) in a.series.iter().zip(&b.series) {
         assert_eq!(name_a, name_b, "{what}: same probe names");
         assert_eq!(a.len(), b.len(), "{what}: series `{name_a}` lengths");
         for (k, ((t1, v1), (t2, v2))) in a.iter().zip(b).enumerate() {
@@ -68,6 +94,37 @@ fn assert_bit_identical(wired: &Run, compiled: &Run, what: &str) {
             assert_eq!(v1.to_bits(), v2.to_bits(), "{what}: series `{name_a}` sample {k} value");
         }
     }
+}
+
+/// FNV-1a 64 over every series in order: its name, then each sample's
+/// time and value bits (little-endian).
+fn checksum(run: &Run) -> u64 {
+    let mut h = Fnv1a::new();
+    for (name, samples) in &run.series {
+        h.update(name.as_bytes());
+        for (t, v) in samples {
+            h.update(&t.to_bits().to_le_bytes());
+            h.update(&v.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
+fn run_compiled(
+    model: &UnifiedModel,
+    registry: BehaviorRegistry,
+    policy: ThreadPolicy,
+    t_end: f64,
+    capsule: Option<&str>,
+) -> Run {
+    let compiled = compile(model, registry).expect("model compiles");
+    let cap = capsule.map(|name| compiled.capsule_index(name).expect("capsule exists"));
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+        .expect("engine");
+    let rec = Recorder::new();
+    engine.set_recorder(rec.clone());
+    engine.run_until(t_end).expect("run");
+    capture(&engine, &rec, cap)
 }
 
 // ---------------------------------------------------------------- fig2
@@ -86,43 +143,15 @@ fn fig2_squarer() -> Box<dyn StreamerBehavior> {
     Box::new(FnStreamer::new("sub3", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0]))
 }
 
-/// Hand-wired Figure 2, with the fan-out routed through an explicit
-/// relay node (the pre-elaboration idiom).
-fn fig2_wired(policy: ThreadPolicy, t_end: f64) -> Run {
-    let mut net = StreamerNetwork::new("fig2");
-    let sub1 =
-        net.add_streamer_boxed(fig2_source(), &[], &[("y", FlowType::scalar())]).expect("sub1");
-    let relay = net.add_relay("relay", FlowType::scalar(), 2).expect("relay");
-    let sub2 = net
-        .add_streamer_boxed(
-            fig2_doubler(),
-            &[("u", FlowType::scalar())],
-            &[("y", FlowType::scalar())],
-        )
-        .expect("sub2");
-    let sub3 = net
-        .add_streamer_boxed(
-            fig2_squarer(),
-            &[("u", FlowType::scalar())],
-            &[("y", FlowType::scalar())],
-        )
-        .expect("sub3");
-    net.flow((sub1, "y"), (relay, "in")).expect("flow 1");
-    net.flow((relay, "out0"), (sub2, "u")).expect("flow 2");
-    net.flow((relay, "out1"), (sub3, "u")).expect("flow 3");
-
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: 0.01, policy });
-    let g = engine.add_group(net).expect("group");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(g, sub2, "y", "sub2.y").expect("probe sub2");
-    engine.add_probe(g, sub3, "y", "sub3.y").expect("probe sub3");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
+fn fig2_registry() -> BehaviorRegistry {
+    BehaviorRegistry::new()
+        .streamer("sub1", fig2_source)
+        .streamer("sub2", fig2_doubler)
+        .streamer("sub3", fig2_squarer)
 }
 
-/// The same Figure 2 declared as a model (container streamer, fan-out as
-/// two similar flows) and lowered through `compile`.
+/// Figure 2 declared as a model (container streamer, fan-out as two
+/// similar flows) and lowered through `compile`.
 fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     let mut b = ModelBuilder::new("fig2");
     let top = b.streamer("top", "rk4");
@@ -142,19 +171,28 @@ fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     b.probe(sub2, "y", "sub2.y");
     b.probe(sub3, "y", "sub3.y");
     let model = b.build();
-
-    let registry = BehaviorRegistry::new()
-        .streamer("sub1", fig2_source)
-        .streamer("sub2", fig2_doubler)
-        .streamer("sub3", fig2_squarer);
-    let compiled = compile(&model, registry).expect("fig2 compiles");
+    let compiled = compile(&model, fig2_registry()).expect("fig2 compiles");
     assert!(compiled.streamer_node("top").is_none(), "containers contribute no nodes");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
-        .expect("engine");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
+    run_compiled(&model, fig2_registry(), policy, t_end, None)
+}
+
+/// Figure 2 with the fan-out routed through a capsule relay DPort
+/// (Figure 3): elaboration resolves the relay to the same two flows.
+fn fig2_relayed(policy: ThreadPolicy, t_end: f64) -> Run {
+    let mut b = ModelBuilder::new("fig2-relayed");
+    let hub = b.capsule("hub");
+    b.capsule_dport(hub, "d", FlowType::scalar());
+    let sub1 = b.streamer("sub1", "rk4");
+    b.streamer_out(sub1, "y", FlowType::scalar());
+    b.flow(FlowEnd::Streamer(sub1, "y".into()), FlowEnd::Capsule(hub, "d".into()));
+    for name in ["sub2", "sub3"] {
+        let s = b.streamer(name, "euler");
+        b.streamer_in(s, "u", FlowType::scalar());
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.flow(FlowEnd::Capsule(hub, "d".into()), FlowEnd::Streamer(s, "u".into()));
+        b.probe(s, "y", format!("{name}.y"));
+    }
+    run_compiled(&b.build(), fig2_registry(), policy, t_end, None)
 }
 
 // ----------------------------------------------------------- quickstart
@@ -220,26 +258,7 @@ fn thermostat_capsule() -> Box<SmCapsule<u32>> {
     Box::new(SmCapsule::new(machine, 0u32))
 }
 
-/// The thermostat wired by hand: explicit network, controller, SPort
-/// link, and probe (the pre-elaboration idiom).
-fn quickstart_wired(policy: ThreadPolicy, t_end: f64) -> Run {
-    let mut net = StreamerNetwork::new("thermal");
-    let node = net
-        .add_streamer(*room_streamer(), &[], &[("temp", FlowType::with_unit(Unit::Kelvin))])
-        .expect("room");
-    let mut controller = Controller::new("events");
-    let thermostat = controller.add_capsule(thermostat_capsule());
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let group = engine.add_group(net).expect("group");
-    engine.link_sport(group, node, "ctl", thermostat, "plant").expect("link");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(group, node, "temp", "temperature").expect("probe");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, Some(thermostat))
-}
-
-/// The same thermostat declared as a model and lowered through `compile`.
+/// The thermostat declared as a model and lowered through `compile`.
 fn quickstart_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     let mut b = ModelBuilder::new("thermostat-quickstart");
     let room = b.streamer("room", "rk4");
@@ -266,19 +285,10 @@ fn quickstart_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
             .on("cooling", ("plant", "too_cold"), "heating"),
     );
     b.probe(room, "temp", "temperature");
-    let model = b.build();
-
     let registry = BehaviorRegistry::new()
         .streamer("room", || room_streamer())
         .capsule("thermostat", || thermostat_capsule());
-    let compiled = compile(&model, registry).expect("quickstart compiles");
-    let cap = compiled.capsule_index("thermostat").expect("capsule exists");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
-        .expect("engine");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, Some(cap))
+    run_compiled(&b.build(), registry, policy, t_end, Some("thermostat"))
 }
 
 // ----------------------------------------------------------- cross-group
@@ -341,41 +351,8 @@ fn scaler() -> Box<dyn StreamerBehavior> {
     Box::new(FnStreamer::new("scale", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 0.5 * u[0]))
 }
 
-/// Hand-wired cross-group pipeline: a wave source in one group feeding a
-/// hold + feedthrough scaler in another, with the channel linked through
-/// the engine API (export the consumer input, then `link_flow`).
-fn cross_group_wired(policy: ThreadPolicy, t_end: f64) -> Run {
-    let mut producer = StreamerNetwork::new("xg-t0");
-    let wave = producer
-        .add_streamer_boxed(Box::new(Wave), &[], &[("y", FlowType::scalar())])
-        .expect("wave");
-    let mut consumer = StreamerNetwork::new("xg-t1");
-    let hold = consumer
-        .add_streamer_boxed(
-            Box::new(Hold),
-            &[("u", FlowType::scalar())],
-            &[("y", FlowType::scalar())],
-        )
-        .expect("hold");
-    let scale = consumer
-        .add_streamer_boxed(scaler(), &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-        .expect("scale");
-    consumer.flow((hold, "y"), (scale, "u")).expect("intra flow");
-    consumer.export_input(hold, "u").expect("export");
-
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: 0.01, policy });
-    let gp = engine.add_group(producer).expect("producer group");
-    let gc = engine.add_group(consumer).expect("consumer group");
-    engine.link_flow((gp, wave, "y"), (gc, hold, "u")).expect("channel");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.add_probe(gp, wave, "y", "wave.y").expect("probe wave");
-    engine.add_probe(gc, scale, "y", "scale.y").expect("probe scale");
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
-}
-
-/// The same pipeline declared as a model: `assign_thread` splits the
+/// A wave source in one group feeding a hold + feedthrough scaler in
+/// another, declared as a model: `assign_thread` splits the
 /// streamers across two groups and elaboration lowers the wave -> hold
 /// flow into a cross-group channel (exporting the consumer input
 /// automatically).
@@ -399,53 +376,114 @@ fn cross_group_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     b.probe(wave, "y", "wave.y");
     b.probe(scale, "y", "scale.y");
     let model = b.build();
-
-    let registry = BehaviorRegistry::new()
-        .streamer("wave", || Box::new(Wave))
-        .streamer("hold", || Box::new(Hold))
-        .streamer("scale", scaler);
-    let compiled = compile(&model, registry).expect("cross-group model compiles");
+    let registry = || {
+        BehaviorRegistry::new()
+            .streamer("wave", || Box::new(Wave))
+            .streamer("hold", || Box::new(Hold))
+            .streamer("scale", scaler)
+    };
+    let compiled = compile(&model, registry()).expect("cross-group model compiles");
     assert_eq!(compiled.group_count(), 2, "assign_thread keeps two groups");
     assert_eq!(compiled.cross_flow_count(), 1, "one lowered channel");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
-        .expect("engine");
-    let rec = Recorder::new();
-    engine.set_recorder(rec.clone());
-    engine.run_until(t_end).expect("run");
-    capture(&engine, &rec, None)
+    run_compiled(&model, registry(), policy, t_end, None)
+}
+
+// ------------------------------------------------------------ catalogue
+
+/// Per streamer, every step's `(t, lane)` samples: inputs, then outputs.
+type AdvanceLog = Arc<Mutex<BTreeMap<String, Vec<(f64, f64)>>>>;
+
+/// A [`StubStreamer`] that logs what it reads and writes on every step,
+/// so the checksum also covers streamers no probe watches.
+struct Logged {
+    stub: StubStreamer,
+    name: String,
+    log: AdvanceLog,
+}
+
+impl StreamerBehavior for Logged {
+    fn name(&self) -> &str {
+        self.stub.name()
+    }
+    fn input_width(&self) -> usize {
+        self.stub.input_width()
+    }
+    fn output_width(&self) -> usize {
+        self.stub.output_width()
+    }
+    fn direct_feedthrough(&self) -> bool {
+        self.stub.direct_feedthrough()
+    }
+    fn advance(
+        &mut self,
+        t: f64,
+        h: f64,
+        u: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), unified_rt::ode::SolveError> {
+        self.stub.advance(t, h, u, y)?;
+        let mut log = self.log.lock().expect("log");
+        let samples = log.entry(format!("advance:{}", self.name)).or_default();
+        samples.extend(u.iter().chain(y.iter()).map(|v| (t, *v)));
+        Ok(())
+    }
+}
+
+/// A catalogue model to t = 1 s with logging stubs: its probe series,
+/// then one `advance:{streamer}` series per streamer.
+fn catalogue_run(name: &str, policy: ThreadPolicy) -> Run {
+    let model = examples::by_name(name).expect("catalogue name");
+    let log = AdvanceLog::default();
+    let mut registry = BehaviorRegistry::new();
+    for (s, streamer, _) in model.iter_streamers() {
+        let width = |ports: &[(String, FlowType)]| ports.iter().map(|(_, ty)| ty.width()).sum();
+        let stub = StubStreamer::new(
+            streamer,
+            width(model.streamer_in_dports(s)),
+            width(model.streamer_out_dports(s)),
+            model.streamer_feedthrough(s),
+        );
+        let (name, log) = (streamer.to_owned(), log.clone());
+        registry = registry.streamer(streamer, move || {
+            Box::new(Logged { stub: stub.clone(), name: name.clone(), log: log.clone() })
+        });
+    }
+    let mut run = run_compiled(&model, registry, policy, 1.0, None);
+    run.series.extend(log.lock().expect("log").iter().map(|(n, s)| (n.clone(), s.clone())));
+    run
 }
 
 // ---------------------------------------------------------------- tests
 
 #[test]
-fn fig2_elaboration_is_bit_identical_to_hand_wiring() {
-    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = fig2_wired(policy, 2.0);
-        let lowered = fig2_compiled(policy, 2.0);
-        assert_bit_identical(&wired, &lowered, &format!("fig2/{policy}"));
+fn fig2_series_match_the_pinned_checksum_with_or_without_a_relay() {
+    for policy in POLICIES {
+        let direct = fig2_compiled(policy, 2.0);
+        assert_eq!(checksum(&direct), FIG2_CHECKSUM, "fig2/{policy}");
         // The run is not degenerate: both probes carried samples.
-        assert_eq!(wired.series.len(), 2, "fig2/{policy}: both probes present");
+        assert_eq!(direct.series.len(), 2, "fig2/{policy}: both probes present");
         assert!(
-            wired.series.iter().all(|(_, s)| s.len() == 200),
+            direct.series.iter().all(|(_, s)| s.len() == 200),
             "fig2/{policy}: 200 samples per probe"
         );
+        let relayed = fig2_relayed(policy, 2.0);
+        assert_bit_identical(&direct, &relayed, &format!("fig2 relayed/{policy}"));
     }
 }
 
 #[test]
-fn cross_group_elaboration_is_bit_identical_to_hand_wiring() {
-    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = cross_group_wired(policy, 2.0);
-        let lowered = cross_group_compiled(policy, 2.0);
-        assert_bit_identical(&wired, &lowered, &format!("cross-group/{policy}"));
+fn cross_group_series_match_the_pinned_checksum_and_channel_delay() {
+    for policy in POLICIES {
+        let run = cross_group_compiled(policy, 2.0);
+        assert_eq!(checksum(&run), CROSS_GROUP_CHECKSUM, "cross-group/{policy}");
         assert!(
-            wired.series.iter().all(|(_, s)| s.len() == 200),
+            run.series.iter().all(|(_, s)| s.len() == 200),
             "cross-group/{policy}: 200 samples per probe"
         );
         // The channel's one-step delay is part of the pinned semantics:
         // scale(k) = 0.5 * wave(k-1), with a zero-initialised first read.
-        let wave = &wired.series.iter().find(|(n, _)| n == "wave.y").expect("wave series").1;
-        let scale = &wired.series.iter().find(|(n, _)| n == "scale.y").expect("scale series").1;
+        let wave = &run.series.iter().find(|(n, _)| n == "wave.y").expect("wave series").1;
+        let scale = &run.series.iter().find(|(n, _)| n == "scale.y").expect("scale series").1;
         assert_eq!(scale[0].1.to_bits(), 0.0f64.to_bits(), "cross-group/{policy}: initial read");
         for k in 1..scale.len() {
             assert_eq!(
@@ -458,13 +496,26 @@ fn cross_group_elaboration_is_bit_identical_to_hand_wiring() {
 }
 
 #[test]
-fn quickstart_elaboration_is_bit_identical_to_hand_wiring() {
-    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let wired = quickstart_wired(policy, 120.0);
-        let lowered = quickstart_compiled(policy, 120.0);
-        assert_bit_identical(&wired, &lowered, &format!("quickstart/{policy}"));
+fn quickstart_series_match_the_pinned_checksum() {
+    let runs = POLICIES.map(|policy| quickstart_compiled(policy, 120.0));
+    for (policy, run) in POLICIES.iter().zip(&runs) {
+        assert_eq!(checksum(run), QUICKSTART_CHECKSUM, "quickstart/{policy}");
+        assert_eq!(run.step_count, 12_000, "quickstart/{policy}");
         // The closed loop actually switched — this is not an idle run.
-        assert!(wired.delivered >= 2, "quickstart/{policy}: the thermostat saw crossings");
-        assert_eq!(wired.final_state.as_deref(), lowered.final_state.as_deref());
+        assert!(run.delivered >= 2, "quickstart/{policy}: the thermostat saw crossings");
+    }
+    assert_bit_identical(&runs[0], &runs[1], "quickstart across policies");
+}
+
+#[test]
+fn every_catalogue_model_matches_its_pinned_checksum() {
+    let pinned: Vec<&str> = CATALOGUE_CHECKSUMS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(pinned, examples::NAMES, "one pinned checksum per clean catalogue model");
+    for &(name, expected) in CATALOGUE_CHECKSUMS {
+        for policy in POLICIES {
+            let run = catalogue_run(name, policy);
+            assert_eq!(run.step_count, 100, "{name}/{policy}");
+            assert_eq!(checksum(&run), expected, "{name}/{policy}: {:#018x}", checksum(&run));
+        }
     }
 }

@@ -3,62 +3,50 @@
 //! thread policies. Cases are drawn from the in-tree seeded PRNG with a
 //! fixed case count, so every run exercises the same inputs.
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::rng::Pcg32;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::{NodeId, StreamerNetwork};
 use unified_rt::dataflow::streamer::FnStreamer;
-use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
-use unified_rt::umlrt::statemachine::StateMachineBuilder;
 
 const CASES: usize = 12;
 
-/// Builds a random-ish chain: source -> gains with the given factors.
-fn chain(factors: &[f64]) -> (StreamerNetwork, NodeId) {
-    let mut net = StreamerNetwork::new("chain");
-    let mut prev = net
-        .add_streamer(
-            FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                y[0] = (3.0 * t).sin() + 1.0
-            }),
-            &[],
-            &[("y", FlowType::scalar())],
-        )
-        .expect("src");
-    for (i, k) in factors.iter().enumerate() {
-        let k = *k;
-        let node = net
-            .add_streamer(
-                FnStreamer::new(format!("g{i}"), 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| {
-                    y[0] = k * u[0] + 0.1
-                }),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-            .expect("gain");
-        net.flow((prev, "y"), (node, "u")).expect("flow");
-        prev = node;
-    }
-    (net, prev)
-}
-
+/// Runs a random-ish chain — source -> gains with the given factors —
+/// for `steps` macro steps and returns the last gain's output.
 fn run_chain(factors: &[f64], steps: usize, policy: ThreadPolicy) -> Vec<(f64, f64)> {
-    let (net, last) = chain(factors);
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("sm");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let g = engine.add_group(net).expect("group");
+    let mut b = ModelBuilder::new("chain");
+    let mut prev = b.streamer("src", "none");
+    b.streamer_out(prev, "y", FlowType::scalar());
+    let mut registry = BehaviorRegistry::new().streamer("src", || {
+        Box::new(FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+            y[0] = (3.0 * t).sin() + 1.0
+        }))
+    });
+    for (i, k) in factors.iter().enumerate() {
+        let (k, name) = (*k, format!("g{i}"));
+        let node = b.streamer(&name, "none");
+        b.streamer_in(node, "u", FlowType::scalar());
+        b.streamer_out(node, "y", FlowType::scalar());
+        b.flow_between_streamers(prev, "y", node, "u");
+        prev = node;
+        registry = registry.streamer(name.clone(), move || {
+            Box::new(FnStreamer::new(
+                name.clone(),
+                1,
+                1,
+                move |_t, _h, u: &[f64], y: &mut [f64]| y[0] = k * u[0] + 0.1,
+            ))
+        });
+    }
+    b.probe(prev, "y", "out");
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("chain compiles");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+        .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, last, "y", "out").expect("probe");
     engine.run_until(steps as f64 * 0.01).expect("run");
     rec.series("out")
 }

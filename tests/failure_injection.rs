@@ -2,7 +2,10 @@
 //! lifecycle misuse must surface as errors, not hangs or silent
 //! corruption.
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::ModelBuilder;
+use unified_rt::core::pacer::PacedConfig;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
@@ -27,45 +30,60 @@ fn idle_controller() -> Controller {
     c
 }
 
-fn exploding_network() -> StreamerNetwork {
+fn exploding_engine(policy: ThreadPolicy) -> HybridEngine {
     // x' = x^2 with x0 = 1 blows up at t = 1 (finite escape time).
-    let sys = FnInputSystem::new(1, 0, |_t, x: &[f64], _u: &[f64], dx: &mut [f64]| {
-        dx[0] = x[0] * x[0];
+    let mut b = ModelBuilder::new("explosive");
+    let bomb = b.streamer("bomb", "rk4");
+    b.streamer_out(bomb, "y", FlowType::scalar());
+    b.streamer_feedthrough(bomb, false);
+    let registry = BehaviorRegistry::new().streamer("bomb", || {
+        let sys = FnInputSystem::new(1, 0, |_t, x: &[f64], _u: &[f64], dx: &mut [f64]| {
+            dx[0] = x[0] * x[0];
+        });
+        Box::new(OdeStreamer::new("bomb", sys, SolverKind::Rk4.create(), &[1.0], 1e-3))
     });
-    let mut net = StreamerNetwork::new("explosive");
-    net.add_streamer(
-        OdeStreamer::new("bomb", sys, SolverKind::Rk4.create(), &[1.0], 1e-3),
-        &[],
-        &[("y", FlowType::scalar())],
-    )
-    .expect("add");
-    net
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
+    HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy }).expect("engine")
+}
+
+/// After the blow-up inside macro step 101 (t = 1.00 .. 1.01), the
+/// engine reports the 100 steps it completed and refuses every further
+/// step with a URT111 error naming the failed one — no panic, no
+/// stepping on.
+fn assert_failed_for_good(engine: &mut HybridEngine, policy: ThreadPolicy) {
+    assert_eq!(engine.step_count(), 100, "{policy}: steps completed before the failure");
+    assert_eq!(engine.time().to_bits(), 1.0f64.to_bits(), "{policy}: time of the last step");
+    let paced = PacedConfig::new().with_rate(1e9);
+    for err in [
+        engine.run_until(3.0).expect_err("run_until after failure"),
+        engine.step_once().expect_err("step_once after failure"),
+        engine.run_paced(3.0, paced).expect_err("run_paced after failure"),
+    ] {
+        assert!(matches!(err, CoreError::Engine { .. }), "{policy}: {err}");
+        assert!(err.to_string().starts_with("URT111: "), "{policy}: {err}");
+        assert!(err.to_string().contains("macro step 101"), "{policy}: {err}");
+    }
+    assert_eq!(engine.step_count(), 100, "{policy}: no step taken after the failure");
 }
 
 #[test]
 fn diverging_solver_errors_locally() {
-    let mut engine = HybridEngine::new(
-        idle_controller(),
-        EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread },
-    );
-    engine.add_group(exploding_network()).expect("group");
+    let mut engine = exploding_engine(ThreadPolicy::CurrentThread);
     let err = engine.run_until(2.0).expect_err("finite escape must error");
     assert!(
         matches!(err, CoreError::Flow(_)),
         "solver failure surfaces as a dataflow error: {err}"
     );
     assert!(engine.time() < 1.5, "stopped near the blow-up, not at t_end");
+    assert_failed_for_good(&mut engine, ThreadPolicy::CurrentThread);
 }
 
 #[test]
 fn diverging_solver_errors_across_threads() {
-    let mut engine = HybridEngine::new(
-        idle_controller(),
-        EngineConfig { step: 0.01, policy: ThreadPolicy::DedicatedThreads },
-    );
-    engine.add_group(exploding_network()).expect("group");
+    let mut engine = exploding_engine(ThreadPolicy::DedicatedThreads);
     let err = engine.run_until(2.0).expect_err("finite escape must error");
     assert!(matches!(err, CoreError::Flow(_) | CoreError::ThreadLost { .. }));
+    assert_failed_for_good(&mut engine, ThreadPolicy::DedicatedThreads);
 }
 
 #[test]

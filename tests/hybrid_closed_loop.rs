@@ -1,17 +1,17 @@
 //! Integration: a full hybrid closed loop (plant streamer + supervisor
 //! capsule) through the engine, under both thread policies.
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::{NodeId, StreamerNetwork};
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::events::{EventDirection, ZeroCrossing};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::statemachine::StateMachineBuilder;
 use unified_rt::umlrt::value::Value;
 
@@ -35,54 +35,65 @@ impl InputSystem for Heater {
     }
 }
 
-fn build_loop(policy: ThreadPolicy) -> (HybridEngine, Recorder, NodeId, usize) {
-    let plant = OdeStreamer::new(
-        "heater",
-        Heater { on: true, gain: 2.0, loss: 0.5 },
-        SolverKind::Rk4.create(),
-        &[0.0],
-        1e-3,
-    )
-    .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
-    .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
-    .with_event_sport("ctl")
-    .with_signal_handler(|msg, h: &mut Heater, _| match msg.signal() {
-        "on" => h.on = true,
-        "off" => h.on = false,
-        _ => {}
-    });
-    let mut net = StreamerNetwork::new("plant");
-    let node = net.add_streamer(plant, &[], &[("x", FlowType::scalar())]).expect("add streamer");
-
-    let machine = StateMachineBuilder::new("bang")
-        .state("heating")
-        .state("cooling")
-        .initial("heating", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
-        .on("heating", ("p", "high"), "cooling", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "off", Value::Empty);
+fn build_loop(policy: ThreadPolicy) -> (HybridEngine, Recorder, usize) {
+    let mut b = ModelBuilder::new("closed-loop");
+    let plant = b.streamer("heater", "rk4");
+    let supervisor = b.capsule("bang");
+    b.streamer_out(plant, "x", FlowType::scalar());
+    b.streamer_feedthrough(plant, false);
+    b.streamer_sport(plant, "ctl", "HeaterCtl");
+    b.capsule_sport(supervisor, "p", "HeaterCtl");
+    b.sport_link(supervisor, "p", plant, "ctl");
+    b.probe(plant, "x", "x");
+    let registry = BehaviorRegistry::new()
+        .streamer("heater", || {
+            Box::new(
+                OdeStreamer::new(
+                    "heater",
+                    Heater { on: true, gain: 2.0, loss: 0.5 },
+                    SolverKind::Rk4.create(),
+                    &[0.0],
+                    1e-3,
+                )
+                .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
+                .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
+                .with_event_sport("ctl")
+                .with_signal_handler(|msg, h: &mut Heater, _| match msg.signal() {
+                    "on" => h.on = true,
+                    "off" => h.on = false,
+                    _ => {}
+                }),
+            )
         })
-        .on("cooling", ("p", "low"), "heating", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "on", Value::Empty);
-        })
-        .build()
-        .expect("machine");
-    let mut controller = Controller::new("ev");
-    let cap = controller.add_capsule(Box::new(SmCapsule::new(machine, 0u32)));
-
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let g = engine.add_group(net).expect("group");
-    engine.link_sport(g, node, "ctl", cap, "p").expect("link");
+        .capsule("bang", || {
+            let machine = StateMachineBuilder::new("bang")
+                .state("heating")
+                .state("cooling")
+                .initial("heating", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
+                .on("heating", ("p", "high"), "cooling", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "off", Value::Empty);
+                })
+                .on("cooling", ("p", "low"), "heating", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "on", Value::Empty);
+                })
+                .build()
+                .expect("machine");
+            Box::new(SmCapsule::new(machine, 0u32))
+        });
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("loop compiles");
+    let cap = compiled.capsule_index("bang").expect("supervisor");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
+        .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, node, "x", "x").expect("probe");
-    (engine, rec, node, cap)
+    (engine, rec, cap)
 }
 
 #[test]
 fn closed_loop_regulates_current_thread() {
-    let (mut engine, rec, _, _) = build_loop(ThreadPolicy::CurrentThread);
+    let (mut engine, rec, _) = build_loop(ThreadPolicy::CurrentThread);
     engine.run_until(30.0).expect("run");
     let series = rec.series("x");
     let after: Vec<f64> = series.iter().filter(|(t, _)| *t > 10.0).map(|(_, v)| *v).collect();
@@ -93,7 +104,7 @@ fn closed_loop_regulates_current_thread() {
 
 #[test]
 fn closed_loop_regulates_dedicated_threads() {
-    let (mut engine, rec, _, _) = build_loop(ThreadPolicy::DedicatedThreads);
+    let (mut engine, rec, _) = build_loop(ThreadPolicy::DedicatedThreads);
     engine.run_until(30.0).expect("run");
     let after: Vec<f64> =
         rec.series("x").iter().filter(|(t, _)| *t > 10.0).map(|(_, v)| *v).collect();
@@ -105,7 +116,7 @@ fn closed_loop_regulates_dedicated_threads() {
 #[test]
 fn thread_policies_are_lockstep_equivalent() {
     let run = |policy| {
-        let (mut engine, rec, _, _) = build_loop(policy);
+        let (mut engine, rec, _) = build_loop(policy);
         engine.run_until(5.0).expect("run");
         rec.series("x")
     };
@@ -123,7 +134,7 @@ fn thread_policies_are_lockstep_equivalent() {
 
 #[test]
 fn capsule_switch_count_matches_crossings() {
-    let (mut engine, _, _, cap) = build_loop(ThreadPolicy::CurrentThread);
+    let (mut engine, _, cap) = build_loop(ThreadPolicy::CurrentThread);
     engine.run_until(30.0).expect("run");
     // Relaxation to 1.5 with gain 2/loss 0.5 -> equilibrium 4.0, so the
     // trajectory keeps cycling the band; at least a few switches happened

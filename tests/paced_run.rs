@@ -4,17 +4,17 @@
 //! an injected clock — misses, catch-up slack, and the `URT115` safety
 //! abort all scripted to the nanosecond, no wall-clock flakiness.
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::error::CoreError;
+use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::pacer::{OverrunPolicy, PacedConfig, TimeSource};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
-use unified_rt::umlrt::controller::Controller;
 
 const STEP: f64 = 0.01;
 /// Pacing period at rate 1.0: [`STEP`] seconds of wall time, in ns.
@@ -64,27 +64,28 @@ impl TimeSource for FakeClock {
     }
 }
 
-/// One free oscillator group with an `x` probe and an empty controller.
+/// One free oscillator with a `y` probe (recorded as `osc`) and no
+/// capsules.
 fn osc_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
-    let mut net = StreamerNetwork::new("free");
-    let node = net
-        .add_streamer(
-            OdeStreamer::new(
-                "osc",
-                Osc { omega: 3.0 },
-                SolverKind::Rk4.create(),
-                &[1.0, 0.0],
-                1e-3,
-            ),
-            &[],
-            &[("y", FlowType::vector(2))],
-        )
-        .expect("osc streamer");
-    let mut engine = HybridEngine::new(Controller::new("ev"), EngineConfig { step: STEP, policy });
-    let g = engine.add_group(net).expect("group");
+    let mut b = ModelBuilder::new("free");
+    let node = b.streamer("osc", "rk4");
+    b.streamer_out(node, "y", FlowType::vector(2));
+    b.streamer_feedthrough(node, false);
+    b.probe(node, "y", "osc");
+    let registry = BehaviorRegistry::new().streamer("osc", || {
+        Box::new(OdeStreamer::new(
+            "osc",
+            Osc { omega: 3.0 },
+            SolverKind::Rk4.create(),
+            &[1.0, 0.0],
+            1e-3,
+        ))
+    });
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
+    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
+        .expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(g, node, "y", "osc").expect("probe");
     (engine, rec)
 }
 
@@ -219,6 +220,10 @@ fn safety_stop_aborts_with_urt115_through_run_paced() {
     assert!(err.to_string().starts_with("URT115:"), "stable code prefix: {err}");
     // The engine stopped at the aborting step — it did not run to t_end.
     assert_eq!(engine.step_count(), 2);
+    // An overrun is not a step failure: every step taken completed, so
+    // the engine carries on.
+    engine.run_until(4.0 * STEP).expect("usable after URT115");
+    assert_eq!(engine.step_count(), 4);
 }
 
 /// Threaded runs pace at batch barriers: one link-free batch covers all

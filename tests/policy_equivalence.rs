@@ -5,19 +5,30 @@
 //! termination (`run_until` takes an exact number of macro steps, immune
 //! to f64 clock drift).
 
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::OdeStreamer;
 use unified_rt::ode::events::{EventDirection, ZeroCrossing};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
-use unified_rt::umlrt::controller::Controller;
 use unified_rt::umlrt::statemachine::StateMachineBuilder;
 use unified_rt::umlrt::value::Value;
+
+/// Compiles `model` against `registry` and builds its engine.
+fn engine(model: &UnifiedModel, registry: BehaviorRegistry, config: EngineConfig) -> HybridEngine {
+    let compiled = elaborate(model, registry, &validate_gate).expect("model compiles");
+    HybridEngine::from_compiled(&compiled, config).expect("engine")
+}
+
+/// An undamped oscillator streamer at `omega`, starting at x = (1, 0).
+fn osc(omega: f64) -> OdeStreamer<Osc> {
+    OdeStreamer::new("osc", Osc { omega }, SolverKind::Rk4.create(), &[1.0, 0.0], 1e-3)
+}
 
 #[derive(Clone)]
 
@@ -69,65 +80,65 @@ struct Run {
 }
 
 fn run_two_groups(policy: ThreadPolicy, t_end: f64) -> Run {
-    let tank = OdeStreamer::new(
-        "tank",
-        Tank { inflow: 2.0, drain: 0.5 },
-        SolverKind::Rk4.create(),
-        &[0.0],
-        1e-3,
-    )
-    .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
-    .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
-    .with_event_sport("ctl")
-    .with_signal_handler(|msg, t: &mut Tank, _| match msg.signal() {
-        "open" => t.inflow = 2.0,
-        "close" => t.inflow = 0.0,
-        _ => {}
-    });
-    let mut net_a = StreamerNetwork::new("supervised");
-    let tank_node =
-        net_a.add_streamer(tank, &[], &[("x", FlowType::scalar())]).expect("tank streamer");
+    let mut b = ModelBuilder::new("two-groups");
+    let tank = b.streamer("tank", "rk4");
+    let oscillator = b.streamer("osc", "rk4");
+    let supervisor = b.capsule("supervisor");
+    b.streamer_out(tank, "x", FlowType::scalar());
+    b.streamer_out(oscillator, "y", FlowType::vector(2));
+    b.streamer_feedthrough(tank, false);
+    b.streamer_feedthrough(oscillator, false);
+    b.assign_thread(tank, 0);
+    b.assign_thread(oscillator, 1);
+    b.streamer_sport(tank, "ctl", "TankCtl");
+    b.capsule_sport(supervisor, "p", "TankCtl");
+    b.sport_link(supervisor, "p", tank, "ctl");
+    b.probe(tank, "x", "level");
+    b.probe(oscillator, "y", "osc");
 
-    let mut net_b = StreamerNetwork::new("free");
-    let osc_node = net_b
-        .add_streamer(
-            OdeStreamer::new(
-                "osc",
-                Osc { omega: 3.0 },
-                SolverKind::Rk4.create(),
-                &[1.0, 0.0],
-                1e-3,
-            ),
-            &[],
-            &[("y", FlowType::vector(2))],
-        )
-        .expect("osc streamer");
-
-    let machine = StateMachineBuilder::new("supervisor")
-        .state("filling")
-        .state("draining")
-        .initial("filling", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
-        .on("filling", ("p", "high"), "draining", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "close", Value::Empty);
+    let registry = BehaviorRegistry::new()
+        .streamer("tank", || {
+            Box::new(
+                OdeStreamer::new(
+                    "tank",
+                    Tank { inflow: 2.0, drain: 0.5 },
+                    SolverKind::Rk4.create(),
+                    &[0.0],
+                    1e-3,
+                )
+                .with_guard(ZeroCrossing::new("high", EventDirection::Rising, |_t, x| x[0] - 1.5))
+                .with_guard(ZeroCrossing::new("low", EventDirection::Falling, |_t, x| x[0] - 1.0))
+                .with_event_sport("ctl")
+                .with_signal_handler(|msg, t: &mut Tank, _| match msg.signal() {
+                    "open" => t.inflow = 2.0,
+                    "close" => t.inflow = 0.0,
+                    _ => {}
+                }),
+            )
         })
-        .on("draining", ("p", "low"), "filling", |n, _m, ctx| {
-            *n += 1;
-            ctx.send("p", "open", Value::Empty);
-        })
-        .build()
-        .expect("machine");
-    let mut controller = Controller::new("ev");
-    let cap = controller.add_capsule(Box::new(SmCapsule::new(machine, 0u32)));
-
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
-    let ga = engine.add_group(net_a).expect("group a");
-    let gb = engine.add_group(net_b).expect("group b");
-    engine.link_sport(ga, tank_node, "ctl", cap, "p").expect("link");
+        .streamer("osc", || Box::new(osc(3.0)))
+        .capsule("supervisor", || {
+            let machine = StateMachineBuilder::new("supervisor")
+                .state("filling")
+                .state("draining")
+                .initial("filling", |_d: &mut u32, _ctx: &mut CapsuleContext| {})
+                .on("filling", ("p", "high"), "draining", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "close", Value::Empty);
+                })
+                .on("draining", ("p", "low"), "filling", |n, _m, ctx| {
+                    *n += 1;
+                    ctx.send("p", "open", Value::Empty);
+                })
+                .build()
+                .expect("machine");
+            Box::new(SmCapsule::new(machine, 0u32))
+        });
+    let model = b.build();
+    let mut engine = engine(&model, registry, EngineConfig { step: 0.01, policy });
+    let cap = 0;
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(ga, tank_node, "x", "level").expect("probe level");
-    engine.add_probe(gb, osc_node, "y", "osc").expect("probe osc");
     engine.run_until(t_end).expect("run");
 
     Run {
@@ -169,32 +180,15 @@ fn run_until_takes_an_exact_number_of_steps() {
     // k * 0.1 with h = 1e-3 land on exactly 100 * k steps, and probe
     // series grow by exactly 100 samples per segment.
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let mut net = StreamerNetwork::new("free");
-        let node = net
-            .add_streamer(
-                OdeStreamer::new(
-                    "osc",
-                    Osc { omega: 2.0 },
-                    SolverKind::Rk4.create(),
-                    &[1.0, 0.0],
-                    1e-3,
-                ),
-                &[],
-                &[("y", FlowType::vector(2))],
-            )
-            .expect("osc streamer");
-        let sm = StateMachineBuilder::new("idle")
-            .state("s")
-            .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-            .build()
-            .expect("sm");
-        let mut controller = Controller::new("ev");
-        controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-        let mut engine = HybridEngine::new(controller, EngineConfig { step: 1e-3, policy });
-        let g = engine.add_group(net).expect("group");
+        let mut b = ModelBuilder::new("free");
+        let node = b.streamer("osc", "rk4");
+        b.streamer_out(node, "y", FlowType::vector(2));
+        b.streamer_feedthrough(node, false);
+        b.probe(node, "y", "y");
+        let registry = BehaviorRegistry::new().streamer("osc", || Box::new(osc(2.0)));
+        let mut engine = engine(&b.build(), registry, EngineConfig { step: 1e-3, policy });
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
-        engine.add_probe(g, node, "y", "y").expect("probe");
 
         for k in 1..=7u64 {
             engine.run_until(k as f64 * 0.1).expect("run");
@@ -264,40 +258,36 @@ impl StreamerBehavior for Witness {
 /// path's rendezvous amortization (1 = every step, like the pre-batching
 /// engine).
 fn run_cross_group(policy: ThreadPolicy, max_batch: u64, t_end: f64) -> Run {
-    let mut producer = StreamerNetwork::new("producer");
-    let wave = producer.add_streamer(Wave, &[], &[("y", FlowType::scalar())]).expect("wave");
-
-    let mut consumer = StreamerNetwork::new("consumer");
-    let wit = consumer
-        .add_streamer(Witness, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-        .expect("witness");
-    let dbl = consumer
-        .add_streamer(
-            FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0]),
-            &[("u", FlowType::scalar())],
-            &[("y", FlowType::scalar())],
-        )
-        .expect("doubler");
-    consumer.flow((wit, "y"), (dbl, "u")).expect("intra-group flow");
-    consumer.export_input(wit, "u").expect("export");
-
-    let sm = StateMachineBuilder::new("idle")
-        .state("s")
-        .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-        .build()
-        .expect("machine");
-    let mut controller = Controller::new("ev");
-    controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-
-    let mut engine = HybridEngine::new(controller, EngineConfig { step: 0.01, policy });
+    let mut b = ModelBuilder::new("cross-group");
+    let wave = b.streamer("wave", "none");
+    let wit = b.streamer("witness", "none");
+    let dbl = b.streamer("dbl", "none");
+    b.streamer_out(wave, "y", FlowType::scalar());
+    for s in [wit, dbl] {
+        b.streamer_in(s, "u", FlowType::scalar());
+        b.streamer_out(s, "y", FlowType::scalar());
+    }
+    b.streamer_feedthrough(wave, false);
+    b.streamer_feedthrough(wit, false);
+    b.assign_thread(wave, 0);
+    b.assign_thread(wit, 1);
+    b.assign_thread(dbl, 1);
+    b.flow_between_streamers(wave, "y", wit, "u");
+    b.flow_between_streamers(wit, "y", dbl, "u");
+    b.probe(wave, "y", "src");
+    b.probe(dbl, "y", "dbl");
+    let registry = BehaviorRegistry::new()
+        .streamer("wave", || Box::new(Wave))
+        .streamer("witness", || Box::new(Witness))
+        .streamer("dbl", || {
+            Box::new(FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                y[0] = 2.0 * u[0]
+            }))
+        });
+    let mut engine = engine(&b.build(), registry, EngineConfig { step: 0.01, policy });
     engine.set_max_batch(max_batch);
-    let gp = engine.add_group(producer).expect("producer group");
-    let gc = engine.add_group(consumer).expect("consumer group");
-    engine.link_flow((gp, wave, "y"), (gc, wit, "u")).expect("cross-group link");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    engine.add_probe(gp, wave, "y", "src").expect("probe src");
-    engine.add_probe(gc, dbl, "y", "dbl").expect("probe dbl");
     // Two segments, so channel state also crosses a run_until boundary.
     engine.run_until(t_end / 2.0).expect("first segment");
     engine.run_until(t_end).expect("second segment");
@@ -371,14 +361,10 @@ fn cross_group_channel_imposes_exactly_one_step_of_delay() {
 #[test]
 fn zero_group_threaded_run_matches_local() {
     for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
-        let sm = StateMachineBuilder::new("idle")
-            .state("s")
-            .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-            .build()
-            .expect("sm");
-        let mut controller = Controller::new("ev");
-        controller.add_capsule(Box::new(SmCapsule::new(sm, ())));
-        let mut engine = HybridEngine::new(controller, EngineConfig { step: 1e-3, policy });
+        let mut b = ModelBuilder::new("events");
+        b.capsule("idle");
+        let mut engine =
+            engine(&b.build(), BehaviorRegistry::new(), EngineConfig { step: 1e-3, policy });
         engine.run_until(0.25).expect("run");
         assert_eq!(engine.step_count(), 250, "{policy}: pure event-driven step count");
         assert_eq!(engine.time().to_bits(), (250.0f64 * 1e-3).to_bits(), "{policy}");
