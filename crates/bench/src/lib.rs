@@ -281,6 +281,7 @@ pub fn vdp_grouping_system(n: usize, grouping: GroupingPolicy, substep: f64) -> 
 ///
 /// Panics only on internal construction errors (the topology is fixed).
 pub fn lag_system(substep: f64) -> CompiledSystem {
+    #[derive(Clone)]
     struct Lag;
     impl urt_ode::system::InputSystem for Lag {
         fn dim(&self) -> usize {

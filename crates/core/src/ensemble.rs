@@ -51,15 +51,11 @@ use crate::recorder::{Recorder, SeriesHandle};
 use crate::sync::{Mutex, SpinBarrier};
 use crate::threading::ThreadPolicy;
 use crate::time::SimClock;
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan};
-use urt_dataflow::streamer::StreamerBehavior;
-use urt_ode::solver::Solver;
-use urt_ode::system::BatchOdeSystem;
-use urt_ode::OdeSystem;
+use urt_dataflow::streamer::{LaneSlots, OdeRowKernel, StreamerBehavior};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
 
@@ -127,9 +123,11 @@ impl VariantSpec {
 /// Which ODE stepping kernel ensemble groups use for solver-backed lanes.
 ///
 /// [`Batched`](EnsembleKernel::Batched) (the default) routes every
-/// eligible streamer row — homogeneous, guard-free lanes whose solver has
-/// a true batched kernel — through one width-aware
-/// [`Solver::step_batch`] call per sub-step. Per-lane arithmetic is the
+/// eligible streamer row — homogeneous, guard-free lanes of one concrete
+/// system type whose solver has a true batched kernel — through its typed
+/// [`OdeRowKernel`]: one width-aware
+/// [`Solver::step_batch`](urt_ode::solver::Solver::step_batch) call per
+/// sub-step, with no per-lane dynamic dispatch. Per-lane arithmetic is the
 /// exact scalar sequence, so results stay bit-identical either way;
 /// [`PerLane`](EnsembleKernel::PerLane) exists as the measurable baseline
 /// (the `bench_engine` kernel axis).
@@ -143,9 +141,8 @@ pub enum EnsembleKernel {
 }
 
 /// Batch-stepping state for one eligible streamer row: the row's lanes
-/// share `dim`/`substep`, and the row owns one solver clone (explicit
-/// fixed-step strategies carry no cross-step scratch, so a single solver
-/// serves all K lanes) plus the instance-major state staging.
+/// share `dim`/`substep`, and the row owns its typed kernel plus the
+/// instance-major state staging.
 struct BatchRow {
     dim: usize,
     substep: f64,
@@ -156,62 +153,11 @@ struct BatchRow {
     /// the next macro step's clamped final sub-step depends on that value
     /// bit-for-bit.
     time: f64,
-    solver: Box<dyn Solver + Send>,
+    kernel: Box<dyn OdeRowKernel>,
     /// Instance-major staging, `K * dim`: gathered from the lanes' drivers
     /// before the sub-step loop, scattered back through
     /// [`OdeLane::lane_sync`](urt_dataflow::streamer::OdeLane::lane_sync) after.
     states: Vec<f64>,
-    /// Per-lane gather/scatter scratch for [`LaneBatchSystem`] (`dim`
-    /// each), parked here between macro steps to stay allocation-free.
-    scratch_x: Vec<f64>,
-    scratch_d: Vec<f64>,
-}
-
-/// The K lanes of one streamer row viewed as a single batched ODE system.
-///
-/// Each lane keeps its own parameters and frozen inputs, so the
-/// derivative evaluation dispatches per lane — but every lane computes
-/// exactly what the scalar path's `FrozenInput` wrapper computes, and the
-/// solver's stage algebra above this runs as fused sweeps across all
-/// lanes. `OdeSystem::derivatives` is unreachable by construction: only
-/// solvers with true batched kernels (which never fall back to the scalar
-/// entry point) are routed here.
-struct LaneBatchSystem<'a> {
-    lanes: &'a [Box<dyn StreamerBehavior>],
-    ins: &'a [f64],
-    inw: usize,
-    in_offset: usize,
-    in_width: usize,
-    dim: usize,
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
-}
-
-impl OdeSystem for LaneBatchSystem<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn derivatives(&self, _t: f64, _x: &[f64], _dx: &mut [f64]) {
-        unreachable!("lane batch systems are only evaluated through derivatives_batch");
-    }
-}
-
-impl BatchOdeSystem for LaneBatchSystem<'_> {
-    fn derivatives_batch(&self, t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (x, d) = &mut *scratch;
-        for (i, b) in self.lanes.iter().enumerate() {
-            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
-            for v in 0..dim {
-                x[v] = states[v * k + i];
-            }
-            let ui = i * self.inw + self.in_offset;
-            lane.lane_derivatives(t, x, &self.ins[ui..ui + self.in_width], d);
-            for v in 0..dim {
-                dx[v * k + i] = d[v];
-            }
-        }
-    }
 }
 
 /// The two parity slots of one cross-group channel, each carrying all
@@ -405,78 +351,57 @@ impl GroupState {
                     if batched {
                         let br = self.batch_rows[r].as_mut().expect("row checked above");
                         let dim = br.dim;
+                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
+                        for (i, b) in lanes.iter().enumerate() {
+                            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
+                            let x = lane.lane_state().expect("batch rows are initialized");
+                            br.states[i * dim..(i + 1) * dim].copy_from_slice(x);
+                        }
+                        let u_at =
+                            LaneSlots { stride: inw, offset: pn.in_offset, width: pn.in_width };
                         let t_end = t + h;
                         let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
-                        {
-                            let lanes = &self.behaviours[r * k..(r + 1) * k];
-                            for (i, b) in lanes.iter().enumerate() {
-                                let lane =
-                                    b.as_ode_lane().expect("batch rows contain only ODE lanes");
-                                let x = lane.lane_state().expect("batch rows are initialized");
-                                br.states[i * dim..(i + 1) * dim].copy_from_slice(x);
+                        // The scalar path's sub-step schedule verbatim
+                        // (`OdeStreamer::advance` + `SolverDriver::advance`
+                        // for a fixed-step solver), resuming from the
+                        // persistent row clock, so every lane sees the
+                        // exact `(t, h)` sequence of a standalone run.
+                        let mut tl = br.time;
+                        while tl < t_end - resolution {
+                            let remaining = t_end - tl;
+                            if remaining <= resolution {
+                                // The driver's own entry check can
+                                // disagree with the loop test by one
+                                // rounding: snap without stepping.
+                                tl = t_end;
+                                continue;
                             }
-                            let sys = LaneBatchSystem {
-                                lanes,
-                                ins: &self.ins,
-                                inw,
-                                in_offset: pn.in_offset,
-                                in_width: pn.in_width,
-                                dim,
-                                scratch: RefCell::new((
-                                    std::mem::take(&mut br.scratch_x),
-                                    std::mem::take(&mut br.scratch_d),
-                                )),
-                            };
-                            // The scalar path's sub-step schedule verbatim
-                            // (`OdeStreamer::advance` + `SolverDriver::advance`
-                            // for a fixed-step solver), resuming from the
-                            // persistent row clock, so every lane sees the
-                            // exact `(t, h)` sequence of a standalone run.
-                            let mut tl = br.time;
-                            let mut stepped = Ok(());
-                            while tl < t_end - resolution {
-                                let remaining = t_end - tl;
-                                if remaining <= resolution {
-                                    // The driver's own entry check can
-                                    // disagree with the loop test by one
-                                    // rounding: snap without stepping.
-                                    tl = t_end;
-                                    continue;
-                                }
-                                let h_sub = br.substep.min(remaining);
-                                stepped =
-                                    br.solver.step_batch(&sys, tl, &mut br.states, dim, h_sub);
-                                if stepped.is_err() {
-                                    break;
-                                }
-                                tl += h_sub;
-                                if t_end - tl <= resolution {
-                                    tl = t_end;
-                                }
+                            let h_sub = br.substep.min(remaining);
+                            br.kernel
+                                .step(tl, h_sub, &mut br.states, &self.ins, u_at)
+                                .map_err(|e| CoreError::Flow(e.into()))?;
+                            tl += h_sub;
+                            if t_end - tl <= resolution {
+                                tl = t_end;
                             }
-                            // Park the scratch before propagating a solver
-                            // failure, so the row stays well-formed.
-                            (br.scratch_x, br.scratch_d) = sys.scratch.into_inner();
-                            stepped.map_err(|e| CoreError::Flow(e.into()))?;
-                            br.time = tl;
                         }
-                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
+                        br.time = tl;
+                        br.kernel.outputs(
+                            t_end,
+                            &br.states,
+                            &self.ins,
+                            u_at,
+                            &mut self.outs,
+                            LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width },
+                        );
                         for (i, b) in lanes.iter_mut().enumerate() {
-                            let ui = i * inw + pn.in_offset;
-                            let yi = i * outw + pn.out_offset;
-                            let x = &br.states[i * dim..(i + 1) * dim];
                             let lane =
                                 b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
                             // Sync the driver to the row clock (which may
                             // sit one rounding shy of `t_end`), exactly
                             // where the scalar driver would have left it.
-                            lane.lane_sync(br.time, x).map_err(|e| CoreError::Flow(e.into()))?;
-                            lane.lane_output(
-                                t_end,
-                                x,
-                                &self.ins[ui..ui + pn.in_width],
-                                &mut self.outs[yi..yi + pn.out_width],
-                            );
+                            lane.lane_sync(br.time, &br.states[i * dim..(i + 1) * dim])
+                                .map_err(|e| CoreError::Flow(e.into()))?;
                             route_emitted(b.as_mut(), routes, &mut self.emitted[i]);
                         }
                     } else {
@@ -513,19 +438,19 @@ impl GroupState {
     }
 }
 
-/// Decides, per streamer row, whether all K lanes can step through the
-/// batched kernel path: every lane must expose itself as a batchable
-/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free, handler-free, batched-kernel
-/// solver) and the row must be homogeneous in `dim` and `substep` — the
-/// lockstep schedule is shared. Called once after `initialize`.
+/// Decides, per streamer row, whether all K lanes can step through a
+/// typed row kernel: every lane must expose itself as a batchable
+/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free,
+/// handler-free, batched-kernel solver), the row must be homogeneous in
+/// `dim`, `substep` and clock — the lockstep schedule is shared — and all
+/// lanes' equations must be of one concrete type, which the first lane's
+/// [`lane_row_kernel`](urt_dataflow::streamer::OdeLane::lane_row_kernel)
+/// checks. Called once after `initialize`.
 fn build_batch_rows(gs: &mut GroupState, k: usize) {
     gs.batch_rows.clear();
     for lanes in gs.behaviours.chunks(k) {
         let candidate = (|| {
             let first = lanes.first()?.as_ode_lane()?;
-            if !first.lane_batchable() {
-                return None;
-            }
             let dim = first.lane_dim();
             let substep = first.lane_substep();
             if dim == 0 || !(substep.is_finite() && substep > 0.0) {
@@ -543,16 +468,8 @@ fn build_batch_rows(gs: &mut GroupState, k: usize) {
                     return None;
                 }
             }
-            let solver = first.lane_clone_solver()?;
-            Some(BatchRow {
-                dim,
-                substep,
-                time,
-                solver,
-                states: vec![0.0; k * dim],
-                scratch_x: vec![0.0; dim],
-                scratch_d: vec![0.0; dim],
-            })
+            let kernel = first.lane_row_kernel(lanes)?;
+            Some(BatchRow { dim, substep, time, kernel, states: vec![0.0; k * dim] })
         })();
         gs.batch_rows.push(candidate);
     }

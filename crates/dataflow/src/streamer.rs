@@ -7,10 +7,12 @@
 
 use crate::error::FlowError;
 use crate::graph::StreamerNetwork;
+use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use urt_ode::events::{locate_first_crossing, ZeroCrossing};
 use urt_ode::solver::{Rk4, Solver, SolverDriver};
-use urt_ode::system::{FrozenInput, InputSystem};
+use urt_ode::system::{BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
 use urt_ode::SolveError;
 use urt_umlrt::message::Message;
 use urt_umlrt::value::Value;
@@ -101,12 +103,11 @@ pub trait StreamerBehavior: Send {
 /// A solver-backed behaviour viewed as one lane of a batched ODE step.
 ///
 /// The batched ensemble path gathers K lanes' states into one
-/// instance-major buffer, advances them through a single width-aware
-/// [`Solver::step_batch`] call per sub-step (each lane's derivatives
-/// evaluated against its *own* system parameters and frozen inputs), and
-/// scatters the result back through [`OdeLane::lane_sync`]. The per-lane
-/// arithmetic is exactly the scalar [`StreamerBehavior::advance`] path,
-/// so lanes stay bit-identical to standalone runs.
+/// instance-major buffer, advances them through an [`OdeRowKernel`]
+/// built once at start by [`OdeLane::lane_row_kernel`], and scatters the
+/// result back through [`OdeLane::lane_sync`]. The per-lane arithmetic is
+/// exactly the scalar [`StreamerBehavior::advance`] path, so lanes stay
+/// bit-identical to standalone runs.
 pub trait OdeLane {
     /// Continuous state dimension.
     fn lane_dim(&self) -> usize;
@@ -132,22 +133,139 @@ pub trait OdeLane {
     /// sub-step of the next macro step depends on it bit-for-bit.
     fn lane_time(&self) -> Option<f64>;
 
-    /// Clones the lane's solver strategy for batch ownership (fixed-step
-    /// explicit strategies carry no cross-step scratch, so one clone can
-    /// serve all lanes).
-    fn lane_clone_solver(&self) -> Option<Box<dyn Solver + Send>>;
+    /// The lane's equations, for [`OdeLane::lane_row_kernel`] to downcast.
+    fn lane_system(&self) -> &dyn Any;
 
-    /// Evaluates this lane's derivatives at `(t, x)` under frozen inputs
-    /// `u` — the same computation the scalar path performs through
-    /// [`FrozenInput`].
-    fn lane_derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]);
+    /// Builds the typed kernel for the row `row` this lane heads (`row[0]`
+    /// is `self`), or `None` when some lane's equations are of another
+    /// concrete type — the row then steps lane by lane through
+    /// [`StreamerBehavior::advance`]. Sound only for batchable lanes,
+    /// whose equations no signal handler can change after start.
+    fn lane_row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>>;
 
     /// Writes the batched result back: state becomes `x`, clock becomes
     /// `t` (end of the macro step).
     fn lane_sync(&mut self, t: f64, x: &[f64]) -> Result<(), SolveError>;
+}
 
-    /// Evaluates the lane's output map `y = g(t, x, u)`.
-    fn lane_output(&self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]);
+/// Where each lane's slice sits in a dense instance-major array: lane
+/// `i` owns `[i * stride + offset..][..width]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneSlots {
+    /// Per-instance width of the whole array.
+    pub stride: usize,
+    /// Offset of the slice within one instance.
+    pub offset: usize,
+    /// Slice width.
+    pub width: usize,
+}
+
+impl LaneSlots {
+    /// Index range of lane `i`'s slice.
+    pub fn range(&self, i: usize) -> Range<usize> {
+        let start = i * self.stride + self.offset;
+        start..start + self.width
+    }
+}
+
+/// The K lanes of one ensemble streamer row as one kernel, monomorphised
+/// on the lanes' concrete system type: each call covers every lane with
+/// no per-lane dynamic dispatch.
+///
+/// `states` is instance-major (lane `i` at `[i * dim..(i + 1) * dim]`);
+/// lane `i`'s frozen input is `u[u_at.range(i)]`.
+pub trait OdeRowKernel: Send {
+    /// Advances every lane from `t` by one sub-step `h`.
+    ///
+    /// # Errors
+    ///
+    /// Solver failures propagate as [`SolveError`].
+    fn step(
+        &mut self,
+        t: f64,
+        h: f64,
+        states: &mut [f64],
+        u: &[f64],
+        u_at: LaneSlots,
+    ) -> Result<(), SolveError>;
+
+    /// Writes every lane's output `y_i = g(t, x_i, u_i)` into
+    /// `y[y_at.range(i)]`.
+    fn outputs(
+        &self,
+        t: f64,
+        states: &[f64],
+        u: &[f64],
+        u_at: LaneSlots,
+        y: &mut [f64],
+        y_at: LaneSlots,
+    );
+}
+
+/// The [`OdeRowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
+/// one clone of each lane's system (so per-lane parameters are kept) and
+/// one solver clone (explicit fixed-step strategies carry no cross-step
+/// scratch, so one solver serves all lanes).
+struct TypedRow<S> {
+    systems: Vec<S>,
+    dim: usize,
+    solver: Box<dyn Solver + Send>,
+}
+
+/// A row's lanes stacked into one `K * dim` system: lane `i`'s block of
+/// the state is evaluated by its own system under its own frozen input,
+/// exactly as the scalar path's [`FrozenInput`] evaluates it.
+struct StackedLanes<'a, S> {
+    systems: &'a [S],
+    dim: usize,
+    u: &'a [f64],
+    u_at: LaneSlots,
+}
+
+impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
+    fn dim(&self) -> usize {
+        self.systems.len() * self.dim
+    }
+
+    fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
+        let lanes = x.chunks_exact(self.dim).zip(dx.chunks_exact_mut(self.dim));
+        for (i, (system, (x, dx))) in self.systems.iter().zip(lanes).enumerate() {
+            system.derivatives(t, x, &self.u[self.u_at.range(i)], dx);
+        }
+    }
+}
+
+// The solver sees the stack as a single batch lane, which the default
+// `derivatives_batch` hands straight to `derivatives`; the solver's stage
+// algebra is elementwise, so each lane's arithmetic is its scalar step's.
+impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {}
+
+impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
+    fn step(
+        &mut self,
+        t: f64,
+        h: f64,
+        states: &mut [f64],
+        u: &[f64],
+        u_at: LaneSlots,
+    ) -> Result<(), SolveError> {
+        let sys = StackedLanes { systems: &self.systems, dim: self.dim, u, u_at };
+        self.solver.step_batch(&sys, t, states, states.len(), h)
+    }
+
+    fn outputs(
+        &self,
+        t: f64,
+        states: &[f64],
+        u: &[f64],
+        u_at: LaneSlots,
+        y: &mut [f64],
+        y_at: LaneSlots,
+    ) {
+        for (i, (system, x)) in self.systems.iter().zip(states.chunks_exact(self.dim)).enumerate() {
+            system.output(t, x, &u[u_at.range(i)], &mut y[y_at.range(i)]);
+        }
+    }
 }
 
 /// A stateless (or self-contained) behaviour defined by a closure
@@ -218,7 +336,7 @@ pub type SignalHandler<S> = Box<dyn FnMut(&Message, &mut S, &mut [f64]) + Send>;
 /// This is the paper's architecture verbatim — the *solver* (a swappable
 /// [`Solver`] strategy, Figure 1) computes the *equations* (an
 /// [`InputSystem`]), reading DPort data and SPort signals.
-pub struct OdeStreamer<S: InputSystem + Send> {
+pub struct OdeStreamer<S: InputSystem + Clone + Send + 'static> {
     name: String,
     system: S,
     solver: Box<dyn Solver + Send>,
@@ -236,7 +354,7 @@ pub struct OdeStreamer<S: InputSystem + Send> {
     param_fn: Option<fn(&mut S, &str, f64) -> bool>,
 }
 
-impl<S: InputSystem + Send> fmt::Debug for OdeStreamer<S> {
+impl<S: InputSystem + Clone + Send + 'static> fmt::Debug for OdeStreamer<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OdeStreamer")
             .field("name", &self.name)
@@ -246,7 +364,7 @@ impl<S: InputSystem + Send> fmt::Debug for OdeStreamer<S> {
     }
 }
 
-impl<S: InputSystem + Send> OdeStreamer<S> {
+impl<S: InputSystem + Clone + Send + 'static> OdeStreamer<S> {
     /// Creates a streamer for `system`, integrated by `solver`, starting at
     /// state `x0`, with internal sub-steps of at most `substep` seconds.
     ///
@@ -313,20 +431,9 @@ impl<S: InputSystem + Send> OdeStreamer<S> {
     pub fn state(&self) -> &[f64] {
         self.driver.as_ref().map_or(&self.x0, |d| d.state().as_slice())
     }
-
-    /// Name of the installed solver strategy.
-    pub fn solver_name(&self) -> &str {
-        self.solver.name()
-    }
-
-    /// Replaces the solver strategy at run time (paper Figure 1: strategies
-    /// are swappable without touching the equations).
-    pub fn set_solver(&mut self, solver: Box<dyn Solver + Send>) {
-        self.solver = solver;
-    }
 }
 
-impl<S: InputSystem + Send> StreamerBehavior for OdeStreamer<S> {
+impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -426,7 +533,7 @@ impl<S: InputSystem + Send> StreamerBehavior for OdeStreamer<S> {
     }
 }
 
-impl<S: InputSystem + Send> OdeLane for OdeStreamer<S> {
+impl<S: InputSystem + Clone + Send + 'static> OdeLane for OdeStreamer<S> {
     fn lane_dim(&self) -> usize {
         self.system.dim()
     }
@@ -437,10 +544,11 @@ impl<S: InputSystem + Send> OdeLane for OdeStreamer<S> {
 
     fn lane_batchable(&self) -> bool {
         // Guards would need per-sub-step crossing checks and handlers can
-        // mutate state mid-run; both force the scalar path. The solver
-        // must expose a true batched kernel — the per-lane default would
-        // route through `OdeSystem::derivatives`, which a lane-dispatching
-        // batch system cannot provide.
+        // mutate state and equations mid-run; both force the scalar path.
+        // The solver must expose a true batched kernel: the row kernel
+        // hands it all lanes as one stacked state, which only an
+        // elementwise stage algebra keeps lane-for-lane identical (an
+        // adaptive step would couple the lanes' error control).
         self.driver.is_some()
             && self.guards.is_empty()
             && self.handler.is_none()
@@ -455,12 +563,20 @@ impl<S: InputSystem + Send> OdeLane for OdeStreamer<S> {
         self.driver.as_ref().map(|d| d.time())
     }
 
-    fn lane_clone_solver(&self) -> Option<Box<dyn Solver + Send>> {
-        self.solver.clone_boxed()
+    fn lane_system(&self) -> &dyn Any {
+        &self.system
     }
 
-    fn lane_derivatives(&self, t: f64, x: &[f64], u: &[f64], dx: &mut [f64]) {
-        self.system.derivatives(t, x, u, dx);
+    fn lane_row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>> {
+        let systems = row
+            .iter()
+            .map(|b| b.as_ode_lane()?.lane_system().downcast_ref::<S>().cloned())
+            .collect::<Option<Vec<S>>>()?;
+        Some(Box::new(TypedRow {
+            systems,
+            dim: self.system.dim(),
+            solver: self.solver.clone_boxed()?,
+        }))
     }
 
     fn lane_sync(&mut self, t: f64, x: &[f64]) -> Result<(), SolveError> {
@@ -468,10 +584,6 @@ impl<S: InputSystem + Send> OdeLane for OdeStreamer<S> {
         driver.state_mut().as_mut_slice().copy_from_slice(x);
         driver.set_time(t);
         Ok(())
-    }
-
-    fn lane_output(&self, t: f64, x: &[f64], u: &[f64], y: &mut [f64]) {
-        self.system.output(t, x, u, y);
     }
 }
 
@@ -608,7 +720,7 @@ mod tests {
     use urt_ode::solver::SolverKind;
     use urt_ode::system::FnInputSystem;
 
-    fn first_order_plant() -> impl InputSystem + Send {
+    fn first_order_plant() -> impl InputSystem + Clone + Send {
         // x' = u - x : first-order lag.
         FnInputSystem::new(1, 1, |_t, x: &[f64], u: &[f64], dx: &mut [f64]| {
             dx[0] = u[0] - x[0];
@@ -845,19 +957,14 @@ mod tests {
 
     #[test]
     fn solver_strategy_is_swappable() {
-        let mut s = OdeStreamer::new(
-            "p",
-            first_order_plant(),
-            SolverKind::ForwardEuler.create(),
-            &[0.0],
-            0.01,
-        );
-        assert_eq!(s.solver_name(), "euler");
-        s.set_solver(SolverKind::Dopri45.create());
-        assert_eq!(s.solver_name(), "dopri45");
-        s.initialize(0.0).unwrap();
-        let mut y = [0.0];
-        s.advance(0.0, 0.1, &[1.0], &mut y).unwrap();
-        assert!(y[0] > 0.0);
+        // Paper Figure 1: the same equations run under any strategy.
+        let mut y = [[0.0]; 2];
+        for (kind, y) in [SolverKind::ForwardEuler, SolverKind::Dopri45].into_iter().zip(&mut y) {
+            let mut s = OdeStreamer::new("p", first_order_plant(), kind.create(), &[0.0], 0.01);
+            s.initialize(0.0).unwrap();
+            s.advance(0.0, 0.1, &[1.0], y).unwrap();
+            assert!(y[0] > 0.0, "{kind} moved the lag");
+        }
+        assert_ne!(y[0][0].to_bits(), y[1][0].to_bits(), "strategies differ");
     }
 }

@@ -84,16 +84,30 @@ pub trait BatchOdeSystem: OdeSystem {
         debug_assert_eq!(dim, self.dim(), "batched dim mismatch");
         debug_assert_eq!(states.len(), dim * k, "batched state layout mismatch");
         debug_assert_eq!(dx.len(), dim * k, "batched derivative layout mismatch");
-        // Scalar fallback: gather one lane at a time. The per-lane values
-        // fed to `derivatives` are exactly the scalar path's, so lanes
-        // stay bit-identical; only the traversal order changes.
-        let mut x = vec![0.0; dim];
-        let mut d = vec![0.0; dim];
+        if k == 1 {
+            // One lane: the variable-major layout is the scalar state.
+            self.derivatives(t, states, dx);
+            return;
+        }
+        // Scalar fallback: gather one lane at a time, into stack scratch
+        // up to `SMALL_DIM` variables. The per-lane values fed to
+        // `derivatives` are exactly the scalar path's, so lanes stay
+        // bit-identical; only the traversal order changes.
+        const SMALL_DIM: usize = 16;
+        let mut stack = [0.0; 2 * SMALL_DIM];
+        let mut heap = Vec::new();
+        let scratch = if dim <= SMALL_DIM {
+            &mut stack[..2 * dim]
+        } else {
+            heap.resize(2 * dim, 0.0);
+            &mut heap[..]
+        };
+        let (x, d) = scratch.split_at_mut(dim);
         for i in 0..k {
             for v in 0..dim {
                 x[v] = states[v * k + i];
             }
-            self.derivatives(t, &x, &mut d);
+            self.derivatives(t, x, d);
             for v in 0..dim {
                 dx[v * k + i] = d[v];
             }
@@ -519,6 +533,31 @@ mod tests {
         assert!(sys.check_dim(&[0.0, 0.0]).is_ok());
         let err = sys.check_dim(&[0.0]).unwrap_err();
         assert_eq!(err, crate::SolveError::DimensionMismatch { expected: 2, found: 1 });
+    }
+
+    #[test]
+    fn default_derivatives_batch_matches_scalar_lanes_at_every_dim() {
+        // Stack scratch, heap scratch past it, and the one-lane shortcut.
+        for dim in [1, 3, 16, 17, 40] {
+            let sys = FnSystem::new(dim, |t, x: &[f64], dx: &mut [f64]| {
+                for v in 0..x.len() {
+                    dx[v] = t * x[v] - x[(v + 1) % x.len()].sin();
+                }
+            });
+            for k in [1, 5] {
+                let states: Vec<f64> = (0..dim * k).map(|j| 0.1 * j as f64 - 1.0).collect();
+                let mut dx = vec![0.0; dim * k];
+                sys.derivatives_batch(0.5, &states, dim, k, &mut dx);
+                for i in 0..k {
+                    let x: Vec<f64> = (0..dim).map(|v| states[v * k + i]).collect();
+                    let mut d = vec![0.0; dim];
+                    sys.derivatives(0.5, &x, &mut d);
+                    for v in 0..dim {
+                        assert_eq!(dx[v * k + i].to_bits(), d[v].to_bits(), "dim {dim} k {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -416,9 +416,9 @@ impl Controller {
 
     fn apply_effects(&mut self, sender: usize, mut ctx: CapsuleContext) {
         self.next_timer_id = ctx.next_timer_id();
-        for id in ctx.take_timer_cancels() {
-            self.timers.cancel(id);
-        }
+        // Sets before cancels: a timer armed and cancelled within one
+        // run-to-completion step is pending when its cancel arrives, so
+        // it never fires.
         for req in ctx.take_timer_sets() {
             let due = self.timers.schedule(
                 sender,
@@ -437,6 +437,9 @@ impl Controller {
                     },
                 });
             }
+        }
+        for id in ctx.take_timer_cancels() {
+            self.timers.cancel(id);
         }
         for (port, message) in ctx.take_outbox() {
             self.route(sender, &port, message);
@@ -683,6 +686,23 @@ mod tests {
         let n = c.run_until(1.0).unwrap();
         assert_eq!(n, 1);
         assert!((c.now() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn timer_armed_and_cancelled_in_one_step_never_fires() {
+        let m = StateMachineBuilder::new("t")
+            .state("s")
+            .initial("s", |_d: &mut u32, ctx: &mut CapsuleContext| {
+                let id = ctx.inform_in(0.5, "deadline");
+                ctx.cancel_timer(id);
+            })
+            .internal("s", (TIMER_PORT, "deadline"), |d, _, _| *d += 1)
+            .build()
+            .unwrap();
+        let mut c = Controller::new("c");
+        c.add_capsule(Box::new(SmCapsule::new(m, 0u32)));
+        c.start().unwrap();
+        assert_eq!(c.run_until(1.0).unwrap(), 0, "the cancelled timer stayed silent");
     }
 
     #[test]

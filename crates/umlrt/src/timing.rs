@@ -11,7 +11,7 @@ use crate::capsule::TimerId;
 use crate::message::{Message, Priority};
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// The reserved port on which timer messages are delivered.
 pub const TIMER_PORT: &str = "timer";
@@ -81,7 +81,6 @@ pub struct FiredTimer {
 pub struct TimerService {
     tick: f64,
     heap: BinaryHeap<TimerEntry>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -136,20 +135,17 @@ impl TimerService {
     }
 
     /// Cancels a timer (including future firings of a periodic timer).
+    ///
+    /// The pending entry is removed at once, so cancelling leaves no
+    /// bookkeeping behind; cancelling a timer with no pending entry (one
+    /// that already fired, or was never scheduled) does nothing.
     pub fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
+        self.heap.retain(|e| e.id != id);
     }
 
-    /// The earliest pending due time, skipping cancelled timers.
-    pub fn next_due(&mut self) -> Option<f64> {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.id.0) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(top.due);
-        }
-        None
+    /// The earliest pending due time.
+    pub fn next_due(&self) -> Option<f64> {
+        self.heap.peek().map(|top| top.due)
     }
 
     /// Pops every timer due at or before `now`, re-arming periodic ones.
@@ -174,7 +170,7 @@ impl TimerService {
         fired
     }
 
-    /// Number of pending (possibly cancelled-but-unswept) timers.
+    /// Number of pending timers.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -249,6 +245,40 @@ mod tests {
         svc.cancel(TimerId(7));
         assert!(svc.pop_due(1.0).is_empty());
         assert_eq!(svc.next_due(), None);
+    }
+
+    #[test]
+    fn arm_fire_cancel_cycles_leave_no_bookkeeping_behind() {
+        // A 1 kHz watchdog, armed every cycle and cancelled after it
+        // fired, next to a second one cancelled before it could fire and
+        // a far-future timer that stays pending throughout.
+        let mut svc = TimerService::new();
+        svc.schedule(0, TimerId(0), 0.0, 1e9, None, "far");
+        for cycle in 1..=10_000u64 {
+            let now = cycle as f64 * 0.001;
+            svc.schedule(0, TimerId(2 * cycle), now - 0.001, 0.0005, None, "watchdog");
+            svc.schedule(0, TimerId(2 * cycle + 1), now - 0.001, 0.0005, None, "early");
+            svc.cancel(TimerId(2 * cycle + 1));
+            let fired = svc.pop_due(now);
+            assert_eq!(fired.len(), 1, "cycle {cycle}: the watchdog alone fired");
+            assert_eq!(fired[0].id, TimerId(2 * cycle));
+            svc.cancel(TimerId(2 * cycle));
+            assert_eq!(svc.len(), 1, "cycle {cycle}: only the far timer stays pending");
+        }
+        assert!(svc.heap.capacity() <= 8, "heap storage stayed bounded");
+        svc.cancel(TimerId(0));
+        assert!(svc.is_empty());
+        assert_eq!(svc.next_due(), None);
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_does_not_affect_a_later_one() {
+        let mut svc = TimerService::new();
+        svc.schedule(0, TimerId(1), 0.0, 0.1, None, "a");
+        assert_eq!(svc.pop_due(0.1).len(), 1);
+        svc.cancel(TimerId(1));
+        svc.schedule(0, TimerId(2), 0.1, 0.1, None, "b");
+        assert_eq!(svc.pop_due(0.2).len(), 1);
     }
 
     #[test]

@@ -20,6 +20,21 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> perfbench: cargo test -q --offline"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# The benchmark's own end-to-end gate: committed seed-1 checksums, the
+# sweep's edge instances against standalone runs, paced == free-running.
+echo "==> perfbench: one-second seed-1 run of every workload"
+for workload in fig2-loop sweep-k64 reactive-sport; do
+    bench_out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    case "$bench_out" in
+        '{"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $workload failed its end-to-end gate: $bench_out" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
