@@ -42,6 +42,12 @@
 //! smoke runs assert batched is at least not slower at K = 64 (with the
 //! usual 10% noise allowance).
 //!
+//! Both sides of an ensemble-axis or kernel-axis comparison are measured
+//! as interleaved A/B pairs in one process (25 pairs in full runs, 5 in
+//! smoke); each row reports its side's fastest window, and the
+//! self-assertions judge the median of the per-pair ratios, so host
+//! contention hits both sides alike.
+//!
 //! A third axis (`--paced`) measures **hard real-time latency** instead
 //! of throughput: `run_paced` couples each macro step to the wall clock
 //! (`set_max_batch(1)`, so even the threaded schedule releases per step)
@@ -585,22 +591,107 @@ impl EnsembleWorkload {
     }
 }
 
-struct EnsembleMeasurement {
+/// One row of the ensemble or kernel axis: one side of a measured pair
+/// (`mode` or `kernel`), reported by its fastest window.
+struct AxisMeasurement {
     workload: &'static str,
-    mode: &'static str,
+    side: &'static str,
     k: usize,
     steps: u64,
     wall_ns: u128,
     steps_per_sec: f64,
 }
 
+/// The median over interleaved pairs of one side's rate against the
+/// other's, at one `(workload, K)`: the figure the ratio self-assertions
+/// judge.
+struct PairRatio {
+    workload: &'static str,
+    k: usize,
+    median: f64,
+}
+
+/// One side of an A/B pair: the engines it advances each macro step,
+/// `K` instances in total, and the label it reports under.
+struct Side {
+    label: &'static str,
+    engines: Vec<(EnsembleEngine, Recorder)>,
+}
+
+impl Side {
+    /// Advances every engine `steps` macro steps and returns the wall
+    /// time; the probes must have recorded every step.
+    fn run(&mut self, steps: u64) -> u128 {
+        for (_, rec) in &self.engines {
+            rec.clear();
+        }
+        let start = Instant::now();
+        for (engine, _) in &mut self.engines {
+            let t0 = engine.time();
+            engine.run_until(t0 + steps as f64 * STEP).expect("measured run");
+        }
+        let wall_ns = start.elapsed().as_nanos().max(1);
+        for (engine, rec) in &self.engines {
+            let series = EnsembleEngine::series_name("y0", engine.instances() - 1);
+            assert_eq!(rec.series(&series).len() as u64, steps, "probes recorded every step");
+        }
+        wall_ns
+    }
+}
+
+/// Measures `base` and `test` as interleaved A/B pairs in one process.
+/// Each side is warmed up and piloted to size its window, as in
+/// [`measure`]; then every pair runs one window of `base`, then one of
+/// `test`, so contention on a shared host hits both sides alike. The
+/// order stays fixed: every window follows one of the other side, so
+/// neither side finds the caches warmed by its own previous window
+/// (alternating the order made the ratios bimodal). Returns each side's
+/// fastest window and the median over the pairs of `test`'s rate
+/// divided by `base`'s.
+fn measure_pair(
+    workload: &'static str,
+    k: usize,
+    mut base: Side,
+    mut test: Side,
+    steps: u64,
+    smoke: bool,
+) -> (AxisMeasurement, AxisMeasurement, PairRatio) {
+    let warmup = (steps / 10).max(10);
+    let target_ns: f64 = if smoke { 2e6 } else { 10e6 };
+    let mut rep_steps = [0u64; 2];
+    for (side, rep) in [&mut base, &mut test].into_iter().zip(&mut rep_steps) {
+        side.run(warmup);
+        let pilot_ns = side.run(steps);
+        *rep = ((steps as f64 * target_ns / pilot_ns as f64).ceil() as u64).clamp(200, 500_000);
+    }
+    // An odd pair count, so the median is one measured pair.
+    let pairs = if smoke { 5 } else { 25 };
+    let mut best = [u128::MAX; 2];
+    let mut ratios = Vec::with_capacity(pairs);
+    for _ in 0..pairs {
+        let mut wall = [0u128; 2];
+        for (s, side) in [&mut base, &mut test].into_iter().enumerate() {
+            wall[s] = side.run(rep_steps[s]);
+            best[s] = best[s].min(wall[s]);
+        }
+        let rate = |s: usize| rep_steps[s] as f64 / wall[s] as f64;
+        ratios.push(rate(1) / rate(0));
+    }
+    ratios.sort_by(f64::total_cmp);
+    let row = |side: &Side, s: usize| AxisMeasurement {
+        workload,
+        side: side.label,
+        k,
+        steps: rep_steps[s],
+        wall_ns: best[s],
+        steps_per_sec: rep_steps[s] as f64 / (best[s] as f64 / 1e9),
+    };
+    (row(&base, 0), row(&test, 1), PairRatio { workload, k, median: ratios[pairs / 2] })
+}
+
 /// One K-instance SoA engine (`mode = "ensemble"`), or K single-instance
 /// engines (`mode = "independent"`) — the unamortized control.
-fn ensemble_engines(
-    workload: EnsembleWorkload,
-    mode: &str,
-    k: usize,
-) -> Vec<(EnsembleEngine, Recorder)> {
+fn ensemble_side(workload: EnsembleWorkload, mode: &'static str, k: usize) -> Side {
     let compiled = workload.compiled();
     let build = |instances: usize| {
         let mut engine = EnsembleEngine::from_compiled(
@@ -613,64 +704,9 @@ fn ensemble_engines(
         engine.set_recorder(rec.clone());
         (engine, rec)
     };
-    if mode == "ensemble" {
-        vec![build(k)]
-    } else {
-        (0..k).map(|_| build(1)).collect()
-    }
-}
-
-/// Measures macro steps per second advancing all K instances — same
-/// warm-up / pilot / min-of-reps protocol as [`measure`]. Both modes
-/// advance the whole population each macro step, so `steps_per_sec` is
-/// directly comparable across modes at equal K.
-fn measure_ensemble(
-    workload: EnsembleWorkload,
-    mode: &'static str,
-    k: usize,
-    steps: u64,
-    smoke: bool,
-) -> EnsembleMeasurement {
-    let mut engines = ensemble_engines(workload, mode, k);
-    let warmup = (steps / 10).max(10);
-    for (engine, _) in &mut engines {
-        engine.run_until(warmup as f64 * STEP).expect("warm-up");
-    }
-    let t0 = engines[0].0.time();
-    let start = Instant::now();
-    for (engine, _) in &mut engines {
-        engine.run_until(t0 + steps as f64 * STEP).expect("pilot run");
-    }
-    let pilot_ns = start.elapsed().as_nanos().max(1);
-    let target_ns: f64 = if smoke { 2e6 } else { 10e6 };
-    let rep_steps =
-        ((steps as f64 * target_ns / pilot_ns as f64).ceil() as u64).clamp(200, 500_000);
-    let reps: u64 = if smoke { 5 } else { 25 };
-    let mut wall_ns = u128::MAX;
-    for _ in 0..reps {
-        for (_, rec) in &engines {
-            rec.clear();
-        }
-        let t0 = engines[0].0.time();
-        let start = Instant::now();
-        for (engine, _) in &mut engines {
-            engine.run_until(t0 + rep_steps as f64 * STEP).expect("measured run");
-        }
-        wall_ns = wall_ns.min(start.elapsed().as_nanos());
-        for (engine, rec) in &engines {
-            let series = EnsembleEngine::series_name("y0", engine.instances() - 1);
-            assert_eq!(rec.series(&series).len() as u64, rep_steps, "probes recorded every step");
-        }
-    }
-    let steps_per_sec = rep_steps as f64 / (wall_ns as f64 / 1e9);
-    EnsembleMeasurement {
-        workload: workload.name(),
-        mode,
-        k,
-        steps: rep_steps,
-        wall_ns,
-        steps_per_sec,
-    }
+    let engines =
+        if mode == "ensemble" { vec![build(k)] } else { (0..k).map(|_| build(1)).collect() };
+    Side { label: mode, engines }
 }
 
 /// Workloads for the kernel axis. These must carry ODE lanes (a batched
@@ -707,28 +743,11 @@ fn kernel_name(kernel: EnsembleKernel) -> &'static str {
     }
 }
 
-struct KernelMeasurement {
-    workload: &'static str,
-    kernel: &'static str,
-    k: usize,
-    steps: u64,
-    wall_ns: u128,
-    steps_per_sec: f64,
-}
-
-/// Measures one ensemble engine advancing K instances under the chosen
-/// solver kernel — same warm-up / pilot / min-of-reps protocol as
-/// [`measure`]. Scalar and batched runs use identical engines modulo
-/// [`EnsembleEngine::set_kernel`], and produce bit-identical series, so
-/// the throughput delta is exactly what the width-aware batched path
-/// buys.
-fn measure_kernel(
-    workload: KernelWorkload,
-    kernel: EnsembleKernel,
-    k: usize,
-    steps: u64,
-    smoke: bool,
-) -> KernelMeasurement {
+/// One K-instance ensemble engine under the chosen solver kernel. Scalar
+/// and batched sides differ only in [`EnsembleEngine::set_kernel`] and
+/// produce bit-identical series, so their throughput ratio is exactly
+/// what the batched path buys.
+fn kernel_side(workload: KernelWorkload, kernel: EnsembleKernel, k: usize) -> Side {
     let mut engine = EnsembleEngine::from_compiled(
         &workload.compiled(),
         k,
@@ -738,35 +757,7 @@ fn measure_kernel(
     engine.set_kernel(kernel);
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    let warmup = (steps / 10).max(10);
-    engine.run_until(warmup as f64 * STEP).expect("warm-up");
-    let t0 = engine.time();
-    let start = Instant::now();
-    engine.run_until(t0 + steps as f64 * STEP).expect("pilot run");
-    let pilot_ns = start.elapsed().as_nanos().max(1);
-    let target_ns: f64 = if smoke { 2e6 } else { 10e6 };
-    let rep_steps =
-        ((steps as f64 * target_ns / pilot_ns as f64).ceil() as u64).clamp(200, 500_000);
-    let reps: u64 = if smoke { 5 } else { 25 };
-    let mut wall_ns = u128::MAX;
-    for _ in 0..reps {
-        rec.clear();
-        let t0 = engine.time();
-        let start = Instant::now();
-        engine.run_until(t0 + rep_steps as f64 * STEP).expect("measured run");
-        wall_ns = wall_ns.min(start.elapsed().as_nanos());
-        let series = EnsembleEngine::series_name("y0", k - 1);
-        assert_eq!(rec.series(&series).len() as u64, rep_steps, "probes recorded every step");
-    }
-    let steps_per_sec = rep_steps as f64 / (wall_ns as f64 / 1e9);
-    KernelMeasurement {
-        workload: workload.name(),
-        kernel: kernel_name(kernel),
-        k,
-        steps: rep_steps,
-        wall_ns,
-        steps_per_sec,
-    }
+    Side { label: kernel_name(kernel), engines: vec![(engine, rec)] }
 }
 
 struct InstantiateMeasurement {
@@ -827,8 +818,8 @@ fn measure_instantiate(workload: Workload, groups: usize, smoke: bool) -> Instan
 
 fn render_json(
     results: &[Measurement],
-    ensemble: &[EnsembleMeasurement],
-    kernel: &[KernelMeasurement],
+    ensemble: &[AxisMeasurement],
+    kernel: &[AxisMeasurement],
     instantiate: &[InstantiateMeasurement],
     paced: &[PacedMeasurement],
     smoke: bool,
@@ -847,29 +838,19 @@ fn render_json(
             m.workload, m.groups, m.policy, m.batch, m.steps, m.wall_ns, m.steps_per_sec
         );
     }
-    s.push_str("],\"ensemble\":[");
-    for (i, m) in ensemble.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    for (axis, key, rows) in [("ensemble", "mode", ensemble), ("kernel", "kernel", kernel)] {
+        let _ = write!(s, "],\"{axis}\":[");
+        for (i, m) in rows.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(
+                s,
+                "{{\"workload\":\"{}\",\"{key}\":\"{}\",\"k\":{},\"steps\":{},\
+                 \"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
+                m.workload, m.side, m.k, m.steps, m.wall_ns, m.steps_per_sec
+            );
         }
-        let _ = write!(
-            s,
-            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"k\":{},\"steps\":{},\
-             \"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
-            m.workload, m.mode, m.k, m.steps, m.wall_ns, m.steps_per_sec
-        );
-    }
-    s.push_str("],\"kernel\":[");
-    for (i, m) in kernel.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"workload\":\"{}\",\"kernel\":\"{}\",\"k\":{},\"steps\":{},\
-             \"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
-            m.workload, m.kernel, m.k, m.steps, m.wall_ns, m.steps_per_sec
-        );
     }
     s.push_str("],\"instantiate\":[");
     for (i, m) in instantiate.iter().enumerate() {
@@ -1009,30 +990,54 @@ fn main() {
         }
     }
 
+    // Ensemble axis: each K is one interleaved pair, the K independent
+    // engines the base and the SoA ensemble the side under test.
     let ks: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 64, 256] };
     let mut ensemble_results = Vec::new();
+    let mut ensemble_ratios = Vec::new();
     for workload in [EnsembleWorkload::Fig2, EnsembleWorkload::Chain] {
         let steps = if smoke { 200 } else { 2_000 };
         for &k in ks {
-            for mode in ["ensemble", "independent"] {
-                ensemble_results.push(measure_ensemble(workload, mode, k, steps, smoke));
-            }
+            let (independent, ensemble, ratio) = measure_pair(
+                workload.name(),
+                k,
+                ensemble_side(workload, "independent", k),
+                ensemble_side(workload, "ensemble", k),
+                steps,
+                smoke,
+            );
+            ensemble_results.extend([ensemble, independent]);
+            ensemble_ratios.push(ratio);
         }
     }
 
     // Kernel axis: the same ensemble machinery with the solver kernel as
-    // the only variable. Scalar first so any frequency scaling ramp-up
-    // favours the baseline, not the path under test.
+    // the only variable, scalar per-lane stepping the base of each pair.
     let kernel_ks: &[usize] = if smoke { &[16, 64] } else { &[16, 64, 256] };
     let mut kernel_results = Vec::new();
+    let mut kernel_ratios = Vec::new();
     for workload in [KernelWorkload::Fig2, KernelWorkload::Chain] {
         let steps = if smoke { 200 } else { 2_000 };
         for &k in kernel_ks {
-            for kernel in [EnsembleKernel::PerLane, EnsembleKernel::Batched] {
-                kernel_results.push(measure_kernel(workload, kernel, k, steps, smoke));
-            }
+            let (scalar, batched, ratio) = measure_pair(
+                workload.name(),
+                k,
+                kernel_side(workload, EnsembleKernel::PerLane, k),
+                kernel_side(workload, EnsembleKernel::Batched, k),
+                steps,
+                smoke,
+            );
+            kernel_results.extend([scalar, batched]);
+            kernel_ratios.push(ratio);
         }
     }
+    let median_at = |ratios: &[PairRatio], workload: &str, k: usize| -> f64 {
+        ratios
+            .iter()
+            .find(|r| r.workload == workload && r.k == k)
+            .map(|r| r.median)
+            .expect("measured pair")
+    };
 
     // Artifact/instance axis: fig2 (pure dataflow) and chain (budgeted,
     // cross-group) at 1 and 2 groups — the workloads whose compiled
@@ -1086,21 +1091,14 @@ fn main() {
 
     // Self-assertion 2: at the largest common K, the SoA ensemble must
     // beat K independent engines (strictly in full runs, within the same
-    // 10% allowance in smoke).
+    // 10% allowance in smoke), judged by the median pair ratio.
     let check_k = if smoke { 8 } else { 64 };
-    let ens_sps = |workload: &str, mode: &str| -> f64 {
-        ensemble_results
-            .iter()
-            .find(|m| m.workload == workload && m.mode == mode && m.k == check_k)
-            .map(|m| m.steps_per_sec)
-            .expect("measured configuration")
-    };
     for workload in ["fig2", "chain"] {
-        let (ens, ind) = (ens_sps(workload, "ensemble"), ens_sps(workload, "independent"));
-        if ens <= ind * tolerance {
+        let ratio = median_at(&ensemble_ratios, workload, check_k);
+        if ratio <= tolerance {
             eprintln!(
                 "bench_engine: K={check_k} ensemble is not faster than {check_k} independent \
-                 engines on {workload} ({ens:.0} steps/s vs {ind:.0} steps/s) — \
+                 engines on {workload} (median pair ratio {ratio:.3}) — \
                  SoA amortization regressed"
             );
             std::process::exit(1);
@@ -1126,23 +1124,16 @@ fn main() {
     // Self-assertion 4: the batched solver kernel must beat per-lane
     // scalar stepping at the largest measured K — by KERNEL_MARGIN in
     // full runs, merely not-slower (within the smoke noise allowance) on
-    // a few hundred smoke steps.
+    // a few hundred smoke steps — judged by the median pair ratio.
     let kernel_check_k = if smoke { 64 } else { 256 };
     let kernel_floor = if smoke { tolerance } else { KERNEL_MARGIN };
-    let kernel_sps = |workload: &str, kernel: &str| -> f64 {
-        kernel_results
-            .iter()
-            .find(|m| m.workload == workload && m.kernel == kernel && m.k == kernel_check_k)
-            .map(|m| m.steps_per_sec)
-            .expect("measured kernel configuration")
-    };
     for workload in ["fig2", "chain"] {
-        let (batched, scalar) = (kernel_sps(workload, "batched"), kernel_sps(workload, "scalar"));
-        if batched < scalar * kernel_floor {
+        let ratio = median_at(&kernel_ratios, workload, kernel_check_k);
+        if ratio < kernel_floor {
             eprintln!(
                 "bench_engine: batched kernel at K={kernel_check_k} is below {kernel_floor}x \
-                 the scalar per-lane path on {workload} ({batched:.0} steps/s vs {scalar:.0} \
-                 steps/s) — the width-aware batched ODE path regressed"
+                 the scalar per-lane path on {workload} (median pair ratio {ratio:.3}) — \
+                 the width-aware batched ODE path regressed"
             );
             std::process::exit(1);
         }
@@ -1173,37 +1164,44 @@ fn main() {
             m.workload, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
         );
     }
-    println!();
-    println!("ensemble scaling (K instances advanced per macro step)");
-    println!();
-    println!("| workload | mode | K | steps | steps/sec | instance-steps/sec |");
-    println!("|----------|------|---|-------|-----------|--------------------|");
-    for m in &ensemble_results {
-        println!(
-            "| {} | {} | {} | {} | {:.0} | {:.0} |",
-            m.workload,
-            m.mode,
-            m.k,
-            m.steps,
-            m.steps_per_sec,
-            m.steps_per_sec * m.k as f64
-        );
-    }
-    println!();
-    println!("solver kernel (scalar per-lane vs width-aware batched; fig2 = ODE-backed variant)");
-    println!();
-    println!("| workload | kernel | K | steps | steps/sec | instance-steps/sec |");
-    println!("|----------|--------|---|-------|-----------|--------------------|");
-    for m in &kernel_results {
-        println!(
-            "| {} | {} | {} | {} | {:.0} | {:.0} |",
-            m.workload,
-            m.kernel,
-            m.k,
-            m.steps,
-            m.steps_per_sec,
-            m.steps_per_sec * m.k as f64
-        );
+    let axes = [
+        (
+            "ensemble scaling (K instances advanced per macro step)",
+            "mode",
+            "ensemble / independent",
+            &ensemble_results,
+            &ensemble_ratios,
+        ),
+        (
+            "solver kernel (scalar per-lane vs width-aware batched; fig2 = ODE-backed variant)",
+            "kernel",
+            "batched / scalar",
+            &kernel_results,
+            &kernel_ratios,
+        ),
+    ];
+    for (title, key, ratio_name, rows, ratios) in axes {
+        println!();
+        println!("{title}");
+        println!();
+        println!("| workload | {key} | K | steps | steps/sec | instance-steps/sec |");
+        println!("|----------|------|---|-------|-----------|--------------------|");
+        for m in rows {
+            println!(
+                "| {} | {} | {} | {} | {:.0} | {:.0} |",
+                m.workload,
+                m.side,
+                m.k,
+                m.steps,
+                m.steps_per_sec,
+                m.steps_per_sec * m.k as f64
+            );
+        }
+        println!();
+        println!("median pair ratio ({ratio_name}):");
+        for r in ratios {
+            println!("- {} K={}: {:.3}", r.workload, r.k, r.median);
+        }
     }
     println!();
     println!("artifact/instance split (instantiate an existing artifact vs full re-elaboration)");

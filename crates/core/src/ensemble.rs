@@ -127,7 +127,10 @@ impl VariantSpec {
 /// system type whose solver has a true batched kernel — through its typed
 /// [`OdeRowKernel`]: one width-aware
 /// [`Solver::step_batch`](urt_ode::solver::Solver::step_batch) call per
-/// sub-step, with no per-lane dynamic dispatch. Per-lane arithmetic is the
+/// sub-step over the row's K lanes, which the explicit scheme steps a few
+/// lanes at a time with every stage in local arrays
+/// ([`ExplicitScheme::step_lanes`](urt_ode::solver::ExplicitScheme::step_lanes)),
+/// with no per-lane dynamic dispatch. Per-lane arithmetic is the
 /// exact scalar sequence, so results stay bit-identical either way;
 /// [`PerLane`](EnsembleKernel::PerLane) exists as the measurable baseline
 /// (the `bench_engine` kernel axis).

@@ -11,8 +11,8 @@ use std::any::Any;
 use std::fmt;
 use std::ops::Range;
 use urt_ode::events::{locate_first_crossing, ZeroCrossing};
-use urt_ode::solver::{Rk4, Solver, SolverDriver};
-use urt_ode::system::{BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
+use urt_ode::solver::{ExplicitScheme, Rk4, Solver, SolverDriver};
+use urt_ode::system::{derivatives_by_lane, BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
 use urt_ode::SolveError;
 use urt_umlrt::message::Message;
 use urt_umlrt::value::Value;
@@ -204,17 +204,23 @@ pub trait OdeRowKernel: Send {
 
 /// The [`OdeRowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
 /// one clone of each lane's system (so per-lane parameters are kept) and
-/// one solver clone (explicit fixed-step strategies carry no cross-step
-/// scratch, so one solver serves all lanes).
+/// one solver clone. The solver stays the strategy: each sub-step is one
+/// [`Solver::step_batch`] call over the row's K real lanes, and the
+/// explicit fixed-step schemes eligible for a row hand those lanes back
+/// to [`StackedLanes::step_lanes`]. That runs the scheme's own stage
+/// arithmetic a few lanes at a time, every stage in local arrays,
+/// monomorphised on `S`, the scheme and (up to
+/// [`CONST_LANE_DIM`](urt_ode::solver::CONST_LANE_DIM)) the dimension.
+/// Such schemes carry no cross-step state, so one solver serves all lanes.
 struct TypedRow<S> {
     systems: Vec<S>,
     dim: usize,
     solver: Box<dyn Solver + Send>,
 }
 
-/// A row's lanes stacked into one `K * dim` system: lane `i`'s block of
-/// the state is evaluated by its own system under its own frozen input,
-/// exactly as the scalar path's [`FrozenInput`] evaluates it.
+/// A row's K lanes as one batch system: lane `i` is evaluated by its own
+/// system under its own frozen input, exactly as the scalar path's
+/// [`FrozenInput`] evaluates it.
 struct StackedLanes<'a, S> {
     systems: &'a [S],
     dim: usize,
@@ -222,23 +228,50 @@ struct StackedLanes<'a, S> {
     u_at: LaneSlots,
 }
 
-impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
-    fn dim(&self) -> usize {
-        self.systems.len() * self.dim
-    }
-
-    fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
-        let lanes = x.chunks_exact(self.dim).zip(dx.chunks_exact_mut(self.dim));
-        for (i, (system, (x, dx))) in self.systems.iter().zip(lanes).enumerate() {
-            system.derivatives(t, x, &self.u[self.u_at.range(i)], dx);
-        }
+impl<S: InputSystem> StackedLanes<'_, S> {
+    /// Lane `i`'s derivative at `(t, x)`.
+    fn lane(&self, i: usize, t: f64, x: &[f64], dx: &mut [f64]) {
+        self.systems[i].derivatives(t, x, &self.u[self.u_at.range(i)], dx);
     }
 }
 
-// The solver sees the stack as a single batch lane, which the default
-// `derivatives_batch` hands straight to `derivatives`; the solver's stage
-// algebra is elementwise, so each lane's arithmetic is its scalar step's.
-impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {}
+impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// A bare one-lane call cannot say which lane it is, so it is defined
+    /// for a one-lane row only. The row's solver always has a batched
+    /// kernel ([`OdeLane::lane_batchable`]), which reaches the lanes
+    /// through the batch entry points below instead.
+    fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
+        assert_eq!(self.systems.len(), 1, "a multi-lane row has no single-lane derivative");
+        self.lane(0, t, x, dx);
+    }
+}
+
+impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {
+    fn derivatives_batch(&self, t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
+        derivatives_by_lane(states, dim, k, dx, |i, x, d| self.lane(i, t, x, d));
+    }
+
+    fn step_lanes(
+        &self,
+        scheme: ExplicitScheme,
+        t: f64,
+        states: &mut [f64],
+        dim: usize,
+        h: f64,
+        scratch: &mut [f64],
+    ) -> bool {
+        let lanes = self.systems.iter().enumerate().map(|(i, system)| {
+            let u = &self.u[self.u_at.range(i)];
+            move |t, x: &[f64], dx: &mut [f64]| system.derivatives(t, x, u, dx)
+        });
+        scheme.step_lanes(t, states, dim, h, scratch, lanes);
+        true
+    }
+}
 
 impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
     fn step(
@@ -250,7 +283,7 @@ impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
         u_at: LaneSlots,
     ) -> Result<(), SolveError> {
         let sys = StackedLanes { systems: &self.systems, dim: self.dim, u, u_at };
-        self.solver.step_batch(&sys, t, states, states.len(), h)
+        self.solver.step_batch(&sys, t, states, self.dim, h)
     }
 
     fn outputs(
@@ -546,8 +579,8 @@ impl<S: InputSystem + Clone + Send + 'static> OdeLane for OdeStreamer<S> {
         // Guards would need per-sub-step crossing checks and handlers can
         // mutate state and equations mid-run; both force the scalar path.
         // The solver must expose a true batched kernel: the row kernel
-        // hands it all lanes as one stacked state, which only an
-        // elementwise stage algebra keeps lane-for-lane identical (an
+        // hands it the row's K lanes through `step_batch`, where a
+        // fixed-step scheme steps every lane exactly as alone (an
         // adaptive step would couple the lanes' error control).
         self.driver.is_some()
             && self.guards.is_empty()
@@ -725,6 +758,24 @@ mod tests {
         FnInputSystem::new(1, 1, |_t, x: &[f64], u: &[f64], dx: &mut [f64]| {
             dx[0] = u[0] - x[0];
         })
+    }
+
+    #[test]
+    fn stacked_lanes_evaluate_each_lane_under_its_own_input() {
+        // A solver without the fused hook reaches the row through the
+        // variable-major `derivatives_batch`: lane `i` must still see its
+        // own system and input.
+        let systems = [first_order_plant(), first_order_plant(), first_order_plant()];
+        let u = [1.0, 9.0, 2.0, 9.0, 3.0, 9.0];
+        let u_at = LaneSlots { stride: 2, offset: 0, width: 1 };
+        let row = StackedLanes { systems: &systems, dim: 1, u: &u, u_at };
+        let mut dx = [0.0; 3];
+        row.derivatives_batch(0.0, &[0.5, 1.5, 2.5], 1, 3, &mut dx);
+        assert_eq!(dx, [0.5, 0.5, 0.5]);
+        let one = StackedLanes { systems: &systems[..1], dim: 1, u: &u, u_at };
+        let mut d = [0.0];
+        one.derivatives(0.0, &[0.25], &mut d);
+        assert_eq!(d, [0.75], "a one-lane row is a plain system");
     }
 
     #[test]

@@ -222,6 +222,229 @@ fn scatter_variable_major(xs: &[f64], dim: usize, k: usize, states: &mut [f64]) 
     }
 }
 
+/// The explicit fixed-step schemes that have a batched kernel, named so a
+/// [`BatchOdeSystem::step_lanes`] implementation can run the scheme over
+/// its own lanes. Each scheme's stage arithmetic is defined once (the
+/// private `euler_stages` / `rk4_stages`), and both the scalar
+/// [`Solver::step`] and [`ExplicitScheme::step_lanes`] call it, so a lane
+/// stepped either way is bit-identical by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExplicitScheme {
+    /// [`ForwardEuler`].
+    ForwardEuler,
+    /// [`Rk4`].
+    Rk4,
+}
+
+/// Widest lane [`ExplicitScheme::step_lanes`] steps on fixed-size local
+/// arrays, which lets each stage loop unroll and keeps a lane's stages in
+/// registers. Wider lanes run on the caller's scratch slices.
+pub const CONST_LANE_DIM: usize = 8;
+
+/// Lanes [`ExplicitScheme::step_lanes`] advances together, stage by
+/// stage. A derivative the compiler cannot inline stores its result
+/// element by element, and the stage arithmetic reloads it as one vector;
+/// a lone lane then stalls on every stage until those stores land (a
+/// dim-2 RK4 row ran about 4× slower than a block of four). Within a
+/// block, the other lanes' calls run meanwhile. Four lanes still fit a
+/// dim-2 RK4 block in registers when the derivative is inlined.
+const LANE_BLOCK: usize = 4;
+
+impl ExplicitScheme {
+    /// Scratch values [`ExplicitScheme::step_lanes`] needs for lanes of
+    /// dimension `dim`: per lane of a block, the derivative for Euler;
+    /// `k1..k4` and the stage state for RK4.
+    pub const fn scratch_len(self, dim: usize) -> usize {
+        let stage_vectors = match self {
+            ExplicitScheme::ForwardEuler => 1,
+            ExplicitScheme::Rk4 => 5,
+        };
+        LANE_BLOCK * stage_vectors * dim
+    }
+
+    /// Advances the instance-major lanes of `states` (lane `i` at
+    /// `[i * dim..(i + 1) * dim]`) by one step `h` from `t`, in blocks of
+    /// four lanes: a block takes its whole step, each stage across the
+    /// block, before the next block starts. `lanes` yields each lane's
+    /// derivative `f(t, x, dx)` in lane order. Lanes of dimension 1 to
+    /// [`CONST_LANE_DIM`] keep their stages in fixed-size local arrays;
+    /// wider lanes use `scratch`. Per lane the arithmetic is exactly the
+    /// scalar [`Solver::step`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` yields fewer derivatives than `states` holds
+    /// lanes, or if `dim` is wider than [`CONST_LANE_DIM`] and `scratch`
+    /// holds fewer than [`ExplicitScheme::scratch_len`] values.
+    pub fn step_lanes<F>(
+        self,
+        t: f64,
+        states: &mut [f64],
+        dim: usize,
+        h: f64,
+        scratch: &mut [f64],
+        lanes: impl IntoIterator<Item = F>,
+    ) where
+        F: FnMut(f64, &[f64], &mut [f64]),
+    {
+        let lanes = lanes.into_iter();
+        match dim {
+            1 => self.lanes_on_arrays::<1, F>(t, states, h, lanes),
+            2 => self.lanes_on_arrays::<2, F>(t, states, h, lanes),
+            3 => self.lanes_on_arrays::<3, F>(t, states, h, lanes),
+            4 => self.lanes_on_arrays::<4, F>(t, states, h, lanes),
+            5 => self.lanes_on_arrays::<5, F>(t, states, h, lanes),
+            6 => self.lanes_on_arrays::<6, F>(t, states, h, lanes),
+            7 => self.lanes_on_arrays::<7, F>(t, states, h, lanes),
+            8 => self.lanes_on_arrays::<8, F>(t, states, h, lanes),
+            _ => self.lanes_on_slices(t, states, dim, h, scratch, lanes),
+        }
+    }
+
+    fn lanes_on_arrays<const D: usize, F>(
+        self,
+        t: f64,
+        states: &mut [f64],
+        h: f64,
+        mut lanes: impl Iterator<Item = F>,
+    ) where
+        F: FnMut(f64, &[f64], &mut [f64]),
+    {
+        let mut next = || lanes.next().expect("one derivative per lane");
+        let mut store = [[0.0; D]; ExplicitScheme::Rk4.scratch_len(1)];
+        let (blocks, rest) = states.as_chunks_mut::<D>().0.as_chunks_mut::<LANE_BLOCK>();
+        for block in blocks {
+            let x = block.each_mut().map(|x| &mut x[..]);
+            let mut stages = store.iter_mut().map(|s| &mut s[..]);
+            self.step_block(t, h, x, std::array::from_fn(|_| next()), &mut stages);
+        }
+        for x in rest {
+            let mut stages = store.iter_mut().map(|s| &mut s[..]);
+            self.step_block(t, h, [&mut x[..]], [next()], &mut stages);
+        }
+    }
+
+    fn lanes_on_slices<F>(
+        self,
+        t: f64,
+        states: &mut [f64],
+        dim: usize,
+        h: f64,
+        scratch: &mut [f64],
+        mut lanes: impl Iterator<Item = F>,
+    ) where
+        F: FnMut(f64, &[f64], &mut [f64]),
+    {
+        let mut next = || lanes.next().expect("one derivative per lane");
+        let mut blocks = states.chunks_exact_mut(LANE_BLOCK * dim);
+        for block in blocks.by_ref() {
+            let mut x = block.chunks_exact_mut(dim);
+            let x: [_; LANE_BLOCK] = std::array::from_fn(|_| x.next().expect("a lane per slot"));
+            let mut stages = scratch.chunks_exact_mut(dim);
+            self.step_block(t, h, x, std::array::from_fn(|_| next()), &mut stages);
+        }
+        for x in blocks.into_remainder().chunks_exact_mut(dim) {
+            let mut stages = scratch.chunks_exact_mut(dim);
+            self.step_block(t, h, [x], [next()], &mut stages);
+        }
+    }
+
+    /// Steps the `N` lanes `x`, lane `j` with derivative `fs[j]`, taking
+    /// each lane's stage vectors from `stages`.
+    #[inline(always)]
+    fn step_block<'s, const N: usize, F>(
+        self,
+        t: f64,
+        h: f64,
+        x: [&mut [f64]; N],
+        mut fs: [F; N],
+        stages: &mut impl Iterator<Item = &'s mut [f64]>,
+    ) where
+        F: FnMut(f64, &[f64], &mut [f64]),
+    {
+        let f = |j: usize, t: f64, x: &[f64], dx: &mut [f64]| fs[j](t, x, dx);
+        let mut stage = || stages.next().expect("scratch holds a block's stage vectors");
+        match self {
+            ExplicitScheme::ForwardEuler => euler_stages(f, t, h, x, stage_views(&mut stage)),
+            ExplicitScheme::Rk4 => rk4_stages(f, t, h, x, stage_views(&mut stage)),
+        }
+    }
+}
+
+/// `S` stage vectors for each of `N` lanes, stage-major, from `stage`.
+#[inline(always)]
+fn stage_views<'s, const N: usize, const S: usize>(
+    stage: &mut impl FnMut() -> &'s mut [f64],
+) -> [[&'s mut [f64]; N]; S] {
+    std::array::from_fn(|_| std::array::from_fn(|_| stage()))
+}
+
+/// Forward Euler's stage arithmetic, the one definition every path runs,
+/// over `N` lanes stage by stage: `k = f(t, x)`, then `x[i] += h * k[i]`.
+/// `f(j, t, x, dx)` is lane `j`'s derivative.
+#[inline(always)]
+fn euler_stages<const N: usize>(
+    mut f: impl FnMut(usize, f64, &[f64], &mut [f64]),
+    t: f64,
+    h: f64,
+    x: [&mut [f64]; N],
+    [k]: [[&mut [f64]; N]; 1],
+) {
+    for j in 0..N {
+        f(j, t, x[j], k[j]);
+    }
+    for j in 0..N {
+        for (xi, ki) in x[j].iter_mut().zip(k[j].iter()) {
+            *xi += h * ki;
+        }
+    }
+}
+
+/// Classic RK4's stage arithmetic, the one definition every path runs,
+/// over `N` lanes stage by stage; `f(j, t, x, dx)` is lane `j`'s
+/// derivative, and each stage vector is as long as its lane.
+#[inline(always)]
+fn rk4_stages<const N: usize>(
+    mut f: impl FnMut(usize, f64, &[f64], &mut [f64]),
+    t: f64,
+    h: f64,
+    x: [&mut [f64]; N],
+    [k1, k2, k3, k4, tmp]: [[&mut [f64]; N]; 5],
+) {
+    for j in 0..N {
+        f(j, t, x[j], k1[j]);
+    }
+    for j in 0..N {
+        for i in 0..x[j].len() {
+            tmp[j][i] = x[j][i] + 0.5 * h * k1[j][i];
+        }
+    }
+    for j in 0..N {
+        f(j, t + 0.5 * h, tmp[j], k2[j]);
+    }
+    for j in 0..N {
+        for i in 0..x[j].len() {
+            tmp[j][i] = x[j][i] + 0.5 * h * k2[j][i];
+        }
+    }
+    for j in 0..N {
+        f(j, t + 0.5 * h, tmp[j], k3[j]);
+    }
+    for j in 0..N {
+        for i in 0..x[j].len() {
+            tmp[j][i] = x[j][i] + h * k3[j][i];
+        }
+    }
+    for j in 0..N {
+        f(j, t + h, tmp[j], k4[j]);
+    }
+    for j in 0..N {
+        for i in 0..x[j].len() {
+            x[j][i] += h / 6.0 * (k1[j][i] + 2.0 * k2[j][i] + 2.0 * k3[j][i] + k4[j][i]);
+        }
+    }
+}
+
 /// Which solver strategy to instantiate; the configuration-level mirror of
 /// the concrete strategy types.
 ///
@@ -290,6 +513,7 @@ pub struct ForwardEuler {
     k: StateVec,
     bxs: Vec<f64>,
     bk: Vec<f64>,
+    lane_scratch: Vec<f64>,
 }
 
 impl ForwardEuler {
@@ -321,10 +545,8 @@ impl Solver for ForwardEuler {
     ) -> Result<StepOutcome, SolveError> {
         validate(sys, x, h)?;
         resize(&mut self.k, x.len());
-        sys.derivatives(t, x, self.k.as_mut_slice());
-        for (xi, ki) in x.iter_mut().zip(self.k.iter()) {
-            *xi += h * ki;
-        }
+        let f = |_, t, x: &[f64], dx: &mut [f64]| sys.derivatives(t, x, dx);
+        euler_stages(f, t, h, [x], [[self.k.as_mut_slice()]]);
         ensure_finite(t + h, x)?;
         Ok(StepOutcome::fixed(h))
     }
@@ -333,10 +555,12 @@ impl Solver for ForwardEuler {
         true
     }
 
-    /// Width-aware batch step: one `derivatives_batch` evaluation across
-    /// all K lanes, then a single fused axpy sweep. Per-lane arithmetic is
-    /// the exact `x[i] += h * k[i]` of the scalar kernel, so every lane is
-    /// bit-identical to a standalone [`Solver::step`].
+    /// Width-aware batch step. A system that steps its own lanes
+    /// ([`BatchOdeSystem::step_lanes`]) runs the scheme in small blocks of
+    /// lanes; otherwise one `derivatives_batch` evaluation across all K
+    /// lanes, then a single fused axpy sweep. Per-lane arithmetic is the exact
+    /// `x[i] += h * k[i]` of the scalar kernel either way, so every lane
+    /// is bit-identical to a standalone [`Solver::step`].
     fn step_batch(
         &mut self,
         sys: &dyn BatchOdeSystem,
@@ -346,6 +570,11 @@ impl Solver for ForwardEuler {
         h: f64,
     ) -> Result<(), SolveError> {
         let k = batch_layout(sys, states, dim, h)?;
+        let scheme = ExplicitScheme::ForwardEuler;
+        resize_buf(&mut self.lane_scratch, scheme.scratch_len(dim));
+        if sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch) {
+            return ensure_finite(t + h, states);
+        }
         let n = states.len();
         resize_buf(&mut self.bxs, n);
         resize_buf(&mut self.bk, n);
@@ -425,6 +654,7 @@ pub struct Rk4 {
     bk3: Vec<f64>,
     bk4: Vec<f64>,
     bstage: Vec<f64>,
+    lane_scratch: Vec<f64>,
 }
 
 impl Rk4 {
@@ -459,22 +689,15 @@ impl Solver for Rk4 {
         for k in [&mut self.k1, &mut self.k2, &mut self.k3, &mut self.k4, &mut self.tmp] {
             resize(k, n);
         }
-        sys.derivatives(t, x, self.k1.as_mut_slice());
-        for i in 0..n {
-            self.tmp[i] = x[i] + 0.5 * h * self.k1[i];
-        }
-        sys.derivatives(t + 0.5 * h, self.tmp.as_slice(), self.k2.as_mut_slice());
-        for i in 0..n {
-            self.tmp[i] = x[i] + 0.5 * h * self.k2[i];
-        }
-        sys.derivatives(t + 0.5 * h, self.tmp.as_slice(), self.k3.as_mut_slice());
-        for i in 0..n {
-            self.tmp[i] = x[i] + h * self.k3[i];
-        }
-        sys.derivatives(t + h, self.tmp.as_slice(), self.k4.as_mut_slice());
-        for i in 0..n {
-            x[i] += h / 6.0 * (self.k1[i] + 2.0 * self.k2[i] + 2.0 * self.k3[i] + self.k4[i]);
-        }
+        let stages = [
+            [self.k1.as_mut_slice()],
+            [self.k2.as_mut_slice()],
+            [self.k3.as_mut_slice()],
+            [self.k4.as_mut_slice()],
+            [self.tmp.as_mut_slice()],
+        ];
+        let f = |_, t, x: &[f64], dx: &mut [f64]| sys.derivatives(t, x, dx);
+        rk4_stages(f, t, h, [x], stages);
         ensure_finite(t + h, x)?;
         Ok(StepOutcome::fixed(h))
     }
@@ -483,12 +706,16 @@ impl Solver for Rk4 {
         true
     }
 
-    /// Width-aware batch step: each RK stage is evaluated across all K
-    /// lanes before the next stage begins, with the stage-combine loops
-    /// fused into [`LANE_WIDTH`]-chunked sweeps over the variable-major
-    /// scratch. Per-lane arithmetic keeps the scalar kernel's expression
-    /// order (`x[i] + 0.5 * h * k[i]`, final `h / 6` weighted sum), so
-    /// every lane is bit-identical to a standalone [`Solver::step`].
+    /// Width-aware batch step. A system that steps its own lanes
+    /// ([`BatchOdeSystem::step_lanes`]) runs the scheme in small blocks of
+    /// lanes, each lane's four stages kept local. Otherwise each RK stage
+    /// is evaluated across all K lanes before the next stage begins, with
+    /// the stage-combine loops fused into
+    /// [`LANE_WIDTH`](crate::state::LANE_WIDTH)-chunked sweeps over the
+    /// variable-major scratch. Per-lane arithmetic keeps the scalar
+    /// kernel's expression order (`x[i] + 0.5 * h * k[i]`, final `h / 6`
+    /// weighted sum) either way, so every lane is bit-identical to a
+    /// standalone [`Solver::step`].
     fn step_batch(
         &mut self,
         sys: &dyn BatchOdeSystem,
@@ -498,6 +725,11 @@ impl Solver for Rk4 {
         h: f64,
     ) -> Result<(), SolveError> {
         let k = batch_layout(sys, states, dim, h)?;
+        let scheme = ExplicitScheme::Rk4;
+        resize_buf(&mut self.lane_scratch, scheme.scratch_len(dim));
+        if sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch) {
+            return ensure_finite(t + h, states);
+        }
         let n = states.len();
         for buf in [
             &mut self.bxs,
@@ -1256,5 +1488,97 @@ mod tests {
         if let Err(e) = result {
             assert!(matches!(e, SolveError::StepSizeUnderflow { .. }), "unexpected error {e:?}");
         }
+    }
+
+    /// Lanes of one equation with per-lane gains, stepped through the
+    /// fused lane hook: `dx_v = -g x_v + sin(x_{v+1}) + 0.1 t`.
+    struct GainLanes {
+        dim: usize,
+        gains: Vec<f64>,
+        fused: std::cell::Cell<usize>,
+    }
+
+    fn gain_derivative(g: f64, t: f64, x: &[f64], dx: &mut [f64]) {
+        for v in 0..x.len() {
+            dx[v] = -g * x[v] + x[(v + 1) % x.len()].sin() + 0.1 * t;
+        }
+    }
+
+    impl OdeSystem for GainLanes {
+        fn dim(&self) -> usize {
+            self.dim
+        }
+        fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
+            gain_derivative(self.gains[0], t, x, dx);
+        }
+    }
+
+    impl BatchOdeSystem for GainLanes {
+        fn step_lanes(
+            &self,
+            scheme: ExplicitScheme,
+            t: f64,
+            states: &mut [f64],
+            dim: usize,
+            h: f64,
+            scratch: &mut [f64],
+        ) -> bool {
+            self.fused.set(self.fused.get() + 1);
+            let lanes = self
+                .gains
+                .iter()
+                .map(|&g| move |t, x: &[f64], dx: &mut [f64]| gain_derivative(g, t, x, dx));
+            scheme.step_lanes(t, states, dim, h, scratch, lanes);
+            true
+        }
+    }
+
+    #[test]
+    fn fused_lanes_are_bit_identical_to_scalar_steps_on_arrays_and_slices() {
+        // Dims 1-8 run on const arrays, 9-12 on the solver's scratch.
+        for dim in 1..=CONST_LANE_DIM + 4 {
+            let gains = vec![0.5, 1.25, 2.0, 0.75, 3.0];
+            let sys = GainLanes { dim, gains: gains.clone(), fused: Default::default() };
+            let x0: Vec<f64> = (0..gains.len() * dim).map(|j| 0.3 * j as f64 - 1.0).collect();
+            for kind in [SolverKind::ForwardEuler, SolverKind::Rk4] {
+                let mut batch = x0.clone();
+                let mut solver = kind.create();
+                for step in 0..3 {
+                    solver
+                        .step_batch(&sys, 0.2 + step as f64 * 0.01, &mut batch, dim, 0.01)
+                        .unwrap();
+                }
+                for (i, &g) in gains.iter().enumerate() {
+                    let lane_sys = FnSystem::new(dim, move |t, x: &[f64], dx: &mut [f64]| {
+                        gain_derivative(g, t, x, dx)
+                    });
+                    let mut lane = x0[i * dim..(i + 1) * dim].to_vec();
+                    let mut scalar = kind.create();
+                    for step in 0..3 {
+                        scalar.step(&lane_sys, 0.2 + step as f64 * 0.01, &mut lane, 0.01).unwrap();
+                    }
+                    for v in 0..dim {
+                        assert_eq!(
+                            batch[i * dim + v].to_bits(),
+                            lane[v].to_bits(),
+                            "{kind} dim {dim} lane {i} var {v}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(sys.fused.get(), 6, "dim {dim}: every batch step took the fused hook");
+        }
+    }
+
+    #[test]
+    fn fused_lanes_report_non_finite_states_at_the_step_end() {
+        let sys = GainLanes { dim: 2, gains: vec![1.0, -1e308], fused: Default::default() };
+        let mut batch = vec![1.0, 1.0, 1e10, 1e10];
+        for mut solver in [SolverKind::ForwardEuler.create(), SolverKind::Rk4.create()] {
+            let err = solver.step_batch(&sys, 0.5, &mut batch.clone(), 2, 0.25).unwrap_err();
+            assert_eq!(err, SolveError::NonFiniteState { time: 0.75 }, "{}", solver.name());
+        }
+        batch.truncate(2);
+        assert!(Rk4::new().step_batch(&sys, 0.5, &mut batch, 2, 0.25).is_ok(), "one finite lane");
     }
 }

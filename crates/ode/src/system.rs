@@ -7,6 +7,7 @@
 
 use crate::error::SolveError;
 use crate::linalg::Matrix;
+use crate::solver::ExplicitScheme;
 
 /// A first-order system of ordinary differential equations.
 ///
@@ -89,28 +90,67 @@ pub trait BatchOdeSystem: OdeSystem {
             self.derivatives(t, states, dx);
             return;
         }
-        // Scalar fallback: gather one lane at a time, into stack scratch
-        // up to `SMALL_DIM` variables. The per-lane values fed to
-        // `derivatives` are exactly the scalar path's, so lanes stay
-        // bit-identical; only the traversal order changes.
-        const SMALL_DIM: usize = 16;
-        let mut stack = [0.0; 2 * SMALL_DIM];
-        let mut heap = Vec::new();
-        let scratch = if dim <= SMALL_DIM {
-            &mut stack[..2 * dim]
-        } else {
-            heap.resize(2 * dim, 0.0);
-            &mut heap[..]
-        };
-        let (x, d) = scratch.split_at_mut(dim);
-        for i in 0..k {
-            for v in 0..dim {
-                x[v] = states[v * k + i];
-            }
-            self.derivatives(t, x, d);
-            for v in 0..dim {
-                dx[v * k + i] = d[v];
-            }
+        derivatives_by_lane(states, dim, k, dx, |_, x, d| self.derivatives(t, x, d));
+    }
+
+    /// Advances the `states.len() / dim` *instance-major* lanes of
+    /// `states` (lane `i` at `[i * dim..(i + 1) * dim]`) by one step `h`
+    /// of `scheme` from `t` and returns `true`; or returns `false` with
+    /// `states` untouched, and the solver runs its variable-major kernel
+    /// over [`BatchOdeSystem::derivatives_batch`] instead (the default).
+    ///
+    /// Systems whose lanes differ, such as an ensemble row holding each
+    /// instance's own parameters, implement this with
+    /// [`ExplicitScheme::step_lanes`], which runs the scheme's own stage
+    /// arithmetic a few lanes at a time, so every lane stays bit-identical to a
+    /// scalar [`Solver::step`](crate::solver::Solver::step). `scratch` is
+    /// the solver's persistent buffer of at least
+    /// [`ExplicitScheme::scratch_len`] values, for lanes too wide for
+    /// local arrays.
+    fn step_lanes(
+        &self,
+        _scheme: ExplicitScheme,
+        _t: f64,
+        _states: &mut [f64],
+        _dim: usize,
+        _h: f64,
+        _scratch: &mut [f64],
+    ) -> bool {
+        false
+    }
+}
+
+/// Evaluates `k` variable-major lanes one at a time: lane `i` is gathered
+/// into contiguous scratch (on the stack up to 16 variables), `f(i, x_i,
+/// dx_i)` writes its derivative, and the result is scattered back. The
+/// values `f` sees are exactly a scalar evaluation's, so lanes stay
+/// bit-identical; only the traversal order changes. This is the
+/// [`BatchOdeSystem::derivatives_batch`] fallback for systems with no
+/// row sweep.
+pub fn derivatives_by_lane(
+    states: &[f64],
+    dim: usize,
+    k: usize,
+    dx: &mut [f64],
+    mut f: impl FnMut(usize, &[f64], &mut [f64]),
+) {
+    const SMALL_DIM: usize = 16;
+    let mut stack = [0.0; 2 * SMALL_DIM];
+    let mut heap = Vec::new();
+    let scratch = if dim <= SMALL_DIM {
+        &mut stack[..2 * dim]
+    } else {
+        heap.resize(2 * dim, 0.0);
+        &mut heap[..]
+    };
+    let (x, d) = scratch.split_at_mut(dim);
+    for i in 0..k {
+        for v in 0..dim {
+            x[v] = states[v * k + i];
+        }
+        f(i, x, d);
+        for v in 0..dim {
+            dx[v * k + i] = d[v];
         }
     }
 }

@@ -329,6 +329,15 @@ impl Controller {
     ///
     /// Returns [`RtError::BadLifecycle`] if the controller was not started.
     pub fn run_until(&mut self, t_end: f64) -> Result<usize, RtError> {
+        // Idle: nothing queued and no timer due by `t_end`, so the loop
+        // below would only move the clock.
+        if self.started
+            && self.queue.is_empty()
+            && self.timers.next_due().is_none_or(|due| due > t_end)
+        {
+            self.clock = self.clock.max(t_end);
+            return Ok(0);
+        }
         let mut n = self.run_until_quiescent()?;
         while let Some(due) = self.timers.next_due() {
             if due > t_end {
@@ -739,6 +748,47 @@ mod tests {
         c.run_until(0.1).unwrap();
         // Fired at 0.02, not 0.015 — the paper's "unpredictable timing".
         assert_eq!(c.now(), 0.1);
+    }
+
+    #[test]
+    fn idle_run_until_only_advances_the_clock() {
+        let mut c = Controller::new("idle");
+        c.start().unwrap();
+        assert_eq!(c.run_until(0.5).unwrap(), 0);
+        assert_eq!(c.now(), 0.5);
+        // The clock never runs backwards.
+        assert_eq!(c.run_until(0.25).unwrap(), 0);
+        assert_eq!(c.now(), 0.5);
+        assert_eq!(c.delivered_count(), 0);
+    }
+
+    #[test]
+    fn unstarted_run_until_is_still_a_lifecycle_error() {
+        let mut c = Controller::new("c");
+        assert!(matches!(c.run_until(1.0), Err(RtError::BadLifecycle { .. })));
+        c.add_capsule(counter_capsule("a"));
+        assert!(matches!(c.run_until(1.0), Err(RtError::BadLifecycle { .. })));
+        assert_eq!(c.now(), 0.0, "a refused call leaves the clock alone");
+    }
+
+    #[test]
+    fn pending_timer_fires_once_the_idle_clock_reaches_it() {
+        let m = StateMachineBuilder::new("t")
+            .state("s")
+            .initial("s", |_d: &mut u32, ctx: &mut CapsuleContext| {
+                ctx.inform_in(0.5, "deadline");
+            })
+            .internal("s", (TIMER_PORT, "deadline"), |d, _, _| *d += 1)
+            .build()
+            .unwrap();
+        let mut c = Controller::new("c");
+        c.add_capsule(Box::new(SmCapsule::new(m, 0u32)));
+        c.start().unwrap();
+        assert_eq!(c.run_until(0.25).unwrap(), 0, "not due yet");
+        assert_eq!(c.now(), 0.25);
+        assert_eq!(c.run_until(0.75).unwrap(), 1, "the pending timer fired");
+        assert_eq!(c.now(), 0.75);
+        assert_eq!(c.run_until(1.0).unwrap(), 0);
     }
 
     #[test]

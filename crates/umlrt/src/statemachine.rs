@@ -320,15 +320,10 @@ impl<D> StateMachine<D> {
     /// Panics if called before [`StateMachine::start`].
     pub fn dispatch(&mut self, data: &mut D, msg: &Message, ctx: &mut CapsuleContext) -> bool {
         assert!(self.started, "dispatch before start");
-        // Innermost-first search through the active state chain.
-        let mut source_chain = Vec::new();
-        let mut idx = Some(self.current);
-        while let Some(i) = idx {
-            source_chain.push(i);
-            idx = self.states[i].parent;
-        }
+        // Innermost-first search, walking the active state chain in place.
         let mut chosen: Option<usize> = None;
-        'outer: for &state in &source_chain {
+        let mut source = Some(self.current);
+        'outer: while let Some(state) = source {
             for (ti, tr) in self.transitions.iter().enumerate() {
                 if tr.source == state && tr.trigger.matches(msg) {
                     let pass = tr.guard.as_ref().is_none_or(|g| g(data, msg));
@@ -338,6 +333,7 @@ impl<D> StateMachine<D> {
                     }
                 }
             }
+            source = self.states[state].parent;
         }
         let Some(ti) = chosen else {
             return false;

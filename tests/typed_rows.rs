@@ -5,13 +5,17 @@
 //! path of the same ensemble.
 //!
 //! A seeded generator varies the lane count (1 to 65, including
-//! [`LANE_WIDTH`] remainders), the state dimension (1 to 8), per-lane
+//! [`LANE_WIDTH`] remainders), the state dimension (1 to 12, so lanes
+//! run both on the fused kernel's fixed-size arrays, up to
+//! [`CONST_LANE_DIM`], and on its scratch slices beyond), per-lane
 //! parameters through [`VariantSpec`], an upstream-fed input width, a
 //! non-identity output map, the solver (Euler or RK4) and the thread
 //! policy. A row whose factory alternates between two concrete system
-//! types must fall back to per-lane stepping and still match.
+//! types must fall back to per-lane stepping and still match. A lane
+//! that diverges must fail the row exactly as it fails alone.
 //!
 //! [`LANE_WIDTH`]: unified_rt::ode::LANE_WIDTH
+//! [`CONST_LANE_DIM`]: unified_rt::ode::solver::CONST_LANE_DIM
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -22,6 +26,7 @@ use unified_rt::core::ensemble::{EnsembleEngine, EnsembleKernel, VariantSpec};
 use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
+use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
 use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use unified_rt::ode::rng::Pcg32;
@@ -291,6 +296,13 @@ impl Case {
     /// Runs the `K`-instance ensemble under `kernel`; returns the recorder
     /// and the plant solver's call counts.
     fn run_ensemble(&self, kernel: EnsembleKernel) -> (Recorder, Arc<Calls>) {
+        let (mut ensemble, rec, calls) = self.ensemble(kernel);
+        ensemble.run_until(T_END).expect("ensemble run");
+        (rec, calls)
+    }
+
+    /// The `K`-instance ensemble under `kernel`, recorded, not yet run.
+    fn ensemble(&self, kernel: EnsembleKernel) -> (EnsembleEngine, Recorder, Arc<Calls>) {
         let calls = Arc::new(Calls::default());
         let case = self.clone();
         let c = calls.clone();
@@ -305,12 +317,18 @@ impl Case {
         ensemble.set_kernel(kernel);
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
-        ensemble.run_until(T_END).expect("ensemble run");
-        (rec, calls)
+        (ensemble, rec, calls)
     }
 
     /// Runs instance `i` alone on a `HybridEngine`.
     fn run_standalone(&self, i: usize) -> Recorder {
+        let (mut engine, rec) = self.standalone(i);
+        engine.run_until(T_END).expect("standalone run");
+        rec
+    }
+
+    /// Instance `i` alone on a recorded `HybridEngine`, not yet run.
+    fn standalone(&self, i: usize) -> (HybridEngine, Recorder) {
         let case = self.clone();
         let calls = Arc::new(Calls::default());
         let (model, registry) = self.model(i, move || {
@@ -322,8 +340,7 @@ impl Case {
         let mut engine = HybridEngine::from_compiled(&compiled, config).expect("engine");
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
-        engine.run_until(T_END).expect("standalone run");
-        rec
+        (engine, rec)
     }
 }
 
@@ -337,7 +354,7 @@ fn generate(rng: &mut Pcg32, index: usize) -> Case {
         3 => 65,
         _ => rng.gen_range_usize(1, 66),
     };
-    let dim = rng.gen_range_usize(1, 9);
+    let dim = rng.gen_range_usize(1, 13);
     let in_dim = if index.is_multiple_of(2) { rng.gen_range_usize(1, 4) } else { 0 };
     let out_dim = rng.gen_range_usize(1, 4);
     let base_gain = rng.gen_range_f64(0.5, 3.0);
@@ -450,6 +467,61 @@ fn mixed_type_row_falls_back_to_per_lane_steps_and_still_matches() {
         for series in case.series() {
             let name = EnsembleEngine::series_name(&series, i);
             assert_series_bit_identical(&rec.series(&name), &standalone.series(&series), &name);
+        }
+    }
+}
+
+#[test]
+fn a_diverging_lane_fails_the_typed_row_as_it_fails_alone() {
+    // Lane 3's negative gain makes `x' = 20000 x + ...` overflow within
+    // the run; the other lanes decay. Both schemes, both policies, and
+    // dims on both sides of the fused kernel's const-array range.
+    const BLOWUP_END: f64 = 1.0;
+    let shapes = [
+        (SolverKind::Rk4, ThreadPolicy::CurrentThread, 2),
+        (SolverKind::ForwardEuler, ThreadPolicy::CurrentThread, 10),
+        (SolverKind::Rk4, ThreadPolicy::DedicatedThreads, 10),
+        (SolverKind::ForwardEuler, ThreadPolicy::DedicatedThreads, 2),
+    ];
+    for (solver, policy, dim) in shapes {
+        let case = Case {
+            k: 5,
+            dim,
+            in_dim: 0,
+            out_dim: 1,
+            substep: 2e-3,
+            solver,
+            policy,
+            lanes: (0..5)
+                .map(|i| Lane {
+                    gain: if i == 3 { -20_000.0 } else { 1.0 },
+                    x0: vec![0.5; dim],
+                    drive: 1.0,
+                })
+                .collect(),
+        };
+        let what = format!("{solver}/{policy}/dim {dim}");
+        let (mut alone, _) = case.standalone(3);
+        let expected = alone.run_until(BLOWUP_END).expect_err("the lane diverges alone");
+        assert!(matches!(expected, CoreError::Flow(_)), "{what}: {expected}");
+        let failed_at = alone.step_count();
+        assert!(failed_at < 100, "{what}: the lane failed inside the run");
+        for kernel in [EnsembleKernel::Batched, EnsembleKernel::PerLane] {
+            let (mut ensemble, _, calls) = case.ensemble(kernel);
+            let err = ensemble.run_until(BLOWUP_END).expect_err("the row diverges");
+            let label = format!("{what}/{kernel:?}");
+            assert!(matches!(err, CoreError::Flow(_)), "{label}: {err}");
+            assert_eq!(err.to_string(), expected.to_string(), "{label}: error text");
+            assert_eq!(ensemble.step_count(), failed_at, "{label}: failed macro step");
+            let batched = calls.batched.load(Ordering::Relaxed) > 0;
+            assert_eq!(batched, kernel == EnsembleKernel::Batched, "{label}: kernel used");
+            for err in [
+                ensemble.run_until(2.0 * BLOWUP_END).expect_err("run_until after failure"),
+                ensemble.step_once().expect_err("step_once after failure"),
+            ] {
+                assert!(err.to_string().starts_with("URT111: "), "{label}: {err}");
+            }
+            assert_eq!(ensemble.step_count(), failed_at, "{label}: no step after the failure");
         }
     }
 }
