@@ -228,14 +228,17 @@ pub fn chain_network_tail(n: usize) -> (StreamerNetwork, NodeId) {
 pub struct WrappedVdp(pub VanDerPol);
 
 impl urt_ode::system::InputSystem for WrappedVdp {
+    #[inline]
     fn dim(&self) -> usize {
         2
     }
 
+    #[inline]
     fn input_dim(&self) -> usize {
         0
     }
 
+    #[inline]
     fn derivatives(&self, t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
         use urt_ode::system::OdeSystem;
         self.0.derivatives(t, x, dx);

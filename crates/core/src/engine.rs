@@ -7,9 +7,11 @@
 //! is a [`Controller`]; each streamer *group* (one declared solver
 //! thread) under [`ThreadPolicy::DedicatedThreads`] runs on its own
 //! worker, synchronised once per macro step. SPort links carry signal
-//! messages across the boundary in both directions over `std::sync::mpsc`
-//! channels. A model flow between streamers on different declared
-//! threads becomes a cross-group channel with a deterministic
+//! messages across the boundary in both directions as buffers swapped at
+//! that synchronisation: the controller's external outboxes towards the
+//! streamers, the behaviours' emitted signals back. A model flow
+//! between streamers on different declared threads becomes a
+//! cross-group channel with a deterministic
 //! one-macro-step delay: during step `k` the consumer reads the sample
 //! the producer wrote at the end of step `k - 1` (all-zero lanes at step
 //! 0), identically under both thread policies and any threaded batch

@@ -20,8 +20,9 @@
 //! [`StreamerBehavior::set_param`] before initialisation
 //! ([`VariantSpec`]).
 //!
-//! One macro step, per group: capsule→streamer SPort messages are
-//! delivered to their lanes (`on_signal`), cross-group channel inputs are
+//! One macro step, per group: capsule→streamer SPort messages, collected
+//! from each instance controller's external outboxes, are delivered to
+//! their lanes (`on_signal`), cross-group channel inputs are
 //! latched, the plan is replayed, channel outputs are published and
 //! probes are recorded. Signals the behaviours emit on linked SPorts are
 //! then injected into their instance's controller — per instance in group
@@ -34,6 +35,9 @@
 //! exchange may be due after any step), otherwise as long as the segment
 //! allows (capped by [`HybridEngine::set_max_batch`]), with the
 //! controllers catching up on the coordinator while the workers step.
+//! Both SPort directions cross between the coordinator and a worker the
+//! same way: as buffers swapped in the per-batch hand-off, so the steady
+//! state allocates nothing and takes no lock per message.
 //!
 //! **Determinism is the correctness anchor**: instance `i` of a
 //! `K`-ensemble is bit-identical to a standalone [`HybridEngine`] run
@@ -52,7 +56,7 @@ use crate::sync::{Mutex, SpinBarrier};
 use crate::threading::ThreadPolicy;
 use crate::time::SimClock;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan};
 use urt_dataflow::streamer::{LaneSlots, OdeRowKernel, StreamerBehavior};
@@ -175,6 +179,11 @@ type ChannelBufs = Arc<[Mutex<Vec<f64>>; 2]>;
 /// emitted on linked SPorts since the last routing, in plan order.
 type Emitted = Vec<Vec<(usize, Message)>>;
 
+/// `inbound[inbox * K + i]`: the messages instance `i`'s capsule sent
+/// into one group's `inbox`-th SPort link, in send order, awaiting
+/// delivery at the start of the next macro step.
+type Inbound = Vec<Vec<Message>>;
+
 /// One end of a cross-group channel, held by the group it touches.
 struct ChannelEnd {
     bufs: ChannelBufs,
@@ -195,13 +204,28 @@ struct Probe {
     handles: Vec<SeriesHandle>,
 }
 
-/// The streamer end of one SPort link: messages the capsule sends, one
-/// receiver per instance, delivered to the linked row's lanes.
+/// The streamer end of one SPort link: the capsule's sends collect in
+/// external outbox `endpoint` of every instance's controller and are
+/// delivered to the linked row's lanes.
+#[derive(Clone, Copy)]
 struct Inbox {
     /// Plan row of the linked streamer (`None` for a relay, which has no
     /// behaviour to deliver to).
     row: Option<usize>,
-    rx: Vec<Receiver<Message>>,
+    endpoint: usize,
+}
+
+/// Swaps every inbox's pending capsule→streamer messages out of the
+/// instance controllers' outboxes into `inbound`, whose buffers must be
+/// drained; the controllers keep those empty buffers, capacity included.
+fn collect_inbound(inboxes: &[Inbox], controllers: &mut [Controller], inbound: &mut Inbound) {
+    let k = controllers.len();
+    for (j, inbox) in inboxes.iter().enumerate() {
+        for (controller, buf) in controllers.iter_mut().zip(&mut inbound[j * k..(j + 1) * k]) {
+            debug_assert!(buf.is_empty(), "inbound buffers are drained before a swap");
+            std::mem::swap(controller.external_outbox(inbox.endpoint), buf);
+        }
+    }
 }
 
 /// One group's state: the shared routing plan, `K` instance-major copies
@@ -231,6 +255,7 @@ struct GroupState {
     outgoing: Vec<ChannelEnd>,
     probes: Vec<Probe>,
     inboxes: Vec<Inbox>,
+    inbound: Inbound,
     /// `routes[node]`: the node's linked SPorts as `(sport, link)` pairs —
     /// direct indexing to the node, then a scan over its (almost always
     /// 0–2) links.
@@ -269,6 +294,7 @@ impl GroupState {
             outgoing: Vec::new(),
             probes: Vec::new(),
             inboxes: Vec::new(),
+            inbound: Vec::new(),
         }
     }
 
@@ -281,14 +307,15 @@ impl GroupState {
             .position(|pn| pn.node == node)
     }
 
-    /// One macro step of all `k` instances: deliver capsule messages,
-    /// latch channel inputs (slot `step % 2`), replay the plan, publish
-    /// channel outputs (slot `(step + 1) % 2`) and record probes at the
-    /// post-step instant `t`. `step` is the pre-step macro-step count.
+    /// One macro step of all `k` instances: deliver the collected
+    /// capsule messages, latch channel inputs (slot `step % 2`), replay
+    /// the plan, publish channel outputs (slot `(step + 1) % 2`) and
+    /// record probes at the post-step instant `t`. `step` is the pre-step
+    /// macro-step count.
     fn macro_step(&mut self, h: f64, k: usize, step: u64, t: f64) -> Result<(), CoreError> {
-        for inbox in &self.inboxes {
-            for (i, rx) in inbox.rx.iter().enumerate() {
-                while let Ok(msg) = rx.try_recv() {
+        for (inbox, per_instance) in self.inboxes.iter().zip(self.inbound.chunks_mut(k)) {
+            for (i, buf) in per_instance.iter_mut().enumerate() {
+                for msg in buf.drain(..) {
                     if let Some(r) = inbox.row {
                         self.behaviours[r * k + i].on_signal(&msg);
                     }
@@ -774,14 +801,17 @@ impl EnsembleEngine {
                 sport: sport.to_owned(),
             });
         }
-        let mut rx = Vec::with_capacity(self.k);
-        for controller in &mut self.controllers {
-            let (tx, r) = channel();
-            controller.connect_external(capsule, capsule_port, tx)?;
-            rx.push(r);
+        // Every instance controller is built from one compiled system, so
+        // the wiring hands each the same outbox index.
+        let mut endpoint = 0;
+        for (i, controller) in self.controllers.iter_mut().enumerate() {
+            let e = controller.connect_external(capsule, capsule_port)?;
+            debug_assert!(i == 0 || e == endpoint, "instance controllers share one wiring");
+            endpoint = e;
         }
         gs.routes[node.index()].push((sport.to_owned(), link));
-        gs.inboxes.push(Inbox { row: gs.row_of(node), rx });
+        gs.inboxes.push(Inbox { row: gs.row_of(node), endpoint });
+        gs.inbound.resize_with(gs.inbound.len() + self.k, Vec::new);
         self.links.push((capsule, capsule_port.to_owned()));
         Ok(())
     }
@@ -1076,6 +1106,7 @@ impl EnsembleEngine {
         // thread policies stamp on probes and hand to the controllers.
         let t = next.seconds();
         for gs in &mut self.groups {
+            collect_inbound(&gs.inboxes, &mut self.controllers, &mut gs.inbound);
             gs.macro_step(h, self.k, step, t)?;
         }
         self.clock = next;
@@ -1119,12 +1150,27 @@ impl EnsembleEngine {
             clock: SimClock,
             /// Drained signal buffers, swapped for the group's own.
             spare: Emitted,
+            /// Collected capsule messages, swapped for the group's own
+            /// (drained) buffers.
+            inbound: Inbound,
         }
         struct Done {
             result: Result<(), CoreError>,
             /// Macro steps of the batch the group completed.
             completed: u64,
             emitted: Emitted,
+            /// The group's drained inbound buffers, the next batch's
+            /// collection target.
+            inbound: Inbound,
+        }
+        /// The coordinator's end of one group worker, with the spare
+        /// buffers of both SPort directions.
+        struct Worker {
+            batch_tx: Sender<Batch>,
+            done_rx: Receiver<Done>,
+            inboxes: Vec<Inbox>,
+            emitted: Emitted,
+            inbound: Inbound,
         }
         let h = self.config.step;
         let k = self.k;
@@ -1140,9 +1186,16 @@ impl EnsembleEngine {
                 let (batch_tx, batch_rx) = channel::<Batch>();
                 let (done_tx, done_rx) = channel::<Done>();
                 let barrier = barrier.as_ref().filter(|_| touches_channel(gs));
-                workers.push((batch_tx, done_rx, vec![Vec::new(); k]));
+                workers.push(Worker {
+                    batch_tx,
+                    done_rx,
+                    inboxes: gs.inboxes.clone(),
+                    emitted: vec![Vec::new(); k],
+                    inbound: vec![Vec::new(); gs.inbound.len()],
+                });
                 scope.spawn(move || {
-                    while let Ok(Batch { len, mut clock, spare }) = batch_rx.recv() {
+                    while let Ok(Batch { len, mut clock, spare, inbound }) = batch_rx.recv() {
+                        let drained = std::mem::replace(&mut gs.inbound, inbound);
                         let mut result = Ok(());
                         let mut completed = 0;
                         for s in 0..len {
@@ -1164,7 +1217,8 @@ impl EnsembleEngine {
                             }
                         }
                         let emitted = std::mem::replace(&mut gs.emitted, spare);
-                        if done_tx.send(Done { result, completed, emitted }).is_err() {
+                        let done = Done { result, completed, emitted, inbound: drained };
+                        if done_tx.send(done).is_err() {
                             break;
                         }
                     }
@@ -1178,9 +1232,15 @@ impl EnsembleEngine {
                     runner.begin();
                 }
                 let start = clock.clone();
-                for (batch_tx, _, spare) in &mut workers {
-                    let batch = Batch { len, clock: clock.clone(), spare: std::mem::take(spare) };
-                    batch_tx.send(batch).map_err(|_| engine_err("worker gone".into()))?;
+                for w in &mut workers {
+                    collect_inbound(&w.inboxes, controllers, &mut w.inbound);
+                    let batch = Batch {
+                        len,
+                        clock: clock.clone(),
+                        spare: std::mem::take(&mut w.emitted),
+                        inbound: std::mem::take(&mut w.inbound),
+                    };
+                    w.batch_tx.send(batch).map_err(|_| engine_err("worker gone".into()))?;
                 }
                 if linked {
                     clock.tick(h);
@@ -1199,10 +1259,11 @@ impl EnsembleEngine {
                 // the local path leaves it.
                 let mut completed = len;
                 let mut failure = None;
-                for (gi, (_, done_rx, spare)) in workers.iter_mut().enumerate() {
-                    let result = match done_rx.recv() {
+                for (gi, w) in workers.iter_mut().enumerate() {
+                    let result = match w.done_rx.recv() {
                         Ok(done) => {
-                            *spare = done.emitted;
+                            w.emitted = done.emitted;
+                            w.inbound = done.inbound;
                             completed = completed.min(done.completed);
                             done.result
                         }
@@ -1221,7 +1282,7 @@ impl EnsembleEngine {
                     return Err(e);
                 }
                 if linked {
-                    inject_signals(controllers, links, workers.iter_mut().map(|w| &mut w.2))?;
+                    inject_signals(controllers, links, workers.iter_mut().map(|w| &mut w.emitted))?;
                     run_controllers(controllers, t_next)?;
                 }
                 if let Some(runner) = paced.as_deref_mut() {

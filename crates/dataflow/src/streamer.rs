@@ -377,6 +377,9 @@ pub struct OdeStreamer<S: InputSystem + Clone + Send + 'static> {
     x0: Vec<f64>,
     guards: Vec<ZeroCrossing>,
     guard_values: Vec<f64>,
+    /// The state at the start of the macro step, kept for crossing
+    /// localisation; filled only when there are guards.
+    x_before: Vec<f64>,
     handler: Option<SignalHandler<S>>,
     emitted: Vec<(String, Message)>,
     /// SPort through which guard crossings are announced.
@@ -422,6 +425,7 @@ impl<S: InputSystem + Clone + Send + 'static> OdeStreamer<S> {
             x0: x0.to_vec(),
             guards: Vec::new(),
             guard_values: Vec::new(),
+            x_before: Vec::new(),
             handler: None,
             emitted: Vec::new(),
             event_sport: "events".to_owned(),
@@ -494,17 +498,20 @@ impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S
     fn advance(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
         let driver = self.driver.as_mut().ok_or(SolveError::InvalidStep { step: h })?;
         let frozen = FrozenInput::new(&self.system, u);
-        let x_before: Vec<f64> = driver.state().as_slice().to_vec();
+        if !self.guards.is_empty() {
+            self.x_before.clear();
+            self.x_before.extend_from_slice(driver.state().as_slice());
+        }
         let t_end = t + h;
         let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
         while driver.time() < t_end - resolution {
             driver.advance(&frozen, self.solver.as_mut(), t_end)?;
         }
         // Zero-crossing check over the macro step.
-        let x_after = driver.state().as_slice().to_vec();
+        let x_after = driver.state().as_slice();
         for (i, guard) in self.guards.iter().enumerate() {
             let before = self.guard_values[i];
-            let after = guard.eval(t_end, &x_after);
+            let after = guard.eval(t_end, x_after);
             if guard.direction().matches(before, after) {
                 // Localise with a scratch RK4 over the frozen system.
                 let mut scratch = Rk4::new();
@@ -513,7 +520,7 @@ impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S
                     &mut scratch,
                     std::slice::from_ref(guard),
                     t,
-                    &x_before,
+                    &self.x_before,
                     t_end,
                     1e-9,
                 )?;
@@ -525,7 +532,7 @@ impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S
             }
             self.guard_values[i] = after;
         }
-        self.system.output(t_end, &x_after, u, y);
+        self.system.output(t_end, x_after, u, y);
         Ok(())
     }
 

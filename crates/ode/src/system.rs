@@ -449,10 +449,12 @@ pub mod library {
     }
 
     impl OdeSystem for HarmonicOscillator {
+        #[inline]
         fn dim(&self) -> usize {
             2
         }
 
+        #[inline]
         fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
             dx[0] = x[1];
             dx[1] = -self.omega * self.omega * x[0];
@@ -460,6 +462,7 @@ pub mod library {
     }
 
     impl BatchOdeSystem for HarmonicOscillator {
+        #[inline]
         fn derivatives_batch(
             &self,
             _t: f64,
@@ -486,10 +489,12 @@ pub mod library {
     }
 
     impl OdeSystem for VanDerPol {
+        #[inline]
         fn dim(&self) -> usize {
             2
         }
 
+        #[inline]
         fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
             dx[0] = x[1];
             dx[1] = self.mu * (1.0 - x[0] * x[0]) * x[1] - x[0];
@@ -497,6 +502,7 @@ pub mod library {
     }
 
     impl BatchOdeSystem for VanDerPol {
+        #[inline]
         fn derivatives_batch(
             &self,
             _t: f64,
@@ -537,10 +543,12 @@ pub mod library {
     }
 
     impl OdeSystem for Pendulum {
+        #[inline]
         fn dim(&self) -> usize {
             2
         }
 
+        #[inline]
         fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
             dx[0] = x[1];
             dx[1] = -(self.gravity / self.length) * x[0].sin() - self.damping * x[1];

@@ -46,15 +46,17 @@ pub struct TimerRequest {
 /// ctx.send("out", "ping", Value::Empty);
 /// let outbox = ctx.take_outbox();
 /// assert_eq!(outbox.len(), 1);
-/// assert_eq!(outbox[0].0, "out");
+/// assert_eq!(outbox[0].port(), "out");
 /// ```
 #[derive(Debug)]
 pub struct CapsuleContext {
     now: f64,
     capsule: String,
-    outbox: Vec<(String, Message)>,
-    timer_sets: Vec<TimerRequest>,
-    timer_cancels: Vec<TimerId>,
+    /// Recorded sends in send order, each addressed to the port it was
+    /// sent out of.
+    pub(crate) outbox: Vec<Message>,
+    pub(crate) timer_sets: Vec<TimerRequest>,
+    pub(crate) timer_cancels: Vec<TimerId>,
     next_timer_id: u64,
 }
 
@@ -69,6 +71,17 @@ impl CapsuleContext {
             timer_cancels: Vec::new(),
             next_timer_id,
         }
+    }
+
+    /// Rebinds a drained context to the capsule about to run, keeping
+    /// its buffers (and the timer-id counter) so a controller reuses one
+    /// context for every run-to-completion step.
+    pub(crate) fn rebind(&mut self, capsule: &str, now: f64) {
+        debug_assert!(self.outbox.is_empty() && self.timer_sets.is_empty());
+        debug_assert!(self.timer_cancels.is_empty());
+        self.now = now;
+        self.capsule.clear();
+        self.capsule.push_str(capsule);
     }
 
     /// Creates a free-standing context for unit tests.
@@ -99,8 +112,11 @@ impl CapsuleContext {
         value: Value,
         priority: Priority,
     ) {
-        let msg = Message::new(signal, value).with_priority(priority).with_sent_at(self.now);
-        self.outbox.push((port.to_owned(), msg));
+        let msg = Message::new(signal, value)
+            .with_priority(priority)
+            .with_sent_at(self.now)
+            .with_port(port);
+        self.outbox.push(msg);
     }
 
     /// Arms a one-shot timer; the `signal` arrives on the reserved `timer`
@@ -131,8 +147,9 @@ impl CapsuleContext {
         self.timer_cancels.push(id);
     }
 
-    /// Drains recorded sends: `(port, message)` pairs in send order.
-    pub fn take_outbox(&mut self) -> Vec<(String, Message)> {
+    /// Drains recorded sends in send order; each message's
+    /// [`port`](Message::port) is the port it was sent out of.
+    pub fn take_outbox(&mut self) -> Vec<Message> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -255,9 +272,11 @@ mod tests {
         ctx.send_with_priority("b", "two", Value::Int(5), Priority::Panic);
         let out = ctx.take_outbox();
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, "a");
-        assert_eq!(out[0].1.sent_at(), 2.0);
-        assert_eq!(out[1].1.priority(), Priority::Panic);
+        assert_eq!(out[0].port(), "a");
+        assert_eq!(out[0].signal(), "one");
+        assert_eq!(out[0].sent_at(), 2.0);
+        assert_eq!(out[1].port(), "b");
+        assert_eq!(out[1].priority(), Priority::Panic);
         assert!(ctx.take_outbox().is_empty(), "drained");
     }
 

@@ -3,7 +3,14 @@
 //! A UML-RT *controller* owns a set of capsule instances and a message
 //! queue; each physical thread runs one controller. The paper's unified
 //! engine (in `urt-core`) puts capsules on controller threads and streamers
-//! on solver threads, bridged by channels — this type is the capsule side.
+//! on solver threads — this type is the capsule side. Messages leave the
+//! controller through *external outboxes* ([`Controller::connect_external`])
+//! that its owner drains.
+//!
+//! The steady-state message path allocates nothing: port tables are
+//! per-capsule vectors searched by borrowed name, every run-to-completion
+//! step records into one reused [`CapsuleContext`], the queue's priority
+//! bands are ring buffers, and messages carry short names inline.
 
 use crate::capsule::{Capsule, CapsuleContext};
 use crate::error::RtError;
@@ -12,17 +19,65 @@ use crate::port::{PortDecl, PortKind};
 use crate::protocol::Protocol;
 use crate::timing::TimerService;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::mpsc::Sender;
 
-/// Where messages sent from a `(capsule, port)` pair go.
+/// Where messages sent out of one capsule port go.
 #[derive(Debug, Clone)]
 enum Endpoint {
-    /// Another capsule in this controller.
+    /// Another capsule in this controller, arriving on `port`.
     Capsule { index: usize, port: String },
-    /// Out of the controller, e.g. to a streamer SPort or the environment.
-    External(Sender<Message>),
+    /// Out of the controller, e.g. to a streamer SPort or the environment:
+    /// the index of an external outbox.
+    External(usize),
+}
+
+/// One capsule's wiring. A capsule has a handful of ports, so a scan by
+/// borrowed name beats hashing and builds no key.
+#[derive(Debug, Default)]
+struct PortTable {
+    /// `(port, endpoint)`: where sends out of `port` go.
+    routes: Vec<(String, Endpoint)>,
+    /// `(port, capsule, target)`: messages arriving on `port` are
+    /// forwarded to port `target` of `capsule`.
+    relays: Vec<(String, usize, String)>,
+    /// Declared ports.
+    decls: Vec<PortDecl>,
+}
+
+impl PortTable {
+    fn route(&self, port: &str) -> Option<&Endpoint> {
+        self.routes.iter().find(|(p, _)| p == port).map(|(_, e)| e)
+    }
+
+    fn set_route(&mut self, port: &str, endpoint: Endpoint) {
+        match self.routes.iter_mut().find(|(p, _)| p == port) {
+            Some(slot) => slot.1 = endpoint,
+            None => self.routes.push((port.to_owned(), endpoint)),
+        }
+    }
+
+    fn decl(&self, port: &str) -> Option<&PortDecl> {
+        self.decls.iter().find(|d| d.name() == port)
+    }
+}
+
+/// Follows relay chains from `(capsule, port)`, with bounded hops to
+/// survive accidental cycles.
+fn resolve_relays<'a>(
+    tables: &'a [PortTable],
+    mut capsule: usize,
+    mut port: &'a str,
+) -> (usize, &'a str) {
+    for _ in 0..16 {
+        match tables[capsule].relays.iter().find(|(p, _, _)| p == port) {
+            Some((_, c, p)) => {
+                capsule = *c;
+                port = p;
+            }
+            None => break,
+        }
+    }
+    (capsule, port)
 }
 
 /// A single-threaded UML-RT controller.
@@ -31,13 +86,19 @@ enum Endpoint {
 pub struct Controller {
     name: String,
     capsules: Vec<Box<dyn Capsule>>,
-    routes: HashMap<(usize, String), Endpoint>,
-    relays: HashMap<(usize, String), (usize, String)>,
-    ports: HashMap<(usize, String), PortDecl>,
+    /// `tables[i]`: capsule `i`'s routes, relays and declared ports.
+    tables: Vec<PortTable>,
+    /// External outboxes, by the index [`Controller::connect_external`]
+    /// returned: messages sent out of the controller, in send order,
+    /// until the owner drains them.
+    outboxes: Vec<Vec<Message>>,
     queue: MessageQueue,
     timers: TimerService,
+    /// The context every run-to-completion step records into; drained
+    /// by [`Controller::apply_effects`] after each step. It also carries
+    /// the controller's timer-id counter.
+    ctx: CapsuleContext,
     clock: f64,
-    next_timer_id: u64,
     started: bool,
     tracer: Option<Tracer>,
     dropped: u64,
@@ -61,13 +122,12 @@ impl Controller {
         Controller {
             name: name.into(),
             capsules: Vec::new(),
-            routes: HashMap::new(),
-            relays: HashMap::new(),
-            ports: HashMap::new(),
+            tables: Vec::new(),
+            outboxes: Vec::new(),
             queue: MessageQueue::new(),
             timers: TimerService::new(),
+            ctx: CapsuleContext::new("", 0.0, 0),
             clock: 0.0,
-            next_timer_id: 0,
             started: false,
             tracer: None,
             dropped: 0,
@@ -93,6 +153,7 @@ impl Controller {
     /// Adds a capsule, returning its index for wiring.
     pub fn add_capsule(&mut self, capsule: Box<dyn Capsule>) -> usize {
         self.capsules.push(capsule);
+        self.tables.push(PortTable::default());
         self.capsules.len() - 1
     }
 
@@ -127,18 +188,17 @@ impl Controller {
     /// * [`RtError::UnknownCapsule`] for a bad index.
     /// * [`RtError::BadPort`] if the port was already declared.
     pub fn declare_port(&mut self, capsule: usize, decl: PortDecl) -> Result<(), RtError> {
-        if capsule >= self.capsules.len() {
+        let Some(table) = self.tables.get_mut(capsule) else {
             return Err(RtError::UnknownCapsule { index: capsule });
-        }
-        let key = (capsule, decl.name().to_owned());
-        if self.ports.contains_key(&key) {
+        };
+        if table.decl(decl.name()).is_some() {
             return Err(RtError::BadPort {
                 capsule: self.capsules[capsule].name().to_owned(),
                 port: decl.name().to_owned(),
                 reason: "already declared".into(),
             });
         }
-        self.ports.insert(key, decl);
+        table.decls.push(decl);
         Ok(())
     }
 
@@ -157,37 +217,47 @@ impl Controller {
                 return Err(RtError::UnknownCapsule { index: idx });
             }
         }
-        let pa = self.ports.get(&(a.0, a.1.to_owned())).and_then(PortDecl::protocol);
-        let pb = self.ports.get(&(b.0, b.1.to_owned())).and_then(PortDecl::protocol);
+        let pa = self.tables[a.0].decl(a.1).and_then(PortDecl::protocol);
+        let pb = self.tables[b.0].decl(b.1).and_then(PortDecl::protocol);
         if let (Some(pa), Some(pb)) = (pa, pb) {
             if !Protocol::compatible(pa, pb) {
                 return Err(RtError::IncompatiblePorts { detail: format!("{pa} vs {pb}") });
             }
         }
-        self.routes
-            .insert((a.0, a.1.to_owned()), Endpoint::Capsule { index: b.0, port: b.1.to_owned() });
-        self.routes
-            .insert((b.0, b.1.to_owned()), Endpoint::Capsule { index: a.0, port: a.1.to_owned() });
+        self.tables[a.0].set_route(a.1, Endpoint::Capsule { index: b.0, port: b.1.to_owned() });
+        self.tables[b.0].set_route(b.1, Endpoint::Capsule { index: a.0, port: a.1.to_owned() });
         Ok(())
     }
 
     /// Routes messages sent on `(capsule, port)` out of the controller,
-    /// e.g. to a streamer thread or a test harness.
+    /// e.g. to a streamer thread or a test harness, and returns the index
+    /// of the external outbox they collect in (see
+    /// [`Controller::external_outbox`]).
     ///
     /// # Errors
     ///
     /// Returns [`RtError::UnknownCapsule`] for a bad index.
-    pub fn connect_external(
-        &mut self,
-        capsule: usize,
-        port: &str,
-        sender: Sender<Message>,
-    ) -> Result<(), RtError> {
-        if capsule >= self.capsules.len() {
+    pub fn connect_external(&mut self, capsule: usize, port: &str) -> Result<usize, RtError> {
+        let Some(table) = self.tables.get_mut(capsule) else {
             return Err(RtError::UnknownCapsule { index: capsule });
-        }
-        self.routes.insert((capsule, port.to_owned()), Endpoint::External(sender));
-        Ok(())
+        };
+        let endpoint = self.outboxes.len();
+        table.set_route(port, Endpoint::External(endpoint));
+        self.outboxes.push(Vec::new());
+        Ok(endpoint)
+    }
+
+    /// The messages sent out of external outbox `endpoint` and not yet
+    /// drained, in send order, each addressed to the port it was sent
+    /// out of. The owner drains them (or swaps in an empty buffer, which
+    /// keeps both buffers' capacity); an undrained outbox keeps growing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `endpoint` was not returned by
+    /// [`Controller::connect_external`].
+    pub fn external_outbox(&mut self, endpoint: usize) -> &mut Vec<Message> {
+        &mut self.outboxes[endpoint]
     }
 
     /// Declares that messages *arriving* at `(capsule, from_port)` are
@@ -207,7 +277,12 @@ impl Controller {
                 return Err(RtError::UnknownCapsule { index: idx });
             }
         }
-        self.relays.insert((capsule, from_port.to_owned()), (target.0, target.1.to_owned()));
+        let relays = &mut self.tables[capsule].relays;
+        let relay = (from_port.to_owned(), target.0, target.1.to_owned());
+        match relays.iter_mut().find(|(p, _, _)| p == from_port) {
+            Some(slot) => *slot = relay,
+            None => relays.push(relay),
+        }
         Ok(())
     }
 
@@ -220,7 +295,7 @@ impl Controller {
         if capsule >= self.capsules.len() {
             return Err(RtError::UnknownCapsule { index: capsule });
         }
-        let (capsule, port) = self.resolve_relays(capsule, port);
+        let (capsule, port) = resolve_relays(&self.tables, capsule, port);
         self.queue.push(capsule, message.with_port(port));
         Ok(())
     }
@@ -236,13 +311,7 @@ impl Controller {
         }
         self.started = true;
         for i in 0..self.capsules.len() {
-            let mut ctx =
-                CapsuleContext::new(self.capsules[i].name(), self.clock, self.next_timer_id);
-            // Temporarily move the capsule out to satisfy the borrow checker.
-            let mut capsule = std::mem::replace(&mut self.capsules[i], Box::new(NullCapsule));
-            capsule.on_start(&mut ctx);
-            self.capsules[i] = capsule;
-            self.apply_effects(i, ctx);
+            self.start_capsule(i);
         }
         Ok(())
     }
@@ -288,11 +357,9 @@ impl Controller {
         };
         let idx = queued.capsule;
         let msg = queued.message;
-        let mut ctx =
-            CapsuleContext::new(self.capsules[idx].name(), self.clock, self.next_timer_id);
-        let mut capsule = std::mem::replace(&mut self.capsules[idx], Box::new(NullCapsule));
-        capsule.on_message(&msg, &mut ctx);
-        self.capsules[idx] = capsule;
+        let capsule = &mut self.capsules[idx];
+        self.ctx.rebind(capsule.name(), self.clock);
+        capsule.on_message(&msg, &mut self.ctx);
         self.delivered += 1;
         if let Some(tracer) = &self.tracer {
             tracer.record(TraceEvent {
@@ -305,7 +372,7 @@ impl Controller {
                 },
             });
         }
-        self.apply_effects(idx, ctx);
+        self.apply_effects(idx);
         Ok(true)
     }
 
@@ -344,18 +411,20 @@ impl Controller {
                 break;
             }
             self.clock = due.max(self.clock);
-            for fired in self.timers.pop_due(self.clock) {
-                if let Some(tracer) = &self.tracer {
+            let (clock, capsules, tracer, queue) =
+                (self.clock, &self.capsules, &self.tracer, &mut self.queue);
+            self.timers.fire_due(clock, |fired| {
+                if let Some(tracer) = tracer {
                     tracer.record(TraceEvent {
-                        time: self.clock,
+                        time: clock,
                         kind: TraceKind::TimerFired {
-                            capsule: self.capsules[fired.capsule].name().to_owned(),
+                            capsule: capsules[fired.capsule].name().to_owned(),
                             signal: fired.message.signal().to_owned(),
                         },
                     });
                 }
-                self.queue.push(fired.capsule, fired.message);
-            }
+                queue.push(fired.capsule, fired.message);
+            });
             n += self.run_until_quiescent()?;
         }
         self.clock = self.clock.max(t_end);
@@ -378,12 +447,7 @@ impl Controller {
     pub fn incarnate(&mut self, capsule: Box<dyn Capsule>) -> Result<usize, RtError> {
         let index = self.add_capsule(capsule);
         if self.started {
-            let mut ctx =
-                CapsuleContext::new(self.capsules[index].name(), self.clock, self.next_timer_id);
-            let mut capsule = std::mem::replace(&mut self.capsules[index], Box::new(NullCapsule));
-            capsule.on_start(&mut ctx);
-            self.capsules[index] = capsule;
-            self.apply_effects(index, ctx);
+            self.start_capsule(index);
         }
         Ok(index)
     }
@@ -400,35 +464,33 @@ impl Controller {
             return Err(RtError::UnknownCapsule { index });
         }
         self.capsules[index] = Box::new(NullCapsule);
-        self.routes.retain(|(c, _), endpoint| {
-            *c != index
-                && !matches!(endpoint, Endpoint::Capsule { index: dest, .. } if *dest == index)
-        });
-        self.relays.retain(|(c, _), (dest, _)| *c != index && *dest != index);
+        let own = &mut self.tables[index];
+        own.routes.clear();
+        own.relays.clear();
+        for table in &mut self.tables {
+            table.routes.retain(
+                |(_, endpoint)| !matches!(endpoint, Endpoint::Capsule { index: dest, .. } if *dest == index),
+            );
+            table.relays.retain(|(_, dest, _)| *dest != index);
+        }
         Ok(())
     }
 
-    /// Resolves relay chains (bounded hops to survive accidental cycles).
-    fn resolve_relays(&self, mut capsule: usize, port: &str) -> (usize, String) {
-        let mut port = port.to_owned();
-        for _ in 0..16 {
-            match self.relays.get(&(capsule, port.clone())) {
-                Some((c, p)) => {
-                    capsule = *c;
-                    port = p.clone();
-                }
-                None => break,
-            }
-        }
-        (capsule, port)
+    /// Runs the initial transition of the capsule at `index`.
+    fn start_capsule(&mut self, index: usize) {
+        let capsule = &mut self.capsules[index];
+        self.ctx.rebind(capsule.name(), self.clock);
+        capsule.on_start(&mut self.ctx);
+        self.apply_effects(index);
     }
 
-    fn apply_effects(&mut self, sender: usize, mut ctx: CapsuleContext) {
-        self.next_timer_id = ctx.next_timer_id();
+    /// Applies and drains the effects the last run-to-completion step of
+    /// capsule `sender` recorded in the shared context.
+    fn apply_effects(&mut self, sender: usize) {
         // Sets before cancels: a timer armed and cancelled within one
         // run-to-completion step is pending when its cancel arrives, so
         // it never fires.
-        for req in ctx.take_timer_sets() {
+        for req in self.ctx.timer_sets.drain(..) {
             let due = self.timers.schedule(
                 sender,
                 req.id,
@@ -447,35 +509,37 @@ impl Controller {
                 });
             }
         }
-        for id in ctx.take_timer_cancels() {
+        for id in self.ctx.timer_cancels.drain(..) {
             self.timers.cancel(id);
         }
-        for (port, message) in ctx.take_outbox() {
-            self.route(sender, &port, message);
+        // Routing needs `&mut self`: borrow the outbox out and hand it
+        // back drained, keeping its capacity.
+        let mut outbox = std::mem::take(&mut self.ctx.outbox);
+        for message in outbox.drain(..) {
+            self.route(sender, message);
         }
+        self.ctx.outbox = outbox;
     }
 
-    fn route(&mut self, sender: usize, port: &str, message: Message) {
+    /// Routes one message capsule `sender` sent; its port is the port it
+    /// was sent out of.
+    fn route(&mut self, sender: usize, message: Message) {
         if let Some(tracer) = &self.tracer {
             tracer.record(TraceEvent {
                 time: self.clock,
                 kind: TraceKind::Sent {
                     from: self.capsules[sender].name().to_owned(),
-                    port: port.to_owned(),
+                    port: message.port().to_owned(),
                     signal: message.signal().to_owned(),
                 },
             });
         }
-        match self.routes.get(&(sender, port.to_owned())) {
-            Some(Endpoint::Capsule { index, port: dest_port }) => {
-                let (index, dest_port) = self.resolve_relays(*index, dest_port);
-                self.queue.push(index, message.with_port(dest_port));
+        match self.tables[sender].route(message.port()) {
+            Some(Endpoint::Capsule { index, port }) => {
+                let (index, port) = resolve_relays(&self.tables, *index, port);
+                self.queue.push(index, message.with_port(port));
             }
-            Some(Endpoint::External(tx)) => {
-                if tx.send(message.with_port(port)).is_err() {
-                    self.dropped += 1;
-                }
-            }
+            Some(Endpoint::External(endpoint)) => self.outboxes[*endpoint].push(message),
             None => {
                 self.dropped += 1;
                 if let Some(tracer) = &self.tracer {
@@ -483,7 +547,7 @@ impl Controller {
                         time: self.clock,
                         kind: TraceKind::Dropped {
                             from: self.capsules[sender].name().to_owned(),
-                            port: port.to_owned(),
+                            port: message.port().to_owned(),
                             signal: message.signal().to_owned(),
                         },
                     });
@@ -493,7 +557,7 @@ impl Controller {
     }
 }
 
-/// Placeholder swapped in while a capsule runs (never receives messages).
+/// Tombstone left in a destroyed capsule's slot (never receives messages).
 struct NullCapsule;
 
 impl Capsule for NullCapsule {
@@ -520,7 +584,6 @@ mod tests {
     use crate::statemachine::StateMachineBuilder;
     use crate::timing::TIMER_PORT;
     use crate::value::Value;
-    use std::sync::mpsc::channel;
 
     fn counter_capsule(name: &str) -> Box<dyn Capsule> {
         let m = StateMachineBuilder::new(name)
@@ -621,17 +684,25 @@ mod tests {
             .state("s")
             .initial("s", |_d: &mut (), ctx: &mut CapsuleContext| {
                 ctx.send("ext", "hello", Value::Real(1.0));
+                ctx.send("ext", "again", Value::Real(2.0));
             })
             .build()
             .unwrap();
         let mut c = Controller::new("c");
         let i = c.add_capsule(Box::new(SmCapsule::new(m, ())));
-        let (tx, rx) = channel();
-        c.connect_external(i, "ext", tx).unwrap();
+        let first = c.connect_external(i, "ext").unwrap();
+        let second = c.connect_external(i, "other").unwrap();
+        assert_ne!(first, second, "each wiring gets its own outbox");
         c.start().unwrap();
-        let got = rx.try_recv().unwrap();
-        assert_eq!(got.signal(), "hello");
-        assert_eq!(got.port(), "ext");
+        let got: Vec<Message> = c.external_outbox(first).drain(..).collect();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].signal(), "hello");
+        assert_eq!(got[0].port(), "ext");
+        assert_eq!(got[1].value(), &Value::Real(2.0));
+        assert!(c.external_outbox(first).is_empty(), "drained");
+        assert!(c.external_outbox(second).is_empty());
+        assert_eq!(c.dropped_count(), 0);
+        assert!(matches!(c.connect_external(9, "ext"), Err(RtError::UnknownCapsule { index: 9 })));
     }
 
     #[test]

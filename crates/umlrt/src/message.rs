@@ -1,8 +1,7 @@
 //! Prioritised signal messages and the run-to-completion message queue.
 
 use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// UML-RT message priority bands, highest first.
@@ -40,7 +39,66 @@ impl fmt::Display for Priority {
     }
 }
 
+/// Longest signal or port name, in bytes, that a [`Message`] stores
+/// inline; a longer name costs one boxed copy.
+pub const INLINE_NAME_BYTES: usize = 22;
+
+/// A signal or port name: inline up to [`INLINE_NAME_BYTES`] bytes, so
+/// building, copying and re-addressing a message with short names never
+/// touches the heap. Both variants fit in the 24 bytes of a `String`.
+#[derive(Clone)]
+enum Name {
+    /// `bytes[..len]` is a copy of a whole `&str`.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_NAME_BYTES],
+    },
+    Boxed(Box<str>),
+}
+
+impl Name {
+    #[inline]
+    fn new(name: &str) -> Self {
+        if name.len() <= INLINE_NAME_BYTES {
+            let mut bytes = [0; INLINE_NAME_BYTES];
+            bytes[..name.len()].copy_from_slice(name.as_bytes());
+            Name::Inline { len: name.len() as u8, bytes }
+        } else {
+            Name::Boxed(name.into())
+        }
+    }
+
+    #[inline]
+    fn as_str(&self) -> &str {
+        match self {
+            // SAFETY: `Name::new` is the only constructor, and it copies
+            // all the bytes of a `&str` (never a partial character) into
+            // `bytes[..len]`, so they are valid UTF-8.
+            Name::Inline { len, bytes } => unsafe {
+                std::str::from_utf8_unchecked(&bytes[..usize::from(*len)])
+            },
+            Name::Boxed(name) => name,
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// An asynchronous signal message.
+///
+/// Signal and port names of at most [`INLINE_NAME_BYTES`] bytes are
+/// stored inline, so sending, routing and re-addressing such a message
+/// allocates nothing.
 ///
 /// # Examples
 ///
@@ -54,66 +112,74 @@ impl fmt::Display for Priority {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    signal: String,
+    signal: Name,
     value: Value,
     priority: Priority,
     /// Destination port on the receiving capsule; filled in by routing.
-    port: String,
+    port: Name,
     /// Virtual time the message was sent, seconds.
     sent_at: f64,
 }
 
 impl Message {
     /// Creates a message with [`Priority::General`].
-    pub fn new(signal: impl Into<String>, value: Value) -> Self {
+    pub fn new(signal: impl AsRef<str>, value: Value) -> Self {
         Message {
-            signal: signal.into(),
+            signal: Name::new(signal.as_ref()),
             value,
             priority: Priority::General,
-            port: String::new(),
+            port: Name::new(""),
             sent_at: 0.0,
         }
     }
 
     /// Sets the priority (builder style).
+    #[inline]
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
     }
 
     /// Sets the destination port name (builder style; used by routing).
-    pub fn with_port(mut self, port: impl Into<String>) -> Self {
-        self.port = port.into();
+    #[inline]
+    pub fn with_port(mut self, port: impl AsRef<str>) -> Self {
+        self.port = Name::new(port.as_ref());
         self
     }
 
     /// Sets the send timestamp (builder style; used by the controller).
+    #[inline]
     pub fn with_sent_at(mut self, t: f64) -> Self {
         self.sent_at = t;
         self
     }
 
     /// The signal name.
+    #[inline]
     pub fn signal(&self) -> &str {
-        &self.signal
+        self.signal.as_str()
     }
 
     /// The payload.
+    #[inline]
     pub fn value(&self) -> &Value {
         &self.value
     }
 
     /// The priority band.
+    #[inline]
     pub fn priority(&self) -> Priority {
         self.priority
     }
 
     /// The port this message arrived on (empty until routed).
+    #[inline]
     pub fn port(&self) -> &str {
-        &self.port
+        self.port.as_str()
     }
 
     /// Virtual send time in seconds.
+    #[inline]
     pub fn sent_at(&self) -> f64 {
         self.sent_at
     }
@@ -121,7 +187,7 @@ impl Message {
 
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({}) on `{}`", self.signal, self.value, self.port)
+        write!(f, "{}({}) on `{}`", self.signal(), self.value, self.port())
     }
 }
 
@@ -132,32 +198,10 @@ pub struct QueuedMessage {
     pub capsule: usize,
     /// The message itself.
     pub message: Message,
-    seq: u64,
-}
-
-impl PartialEq for QueuedMessage {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for QueuedMessage {}
-
-impl Ord for QueuedMessage {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Higher priority first; FIFO within a band (smaller seq first).
-        self.message.priority.cmp(&other.message.priority).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for QueuedMessage {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// The controller's run-to-completion queue: strict priority bands with
-/// FIFO order inside each band.
+/// FIFO order inside each band, one ring buffer per [`Priority`].
 ///
 /// # Examples
 ///
@@ -174,8 +218,10 @@ impl PartialOrd for QueuedMessage {
 /// ```
 #[derive(Debug, Default)]
 pub struct MessageQueue {
-    heap: BinaryHeap<QueuedMessage>,
-    next_seq: u64,
+    /// `bands[p as usize]` holds the pending messages of priority `p`,
+    /// oldest first.
+    bands: [VecDeque<QueuedMessage>; Priority::ALL.len()],
+    len: usize,
 }
 
 impl MessageQueue {
@@ -185,25 +231,31 @@ impl MessageQueue {
     }
 
     /// Enqueues `message` for capsule index `capsule`.
+    #[inline]
     pub fn push(&mut self, capsule: usize, message: Message) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(QueuedMessage { capsule, message, seq });
+        self.bands[message.priority as usize].push_back(QueuedMessage { capsule, message });
+        self.len += 1;
     }
 
     /// Dequeues the highest-priority, oldest message.
+    #[inline]
     pub fn pop(&mut self) -> Option<QueuedMessage> {
-        self.heap.pop()
+        if self.len == 0 {
+            return None;
+        }
+        let queued = self.bands.iter_mut().rev().find_map(VecDeque::pop_front);
+        self.len -= 1;
+        queued
     }
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no messages are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 }
 
@@ -255,6 +307,61 @@ mod tests {
         assert_eq!(q.pop().unwrap().message.signal(), "then-high");
         assert_eq!(q.pop().unwrap().message.signal(), "then-general");
         assert_eq!(q.pop().unwrap().message.signal(), "first-low");
+    }
+
+    #[test]
+    fn names_are_inline_up_to_the_limit_and_boxed_beyond() {
+        assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
+        let at_limit = "s".repeat(INLINE_NAME_BYTES);
+        let beyond = "é".repeat(INLINE_NAME_BYTES);
+        assert!(matches!(Name::new(&at_limit), Name::Inline { .. }));
+        assert!(matches!(Name::new(&beyond), Name::Boxed(_)));
+        let m = Message::new(&beyond, Value::Empty).with_port(&at_limit);
+        assert_eq!(m.signal(), beyond);
+        assert_eq!(m.port(), at_limit);
+        // Multi-byte characters up to the limit stay whole.
+        assert_eq!(Message::new("ü→x", Value::Empty).signal(), "ü→x");
+        assert_eq!(m.clone(), m);
+    }
+
+    #[test]
+    fn debug_output_reads_like_string_fields() {
+        let m = Message::new("go", Value::Int(3)).with_port("ctl");
+        assert_eq!(
+            format!("{m:?}"),
+            "Message { signal: \"go\", value: Int(3), priority: General, port: \"ctl\", \
+             sent_at: 0.0 }"
+        );
+    }
+
+    #[test]
+    fn banded_queue_matches_a_stable_sort_by_priority() {
+        // xorshift64*: a seeded, dependency-free draw of priorities.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut draw = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let pushed: Vec<(usize, Priority)> =
+            (0..1000).map(|i| (i, Priority::ALL[(draw() % 5) as usize])).collect();
+        let mut q = MessageQueue::new();
+        for &(i, p) in &pushed {
+            q.push(i % 7, Message::new(format!("m{i}"), Value::Int(i as i64)).with_priority(p));
+        }
+        assert_eq!(q.len(), 1000);
+        let mut reference = pushed.clone();
+        // Stable: equal priorities keep push order.
+        reference.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
+        for &(i, p) in &reference {
+            let got = q.pop().expect("queue holds every push");
+            assert_eq!(got.capsule, i % 7);
+            assert_eq!(got.message.value().as_int(), Some(i as i64));
+            assert_eq!(got.message.priority(), p);
+        }
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
     }
 
     #[test]

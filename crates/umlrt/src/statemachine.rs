@@ -301,12 +301,7 @@ impl<D> StateMachine<D> {
             action(data, ctx);
         }
         // Enter from the root down to the initial state, then descend.
-        let path = self.path_from_root(self.initial);
-        for idx in path {
-            if let Some(entry) = self.states[idx].entry.as_mut() {
-                entry(data, ctx);
-            }
-        }
+        self.enter_down_to(None, self.initial, data, ctx);
         self.current = self.descend_to_leaf(self.initial, data, ctx);
     }
 
@@ -373,29 +368,33 @@ impl<D> StateMachine<D> {
                     action(data, msg, ctx);
                 }
                 // Enter from below the LCA down to the target.
-                let path = self.path_from_root(target);
-                let skip =
-                    lca.map_or(0, |l| path.iter().position(|&p| p == l).map_or(0, |pos| pos + 1));
-                for &s in &path[skip..] {
-                    if let Some(entry) = self.states[s].entry.as_mut() {
-                        entry(data, ctx);
-                    }
-                }
+                self.enter_down_to(lca, target, data, ctx);
                 self.current = self.descend_to_leaf(target, data, ctx);
             }
         }
         true
     }
 
-    fn path_from_root(&self, state: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut idx = Some(state);
-        while let Some(i) = idx {
-            path.push(i);
-            idx = self.states[i].parent;
+    /// Runs the entry actions on the path from just below `above` (the
+    /// root when `None`, or when `above` is not an ancestor of `state`)
+    /// down to `state`, outermost first. Recursing up the parent chain
+    /// keeps the walk allocation-free; the depth is the nesting depth.
+    fn enter_down_to(
+        &mut self,
+        above: Option<usize>,
+        state: usize,
+        data: &mut D,
+        ctx: &mut CapsuleContext,
+    ) {
+        if Some(state) == above {
+            return;
         }
-        path.reverse();
-        path
+        if let Some(parent) = self.states[state].parent {
+            self.enter_down_to(above, parent, data, ctx);
+        }
+        if let Some(entry) = self.states[state].entry.as_mut() {
+            entry(data, ctx);
+        }
     }
 
     fn descend_to_leaf(&mut self, state: usize, data: &mut D, ctx: &mut CapsuleContext) -> usize {
@@ -426,22 +425,23 @@ impl<D> StateMachine<D> {
         if source == target {
             return self.states[source].parent;
         }
-        let chain = |mut s: usize| {
-            let mut v = vec![s];
-            while let Some(p) = self.states[s].parent {
-                v.push(p);
-                s = p;
+        // Walks both parent chains in place: the first of `source`'s
+        // ancestors (itself included) that also encloses `target`.
+        let encloses = |outer: usize, mut s: usize| loop {
+            if s == outer {
+                return true;
             }
-            v
+            match self.states[s].parent {
+                Some(p) => s = p,
+                None => return false,
+            }
         };
-        let b = chain(target);
-        for &x in &chain(source) {
-            if b.contains(&x) {
-                if x == target {
-                    return self.states[x].parent;
-                }
-                return Some(x);
+        let mut x = Some(source);
+        while let Some(s) = x {
+            if encloses(s, target) {
+                return if s == target { self.states[s].parent } else { Some(s) };
             }
+            x = self.states[s].parent;
         }
         None
     }

@@ -22,7 +22,9 @@ struct TimerEntry {
     seq: u64,
     id: TimerId,
     capsule: usize,
-    signal: String,
+    /// The timeout message every firing delivers, stamped with its due
+    /// time; its inline signal name makes a firing allocation-free.
+    message: Message,
     period: Option<f64>,
 }
 
@@ -130,7 +132,10 @@ impl TimerService {
         let due = self.quantize(now + delay.max(0.0));
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(TimerEntry { due, seq, id, capsule, signal: signal.to_owned(), period });
+        let message = Message::new(signal, Value::Int(id.0 as i64))
+            .with_port(TIMER_PORT)
+            .with_priority(Priority::High);
+        self.heap.push(TimerEntry { due, seq, id, capsule, message, period });
         due
     }
 
@@ -148,25 +153,31 @@ impl TimerService {
         self.heap.peek().map(|top| top.due)
     }
 
-    /// Pops every timer due at or before `now`, re-arming periodic ones.
-    pub fn pop_due(&mut self, now: f64) -> Vec<FiredTimer> {
-        let mut fired = Vec::new();
+    /// Fires every timer due at or before `now` into `sink`, earliest
+    /// first, re-arming periodic ones. Allocates nothing for signal names
+    /// of at most [`INLINE_NAME_BYTES`](crate::message::INLINE_NAME_BYTES)
+    /// bytes.
+    pub fn fire_due(&mut self, now: f64, mut sink: impl FnMut(FiredTimer)) {
         while let Some(due) = self.next_due() {
             if due > now + 1e-12 {
                 break;
             }
             let entry = self.heap.pop().expect("peeked entry exists");
-            let message = Message::new(entry.signal.clone(), Value::Int(entry.id.0 as i64))
-                .with_port(TIMER_PORT)
-                .with_priority(Priority::High)
-                .with_sent_at(entry.due);
-            fired.push(FiredTimer { capsule: entry.capsule, message, id: entry.id });
+            let message = entry.message.clone().with_sent_at(entry.due);
+            sink(FiredTimer { capsule: entry.capsule, message, id: entry.id });
             if let Some(period) = entry.period {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.heap.push(TimerEntry { due: self.quantize(entry.due + period), seq, ..entry });
             }
         }
+    }
+
+    /// Pops every timer due at or before `now`, re-arming periodic ones
+    /// (see [`TimerService::fire_due`]).
+    pub fn pop_due(&mut self, now: f64) -> Vec<FiredTimer> {
+        let mut fired = Vec::new();
+        self.fire_due(now, |f| fired.push(f));
         fired
     }
 

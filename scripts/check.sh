@@ -35,6 +35,20 @@ for workload in fig2-loop sweep-k64 reactive-sport; do
     esac
 done
 
+# The traced paths call `Controller::inject`/`run_until` and
+# `StreamerBehavior::take_emitted` directly, so they gate the SPort round
+# trip outside the engine: four supervisors answer one status each per step.
+echo "==> perfbench: one-second traced seed-1 run of reactive-sport"
+traced_out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload reactive-sport --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+case "$traced_out" in
+    '{"correct": true,'*'"failed": 0,'*'"controller.delivered_per_step": {"value": 4,'*) ;;
+    *)
+        echo "perfbench reactive-sport failed its traced gate: $traced_out" >&2
+        exit 1
+        ;;
+esac
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

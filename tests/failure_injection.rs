@@ -16,7 +16,6 @@ use unified_rt::ode::system::FnInputSystem;
 use unified_rt::ode::SolveError;
 use unified_rt::umlrt::capsule::{CapsuleContext, SmCapsule};
 use unified_rt::umlrt::controller::Controller;
-use unified_rt::umlrt::message::Message;
 use unified_rt::umlrt::statemachine::StateMachineBuilder;
 
 fn idle_controller() -> Controller {
@@ -139,19 +138,31 @@ fn unstarted_controller_rejects_stepping() {
 }
 
 #[test]
-fn messages_to_dead_external_links_count_as_dropped() {
+fn undrained_outbox_keeps_messages_and_only_unwired_sends_drop() {
     let sm = StateMachineBuilder::new("talker")
         .state("s")
         .initial("s", |_d: &mut (), ctx: &mut CapsuleContext| {
-            ctx.send("ext", "hello", unified_rt::umlrt::value::Value::Empty);
+            for i in 0..3 {
+                ctx.send("ext", "hello", unified_rt::umlrt::value::Value::Int(i));
+                ctx.send("nowhere", "lost", unified_rt::umlrt::value::Value::Int(i));
+            }
         })
         .build()
         .expect("sm");
     let mut c = Controller::new("ev");
     let idx = c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-    let (tx, rx) = std::sync::mpsc::channel::<Message>();
-    c.connect_external(idx, "ext", tx).expect("wire");
-    drop(rx); // receiver dies before start
+    let endpoint = c.connect_external(idx, "ext").expect("wire");
     c.start().expect("start");
-    assert_eq!(c.dropped_count(), 1, "send into a dead channel is a drop");
+    // Nobody drains the outbox: every send on the wired port waits there,
+    // in send order, and none of them counts as a drop.
+    let pending: Vec<(String, Option<i64>)> = c
+        .external_outbox(endpoint)
+        .iter()
+        .map(|m| (m.signal().to_owned(), m.value().as_int()))
+        .collect();
+    let expected: Vec<(String, Option<i64>)> =
+        (0..3).map(|i| ("hello".to_owned(), Some(i))).collect();
+    assert_eq!(pending, expected, "the undrained outbox keeps every message in order");
+    assert!(c.external_outbox(endpoint).iter().all(|m| m.port() == "ext"));
+    assert_eq!(c.dropped_count(), 3, "only the sends on the unwired port are drops");
 }
