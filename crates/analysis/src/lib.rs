@@ -32,10 +32,6 @@
 //!    refuses, and `URT304` recommends a feasibility-pruned
 //!    `assign_thread` partition before anything runs.
 //!
-//! [`analyze_network`] runs the network half over an executable
-//! [`StreamerNetwork`]: undriven inputs, algebraic loops, dead outputs and
-//! degenerate relays.
-//!
 //! [`compile`] is the pipeline front door: it injects the analyzer as
 //! the elaboration gate and lowers a clean model plus a behaviour
 //! registry into an executable `CompiledSystem` — error-severity
@@ -62,7 +58,6 @@ pub mod examples;
 pub mod flow_pass;
 pub mod machine_pass;
 pub mod model_pass;
-pub mod network_pass;
 pub mod stubs;
 pub mod thread_pass;
 
@@ -71,7 +66,6 @@ pub use diagnostic::{render_json_report, Diagnostic, Severity};
 use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::model::UnifiedModel;
 use urt_core::CoreError;
-use urt_dataflow::graph::StreamerNetwork;
 
 /// Runs every analysis pass over a declarative model and returns all
 /// findings sorted by (severity, code, path, message) — deterministic
@@ -83,14 +77,6 @@ pub fn analyze(model: &UnifiedModel) -> Vec<Diagnostic> {
     thread_pass::run(model, &mut out);
     flow_pass::run(model, &mut out);
     cost_pass::run(model, &mut out);
-    sort_report(&mut out);
-    out
-}
-
-/// Runs the network-level passes over an executable streamer network.
-pub fn analyze_network(net: &StreamerNetwork) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    network_pass::run(net, &mut out);
     sort_report(&mut out);
     out
 }

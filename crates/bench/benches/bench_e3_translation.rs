@@ -4,12 +4,11 @@
 //! Runs on the in-tree [`urt_bench::timer`] harness.
 
 use urt_baselines::kuhl::translate_diagram;
-use urt_bench::feedback_diagram;
-use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::StreamerNetwork;
+use urt_bench::{feedback_diagram, native_diagram_model};
+use urt_core::engine::{EngineConfig, HybridEngine};
+use urt_core::threading::ThreadPolicy;
 
 fn main() {
-    use std::hint::black_box;
     use urt_bench::timer::{bench, bench_batched, report_header};
 
     println!("{}", report_header());
@@ -30,18 +29,13 @@ fn main() {
         );
         println!("{report}");
 
-        let mut net = StreamerNetwork::new("native");
-        let streamer = feedback_diagram(n).into_streamer("plant").expect("compile");
         // The diagram exposes one output per loop.
-        let outs: Vec<(String, FlowType)> =
-            (0..n).map(|i| (format!("y{i}"), FlowType::scalar())).collect();
-        let outs_ref: Vec<(&str, FlowType)> =
-            outs.iter().map(|(s, t)| (s.as_str(), t.clone())).collect();
-        net.add_streamer(streamer, &[], &outs_ref).expect("add");
-        net.initialize(0.0).expect("init");
+        let compiled = native_diagram_model(n, move || feedback_diagram(n));
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+        let mut engine = HybridEngine::from_compiled(&compiled, config).expect("engine");
         let report = bench(&format!("e3_translation/native_streamer_10steps/{n}"), 200, || {
             for _ in 0..10 {
-                net.step(black_box(0.01)).expect("step");
+                engine.step_once().expect("step");
             }
         });
         println!("{report}");

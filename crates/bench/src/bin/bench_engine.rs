@@ -33,7 +33,7 @@
 //! `kernel = scalar` ([`EnsembleKernel::PerLane`]) and once with
 //! `kernel = batched` (the default), over `K ∈ {16, 64, 256}` (`{16,
 //! 64}` in smoke). The workloads here must actually carry ODE lanes, so
-//! `fig2` on this axis is the ODE-backed variant ([`urt_bench::fig2_ode_network`]:
+//! `fig2` on this axis is the ODE-backed variant ([`urt_bench::fig2_model`]:
 //! `sub1` integrates the oscillator with RK4 rather than evaluating
 //! `sin(2t)` in closed form) and `chain` is the usual Van der Pol-fed
 //! pipeline. Both kernels produce bit-identical series — the equivalence
@@ -89,7 +89,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use urt_bench::{SineOsc, WrappedVdp};
+use urt_bench::fig2_model;
 use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
 use urt_core::ensemble::{EnsembleEngine, EnsembleKernel};
@@ -483,88 +483,6 @@ fn measure_paced(
     }
 }
 
-/// Figure 2 as a one-group compiled model: `sub1` (closed-form `sin(2t)`,
-/// or with `ode` the RK4-integrated [`SineOsc`] of [`urt_bench::fig2_ode_network`])
-/// fanned out to a doubler `sub2` and a squarer `sub3`; `sub2.y` is
-/// probed as `y0`.
-fn fig2_axis_model(ode: bool) -> CompiledSystem {
-    let mut b = ModelBuilder::new("fig2-axis");
-    let s1 = b.streamer("sub1", if ode { "rk4" } else { "none" });
-    b.streamer_out(s1, "y", FlowType::scalar());
-    b.streamer_feedthrough(s1, !ode);
-    let registry = BehaviorRegistry::new()
-        .streamer("sub1", move || -> Box<dyn StreamerBehavior> {
-            if ode {
-                let osc = SineOsc { omega: 2.0 };
-                Box::new(OdeStreamer::new("sub1", osc, SolverKind::Rk4.create(), &[0.0, 2.0], 1e-4))
-            } else {
-                Box::new(FnStreamer::new("sub1", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                    y[0] = (2.0 * t).sin()
-                }))
-            }
-        })
-        .streamer("sub2", || {
-            Box::new(FnStreamer::new("sub2", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                y[0] = 2.0 * u[0]
-            }))
-        })
-        .streamer("sub3", || {
-            Box::new(FnStreamer::new("sub3", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                y[0] = u[0] * u[0]
-            }))
-        });
-    for name in ["sub2", "sub3"] {
-        let s = b.streamer(name, "none");
-        b.streamer_in(s, "u", FlowType::scalar());
-        b.streamer_out(s, "y", FlowType::scalar());
-        b.flow_between_streamers(s1, "y", s, "u");
-        if name == "sub2" {
-            b.probe(s, "y", "y0");
-        }
-    }
-    urt_analysis::compile(&b.build(), registry).expect("fig2 axis model compiles")
-}
-
-/// [`urt_bench::chain_network_tail`] as a one-group compiled model: an RK4 Van der
-/// Pol oscillator, a vec2 → scalar adapter and `CHAIN_STAGES - 1` gains,
-/// the last gain probed as `y0`.
-fn chain_axis_model() -> CompiledSystem {
-    let mut b = ModelBuilder::new("chain-axis");
-    let vdp = b.streamer("vdp0", "rk4");
-    b.streamer_out(vdp, "y", FlowType::vector(2));
-    b.streamer_feedthrough(vdp, false);
-    let adapter = b.streamer("adapter", "none");
-    b.streamer_in(adapter, "u", FlowType::vector(2));
-    b.streamer_out(adapter, "y", FlowType::scalar());
-    b.flow_between_streamers(vdp, "y", adapter, "u");
-    let mut registry = BehaviorRegistry::new()
-        .streamer("vdp0", || {
-            let system = WrappedVdp(VanDerPol { mu: 1.0 });
-            Box::new(OdeStreamer::new("vdp0", system, SolverKind::Rk4.create(), &[2.0, 0.0], 1e-3))
-        })
-        .streamer("adapter", || {
-            Box::new(FnStreamer::new("adapter", 2, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                y[0] = u[0]
-            }))
-        });
-    let mut tail = adapter;
-    for i in 1..CHAIN_STAGES {
-        let name = format!("gain{i}");
-        let s = b.streamer(&name, "none");
-        b.streamer_in(s, "u", FlowType::scalar());
-        b.streamer_out(s, "y", FlowType::scalar());
-        b.flow_between_streamers(tail, "y", s, "u");
-        registry = registry.streamer(name.clone(), move || {
-            Box::new(FnStreamer::new(name.clone(), 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                y[0] = 0.99 * u[0]
-            }))
-        });
-        tail = s;
-    }
-    b.probe(tail, "y", "y0");
-    urt_analysis::compile(&b.build(), registry).expect("chain axis model compiles")
-}
-
 /// Workloads for the ensemble axis: one-group compiled models with no
 /// capsules and no channels, so the measurement isolates per-instance
 /// routing overhead.
@@ -585,8 +503,8 @@ impl EnsembleWorkload {
     /// The compiled model, probed on its tail as `y0`.
     fn compiled(self) -> CompiledSystem {
         match self {
-            EnsembleWorkload::Fig2 => fig2_axis_model(false),
-            EnsembleWorkload::Chain => chain_axis_model(),
+            EnsembleWorkload::Fig2 => fig2_model(false),
+            EnsembleWorkload::Chain => urt_bench::chain_model(CHAIN_STAGES),
         }
     }
 }
@@ -730,8 +648,8 @@ impl KernelWorkload {
     /// The compiled model, probed on its tail as `y0`.
     fn compiled(self) -> CompiledSystem {
         match self {
-            KernelWorkload::Fig2 => fig2_axis_model(true),
-            KernelWorkload::Chain => chain_axis_model(),
+            KernelWorkload::Fig2 => fig2_model(true),
+            KernelWorkload::Chain => urt_bench::chain_model(CHAIN_STAGES),
         }
     }
 }

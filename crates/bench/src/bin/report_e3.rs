@@ -4,9 +4,8 @@
 //! Run with: `cargo run --release -p urt-bench --bin report_e3`
 
 use urt_baselines::kuhl::{annotation_loss, measure_messages_per_step, translate_diagram};
-use urt_bench::feedback_diagram;
+use urt_bench::{feedback_diagram, native_diagram_model};
 use urt_dataflow::flowtype::{FlowType, Unit};
-use urt_dataflow::graph::StreamerNetwork;
 
 fn main() {
     println!("E3. Kuhl translation vs native streamer (feedback PI loops)");
@@ -19,15 +18,9 @@ fn main() {
         let (mut controller, report) = translate_diagram(diagram, 0.01).expect("translate");
         let msg = measure_messages_per_step(&mut controller, 0.01, 20).expect("measure");
 
-        // Native: the same diagram becomes exactly one streamer node
+        // Native: the same diagram compiles into exactly one streamer
         // (with one output DPort per loop).
-        let native = feedback_diagram(n_loops).into_streamer("plant").expect("compile");
-        let outs: Vec<(String, FlowType)> =
-            (0..n_loops).map(|i| (format!("y{i}"), FlowType::scalar())).collect();
-        let outs_ref: Vec<(&str, FlowType)> =
-            outs.iter().map(|(s, t)| (s.as_str(), t.clone())).collect();
-        let mut net = StreamerNetwork::new("native");
-        net.add_streamer(native, &[], &outs_ref).expect("add");
+        let native = native_diagram_model(n_loops, move || feedback_diagram(n_loops));
         println!(
             "| {:<5} | {:<6} | {:<13} | {:<10} | {:<13.1} | {:<16} |",
             n_loops,
@@ -35,7 +28,7 @@ fn main() {
             report.capsule_count,
             report.port_count,
             msg,
-            net.node_count()
+            native.streamer_count()
         );
     }
     println!();

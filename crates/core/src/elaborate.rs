@@ -283,6 +283,12 @@ impl CompiledSystem {
         self.links.len()
     }
 
+    /// Number of leaf streamers placed as nodes (container streamers
+    /// contribute none).
+    pub fn streamer_count(&self) -> usize {
+        self.streamer_loc.len()
+    }
+
     /// Where a leaf streamer landed, as `(group, node)`.
     pub fn streamer_node(&self, name: &str) -> Option<(usize, NodeId)> {
         self.streamer_loc.get(name).copied()

@@ -58,7 +58,7 @@ use crate::time::SimClock;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, PlanNodeKind, StepPlan};
+use urt_dataflow::graph::{NodeId, StepPlan};
 use urt_dataflow::streamer::{LaneSlots, OdeRowKernel, StreamerBehavior};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
@@ -167,6 +167,63 @@ struct BatchRow {
     states: Vec<f64>,
 }
 
+impl BatchRow {
+    /// Advances the row's lanes to `t_end` through the typed kernel: the
+    /// lanes' states are gathered into the staging, stepped on the
+    /// scalar path's sub-step schedule, written out through `y_at`, and
+    /// synced back into each lane's driver.
+    fn advance(
+        &mut self,
+        lanes: &mut [Box<dyn StreamerBehavior>],
+        t_end: f64,
+        ins: &[f64],
+        u_at: LaneSlots,
+        outs: &mut [f64],
+        y_at: LaneSlots,
+    ) -> Result<(), CoreError> {
+        let dim = self.dim;
+        for (i, b) in lanes.iter().enumerate() {
+            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
+            let x = lane.lane_state().expect("batch rows are initialized");
+            self.states[i * dim..(i + 1) * dim].copy_from_slice(x);
+        }
+        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
+        // The scalar path's sub-step schedule verbatim
+        // (`OdeStreamer::advance` + `SolverDriver::advance` for a
+        // fixed-step solver), resuming from the persistent row clock, so
+        // every lane sees the exact `(t, h)` sequence of a standalone run.
+        let mut tl = self.time;
+        while tl < t_end - resolution {
+            let remaining = t_end - tl;
+            if remaining <= resolution {
+                // The driver's own entry check can disagree with the loop
+                // test by one rounding: snap without stepping.
+                tl = t_end;
+                continue;
+            }
+            let h_sub = self.substep.min(remaining);
+            self.kernel
+                .step(tl, h_sub, &mut self.states, ins, u_at)
+                .map_err(|e| CoreError::Flow(e.into()))?;
+            tl += h_sub;
+            if t_end - tl <= resolution {
+                tl = t_end;
+            }
+        }
+        self.time = tl;
+        self.kernel.outputs(t_end, &self.states, ins, u_at, outs, y_at);
+        for (i, b) in lanes.iter_mut().enumerate() {
+            let lane = b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
+            // Sync the driver to the row clock (which may sit one rounding
+            // shy of `t_end`), exactly where the scalar driver would have
+            // left it.
+            lane.lane_sync(self.time, &self.states[i * dim..(i + 1) * dim])
+                .map_err(|e| CoreError::Flow(e.into()))?;
+        }
+        Ok(())
+    }
+}
+
 /// The two parity slots of one cross-group channel, each carrying all
 /// `K` instances' samples. During step `n` the consumer reads slot
 /// `n % 2` before its group steps and the producer writes slot
@@ -209,9 +266,8 @@ struct Probe {
 /// delivered to the linked row's lanes.
 #[derive(Clone, Copy)]
 struct Inbox {
-    /// Plan row of the linked streamer (`None` for a relay, which has no
-    /// behaviour to deliver to).
-    row: Option<usize>,
+    /// Plan row of the linked streamer.
+    row: usize,
     endpoint: usize,
 }
 
@@ -233,8 +289,8 @@ fn collect_inbound(inboxes: &[Inbox], controllers: &mut [Controller], inbound: &
 /// channel, probe and SPort link.
 struct GroupState {
     plan: StepPlan,
-    /// `behaviours[r * K + i]` is instance `i` of the `r`-th *streamer*
-    /// plan node (relays carry no behaviour), rows in plan order.
+    /// `behaviours[r * K + i]` is instance `i` of plan row `r`, rows in
+    /// plan order.
     behaviours: Vec<Box<dyn StreamerBehavior>>,
     /// `batch_rows[r]` is the batch-stepping state of the `r`-th streamer
     /// row, `None` for rows that are not batch-eligible. Built once at
@@ -298,15 +354,6 @@ impl GroupState {
         }
     }
 
-    /// The plan row of a streamer node (`None` for relays).
-    fn row_of(&self, node: NodeId) -> Option<usize> {
-        self.plan
-            .nodes()
-            .iter()
-            .filter(|pn| matches!(pn.kind, PlanNodeKind::Streamer))
-            .position(|pn| pn.node == node)
-    }
-
     /// One macro step of all `k` instances: deliver the collected
     /// capsule messages, latch channel inputs (slot `step % 2`), replay
     /// the plan, publish channel outputs (slot `(step + 1) % 2`) and
@@ -316,9 +363,7 @@ impl GroupState {
         for (inbox, per_instance) in self.inboxes.iter().zip(self.inbound.chunks_mut(k)) {
             for (i, buf) in per_instance.iter_mut().enumerate() {
                 for msg in buf.drain(..) {
-                    if let Some(r) = inbox.row {
-                        self.behaviours[r * k + i].on_signal(&msg);
-                    }
+                    self.behaviours[inbox.row * k + i].on_signal(&msg);
                 }
             }
         }
@@ -351,118 +396,53 @@ impl GroupState {
         Ok(())
     }
 
-    /// Replays the plan once, advancing all `k` instances by `h`.
+    /// Replays the plan once, advancing all `k` instances by `h`: the
+    /// shared [`StepPlan::replay`] walk, each row stepped through its
+    /// typed row kernel when batched, lane by lane otherwise.
     fn replay(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
         let t = self.time;
         let inw = self.plan.in_width();
         let outw = self.plan.out_width();
-        let extw = self.plan.ext_in_width();
-        for c in self.plan.ext_loads() {
-            for i in 0..k {
-                let (src, dst) = (i * extw + c.src, i * inw + c.dst);
-                self.ins[dst..dst + c.len].copy_from_slice(&self.ext[src..src + c.len]);
-            }
-        }
-        let mut row = 0usize;
-        for pn in self.plan.nodes() {
-            for c in &pn.gathers {
-                for i in 0..k {
-                    let (src, dst) = (i * outw + c.src, i * inw + c.dst);
-                    self.ins[dst..dst + c.len].copy_from_slice(&self.outs[src..src + c.len]);
-                }
-            }
-            match pn.kind {
-                PlanNodeKind::Streamer => {
-                    let r = row;
-                    row += 1;
-                    let routes = &self.routes[pn.node.index()];
-                    let batched = matches!(self.kernel, EnsembleKernel::Batched)
-                        && matches!(self.batch_rows.get(r), Some(Some(_)));
-                    if batched {
-                        let br = self.batch_rows[r].as_mut().expect("row checked above");
-                        let dim = br.dim;
-                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
-                        for (i, b) in lanes.iter().enumerate() {
-                            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
-                            let x = lane.lane_state().expect("batch rows are initialized");
-                            br.states[i * dim..(i + 1) * dim].copy_from_slice(x);
-                        }
+        let batched_kernel = matches!(self.kernel, EnsembleKernel::Batched);
+        let (behaviours, batch_rows) = (&mut self.behaviours, &mut self.batch_rows);
+        let (routes, emitted) = (&self.routes, &mut self.emitted);
+        self.plan.replay(
+            k,
+            &self.ext,
+            &mut self.ins,
+            &mut self.outs,
+            |r, pn, ins, outs| -> Result<(), CoreError> {
+                let routes = &routes[pn.node.index()];
+                let lanes = &mut behaviours[r * k..(r + 1) * k];
+                match batch_rows.get_mut(r).and_then(Option::as_mut) {
+                    Some(br) if batched_kernel => {
                         let u_at =
                             LaneSlots { stride: inw, offset: pn.in_offset, width: pn.in_width };
-                        let t_end = t + h;
-                        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
-                        // The scalar path's sub-step schedule verbatim
-                        // (`OdeStreamer::advance` + `SolverDriver::advance`
-                        // for a fixed-step solver), resuming from the
-                        // persistent row clock, so every lane sees the
-                        // exact `(t, h)` sequence of a standalone run.
-                        let mut tl = br.time;
-                        while tl < t_end - resolution {
-                            let remaining = t_end - tl;
-                            if remaining <= resolution {
-                                // The driver's own entry check can
-                                // disagree with the loop test by one
-                                // rounding: snap without stepping.
-                                tl = t_end;
-                                continue;
-                            }
-                            let h_sub = br.substep.min(remaining);
-                            br.kernel
-                                .step(tl, h_sub, &mut br.states, &self.ins, u_at)
-                                .map_err(|e| CoreError::Flow(e.into()))?;
-                            tl += h_sub;
-                            if t_end - tl <= resolution {
-                                tl = t_end;
-                            }
+                        let y_at =
+                            LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width };
+                        br.advance(lanes, t + h, ins, u_at, outs, y_at)?;
+                        for (b, out) in lanes.iter_mut().zip(emitted.iter_mut()) {
+                            route_emitted(b.as_mut(), routes, out);
                         }
-                        br.time = tl;
-                        br.kernel.outputs(
-                            t_end,
-                            &br.states,
-                            &self.ins,
-                            u_at,
-                            &mut self.outs,
-                            LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width },
-                        );
-                        for (i, b) in lanes.iter_mut().enumerate() {
-                            let lane =
-                                b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
-                            // Sync the driver to the row clock (which may
-                            // sit one rounding shy of `t_end`), exactly
-                            // where the scalar driver would have left it.
-                            lane.lane_sync(br.time, &br.states[i * dim..(i + 1) * dim])
-                                .map_err(|e| CoreError::Flow(e.into()))?;
-                            route_emitted(b.as_mut(), routes, &mut self.emitted[i]);
-                        }
-                    } else {
-                        let lanes = &mut self.behaviours[r * k..(r + 1) * k];
+                    }
+                    _ => {
                         for (i, b) in lanes.iter_mut().enumerate() {
                             let ui = i * inw + pn.in_offset;
                             let yi = i * outw + pn.out_offset;
                             b.advance(
                                 t,
                                 h,
-                                &self.ins[ui..ui + pn.in_width],
-                                &mut self.outs[yi..yi + pn.out_width],
+                                &ins[ui..ui + pn.in_width],
+                                &mut outs[yi..yi + pn.out_width],
                             )
                             .map_err(|e| CoreError::Flow(e.into()))?;
-                            route_emitted(b.as_mut(), routes, &mut self.emitted[i]);
+                            route_emitted(b.as_mut(), routes, &mut emitted[i]);
                         }
                     }
                 }
-                PlanNodeKind::Relay { in_width, fanout } => {
-                    for i in 0..k {
-                        let src = i * inw + pn.in_offset;
-                        let base = i * outw + pn.out_offset;
-                        for f in 0..fanout {
-                            let dst = base + f * in_width;
-                            self.outs[dst..dst + in_width]
-                                .copy_from_slice(&self.ins[src..src + in_width]);
-                        }
-                    }
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
         self.time += h;
         Ok(())
     }
@@ -707,9 +687,8 @@ impl EnsembleEngine {
         engine.step_budget_ns = compiled.step_budget_ns();
         for (gi, net) in nets.into_iter().enumerate() {
             let (plan, first) = net.into_plan()?;
-            let streamers = plan.nodes().iter().filter(|pn| pn.kind == PlanNodeKind::Streamer);
             let mut behaviours = Vec::with_capacity(first.len() * k);
-            for (b0, pn) in first.into_iter().zip(streamers) {
+            for (b0, pn) in first.into_iter().zip(plan.nodes()) {
                 let row = behaviours.len();
                 behaviours.push(b0);
                 for _ in 1..k {
@@ -786,6 +765,12 @@ impl EnsembleEngine {
             .groups
             .get_mut(group)
             .ok_or_else(|| engine_err(format!("no streamer group {group}")))?;
+        let row = gs
+            .plan
+            .nodes()
+            .iter()
+            .position(|pn| pn.node == node)
+            .ok_or(urt_dataflow::FlowError::UnknownNode { index: node.index() })?;
         // When the node declares its SPorts, the link must name one.
         let declared = gs.plan.sports(node)?;
         if !declared.is_empty() && !declared.iter().any(|s| s.name() == sport) {
@@ -810,7 +795,7 @@ impl EnsembleEngine {
             endpoint = e;
         }
         gs.routes[node.index()].push((sport.to_owned(), link));
-        gs.inboxes.push(Inbox { row: gs.row_of(node), endpoint });
+        gs.inboxes.push(Inbox { row, endpoint });
         gs.inbound.resize_with(gs.inbound.len() + self.k, Vec::new);
         self.links.push((capsule, capsule_port.to_owned()));
         Ok(())
@@ -1828,46 +1813,13 @@ mod tests {
     }
 
     #[test]
-    fn relay_topology_replays_bitwise() {
-        // source -> relay -> {doubler, squarer}, stepped directly on the
-        // network, is the reference for two replays: a compiled model
-        // whose capsule relay DPort fans the source out (elaboration
-        // lowers it to two flows) at K = 3, and the raw network with its
-        // relay node assembled straight into the core (relay plan rows).
-        let src = || {
-            FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                y[0] = (2.0 * t).sin()
-            })
-        };
-        let dbl =
-            || FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0]);
-        let sq =
-            || FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0]);
-        let raw = || {
-            let mut net = StreamerNetwork::new("fig2ish");
-            let s = net.add_streamer(src(), &[], &[("y", FlowType::scalar())]).unwrap();
-            let relay = net.add_relay("relay", FlowType::scalar(), 2).unwrap();
-            let io = [("u", FlowType::scalar())];
-            let d = net.add_streamer(dbl(), &io, &[("y", FlowType::scalar())]).unwrap();
-            let q = net.add_streamer(sq(), &io, &[("y", FlowType::scalar())]).unwrap();
-            net.flow((s, "y"), (relay, "in")).unwrap();
-            net.flow((relay, "out0"), (d, "u")).unwrap();
-            net.flow((relay, "out1"), (q, "u")).unwrap();
-            (net, d, q)
-        };
-        let (mut reference, rdbl, rsq) = raw();
-        reference.initialize(0.0).unwrap();
-        let (mut expect_dbl, mut expect_sq) = (Vec::new(), Vec::new());
-        let mut clock = SimClock::new();
-        for _ in 0..20 {
-            reference.step(0.01).unwrap();
-            clock.tick(0.01);
-            let t = clock.seconds();
-            expect_dbl.push((t, reference.output(rdbl, "y").unwrap()[0]));
-            expect_sq.push((t, reference.output(rsq, "y").unwrap()[0]));
-        }
-        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
-
+    fn capsule_relay_replays_the_pinned_series() {
+        // source -> capsule relay DPort -> {doubler, squarer}: elaboration
+        // lowers the relay to two flows, and every instance of a K = 3
+        // ensemble must reproduce the series the raw network (with an
+        // explicit relay node) produced when stepped directly: FNV-1a 64
+        // over the 20 (time, value) bits of `dbl`, then of `sq`.
+        const PINNED: u64 = 0xa790_9046_7881_35fb;
         let mut b = ModelBuilder::new("relayed");
         let hub = b.capsule("hub");
         b.capsule_dport(hub, "d", FlowType::scalar());
@@ -1882,30 +1834,39 @@ mod tests {
             b.probe(n, "y", name);
         }
         let registry = BehaviorRegistry::new()
-            .streamer("src", move || Box::new(src()))
-            .streamer("dbl", move || Box::new(dbl()))
-            .streamer("sq", move || Box::new(sq()));
+            .streamer("src", || {
+                Box::new(FnStreamer::new("src", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                    y[0] = (2.0 * t).sin()
+                }))
+            })
+            .streamer("dbl", || {
+                Box::new(FnStreamer::new("dbl", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                    y[0] = 2.0 * u[0]
+                }))
+            })
+            .streamer("sq", || {
+                Box::new(FnStreamer::new("sq", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                    y[0] = u[0] * u[0]
+                }))
+            });
         let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
         let mut ensemble = EnsembleEngine::from_compiled(&compiled, 3, config).unwrap();
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
         ensemble.run_until(0.2).unwrap();
         for i in 0..3 {
-            for (name, expect) in [("dbl", &expect_dbl), ("sq", &expect_sq)] {
+            let mut h = crate::cache::Fnv1a::new();
+            for name in ["dbl", "sq"] {
                 let got = rec.series(&EnsembleEngine::series_name(name, i));
-                bit_eq(&got, expect, &format!("compiled instance {i} ({name})"));
+                assert_eq!(got.len(), 20, "instance {i} ({name})");
+                for (t, v) in got {
+                    h.update(&t.to_bits().to_le_bytes());
+                    h.update(&v.to_bits().to_le_bytes());
+                }
             }
+            assert_eq!(h.finish(), PINNED, "compiled instance {i}");
         }
-
-        let (net, d, q) = raw();
-        let mut engine = assemble(vec![net], config);
-        let hrec = Recorder::new();
-        engine.set_recorder(hrec.clone());
-        engine.add_probe(0, d, "y", "dbl").unwrap();
-        engine.add_probe(0, q, "y", "sq").unwrap();
-        engine.run_until(0.2).unwrap();
-        bit_eq(&hrec.series("dbl"), &expect_dbl, "relay rows (dbl)");
-        bit_eq(&hrec.series("sq"), &expect_sq, "relay rows (sq)");
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Stereotype {
             Stereotype::Streamer => "urt_dataflow::streamer",
             Stereotype::DPort | Stereotype::SPort => "urt_dataflow::port",
             Stereotype::Flow => "urt_dataflow::graph::StreamerNetwork::flow",
-            Stereotype::Relay => "urt_dataflow::graph::StreamerNetwork::add_relay",
+            Stereotype::Relay => "urt_core::elaborate::elaborate",
             Stereotype::FlowType => "urt_dataflow::flowtype",
             Stereotype::Solver => "urt_ode::solver",
             Stereotype::Time => "urt_core::time",

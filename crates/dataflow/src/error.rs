@@ -65,11 +65,6 @@ pub enum FlowError {
         /// Width the behaviour declares.
         found: usize,
     },
-    /// Streamer hierarchy violated (cycle in parent links).
-    BadHierarchy {
-        /// Description of the violation.
-        detail: String,
-    },
     /// A duplicate name was used where uniqueness is required.
     DuplicateName {
         /// The duplicated name.
@@ -93,7 +88,6 @@ impl FlowError {
             FlowError::UnconnectedInput { .. } => "URT006",
             FlowError::AlgebraicLoop { .. } => "URT007",
             FlowError::WidthMismatch { .. } => "URT008",
-            FlowError::BadHierarchy { .. } => "URT009",
             FlowError::DuplicateName { .. } => "URT010",
             FlowError::Solve(_) => "URT011",
         }
@@ -124,7 +118,6 @@ impl fmt::Display for FlowError {
             FlowError::WidthMismatch { node, expected, found } => {
                 write!(f, "streamer `{node}` declares width {found}, ports require {expected}")
             }
-            FlowError::BadHierarchy { detail } => write!(f, "bad hierarchy: {detail}"),
             FlowError::DuplicateName { name } => write!(f, "duplicate name `{name}`"),
             FlowError::Solve(e) => write!(f, "solver failure: {e}"),
         }
@@ -176,7 +169,6 @@ mod tests {
             FlowError::UnconnectedInput { node: "n".into(), port: "p".into() },
             FlowError::AlgebraicLoop { nodes: vec![] },
             FlowError::WidthMismatch { node: "n".into(), expected: 1, found: 2 },
-            FlowError::BadHierarchy { detail: "d".into() },
             FlowError::DuplicateName { name: "n".into() },
             FlowError::Solve(SolveError::InvalidStep { step: 0.0 }),
         ];

@@ -1,5 +1,7 @@
-//! Streamer networks: flows, relays, hierarchy, validation and lock-step
-//! execution (the realisation of the paper's Figure 2 abstract syntax).
+//! Streamer networks: the builder of the paper's Figure 2 abstract
+//! syntax (streamers, typed flows, exported inputs), its validation, and
+//! the [`StepPlan`] it lowers into — the one dense schedule every macro
+//! step walks.
 
 use crate::error::FlowError;
 use crate::flowtype::FlowType;
@@ -9,7 +11,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use urt_umlrt::message::Message;
 
-/// Identifier of a node (streamer or relay) within a network.
+/// Identifier of a streamer node within a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(usize);
 
@@ -32,34 +34,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A pre-resolved reference to one node's output DPort lanes: node index,
-/// lane offset and lane width, computed once by
-/// [`StreamerNetwork::output_handle`] so per-step reads
-/// ([`StreamerNetwork::output_by_handle`]) are pure array indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutputHandle {
-    node: usize,
-    offset: usize,
-    width: usize,
-}
-
-impl OutputHandle {
-    /// Lane count of the referenced port.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Index of the node the handle points into.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// Lane offset inside the node's output buffer.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-}
-
 /// One lane copy of a [`StepPlan`], in *dense per-instance* coordinates:
 /// `len` lanes from offset `src` of one dense array to offset `dst` of
 /// another (which arrays depends on where the copy appears in the plan).
@@ -73,25 +47,10 @@ pub struct PlanCopy {
     pub len: usize,
 }
 
-/// What a [`PlanNode`] executes once its inputs are gathered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanNodeKind {
-    /// A streamer behaviour: `advance(t, h, ins, outs)`.
-    Streamer,
-    /// A relay point: the `in_width` input lanes are copied to each of
-    /// the `fanout` output ports.
-    Relay {
-        /// Input lane count (= width of each duplicated output port).
-        in_width: usize,
-        /// Number of output ports receiving the copy.
-        fanout: usize,
-    },
-}
-
-/// One node of a [`StepPlan`], in execution order.
+/// One streamer row of a [`StepPlan`], in execution order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
-    /// The network node this entry executes.
+    /// The network node this row executes.
     pub node: NodeId,
     /// Offset of the node's input lanes in the dense input array.
     pub in_offset: usize,
@@ -103,23 +62,20 @@ pub struct PlanNode {
     pub out_width: usize,
     /// Flow copies feeding this node, in flow declaration order:
     /// `src` indexes the dense *output* array, `dst` the dense *input*
-    /// array. Executed right before the node, exactly like
-    /// [`StreamerNetwork::step`] gathers from upstream out-buffers.
+    /// array. [`StepPlan::replay`] runs them right before the row.
     pub gathers: Vec<PlanCopy>,
-    /// Streamer or relay execution.
-    pub kind: PlanNodeKind,
 }
 
 /// A validated, immutable execution schedule over *dense per-instance
 /// state arrays*: every node's input lanes are assigned a contiguous span
 /// of one flat input array (and likewise for outputs), flows become
-/// offset/length copies between the two arrays, and nodes are listed in
-/// the same dependency order [`StreamerNetwork::step`] uses.
+/// offset/length copies between the two arrays, and nodes are listed as
+/// streamer rows in dependency order.
 ///
-/// This is the layout metadata the engine runs on: K instances
-/// concatenate K copies of these arrays (instance-major) and replay the
-/// plan once per instance per macro step, paying the routing bookkeeping
-/// once instead of once per instance.
+/// [`StepPlan::replay`] is the one walk of this schedule: the engine
+/// replays it over `K` instance-major copies of the arrays per macro
+/// step, paying the routing bookkeeping once instead of once per
+/// instance, and [`StreamerNetwork::step`] is its `K = 1` call.
 ///
 /// The plan also keeps each node's name, DPorts, SPorts and feedthrough
 /// flag, so ports can be resolved against it after the network that
@@ -166,12 +122,12 @@ fn locate<'a>(
 }
 
 impl StepPlan {
-    /// Plan nodes in execution order.
+    /// Streamer rows in execution order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
     }
 
-    /// Copies latching exported boundary inputs before the node loop:
+    /// Copies latching exported boundary inputs before the row loop:
     /// `src` indexes the external input vector, `dst` the dense input
     /// array.
     pub fn ext_loads(&self) -> &[PlanCopy] {
@@ -199,6 +155,49 @@ impl StepPlan {
         self.out_offsets.get(node).copied()
     }
 
+    /// One walk of the plan over `k` instance-major copies of the dense
+    /// arrays — `ext`, `ins` and `outs` hold `k` runs of
+    /// [`ext_in_width`](StepPlan::ext_in_width),
+    /// [`in_width`](StepPlan::in_width) and
+    /// [`out_width`](StepPlan::out_width) lanes. Latches every instance's
+    /// exported inputs from `ext`, then, per row in execution order,
+    /// copies the row's gathers for every instance and calls
+    /// `row(r, node, ins, outs)` to advance the `k` lanes of row `r`.
+    ///
+    /// # Errors
+    ///
+    /// Stops at, and returns, the first error `row` returns.
+    // Always inlined: left to the optimiser, the walk stays out of line
+    // in the engine's macro step, which cost perfbench's fig2-loop about
+    // 10 % of its step rate.
+    #[inline(always)]
+    pub fn replay<E>(
+        &self,
+        k: usize,
+        ext: &[f64],
+        ins: &mut [f64],
+        outs: &mut [f64],
+        mut row: impl FnMut(usize, &PlanNode, &[f64], &mut [f64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (inw, outw, extw) = (self.in_width, self.out_width, self.ext_in_width);
+        for c in &self.ext_loads {
+            for i in 0..k {
+                let (src, dst) = (i * extw + c.src, i * inw + c.dst);
+                ins[dst..dst + c.len].copy_from_slice(&ext[src..src + c.len]);
+            }
+        }
+        for (r, pn) in self.nodes.iter().enumerate() {
+            for c in &pn.gathers {
+                for i in 0..k {
+                    let (src, dst) = (i * outw + c.src, i * inw + c.dst);
+                    ins[dst..dst + c.len].copy_from_slice(&outs[src..src + c.len]);
+                }
+            }
+            row(r, pn, ins, outs)?;
+        }
+        Ok(())
+    }
+
     fn shape(&self, node: NodeId) -> Result<&NodeShape, FlowError> {
         self.shapes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })
     }
@@ -221,7 +220,7 @@ impl StepPlan {
         Ok(&self.shape(node)?.sports)
     }
 
-    /// Whether a node has direct feedthrough (relays always do).
+    /// Whether a node has direct feedthrough.
     ///
     /// # Errors
     ///
@@ -260,22 +259,12 @@ impl StepPlan {
     }
 }
 
-enum NodeKind {
-    Streamer(Box<dyn StreamerBehavior>),
-    /// "Relay is used as a relay point which generates two similar flows
-    /// from a flow" — one input copied to every output port.
-    Relay,
-}
-
 struct Node {
     name: String,
-    kind: NodeKind,
+    behavior: Box<dyn StreamerBehavior>,
     in_ports: Vec<DPortSpec>,
     out_ports: Vec<DPortSpec>,
     sports: Vec<SPortSpec>,
-    parent: Option<usize>,
-    in_buf: Vec<f64>,
-    out_buf: Vec<f64>,
 }
 
 impl Node {
@@ -287,11 +276,12 @@ impl Node {
         self.out_ports[..port_idx].iter().map(DPortSpec::width).sum()
     }
 
-    fn direct_feedthrough(&self) -> bool {
-        match &self.kind {
-            NodeKind::Streamer(b) => b.direct_feedthrough(),
-            NodeKind::Relay => true,
-        }
+    fn in_width(&self) -> usize {
+        self.behavior.input_width()
+    }
+
+    fn out_width(&self) -> usize {
+        self.behavior.output_width()
     }
 }
 
@@ -305,31 +295,40 @@ struct Flow {
     to_port: usize,
 }
 
-/// A network of streamers and relays connected by typed flows.
+/// The builder of a network of streamers connected by typed flows.
 ///
-/// See the crate-level example. The network validates the paper's
-/// connection rules and executes all nodes in lock step:
+/// See the crate-level example. The network enforces the paper's
+/// connection rules as it is built and validated:
 ///
 /// 1. flows go from output DPorts to input DPorts;
 /// 2. the output flow type must be a *subset* of the input flow type;
 /// 3. each input DPort has exactly one writer;
 /// 4. direct-feedthrough cycles are rejected as algebraic loops.
+///
+/// A relay — one flow duplicated into several similar flows — is plain
+/// fan-out: one output DPort may feed any number of inputs.
+///
+/// [`StreamerNetwork::into_plan`] lowers the network into the
+/// [`StepPlan`] the engine runs. [`StreamerNetwork::step`] runs the same
+/// walk ([`StepPlan::replay`] at `K = 1`) in place, over dense arrays in
+/// the plan's layout.
 pub struct StreamerNetwork {
     name: String,
     nodes: Vec<Node>,
     flows: Vec<Flow>,
-    order: Vec<usize>,
+    /// Boundary inputs exported to a parent context: `(node, port index)`.
+    ext_inputs: Vec<(usize, usize)>,
+    /// The schedule [`StreamerNetwork::step`] walks; `None` until the
+    /// network validates and again after every topology change.
+    plan: Option<StepPlan>,
+    /// Dense input, output and external-input lanes in the plan's
+    /// node-index layout, grown as nodes and exports are added.
+    ins: Vec<f64>,
+    outs: Vec<f64>,
+    ext: Vec<f64>,
     time: f64,
     initialized: bool,
     pending_signals: Vec<(NodeId, String, Message)>,
-    /// Boundary inputs exported to a parent context: `(node, port index)`.
-    ext_inputs: Vec<(usize, usize)>,
-    /// Boundary outputs exported to a parent context: `(node, port index)`.
-    ext_outputs: Vec<(usize, usize)>,
-    ext_in_buf: Vec<f64>,
-    /// Scratch lanes reused by [`StreamerNetwork::step`] when moving data
-    /// along flows, so the hot loop never allocates.
-    flow_scratch: Vec<f64>,
 }
 
 impl fmt::Debug for StreamerNetwork {
@@ -350,14 +349,14 @@ impl StreamerNetwork {
             name: name.into(),
             nodes: Vec::new(),
             flows: Vec::new(),
-            order: Vec::new(),
+            ext_inputs: Vec::new(),
+            plan: None,
+            ins: Vec::new(),
+            outs: Vec::new(),
+            ext: Vec::new(),
             time: 0.0,
             initialized: false,
             pending_signals: Vec::new(),
-            ext_inputs: Vec::new(),
-            ext_outputs: Vec::new(),
-            ext_in_buf: Vec::new(),
-            flow_scratch: Vec::new(),
         }
     }
 
@@ -366,7 +365,7 @@ impl StreamerNetwork {
         &self.name
     }
 
-    /// Number of nodes (streamers + relays).
+    /// Number of streamer nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -379,6 +378,13 @@ impl StreamerNetwork {
     /// Current simulation time.
     pub fn time(&self) -> f64 {
         self.time
+    }
+
+    /// Drops the plan after a topology change; the next
+    /// [`StreamerNetwork::initialize`] validates again.
+    fn invalidate(&mut self) {
+        self.plan = None;
+        self.initialized = false;
     }
 
     /// Adds a streamer with the given input and output DPorts.
@@ -434,53 +440,14 @@ impl StreamerNetwork {
         }
         self.nodes.push(Node {
             name,
-            kind: NodeKind::Streamer(behavior),
+            behavior,
             in_ports: ins,
             out_ports: outs,
             sports: Vec::new(),
-            parent: None,
-            in_buf: vec![0.0; in_width],
-            out_buf: vec![0.0; out_width],
         });
-        self.initialized = false;
-        Ok(NodeId(self.nodes.len() - 1))
-    }
-
-    /// Adds a relay point that duplicates one flow into `fanout` similar
-    /// flows (paper: "generates two similar flows from a flow").
-    ///
-    /// The relay has one input DPort `in` and outputs `out0..out{n-1}`, all
-    /// carrying `flow_type`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::DuplicateName`] if the name is taken.
-    pub fn add_relay(
-        &mut self,
-        name: impl Into<String>,
-        flow_type: FlowType,
-        fanout: usize,
-    ) -> Result<NodeId, FlowError> {
-        let name = name.into();
-        if self.nodes.iter().any(|n| n.name == name) {
-            return Err(FlowError::DuplicateName { name });
-        }
-        let width = flow_type.width();
-        let ins = vec![DPortSpec::new("in", Direction::In, flow_type.clone())];
-        let outs: Vec<DPortSpec> = (0..fanout)
-            .map(|i| DPortSpec::new(format!("out{i}"), Direction::Out, flow_type.clone()))
-            .collect();
-        self.nodes.push(Node {
-            name,
-            kind: NodeKind::Relay,
-            in_ports: ins,
-            out_ports: outs,
-            sports: Vec::new(),
-            parent: None,
-            in_buf: vec![0.0; width],
-            out_buf: vec![0.0; width * fanout],
-        });
-        self.initialized = false;
+        self.ins.resize(self.ins.len() + in_width, 0.0);
+        self.outs.resize(self.outs.len() + out_width, 0.0);
+        self.invalidate();
         Ok(NodeId(self.nodes.len() - 1))
     }
 
@@ -493,46 +460,6 @@ impl StreamerNetwork {
         let n = self.nodes.get_mut(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
         n.sports.push(sport);
         Ok(())
-    }
-
-    /// Declares `child` a sub-streamer of `parent` (paper Figure 2).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::UnknownNode`] for bad ids.
-    /// * [`FlowError::BadHierarchy`] on self-parenting or cycles.
-    pub fn set_parent(&mut self, child: NodeId, parent: NodeId) -> Result<(), FlowError> {
-        if child.0 >= self.nodes.len() {
-            return Err(FlowError::UnknownNode { index: child.0 });
-        }
-        if parent.0 >= self.nodes.len() {
-            return Err(FlowError::UnknownNode { index: parent.0 });
-        }
-        if child == parent {
-            return Err(FlowError::BadHierarchy { detail: "self-parenting".into() });
-        }
-        // Walk up from `parent`; hitting `child` would close a cycle.
-        let mut cur = Some(parent.0);
-        while let Some(i) = cur {
-            if i == child.0 {
-                return Err(FlowError::BadHierarchy {
-                    detail: format!("cycle through `{}`", self.nodes[child.0].name),
-                });
-            }
-            cur = self.nodes[i].parent;
-        }
-        self.nodes[child.0].parent = Some(parent.0);
-        Ok(())
-    }
-
-    /// Children of a node in the sub-streamer hierarchy.
-    pub fn children(&self, parent: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.parent == Some(parent.0))
-            .map(|(i, _)| NodeId(i))
-            .collect()
     }
 
     /// Node name lookup.
@@ -565,7 +492,9 @@ impl StreamerNetwork {
     }
 
     /// Connects an output DPort to an input DPort, enforcing the paper's
-    /// subset rule and single-writer discipline.
+    /// subset rule and single-writer discipline. One output may feed any
+    /// number of inputs (the paper's relay: one flow duplicated into
+    /// similar flows).
     ///
     /// # Errors
     ///
@@ -592,14 +521,14 @@ impl StreamerNetwork {
             });
         }
         self.flows.push(Flow { from_node: from.0 .0, from_port, to_node: to.0 .0, to_port });
-        self.initialized = false;
+        self.invalidate();
         Ok(())
     }
 
-    /// Exports a node's input DPort to the parent context: the port is
-    /// driven from outside via [`StreamerNetwork::set_external_inputs`],
-    /// making this network usable as a composite sub-streamer (Figure 2).
-    /// Returns the lane offset inside the external input vector.
+    /// Exports a node's input DPort to the parent context: in the engine
+    /// the port is fed by a cross-group channel through the plan's
+    /// external input vector ([`StepPlan::ext_loads`]). Returns the lane
+    /// offset inside that vector.
     ///
     /// # Errors
     ///
@@ -615,97 +544,11 @@ impl StreamerNetwork {
                 port: port.to_owned(),
             });
         }
-        let offset = self.ext_in_buf.len();
-        let width = self.nodes[node.0].in_ports[pi].width();
+        let offset = self.ext.len();
+        self.ext.resize(offset + self.nodes[node.0].in_ports[pi].width(), 0.0);
         self.ext_inputs.push((node.0, pi));
-        self.ext_in_buf.extend(std::iter::repeat_n(0.0, width));
-        self.initialized = false;
+        self.invalidate();
         Ok(offset)
-    }
-
-    /// Exports a node's output DPort to the parent context (read back with
-    /// [`StreamerNetwork::external_outputs`]). Returns the lane offset.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node/port errors.
-    pub fn export_output(&mut self, node: NodeId, port: &str) -> Result<usize, FlowError> {
-        let pi = self.find_port(node, port, Direction::Out)?;
-        let offset: usize =
-            self.ext_outputs.iter().map(|&(n, p)| self.nodes[n].out_ports[p].width()).sum();
-        self.ext_outputs.push((node.0, pi));
-        Ok(offset)
-    }
-
-    /// Total lane width of exported inputs.
-    pub fn external_input_width(&self) -> usize {
-        self.ext_in_buf.len()
-    }
-
-    /// Total lane width of exported outputs.
-    pub fn external_output_width(&self) -> usize {
-        self.ext_outputs.iter().map(|&(n, p)| self.nodes[n].out_ports[p].width()).sum()
-    }
-
-    /// Latches the external input lanes for the next step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len()` differs from the exported input width.
-    pub fn set_external_inputs(&mut self, u: &[f64]) {
-        assert_eq!(u.len(), self.ext_in_buf.len(), "external input width mismatch");
-        self.ext_in_buf.copy_from_slice(u);
-    }
-
-    /// Reads the exported output lanes after a step.
-    pub fn external_outputs(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.external_output_width());
-        for &(n, p) in &self.ext_outputs {
-            let node = &self.nodes[n];
-            let off = node.out_port_offset(p);
-            let w = node.out_ports[p].width();
-            out.extend_from_slice(&node.out_buf[off..off + w]);
-        }
-        out
-    }
-
-    /// Whether a same-step path leads from an exported input to an
-    /// exported output through direct-feedthrough nodes only (used when
-    /// this network is packaged as a composite sub-streamer).
-    pub fn has_external_feedthrough(&self) -> bool {
-        let n = self.nodes.len();
-        let mut tainted = vec![false; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &(i, _) in &self.ext_inputs {
-            if self.nodes[i].direct_feedthrough() && !tainted[i] {
-                tainted[i] = true;
-                queue.push_back(i);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for f in &self.flows {
-                if f.from_node == u
-                    && self.nodes[f.to_node].direct_feedthrough()
-                    && !tainted[f.to_node]
-                {
-                    tainted[f.to_node] = true;
-                    queue.push_back(f.to_node);
-                }
-            }
-        }
-        self.ext_outputs.iter().any(|&(i, _)| tainted[i])
-    }
-
-    /// Collects **all** structural violations instead of failing fast:
-    /// every undriven input DPort plus any direct-feedthrough cycle. This
-    /// is the network half of the `urt_analysis` analyzer;
-    /// [`StreamerNetwork::validate`] fails on the first entry.
-    pub fn lint(&self) -> Vec<FlowError> {
-        let mut found: Vec<FlowError> = self.unconnected_inputs().collect();
-        if let Some(nodes) = self.feedthrough_cycle() {
-            found.push(FlowError::AlgebraicLoop { nodes });
-        }
-        found
     }
 
     /// Every input DPort driven by neither a flow nor an export.
@@ -725,26 +568,33 @@ impl StreamerNetwork {
         })
     }
 
-    /// The execution order, or the first finding [`StreamerNetwork::lint`]
-    /// would report (one Kahn pass instead of lint's plus the order's).
+    /// The execution order: every input driven, no algebraic loop.
     fn checked_order(&self) -> Result<Vec<usize>, FlowError> {
         if let Some(first) = self.unconnected_inputs().next() {
             return Err(first);
         }
-        self.compute_order()
+        let (order, indeg) = self.kahn();
+        if order.len() != self.nodes.len() {
+            let cycle: Vec<String> = (0..self.nodes.len())
+                .filter(|&i| indeg[i] > 0)
+                .map(|i| self.nodes[i].name.clone())
+                .collect();
+            return Err(FlowError::AlgebraicLoop { nodes: cycle });
+        }
+        Ok(order)
     }
 
-    /// Validates the whole network: every input driven (by a flow or an
-    /// export), no algebraic loops. Computes the execution order as a side
-    /// effect. Fails on the first finding [`StreamerNetwork::lint`] would
-    /// report.
+    /// Validates the whole network — every input driven (by a flow or an
+    /// export), no algebraic loops — and lays out the plan
+    /// [`StreamerNetwork::step`] walks.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::UnconnectedInput`] for an undriven input DPort.
+    /// * [`FlowError::UnconnectedInput`] for the first undriven input
+    ///   DPort.
     /// * [`FlowError::AlgebraicLoop`] for a direct-feedthrough cycle.
     pub fn validate(&mut self) -> Result<(), FlowError> {
-        self.order = self.checked_order()?;
+        self.plan = Some(self.layout(&self.checked_order()?));
         Ok(())
     }
 
@@ -758,7 +608,7 @@ impl StreamerNetwork {
         let mut indeg = vec![0usize; n];
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for f in &self.flows {
-            if self.nodes[f.to_node].direct_feedthrough() && f.from_node != f.to_node {
+            if self.nodes[f.to_node].behavior.direct_feedthrough() && f.from_node != f.to_node {
                 adj[f.from_node].push(f.to_node);
                 indeg[f.to_node] += 1;
             }
@@ -777,176 +627,10 @@ impl StreamerNetwork {
         (order, indeg)
     }
 
-    /// Names of the nodes on a direct-feedthrough cycle, if any — the
-    /// cycle finder shared by [`StreamerNetwork::lint`] and the execution
-    /// order computation.
-    pub fn feedthrough_cycle(&self) -> Option<Vec<String>> {
-        let (order, indeg) = self.kahn();
-        if order.len() == self.nodes.len() {
-            return None;
-        }
-        Some(
-            (0..self.nodes.len())
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| self.nodes[i].name.clone())
-                .collect(),
-        )
-    }
-
-    fn compute_order(&self) -> Result<Vec<usize>, FlowError> {
-        let (order, indeg) = self.kahn();
-        if order.len() != self.nodes.len() {
-            let cycle: Vec<String> = (0..self.nodes.len())
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| self.nodes[i].name.clone())
-                .collect();
-            return Err(FlowError::AlgebraicLoop { nodes: cycle });
-        }
-        Ok(order)
-    }
-
-    /// Initialises all behaviours at `t0`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and solver-initialisation failures.
-    pub fn initialize(&mut self, t0: f64) -> Result<(), FlowError> {
-        if self.order.len() != self.nodes.len() {
-            self.validate()?;
-        }
-        self.time = t0;
-        for node in &mut self.nodes {
-            if let NodeKind::Streamer(b) = &mut node.kind {
-                b.initialize(t0)?;
-            }
-        }
-        self.initialized = true;
-        Ok(())
-    }
-
-    /// Advances every node by `h` seconds in dependency order, moving data
-    /// along flows, and collects emitted SPort signals.
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::Solve`] on solver failure.
-    /// * Validation errors if the topology changed since `initialize`.
-    pub fn step(&mut self, h: f64) -> Result<(), FlowError> {
-        if !self.initialized {
-            self.initialize(self.time)?;
-        }
-        // Latch exported boundary inputs into their nodes.
-        let mut cursor = 0;
-        for &(n, p) in &self.ext_inputs {
-            let node = &mut self.nodes[n];
-            let off = node.in_port_offset(p);
-            let w = node.in_ports[p].width();
-            node.in_buf[off..off + w].copy_from_slice(&self.ext_in_buf[cursor..cursor + w]);
-            cursor += w;
-        }
-        let order = std::mem::take(&mut self.order);
-        let mut scratch = std::mem::take(&mut self.flow_scratch);
-        for &i in &order {
-            // Gather inputs from upstream out-buffers (via the reusable
-            // scratch, since source and destination may be the same node).
-            for f in &self.flows {
-                if f.to_node != i {
-                    continue;
-                }
-                let src = &self.nodes[f.from_node];
-                let off_src = src.out_port_offset(f.from_port);
-                let w = src.out_ports[f.from_port].width();
-                scratch.clear();
-                scratch.extend_from_slice(&src.out_buf[off_src..off_src + w]);
-                let dst = &mut self.nodes[f.to_node];
-                let off_dst = dst.in_port_offset(f.to_port);
-                dst.in_buf[off_dst..off_dst + w].copy_from_slice(&scratch);
-            }
-            let t = self.time;
-            let node = &mut self.nodes[i];
-            match &mut node.kind {
-                NodeKind::Streamer(b) => {
-                    // Split borrows of in/out buffers.
-                    let in_buf = std::mem::take(&mut node.in_buf);
-                    let result = b.advance(t, h, &in_buf, &mut node.out_buf);
-                    node.in_buf = in_buf;
-                    if let Err(e) = result {
-                        self.order = order;
-                        self.flow_scratch = scratch;
-                        return Err(e.into());
-                    }
-                    for (sport, msg) in b.take_emitted() {
-                        self.pending_signals.push((NodeId(i), sport, msg));
-                    }
-                }
-                NodeKind::Relay => {
-                    // in_buf and out_buf are disjoint fields, so the lanes
-                    // copy straight across without a temporary.
-                    let w = node.in_buf.len();
-                    for k in 0..node.out_ports.len() {
-                        node.out_buf[k * w..(k + 1) * w].copy_from_slice(&node.in_buf);
-                    }
-                }
-            }
-        }
-        self.order = order;
-        self.flow_scratch = scratch;
-        self.time += h;
-        Ok(())
-    }
-
-    /// Reads the current lanes of an output DPort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
-    pub fn output(&self, node: NodeId, port: &str) -> Result<&[f64], FlowError> {
-        let pi = self.find_port(node, port, Direction::Out)?;
-        let n = &self.nodes[node.0];
-        let off = n.out_port_offset(pi);
-        let w = n.out_ports[pi].width();
-        Ok(&n.out_buf[off..off + w])
-    }
-
-    /// Resolves `(node, port)` to a reusable [`OutputHandle`] — the
-    /// string lookup happens once here, so per-step readers
-    /// ([`StreamerNetwork::output_by_handle`]) index straight into the
-    /// node's output buffer with no name comparison.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
-    pub fn output_handle(&self, node: NodeId, port: &str) -> Result<OutputHandle, FlowError> {
-        let pi = self.find_port(node, port, Direction::Out)?;
-        let n = &self.nodes[node.0];
-        let off = n.out_port_offset(pi);
-        Ok(OutputHandle { node: node.0, offset: off, width: n.out_ports[pi].width() })
-    }
-
-    /// Reads the current lanes of an output DPort through a handle
-    /// resolved by [`StreamerNetwork::output_handle`] — pure array
-    /// indexing, the hot-path form of [`StreamerNetwork::output`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was resolved against a different network.
-    pub fn output_by_handle(&self, h: &OutputHandle) -> &[f64] {
-        &self.nodes[h.node].out_buf[h.offset..h.offset + h.width]
-    }
-
-    /// Consumes the network into its dense-layout execution schedule (see
-    /// [`StepPlan`]) and its streamer behaviours, one per plan row — the
-    /// streamer entries of [`StepPlan::nodes`], in execution order. The
-    /// nodes' names, ports and SPorts move into the plan, so nothing is
-    /// cloned.
-    ///
-    /// # Errors
-    ///
-    /// The same structural errors as [`StreamerNetwork::validate`]:
-    /// undriven inputs and direct-feedthrough cycles.
-    pub fn into_plan(self) -> Result<(StepPlan, Vec<Box<dyn StreamerBehavior>>), FlowError> {
-        let order = self.checked_order()?;
-
+    /// The routing half of the [`StepPlan`] for execution order `order`
+    /// (node shapes left empty; [`StreamerNetwork::into_plan`] moves them
+    /// in).
+    fn layout(&self, order: &[usize]) -> StepPlan {
         // Dense per-instance layout: node i's buffers occupy contiguous
         // spans at prefix-sum offsets, in node-index (not execution)
         // order, so offsets are stable under re-planning.
@@ -957,8 +641,8 @@ impl StreamerNetwork {
         for node in &self.nodes {
             in_offsets.push(in_width);
             out_offsets.push(out_width);
-            in_width += node.in_buf.len();
-            out_width += node.out_buf.len();
+            in_width += node.in_width();
+            out_width += node.out_width();
         }
 
         let mut ext_loads = Vec::with_capacity(self.ext_inputs.len());
@@ -994,172 +678,124 @@ impl StreamerNetwork {
                 PlanNode {
                     node: NodeId(i),
                     in_offset: in_offsets[i],
-                    in_width: node.in_buf.len(),
+                    in_width: node.in_width(),
                     out_offset: out_offsets[i],
-                    out_width: node.out_buf.len(),
+                    out_width: node.out_width(),
                     gathers,
-                    kind: match &node.kind {
-                        NodeKind::Streamer(_) => PlanNodeKind::Streamer,
-                        NodeKind::Relay => PlanNodeKind::Relay {
-                            in_width: node.in_buf.len(),
-                            fanout: node.out_ports.len(),
-                        },
-                    },
                 }
             })
             .collect();
 
-        let ext_in_width = self.ext_in_buf.len();
-        let mut behaviours = Vec::with_capacity(self.nodes.len());
-        let mut shapes = Vec::with_capacity(self.nodes.len());
-        for node in self.nodes {
-            let feedthrough = node.direct_feedthrough();
-            behaviours.push(match node.kind {
-                NodeKind::Streamer(b) => Some(b),
-                NodeKind::Relay => None,
-            });
-            shapes.push(NodeShape {
-                name: node.name,
-                in_ports: node.in_ports,
-                out_ports: node.out_ports,
-                sports: node.sports,
-                feedthrough,
-            });
-        }
-        let rows = order.iter().filter_map(|&i| behaviours[i].take()).collect();
-        let plan = StepPlan {
+        StepPlan {
             nodes,
             ext_loads,
             in_width,
             out_width,
-            ext_in_width,
+            ext_in_width: cursor,
             in_offsets,
             out_offsets,
-            shapes,
-        };
-        Ok((plan, rows))
+            shapes: Vec::new(),
+        }
     }
 
-    /// Delivers a signal message to a node's behaviour (as if it arrived on
-    /// one of its SPorts).
+    /// Initialises all behaviours at `t0`, validating first if the
+    /// topology changed.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn send_signal(&mut self, node: NodeId, msg: &Message) -> Result<(), FlowError> {
-        let n = self.nodes.get_mut(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        if let NodeKind::Streamer(b) = &mut n.kind {
-            b.on_signal(msg);
+    /// Propagates validation and solver-initialisation failures.
+    pub fn initialize(&mut self, t0: f64) -> Result<(), FlowError> {
+        if self.plan.is_none() {
+            self.validate()?;
         }
+        self.time = t0;
+        for node in &mut self.nodes {
+            node.behavior.initialize(t0)?;
+        }
+        self.initialized = true;
         Ok(())
     }
 
-    /// Drains signals emitted by behaviours since the last drain, as
-    /// `(node, sport, message)` triples.
+    /// Advances every streamer by `h` seconds — one [`StepPlan::replay`]
+    /// at `K = 1` over the network's dense arrays — and collects emitted
+    /// SPort signals. Exported inputs read zero lanes: their channels
+    /// live in the engine.
     ///
-    /// Allocates a fresh vector per call; hot paths should prefer
-    /// [`StreamerNetwork::drain_signals_into`].
-    pub fn drain_signals(&mut self) -> Vec<(NodeId, String, Message)> {
-        std::mem::take(&mut self.pending_signals)
+    /// # Errors
+    ///
+    /// * [`FlowError::Solve`] on solver failure; the time does not
+    ///   advance.
+    /// * Validation errors if the topology changed since `initialize`.
+    pub fn step(&mut self, h: f64) -> Result<(), FlowError> {
+        if !self.initialized {
+            self.initialize(self.time)?;
+        }
+        let plan = self.plan.as_ref().expect("an initialized network has a plan");
+        let t = self.time;
+        let (nodes, pending) = (&mut self.nodes, &mut self.pending_signals);
+        plan.replay(1, &self.ext, &mut self.ins, &mut self.outs, |_, pn, ins, outs| {
+            let b = &mut nodes[pn.node.0].behavior;
+            b.advance(
+                t,
+                h,
+                &ins[pn.in_offset..pn.in_offset + pn.in_width],
+                &mut outs[pn.out_offset..pn.out_offset + pn.out_width],
+            )?;
+            for (sport, msg) in b.take_emitted() {
+                pending.push((pn.node, sport, msg));
+            }
+            Ok::<(), FlowError>(())
+        })?;
+        self.time += h;
+        Ok(())
     }
 
-    /// Appends all pending signals to `out`, reusing both the caller's
-    /// buffer and the internal queue's capacity — the allocation-free form
-    /// of [`StreamerNetwork::drain_signals`] used by the engine hot path.
+    /// Reads the current lanes of an output DPort.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
+    pub fn output(&self, node: NodeId, port: &str) -> Result<&[f64], FlowError> {
+        let pi = self.find_port(node, port, Direction::Out)?;
+        let n = &self.nodes[node.0];
+        let off: usize =
+            self.nodes[..node.0].iter().map(Node::out_width).sum::<usize>() + n.out_port_offset(pi);
+        let w = n.out_ports[pi].width();
+        Ok(&self.outs[off..off + w])
+    }
+
+    /// Consumes the network into its dense-layout execution schedule (see
+    /// [`StepPlan`]) and its streamer behaviours, one per plan row, in
+    /// execution order. The nodes' names, ports and SPorts move into the
+    /// plan, so nothing is cloned.
+    ///
+    /// # Errors
+    ///
+    /// The same structural errors as [`StreamerNetwork::validate`]:
+    /// undriven inputs and direct-feedthrough cycles.
+    pub fn into_plan(self) -> Result<(StepPlan, Vec<Box<dyn StreamerBehavior>>), FlowError> {
+        let order = self.checked_order()?;
+        let mut plan = self.layout(&order);
+        let mut behaviours = Vec::with_capacity(self.nodes.len());
+        for node in self.nodes {
+            plan.shapes.push(NodeShape {
+                feedthrough: node.behavior.direct_feedthrough(),
+                name: node.name,
+                in_ports: node.in_ports,
+                out_ports: node.out_ports,
+                sports: node.sports,
+            });
+            behaviours.push(Some(node.behavior));
+        }
+        let rows = order.iter().filter_map(|&i| behaviours[i].take()).collect();
+        Ok((plan, rows))
+    }
+
+    /// Appends the signals behaviours emitted since the last drain to
+    /// `out` as `(node, sport, message)` triples, in plan order, reusing
+    /// both the caller's buffer and the internal queue's capacity.
     pub fn drain_signals_into(&mut self, out: &mut Vec<(NodeId, String, Message)>) {
         out.append(&mut self.pending_signals);
-    }
-
-    /// Iterates over `(id, name)` of all nodes.
-    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &str)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n.name.as_str()))
-    }
-
-    /// SPorts declared on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn sports(&self, node: NodeId) -> Result<&[SPortSpec], FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(|n| n.sports.as_slice())
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Iterates over all flows as `((from node, out port), (to node, in
-    /// port))` — read-only topology access for static analysis.
-    pub fn iter_flows(&self) -> impl Iterator<Item = ((NodeId, &str), (NodeId, &str))> {
-        self.flows.iter().map(|f| {
-            (
-                (NodeId(f.from_node), self.nodes[f.from_node].out_ports[f.from_port].name()),
-                (NodeId(f.to_node), self.nodes[f.to_node].in_ports[f.to_port].name()),
-            )
-        })
-    }
-
-    /// Input DPorts of a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn in_ports(&self, node: NodeId) -> Result<&[DPortSpec], FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(|n| n.in_ports.as_slice())
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Output DPorts of a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn out_ports(&self, node: NodeId) -> Result<&[DPortSpec], FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(|n| n.out_ports.as_slice())
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Whether a node is a relay point (as opposed to a streamer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn is_relay(&self, node: NodeId) -> Result<bool, FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(|n| matches!(n.kind, NodeKind::Relay))
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Whether a node has direct feedthrough (relays always do).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn node_feedthrough(&self, node: NodeId) -> Result<bool, FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(Node::direct_feedthrough)
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Input DPorts exported to the parent context, as `(node, port)`.
-    pub fn exported_inputs(&self) -> Vec<(NodeId, &str)> {
-        self.ext_inputs
-            .iter()
-            .map(|&(n, p)| (NodeId(n), self.nodes[n].in_ports[p].name()))
-            .collect()
-    }
-
-    /// Output DPorts exported to the parent context, as `(node, port)`.
-    pub fn exported_outputs(&self) -> Vec<(NodeId, &str)> {
-        self.ext_outputs
-            .iter()
-            .map(|&(n, p)| (NodeId(n), self.nodes[n].out_ports[p].name()))
-            .collect()
     }
 }
 
@@ -1178,17 +814,19 @@ mod tests {
         FnStreamer::new(name, 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| y[0] = k * u[0])
     }
 
+    /// One scalar DPort `(name, type)`.
+    type Port = (&'static str, FlowType);
+
+    fn scalar_io() -> ([Port; 1], [Port; 1]) {
+        ([("i", FlowType::scalar())], [("o", FlowType::scalar())])
+    }
+
     #[test]
     fn build_and_step_chain() {
         let mut net = StreamerNetwork::new("chain");
         let s = net.add_streamer(source("src"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let g = net
-            .add_streamer(
-                gain("g", 3.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
+        let (i, o) = scalar_io();
+        let g = net.add_streamer(gain("g", 3.0), &i, &o).unwrap();
         net.flow((s, "o"), (g, "i")).unwrap();
         net.validate().unwrap();
         net.initialize(0.0).unwrap();
@@ -1236,13 +874,8 @@ mod tests {
         let mut net = StreamerNetwork::new("t");
         let a = net.add_streamer(source("a"), &[], &[("o", FlowType::scalar())]).unwrap();
         let b = net.add_streamer(source("b"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let g = net
-            .add_streamer(
-                gain("g", 1.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
+        let (i, o) = scalar_io();
+        let g = net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
         net.flow((a, "o"), (g, "i")).unwrap();
         let err = net.flow((b, "o"), (g, "i")).unwrap_err();
         assert!(matches!(err, FlowError::MultipleWriters { .. }));
@@ -1252,57 +885,28 @@ mod tests {
     fn unconnected_input_rejected() {
         let mut net = StreamerNetwork::new("t");
         net.add_streamer(
-            gain("g", 1.0),
-            &[("i", FlowType::scalar())],
-            &[("o", FlowType::scalar())],
-        )
-        .unwrap();
-        assert!(matches!(net.validate(), Err(FlowError::UnconnectedInput { .. })));
-    }
-
-    #[test]
-    fn lint_collects_every_unconnected_input() {
-        // Regression: validate used to stop at the first undriven input,
-        // so a user fixed one port per run. lint() surfaces all of them.
-        let mut net = StreamerNetwork::new("t");
-        net.add_streamer(
             FnStreamer::new("g2", 2, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 0.0),
             &[("i1", FlowType::scalar()), ("i2", FlowType::scalar())],
             &[("o", FlowType::scalar())],
         )
         .unwrap();
-        let found = net.lint();
-        let undriven: Vec<&str> = found
-            .iter()
-            .filter_map(|e| match e {
-                FlowError::UnconnectedInput { port, .. } => Some(port.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(undriven, vec!["i1", "i2"], "both undriven inputs are reported");
-        // validate still fails on the first one.
+        // validate fails on the first undriven input.
         assert!(
             matches!(net.validate(), Err(FlowError::UnconnectedInput { port, .. }) if port == "i1")
         );
     }
 
     #[test]
-    fn introspection_reflects_topology() {
-        let mut net = StreamerNetwork::new("t");
-        let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let r = net.add_relay("r", FlowType::scalar(), 1).unwrap();
-        net.flow((s, "o"), (r, "in")).unwrap();
-        net.export_output(r, "out0").unwrap();
-        let flows: Vec<_> = net.iter_flows().collect();
-        assert_eq!(flows, vec![((s, "o"), (r, "in"))]);
-        assert!(net.is_relay(r).unwrap());
-        assert!(!net.is_relay(s).unwrap());
-        assert!(net.node_feedthrough(r).unwrap());
-        assert_eq!(net.in_ports(r).unwrap().len(), 1);
-        assert_eq!(net.out_ports(s).unwrap().len(), 1);
-        assert_eq!(net.exported_outputs(), vec![(r, "out0")]);
-        assert!(net.exported_inputs().is_empty());
-        assert!(net.feedthrough_cycle().is_none());
+    fn export_rules_are_enforced() {
+        let mut net = StreamerNetwork::new("n");
+        let (i, o) = scalar_io();
+        let g = net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
+        assert_eq!(net.export_input(g, "i").unwrap(), 0);
+        // Double export = double driver.
+        assert!(matches!(net.export_input(g, "i"), Err(FlowError::MultipleWriters { .. })));
+        assert!(net.export_input(g, "ghost").is_err());
+        // An exported input counts as driven.
+        net.validate().unwrap();
     }
 
     #[test]
@@ -1324,61 +928,31 @@ mod tests {
         net.add_streamer(source("x"), &[], &[("o", FlowType::scalar())]).unwrap();
         let err = net.add_streamer(source("x"), &[], &[("o", FlowType::scalar())]).unwrap_err();
         assert!(matches!(err, FlowError::DuplicateName { .. }));
-        net.add_relay("r", FlowType::scalar(), 2).unwrap();
-        assert!(matches!(
-            net.add_relay("r", FlowType::scalar(), 2),
-            Err(FlowError::DuplicateName { .. })
-        ));
     }
 
     #[test]
-    fn relay_duplicates_flow() {
+    fn fan_out_duplicates_a_flow() {
+        // The paper's relay: one flow duplicated into two similar flows.
         let mut net = StreamerNetwork::new("t");
         let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let r = net.add_relay("r", FlowType::scalar(), 2).unwrap();
-        let g1 = net
-            .add_streamer(
-                gain("g1", 2.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        let g2 = net
-            .add_streamer(
-                gain("g2", 5.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        net.flow((s, "o"), (r, "in")).unwrap();
-        net.flow((r, "out0"), (g1, "i")).unwrap();
-        net.flow((r, "out1"), (g2, "i")).unwrap();
+        let (i, o) = scalar_io();
+        let g1 = net.add_streamer(gain("g1", 2.0), &i, &o).unwrap();
+        let g2 = net.add_streamer(gain("g2", 5.0), &i, &o).unwrap();
+        net.flow((s, "o"), (g1, "i")).unwrap();
+        net.flow((s, "o"), (g2, "i")).unwrap();
         net.initialize(0.0).unwrap();
         net.step(1.0).unwrap();
         net.step(1.0).unwrap();
-        let v1 = net.output(g1, "o").unwrap()[0];
-        let v2 = net.output(g2, "o").unwrap()[0];
-        assert_eq!(v1, 2.0);
-        assert_eq!(v2, 5.0);
+        assert_eq!(net.output(g1, "o").unwrap()[0], 2.0);
+        assert_eq!(net.output(g2, "o").unwrap()[0], 5.0);
     }
 
     #[test]
     fn algebraic_loop_detected() {
         let mut net = StreamerNetwork::new("t");
-        let a = net
-            .add_streamer(
-                gain("a", 1.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        let b = net
-            .add_streamer(
-                gain("b", 1.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
+        let (i, o) = scalar_io();
+        let a = net.add_streamer(gain("a", 1.0), &i, &o).unwrap();
+        let b = net.add_streamer(gain("b", 1.0), &i, &o).unwrap();
         net.flow((a, "o"), (b, "i")).unwrap();
         net.flow((b, "o"), (a, "i")).unwrap();
         let err = net.validate().unwrap_err();
@@ -1422,20 +996,9 @@ mod tests {
             }
         }
         let mut net = StreamerNetwork::new("t");
-        let a = net
-            .add_streamer(
-                gain("a", 0.5),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        let l = net
-            .add_streamer(
-                Lag { state: 1.0 },
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
+        let (i, o) = scalar_io();
+        let a = net.add_streamer(gain("a", 0.5), &i, &o).unwrap();
+        let l = net.add_streamer(Lag { state: 1.0 }, &i, &o).unwrap();
         net.flow((a, "o"), (l, "i")).unwrap();
         net.flow((l, "o"), (a, "i")).unwrap();
         net.validate().unwrap();
@@ -1447,28 +1010,14 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_rules() {
-        let mut net = StreamerNetwork::new("t");
-        let top = net.add_streamer(source("top"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let sub = net.add_streamer(source("sub"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let subsub = net.add_streamer(source("subsub"), &[], &[("o", FlowType::scalar())]).unwrap();
-        net.set_parent(sub, top).unwrap();
-        net.set_parent(subsub, sub).unwrap();
-        assert_eq!(net.children(top), vec![sub]);
-        assert_eq!(net.children(sub), vec![subsub]);
-        assert!(matches!(net.set_parent(top, top), Err(FlowError::BadHierarchy { .. })));
-        assert!(matches!(net.set_parent(top, subsub), Err(FlowError::BadHierarchy { .. })));
-    }
-
-    #[test]
-    fn sports_and_signals() {
+    fn sports_move_into_the_plan() {
         let mut net = StreamerNetwork::new("t");
         let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
         net.add_sport(s, SPortSpec::new("ctl", Protocol::new("Ctl"))).unwrap();
-        assert_eq!(net.sports(s).unwrap().len(), 1);
-        // Signals to FnStreamer are accepted and ignored.
-        net.send_signal(s, &Message::new("x", urt_umlrt::value::Value::Empty)).unwrap();
-        assert!(net.drain_signals().is_empty());
+        let (plan, _) = net.into_plan().unwrap();
+        let sports = plan.sports(s).unwrap();
+        assert_eq!(sports.len(), 1);
+        assert_eq!(sports[0].name(), "ctl");
     }
 
     #[test]
@@ -1524,7 +1073,6 @@ mod tests {
         // Nothing pending after a drain.
         net.drain_signals_into(&mut buf);
         assert_eq!(buf.len(), 1, "appends, does not clear the caller's buffer");
-        assert!(net.drain_signals().is_empty());
     }
 
     #[test]
@@ -1533,136 +1081,130 @@ mod tests {
         let bogus = NodeId(5);
         assert!(matches!(net.node_name(bogus), Err(FlowError::UnknownNode { .. })));
         assert!(net.output(bogus, "o").is_err());
-        assert!(net
-            .send_signal(bogus, &Message::new("x", urt_umlrt::value::Value::Empty))
-            .is_err());
         assert!(net.add_sport(bogus, SPortSpec::new("p", Protocol::new("P"))).is_err());
     }
 
-    /// Builds source -> relay -> {gain x2, gain x(-3)} with one external
-    /// input driving a third gain: every plan feature (gathers, relay
-    /// duplication, ext loads) in one topology.
-    fn plan_fixture() -> (StreamerNetwork, NodeId, NodeId, NodeId) {
+    /// A fan-out source feeding two gains whose outputs meet again in a
+    /// two-input node declared *before* them (so execution order differs
+    /// from node order), plus a gain on an exported input: gathers,
+    /// fan-out, multi-input rows and ext loads in one topology. Returns
+    /// the network and `[sum, g1, g2, ext]`.
+    fn plan_fixture() -> (StreamerNetwork, [NodeId; 4]) {
+        let scalar = FlowType::scalar;
         let mut net = StreamerNetwork::new("plan");
-        let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let r = net.add_relay("r", FlowType::scalar(), 2).unwrap();
-        let g1 = net
+        let sum = net
             .add_streamer(
-                gain("g1", 2.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
+                FnStreamer::new("sum", 2, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                    y[0] = u[0] - 0.5 * u[1]
+                }),
+                &[("a", scalar()), ("b", scalar())],
+                &[("o", scalar())],
             )
             .unwrap();
-        let g2 = net
+        let s = net
             .add_streamer(
-                gain("g2", -3.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
+                FnStreamer::new("s", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                    y[0] = (3.0 * t).sin() + 0.1
+                }),
+                &[],
+                &[("o", scalar())],
             )
             .unwrap();
-        let ext = net
-            .add_streamer(
-                gain("ext", 10.0),
-                &[("i", FlowType::scalar())],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        net.flow((s, "o"), (r, "in")).unwrap();
-        net.flow((r, "out0"), (g1, "i")).unwrap();
-        net.flow((r, "out1"), (g2, "i")).unwrap();
+        let (i, o) = scalar_io();
+        let g1 = net.add_streamer(gain("g1", 2.0), &i, &o).unwrap();
+        let g2 = net.add_streamer(gain("g2", -3.0), &i, &o).unwrap();
+        let ext = net.add_streamer(gain("ext", 10.0), &i, &o).unwrap();
+        net.flow((s, "o"), (g1, "i")).unwrap();
+        net.flow((s, "o"), (g2, "i")).unwrap();
+        net.flow((g2, "o"), (sum, "b")).unwrap();
+        net.flow((g1, "o"), (sum, "a")).unwrap();
         net.export_input(ext, "i").unwrap();
-        (net, g1, g2, ext)
+        (net, [sum, g1, g2, ext])
+    }
+
+    /// FNV-1a 64 over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
     }
 
     #[test]
-    fn step_plan_replays_step_bit_identically() {
-        let (mut net, g1, g2, ext) = plan_fixture();
-        // Execute the plan of an identical network over dense arrays,
-        // with the behaviours it hands over in plan-row order.
-        let (plan, mut behaviors) = plan_fixture().0.into_plan().expect("plan");
-        for b in &mut behaviors {
+    fn step_replays_the_pinned_series() {
+        // Pinned from the network's own step loop before it became a
+        // replay of the plan: per step, the time and every output's bits.
+        const PINNED: u64 = 0x47e2_f357_f9b1_8b8a;
+        let (mut net, nodes) = plan_fixture();
+        net.initialize(0.0).unwrap();
+        let mut words = Vec::new();
+        for _ in 0..10 {
+            net.step(0.1).unwrap();
+            words.push(net.time().to_bits());
+            for n in nodes {
+                words.push(net.output(n, "o").unwrap()[0].to_bits());
+            }
+        }
+        assert_eq!(fnv1a(words), PINNED);
+        assert_eq!(net.output(nodes[0], "o").unwrap()[0], 1.845_829_580_818_405_8);
+    }
+
+    #[test]
+    fn replay_latches_each_instances_external_inputs() {
+        let (net, [sum, g1, _, ext]) = plan_fixture();
+        let (plan, mut rows) = net.into_plan().unwrap();
+        for b in &mut rows {
             b.initialize(0.0).unwrap();
         }
-        let mut ins = vec![0.0; plan.in_width()];
-        let mut outs = vec![0.0; plan.out_width()];
-        let h = 0.25;
-        let ext_u = [0.5];
-        let mut time = 0.0;
-        for _ in 0..4 {
-            for c in plan.ext_loads() {
-                ins[c.dst..c.dst + c.len].copy_from_slice(&ext_u[c.src..c.src + c.len]);
+        // Two instances, instance-major, each with its own external input;
+        // both step the same behaviours, so each row runs twice.
+        let k = 2;
+        let ext_u = [0.5, -4.0];
+        let mut ins = vec![0.0; k * plan.in_width()];
+        let mut outs = vec![0.0; k * plan.out_width()];
+        let mut seen = Vec::new();
+        plan.replay(k, &ext_u, &mut ins, &mut outs, |r, pn, ins, outs| {
+            seen.push(pn.node);
+            for i in 0..k {
+                let ui = i * plan.in_width() + pn.in_offset;
+                let yi = i * plan.out_width() + pn.out_offset;
+                rows[r].advance(
+                    0.0,
+                    0.1,
+                    &ins[ui..ui + pn.in_width],
+                    &mut outs[yi..yi + pn.out_width],
+                )?;
             }
-            let mut row = 0;
-            for pn in plan.nodes() {
-                for gth in &pn.gathers {
-                    let (src, dst) = (gth.src, gth.dst);
-                    ins[dst..dst + gth.len].copy_from_slice(&outs[src..src + gth.len]);
-                }
-                match pn.kind {
-                    PlanNodeKind::Streamer => {
-                        let b = &mut behaviors[row];
-                        row += 1;
-                        let (i0, i1) = (pn.in_offset, pn.in_offset + pn.in_width);
-                        let (o0, o1) = (pn.out_offset, pn.out_offset + pn.out_width);
-                        // Split the borrow: inputs and outputs live in
-                        // different arrays.
-                        let in_lane = ins[i0..i1].to_vec();
-                        b.advance(time, h, &in_lane, &mut outs[o0..o1]).unwrap();
-                    }
-                    PlanNodeKind::Relay { in_width, fanout } => {
-                        for k in 0..fanout {
-                            let dst = pn.out_offset + k * in_width;
-                            for j in 0..in_width {
-                                outs[dst + j] = ins[pn.in_offset + j];
-                            }
-                        }
-                    }
-                }
-            }
-            time += h;
-        }
-
-        // Reference: the network's own step loop.
-        net.initialize(0.0).unwrap();
-        for _ in 0..4 {
-            net.set_external_inputs(&ext_u);
-            net.step(h).unwrap();
-        }
-        for (node, port) in [(g1, "o"), (g2, "o"), (ext, "o")] {
-            let handle = net.output_handle(node, port).unwrap();
-            let reference = net.output_by_handle(&handle);
-            let dense = plan.out_offset(handle.node()).unwrap() + handle.offset();
-            for (k, r) in reference.iter().enumerate() {
-                assert_eq!(
-                    outs[dense + k].to_bits(),
-                    r.to_bits(),
-                    "{}(lane {k}) diverged",
-                    net.node_name(node).unwrap()
-                );
-            }
-        }
+            Ok::<(), urt_ode::SolveError>(())
+        })
+        .unwrap();
+        let ext_out = plan.output_port(ext, "o").unwrap().0;
+        assert_eq!([outs[ext_out], outs[plan.out_width() + ext_out]], [5.0, -40.0]);
+        // Rows run in dependency order: both gains before the sum.
+        let pos = |n: NodeId| seen.iter().position(|&m| m == n).unwrap();
+        assert!(pos(g1) < pos(sum));
+        assert_eq!(seen.len(), plan.nodes().len());
     }
 
     #[test]
     fn step_plan_rejects_invalid_topologies() {
         let mut net = StreamerNetwork::new("bad");
-        net.add_streamer(
-            gain("g", 1.0),
-            &[("i", FlowType::scalar())],
-            &[("o", FlowType::scalar())],
-        )
-        .unwrap();
+        let (i, o) = scalar_io();
+        net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
         assert!(matches!(net.into_plan(), Err(FlowError::UnconnectedInput { .. })));
     }
 
     #[test]
     fn plan_layout_is_dense_and_stable() {
-        let (net, g1, _, ext) = plan_fixture();
+        let (net, [_, g1, _, ext]) = plan_fixture();
         let node_count = net.node_count();
         let (plan, rows) = net.into_plan().unwrap();
         assert_eq!(plan.nodes().len(), node_count);
-        let streamers = plan.nodes().iter().filter(|n| n.kind == PlanNodeKind::Streamer).count();
-        assert_eq!(rows.len(), streamers, "one behaviour per streamer row");
+        assert_eq!(rows.len(), node_count, "one behaviour per row");
         assert_eq!(plan.ext_in_width(), 1);
         assert_eq!(plan.ext_loads().len(), 1);
         // Spans tile the dense arrays without overlap: total width equals

@@ -1,5 +1,5 @@
 //! The paper's time-continuous dataflow extension: streamers, DPorts,
-//! SPorts, flows, relays and flow types.
+//! SPorts, flows (fanned out where the paper draws a relay) and flow types.
 //!
 //! A **streamer** is the continuous counterpart of a capsule: it has ports
 //! and may contain sub-streamers, but its behaviour "is implemented by a
@@ -13,13 +13,17 @@
 //!   (SPorts).
 //! * [`streamer`] — the streamer behaviour trait plus [`OdeStreamer`], the
 //!   standard solver-backed streamer with zero-crossing signal emission.
-//! * [`graph`] — streamer networks: flows, relay nodes, hierarchy,
-//!   validation (type subset rule, single-writer, algebraic-loop
-//!   detection) and lock-step execution.
+//! * [`graph`] — the [`StreamerNetwork`] builder (flows, fan-out — the
+//!   paper's relay, one flow duplicated into similar flows — and exported
+//!   inputs), its validation (type subset rule, single-writer,
+//!   algebraic-loop detection), and the [`StepPlan`](graph::StepPlan) it
+//!   lowers into: the dense schedule whose one walk,
+//!   [`StepPlan::replay`](graph::StepPlan::replay), the engine runs for
+//!   `K` instances and [`StreamerNetwork::step`] runs for one.
 //!
 //! # Examples
 //!
-//! A two-streamer network: a source feeding a gain.
+//! A source fanned out to two gains, lowered into its step plan.
 //!
 //! ```
 //! use urt_dataflow::flowtype::FlowType;
@@ -33,15 +37,18 @@
 //!     &[],
 //!     &[("wave", FlowType::scalar())],
 //! )?;
-//! let sink = net.add_streamer(
-//!     FnStreamer::new("sink", 1, 1, |_t, _h, u, y| y[0] = 2.0 * u[0]),
-//!     &[("in", FlowType::scalar())],
-//!     &[("out", FlowType::scalar())],
-//! )?;
-//! net.flow((src, "wave"), (sink, "in"))?;
-//! net.validate()?;
-//! net.initialize(0.0)?;
-//! net.step(0.001)?;
+//! let io = [("in", FlowType::scalar())];
+//! let out = [("out", FlowType::scalar())];
+//! let double = net.add_streamer(FnStreamer::new("double", 1, 1, |_t, _h, u, y| y[0] = 2.0 * u[0]), &io, &out)?;
+//! let negate = net.add_streamer(FnStreamer::new("negate", 1, 1, |_t, _h, u, y| y[0] = -u[0]), &io, &out)?;
+//! net.flow((src, "wave"), (double, "in"))?;
+//! net.flow((src, "wave"), (negate, "in"))?;
+//! let (plan, rows) = net.into_plan()?;
+//! // One behaviour per row, the source first; each consumer gathers the
+//! // source's lane before it runs.
+//! assert_eq!(rows.len(), 3);
+//! assert_eq!(plan.nodes()[0].node, src);
+//! assert_eq!(plan.nodes()[1].gathers.len(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -56,4 +63,4 @@ pub use error::FlowError;
 pub use flowtype::{FlowType, Unit};
 pub use graph::{NodeId, StreamerNetwork};
 pub use port::{DPortSpec, Direction, SPortSpec};
-pub use streamer::{CompositeStreamer, FnStreamer, OdeLane, OdeStreamer, StreamerBehavior};
+pub use streamer::{FnStreamer, OdeLane, OdeStreamer, StreamerBehavior};

@@ -5,8 +5,6 @@
 //! SPorts and data from DPorts and operating system services, modifying
 //! parameters, computing equations, and sending out the results."
 
-use crate::error::FlowError;
-use crate::graph::StreamerNetwork;
 use std::any::Any;
 use std::fmt;
 use std::ops::Range;
@@ -627,132 +625,6 @@ impl<S: InputSystem + Clone + Send + 'static> OdeLane for OdeStreamer<S> {
     }
 }
 
-/// A whole [`StreamerNetwork`] packaged as one streamer behaviour — the
-/// executable form of the paper's sub-streamer containment (Figure 2: "they
-/// can contain any number of sub-streamers").
-///
-/// Boundary DPorts come from the network's
-/// [`export_input`](StreamerNetwork::export_input) /
-/// [`export_output`](StreamerNetwork::export_output) declarations. SPort
-/// signals delivered to the composite are broadcast to every inner
-/// streamer (each behaviour filters by signal name); signals emitted by
-/// inner streamers bubble up unchanged.
-///
-/// # Examples
-///
-/// ```
-/// use urt_dataflow::flowtype::FlowType;
-/// use urt_dataflow::graph::StreamerNetwork;
-/// use urt_dataflow::streamer::{CompositeStreamer, FnStreamer, StreamerBehavior};
-///
-/// # fn main() -> Result<(), urt_dataflow::FlowError> {
-/// let mut inner = StreamerNetwork::new("inner");
-/// let gain = inner.add_streamer(
-///     FnStreamer::new("gain", 1, 1, |_t, _h, u, y| y[0] = 3.0 * u[0]),
-///     &[("u", FlowType::scalar())],
-///     &[("y", FlowType::scalar())],
-/// )?;
-/// inner.export_input(gain, "u")?;
-/// inner.export_output(gain, "y")?;
-/// let mut composite = CompositeStreamer::new("triple", inner)?;
-/// composite.initialize(0.0)?;
-/// let mut y = [0.0];
-/// composite.advance(0.0, 0.01, &[2.0], &mut y)?;
-/// assert_eq!(y[0], 6.0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct CompositeStreamer {
-    name: String,
-    network: StreamerNetwork,
-    feedthrough: bool,
-    emitted: Vec<(String, Message)>,
-    /// Scratch for draining the inner network's signals without a
-    /// per-step allocation.
-    sig_scratch: Vec<(crate::graph::NodeId, String, Message)>,
-}
-
-impl fmt::Debug for CompositeStreamer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompositeStreamer")
-            .field("name", &self.name)
-            .field("network", &self.network)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompositeStreamer {
-    /// Packages `network` (with its exported boundary ports) as one
-    /// streamer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network validation errors.
-    pub fn new(name: impl Into<String>, mut network: StreamerNetwork) -> Result<Self, FlowError> {
-        network.validate()?;
-        let feedthrough = network.has_external_feedthrough();
-        Ok(CompositeStreamer {
-            name: name.into(),
-            network,
-            feedthrough,
-            emitted: Vec::new(),
-            sig_scratch: Vec::new(),
-        })
-    }
-
-    /// Read access to the inner network.
-    pub fn network(&self) -> &StreamerNetwork {
-        &self.network
-    }
-}
-
-impl StreamerBehavior for CompositeStreamer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_width(&self) -> usize {
-        self.network.external_input_width()
-    }
-
-    fn output_width(&self) -> usize {
-        self.network.external_output_width()
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        self.feedthrough
-    }
-
-    fn initialize(&mut self, t0: f64) -> Result<(), SolveError> {
-        self.network.initialize(t0).map_err(|_| SolveError::InvalidStep { step: t0 })
-    }
-
-    fn advance(&mut self, _t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
-        self.network.set_external_inputs(u);
-        self.network.step(h).map_err(|e| match e {
-            FlowError::Solve(s) => s,
-            _ => SolveError::InvalidStep { step: h },
-        })?;
-        y.copy_from_slice(&self.network.external_outputs());
-        self.network.drain_signals_into(&mut self.sig_scratch);
-        for (_node, sport, msg) in self.sig_scratch.drain(..) {
-            self.emitted.push((sport, msg));
-        }
-        Ok(())
-    }
-
-    fn on_signal(&mut self, msg: &Message) {
-        let ids: Vec<_> = self.network.iter_nodes().map(|(id, _)| id).collect();
-        for id in ids {
-            let _ = self.network.send_signal(id, msg);
-        }
-    }
-
-    fn take_emitted(&mut self) -> Vec<(String, Message)> {
-        std::mem::take(&mut self.emitted)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,74 +777,6 @@ mod tests {
         assert!(y[0] > 0.9, "fast settle, got {}", y[0]);
         s.on_signal(&Message::new("reset", Value::Empty));
         assert_eq!(s.state()[0], 0.0);
-    }
-
-    #[test]
-    fn composite_streamer_nests_inside_a_parent_network() {
-        use crate::flowtype::FlowType;
-
-        // Inner network: lag behind an exported boundary.
-        let mut inner = StreamerNetwork::new("inner");
-        let lag = inner
-            .add_streamer(
-                OdeStreamer::new(
-                    "lag",
-                    first_order_plant(),
-                    SolverKind::Rk4.create(),
-                    &[0.0],
-                    1e-3,
-                ),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        inner.export_input(lag, "u").unwrap();
-        inner.export_output(lag, "y").unwrap();
-        let composite = CompositeStreamer::new("subsystem", inner).unwrap();
-        assert!(!composite.direct_feedthrough(), "lag is not feedthrough");
-        assert_eq!(composite.input_width(), 1);
-        assert_eq!(composite.output_width(), 1);
-
-        // Parent network: source -> composite.
-        let mut outer = StreamerNetwork::new("outer");
-        let src = outer
-            .add_streamer(
-                FnStreamer::new("one", 0, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 1.0),
-                &[],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        let sub = outer
-            .add_streamer(composite, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-            .unwrap();
-        outer.flow((src, "y"), (sub, "u")).unwrap();
-        outer.initialize(0.0).unwrap();
-        for _ in 0..5000 {
-            outer.step(1e-3).unwrap();
-        }
-        let y = outer.output(sub, "y").unwrap()[0];
-        assert!((y - 1.0).abs() < 0.02, "nested lag settled at {y}");
-    }
-
-    #[test]
-    fn export_rules_are_enforced() {
-        use crate::flowtype::FlowType;
-        let mut net = StreamerNetwork::new("n");
-        let g = net
-            .add_streamer(
-                FnStreamer::new("g", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0]),
-                &[("u", FlowType::scalar())],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        net.export_input(g, "u").unwrap();
-        // Double export = double driver.
-        assert!(matches!(net.export_input(g, "u"), Err(FlowError::MultipleWriters { .. })));
-        assert!(net.export_input(g, "ghost").is_err());
-        assert!(net.export_output(g, "ghost").is_err());
-        net.export_output(g, "y").unwrap();
-        // Feedthrough path: gain from exported input to exported output.
-        assert!(net.has_external_feedthrough());
     }
 
     #[test]

@@ -49,6 +49,22 @@ case "$traced_out" in
         ;;
 esac
 
+# The traced paths of fig2-loop and sweep-k64 step the instantiated
+# networks directly (`StreamerNetwork::initialize`/`step`), the only
+# caller of the network's K = 1 plan walk outside the tests.
+for workload in fig2-loop sweep-k64; do
+    echo "==> perfbench: one-second traced seed-1 run of $workload"
+    traced_out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    case "$traced_out" in
+        '{"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $workload failed its traced gate: $traced_out" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -80,6 +96,19 @@ for name in $(cargo run -q --offline -p urt-analysis --bin urt-lint -- --list); 
     if ! printf '%s\n' "$out" | diff -u "$snapshot" - >&2; then
         echo "lint snapshot drift for $name — after an intentional analyzer change, regenerate with:" >&2
         echo "  cargo run -p urt-analysis --bin urt-lint -- --json $name > $snapshot" >&2
+        exit 1
+    fi
+done
+
+# Reports that print no wall times must reproduce their committed output
+# byte for byte (report_e1/e2/e4/ablation time things, so they stay out).
+echo "==> deterministic reports vs results/"
+for report in fig1 fig2 fig3 table1 e3 e5; do
+    committed="results/report_$report.txt"
+    out="$(cargo run -q --release --offline -p urt-bench --bin "report_$report")"
+    if ! printf '%s\n' "$out" | diff -u "$committed" - >&2; then
+        echo "report drift for report_$report — after an intentional change, regenerate with:" >&2
+        echo "  cargo run --release -p urt-bench --bin report_$report > $committed" >&2
         exit 1
     fi
 done

@@ -6,8 +6,14 @@ use unified_rt::baselines::kuhl::{annotation_loss, measure_messages_per_step, tr
 use unified_rt::blocks::diagram::BlockDiagram;
 use unified_rt::blocks::math::Gain;
 use unified_rt::blocks::sources::Constant;
+use unified_rt::compile;
+use unified_rt::core::elaborate::{BehaviorRegistry, CompiledSystem};
+use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::model::ModelBuilder;
+use unified_rt::core::recorder::Recorder;
+use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::{FlowType, Unit};
-use unified_rt::dataflow::graph::StreamerNetwork;
+use unified_rt::dataflow::streamer::StreamerBehavior;
 
 fn chain(n: usize) -> BlockDiagram {
     let mut d = BlockDiagram::new("chain");
@@ -20,6 +26,26 @@ fn chain(n: usize) -> BlockDiagram {
     d
 }
 
+/// The unified model of a diagram: the whole diagram compiled into ONE
+/// native streamer `plant`, with a scalar output `y` probed as `y` when
+/// `output` is set.
+fn native_model(
+    output: bool,
+    diagram: impl Fn() -> BlockDiagram + Send + Sync + 'static,
+) -> CompiledSystem {
+    let streamer = diagram().into_streamer("plant").expect("compile");
+    let mut b = ModelBuilder::new("native");
+    let s = b.streamer("plant", "none");
+    if output {
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.probe(s, "y", "y");
+    }
+    b.streamer_feedthrough(s, streamer.direct_feedthrough());
+    let registry = BehaviorRegistry::new()
+        .streamer("plant", move || Box::new(diagram().into_streamer("plant").expect("compile")));
+    compile(&b.build(), registry).expect("native model compiles")
+}
+
 #[test]
 fn kuhl_objects_grow_linearly_native_streamers_stay_constant() {
     // Paper: "lots of objects and classes may be generated".
@@ -30,10 +56,7 @@ fn kuhl_objects_grow_linearly_native_streamers_stay_constant() {
         kuhl_objects.push(report.capsule_count);
 
         // Native: the whole diagram is ONE streamer in the unified model.
-        let streamer = chain(n).into_streamer("plant").expect("compile");
-        let mut net = StreamerNetwork::new("native");
-        net.add_streamer(streamer, &[], &[]).expect("add");
-        native_objects.push(net.node_count());
+        native_objects.push(native_model(false, move || chain(n)).streamer_count());
     }
     assert!(kuhl_objects[2] > kuhl_objects[0] * 8, "linear object growth {kuhl_objects:?}");
     assert_eq!(native_objects, vec![1, 1, 1], "native stays one streamer");
@@ -91,22 +114,25 @@ fn native_streamer_network_computes_same_result_as_translation() {
     // Semantic sanity: both deployments compute the same chain value.
     let n = 6;
     // Native: one streamer compiled from the diagram, with an output mark.
-    let mut d2 = BlockDiagram::new("chain");
-    let mut prev = d2.add_block(Constant::new(1.0));
-    for _ in 0..n {
-        let g = d2.add_block(Gain::new(1.01));
-        d2.connect(prev, 0, g, 0).expect("wire");
-        prev = g;
-    }
-    d2.mark_output(prev, 0).expect("output");
-    let streamer = d2.into_streamer("chain").expect("compile");
-    let mut net = StreamerNetwork::new("native");
-    let id = net.add_streamer(streamer, &[], &[("y", FlowType::scalar())]).expect("add");
-    net.initialize(0.0).expect("init");
+    let compiled = native_model(true, move || {
+        let mut d = BlockDiagram::new("chain");
+        let mut prev = d.add_block(Constant::new(1.0));
+        for _ in 0..n {
+            let g = d.add_block(Gain::new(1.01));
+            d.connect(prev, 0, g, 0).expect("wire");
+            prev = g;
+        }
+        d.mark_output(prev, 0).expect("output");
+        d
+    });
+    let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+    let mut engine = HybridEngine::from_compiled(&compiled, config).expect("engine");
+    let rec = Recorder::new();
+    engine.set_recorder(rec.clone());
     for _ in 0..n + 2 {
-        net.step(0.01).expect("step");
+        engine.step_once().expect("step");
     }
-    let native = net.output(id, "y").expect("out")[0];
+    let native = rec.series("y").last().expect("recorded").1;
     let expect = 1.01f64.powi(n as i32);
     assert!((native - expect).abs() < 1e-9, "native {native} vs {expect}");
 

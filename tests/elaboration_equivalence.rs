@@ -30,6 +30,7 @@ use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::{FlowEnd, ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
+use unified_rt::core::time::SimClock;
 use unified_rt::dataflow::flowtype::{FlowType, Unit};
 use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use unified_rt::ode::events::{EventDirection, ZeroCrossing};
@@ -150,9 +151,9 @@ fn fig2_registry() -> BehaviorRegistry {
         .streamer("sub3", fig2_squarer)
 }
 
-/// Figure 2 declared as a model (container streamer, fan-out as two
-/// similar flows) and lowered through `compile`.
-fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
+/// Figure 2 declared as a model: a container streamer, and the fan-out
+/// as two similar flows.
+fn fig2_model() -> UnifiedModel {
     let mut b = ModelBuilder::new("fig2");
     let top = b.streamer("top", "rk4");
     let sub1 = b.streamer("sub1", "rk4");
@@ -170,7 +171,12 @@ fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
     b.flow_between_streamers(sub1, "y", sub3, "u");
     b.probe(sub2, "y", "sub2.y");
     b.probe(sub3, "y", "sub3.y");
-    let model = b.build();
+    b.build()
+}
+
+/// [`fig2_model`] lowered through `compile` and run.
+fn fig2_compiled(policy: ThreadPolicy, t_end: f64) -> Run {
+    let model = fig2_model();
     let compiled = compile(&model, fig2_registry()).expect("fig2 compiles");
     assert!(compiled.streamer_node("top").is_none(), "containers contribute no nodes");
     run_compiled(&model, fig2_registry(), policy, t_end, None)
@@ -469,6 +475,49 @@ fn fig2_series_match_the_pinned_checksum_with_or_without_a_relay() {
         let relayed = fig2_relayed(policy, 2.0);
         assert_bit_identical(&direct, &relayed, &format!("fig2 relayed/{policy}"));
     }
+}
+
+#[test]
+fn fig2_networks_stepped_directly_match_a_k1_engine() {
+    // The networks of `instantiate().into_parts()`, stepped through
+    // `initialize`/`step` below the engine (the K = 1 walk of their step
+    // plans), must reproduce a K = 1 engine's probe series bit for bit.
+    let model = fig2_model();
+    let compiled = compile(&model, fig2_registry()).expect("fig2 compiles");
+    let engine = run_compiled(&model, fig2_registry(), ThreadPolicy::CurrentThread, 2.0, None);
+    assert_eq!(checksum(&engine), FIG2_CHECKSUM);
+
+    let (mut nets, _) = compiled.instantiate().expect("instance").into_parts();
+    for net in &mut nets {
+        net.initialize(0.0).expect("init");
+    }
+    let probes: Vec<(String, usize, _)> = ["sub2", "sub3"]
+        .map(|name| {
+            let (group, node) = compiled.streamer_node(name).expect("leaf placed");
+            (format!("{name}.y"), group, node)
+        })
+        .into();
+    let mut series: Vec<(String, Vec<(f64, f64)>)> =
+        probes.iter().map(|(name, ..)| (name.clone(), Vec::new())).collect();
+    let mut clock = SimClock::new();
+    for _ in 0..engine.step_count {
+        for net in &mut nets {
+            net.step(0.01).expect("step");
+        }
+        clock.tick(0.01);
+        for ((_, group, node), (_, samples)) in probes.iter().zip(&mut series) {
+            let y = nets[*group].output(*node, "y").expect("output")[0];
+            samples.push((clock.seconds(), y));
+        }
+    }
+    let direct = Run {
+        series,
+        final_state: None,
+        delivered: 0,
+        step_count: engine.step_count,
+        time: clock.seconds(),
+    };
+    assert_bit_identical(&direct, &engine, "fig2 networks vs K = 1 engine");
 }
 
 #[test]

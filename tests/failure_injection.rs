@@ -9,7 +9,6 @@ use unified_rt::core::pacer::PacedConfig;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::graph::StreamerNetwork;
 use unified_rt::dataflow::streamer::{OdeStreamer, StreamerBehavior};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::FnInputSystem;
@@ -116,15 +115,21 @@ fn behaviour_error_mid_run_is_recoverable_state() {
             Ok(())
         }
     }
-    let mut net = StreamerNetwork::new("n");
-    net.add_streamer(FailsAtFive { count: 0 }, &[], &[("y", FlowType::scalar())]).expect("add");
-    net.initialize(0.0).expect("init");
+    let mut b = ModelBuilder::new("flaky");
+    let s = b.streamer("flaky", "none");
+    b.streamer_out(s, "y", FlowType::scalar());
+    let registry = BehaviorRegistry::new().streamer("flaky", || Box::new(FailsAtFive { count: 0 }));
+    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
+    let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+    let mut engine = HybridEngine::from_compiled(&compiled, config).expect("engine");
     for _ in 0..4 {
-        net.step(0.01).expect("healthy step");
+        engine.step_once().expect("healthy step");
     }
-    assert!(net.step(0.01).is_err(), "fifth step fails");
-    // The network reports its time consistently after the failure.
-    assert!((net.time() - 0.04).abs() < 1e-12, "failed step did not advance time");
+    let err = engine.step_once().expect_err("fifth step fails");
+    assert!(matches!(err, CoreError::Flow(_)), "behaviour failure surfaces as dataflow: {err}");
+    // The engine reports its time consistently after the failure.
+    assert_eq!(engine.step_count(), 4, "failed step is not counted");
+    assert!((engine.time() - 0.04).abs() < 1e-12, "failed step did not advance time");
 }
 
 #[test]
