@@ -29,6 +29,16 @@
 //! order, then plan order, exactly as [`StreamerNetwork::step`] emits
 //! them — and every controller runs to the post-step instant.
 //!
+//! Recording a step takes no lock: each group writes the post-step
+//! instant and its probes' `K` instance values as one row of its
+//! pre-sized *probe column*, and the column reaches the [`Recorder`] in
+//! one [`SeriesHandle::extend_strided`] per series when it flushes: when
+//! it is full, at the end of every public step call (a failed one
+//! included), after every paced cycle (before the cycle's closing clock
+//! reading) and at the end of every threaded worker batch. Between public
+//! calls every column is empty, so the recorder holds exactly the samples
+//! a per-sample push would have left, in the same order.
+//!
 //! Under [`ThreadPolicy::DedicatedThreads`] each group steps on its own
 //! worker for the length of a `run_until` segment, in batches of macro
 //! steps: a batch is one macro step while SPort links exist (a signal
@@ -72,6 +82,10 @@ use urt_dataflow::graph::StreamerNetwork;
 /// SPort link forces per-step batches: amortises the coordinator
 /// rendezvous to nothing while keeping pacing release points bounded.
 const DEFAULT_MAX_BATCH: u64 = 4096;
+
+/// Values a group's [`ProbeColumn`] holds before it must flush (8 KB);
+/// a row wider than this still gets a one-row column.
+const COLUMN_VALUES: usize = 1024;
 
 /// Per-instance parameter overrides for one ensemble member: a list of
 /// `(streamer, parameter, value)` assignments applied through
@@ -261,6 +275,76 @@ struct Probe {
     handles: Vec<SeriesHandle>,
 }
 
+/// One group's probe samples since the last flush, row-major: one row
+/// per macro step holding the post-step instant, then the `K` instance
+/// values of each recording probe, in probe order. Recording a step is
+/// plain stores into the pre-sized rows; [`ProbeColumn::flush`] appends
+/// them to every series with one lock per series.
+struct ProbeColumn {
+    /// Rows, reserved once for a whole number of them; the first pass
+    /// through the column grows it within that reservation, later passes
+    /// overwrite it in place.
+    values: Vec<f64>,
+    /// Values written since the last flush.
+    len: usize,
+    /// Values per row: `1 + K ×` recording probes.
+    stride: usize,
+    /// Values a full column holds.
+    limit: usize,
+    k: usize,
+}
+
+impl ProbeColumn {
+    /// A column for `probes` and their interned series, or `None` when
+    /// none records (no probes, or only zero-width ports).
+    fn new(probes: &[Probe], k: usize) -> Option<Self> {
+        let stride = 1 + k * probes.iter().filter(|p| p.lane.is_some()).count();
+        if stride == 1 {
+            return None;
+        }
+        let limit = stride * (COLUMN_VALUES / stride).max(1);
+        Some(ProbeColumn { values: Vec::with_capacity(limit), len: 0, stride, limit, k })
+    }
+
+    /// Writes one row: instant `t`, then each probe's lane of every
+    /// instance's dense outputs `outs` (`outw` lanes per instance).
+    fn record(&mut self, probes: &[Probe], t: f64, outs: &[f64], outw: usize) {
+        if self.values.len() == self.len {
+            self.values.resize(self.len + self.stride, 0.0);
+        }
+        let row = &mut self.values[self.len..self.len + self.stride];
+        row[0] = t;
+        let mut at = 1;
+        for lane in probes.iter().filter_map(|p| p.lane) {
+            for i in 0..self.k {
+                row[at] = outs[i * outw + lane];
+                at += 1;
+            }
+        }
+        self.len += self.stride;
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.limit
+    }
+
+    /// Appends every buffered row to its series and empties the column.
+    fn flush(&mut self, probes: &[Probe]) {
+        if self.len == 0 {
+            return;
+        }
+        let rows = &self.values[..self.len];
+        let mut lane = 1;
+        for p in probes.iter().filter(|p| p.lane.is_some()) {
+            for series in &p.handles {
+                series.extend_strided(rows, self.stride, lane);
+                lane += 1;
+            }
+        }
+        self.len = 0;
+    }
+}
+
 /// The streamer end of one SPort link: the capsule's sends collect in
 /// external outbox `endpoint` of every instance's controller and are
 /// delivered to the linked row's lanes.
@@ -310,6 +394,9 @@ struct GroupState {
     incoming: Vec<ChannelEnd>,
     outgoing: Vec<ChannelEnd>,
     probes: Vec<Probe>,
+    /// The probes' samples not yet in the recorder; `None` while nothing
+    /// records. Empty between the engine's public calls.
+    column: Option<ProbeColumn>,
     inboxes: Vec<Inbox>,
     inbound: Inbound,
     /// `routes[node]`: the node's linked SPorts as `(sport, link)` pairs —
@@ -320,13 +407,18 @@ struct GroupState {
 }
 
 /// Routes the signals `b` emitted on linked SPorts into `out`; signals on
-/// unlinked SPorts are dropped, as on the network path.
+/// unlinked SPorts are dropped, as on the network path. `b`'s buffer is
+/// drained either way, and a node with no linked SPort skips the scan.
 fn route_emitted(
     b: &mut dyn StreamerBehavior,
     routes: &[(String, usize)],
     out: &mut Vec<(usize, Message)>,
 ) {
-    for (sport, msg) in b.take_emitted() {
+    let signals = b.take_emitted();
+    if routes.is_empty() {
+        return;
+    }
+    for (sport, msg) in signals {
         if let Some(&(_, link)) = routes.iter().find(|(s, _)| *s == sport) {
             out.push((link, msg));
         }
@@ -349,6 +441,7 @@ impl GroupState {
             incoming: Vec::new(),
             outgoing: Vec::new(),
             probes: Vec::new(),
+            column: None,
             inboxes: Vec::new(),
             inbound: Vec::new(),
         }
@@ -357,8 +450,8 @@ impl GroupState {
     /// One macro step of all `k` instances: deliver the collected
     /// capsule messages, latch channel inputs (slot `step % 2`), replay
     /// the plan, publish channel outputs (slot `(step + 1) % 2`) and
-    /// record probes at the post-step instant `t`. `step` is the pre-step
-    /// macro-step count.
+    /// record probes at the post-step instant `t` into the probe column,
+    /// flushing it when full. `step` is the pre-step macro-step count.
     fn macro_step(&mut self, h: f64, k: usize, step: u64, t: f64) -> Result<(), CoreError> {
         for (inbox, per_instance) in self.inboxes.iter().zip(self.inbound.chunks_mut(k)) {
             for (i, buf) in per_instance.iter_mut().enumerate() {
@@ -386,14 +479,20 @@ impl GroupState {
                     .copy_from_slice(&self.outs[src..src + ch.width]);
             }
         }
-        for p in &self.probes {
-            if let Some(lane) = p.lane {
-                for (i, series) in p.handles.iter().enumerate() {
-                    series.push(t, self.outs[i * outw + lane]);
-                }
+        if let Some(column) = &mut self.column {
+            column.record(&self.probes, t, &self.outs, outw);
+            if column.is_full() {
+                column.flush(&self.probes);
             }
         }
         Ok(())
+    }
+
+    /// Appends the probe column to the recorder, leaving it empty.
+    fn flush_probes(&mut self) {
+        if let Some(column) = &mut self.column {
+            column.flush(&self.probes);
+        }
     }
 
     /// Replays the plan once, advancing all `k` instances by `h`: the
@@ -556,7 +655,6 @@ pub struct EnsembleEngine {
     /// The capsule end `(capsule, port)` of every SPort link, by link
     /// index; the streamer end lives in its group's inbox and routes.
     links: Vec<(usize, String)>,
-    recorder: Option<Recorder>,
     /// Whether probes record under their plain series name (the `K = 1`
     /// [`HybridEngine`]) instead of `{series}#{instance}`.
     pub(crate) plain_series: bool,
@@ -609,7 +707,6 @@ impl EnsembleEngine {
             groups: Vec::new(),
             controllers,
             links: Vec::new(),
-            recorder: None,
             plain_series: false,
             max_batch: DEFAULT_MAX_BATCH,
             step_budget_ns: None,
@@ -815,10 +912,11 @@ impl EnsembleEngine {
     }
 
     /// Records the first lane of `(group, node, port)` into `series`
-    /// after every macro step, per instance. The port is resolved to a
-    /// dense lane here, once — recording never looks names up again.
-    /// Refuses a bad group index ([`CoreError::Engine`]) and an unknown
-    /// node or output port ([`CoreError::Flow`]).
+    /// after every macro step, per instance, once
+    /// [`EnsembleEngine::set_recorder`] interned the series. The port is
+    /// resolved to a dense lane here, once — recording never looks names
+    /// up again. Refuses a bad group index ([`CoreError::Engine`]) and an
+    /// unknown node or output port ([`CoreError::Flow`]).
     pub(crate) fn add_probe(
         &mut self,
         group: usize,
@@ -826,14 +924,10 @@ impl EnsembleEngine {
         port: &str,
         series: &str,
     ) -> Result<(), CoreError> {
-        let handles = match &self.recorder {
-            Some(rec) => self.series_handles(rec, series),
-            None => Vec::new(),
-        };
         let gs = self.group(group)?;
         let (out_base, spec) = gs.plan.output_port(node, port)?;
         let lane = (spec.width() > 0).then_some(out_base);
-        gs.probes.push(Probe { lane, series: series.to_owned(), handles });
+        gs.probes.push(Probe { lane, series: series.to_owned(), handles: Vec::new() });
         Ok(())
     }
 
@@ -942,14 +1036,19 @@ impl EnsembleEngine {
 
     /// Attaches a recorder, interning one `{series}#{instance}` handle
     /// per (probe, instance) pair so the per-step record path is
-    /// lookup-free.
+    /// lookup-free, and sizing each group's probe column (the one
+    /// allocation recording needs).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         let mut groups = std::mem::take(&mut self.groups);
-        for p in groups.iter_mut().flat_map(|gs| &mut gs.probes) {
-            p.handles = self.series_handles(&recorder, &p.series);
+        for gs in &mut groups {
+            for p in &mut gs.probes {
+                p.handles = self.series_handles(&recorder, &p.series);
+            }
+            // Columns are empty between public calls: none loses a sample.
+            debug_assert!(gs.column.as_ref().is_none_or(|c| c.len == 0));
+            gs.column = ProbeColumn::new(&gs.probes, self.k);
         }
         self.groups = groups;
-        self.recorder = Some(recorder);
     }
 
     fn start_if_needed(&mut self) -> Result<(), CoreError> {
@@ -981,10 +1080,13 @@ impl EnsembleEngine {
         Ok(())
     }
 
-    /// Marks the engine failed if `result` is a step failure. A paced
+    /// Ends a public step call: flushes every probe column, so the
+    /// recorder holds each sample taken (a failed step's included), and
+    /// marks the engine failed if `result` is a step failure. A paced
     /// run's [`CoreError::DeadlineOverrun`] is not one: every step it
     /// took completed, so the engine stays usable.
     fn settle<T>(&mut self, result: Result<T, CoreError>) -> Result<T, CoreError> {
+        self.groups.iter_mut().for_each(GroupState::flush_probes);
         if let Err(e) = &result {
             if !matches!(e, CoreError::DeadlineOverrun { .. }) {
                 self.lifecycle = Lifecycle::Failed { step: self.clock.step_count() };
@@ -1061,6 +1163,9 @@ impl EnsembleEngine {
             (0..n).try_for_each(|_| {
                 runner.begin();
                 self.macro_step()?;
+                // The cycle's samples are in the recorder before its
+                // closing clock reading.
+                self.groups.iter_mut().for_each(GroupState::flush_probes);
                 runner.end(1, self.clock.seconds())
             })
         };
@@ -1201,6 +1306,7 @@ impl EnsembleEngine {
                                 completed += u64::from(result.is_ok());
                             }
                         }
+                        gs.flush_probes();
                         let emitted = std::mem::replace(&mut gs.emitted, spare);
                         let done = Done { result, completed, emitted, inbound: drained };
                         if done_tx.send(done).is_err() {

@@ -13,7 +13,8 @@
 //!   the input DPort's flow type".
 //! * **sport-protocol** — SPort links connect ports with the same
 //!   protocol.
-//! * **unique-names** — element names are unique per kind.
+//! * **unique-names** — element names are unique per kind, and so are
+//!   probe series names: one series records one probe.
 //!
 //! The model is *declarative*: it describes structure for validation, code
 //! generation and reporting. The executable counterpart is assembled with
@@ -587,7 +588,28 @@ impl UnifiedModel {
     }
 
     fn collect_probes(&self, found: &mut Vec<CoreError>) {
-        for p in &self.probes {
+        let tap = |p: &ProbeDecl| {
+            format!("`{}`.`{}`", self.streamer_name(p.streamer).unwrap_or("?"), p.port)
+        };
+        // A series records one probe. Sorted names show whether any
+        // repeats; only then is each probe checked against the earlier ones.
+        let mut series: Vec<&str> = self.probes.iter().map(|p| p.series.as_str()).collect();
+        series.sort_unstable();
+        let repeats = series.windows(2).any(|w| w[0] == w[1]);
+        for (i, p) in self.probes.iter().enumerate() {
+            let first = repeats.then(|| self.probes[..i].iter().find(|q| q.series == p.series));
+            if let Some(first) = first.flatten() {
+                found.push(CoreError::Validation {
+                    rule: "unique-names",
+                    detail: format!(
+                        "probe series `{}` is recorded by both {} and {}; give each probe its \
+                         own series",
+                        p.series,
+                        tap(first),
+                        tap(p)
+                    ),
+                });
+            }
             let Some(st) = self.streamers.get(p.streamer.0) else {
                 found.push(CoreError::Validation {
                     rule: "probe-port",
@@ -1060,6 +1082,26 @@ mod tests {
             b.build().validate().unwrap_err(),
             CoreError::Validation { rule: "unique-names", .. }
         ));
+    }
+
+    #[test]
+    fn duplicate_probe_series_rejected_naming_both_probes() {
+        let mut b = ModelBuilder::new("m");
+        let s1 = b.streamer("s1", "rk4");
+        let s2 = b.streamer("s2", "rk4");
+        b.streamer_out(s1, "y", FlowType::scalar());
+        b.streamer_out(s2, "z", FlowType::scalar());
+        b.probe(s1, "y", "out");
+        b.probe(s2, "z", "out");
+        b.probe(s2, "z", "z");
+        let found = b.build().violations();
+        assert_eq!(found.len(), 1, "{found:?}");
+        let CoreError::Validation { rule: "unique-names", detail } = &found[0] else {
+            panic!("unexpected {:?}", found[0]);
+        };
+        assert!(detail.contains("`out`"), "{detail}");
+        assert!(detail.contains("`s1`.`y`") && detail.contains("`s2`.`z`"), "{detail}");
+        assert!(found[0].to_string().starts_with("URT101: "), "{}", found[0]);
     }
 
     #[test]

@@ -20,12 +20,6 @@ pub enum FlowError {
         /// The offending index.
         index: usize,
     },
-    /// Flow direction violated: flows go from an output DPort to an input
-    /// DPort.
-    WrongDirection {
-        /// Human-readable description.
-        detail: String,
-    },
     /// The paper's connection rule failed: the output port's flow type is
     /// not a subset of the input port's flow type.
     TypeMismatch {
@@ -82,7 +76,6 @@ impl FlowError {
         match self {
             FlowError::UnknownPort { .. } => "URT001",
             FlowError::UnknownNode { .. } => "URT002",
-            FlowError::WrongDirection { .. } => "URT003",
             FlowError::TypeMismatch { .. } => "URT004",
             FlowError::MultipleWriters { .. } => "URT005",
             FlowError::UnconnectedInput { .. } => "URT006",
@@ -102,7 +95,6 @@ impl fmt::Display for FlowError {
                 write!(f, "unknown port `{port}` on streamer `{node}`")
             }
             FlowError::UnknownNode { index } => write!(f, "unknown node index {index}"),
-            FlowError::WrongDirection { detail } => write!(f, "wrong flow direction: {detail}"),
             FlowError::TypeMismatch { from, to, detail } => {
                 write!(f, "flow type of `{from}` is not a subset of `{to}`: {detail}")
             }
@@ -163,7 +155,6 @@ mod tests {
         let cases: Vec<FlowError> = vec![
             FlowError::UnknownPort { node: "n".into(), port: "p".into() },
             FlowError::UnknownNode { index: 0 },
-            FlowError::WrongDirection { detail: "d".into() },
             FlowError::TypeMismatch { from: "a".into(), to: "b".into(), detail: "d".into() },
             FlowError::MultipleWriters { node: "n".into(), port: "p".into() },
             FlowError::UnconnectedInput { node: "n".into(), port: "p".into() },

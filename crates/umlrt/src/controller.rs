@@ -18,7 +18,6 @@ use crate::message::{Message, MessageQueue};
 use crate::port::{PortDecl, PortKind};
 use crate::protocol::Protocol;
 use crate::timing::TimerService;
-use crate::trace::{TraceEvent, TraceKind, Tracer};
 use std::fmt;
 
 /// Where messages sent out of one capsule port go.
@@ -100,7 +99,6 @@ pub struct Controller {
     ctx: CapsuleContext,
     clock: f64,
     started: bool,
-    tracer: Option<Tracer>,
     dropped: u64,
     delivered: u64,
 }
@@ -129,7 +127,6 @@ impl Controller {
             ctx: CapsuleContext::new("", 0.0, 0),
             clock: 0.0,
             started: false,
-            tracer: None,
             dropped: 0,
             delivered: 0,
         }
@@ -138,11 +135,6 @@ impl Controller {
     /// Controller name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Attaches a tracer; all subsequent events are recorded into it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Sets the timer-service tick resolution (see [`TimerService`]).
@@ -361,17 +353,6 @@ impl Controller {
         self.ctx.rebind(capsule.name(), self.clock);
         capsule.on_message(&msg, &mut self.ctx);
         self.delivered += 1;
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent {
-                time: self.clock,
-                kind: TraceKind::Delivered {
-                    to: self.capsules[idx].name().to_owned(),
-                    port: msg.port().to_owned(),
-                    signal: msg.signal().to_owned(),
-                    handled: true,
-                },
-            });
-        }
         self.apply_effects(idx);
         Ok(true)
     }
@@ -411,20 +392,8 @@ impl Controller {
                 break;
             }
             self.clock = due.max(self.clock);
-            let (clock, capsules, tracer, queue) =
-                (self.clock, &self.capsules, &self.tracer, &mut self.queue);
-            self.timers.fire_due(clock, |fired| {
-                if let Some(tracer) = tracer {
-                    tracer.record(TraceEvent {
-                        time: clock,
-                        kind: TraceKind::TimerFired {
-                            capsule: capsules[fired.capsule].name().to_owned(),
-                            signal: fired.message.signal().to_owned(),
-                        },
-                    });
-                }
-                queue.push(fired.capsule, fired.message);
-            });
+            let queue = &mut self.queue;
+            self.timers.fire_due(self.clock, |fired| queue.push(fired.capsule, fired.message));
             n += self.run_until_quiescent()?;
         }
         self.clock = self.clock.max(t_end);
@@ -491,23 +460,7 @@ impl Controller {
         // run-to-completion step is pending when its cancel arrives, so
         // it never fires.
         for req in self.ctx.timer_sets.drain(..) {
-            let due = self.timers.schedule(
-                sender,
-                req.id,
-                self.clock,
-                req.delay,
-                req.period,
-                &req.signal,
-            );
-            if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent {
-                    time: self.clock,
-                    kind: TraceKind::TimerSet {
-                        capsule: self.capsules[sender].name().to_owned(),
-                        due,
-                    },
-                });
-            }
+            self.timers.schedule(sender, req.id, self.clock, req.delay, req.period, &req.signal);
         }
         for id in self.ctx.timer_cancels.drain(..) {
             self.timers.cancel(id);
@@ -524,35 +477,13 @@ impl Controller {
     /// Routes one message capsule `sender` sent; its port is the port it
     /// was sent out of.
     fn route(&mut self, sender: usize, message: Message) {
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent {
-                time: self.clock,
-                kind: TraceKind::Sent {
-                    from: self.capsules[sender].name().to_owned(),
-                    port: message.port().to_owned(),
-                    signal: message.signal().to_owned(),
-                },
-            });
-        }
         match self.tables[sender].route(message.port()) {
             Some(Endpoint::Capsule { index, port }) => {
                 let (index, port) = resolve_relays(&self.tables, *index, port);
                 self.queue.push(index, message.with_port(port));
             }
             Some(Endpoint::External(endpoint)) => self.outboxes[*endpoint].push(message),
-            None => {
-                self.dropped += 1;
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent {
-                        time: self.clock,
-                        kind: TraceKind::Dropped {
-                            from: self.capsules[sender].name().to_owned(),
-                            port: message.port().to_owned(),
-                            signal: message.signal().to_owned(),
-                        },
-                    });
-                }
-            }
+            None => self.dropped += 1,
         }
     }
 }
@@ -670,12 +601,12 @@ mod tests {
             .build()
             .unwrap();
         let mut c = Controller::new("c");
-        let tracer = Tracer::new();
-        c.set_tracer(tracer.clone());
         c.add_capsule(Box::new(SmCapsule::new(m, ())));
         c.start().unwrap();
         assert_eq!(c.dropped_count(), 1);
-        assert_eq!(tracer.count_matching(|e| matches!(e.kind, TraceKind::Dropped { .. })), 1);
+        assert_eq!(c.delivered_count(), 0, "the dropped send reached no capsule");
+        c.run_until(1.0).unwrap();
+        assert_eq!(c.dropped_count(), 1, "a drop is counted once, when the send is routed");
     }
 
     #[test]

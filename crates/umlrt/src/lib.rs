@@ -23,7 +23,6 @@
 //!   separate threads form a system.
 //! * [`timing`] — the timer service, deliberately *tick-quantised* to model
 //!   the paper's observation that "timing in UML-RT is unpredictable".
-//! * [`trace`] — structured execution traces for tests and experiments.
 //!
 //! # Examples
 //!
@@ -76,7 +75,6 @@ pub mod protocol;
 pub mod statemachine;
 pub mod sync;
 pub mod timing;
-pub mod trace;
 pub mod value;
 
 pub use capsule::{Capsule, CapsuleContext, SmCapsule};

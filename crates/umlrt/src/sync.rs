@@ -3,10 +3,10 @@
 //! The workspace builds hermetically with zero registry dependencies, so
 //! `parking_lot` is replaced by this thin wrapper: the same non-`Result`
 //! `lock()` ergonomics, implemented by recovering the guard from a
-//! poisoned `std::sync::Mutex` instead of propagating the panic. Tracers
-//! and recorders only append to or copy plain collections, so observing a
-//! value written by a thread that later panicked is harmless — losing the
-//! whole trace to poisoning is not.
+//! poisoned `std::sync::Mutex` instead of propagating the panic. Recorders
+//! and channel slots only append to or copy plain collections, so
+//! observing a value written by a thread that later panicked is harmless;
+//! losing every recorded sample to poisoning is not.
 
 use std::sync::{Mutex as StdMutex, MutexGuard};
 

@@ -12,17 +12,22 @@
 //! checks 1000 macro steps after 200 warm-up steps under `step_once`,
 //! `run_until` and `run_paced` on the current thread, for one instance
 //! and for a four-instance ensemble, with the recorder's series reserved.
+//!
+//! The same gate covers the recording half of the two streamer-only
+//! benchmark shapes under `run_until`: four closed-form Figure 2 groups,
+//! and a 64-instance RK4 sweep on the batched kernel. Their probe columns
+//! fill and flush inside the measured steps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
-use unified_rt::core::ensemble::EnsembleEngine;
+use unified_rt::core::ensemble::{EnsembleEngine, VariantSpec};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::pacer::{PacedConfig, WallClock};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::streamer::{OdeStreamer, StreamerBehavior};
+use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
 use unified_rt::ode::solver::SolverKind;
 use unified_rt::ode::system::InputSystem;
 use unified_rt::ode::SolveError;
@@ -294,14 +299,15 @@ fn paced_config() -> PacedConfig {
     PacedConfig::new().with_rate(1e6).with_clock(Box::new(WallClock::new()))
 }
 
-/// A recorder whose probe series already have room for every sample the
-/// run records: pushing and clearing keeps each buffer's capacity.
-fn reserved_recorder(k: usize) -> Recorder {
+/// A recorder whose probe series (`names`, fanned out per instance when
+/// `k > 1`) already have room for every sample the run records: pushing
+/// and clearing keeps each buffer's capacity.
+fn reserved_recorder<'a>(names: impl IntoIterator<Item = &'a str>, k: usize) -> Recorder {
     let recorder = Recorder::new();
-    let names = (0..PLANTS).map(|i| format!("y{i}")).chain(["lag".to_owned()]);
     for name in names {
         for i in 0..k {
-            let series = if k == 1 { name.clone() } else { EnsembleEngine::series_name(&name, i) };
+            let series =
+                if k == 1 { name.to_owned() } else { EnsembleEngine::series_name(name, i) };
             let handle = recorder.handle(&series);
             for _ in 0..2 * (WARM_UP + MEASURED) {
                 handle.push(0.0, 0.0);
@@ -314,7 +320,7 @@ fn reserved_recorder(k: usize) -> Recorder {
 
 fn check(k: usize, drive: Drive) {
     let compiled = model();
-    let recorder = reserved_recorder(k);
+    let recorder = reserved_recorder(["y0", "y1", "y2", "y3", "lag"], k);
     let mut engine = Engine::build(&compiled, k, &recorder);
     engine.advance(drive, WARM_UP, paced_config());
     let before: Vec<u64> = engine.controllers(k).iter().map(|c| c.delivered_count()).collect();
@@ -353,6 +359,136 @@ fn four_instance_ensemble_round_trips_allocate_nothing_under_every_drive() {
     for drive in [Drive::StepOnce, Drive::RunUntil, Drive::RunPaced] {
         check(4, drive);
     }
+}
+
+/// Four Figure 2 groups as in the `fig2-loop` benchmark: a sine source
+/// fanning out to a gain and a square, each group on its own thread
+/// and probed on the gain.
+fn fig2_groups() -> CompiledSystem {
+    let mut b = ModelBuilder::new("fig2-groups");
+    let mut registry = BehaviorRegistry::new();
+    for g in 0..4 {
+        let [n1, n2, n3] = ["sub1", "sub2", "sub3"].map(|s| format!("{s}-g{g}"));
+        let [s1, s2, s3] = [&n1, &n2, &n3].map(|n| b.streamer(n, "none"));
+        for s in [s1, s2, s3] {
+            b.assign_thread(s, g);
+        }
+        b.streamer_out(s1, "y", FlowType::scalar());
+        for s in [s2, s3] {
+            b.streamer_in(s, "u", FlowType::scalar());
+            b.streamer_out(s, "y", FlowType::scalar());
+        }
+        b.flow_between_streamers(s1, "y", s2, "u");
+        b.flow_between_streamers(s1, "y", s3, "u");
+        b.probe(s2, "y", format!("y{g}"));
+        let omega = 1.0 + g as f64;
+        registry = registry
+            .streamer(n1.clone(), move || {
+                let source = move |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = (omega * t).sin();
+                Box::new(FnStreamer::new(n1.clone(), 0, 1, source))
+            })
+            .streamer(n2.clone(), move || {
+                let gain = |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0];
+                Box::new(FnStreamer::new(n2.clone(), 1, 1, gain))
+            })
+            .streamer(n3.clone(), move || {
+                let square = |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0];
+                Box::new(FnStreamer::new(n3.clone(), 1, 1, square))
+            });
+    }
+    elaborate(&b.build(), registry, &validate_gate).expect("model compiles")
+}
+
+/// `x'' = -4 x`: the `sweep-k64` benchmark's source.
+#[derive(Clone)]
+struct Sine;
+
+impl InputSystem for Sine {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn input_dim(&self) -> usize {
+        0
+    }
+    fn output_dim(&self) -> usize {
+        1
+    }
+    fn derivatives(&self, _t: f64, x: &[f64], _u: &[f64], dx: &mut [f64]) {
+        dx[0] = x[1];
+        dx[1] = -4.0 * x[0];
+    }
+    fn output(&self, _t: f64, x: &[f64], _u: &[f64], y: &mut [f64]) {
+        y[0] = x[0];
+    }
+}
+
+/// One group shaped like the `sweep-k64` benchmark: an RK4 source
+/// (sub-step 0.1 ms) fanning out to a gain and a square, probed on the
+/// gain.
+fn sweep_group() -> CompiledSystem {
+    let mut b = ModelBuilder::new("sweep");
+    let s1 = b.streamer("sub1", "rk4");
+    let s2 = b.streamer("sub2", "none");
+    let s3 = b.streamer("sub3", "none");
+    b.streamer_out(s1, "y", FlowType::scalar());
+    b.streamer_feedthrough(s1, false);
+    for s in [s2, s3] {
+        b.streamer_in(s, "u", FlowType::scalar());
+        b.streamer_out(s, "y", FlowType::scalar());
+    }
+    b.flow_between_streamers(s1, "y", s2, "u");
+    b.flow_between_streamers(s1, "y", s3, "u");
+    b.probe(s2, "y", "y");
+    let registry = BehaviorRegistry::new()
+        .streamer("sub1", || {
+            Box::new(OdeStreamer::new("sub1", Sine, SolverKind::Rk4.create(), &[0.0, 1.0], 1e-4))
+        })
+        .streamer("sub2", || {
+            let gain = |_t, _h, u: &[f64], y: &mut [f64]| y[0] = 2.0 * u[0];
+            Box::new(FnStreamer::new("sub2", 1, 1, gain))
+        })
+        .streamer("sub3", || {
+            let square = |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0];
+            Box::new(FnStreamer::new("sub3", 1, 1, square))
+        });
+    elaborate(&b.build(), registry, &validate_gate).expect("model compiles")
+}
+
+/// Counts the allocations of `MEASURED` macro steps taken by one
+/// `run_until` call after `WARM_UP` ones, and checks every probe recorded
+/// every step.
+fn check_run_until(mut run_until: impl FnMut(f64), recorder: &Recorder, label: &str) {
+    run_until(WARM_UP as f64 * STEP);
+    let t_end = (WARM_UP + MEASURED) as f64 * STEP;
+    let count = allocations_in(|| run_until(t_end));
+    assert_eq!(count, 0, "{label}: {MEASURED} macro steps allocated {count} times");
+    for name in recorder.names() {
+        assert_eq!(recorder.series(&name).len() as u64, WARM_UP + MEASURED, "{label}: {name}");
+    }
+}
+
+#[test]
+fn four_fig2_groups_record_without_allocating() {
+    let recorder = reserved_recorder(["y0", "y1", "y2", "y3"], 1);
+    let mut engine =
+        HybridEngine::from_compiled(&fig2_groups(), EngineConfig::default()).expect("engine");
+    engine.set_recorder(recorder.clone());
+    check_run_until(|t| engine.run_until(t).expect("run"), &recorder, "fig2 groups");
+    assert_eq!(recorder.names().len(), 4);
+}
+
+#[test]
+fn k64_rk4_sweep_records_without_allocating() {
+    const K: usize = 64;
+    let variants: Vec<VariantSpec> =
+        (0..K).map(|i| VariantSpec::new().set("sub1", "x0[1]", 1.0 + i as f64 / 16.0)).collect();
+    let recorder = reserved_recorder(["y"], K);
+    let mut engine =
+        EnsembleEngine::from_variants(&sweep_group(), &variants, EngineConfig::default())
+            .expect("ensemble");
+    engine.set_recorder(recorder.clone());
+    check_run_until(|t| engine.run_until(t).expect("run"), &recorder, "K = 64 sweep");
+    assert_eq!(recorder.names().len(), K);
 }
 
 #[test]
