@@ -28,7 +28,7 @@
 //! `K ∈ {1, 8}` in smoke mode, `{1, 8, 64, 256}` in full runs.
 //!
 //! Nested under the ensemble axis, a **kernel** axis isolates what the
-//! width-aware batched ODE solver path buys over per-lane scalar
+//! batched ODE solver path buys over per-lane scalar
 //! stepping: one [`EnsembleEngine`] per configuration, stepped once with
 //! `kernel = scalar` ([`EnsembleKernel::PerLane`]) and once with
 //! `kernel = batched` (the default), over `K ∈ {16, 64, 256}` (`{16,
@@ -119,7 +119,7 @@ const PACED_BUDGET_NS: f64 = 250e6;
 /// deliver at least 10% more macro steps per second than per-lane scalar
 /// stepping on every kernel-axis workload. Measured headroom is far
 /// larger (the batched kernel amortizes the per-lane driver loop and
-/// fuses the RK stage combines into lane-width sweeps); the floor is
+/// keeps four lanes' RK stages in registers); the floor is
 /// deliberately conservative so a loaded box cannot flake the gate while
 /// a real regression — falling back to per-lane dispatch — still trips
 /// it.
@@ -1051,7 +1051,7 @@ fn main() {
             eprintln!(
                 "bench_engine: batched kernel at K={kernel_check_k} is below {kernel_floor}x \
                  the scalar per-lane path on {workload} (median pair ratio {ratio:.3}) — \
-                 the width-aware batched ODE path regressed"
+                 the batched ODE path regressed"
             );
             std::process::exit(1);
         }

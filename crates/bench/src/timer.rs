@@ -102,7 +102,7 @@ pub fn bench<F: FnMut()>(label: &str, iters: usize, mut f: F) -> TimingReport {
     summarize(label, samples)
 }
 
-/// Like [`bench`], but runs `setup` outside the timed region before each
+/// Like [`bench`](fn@bench), but runs `setup` outside the timed region before each
 /// iteration and hands its value to `f`.
 ///
 /// # Panics

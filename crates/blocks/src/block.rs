@@ -27,12 +27,6 @@ pub trait Block: Send {
     /// Number of output lanes.
     fn outputs(&self) -> usize;
 
-    /// Whether the block holds continuous state (an integrator-like
-    /// block). Used by the Kühl-baseline accounting.
-    fn is_continuous(&self) -> bool {
-        false
-    }
-
     /// Whether outputs depend directly on this step's inputs.
     fn direct_feedthrough(&self) -> bool {
         true
@@ -43,27 +37,6 @@ pub trait Block: Send {
 
     /// Advances the block from `t` to `t + h`.
     fn step(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]);
-
-    /// Advances `k` independent instances of this block in one call, where
-    /// instance `i` reads `us[i * inputs..(i + 1) * inputs]` and writes
-    /// `ys[i * outputs..(i + 1) * outputs]` (instance-major layout).
-    ///
-    /// The default loops over [`Block::step`], which is only valid for
-    /// *stateless* blocks — a stateful block stepped k times would thread
-    /// one state through every instance. Stateful blocks used in ensemble
-    /// contexts must override this with a per-instance state layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths are not `k` times the block's arity.
-    fn step_batch(&mut self, t: f64, h: f64, k: usize, us: &[f64], ys: &mut [f64]) {
-        assert_eq!(us.len(), k * self.inputs(), "batched input layout mismatch");
-        assert_eq!(ys.len(), k * self.outputs(), "batched output layout mismatch");
-        let (iw, ow) = (self.inputs(), self.outputs());
-        for i in 0..k {
-            self.step(t, h, &us[i * iw..(i + 1) * iw], &mut ys[i * ow..(i + 1) * ow]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +61,6 @@ mod tests {
     #[test]
     fn defaults() {
         let mut b = Null;
-        assert!(!b.is_continuous());
         assert!(b.direct_feedthrough());
         b.reset();
         assert_eq!(b.name(), "null");
@@ -98,28 +70,5 @@ mod tests {
     fn object_safe() {
         let b: Box<dyn Block> = Box::new(Null);
         assert_eq!(b.inputs(), 0);
-    }
-
-    #[test]
-    fn step_batch_matches_per_instance_steps() {
-        use crate::math::Gain;
-        let mut g = Gain::new(3.0);
-        let us = [1.0, 2.0, -4.0];
-        let mut ys = [0.0; 3];
-        g.step_batch(0.0, 0.01, 3, &us, &mut ys);
-        for (u, y) in us.iter().zip(ys.iter()) {
-            let mut y_ref = [0.0];
-            Gain::new(3.0).step(0.0, 0.01, &[*u], &mut y_ref);
-            assert_eq!(y.to_bits(), y_ref[0].to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batched input layout mismatch")]
-    fn step_batch_checks_layout() {
-        use crate::math::Gain;
-        let mut g = Gain::new(1.0);
-        let mut ys = [0.0; 2];
-        g.step_batch(0.0, 0.01, 2, &[1.0], &mut ys);
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::block::Block;
 use urt_ode::linalg::Matrix;
-use urt_ode::state::{lanes_axpy, lanes_rk4_combine, lanes_stage};
 
 /// Integrator with optional output limits and external reset.
 ///
@@ -38,11 +37,6 @@ impl Integrator {
     pub fn state(&self) -> f64 {
         self.x
     }
-
-    /// Forces the state (external reset).
-    pub fn set_state(&mut self, x: f64) {
-        self.x = x;
-    }
 }
 
 impl Block for Integrator {
@@ -56,10 +50,6 @@ impl Block for Integrator {
 
     fn outputs(&self) -> usize {
         1
-    }
-
-    fn is_continuous(&self) -> bool {
-        true
     }
 
     fn direct_feedthrough(&self) -> bool {
@@ -113,10 +103,6 @@ impl Block for Derivative {
         1
     }
 
-    fn is_continuous(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self) {
         self.prev = None;
         self.filtered = 0.0;
@@ -148,71 +134,6 @@ pub struct StateSpace {
     d: Matrix,
     x0: Vec<f64>,
     x: Vec<f64>,
-    batch: BatchState,
-}
-
-/// Per-instance state and scratch for [`StateSpace`]'s batched stepping,
-/// all in variable-major (`[v * k + i]`) layout so the A·X row sweeps
-/// autovectorize. Empty until the first `step_batch` call; cleared by
-/// `reset` so the next batch reseeds from `x0`.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct BatchState {
-    /// Lane count the buffers are sized for (0 = unseeded).
-    k: usize,
-    /// K per-instance states, `n * k`, variable-major.
-    xk: Vec<f64>,
-    /// Per-stage derivative rows, `n * k` each.
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    /// Stage state scratch, `n * k`.
-    stage: Vec<f64>,
-    /// Frozen `B u` rows for the step, `n * k`.
-    bu: Vec<f64>,
-    /// One output row across all lanes, `k`.
-    yrow: Vec<f64>,
-}
-
-impl BatchState {
-    fn seed(&mut self, x: &[f64], k: usize) {
-        let n = x.len();
-        self.k = k;
-        self.xk.clear();
-        self.xk.resize(n * k, 0.0);
-        for (v, xv) in x.iter().enumerate() {
-            self.xk[v * k..(v + 1) * k].fill(*xv);
-        }
-        for buf in [&mut self.k1, &mut self.k2, &mut self.k3, &mut self.k4] {
-            buf.clear();
-            buf.resize(n * k, 0.0);
-        }
-        self.stage.clear();
-        self.stage.resize(n * k, 0.0);
-        self.bu.clear();
-        self.bu.resize(n * k, 0.0);
-        self.yrow.clear();
-        self.yrow.resize(k, 0.0);
-    }
-}
-
-/// `dx = A · X` over variable-major lanes, then `dx += init` row-wise
-/// when given — each row accumulated left-to-right exactly like the
-/// scalar `Matrix::matvec` fold, so every lane matches a per-instance
-/// `deriv` call bit-for-bit.
-fn batched_ax(a: &Matrix, xk: &[f64], init: Option<&[f64]>, k: usize, dx: &mut [f64]) {
-    let n = a.rows();
-    for v in 0..n {
-        let row = &mut dx[v * k..(v + 1) * k];
-        row.fill(0.0);
-        for j in 0..n {
-            lanes_axpy(row, a[(v, j)], &xk[j * k..(j + 1) * k]);
-        }
-        if let Some(extra) = init {
-            // The scalar path adds the whole `B u` fold in one `+=`.
-            lanes_axpy(row, 1.0, &extra[v * k..(v + 1) * k]);
-        }
-    }
 }
 
 impl StateSpace {
@@ -229,7 +150,7 @@ impl StateSpace {
         assert_eq!(d.rows(), c.rows(), "D rows must match C");
         assert_eq!(d.cols(), b.cols(), "D cols must match B");
         assert_eq!(x0.len(), n, "x0 dimension mismatch");
-        StateSpace { a, b, c, d, x: x0.clone(), x0, batch: BatchState::default() }
+        StateSpace { a, b, c, d, x: x0.clone(), x0 }
     }
 
     /// Current state vector.
@@ -259,10 +180,6 @@ impl Block for StateSpace {
         self.c.rows()
     }
 
-    fn is_continuous(&self) -> bool {
-        true
-    }
-
     fn direct_feedthrough(&self) -> bool {
         // Only if D is nonzero.
         (0..self.d.rows()).any(|i| (0..self.d.cols()).any(|j| self.d[(i, j)] != 0.0))
@@ -270,7 +187,6 @@ impl Block for StateSpace {
 
     fn reset(&mut self) {
         self.x = self.x0.clone();
-        self.batch = BatchState::default();
     }
 
     fn step(&mut self, _t: f64, h: f64, u: &[f64], y: &mut [f64]) {
@@ -291,55 +207,6 @@ impl Block for StateSpace {
         for i in 0..self.x.len() {
             self.x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
         }
-    }
-
-    /// Width-aware batched step: K independent instances advance in one
-    /// call over variable-major lanes. Each lane is bit-identical to a
-    /// fresh clone of this block stepped with that lane's inputs. Lane
-    /// states seed by replicating the current scalar state on the first
-    /// call (or when `k` changes) and live in the block until `reset`.
-    fn step_batch(&mut self, _t: f64, h: f64, k: usize, us: &[f64], ys: &mut [f64]) {
-        let n = self.x.len();
-        let m = self.b.cols();
-        let p = self.c.rows();
-        assert_eq!(us.len(), k * m, "batched input layout mismatch");
-        assert_eq!(ys.len(), k * p, "batched output layout mismatch");
-        if self.batch.k != k || self.batch.xk.len() != n * k {
-            self.batch.seed(&self.x, k);
-        }
-        let BatchState { xk, k1, k2, k3, k4, stage, bu, yrow, .. } = &mut self.batch;
-
-        // Outputs from the pre-step state: y = C x + D u per lane, with
-        // the D fold added in a single `+` like the scalar path.
-        for r in 0..p {
-            yrow.fill(0.0);
-            for j in 0..n {
-                lanes_axpy(yrow, self.c[(r, j)], &xk[j * k..(j + 1) * k]);
-            }
-            for i in 0..k {
-                let u = &us[i * m..(i + 1) * m];
-                let dfold: f64 = (0..m).map(|j| self.d[(r, j)] * u[j]).sum();
-                ys[i * p + r] = yrow[i] + dfold;
-            }
-        }
-
-        // The input is frozen across the macro step, so the `B u` rows
-        // are shared by all four RK4 stages.
-        for v in 0..n {
-            for i in 0..k {
-                let u = &us[i * m..(i + 1) * m];
-                bu[v * k + i] = (0..m).map(|j| self.b[(v, j)] * u[j]).sum();
-            }
-        }
-
-        batched_ax(&self.a, xk, Some(bu), k, k1);
-        lanes_stage(stage, xk, 0.5 * h, k1);
-        batched_ax(&self.a, stage, Some(bu), k, k2);
-        lanes_stage(stage, xk, 0.5 * h, k2);
-        batched_ax(&self.a, stage, Some(bu), k, k3);
-        lanes_stage(stage, xk, h, k3);
-        batched_ax(&self.a, stage, Some(bu), k, k4);
-        lanes_rk4_combine(xk, h / 6.0, k1, k2, k3, k4);
     }
 }
 
@@ -411,10 +278,6 @@ impl Block for TransferFunction {
         1
     }
 
-    fn is_continuous(&self) -> bool {
-        true
-    }
-
     fn direct_feedthrough(&self) -> bool {
         self.inner.direct_feedthrough()
     }
@@ -425,10 +288,6 @@ impl Block for TransferFunction {
 
     fn step(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) {
         self.inner.step(t, h, u, y);
-    }
-
-    fn step_batch(&mut self, t: f64, h: f64, k: usize, us: &[f64], ys: &mut [f64]) {
-        self.inner.step_batch(t, h, k, us, ys);
     }
 }
 
@@ -497,10 +356,6 @@ impl Block for Pid {
         1
     }
 
-    fn is_continuous(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self) {
         self.integrator.reset();
         self.derivative.reset();
@@ -534,8 +389,6 @@ mod tests {
         assert_eq!(i.state(), 1.0, "clamped at the limit");
         i.reset();
         assert_eq!(i.state(), 0.0);
-        i.set_state(0.5);
-        assert_eq!(i.state(), 0.5);
     }
 
     #[test]
@@ -637,102 +490,6 @@ mod tests {
             x += h * (y[0] - x);
         }
         assert!((x - 1.0).abs() < 1e-3, "steady state {x}");
-    }
-
-    /// A 2-state, 2-input, 2-output system with nonzero D, so every
-    /// matrix path in `step_batch` is exercised.
-    fn mimo_state_space() -> StateSpace {
-        StateSpace::new(
-            Matrix::from_vec(2, 2, vec![-0.4, 1.1, -0.7, -0.2]),
-            Matrix::from_vec(2, 2, vec![0.5, -0.3, 0.8, 0.1]),
-            Matrix::from_vec(2, 2, vec![1.0, 0.25, -0.5, 2.0]),
-            Matrix::from_vec(2, 2, vec![0.0, 0.75, 0.3, 0.0]),
-            vec![0.6, -1.2],
-        )
-    }
-
-    #[test]
-    fn state_space_step_batch_matches_per_instance_clones() {
-        let k = 13; // not a multiple of the lane width
-        let mut batched = mimo_state_space();
-        let mut clones: Vec<StateSpace> = (0..k).map(|_| mimo_state_space()).collect();
-        let h = 0.01;
-        let mut us = vec![0.0; k * 2];
-        let mut ys = vec![0.0; k * 2];
-        for s in 0..50 {
-            let t = s as f64 * h;
-            for (i, u) in us.chunks_exact_mut(2).enumerate() {
-                u[0] = (0.3 * t + i as f64 * 0.17).sin();
-                u[1] = 1.0 - 0.05 * i as f64;
-            }
-            batched.step_batch(t, h, k, &us, &mut ys);
-            for (i, clone) in clones.iter_mut().enumerate() {
-                let mut y_ref = [0.0; 2];
-                clone.step(t, h, &us[i * 2..i * 2 + 2], &mut y_ref);
-                for (got, want) in ys[i * 2..i * 2 + 2].iter().zip(y_ref.iter()) {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "lane {i} diverged at step {s}: {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn state_space_reset_reseeds_batch_lanes() {
-        let k = 3;
-        let mut ss = mimo_state_space();
-        let us = vec![0.4; k * 2];
-        let mut first = vec![0.0; k * 2];
-        ss.step_batch(0.0, 0.01, k, &us, &mut first);
-        let mut drift = vec![0.0; k * 2];
-        ss.step_batch(0.01, 0.01, k, &us, &mut drift);
-        assert_ne!(first, drift, "lanes should have advanced");
-        ss.reset();
-        let mut again = vec![0.0; k * 2];
-        ss.step_batch(0.0, 0.01, k, &us, &mut again);
-        assert_eq!(first, again, "reset must reseed lanes from x0");
-    }
-
-    #[test]
-    fn transfer_function_step_batch_matches_scalar_clones() {
-        let k = 5;
-        let mut batched = TransferFunction::new(&[2.0, 1.0], &[1.0, 3.0, 2.0]);
-        let mut clones: Vec<TransferFunction> =
-            (0..k).map(|_| TransferFunction::new(&[2.0, 1.0], &[1.0, 3.0, 2.0])).collect();
-        let h = 0.005;
-        let mut us = vec![0.0; k];
-        let mut ys = vec![0.0; k];
-        for s in 0..40 {
-            let t = s as f64 * h;
-            for (i, u) in us.iter_mut().enumerate() {
-                *u = (t * (1.0 + i as f64)).cos();
-            }
-            batched.step_batch(t, h, k, &us, &mut ys);
-            for (i, clone) in clones.iter_mut().enumerate() {
-                let mut y_ref = [0.0];
-                clone.step(t, h, &us[i..=i], &mut y_ref);
-                assert_eq!(ys[i].to_bits(), y_ref[0].to_bits(), "lane {i} at step {s}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batched input layout mismatch")]
-    fn state_space_step_batch_checks_input_layout() {
-        let mut ss = mimo_state_space();
-        let mut ys = vec![0.0; 4];
-        ss.step_batch(0.0, 0.01, 2, &[1.0; 3], &mut ys);
-    }
-
-    #[test]
-    #[should_panic(expected = "batched output layout mismatch")]
-    fn state_space_step_batch_checks_output_layout() {
-        let mut ss = mimo_state_space();
-        let mut ys = vec![0.0; 3];
-        ss.step_batch(0.0, 0.01, 2, &[1.0; 4], &mut ys);
     }
 
     #[test]

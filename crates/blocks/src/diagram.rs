@@ -115,11 +115,6 @@ impl BlockDiagram {
         self.conns.len()
     }
 
-    /// Number of continuous (stateful) blocks.
-    pub fn continuous_count(&self) -> usize {
-        self.blocks.iter().filter(|b| b.block.is_continuous()).count()
-    }
-
     /// Label of a block.
     ///
     /// # Errors
@@ -130,20 +125,6 @@ impl BlockDiagram {
             .get(id.0)
             .map(|b| b.label.as_str())
             .ok_or(BlockError::UnknownBlock { index: id.0 })
-    }
-
-    /// Iterates `(id, label, inputs, outputs, is_continuous)` for every
-    /// block — the Kühl baseline uses this to translate blocks to capsules.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &str, usize, usize, bool)> {
-        self.blocks.iter().enumerate().map(|(i, b)| {
-            (
-                BlockId(i),
-                b.label.as_str(),
-                b.block.inputs(),
-                b.block.outputs(),
-                b.block.is_continuous(),
-            )
-        })
     }
 
     /// Iterates connections as `(from_block, from_port, to_block, to_port)`.
@@ -606,11 +587,7 @@ mod tests {
         assert_eq!(d.label(c).unwrap(), "my_const");
         assert_eq!(d.label(g).unwrap(), "gain_1");
         assert!(d.label(BlockId(9)).is_err());
-        let blocks: Vec<_> = d.iter_blocks().collect();
-        assert_eq!(blocks.len(), 2);
-        assert!(!blocks[0].4, "constant is not continuous");
         let conns: Vec<_> = d.iter_connections().collect();
         assert_eq!(conns, vec![(c, 0, g, 0)]);
-        assert_eq!(d.continuous_count(), 0);
     }
 }

@@ -18,11 +18,6 @@ impl Gain {
     pub fn value(&self) -> f64 {
         self.k
     }
-
-    /// Changes the gain (e.g. from a capsule parameter update).
-    pub fn set_value(&mut self, k: f64) {
-        self.k = k;
-    }
 }
 
 impl Block for Gain {
@@ -274,9 +269,7 @@ mod tests {
     fn gain_scales() {
         let mut g = Gain::new(2.5);
         assert_eq!(run(&mut g, &[4.0]), 10.0);
-        g.set_value(1.0);
-        assert_eq!(g.value(), 1.0);
-        assert_eq!(run(&mut g, &[4.0]), 4.0);
+        assert_eq!(g.value(), 2.5);
     }
 
     #[test]

@@ -143,9 +143,9 @@ impl VariantSpec {
 /// [`Batched`](EnsembleKernel::Batched) (the default) routes every
 /// eligible streamer row — homogeneous, guard-free lanes of one concrete
 /// system type whose solver has a true batched kernel — through its typed
-/// [`OdeRowKernel`]: one width-aware
+/// [`OdeRowKernel`]: one
 /// [`Solver::step_batch`](urt_ode::solver::Solver::step_batch) call per
-/// sub-step over the row's K lanes, which the explicit scheme steps a few
+/// sub-step over the row's K lanes, which the explicit scheme steps four
 /// lanes at a time with every stage in local arrays
 /// ([`ExplicitScheme::step_lanes`](urt_ode::solver::ExplicitScheme::step_lanes)),
 /// with no per-lane dynamic dispatch. Per-lane arithmetic is the
@@ -156,7 +156,7 @@ impl VariantSpec {
 pub enum EnsembleKernel {
     /// Per-lane scalar stepping: K independent `advance` calls per row.
     PerLane,
-    /// Width-aware batched stepping for eligible rows.
+    /// Batched stepping for eligible rows.
     #[default]
     Batched,
 }

@@ -11,7 +11,7 @@
 //! * [`model`] — the declarative unified model (capsules + streamers +
 //!   containment + connections) with the paper's well-formedness rules
 //!   from Figures 2 and 3.
-//! * [`elaborate`] — lowering a validated model plus a behaviour
+//! * [`elaborate`](mod@elaborate) — lowering a validated model plus a behaviour
 //!   registry into an immutable `CompiledSystem` artifact (hierarchy
 //!   flattening, dense id assignment, resolved link/probe tables, a
 //!   stable content hash) whose `instantiate()` stamps out live

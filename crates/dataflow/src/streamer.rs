@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::Range;
 use urt_ode::events::{locate_first_crossing, ZeroCrossing};
 use urt_ode::solver::{ExplicitScheme, Rk4, Solver, SolverDriver};
-use urt_ode::system::{derivatives_by_lane, BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
+use urt_ode::system::{BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
 use urt_ode::SolveError;
 use urt_umlrt::message::Message;
 use urt_umlrt::value::Value;
@@ -85,8 +85,9 @@ pub trait StreamerBehavior: Send {
 
     /// Exposes this behaviour as a batchable ODE lane, or `None` for
     /// behaviours that are not solver-backed. Ensemble execution uses
-    /// this hook to route homogeneous lanes through the width-aware
-    /// [`Solver::step_batch`] kernels.
+    /// this hook to step a homogeneous row through one typed
+    /// [`OdeRowKernel`], whose [`Solver::step_batch`] call runs the
+    /// scheme over the row's lanes in blocks of four.
     fn as_ode_lane(&self) -> Option<&dyn OdeLane> {
         None
     }
@@ -203,12 +204,13 @@ pub trait OdeRowKernel: Send {
 /// The [`OdeRowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
 /// one clone of each lane's system (so per-lane parameters are kept) and
 /// one solver clone. The solver stays the strategy: each sub-step is one
-/// [`Solver::step_batch`] call over the row's K real lanes, and the
-/// explicit fixed-step schemes eligible for a row hand those lanes back
-/// to [`StackedLanes::step_lanes`]. That runs the scheme's own stage
-/// arithmetic a few lanes at a time, every stage in local arrays,
-/// monomorphised on `S`, the scheme and (up to
-/// [`CONST_LANE_DIM`](urt_ode::solver::CONST_LANE_DIM)) the dimension.
+/// [`Solver::step_batch`] call over the row's K real lanes, which the
+/// explicit fixed-step schemes eligible for a row hand to
+/// `StackedLanes::step_lanes`, giving each lane its own system and
+/// input. That runs the scheme's own stage arithmetic four lanes at a
+/// time, every stage in local arrays, monomorphised on `S`, the scheme
+/// and (up to [`CONST_LANE_DIM`](urt_ode::solver::CONST_LANE_DIM)) the
+/// dimension.
 /// Such schemes carry no cross-step state, so one solver serves all lanes.
 struct TypedRow<S> {
     systems: Vec<S>,
@@ -226,13 +228,6 @@ struct StackedLanes<'a, S> {
     u_at: LaneSlots,
 }
 
-impl<S: InputSystem> StackedLanes<'_, S> {
-    /// Lane `i`'s derivative at `(t, x)`.
-    fn lane(&self, i: usize, t: f64, x: &[f64], dx: &mut [f64]) {
-        self.systems[i].derivatives(t, x, &self.u[self.u_at.range(i)], dx);
-    }
-}
-
 impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
     fn dim(&self) -> usize {
         self.dim
@@ -241,18 +236,14 @@ impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
     /// A bare one-lane call cannot say which lane it is, so it is defined
     /// for a one-lane row only. The row's solver always has a batched
     /// kernel ([`OdeLane::lane_batchable`]), which reaches the lanes
-    /// through the batch entry points below instead.
+    /// through `step_lanes` below instead.
     fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
         assert_eq!(self.systems.len(), 1, "a multi-lane row has no single-lane derivative");
-        self.lane(0, t, x, dx);
+        self.systems[0].derivatives(t, x, &self.u[self.u_at.range(0)], dx);
     }
 }
 
 impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {
-    fn derivatives_batch(&self, t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
-        derivatives_by_lane(states, dim, k, dx, |i, x, d| self.lane(i, t, x, d));
-    }
-
     fn step_lanes(
         &self,
         scheme: ExplicitScheme,
@@ -261,13 +252,12 @@ impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {
         dim: usize,
         h: f64,
         scratch: &mut [f64],
-    ) -> bool {
+    ) {
         let lanes = self.systems.iter().enumerate().map(|(i, system)| {
             let u = &self.u[self.u_at.range(i)];
             move |t, x: &[f64], dx: &mut [f64]| system.derivatives(t, x, u, dx)
         });
         scheme.step_lanes(t, states, dim, h, scratch, lanes);
-        true
     }
 }
 
@@ -641,16 +631,16 @@ mod tests {
 
     #[test]
     fn stacked_lanes_evaluate_each_lane_under_its_own_input() {
-        // A solver without the fused hook reaches the row through the
-        // variable-major `derivatives_batch`: lane `i` must still see its
-        // own system and input.
+        // One batched step reaches every lane of the row: lane `i` must
+        // see its own system and input, so `x' = u - x` moves each lane
+        // by the same 0.5.
         let systems = [first_order_plant(), first_order_plant(), first_order_plant()];
         let u = [1.0, 9.0, 2.0, 9.0, 3.0, 9.0];
         let u_at = LaneSlots { stride: 2, offset: 0, width: 1 };
         let row = StackedLanes { systems: &systems, dim: 1, u: &u, u_at };
-        let mut dx = [0.0; 3];
-        row.derivatives_batch(0.0, &[0.5, 1.5, 2.5], 1, 3, &mut dx);
-        assert_eq!(dx, [0.5, 0.5, 0.5]);
+        let mut x = [0.5, 1.5, 2.5];
+        SolverKind::ForwardEuler.create().step_batch(&row, 0.0, &mut x, 1, 1.0).unwrap();
+        assert_eq!(x, [1.0, 2.0, 3.0]);
         let one = StackedLanes { systems: &systems[..1], dim: 1, u: &u, u_at };
         let mut d = [0.0];
         one.derivatives(0.0, &[0.25], &mut d);

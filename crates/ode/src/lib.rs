@@ -37,7 +37,6 @@ pub mod difference;
 pub mod error;
 pub mod events;
 pub mod hybrid;
-pub mod interp;
 pub mod linalg;
 pub mod rng;
 pub mod solver;
@@ -47,7 +46,7 @@ pub mod system;
 pub use error::SolveError;
 pub use events::{EventDirection, ZeroCrossing};
 pub use solver::{Solver, SolverKind, StepOutcome};
-pub use state::{StateVec, LANE_WIDTH};
+pub use state::StateVec;
 pub use system::{AffineSystem, BatchOdeSystem, FnSystem, LinearSystem, OdeSystem};
 
 use solver::SolverDriver;

@@ -10,7 +10,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::SolveError;
-use crate::state::{lanes_axpy, lanes_rk4_combine, lanes_stage, StateVec};
+use crate::state::StateVec;
 use crate::system::{BatchOdeSystem, OdeSystem};
 use std::fmt;
 
@@ -92,9 +92,9 @@ pub trait Solver {
     }
 
     /// Whether this strategy overrides [`Solver::step_batch`] with a
-    /// truly batched kernel (every stage evaluated across all lanes at
-    /// once) rather than the per-lane default. Ensemble execution only
-    /// routes lanes through the batched path for such solvers.
+    /// batched kernel, one [`BatchOdeSystem::step_lanes`] call over all
+    /// lanes, rather than the per-lane default. Ensemble execution only
+    /// routes a row through its typed kernel for such solvers.
     fn has_batched_kernel(&self) -> bool {
         false
     }
@@ -175,14 +175,13 @@ fn ensure_finite(t: f64, x: &[f64]) -> Result<(), SolveError> {
     }
 }
 
-/// Validates the instance-major batch layout the batched kernels consume
-/// and returns the lane count `k`.
+/// Validates the instance-major batch layout the batched kernels consume.
 fn batch_layout(
     sys: &dyn BatchOdeSystem,
     states: &[f64],
     dim: usize,
     h: f64,
-) -> Result<usize, SolveError> {
+) -> Result<(), SolveError> {
     if dim == 0 || !states.len().is_multiple_of(dim) {
         return Err(SolveError::DimensionMismatch { expected: dim, found: states.len() });
     }
@@ -192,7 +191,7 @@ fn batch_layout(
     if !(h.is_finite() && h > 0.0) {
         return Err(SolveError::InvalidStep { step: h });
     }
-    Ok(states.len() / dim)
+    Ok(())
 }
 
 fn resize_buf(v: &mut Vec<f64>, n: usize) {
@@ -202,32 +201,12 @@ fn resize_buf(v: &mut Vec<f64>, n: usize) {
     }
 }
 
-/// Instance-major (`[i * dim + v]`) → variable-major (`[v * k + i]`)
-/// transpose into the kernel scratch. Pure data movement: the per-lane
-/// values are untouched, so bit-identity survives the relayout.
-fn gather_variable_major(states: &[f64], dim: usize, k: usize, xs: &mut [f64]) {
-    for (i, lane) in states.chunks_exact(dim).enumerate() {
-        for (v, value) in lane.iter().enumerate() {
-            xs[v * k + i] = *value;
-        }
-    }
-}
-
-/// Variable-major → instance-major transpose back out of the scratch.
-fn scatter_variable_major(xs: &[f64], dim: usize, k: usize, states: &mut [f64]) {
-    for (i, lane) in states.chunks_exact_mut(dim).enumerate() {
-        for (v, value) in lane.iter_mut().enumerate() {
-            *value = xs[v * k + i];
-        }
-    }
-}
-
-/// The explicit fixed-step schemes that have a batched kernel, named so a
-/// [`BatchOdeSystem::step_lanes`] implementation can run the scheme over
-/// its own lanes. Each scheme's stage arithmetic is defined once (the
-/// private `euler_stages` / `rk4_stages`), and both the scalar
-/// [`Solver::step`] and [`ExplicitScheme::step_lanes`] call it, so a lane
-/// stepped either way is bit-identical by construction.
+/// The explicit fixed-step schemes that have a batched kernel, named so
+/// [`BatchOdeSystem::step_lanes`] can run the scheme over its lanes.
+/// Each scheme's stage arithmetic is defined once (the private
+/// `euler_stages` / `rk4_stages`), and both the scalar [`Solver::step`]
+/// and [`ExplicitScheme::step_lanes`] call it, so a lane stepped either
+/// way is bit-identical by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExplicitScheme {
     /// [`ForwardEuler`].
@@ -511,8 +490,6 @@ impl fmt::Display for SolverKind {
 #[derive(Debug, Clone, Default)]
 pub struct ForwardEuler {
     k: StateVec,
-    bxs: Vec<f64>,
-    bk: Vec<f64>,
     lane_scratch: Vec<f64>,
 }
 
@@ -555,12 +532,10 @@ impl Solver for ForwardEuler {
         true
     }
 
-    /// Width-aware batch step. A system that steps its own lanes
-    /// ([`BatchOdeSystem::step_lanes`]) runs the scheme in small blocks of
-    /// lanes; otherwise one `derivatives_batch` evaluation across all K
-    /// lanes, then a single fused axpy sweep. Per-lane arithmetic is the exact
-    /// `x[i] += h * k[i]` of the scalar kernel either way, so every lane
-    /// is bit-identical to a standalone [`Solver::step`].
+    /// Batch step: the system runs the scheme over its lanes in blocks
+    /// of four ([`BatchOdeSystem::step_lanes`]). Per lane the arithmetic
+    /// is the scalar kernel's own, so every lane is bit-identical to a
+    /// standalone [`Solver::step`].
     fn step_batch(
         &mut self,
         sys: &dyn BatchOdeSystem,
@@ -569,21 +544,11 @@ impl Solver for ForwardEuler {
         dim: usize,
         h: f64,
     ) -> Result<(), SolveError> {
-        let k = batch_layout(sys, states, dim, h)?;
+        batch_layout(sys, states, dim, h)?;
         let scheme = ExplicitScheme::ForwardEuler;
         resize_buf(&mut self.lane_scratch, scheme.scratch_len(dim));
-        if sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch) {
-            return ensure_finite(t + h, states);
-        }
-        let n = states.len();
-        resize_buf(&mut self.bxs, n);
-        resize_buf(&mut self.bk, n);
-        gather_variable_major(states, dim, k, &mut self.bxs);
-        sys.derivatives_batch(t, &self.bxs, dim, k, &mut self.bk);
-        lanes_axpy(&mut self.bxs, h, &self.bk);
-        ensure_finite(t + h, &self.bxs)?;
-        scatter_variable_major(&self.bxs, dim, k, states);
-        Ok(())
+        sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch);
+        ensure_finite(t + h, states)
     }
 }
 
@@ -648,12 +613,6 @@ pub struct Rk4 {
     k3: StateVec,
     k4: StateVec,
     tmp: StateVec,
-    bxs: Vec<f64>,
-    bk1: Vec<f64>,
-    bk2: Vec<f64>,
-    bk3: Vec<f64>,
-    bk4: Vec<f64>,
-    bstage: Vec<f64>,
     lane_scratch: Vec<f64>,
 }
 
@@ -706,15 +665,10 @@ impl Solver for Rk4 {
         true
     }
 
-    /// Width-aware batch step. A system that steps its own lanes
-    /// ([`BatchOdeSystem::step_lanes`]) runs the scheme in small blocks of
-    /// lanes, each lane's four stages kept local. Otherwise each RK stage
-    /// is evaluated across all K lanes before the next stage begins, with
-    /// the stage-combine loops fused into
-    /// [`LANE_WIDTH`](crate::state::LANE_WIDTH)-chunked sweeps over the
-    /// variable-major scratch. Per-lane arithmetic keeps the scalar
-    /// kernel's expression order (`x[i] + 0.5 * h * k[i]`, final `h / 6`
-    /// weighted sum) either way, so every lane is bit-identical to a
+    /// Batch step: the system runs the scheme over its lanes in blocks
+    /// of four, each lane's four stages kept local
+    /// ([`BatchOdeSystem::step_lanes`]). Per lane the arithmetic is the
+    /// scalar kernel's own, so every lane is bit-identical to a
     /// standalone [`Solver::step`].
     fn step_batch(
         &mut self,
@@ -724,35 +678,11 @@ impl Solver for Rk4 {
         dim: usize,
         h: f64,
     ) -> Result<(), SolveError> {
-        let k = batch_layout(sys, states, dim, h)?;
+        batch_layout(sys, states, dim, h)?;
         let scheme = ExplicitScheme::Rk4;
         resize_buf(&mut self.lane_scratch, scheme.scratch_len(dim));
-        if sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch) {
-            return ensure_finite(t + h, states);
-        }
-        let n = states.len();
-        for buf in [
-            &mut self.bxs,
-            &mut self.bk1,
-            &mut self.bk2,
-            &mut self.bk3,
-            &mut self.bk4,
-            &mut self.bstage,
-        ] {
-            resize_buf(buf, n);
-        }
-        gather_variable_major(states, dim, k, &mut self.bxs);
-        sys.derivatives_batch(t, &self.bxs, dim, k, &mut self.bk1);
-        lanes_stage(&mut self.bstage, &self.bxs, 0.5 * h, &self.bk1);
-        sys.derivatives_batch(t + 0.5 * h, &self.bstage, dim, k, &mut self.bk2);
-        lanes_stage(&mut self.bstage, &self.bxs, 0.5 * h, &self.bk2);
-        sys.derivatives_batch(t + 0.5 * h, &self.bstage, dim, k, &mut self.bk3);
-        lanes_stage(&mut self.bstage, &self.bxs, h, &self.bk3);
-        sys.derivatives_batch(t + h, &self.bstage, dim, k, &mut self.bk4);
-        lanes_rk4_combine(&mut self.bxs, h / 6.0, &self.bk1, &self.bk2, &self.bk3, &self.bk4);
-        ensure_finite(t + h, &self.bxs)?;
-        scatter_variable_major(&self.bxs, dim, k, states);
-        Ok(())
+        sys.step_lanes(scheme, t, states, dim, h, &mut self.lane_scratch);
+        ensure_finite(t + h, states)
     }
 }
 
@@ -1355,9 +1285,9 @@ mod tests {
     }
 
     #[test]
-    fn rk4_batched_kernel_handles_lane_width_remainders() {
-        // 13 lanes of a 1-d system: neither 13 nor the flattened buffer is
-        // a multiple of LANE_WIDTH, exercising the chunked-sweep tails.
+    fn rk4_batched_kernel_handles_lane_block_remainders() {
+        // 13 lanes of a 1-d system: three blocks of four lanes and one
+        // remainder lane.
         let sys = decay(2.0);
         let k = 13;
         let mut batch: Vec<f64> = (0..k).map(|i| 0.5 + i as f64).collect();
@@ -1522,14 +1452,13 @@ mod tests {
             dim: usize,
             h: f64,
             scratch: &mut [f64],
-        ) -> bool {
+        ) {
             self.fused.set(self.fused.get() + 1);
             let lanes = self
                 .gains
                 .iter()
                 .map(|&g| move |t, x: &[f64], dx: &mut [f64]| gain_derivative(g, t, x, dx));
             scheme.step_lanes(t, states, dim, h, scratch, lanes);
-            true
         }
     }
 

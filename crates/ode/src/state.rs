@@ -1,101 +1,7 @@
-//! State vectors for continuous systems, plus the lane-width-aware sweep
-//! primitives the batched ensemble kernels are built from.
+//! State vectors for continuous systems.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
-
-/// Compile-time lane width of the batched kernels: every fused sweep is
-/// chunked into `LANE_WIDTH` f64 lanes so rustc can autovectorize the
-/// inner loop (8 × f64 fills one AVX-512 register or two AVX2/NEON
-/// pairs). Purely a code-generation hint — results are bit-identical for
-/// any width because the per-lane arithmetic is elementwise.
-pub const LANE_WIDTH: usize = 8;
-
-/// Fused `dst[i] += a * src[i]` sweep, chunked to [`LANE_WIDTH`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn lanes_axpy(dst: &mut [f64], a: f64, src: &[f64]) {
-    assert_eq!(dst.len(), src.len(), "lane sweep length mismatch");
-    let mut d = dst.chunks_exact_mut(LANE_WIDTH);
-    let mut s = src.chunks_exact(LANE_WIDTH);
-    for (dc, sc) in d.by_ref().zip(s.by_ref()) {
-        for j in 0..LANE_WIDTH {
-            dc[j] += a * sc[j];
-        }
-    }
-    for (di, si) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *di += a * si;
-    }
-}
-
-/// Fused `dst[i] = a * src[i]` sweep, chunked to [`LANE_WIDTH`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn lanes_scaled(dst: &mut [f64], a: f64, src: &[f64]) {
-    assert_eq!(dst.len(), src.len(), "lane sweep length mismatch");
-    let mut d = dst.chunks_exact_mut(LANE_WIDTH);
-    let mut s = src.chunks_exact(LANE_WIDTH);
-    for (dc, sc) in d.by_ref().zip(s.by_ref()) {
-        for j in 0..LANE_WIDTH {
-            dc[j] = a * sc[j];
-        }
-    }
-    for (di, si) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *di = a * si;
-    }
-}
-
-/// Fused stage-combine sweep `dst[i] = x[i] + a * kk[i]`, chunked to
-/// [`LANE_WIDTH`] — the RK "x + c·h·k" stage state, across all lanes.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn lanes_stage(dst: &mut [f64], x: &[f64], a: f64, kk: &[f64]) {
-    assert_eq!(dst.len(), x.len(), "lane sweep length mismatch");
-    assert_eq!(dst.len(), kk.len(), "lane sweep length mismatch");
-    let mut d = dst.chunks_exact_mut(LANE_WIDTH);
-    let mut xs = x.chunks_exact(LANE_WIDTH);
-    let mut ks = kk.chunks_exact(LANE_WIDTH);
-    for ((dc, xc), kc) in d.by_ref().zip(xs.by_ref()).zip(ks.by_ref()) {
-        for j in 0..LANE_WIDTH {
-            dc[j] = xc[j] + a * kc[j];
-        }
-    }
-    for ((di, xi), ki) in d.into_remainder().iter_mut().zip(xs.remainder()).zip(ks.remainder()) {
-        *di = xi + a * ki;
-    }
-}
-
-/// Fused RK4 final combine across all lanes, chunked to [`LANE_WIDTH`]:
-/// `xs[i] += w * (k1[i] + 2 k2[i] + 2 k3[i] + k4[i])` with the exact
-/// per-lane expression of the scalar RK4 kernel (`w` is the caller's
-/// precomputed `h / 6`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn lanes_rk4_combine(xs: &mut [f64], w: f64, k1: &[f64], k2: &[f64], k3: &[f64], k4: &[f64]) {
-    let n = xs.len();
-    assert_eq!(n, k1.len(), "lane sweep length mismatch");
-    assert_eq!(n, k2.len(), "lane sweep length mismatch");
-    assert_eq!(n, k3.len(), "lane sweep length mismatch");
-    assert_eq!(n, k4.len(), "lane sweep length mismatch");
-    let mut i = 0;
-    while i + LANE_WIDTH <= n {
-        for j in i..i + LANE_WIDTH {
-            xs[j] += w * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        }
-        i += LANE_WIDTH;
-    }
-    for j in i..n {
-        xs[j] += w * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-    }
-}
 
 /// A dense state vector of `f64` components.
 ///

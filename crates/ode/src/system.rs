@@ -1,9 +1,8 @@
 //! Continuous systems: `dx/dt = f(t, x)` and the input-carrying variant
 //! `dx/dt = f(t, x, u)` used by streamers whose equations read DPort data.
 //!
-//! Systems that can evaluate many state lanes at once additionally
-//! implement [`BatchOdeSystem`], the entry point of the vectorized
-//! ensemble kernels in [`crate::solver`].
+//! Systems the batched kernels in [`crate::solver`] step many lanes of at
+//! once additionally implement [`BatchOdeSystem`].
 
 use crate::error::SolveError;
 use crate::linalg::Matrix;
@@ -51,107 +50,57 @@ pub trait OdeSystem {
     }
 }
 
-/// An [`OdeSystem`] that can evaluate `k` independent state lanes in one
-/// call — the derivative side of the vectorized ensemble kernels.
+/// An [`OdeSystem`] whose instance-major lanes a batched solver kernel
+/// steps in one call: the system side of
+/// [`Solver::step_batch`](crate::solver::Solver::step_batch).
 ///
-/// `states` and `dx` use the *variable-major* (transposed
-/// structure-of-arrays) layout: variable `v` of lane `i` lives at
-/// `[v * k + i]`, so each variable forms one contiguous row of `k`
-/// values. Structured systems (linear, affine) turn their derivative into
-/// fused row sweeps over that layout, which rustc autovectorizes; the
-/// default falls back to gathering each lane and calling
-/// [`OdeSystem::derivatives`], which keeps every implementor
-/// bit-identical to its scalar path by construction.
+/// The default steps every lane through [`OdeSystem::derivatives`], so
+/// any system batches bit-identically to its scalar path. A system whose
+/// lanes differ, such as an ensemble row holding each instance's own
+/// parameters, overrides [`BatchOdeSystem::step_lanes`] to hand each lane
+/// its own derivative.
 ///
 /// # Examples
 ///
 /// ```
-/// use urt_ode::system::{BatchOdeSystem, library::HarmonicOscillator};
+/// use urt_ode::solver::{Rk4, Solver};
+/// use urt_ode::system::library::HarmonicOscillator;
 ///
+/// # fn main() -> Result<(), urt_ode::SolveError> {
 /// let sys = HarmonicOscillator { omega: 1.0 };
-/// // Two lanes, variable-major: x0 = [1, 0], x1 = [0, 1] per row.
-/// let states = [1.0, 0.0, 0.0, 1.0];
-/// let mut dx = [0.0; 4];
-/// sys.derivatives_batch(0.0, &states, 2, 2, &mut dx);
-/// assert_eq!(dx, [0.0, 1.0, -1.0, 0.0]);
+/// // Two instance-major lanes: x = [1, 0] and x = [0, 1].
+/// let mut states = [1.0, 0.0, 0.0, 1.0];
+/// Rk4::new().step_batch(&sys, 0.0, &mut states, 2, 0.1)?;
+/// let mut lane = [0.0, 1.0];
+/// Rk4::new().step(&sys, 0.0, &mut lane, 0.1)?;
+/// assert_eq!(states[2..], lane);
+/// # Ok(())
+/// # }
 /// ```
 pub trait BatchOdeSystem: OdeSystem {
-    /// Writes `f(t, x_i)` for every lane `i < k` into `dx`, both buffers
-    /// variable-major (`[v * k + i]`).
+    /// Advances the `states.len() / dim` instance-major lanes of `states`
+    /// (lane `i` at `[i * dim..(i + 1) * dim]`) by one step `h` of
+    /// `scheme` from `t`.
     ///
-    /// Callers guarantee `states.len() == dx.len() == dim * k` and
-    /// `dim == self.dim()`.
-    fn derivatives_batch(&self, t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
-        debug_assert_eq!(dim, self.dim(), "batched dim mismatch");
-        debug_assert_eq!(states.len(), dim * k, "batched state layout mismatch");
-        debug_assert_eq!(dx.len(), dim * k, "batched derivative layout mismatch");
-        if k == 1 {
-            // One lane: the variable-major layout is the scalar state.
-            self.derivatives(t, states, dx);
-            return;
-        }
-        derivatives_by_lane(states, dim, k, dx, |_, x, d| self.derivatives(t, x, d));
-    }
-
-    /// Advances the `states.len() / dim` *instance-major* lanes of
-    /// `states` (lane `i` at `[i * dim..(i + 1) * dim]`) by one step `h`
-    /// of `scheme` from `t` and returns `true`; or returns `false` with
-    /// `states` untouched, and the solver runs its variable-major kernel
-    /// over [`BatchOdeSystem::derivatives_batch`] instead (the default).
-    ///
-    /// Systems whose lanes differ, such as an ensemble row holding each
-    /// instance's own parameters, implement this with
-    /// [`ExplicitScheme::step_lanes`], which runs the scheme's own stage
-    /// arithmetic a few lanes at a time, so every lane stays bit-identical to a
-    /// scalar [`Solver::step`](crate::solver::Solver::step). `scratch` is
-    /// the solver's persistent buffer of at least
+    /// Every implementation runs [`ExplicitScheme::step_lanes`], the
+    /// scheme's own stage arithmetic four lanes at a time, so each lane
+    /// stays bit-identical to a scalar
+    /// [`Solver::step`](crate::solver::Solver::step). The default gives
+    /// every lane [`OdeSystem::derivatives`]; an override gives each lane
+    /// its own. `scratch` is the solver's persistent buffer of at least
     /// [`ExplicitScheme::scratch_len`] values, for lanes too wide for
     /// local arrays.
     fn step_lanes(
         &self,
-        _scheme: ExplicitScheme,
-        _t: f64,
-        _states: &mut [f64],
-        _dim: usize,
-        _h: f64,
-        _scratch: &mut [f64],
-    ) -> bool {
-        false
-    }
-}
-
-/// Evaluates `k` variable-major lanes one at a time: lane `i` is gathered
-/// into contiguous scratch (on the stack up to 16 variables), `f(i, x_i,
-/// dx_i)` writes its derivative, and the result is scattered back. The
-/// values `f` sees are exactly a scalar evaluation's, so lanes stay
-/// bit-identical; only the traversal order changes. This is the
-/// [`BatchOdeSystem::derivatives_batch`] fallback for systems with no
-/// row sweep.
-pub fn derivatives_by_lane(
-    states: &[f64],
-    dim: usize,
-    k: usize,
-    dx: &mut [f64],
-    mut f: impl FnMut(usize, &[f64], &mut [f64]),
-) {
-    const SMALL_DIM: usize = 16;
-    let mut stack = [0.0; 2 * SMALL_DIM];
-    let mut heap = Vec::new();
-    let scratch = if dim <= SMALL_DIM {
-        &mut stack[..2 * dim]
-    } else {
-        heap.resize(2 * dim, 0.0);
-        &mut heap[..]
-    };
-    let (x, d) = scratch.split_at_mut(dim);
-    for i in 0..k {
-        for v in 0..dim {
-            x[v] = states[v * k + i];
-        }
-        f(i, x, d);
-        for v in 0..dim {
-            dx[v * k + i] = d[v];
-        }
+        scheme: ExplicitScheme,
+        t: f64,
+        states: &mut [f64],
+        dim: usize,
+        h: f64,
+        scratch: &mut [f64],
+    ) {
+        let lane = |t, x: &[f64], dx: &mut [f64]| self.derivatives(t, x, dx);
+        scheme.step_lanes(t, states, dim, h, scratch, std::iter::repeat(lane));
     }
 }
 
@@ -188,13 +137,9 @@ impl<F: Fn(f64, &[f64], &mut [f64])> OdeSystem for FnSystem<F> {
     }
 }
 
-// Opaque closures batch through the scalar-gather default.
 impl<F: Fn(f64, &[f64], &mut [f64])> BatchOdeSystem for FnSystem<F> {}
 
-/// A linear time-invariant system `x' = A x` with a truly batched
-/// derivative: each state variable's derivative row is accumulated as
-/// fused `dx_row += a[v][j] * x_row_j` sweeps over the variable-major
-/// layout.
+/// A linear time-invariant system `x' = A x`.
 ///
 /// # Examples
 ///
@@ -228,32 +173,12 @@ impl LinearSystem {
     }
 }
 
-/// Row-sweep core shared by [`LinearSystem`] and [`AffineSystem`]:
-/// `dx_row_v = init_v + sum_j a[v][j] * x_row_j`, accumulated in ascending
-/// `j` so each lane performs exactly the scalar accumulation sequence.
-fn accumulate_rows(a: &Matrix, init: Option<&[f64]>, states: &[f64], k: usize, dx: &mut [f64]) {
-    let dim = a.rows();
-    for v in 0..dim {
-        let row = &mut dx[v * k..(v + 1) * k];
-        match init {
-            Some(b) => row.fill(b[v]),
-            None => row.fill(0.0),
-        }
-        for j in 0..dim {
-            let avj = a[(v, j)];
-            crate::state::lanes_axpy(row, avj, &states[j * k..(j + 1) * k]);
-        }
-    }
-}
-
 impl OdeSystem for LinearSystem {
     fn dim(&self) -> usize {
         self.a.rows()
     }
 
     fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-        // Same accumulation sequence as the batched path: start from 0,
-        // add `a[v][j] * x[j]` in ascending `j`.
         for (v, out) in dx.iter_mut().enumerate().take(self.a.rows()) {
             let mut acc = 0.0;
             for (j, xj) in x.iter().enumerate().take(self.a.cols()) {
@@ -264,16 +189,10 @@ impl OdeSystem for LinearSystem {
     }
 }
 
-impl BatchOdeSystem for LinearSystem {
-    fn derivatives_batch(&self, _t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
-        debug_assert_eq!(dim, self.a.rows(), "batched dim mismatch");
-        accumulate_rows(&self.a, None, states, k, dx);
-    }
-}
+impl BatchOdeSystem for LinearSystem {}
 
 /// An affine system `x' = A x + b` (a linear system with a constant
-/// drift), batched exactly like [`LinearSystem`] with the drift seeding
-/// each derivative row.
+/// drift).
 ///
 /// # Examples
 ///
@@ -314,11 +233,6 @@ impl AffineSystem {
     pub fn drift(&self) -> &[f64] {
         &self.b
     }
-
-    /// Mutable drift access (e.g. re-freezing `B u` between steps).
-    pub fn drift_mut(&mut self) -> &mut [f64] {
-        &mut self.b
-    }
 }
 
 impl OdeSystem for AffineSystem {
@@ -337,12 +251,7 @@ impl OdeSystem for AffineSystem {
     }
 }
 
-impl BatchOdeSystem for AffineSystem {
-    fn derivatives_batch(&self, _t: f64, states: &[f64], dim: usize, k: usize, dx: &mut [f64]) {
-        debug_assert_eq!(dim, self.a.rows(), "batched dim mismatch");
-        accumulate_rows(&self.a, Some(&self.b), states, k, dx);
-    }
-}
+impl BatchOdeSystem for AffineSystem {}
 
 /// A system with an exogenous input vector `u`: `dx/dt = f(t, x, u)`.
 ///
@@ -431,15 +340,13 @@ impl<S: InputSystem + ?Sized> OdeSystem for FrozenInput<'_, S> {
     }
 }
 
-// A frozen input is opaque to the batch layer; lanes gather through the
-// scalar default (every lane shares the same frozen `u`).
+// Every lane shares the same frozen `u`.
 impl<S: InputSystem + ?Sized> BatchOdeSystem for FrozenInput<'_, S> {}
 
 /// Library of classic benchmark systems used across tests, examples and the
 /// E1 solver-accuracy experiment.
 pub mod library {
     use super::{BatchOdeSystem, FnSystem, OdeSystem};
-    use crate::state::lanes_scaled;
 
     /// Harmonic oscillator `x'' = -omega^2 x` as a first-order pair.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -461,25 +368,7 @@ pub mod library {
         }
     }
 
-    impl BatchOdeSystem for HarmonicOscillator {
-        #[inline]
-        fn derivatives_batch(
-            &self,
-            _t: f64,
-            states: &[f64],
-            _dim: usize,
-            k: usize,
-            dx: &mut [f64],
-        ) {
-            let (x0, x1) = states.split_at(k);
-            let (d0, d1) = dx.split_at_mut(k);
-            d0.copy_from_slice(x1);
-            // `(-omega) * omega` mirrors the scalar `-omega * omega * x0`
-            // product order, keeping lanes bit-identical.
-            let c = -self.omega * self.omega;
-            lanes_scaled(d1, c, x0);
-        }
-    }
+    impl BatchOdeSystem for HarmonicOscillator {}
 
     /// Van der Pol oscillator, the standard mildly-stiff test problem.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -501,29 +390,7 @@ pub mod library {
         }
     }
 
-    impl BatchOdeSystem for VanDerPol {
-        #[inline]
-        fn derivatives_batch(
-            &self,
-            _t: f64,
-            states: &[f64],
-            _dim: usize,
-            k: usize,
-            dx: &mut [f64],
-        ) {
-            let (x0, x1) = states.split_at(k);
-            let (d0, d1) = dx.split_at_mut(k);
-            d0.copy_from_slice(x1);
-            let mu = self.mu;
-            // Per-lane expression identical to the scalar derivative.
-            for i in 0..k {
-                d1[i] = mu * (1.0 - x0[i] * x0[i]) * x1[i] - x0[i];
-            }
-        }
-    }
-
-    // The pendulum's `sin` keeps it on the scalar-gather fallback.
-    impl BatchOdeSystem for Pendulum {}
+    impl BatchOdeSystem for VanDerPol {}
 
     /// Damped pendulum `theta'' = -(g/l) sin theta - c theta'`.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -555,6 +422,8 @@ pub mod library {
         }
     }
 
+    impl BatchOdeSystem for Pendulum {}
+
     /// Exponential decay `x' = -lambda x`, with a closed-form solution.
     pub fn decay(lambda: f64) -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
         FnSystem::new(1, move |_t, x: &[f64], dx: &mut [f64]| dx[0] = -lambda * x[0])
@@ -581,31 +450,6 @@ mod tests {
         assert!(sys.check_dim(&[0.0, 0.0]).is_ok());
         let err = sys.check_dim(&[0.0]).unwrap_err();
         assert_eq!(err, crate::SolveError::DimensionMismatch { expected: 2, found: 1 });
-    }
-
-    #[test]
-    fn default_derivatives_batch_matches_scalar_lanes_at_every_dim() {
-        // Stack scratch, heap scratch past it, and the one-lane shortcut.
-        for dim in [1, 3, 16, 17, 40] {
-            let sys = FnSystem::new(dim, |t, x: &[f64], dx: &mut [f64]| {
-                for v in 0..x.len() {
-                    dx[v] = t * x[v] - x[(v + 1) % x.len()].sin();
-                }
-            });
-            for k in [1, 5] {
-                let states: Vec<f64> = (0..dim * k).map(|j| 0.1 * j as f64 - 1.0).collect();
-                let mut dx = vec![0.0; dim * k];
-                sys.derivatives_batch(0.5, &states, dim, k, &mut dx);
-                for i in 0..k {
-                    let x: Vec<f64> = (0..dim).map(|v| states[v * k + i]).collect();
-                    let mut d = vec![0.0; dim];
-                    sys.derivatives(0.5, &x, &mut d);
-                    for v in 0..dim {
-                        assert_eq!(dx[v * k + i].to_bits(), d[v].to_bits(), "dim {dim} k {k}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -71,6 +71,10 @@ cargo fmt --check
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# A doc link to a renamed or deleted item fails here, not in a reader's browser.
+echo "==> cargo doc --offline --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> urt-lint --json smoke"
 lint_json="$(cargo run -q --offline -p urt-analysis --bin urt-lint -- --json demo)"
 case "$lint_json" in

@@ -1,26 +1,26 @@
-//! Seeded generator-loop bit-identity: the width-aware batched solver
-//! kernels (`ForwardEuler`, `Rk4`) must produce, for every lane, exactly
-//! the scalar [`Solver::step`] result — across random dimensions, lane
-//! counts (including non-multiples of [`LANE_WIDTH`] and single lanes),
-//! initial states, step sizes and start times, for systems with truly
-//! batched derivative implementations (linear/affine) as well as ones on
-//! the scalar-loop `derivatives_batch` default.
+//! Seeded generator-loop bit-identity: the batched solver kernels
+//! (`ForwardEuler`, `Rk4`) must produce, for every lane, exactly the
+//! scalar [`Solver::step`] result — across random dimensions (1 to 12, so
+//! lanes run both on fixed-size arrays, up to [`CONST_LANE_DIM`], and on
+//! scratch slices beyond), lane counts (including single lanes and
+//! remainders of the four-lane block), initial states, step sizes and
+//! start times. Linear, affine and closure-backed systems all batch
+//! through the default [`BatchOdeSystem::step_lanes`].
 //!
 //! [`Solver::step`]: urt_ode::solver::Solver::step
-//! [`LANE_WIDTH`]: urt_ode::LANE_WIDTH
+//! [`CONST_LANE_DIM`]: urt_ode::solver::CONST_LANE_DIM
 
 use urt_ode::linalg::Matrix;
 use urt_ode::rng::Pcg32;
 use urt_ode::solver::SolverKind;
 use urt_ode::system::{AffineSystem, FnSystem, LinearSystem};
-use urt_ode::{BatchOdeSystem, LANE_WIDTH};
+use urt_ode::BatchOdeSystem;
 
 const TRIALS: usize = 60;
 const STEPS_PER_TRIAL: usize = 4;
 
-/// Draws a random system: a linear or affine one (both carry real batched
-/// `derivatives_batch` sweeps) or a mildly nonlinear closure-backed one
-/// (which exercises the scalar-loop default).
+/// Draws a random system: a linear, an affine or a mildly nonlinear
+/// closure-backed one.
 fn random_system(rng: &mut Pcg32, dim: usize) -> (Box<dyn BatchOdeSystem>, &'static str) {
     let a = Matrix::from_vec(dim, dim, rng.gen_vec_f64(dim * dim, -1.0, 1.0));
     match rng.gen_range_usize(0, 3) {
@@ -41,15 +41,15 @@ fn random_system(rng: &mut Pcg32, dim: usize) -> (Box<dyn BatchOdeSystem>, &'sta
 fn batched_kernels_are_bit_identical_across_random_shapes() {
     let mut rng = Pcg32::seed_from_u64(0xBA7C4ED);
     for trial in 0..TRIALS {
-        let dim = rng.gen_range_usize(1, 9);
+        let dim = rng.gen_range_usize(1, 13);
         // The first trials pin the shape classes that must never fall out
-        // of coverage — a single lane, a sub-width batch, a lane-width
-        // remainder, an exact multiple — then the generator takes over.
+        // of coverage — a single lane, remainder lanes only, a block plus
+        // a remainder, whole blocks only — then the generator takes over.
         let k = match trial {
             0 => 1,
-            1 => LANE_WIDTH - 1,
-            2 => LANE_WIDTH + 5,
-            3 => 8 * LANE_WIDTH,
+            1 => 3,
+            2 => 5,
+            3 => 64,
             _ => rng.gen_range_usize(1, 66),
         };
         let (sys, sys_name) = random_system(&mut rng, dim);
