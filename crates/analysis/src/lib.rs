@@ -177,6 +177,46 @@ mod tests {
     }
 
     #[test]
+    fn both_gates_refuse_each_model_rule() {
+        use urt_core::elaborate::{elaborate, validate_gate};
+        use urt_core::model::{FlowEnd, ModelBuilder};
+        use urt_dataflow::flowtype::{FlowType, Unit};
+
+        let mut cases = Vec::new();
+        let mut b = ModelBuilder::new("names");
+        b.streamer("twin", "none");
+        b.streamer("twin", "none");
+        cases.push(("unique-names", b.build()));
+        let mut b = ModelBuilder::new("subset");
+        let (hot, far) = (b.streamer("hot", "none"), b.streamer("far", "none"));
+        b.streamer_out(hot, "y", FlowType::with_unit(Unit::Kelvin));
+        b.streamer_in(far, "u", FlowType::with_unit(Unit::Meter));
+        b.flow(FlowEnd::Streamer(hot, "y".into()), FlowEnd::Streamer(far, "u".into()));
+        cases.push(("flow-subset", b.build()));
+        let mut b = ModelBuilder::new("protocol");
+        let (cap, s) = (b.capsule("sup"), b.streamer("plant", "none"));
+        b.capsule_sport(cap, "p", "Ctl");
+        b.streamer_sport(s, "ctl", "Other");
+        b.sport_link(cap, "p", s, "ctl");
+        cases.push(("sport-protocol", b.build()));
+        let mut b = ModelBuilder::new("probe");
+        let s = b.streamer("plant", "none");
+        b.probe(s, "nope", "out");
+        cases.push(("probe-port", b.build()));
+
+        for (rule, model) in cases {
+            let err = elaborate(&model, BehaviorRegistry::new(), &validate_gate).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Validation { rule: r, .. } if r == rule),
+                "validate_gate on {rule}: {err}"
+            );
+            let err = compile(&model, BehaviorRegistry::new()).unwrap_err();
+            let code = CoreError::validation_code(rule);
+            assert!(err.to_string().contains(&format!("[{code}]")), "compile on {rule}: {err}");
+        }
+    }
+
+    #[test]
     fn analyze_is_pure() {
         let model = examples::seeded_violations();
         assert_eq!(analyze(&model), analyze(&model));

@@ -90,11 +90,6 @@ impl EquationStateCapsule {
         self.states.iter().map(|(n, _, _)| n.as_str()).collect()
     }
 
-    /// Continuous state of the active equation set.
-    pub fn continuous_state(&self) -> &[f64] {
-        &self.x
-    }
-
     /// Number of tick timeouts processed.
     pub fn ticks_seen(&self) -> u64 {
         self.ticks_seen

@@ -12,25 +12,27 @@
 //! to build an engine.
 //!
 //! Since the artifact/instance split, elaboration output is a **pure
-//! plan**: lowered per-group topology tables, cross-flow specs, resolved
-//! probe/link tables, budgets, and the behaviour *factories* from the
+//! plan**: lowered per-group topology tables and their validated
+//! [`StepPlan`]s, dense cross-flow, probe and link tables resolved
+//! against those plans, budgets, and the behaviour *factories* from the
 //! [`BehaviorRegistry`] — no live solver or capsule state. A stable
 //! content hash (canonical model rendering + registry shape, see
 //! [`crate::cache`]) identifies the artifact, so one `compile()` can be
 //! memoized and shared ([`SystemCache`](crate::cache::SystemCache)) while
-//! [`CompiledSystem::instantiate`] stamps out as many independent live
-//! systems as needed — each one bit-identical to a fresh elaboration.
+//! every engine built from it — and every
+//! [`CompiledSystem::instantiate`] — runs bit-identically to a fresh
+//! elaboration. This module is the one place a model name becomes a
+//! dense lane: the engines never resolve a name or re-check a rule.
 //!
 //! The pipeline is `model → analyze → compile → instantiate → run`:
 //!
-//! 1. an injected [analysis gate](AnalysisGate) vets the model —
-//!    `urt_analysis::compile` passes the full whole-model analyzer here
-//!    and refuses any error-severity finding (the crate DAG points
+//! 1. an injected [analysis gate](AnalysisGate) vets the model and
+//!    enforces its well-formedness rules — `urt_analysis::compile`
+//!    passes the full whole-model analyzer here and refuses any
+//!    error-severity finding (the crate DAG points
 //!    `urt_analysis → urt_core`, so the analyzer is injected instead of
-//!    called directly);
-//! 2. the model's own well-formedness rules run
-//!    ([`UnifiedModel::validate`]);
-//! 3. the streamer hierarchy is **flattened**: container streamers
+//!    called directly), [`validate_gate`] runs just the rules;
+//! 2. the streamer hierarchy is **flattened**: container streamers
 //!    (those owning sub-streamers, Figure 2) contribute no nodes, their
 //!    leaves become node plans of a flat [`StreamerNetwork`] per declared
 //!    solver thread, and capsule relay DPort chains (Figure 3) are
@@ -38,31 +40,36 @@
 //!    *different* declared threads are lowered into cross-group channel
 //!    entries (double-buffered, one-macro-step delay) instead of forcing
 //!    the threads to merge;
-//! 4. behaviours come from a [`BehaviorRegistry`] (streamer name →
+//! 3. behaviours come from a [`BehaviorRegistry`] (streamer name →
 //!    [`StreamerBehavior`] factory, capsule name → [`Capsule`] factory);
 //!    elaboration performs one validation instantiation, cross-checking
 //!    every behaviour against the declared DPort widths and feedthrough
-//!    flag, so a successfully elaborated artifact instantiates cleanly;
-//! 5. SPort links and probes are resolved to `(group, node)` pairs, with
-//!    the same duplicate-link rule the engine enforces
-//!    ([`CoreError::DuplicateSportLink`]).
+//!    flag, and lowers each of its networks into the group's
+//!    [`StepPlan`] — so undriven inputs and feedthrough loops are refused
+//!    here, and a successfully elaborated artifact instantiates cleanly;
+//! 4. against those plans, every cross-group flow is resolved to
+//!    `(from_group, out_offset, to_group, ext_offset, width)` — one into
+//!    a direct-feedthrough consumer is refused (`URT114`; the analyzer's
+//!    `URT207` names it ahead of time) — every SPort link to its
+//!    `(group, node, plan row)`, refusing a second link on one SPort
+//!    ([`CoreError::DuplicateSportLink`]), and every probe to its dense
+//!    output lane.
 //!
 //! The result plugs into the engine via
 //! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled),
-//! which borrows the artifact and instantiates it.
+//! which borrows the artifact, clones its plans, invokes each behaviour
+//! factory once per instance and fills its state from the tables.
 
 use crate::error::CoreError;
 use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::{NodeId, StreamerNetwork};
-use urt_dataflow::port::SPortSpec;
+use urt_dataflow::graph::{NodeId, StepPlan, StreamerNetwork};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
-use urt_umlrt::protocol::Protocol;
 use urt_umlrt::statemachine::{SmSpec, StateMachineBuilder};
 
 /// Factory producing the executable behaviour of one model streamer.
@@ -129,9 +136,12 @@ impl BehaviorRegistry {
 }
 
 /// The analysis stage injected into [`elaborate`] — returns `Err` to
-/// refuse compilation. `urt_analysis::compile` passes the whole-model
-/// analyzer; tests and registries without the analysis crate can pass
-/// [`validate_gate`] (model rules only) or `&|_| Ok(())`.
+/// refuse compilation. A gate must enforce the model's well-formedness
+/// rules ([`UnifiedModel::violations`]): [`elaborate`] does not run them
+/// again, and its lowering relies on them (flow subsets, SPort protocols,
+/// probe ports). `urt_analysis::compile` passes the whole-model analyzer,
+/// which reports every violation as an error; callers without the
+/// analysis crate pass [`validate_gate`] (model rules only).
 pub type AnalysisGate<'a> = &'a dyn Fn(&UnifiedModel) -> Result<(), CoreError>;
 
 /// The minimal gate: just the model's own well-formedness rules.
@@ -143,45 +153,47 @@ pub fn validate_gate(model: &UnifiedModel) -> Result<(), CoreError> {
     model.validate()
 }
 
-/// One resolved SPort link: streamer `(group, node, sport)` bridged to a
-/// capsule port.
+/// One resolved SPort link: the plan row and node of a streamer's SPort
+/// `sport`, bridged to a capsule port.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledLink {
     pub(crate) group: usize,
     pub(crate) node: NodeId,
+    /// The node's row in its group's [`StepPlan`].
+    pub(crate) row: usize,
     pub(crate) sport: String,
     pub(crate) capsule: usize,
     pub(crate) capsule_port: String,
 }
 
-/// One resolved probe: streamer output `(group, node, port)` recorded
-/// into a named series.
+/// One resolved probe: the dense output lane of a group recorded into a
+/// named series.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledProbe {
     pub(crate) group: usize,
-    pub(crate) node: NodeId,
-    pub(crate) port: String,
+    /// Per-instance dense output offset of the port's first lane; `None`
+    /// for a zero-width port, which records nothing.
+    pub(crate) lane: Option<usize>,
     pub(crate) series: String,
 }
 
-/// One resolved cross-group flow: producer output `(group, node, port)`
-/// feeding consumer input `(group, node, port)` in a *different* solver
-/// group, carried by a double-buffered channel with a deterministic
-/// one-macro-step delay (the consumer reads the producer's previous
-/// step's sample; see [`crate::engine`]).
+/// One resolved cross-group flow: `width` lanes from dense output offset
+/// `out_offset` of one solver group into external-input offset
+/// `ext_offset` of a *different* group, carried by a double-buffered
+/// channel with a deterministic one-macro-step delay (the consumer reads
+/// the producer's previous step's sample; see [`crate::engine`]).
 #[derive(Debug, Clone)]
 pub(crate) struct CrossGroupFlow {
     pub(crate) from_group: usize,
-    pub(crate) from_node: NodeId,
-    pub(crate) from_port: String,
+    pub(crate) out_offset: usize,
     pub(crate) to_group: usize,
-    pub(crate) to_node: NodeId,
-    pub(crate) to_port: String,
+    pub(crate) ext_offset: usize,
+    pub(crate) width: usize,
 }
 
-/// One node of a group plan: the model streamer it realises, the declared
-/// feedthrough/DPorts to cross-check the behaviour against, and its
-/// resolved SPorts. Replayed in insertion order by
+/// One node of a group plan: the model streamer it realises and the
+/// declared feedthrough/DPorts to cross-check the behaviour against.
+/// Replayed in insertion order by
 /// [`CompiledSystem::instantiate`], which reproduces the artifact's dense
 /// [`NodeId`] assignment exactly.
 #[derive(Debug, Clone)]
@@ -190,7 +202,6 @@ struct NodeSpec {
     feedthrough: bool,
     in_ports: Vec<(String, FlowType)>,
     out_ports: Vec<(String, FlowType)>,
-    sports: Vec<SPortSpec>,
 }
 
 /// One wiring operation of a group plan. Replayed in declaration order so
@@ -224,25 +235,28 @@ enum CapsuleSpec {
 }
 
 /// The compiled form of a [`UnifiedModel`]: an **immutable artifact** —
-/// per-group topology plans, cross-flow/link/probe tables, budgets and
+/// per-group topology plans and their validated [`StepPlan`]s, dense
+/// cross-flow/link/probe tables resolved against those plans, budgets and
 /// the behaviour factories — identified by a stable content hash.
 ///
-/// The artifact holds no live state. [`CompiledSystem::instantiate`]
-/// stamps out a fresh [`SystemInstance`] (solver networks + capsule
-/// controller) on every call, each bit-identical to an independent
-/// elaboration of the same model;
+/// The artifact holds no live state.
 /// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
 /// and
 /// [`EnsembleEngine::from_compiled`](crate::ensemble::EnsembleEngine::from_compiled)
-/// borrow the artifact, so one compile (possibly shared through
+/// borrow it, clone its plans and fill their state straight from its
+/// tables, so one compile (possibly shared through
 /// [`SystemCache`](crate::cache::SystemCache)) serves any number of
-/// engines.
+/// engines. [`CompiledSystem::instantiate`] stamps out a fresh
+/// [`SystemInstance`] (solver networks + capsule controller) for driving
+/// the networks below the engine.
 pub struct CompiledSystem {
     model_name: String,
     group_specs: Vec<GroupSpec>,
     capsule_specs: Vec<CapsuleSpec>,
     streamer_factories: HashMap<String, StreamerFactory>,
     capsule_factories: HashMap<String, CapsuleFactory>,
+    /// Per group, the plan of the validation instance's network.
+    pub(crate) plans: Vec<StepPlan>,
     pub(crate) links: Vec<CompiledLink>,
     pub(crate) probes: Vec<CompiledProbe>,
     pub(crate) cross_flows: Vec<CrossGroupFlow>,
@@ -331,15 +345,45 @@ impl CompiledSystem {
     }
 
     /// Invokes the registered factory for the streamer realised at
-    /// `(group, node)`, yielding one pristine behaviour — the ensemble
-    /// engine's replication path (instances 1..K each invoke it once).
-    pub(crate) fn behavior_for(
+    /// `(group, node)`, yielding one pristine behaviour for `instance`,
+    /// checked against the declared DPort widths and feedthrough flag.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Elaborate`] naming the streamer and `instance` if the
+    /// behaviour disagrees with the declaration.
+    pub(crate) fn behavior(
         &self,
         group: usize,
         node: NodeId,
-    ) -> Option<Box<dyn StreamerBehavior>> {
-        let spec = self.group_specs.get(group)?.nodes.get(node.index())?;
-        Some(self.streamer_factories.get(&spec.streamer)?())
+        instance: usize,
+    ) -> Result<Box<dyn StreamerBehavior>, CoreError> {
+        let spec = &self.group_specs[group].nodes[node.index()];
+        let factory = self.streamer_factories.get(&spec.streamer);
+        let behavior = factory.expect("elaborate checks every placed streamer has a factory")();
+        let in_width: usize = spec.in_ports.iter().map(|(_, t)| t.width()).sum();
+        let out_width: usize = spec.out_ports.iter().map(|(_, t)| t.width()).sum();
+        if behavior.input_width() != in_width || behavior.output_width() != out_width {
+            return Err(elaborate_err(format!(
+                "streamer `{}`, instance {instance}: declared DPort widths {in_width}->{out_width} \
+                 but behaviour `{}` computes {}->{}",
+                spec.streamer,
+                behavior.name(),
+                behavior.input_width(),
+                behavior.output_width()
+            )));
+        }
+        if behavior.direct_feedthrough() != spec.feedthrough {
+            return Err(elaborate_err(format!(
+                "streamer `{}`, instance {instance}: model declares feedthrough={} but behaviour \
+                 `{}` reports {}",
+                spec.streamer,
+                spec.feedthrough,
+                behavior.name(),
+                behavior.direct_feedthrough()
+            )));
+        }
+        Ok(behavior)
     }
 
     /// Stamps out one live [`SystemInstance`]: invokes every behaviour
@@ -359,46 +403,15 @@ impl CompiledSystem {
     /// does not fail here.
     pub fn instantiate(&self) -> Result<SystemInstance, CoreError> {
         let mut groups = Vec::with_capacity(self.group_specs.len());
-        for spec in &self.group_specs {
+        for (gi, spec) in self.group_specs.iter().enumerate() {
             let mut net = StreamerNetwork::new(spec.name.clone());
-            for node in &spec.nodes {
-                let Some(factory) = self.streamer_factories.get(&node.streamer) else {
-                    return Err(elaborate_err(format!(
-                        "no behaviour registered for streamer `{}`",
-                        node.streamer
-                    )));
-                };
-                let behavior = factory();
-                let in_width: usize = node.in_ports.iter().map(|(_, t)| t.width()).sum();
-                let out_width: usize = node.out_ports.iter().map(|(_, t)| t.width()).sum();
-                if behavior.input_width() != in_width || behavior.output_width() != out_width {
-                    return Err(elaborate_err(format!(
-                        "streamer `{}`: declared DPort widths {in_width}->{out_width} but \
-                         behaviour `{}` computes {}->{}",
-                        node.streamer,
-                        behavior.name(),
-                        behavior.input_width(),
-                        behavior.output_width()
-                    )));
-                }
-                if behavior.direct_feedthrough() != node.feedthrough {
-                    return Err(elaborate_err(format!(
-                        "streamer `{}`: model declares feedthrough={} but behaviour `{}` \
-                         reports {}",
-                        node.streamer,
-                        node.feedthrough,
-                        behavior.name(),
-                        behavior.direct_feedthrough()
-                    )));
-                }
+            for (ni, node) in spec.nodes.iter().enumerate() {
+                let behavior = self.behavior(gi, NodeId::from_index(ni), 0)?;
                 let in_ports: Vec<(&str, FlowType)> =
                     node.in_ports.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
                 let out_ports: Vec<(&str, FlowType)> =
                     node.out_ports.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
-                let id = net.add_streamer_boxed(behavior, &in_ports, &out_ports)?;
-                for sport in &node.sports {
-                    net.add_sport(id, sport.clone())?;
-                }
+                net.add_streamer_boxed(behavior, &in_ports, &out_ports)?;
             }
             for op in &spec.wiring {
                 match op {
@@ -416,8 +429,9 @@ impl CompiledSystem {
     }
 
     /// Builds a fresh capsule [`Controller`] with every capsule
-    /// instantiated — the capsule half of [`CompiledSystem::instantiate`],
-    /// and the ensemble engine's per-instance controller factory.
+    /// instantiated and no port connected — the capsule half of
+    /// [`CompiledSystem::instantiate`], and the engines' per-instance
+    /// controller factory.
     pub(crate) fn controller(&self) -> Result<Controller, CoreError> {
         let mut controller = Controller::new(self.model_name.as_str());
         for cap in &self.capsule_specs {
@@ -565,9 +579,10 @@ fn elaborate_err(detail: String) -> CoreError {
 
 /// Lowers `model` into a [`CompiledSystem`] artifact using `registry`
 /// for behaviours, after `gate` (the injected analysis stage) accepts
-/// it. Ends with one validation instantiation, so every behaviour is
-/// cross-checked against its declaration at compile time and
-/// [`CompiledSystem::instantiate`] cannot fail afterwards.
+/// it. One validation instantiation cross-checks every behaviour against
+/// its declaration and yields each group's [`StepPlan`], so
+/// [`CompiledSystem::instantiate`] cannot fail afterwards; the link,
+/// probe and channel tables are resolved against those plans.
 ///
 /// See the [module docs](self) for the flattening and id-assignment
 /// rules.
@@ -575,12 +590,15 @@ fn elaborate_err(detail: String) -> CoreError {
 /// # Errors
 ///
 /// * whatever `gate` returns — `urt_analysis::compile` refuses any
-///   error-severity finding;
-/// * [`CoreError::Validation`] for model rule violations;
+///   error-severity finding, [`validate_gate`] any model rule violation
+///   ([`CoreError::Validation`]);
 /// * [`CoreError::Elaborate`] for a missing behaviour factory, a
 ///   width/feedthrough mismatch between declaration and behaviour, or
 ///   structure the executable form cannot realise (flows touching
-///   container streamers, unresolvable relay chains);
+///   container streamers, unresolvable relay chains, a cross-group flow
+///   into a direct-feedthrough consumer);
+/// * [`CoreError::Flow`] for a group whose network does not validate: an
+///   undriven input or a direct-feedthrough loop;
 /// * [`CoreError::DuplicateSportLink`] if two SPort links claim the same
 ///   `(group, node, sport)`.
 pub fn elaborate(
@@ -589,7 +607,6 @@ pub fn elaborate(
     gate: AnalysisGate<'_>,
 ) -> Result<CompiledSystem, CoreError> {
     gate(model)?;
-    model.validate()?;
 
     // --- content hash: canonical model + registry shape ----------------
     // The model component hashes the canonical (derived Debug) rendering
@@ -728,12 +745,6 @@ pub fn elaborate(
         if !registry.streamers.contains_key(name) {
             return Err(elaborate_err(format!("no behaviour registered for streamer `{name}`")));
         }
-        let mut sports = Vec::new();
-        for (sport, proto) in model.streamer_sports(*r) {
-            let protocol =
-                model.protocol(proto).cloned().unwrap_or_else(|| Protocol::new(proto.clone()));
-            sports.push(SPortSpec::new(sport.clone(), protocol));
-        }
         let spec = &mut group_specs[*gid];
         let node = NodeId::from_index(spec.nodes.len());
         spec.nodes.push(NodeSpec {
@@ -749,7 +760,6 @@ pub fn elaborate(
                 .iter()
                 .map(|(n, t)| (n.clone(), t.clone()))
                 .collect(),
-            sports,
         });
         streamer_loc.insert(name.to_owned(), (*gid, node));
         loc_of.insert(*r, (*gid, node));
@@ -762,7 +772,7 @@ pub fn elaborate(
     // engine can latch channel samples into it) and the engine backs the
     // edge with a double-buffered channel — a deterministic one-step
     // delay, which the analyzer's flow pass vets ahead of time.
-    let mut cross_flows: Vec<CrossGroupFlow> = Vec::new();
+    let mut cross: Vec<&EffectiveFlow> = Vec::new();
     for f in &effective {
         let (gf, nf) = loc_of[&f.from];
         let (gt, nt) = loc_of[&f.to];
@@ -775,14 +785,7 @@ pub fn elaborate(
             });
         } else {
             group_specs[gt].wiring.push(WireOp::Export { node: nt, port: f.to_port.clone() });
-            cross_flows.push(CrossGroupFlow {
-                from_group: gf,
-                from_node: nf,
-                from_port: f.from_port.clone(),
-                to_group: gt,
-                to_node: nt,
-                to_port: f.to_port.clone(),
-            });
+            cross.push(f);
         }
     }
 
@@ -805,8 +808,60 @@ pub fn elaborate(
         cap_of.insert(c, idx);
     }
 
-    // --- resolve SPort links, refusing duplicates ----------------------
-    let mut links: Vec<CompiledLink> = Vec::new();
+    let BehaviorRegistry { streamers, capsules } = registry;
+    let mut compiled = CompiledSystem {
+        model_name: model.name().to_owned(),
+        group_specs,
+        capsule_specs,
+        streamer_factories: streamers,
+        capsule_factories: capsules,
+        plans: Vec::new(),
+        links: Vec::new(),
+        probes: Vec::new(),
+        cross_flows: Vec::new(),
+        streamer_loc,
+        capsule_idx,
+        step_budget_ns: model.model_budget(),
+        content_hash,
+    };
+    // Validation instantiation: surfaces behaviour/declaration
+    // mismatches, wiring conflicts, undriven inputs, feedthrough loops
+    // and machine-spec errors *now*, so every later `instantiate()` on
+    // this artifact succeeds. Its plans are the ones every engine runs.
+    for net in compiled.instantiate()?.groups {
+        compiled.plans.push(net.into_plan()?.0);
+    }
+    let plans = &compiled.plans;
+
+    // --- resolve cross-group flows to dense lanes ----------------------
+    for f in cross {
+        let (gf, nf) = loc_of[&f.from];
+        let (gt, nt) = loc_of[&f.to];
+        if plans[gt].node_feedthrough(nt)? {
+            return Err(elaborate_err(format!(
+                "cross-group flow `{}`.`{}` -> `{}`.`{}`: the consumer declares direct \
+                 feedthrough, which a one-macro-step channel cannot honour (URT207: keep both \
+                 streamers on one thread or make the consumer non-feedthrough)",
+                name_of(f.from),
+                f.from_port,
+                name_of(f.to),
+                f.to_port
+            )));
+        }
+        let (out_offset, src) = plans[gf].output_port(nf, &f.from_port)?;
+        let (dense_in, _) = plans[gt].input_port(nt, &f.to_port)?;
+        let ext_offset =
+            plans[gt].exported_offset(dense_in).expect("elaboration exports every channel input");
+        compiled.cross_flows.push(CrossGroupFlow {
+            from_group: gf,
+            out_offset,
+            to_group: gt,
+            ext_offset,
+            width: src.width(),
+        });
+    }
+
+    // --- resolve SPort links to plan rows, refusing duplicates ---------
     let mut seen: HashSet<(usize, usize, &str)> = HashSet::new();
     for (c, cport, s, sport) in model.iter_sport_links() {
         let Some(&(gid, node)) = loc_of.get(&s) else {
@@ -822,17 +877,22 @@ pub fn elaborate(
                 sport: sport.to_owned(),
             });
         }
-        links.push(CompiledLink {
+        let row = plans[gid]
+            .nodes()
+            .iter()
+            .position(|pn| pn.node == node)
+            .expect("every node has a plan row");
+        compiled.links.push(CompiledLink {
             group: gid,
             node,
+            row,
             sport: sport.to_owned(),
             capsule: cap_of[&c],
             capsule_port: cport.to_owned(),
         });
     }
 
-    // --- resolve probes -------------------------------------------------
-    let mut probes: Vec<CompiledProbe> = Vec::new();
+    // --- resolve probes to dense output lanes --------------------------
     for (s, port, series) in model.iter_probes() {
         let Some(&(gid, node)) = loc_of.get(&s) else {
             return Err(elaborate_err(format!(
@@ -840,33 +900,13 @@ pub fn elaborate(
                 name_of(s)
             )));
         };
-        probes.push(CompiledProbe {
+        let (lane, spec) = plans[gid].output_port(node, port)?;
+        compiled.probes.push(CompiledProbe {
             group: gid,
-            node,
-            port: port.to_owned(),
+            lane: (spec.width() > 0).then_some(lane),
             series: series.to_owned(),
         });
     }
-
-    let BehaviorRegistry { streamers, capsules } = registry;
-    let compiled = CompiledSystem {
-        model_name: model.name().to_owned(),
-        group_specs,
-        capsule_specs,
-        streamer_factories: streamers,
-        capsule_factories: capsules,
-        links,
-        probes,
-        cross_flows,
-        streamer_loc,
-        capsule_idx,
-        step_budget_ns: model.model_budget(),
-        content_hash,
-    };
-    // Validation instantiation: surfaces behaviour/declaration
-    // mismatches, wiring conflicts and machine-spec errors *now*, so
-    // every later `instantiate()` on this artifact succeeds.
-    compiled.instantiate()?;
     Ok(compiled)
 }
 
@@ -980,9 +1020,10 @@ mod tests {
         let a = elaborate(&model, two_stage_registry(), &validate_gate).unwrap();
         let b = elaborate(&model, two_stage_registry(), &validate_gate).unwrap();
         assert_eq!(a.content_hash(), b.content_hash(), "same model+registry, same hash");
-        // A model edit changes the hash.
+        // A model edit changes the hash (both streamers move, so the
+        // feedthrough `dbl` is not fed across a channel).
         let mut edited = two_stage_model();
-        assert!(edited.reassign_thread("dbl", 7));
+        assert!(edited.reassign_thread("src", 7) && edited.reassign_thread("dbl", 7));
         let c = elaborate(&edited, two_stage_registry(), &validate_gate).unwrap();
         assert_ne!(a.content_hash(), c.content_hash(), "model edit changes the hash");
         // A registry-shape change (extra binding) changes the hash too.
@@ -1070,6 +1111,42 @@ mod tests {
         let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
         assert!(matches!(err, CoreError::DuplicateSportLink { .. }), "{err}");
         assert!(err.to_string().starts_with("URT113: "), "{err}");
+    }
+
+    #[test]
+    fn cross_group_flow_into_a_feedthrough_consumer_is_refused_at_compile_time() {
+        let mut model = two_stage_model();
+        assert!(model.reassign_thread("dbl", 1));
+        let err = elaborate(&model, two_stage_registry(), &validate_gate).unwrap_err();
+        assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("URT114: "), "{msg}");
+        for needle in ["`src`.`y`", "`dbl`.`u`", "URT207"] {
+            assert!(msg.contains(needle), "names {needle}: {msg}");
+        }
+    }
+
+    #[test]
+    fn feedthrough_loop_inside_one_group_is_refused_at_compile_time() {
+        let mut b = ModelBuilder::new("m");
+        let a = b.streamer("a", "none");
+        let c = b.streamer("c", "none");
+        for s in [a, c] {
+            b.streamer_in(s, "u", FlowType::scalar());
+            b.streamer_out(s, "y", FlowType::scalar());
+        }
+        b.flow_between_streamers(a, "y", c, "u");
+        b.flow_between_streamers(c, "y", a, "u");
+        let echo = |name: &'static str| {
+            move || -> Box<dyn StreamerBehavior> {
+                Box::new(FnStreamer::new(name, 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                    y[0] = u[0]
+                }))
+            }
+        };
+        let registry = BehaviorRegistry::new().streamer("a", echo("a")).streamer("c", echo("c"));
+        let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
+        assert_eq!(err.code(), "URT007", "{err}");
     }
 
     #[test]

@@ -66,21 +66,21 @@ pub struct HybridEngine {
 impl HybridEngine {
     /// Builds an engine from a compiled [`CompiledSystem`] artifact —
     /// the only constructor (`ModelBuilder` → `compile` → instantiate →
-    /// run). The artifact is **borrowed**: this call stamps out a fresh
-    /// [`SystemInstance`](crate::elaborate::SystemInstance) (behaviour
-    /// factories re-invoked, networks re-wired), so one compile serves
-    /// any number of engines, each bit-identical to an independent
-    /// elaboration. SPort links, probes and cross-group channels arrive
-    /// fully resolved; attach a recorder with
-    /// [`HybridEngine::set_recorder`] to capture the model's declared
-    /// probe series.
+    /// run). The artifact is **borrowed**: this call clones its group
+    /// plans, invokes every behaviour and capsule factory once and fills
+    /// the engine from the artifact's dense link, probe and channel
+    /// tables, so one compile serves any number of engines, each
+    /// bit-identical to an independent elaboration. Attach a recorder
+    /// with [`HybridEngine::set_recorder`] to capture the model's
+    /// declared probe series.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidStep`] (URT116) if `config.step` is not
-    /// positive and finite; otherwise propagates instantiation and
-    /// wiring errors (none are expected from a system produced by
-    /// `elaborate`, which validates one instantiation at compile time).
+    /// positive and finite; [`CoreError::Elaborate`] (URT114) if a
+    /// factory's behaviour disagrees with its declaration (the artifact's
+    /// own validation instantiation passed, so only a factory that
+    /// changes between calls can).
     pub fn from_compiled(
         compiled: &CompiledSystem,
         config: EngineConfig,
@@ -135,6 +135,13 @@ impl HybridEngine {
     /// [`HybridEngine::step_count`] report the last macro step every
     /// group completed, and every later step call returns
     /// [`CoreError::Engine`] (`URT111`) naming the failed step.
+    ///
+    /// Under [`ThreadPolicy::DedicatedThreads`] the groups that did not
+    /// fail may already have stepped, and recorded, the rest of the
+    /// failed batch: their state and probe series run past
+    /// `step_count()`. A 100-step run whose second group fails in step 51
+    /// leaves 100 samples of the first group in the recorder, against 51
+    /// under [`ThreadPolicy::CurrentThread`].
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.core.run_until(t_end)
     }

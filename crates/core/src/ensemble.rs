@@ -13,11 +13,13 @@
 //!
 //! Layout: instance `i` of a group owns lanes `[i*W .. (i+1)*W)` of that
 //! group's flat input/output arrays, where `W` is the per-instance dense
-//! width from the plan. Instance 0 runs on the behaviours and controller
-//! of one [`CompiledSystem::instantiate`]; instances `1..K` re-invoke the
-//! compiled system's behaviour and capsule factories. Per-instance
-//! parameter overrides are applied through
-//! [`StreamerBehavior::set_param`] before initialisation
+//! width from the plan. The plans, and the dense lanes of every SPort
+//! link, probe and cross-group channel, come resolved from the
+//! [`CompiledSystem`]; construction only clones the plans, invokes each
+//! behaviour and capsule factory once per instance (checking every
+//! replica against its declaration) and connects each instance
+//! controller's SPort outboxes. Per-instance parameter overrides are
+//! applied through [`StreamerBehavior::set_param`] before initialisation
 //! ([`VariantSpec`]).
 //!
 //! One macro step, per group: capsule→streamer SPort messages, collected
@@ -57,7 +59,7 @@
 //! same controller message order. The equivalence suites pin this for
 //! both thread policies.
 
-use crate::elaborate::{CompiledSystem, SystemInstance};
+use crate::elaborate::CompiledSystem;
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::pacer::{PacedConfig, PacedReport, PacedRunner};
@@ -698,22 +700,6 @@ enum Lifecycle {
 }
 
 impl EnsembleEngine {
-    /// An engine with no groups around one controller per instance.
-    pub(crate) fn with_controllers(controllers: Vec<Controller>, config: EngineConfig) -> Self {
-        EnsembleEngine {
-            config,
-            clock: SimClock::new(),
-            k: controllers.len(),
-            groups: Vec::new(),
-            controllers,
-            links: Vec::new(),
-            plain_series: false,
-            max_batch: DEFAULT_MAX_BATCH,
-            step_budget_ns: None,
-            lifecycle: Lifecycle::Fresh,
-        }
-    }
-
     /// Builds a `k`-instance ensemble with identical parameters (the
     /// compiled system's own) for every instance.
     ///
@@ -730,11 +716,12 @@ impl EnsembleEngine {
 
     /// Builds one ensemble instance per [`VariantSpec`], applying each
     /// spec's overrides to its instance's freshly manufactured behaviours
-    /// before initialisation. Instance 0 takes its behaviours and
-    /// controller from one [`CompiledSystem::instantiate`]; the others
-    /// re-invoke the compiled system's factories, so every behaviour kind
-    /// replicates. SPort links, probes and cross-group channels are
-    /// resolved once and widened to all `K` instances.
+    /// before initialisation. Each group runs a clone of the compiled
+    /// system's [`StepPlan`]; every instance, 0 included, invokes each
+    /// row's behaviour factory once and builds its own controller, so
+    /// every behaviour kind replicates. The compiled SPort link, probe
+    /// and channel tables are already dense: they are widened to all `K`
+    /// instances as they are.
     ///
     /// # Errors
     ///
@@ -743,9 +730,9 @@ impl EnsembleEngine {
     /// * [`CoreError::Engine`] for an empty variant list, an override
     ///   naming an unknown streamer, or a parameter the behaviour does not
     ///   recognise.
-    /// * Instantiation and wiring errors (none are expected from a system
-    ///   produced by `elaborate`, which validates one instantiation at
-    ///   compile time).
+    /// * [`CoreError::Elaborate`] (`URT114`), naming the streamer and the
+    ///   instance, if a factory's behaviour disagrees with the declared
+    ///   DPort widths or feedthrough flag.
     pub fn from_variants(
         compiled: &CompiledSystem,
         variants: &[VariantSpec],
@@ -774,128 +761,68 @@ impl EnsembleEngine {
             resolved.push(per_instance);
         }
 
-        let SystemInstance { groups: nets, controller } = compiled.instantiate()?;
-        let mut controllers = Vec::with_capacity(k);
-        controllers.push(controller);
-        for _ in 1..k {
-            controllers.push(compiled.controller()?);
-        }
-        let mut engine = Self::with_controllers(controllers, config);
-        engine.step_budget_ns = compiled.step_budget_ns();
-        for (gi, net) in nets.into_iter().enumerate() {
-            let (plan, first) = net.into_plan()?;
-            let mut behaviours = Vec::with_capacity(first.len() * k);
-            for (b0, pn) in first.into_iter().zip(plan.nodes()) {
-                let row = behaviours.len();
-                behaviours.push(b0);
-                for _ in 1..k {
-                    behaviours.push(compiled.behavior_for(gi, pn.node).ok_or_else(|| {
-                        engine_err(format!(
-                            "streamer `{}` has no behaviour factory in the compiled system",
-                            plan.node_name(pn.node).unwrap_or("?")
-                        ))
-                    })?);
-                }
-                for (i, (b, overrides)) in behaviours[row..].iter_mut().zip(&resolved).enumerate() {
+        let mut groups = Vec::with_capacity(compiled.plans.len());
+        for (gi, plan) in compiled.plans.iter().enumerate() {
+            let mut behaviours = Vec::with_capacity(plan.nodes().len() * k);
+            for pn in plan.nodes() {
+                for (i, overrides) in resolved.iter().enumerate() {
+                    let mut b = compiled.behavior(gi, pn.node, i)?;
                     for &(og, on, param, value) in overrides {
                         if og == gi && on == pn.node && !b.set_param(param, value) {
                             return Err(engine_err(format!(
                                 "variant {i}: streamer `{}` does not recognise parameter \
                                  `{param}`",
-                                plan.node_name(pn.node).unwrap_or("?")
+                                plan.node_name(pn.node)?
                             )));
                         }
                     }
+                    behaviours.push(b);
                 }
             }
-            engine.push_group(plan, behaviours);
-        }
-        for l in &compiled.links {
-            engine.link_sport(l.group, l.node, &l.sport, l.capsule, &l.capsule_port)?;
+            groups.push(GroupState::new(plan.clone(), behaviours, k));
         }
         for p in &compiled.probes {
-            engine.add_probe(p.group, p.node, &p.port, &p.series)?;
+            let probe = Probe { lane: p.lane, series: p.series.clone(), handles: Vec::new() };
+            groups[p.group].probes.push(probe);
         }
         for cf in &compiled.cross_flows {
-            engine.link_flow(
-                (cf.from_group, cf.from_node, &cf.from_port),
-                (cf.to_group, cf.to_node, &cf.to_port),
-            )?;
-        }
-        Ok(engine)
-    }
-
-    /// Adds a group from its plan and its behaviours (`behaviours[r * K +
-    /// i]`: instance `i` of plan row `r`). Returns the group index.
-    pub(crate) fn push_group(
-        &mut self,
-        plan: StepPlan,
-        behaviours: Vec<Box<dyn StreamerBehavior>>,
-    ) -> usize {
-        self.groups.push(GroupState::new(plan, behaviours, self.k));
-        self.groups.len() - 1
-    }
-
-    fn group(&mut self, group: usize) -> Result<&mut GroupState, CoreError> {
-        self.groups.get_mut(group).ok_or_else(|| engine_err(format!("no streamer group {group}")))
-    }
-
-    /// Bridges a capsule SPort to a streamer SPort in every instance:
-    /// messages the capsule sends on `capsule_port` reach the streamer's
-    /// signal handler, and signals the streamer emits on `sport` are
-    /// injected into the capsule on the same port.
-    ///
-    /// Refuses a bad group index and, when the node declares its SPorts,
-    /// an undeclared `sport` ([`CoreError::Engine`]); a second link for
-    /// `(group, node, sport)` ([`CoreError::DuplicateSportLink`]); and bad
-    /// capsule indices (controller errors).
-    pub(crate) fn link_sport(
-        &mut self,
-        group: usize,
-        node: NodeId,
-        sport: &str,
-        capsule: usize,
-        capsule_port: &str,
-    ) -> Result<(), CoreError> {
-        let link = self.links.len();
-        let gs = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| engine_err(format!("no streamer group {group}")))?;
-        let row = gs
-            .plan
-            .nodes()
-            .iter()
-            .position(|pn| pn.node == node)
-            .ok_or(urt_dataflow::FlowError::UnknownNode { index: node.index() })?;
-        // When the node declares its SPorts, the link must name one.
-        let declared = gs.plan.sports(node)?;
-        if !declared.is_empty() && !declared.iter().any(|s| s.name() == sport) {
-            return Err(engine_err(format!(
-                "node `{}` declares no SPort `{sport}`",
-                gs.plan.node_name(node)?
-            )));
-        }
-        if gs.routes[node.index()].iter().any(|(s, _)| s == sport) {
-            return Err(CoreError::DuplicateSportLink {
-                group,
-                node: gs.plan.node_name(node)?.to_owned(),
-                sport: sport.to_owned(),
-            });
+            let width = cf.width;
+            let slot = || Mutex::new(vec![0.0; k * width]);
+            let bufs: ChannelBufs = Arc::new([slot(), slot()]);
+            let producer = ChannelEnd { bufs: Arc::clone(&bufs), offset: cf.out_offset, width };
+            groups[cf.from_group].outgoing.push(producer);
+            groups[cf.to_group].incoming.push(ChannelEnd { bufs, offset: cf.ext_offset, width });
         }
         // Every instance controller is built from one compiled system, so
-        // the wiring hands each the same outbox index.
-        let mut endpoint = 0;
-        for (i, controller) in self.controllers.iter_mut().enumerate() {
-            let e = controller.connect_external(capsule, capsule_port)?;
-            debug_assert!(i == 0 || e == endpoint, "instance controllers share one wiring");
-            endpoint = e;
+        // connecting a link hands each the same outbox index.
+        let mut controllers = Vec::with_capacity(k);
+        for _ in 0..k {
+            controllers.push(compiled.controller()?);
         }
-        gs.routes[node.index()].push((sport.to_owned(), link));
-        gs.inboxes.push(Inbox { row, endpoint });
-        gs.inbound.resize_with(gs.inbound.len() + self.k, Vec::new);
-        self.links.push((capsule, capsule_port.to_owned()));
-        Ok(())
+        let mut links = Vec::with_capacity(compiled.links.len());
+        for (link, l) in compiled.links.iter().enumerate() {
+            let mut endpoint = 0;
+            for controller in &mut controllers {
+                endpoint = controller.connect_external(l.capsule, &l.capsule_port)?;
+            }
+            let gs = &mut groups[l.group];
+            gs.routes[l.node.index()].push((l.sport.clone(), link));
+            gs.inboxes.push(Inbox { row: l.row, endpoint });
+            gs.inbound.resize_with(gs.inbound.len() + k, Vec::new);
+            links.push((l.capsule, l.capsule_port.clone()));
+        }
+        Ok(EnsembleEngine {
+            config,
+            clock: SimClock::new(),
+            k,
+            groups,
+            controllers,
+            links,
+            plain_series: false,
+            max_batch: DEFAULT_MAX_BATCH,
+            step_budget_ns: compiled.step_budget_ns(),
+            lifecycle: Lifecycle::Fresh,
+        })
     }
 
     /// Interned series of `series`, one per instance.
@@ -909,97 +836,6 @@ impl EnsembleEngine {
                 }
             })
             .collect()
-    }
-
-    /// Records the first lane of `(group, node, port)` into `series`
-    /// after every macro step, per instance, once
-    /// [`EnsembleEngine::set_recorder`] interned the series. The port is
-    /// resolved to a dense lane here, once — recording never looks names
-    /// up again. Refuses a bad group index ([`CoreError::Engine`]) and an
-    /// unknown node or output port ([`CoreError::Flow`]).
-    pub(crate) fn add_probe(
-        &mut self,
-        group: usize,
-        node: NodeId,
-        port: &str,
-        series: &str,
-    ) -> Result<(), CoreError> {
-        let gs = self.group(group)?;
-        let (out_base, spec) = gs.plan.output_port(node, port)?;
-        let lane = (spec.width() > 0).then_some(out_base);
-        gs.probes.push(Probe { lane, series: series.to_owned(), handles: Vec::new() });
-        Ok(())
-    }
-
-    /// Connects an output DPort in one group to an exported input DPort in
-    /// another through a `K`-wide parity channel, with the deterministic
-    /// one-macro-step delay of [`ChannelBufs`].
-    ///
-    /// Refuses ([`CoreError::Engine`]) bad group indices, endpoints in
-    /// one group, a direct-feedthrough consumer (the delay would break its
-    /// same-step input dependency — lint URT207 catches this at model
-    /// level), an unexported consumer input, and an input another channel
-    /// already feeds; and ([`CoreError::Flow`]) unknown nodes or ports and
-    /// flow-type subset violations (the paper's connection rule).
-    pub(crate) fn link_flow(
-        &mut self,
-        from: (usize, NodeId, &str),
-        to: (usize, NodeId, &str),
-    ) -> Result<(), CoreError> {
-        let (fg, fnode, fport) = from;
-        let (tg, tnode, tport) = to;
-        for g in [fg, tg] {
-            self.group(g)?;
-        }
-        if fg == tg {
-            return Err(engine_err(format!(
-                "flow endpoints are both in group {fg}; use an in-network flow (zero-delay) \
-                 instead of a channel"
-            )));
-        }
-        let consumer = &self.groups[tg];
-        let name = consumer.plan.node_name(tnode)?;
-        if consumer.plan.node_feedthrough(tnode)? {
-            return Err(engine_err(format!(
-                "cross-group flow into `{name}`.`{tport}`: the consumer declares direct \
-                 feedthrough, which a one-step-delay channel cannot honour (keep both \
-                 streamers on one thread or make the consumer non-feedthrough)"
-            )));
-        }
-        let producer = &self.groups[fg].plan;
-        let (from_base, src) = producer.output_port(fnode, fport)?;
-        let (dense_in, dst) = consumer.plan.input_port(tnode, tport)?;
-        // The paper's connection rule, channel edition: the producer's
-        // flow type must be a subset of the consumer's.
-        if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
-            return Err(CoreError::Flow(urt_dataflow::FlowError::TypeMismatch {
-                from: format!("{}.{fport}", producer.node_name(fnode)?),
-                to: format!("{name}.{tport}"),
-                detail,
-            }));
-        }
-        let Some(to_offset) = consumer.plan.exported_offset(dense_in) else {
-            return Err(engine_err(format!(
-                "cross-group flow into `{name}`.`{tport}`: the consumer input is not exported \
-                 on its network boundary"
-            )));
-        };
-        if consumer.incoming.iter().any(|c| c.offset == to_offset) {
-            return Err(engine_err(format!(
-                "cross-group flow into `{name}`.`{tport}`: the consumer input is already fed by \
-                 another channel"
-            )));
-        }
-        let width = src.width();
-        let slot = || Mutex::new(vec![0.0; self.k * width]);
-        let bufs: ChannelBufs = Arc::new([slot(), slot()]);
-        self.groups[fg].outgoing.push(ChannelEnd {
-            bufs: Arc::clone(&bufs),
-            offset: from_base,
-            width,
-        });
-        self.groups[tg].incoming.push(ChannelEnd { bufs, offset: to_offset, width });
-        Ok(())
     }
 
     /// The recorder series name of probe series `series` for ensemble
@@ -1116,6 +952,13 @@ impl EnsembleEngine {
     /// [`EnsembleEngine::step_count`] report the last macro step every
     /// group completed, and every later step call returns
     /// [`CoreError::Engine`] (`URT111`) naming the failed step.
+    ///
+    /// Under [`ThreadPolicy::DedicatedThreads`] the groups that did not
+    /// fail may already have stepped, and recorded, the rest of the
+    /// failed batch: their state and probe series run past
+    /// `step_count()`. A 100-step run whose second group fails in step 51
+    /// leaves 100 samples of the first group in the recorder, against 51
+    /// under [`ThreadPolicy::CurrentThread`].
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
         self.start_if_needed()?;
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
@@ -1395,7 +1238,6 @@ mod tests {
     use crate::engine::HybridEngine;
     use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
     use urt_dataflow::flowtype::FlowType;
-    use urt_dataflow::graph::StreamerNetwork;
     use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
     use urt_ode::solver::SolverKind;
     use urt_ode::system::InputSystem;
@@ -1530,142 +1372,28 @@ mod tests {
         }
     }
 
-    fn idle_controller() -> Controller {
-        let mut c = Controller::new("events");
-        let sm = StateMachineBuilder::new("idle")
-            .state("s")
-            .initial("s", |_d: &mut (), _ctx: &mut CapsuleContext| {})
-            .build()
-            .unwrap();
-        c.add_capsule(Box::new(SmCapsule::new(sm, ())));
-        c
-    }
-
-    /// A `K = 1` core with one idle capsule and `nets` as its groups, in
-    /// order: the raw material `from_variants` links a compiled system's
-    /// tables into, so the link checks can be driven directly.
-    fn assemble(nets: Vec<StreamerNetwork>, config: EngineConfig) -> EnsembleEngine {
-        let mut e = EnsembleEngine::with_controllers(vec![idle_controller()], config);
-        e.plain_series = true;
-        for net in nets {
-            let (plan, behaviours) = net.into_plan().unwrap();
-            e.push_group(plan, behaviours);
-        }
-        e
-    }
-
-    fn scalar_source(name: &str) -> (StreamerNetwork, NodeId) {
-        let mut net = StreamerNetwork::new(name);
-        let n = net.add_streamer(Ramp { slope: 1.0 }, &[], &[("y", FlowType::scalar())]).unwrap();
-        (net, n)
-    }
-
     #[test]
-    fn declared_sports_are_checked_at_link_time() {
-        use urt_dataflow::port::SPortSpec;
-        use urt_umlrt::protocol::Protocol;
-
-        let (mut net, n) = scalar_source("p");
-        net.add_sport(n, SPortSpec::new("ctl", Protocol::new("Ctl"))).unwrap();
-        let mut e = assemble(vec![net], EngineConfig::default());
-        // Wrong sport name: rejected because the node declares its sports.
-        assert!(matches!(e.link_sport(0, n, "ghost", 0, "plant"), Err(CoreError::Engine { .. })));
-        // Declared name: accepted.
-        e.link_sport(0, n, "ctl", 0, "plant").unwrap();
-    }
-
-    #[test]
-    fn duplicate_sport_link_is_refused() {
-        // Regression: the old index kept the first link per key and
-        // silently dropped the second — now it is a stable-coded error.
-        let (net, n) = scalar_source("p");
-        let mut e = assemble(vec![net], EngineConfig::default());
-        e.link_sport(0, n, "ctl", 0, "plant").unwrap();
-        let err = e.link_sport(0, n, "ctl", 0, "other").unwrap_err();
-        assert!(matches!(err, CoreError::DuplicateSportLink { .. }));
-        assert!(err.to_string().starts_with("URT113: "), "stable code: {err}");
-        // A different sport on the same node is still fine.
-        e.link_sport(0, n, "aux", 0, "plant").unwrap();
-    }
-
-    #[test]
-    fn link_checks_refuse_bad_indices() {
-        let mut e = assemble(Vec::new(), EngineConfig::default());
-        let n = NodeId::from_index(0);
-        assert!(matches!(e.add_probe(0, n, "y", "s"), Err(CoreError::Engine { .. })));
-        assert!(matches!(e.link_sport(3, n, "s", 0, "p"), Err(CoreError::Engine { .. })));
-    }
-
-    #[test]
-    fn link_flow_validates_its_endpoints() {
-        let (producer, src) = scalar_source("producer");
-        let mut consumer = StreamerNetwork::new("consumer");
-        let io = |net: &mut StreamerNetwork, b: Box<dyn StreamerBehavior>| {
-            net.add_streamer_boxed(b, &[("u", FlowType::scalar())], &[("y", FlowType::scalar())])
-                .unwrap()
-        };
-        let wit = io(&mut consumer, Box::new(Witness));
-        consumer.export_input(wit, "u").unwrap();
-        // A feedthrough consumer in a third group.
-        let mut ft_net = StreamerNetwork::new("ft");
-        let gain = io(
-            &mut ft_net,
-            Box::new(FnStreamer::new("gain", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0])),
-        );
-        ft_net.export_input(gain, "u").unwrap();
-        // An unexported consumer in a fourth group (input driven in-network
-        // so the group still validates).
-        let (mut closed, csrc) = scalar_source("closed");
-        let cwit = io(&mut closed, Box::new(Witness));
-        closed.flow((csrc, "y"), (cwit, "u")).unwrap();
-
-        let mut e = assemble(vec![producer, consumer, ft_net, closed], EngineConfig::default());
-        let (gp, gc, gf, gx) = (0, 1, 2, 3);
-
-        // Bad group index.
-        assert!(matches!(
-            e.link_flow((9, src, "y"), (gc, wit, "u")),
-            Err(CoreError::Engine { .. })
-        ));
-        // Same group.
-        let err = e.link_flow((gc, wit, "y"), (gc, wit, "u")).unwrap_err();
-        assert!(err.to_string().contains("in-network"), "{err}");
-        // Wrong port direction at the consumer.
-        assert!(e.link_flow((gp, src, "y"), (gc, wit, "y")).is_err());
-        // Feedthrough consumer.
-        let err = e.link_flow((gp, src, "y"), (gf, gain, "u")).unwrap_err();
-        assert!(err.to_string().contains("feedthrough"), "{err}");
-        // Unexported consumer input.
-        let err = e.link_flow((gp, src, "y"), (gx, cwit, "u")).unwrap_err();
-        assert!(err.to_string().contains("not exported"), "{err}");
-        // Valid link, then a second channel into the same input.
-        e.link_flow((gp, src, "y"), (gc, wit, "u")).unwrap();
-        let err = e.link_flow((gx, csrc, "y"), (gc, wit, "u")).unwrap_err();
-        assert!(err.to_string().contains("already fed"), "{err}");
-    }
-
-    #[test]
-    fn link_flow_enforces_the_subset_rule() {
-        use urt_dataflow::flowtype::Unit;
-        let mut producer = StreamerNetwork::new("producer");
-        let src = producer
-            .add_streamer(Ramp { slope: 1.0 }, &[], &[("y", FlowType::with_unit(Unit::Kelvin))])
-            .unwrap();
-        let mut consumer = StreamerNetwork::new("consumer");
-        let wit = consumer
-            .add_streamer(
-                Witness,
-                &[("u", FlowType::with_unit(Unit::Meter))],
-                &[("y", FlowType::scalar())],
-            )
-            .unwrap();
-        consumer.export_input(wit, "u").unwrap();
-        let mut e = assemble(vec![producer, consumer], EngineConfig::default());
-        let err = e.link_flow((0, src, "y"), (1, wit, "u")).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Flow(urt_dataflow::FlowError::TypeMismatch { .. })),
-            "{err}"
-        );
+    fn a_replica_of_another_width_is_refused_naming_streamer_and_instance() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut b = ModelBuilder::new("m");
+        let s = b.streamer("src", "none");
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.probe(s, "y", "out");
+        // The validation instantiation and instance 0 get the declared
+        // width; every later call returns a two-lane behaviour.
+        let calls = AtomicUsize::new(0);
+        let registry = BehaviorRegistry::new().streamer("src", move || {
+            let width = if calls.fetch_add(1, Ordering::Relaxed) < 2 { 1 } else { 2 };
+            Box::new(FnStreamer::new("src", 0, width, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                y[0] = t
+            }))
+        });
+        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let err = EnsembleEngine::from_compiled(&compiled, 3, EngineConfig::default()).unwrap_err();
+        assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("URT114: "), "{msg}");
+        assert!(msg.contains("`src`") && msg.contains("instance 1"), "{msg}");
     }
 
     #[test]
@@ -1820,6 +1548,50 @@ mod tests {
                 |i: usize| rec.series(&EnsembleEngine::series_name("y1", i)).last().unwrap().1;
             assert!(tail(0) != tail(3), "{policy}: the variants diverge");
         }
+    }
+
+    #[test]
+    fn each_sport_link_reaches_its_own_plan_row() {
+        // Two plants on one solver thread, each linked to the supervisor
+        // on its own port; the supervisor's start-up setpoints differ in
+        // sign, so a signal delivered to the wrong row shows.
+        let mut b = ModelBuilder::new("one-thread");
+        let sup = b.capsule("sup");
+        let mut registry = BehaviorRegistry::new();
+        for i in 0..2 {
+            let name = format!("plant{i}");
+            let s = b.streamer(&name, "none");
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.streamer_feedthrough(s, false);
+            b.streamer_sport(s, "ctl", "Ctl");
+            b.capsule_sport(sup, format!("p{i}"), "Ctl");
+            b.sport_link(sup, format!("p{i}"), s, "ctl");
+            b.probe(s, "y", format!("y{i}"));
+            registry = registry.streamer(name.clone(), move || {
+                let (rate, y, setpoint, emitted) = (10.0, 0.0, 0.0, Vec::new());
+                Box::new(Reporter { name: name.clone(), rate, y, setpoint, emitted })
+            });
+        }
+        registry = registry.capsule("sup", || {
+            let machine = StateMachineBuilder::new("sup")
+                .state("s")
+                .initial("s", |_: &mut (), ctx: &mut CapsuleContext| {
+                    ctx.send("p0", "setpoint", Value::Real(1.0));
+                    ctx.send("p1", "setpoint", Value::Real(-1.0));
+                })
+                .build()
+                .expect("machine");
+            Box::new(SmCapsule::new(machine, ()))
+        });
+        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        assert_eq!(compiled.group_count(), 1);
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+        let mut engine = HybridEngine::from_compiled(&compiled, config).unwrap();
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        engine.run_until(0.5).unwrap();
+        assert!(rec.series("y0").last().unwrap().1 > 0.9, "plant0 follows p0's setpoint");
+        assert!(rec.series("y1").last().unwrap().1 < -0.9, "plant1 follows p1's setpoint");
     }
 
     #[test]
@@ -2137,6 +1909,49 @@ mod tests {
                     "instance {i}: one-step delay at {k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_channel_reads_its_producer_lane_into_its_consumer_lane() {
+        // The channel's producer lane (`fast.y`, dense offset 1) differs
+        // from its consumer lane (external offset 0).
+        let mut b = ModelBuilder::new("lanes");
+        let slow = b.streamer("slow", "none");
+        let fast = b.streamer("fast", "none");
+        let w = b.streamer("witness", "none");
+        b.streamer_out(slow, "y", FlowType::scalar());
+        b.streamer_out(fast, "y", FlowType::scalar());
+        b.streamer_in(w, "u", FlowType::scalar());
+        b.streamer_out(w, "y", FlowType::scalar());
+        b.streamer_feedthrough(w, false);
+        b.assign_thread(w, 1);
+        b.flow_between_streamers(fast, "y", w, "u");
+        b.probe(fast, "y", "fast");
+        b.probe(w, "y", "wit");
+        let ramp = |name: &'static str, slope: f64| {
+            move || -> Box<dyn StreamerBehavior> {
+                Box::new(FnStreamer::new(
+                    name,
+                    0,
+                    1,
+                    move |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = slope * t,
+                ))
+            }
+        };
+        let registry = BehaviorRegistry::new()
+            .streamer("slow", ramp("slow", 1.0))
+            .streamer("fast", ramp("fast", 100.0))
+            .streamer("witness", || Box::new(Witness));
+        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+        let mut engine = HybridEngine::from_compiled(&compiled, config).unwrap();
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        engine.run_until(0.1).unwrap();
+        let (fast, wit) = (rec.series("fast"), rec.series("wit"));
+        for k in 1..wit.len() {
+            assert_eq!(wit[k].1.to_bits(), fast[k - 1].1.to_bits(), "one-step delay at {k}");
         }
     }
 

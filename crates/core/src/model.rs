@@ -264,11 +264,6 @@ impl UnifiedModel {
         self.streamers.get(s.0).map_or(&[], |d| d.out_dports.as_slice())
     }
 
-    /// SPorts `(name, protocol name)` declared on a streamer.
-    pub fn streamer_sports(&self, s: StreamerRef) -> &[(String, String)] {
-        self.streamers.get(s.0).map_or(&[], |d| d.sports.as_slice())
-    }
-
     /// Whether a streamer's outputs depend on same-step inputs
     /// (default `true`).
     pub fn streamer_feedthrough(&self, s: StreamerRef) -> bool {

@@ -5,7 +5,7 @@
 
 use crate::error::FlowError;
 use crate::flowtype::FlowType;
-use crate::port::{DPortSpec, Direction, SPortSpec};
+use crate::port::{DPortSpec, Direction};
 use crate::streamer::StreamerBehavior;
 use std::collections::VecDeque;
 use std::fmt;
@@ -77,7 +77,7 @@ pub struct PlanNode {
 /// step, paying the routing bookkeeping once instead of once per
 /// instance, and [`StreamerNetwork::step`] is its `K = 1` call.
 ///
-/// The plan also keeps each node's name, DPorts, SPorts and feedthrough
+/// The plan also keeps each node's name, DPorts and feedthrough
 /// flag, so ports can be resolved against it after the network that
 /// produced it is gone.
 ///
@@ -101,7 +101,6 @@ struct NodeShape {
     name: String,
     in_ports: Vec<DPortSpec>,
     out_ports: Vec<DPortSpec>,
-    sports: Vec<SPortSpec>,
     feedthrough: bool,
 }
 
@@ -211,15 +210,6 @@ impl StepPlan {
         Ok(&self.shape(node)?.name)
     }
 
-    /// SPorts declared on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn sports(&self, node: NodeId) -> Result<&[SPortSpec], FlowError> {
-        Ok(&self.shape(node)?.sports)
-    }
-
     /// Whether a node has direct feedthrough.
     ///
     /// # Errors
@@ -264,7 +254,6 @@ struct Node {
     behavior: Box<dyn StreamerBehavior>,
     in_ports: Vec<DPortSpec>,
     out_ports: Vec<DPortSpec>,
-    sports: Vec<SPortSpec>,
 }
 
 impl Node {
@@ -438,28 +427,11 @@ impl StreamerNetwork {
                 found: behavior.output_width(),
             });
         }
-        self.nodes.push(Node {
-            name,
-            behavior,
-            in_ports: ins,
-            out_ports: outs,
-            sports: Vec::new(),
-        });
+        self.nodes.push(Node { name, behavior, in_ports: ins, out_ports: outs });
         self.ins.resize(self.ins.len() + in_width, 0.0);
         self.outs.resize(self.outs.len() + out_width, 0.0);
         self.invalidate();
         Ok(NodeId(self.nodes.len() - 1))
-    }
-
-    /// Declares an SPort on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn add_sport(&mut self, node: NodeId, sport: SPortSpec) -> Result<(), FlowError> {
-        let n = self.nodes.get_mut(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        n.sports.push(sport);
-        Ok(())
     }
 
     /// Node name lookup.
@@ -766,7 +738,7 @@ impl StreamerNetwork {
 
     /// Consumes the network into its dense-layout execution schedule (see
     /// [`StepPlan`]) and its streamer behaviours, one per plan row, in
-    /// execution order. The nodes' names, ports and SPorts move into the
+    /// execution order. The nodes' names and ports move into the
     /// plan, so nothing is cloned.
     ///
     /// # Errors
@@ -783,7 +755,6 @@ impl StreamerNetwork {
                 name: node.name,
                 in_ports: node.in_ports,
                 out_ports: node.out_ports,
-                sports: node.sports,
             });
             behaviours.push(Some(node.behavior));
         }
@@ -804,7 +775,6 @@ mod tests {
     use super::*;
     use crate::flowtype::Unit;
     use crate::streamer::FnStreamer;
-    use urt_umlrt::protocol::Protocol;
 
     fn source(name: &str) -> impl StreamerBehavior {
         FnStreamer::new(name, 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = t)
@@ -1010,17 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn sports_move_into_the_plan() {
-        let mut net = StreamerNetwork::new("t");
-        let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
-        net.add_sport(s, SPortSpec::new("ctl", Protocol::new("Ctl"))).unwrap();
-        let (plan, _) = net.into_plan().unwrap();
-        let sports = plan.sports(s).unwrap();
-        assert_eq!(sports.len(), 1);
-        assert_eq!(sports[0].name(), "ctl");
-    }
-
-    #[test]
     fn drain_signals_into_reuses_buffers() {
         // A behaviour that emits one signal per step.
         struct Beeper {
@@ -1077,11 +1036,10 @@ mod tests {
 
     #[test]
     fn unknown_ids_error() {
-        let mut net = StreamerNetwork::new("t");
+        let net = StreamerNetwork::new("t");
         let bogus = NodeId(5);
         assert!(matches!(net.node_name(bogus), Err(FlowError::UnknownNode { .. })));
         assert!(net.output(bogus, "o").is_err());
-        assert!(net.add_sport(bogus, SPortSpec::new("p", Protocol::new("P"))).is_err());
     }
 
     /// A fan-out source feeding two gains whose outputs meet again in a

@@ -65,6 +65,16 @@ for workload in fig2-loop sweep-k64; do
     esac
 done
 
+echo "==> scripts/loc.sh HEAD (net Rust line change; output shape only)"
+loc_out="$(scripts/loc.sh HEAD)"
+if ! printf '%s\n' "$loc_out" | awk '
+    NR == 1 && /^non-test [+-][0-9]+$/ { a = 1 }
+    NR == 2 && /^test [+-][0-9]+$/ { b = 1 }
+    END { exit !(a && b && NR == 2) }'; then
+    echo "unexpected scripts/loc.sh output: $loc_out" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
