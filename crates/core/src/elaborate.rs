@@ -326,10 +326,8 @@ impl CompiledSystem {
     /// nanoseconds, carried through elaboration.
     /// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
     /// picks it up as the default deadline of
-    /// [`run_paced`](crate::engine::HybridEngine::run_paced), and manual
-    /// deployments can hand it straight to a
-    /// [`StepBudget`](crate::pacer::StepBudget) for miss accounting
-    /// against the wall clock.
+    /// [`run_paced`](crate::engine::HybridEngine::run_paced), which counts
+    /// deadline misses against it on the wall clock.
     pub fn step_budget_ns(&self) -> Option<f64> {
         self.step_budget_ns
     }

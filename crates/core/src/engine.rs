@@ -184,7 +184,9 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::DeadlineOverrun`] when an
+    /// [`CoreError::InvalidPacing`] (`URT117`) for a rate or budget that
+    /// is not a positive, finite number, before anything runs (the
+    /// engine stays usable); [`CoreError::DeadlineOverrun`] when an
     /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
     /// run exhausts its consecutive-miss tolerance, plus the usual
     /// solver, runtime and thread failures.
@@ -690,7 +692,6 @@ mod tests {
         assert!((e.time() - 0.05).abs() < 1e-9);
     }
 
-    #[cfg(feature = "timing-tests")]
     #[test]
     fn run_paced_actually_paces_against_the_wall_clock() {
         use crate::pacer::PacedConfig;

@@ -990,11 +990,14 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidPacing`] (`URT117`) for a rate or budget that
+    /// is not a positive, finite number, before anything runs;
     /// [`CoreError::DeadlineOverrun`] when an
     /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
     /// run exhausts its consecutive-miss tolerance, plus the usual solver,
     /// runtime and thread failures.
     pub fn run_paced(&mut self, t_end: f64, config: PacedConfig) -> Result<PacedReport, CoreError> {
+        config.check()?;
         self.start_if_needed()?;
         let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);

@@ -57,6 +57,15 @@ pub enum CoreError {
         /// The offending step value.
         step: f64,
     },
+    /// A paced run was configured with a rate or budget that is not a
+    /// positive, finite number — refused before the engine starts, so
+    /// the engine stays usable. Raised by `run_paced` on both engines.
+    InvalidPacing {
+        /// The offending `PacedConfig` field: `"rate"` or `"budget_ns"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// A paced run under `OverrunPolicy::SafetyStop` exhausted its
     /// tolerance for consecutive deadline misses — the runtime half of
     /// the URT301 budget contract. Carries the miss report at the point
@@ -107,6 +116,7 @@ impl CoreError {
             CoreError::Elaborate { .. } => "URT114",
             CoreError::DeadlineOverrun { .. } => "URT115",
             CoreError::InvalidStep { .. } => "URT116",
+            CoreError::InvalidPacing { .. } => "URT117",
         }
     }
 }
@@ -139,6 +149,13 @@ impl fmt::Display for CoreError {
                 write!(
                     f,
                     "{}: macro step must be a positive, finite number, got {step}",
+                    self.code()
+                )
+            }
+            CoreError::InvalidPacing { field, value } => {
+                write!(
+                    f,
+                    "{}: paced-run {field} must be a positive, finite number, got {value}",
                     self.code()
                 )
             }
@@ -226,6 +243,10 @@ mod tests {
         assert_eq!(e.code(), "URT116");
         assert!(e.to_string().starts_with("URT116: "));
         assert!(e.to_string().contains("-1"));
+        let e = CoreError::InvalidPacing { field: "rate", value: 0.0 };
+        assert_eq!(e.code(), "URT117");
+        assert!(e.to_string().starts_with("URT117: "));
+        assert!(e.to_string().contains("rate"));
     }
 
     #[test]

@@ -104,10 +104,7 @@ pub use engine::{EngineConfig, HybridEngine};
 pub use ensemble::{EnsembleEngine, VariantSpec};
 pub use error::CoreError;
 pub use model::{ModelBuilder, UnifiedModel};
-pub use pacer::{
-    LatencyHistogram, OverrunPolicy, PacedConfig, PacedReport, RealTimePacer, StepBudget,
-    TimeSource, WallClock,
-};
+pub use pacer::{OverrunPolicy, PacedConfig, PacedReport, TimeSource, WallClock};
 pub use recorder::{Recorder, SeriesHandle};
 pub use stereotype::Stereotype;
 pub use threading::ThreadPolicy;

@@ -9,19 +9,18 @@
 //! * [`TimeSource`] / [`WallClock`] — the injectable monotonic clock the
 //!   whole module runs on. Tests inject scripted clocks so deadline
 //!   accounting is pinned without any wall-clock dependence.
-//! * [`RealTimePacer`] — couples simulation time to the clock at a
-//!   configurable rate, with lag diagnostics when the solver cannot keep
-//!   up (including OS timer slack: oversleeps are re-measured and folded
-//!   into the lag, never silently dropped).
-//! * [`StepBudget`] — per-macro-step deadline accounting against the
-//!   budget the compiled artifact carries.
-//! * [`LatencyHistogram`] — fixed-size log-linear cycle-time histogram
-//!   (allocation-free recording) behind the p50/p99 figures of a
-//!   [`PacedReport`].
 //! * [`PacedConfig`] / [`OverrunPolicy`] / [`PacedReport`] — the public
 //!   surface of [`HybridEngine::run_paced`] and
 //!   [`EnsembleEngine::run_paced`]: the paced, deadline-enforced run
 //!   loops in the compiled path.
+//! * `PacedRunner` — the one engine-side driver of those loops. It keeps
+//!   one clock origin, couples simulation time to the clock at the
+//!   configured rate, counts deadline misses against the budget the
+//!   compiled artifact carries, and tracks one worst lag (OS timer slack
+//!   included: oversleeps are re-measured and folded into the lag, never
+//!   silently dropped). Cycle times go into a fixed-size log-linear
+//!   histogram (allocation-free recording) behind the p50/p99/worst
+//!   figures of a [`PacedReport`].
 //!
 //! [`HybridEngine::run_paced`]: crate::engine::HybridEngine::run_paced
 //! [`EnsembleEngine::run_paced`]: crate::ensemble::EnsembleEngine::run_paced
@@ -34,9 +33,10 @@ use std::time::{Duration, Instant};
 ///
 /// Production uses [`WallClock`]; deterministic tests inject scripted
 /// sources so miss accounting and lag folding are pinned exactly. The
-/// paced loop's call pattern is fixed — one `now_ns` when a cycle
-/// starts, one when it ends, one `sleep_ns` + one re-measuring `now_ns`
-/// when it pacing-waits — so a scripted source can drive every branch.
+/// paced loop's call pattern is fixed — one `now_ns` for the run's
+/// origin, one when a cycle starts, one when it ends and, when it
+/// finished ahead of its release point, one `now_ns` before and one
+/// after its `sleep_ns` — so a scripted source can drive every branch.
 pub trait TimeSource: Send {
     /// Nanoseconds since an arbitrary fixed origin; never decreases.
     fn now_ns(&mut self) -> u64;
@@ -89,218 +89,6 @@ fn target_ns(sim_time: f64, rate: f64) -> u64 {
     }
 }
 
-/// Couples simulation time to the wall clock at a configurable rate.
-///
-/// # Examples
-///
-/// ```
-/// use urt_core::pacer::RealTimePacer;
-///
-/// // Run 10x faster than real time (0.1 wall seconds per sim second).
-/// let mut pacer = RealTimePacer::new(10.0);
-/// let lag = pacer.pace(0.001); // returns almost immediately at this rate
-/// assert!(lag >= 0.0);
-/// assert_eq!(pacer.rate(), 10.0);
-/// ```
-pub struct RealTimePacer {
-    clock: Box<dyn TimeSource>,
-    /// Clock reading at the wall-clock origin of the run.
-    origin_ns: u64,
-    rate: f64,
-    worst_lag_ns: u64,
-}
-
-impl fmt::Debug for RealTimePacer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RealTimePacer")
-            .field("rate", &self.rate)
-            .field("worst_lag_ns", &self.worst_lag_ns)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RealTimePacer {
-    /// Creates a wall-clock pacer; `rate` is simulated seconds per wall
-    /// second (1.0 = real time, 2.0 = twice as fast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive and finite.
-    pub fn new(rate: f64) -> Self {
-        Self::with_clock(rate, Box::new(WallClock::new()))
-    }
-
-    /// Creates a pacer over an injected [`TimeSource`] (deterministic
-    /// tests, embedded monotonic counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive and finite.
-    pub fn with_clock(rate: f64, mut clock: Box<dyn TimeSource>) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
-        let origin_ns = clock.now_ns();
-        RealTimePacer { clock, origin_ns, rate, worst_lag_ns: 0 }
-    }
-
-    /// Restarts the wall-clock origin (call right before the run loop).
-    pub fn restart(&mut self) {
-        self.origin_ns = self.clock.now_ns();
-        self.worst_lag_ns = 0;
-    }
-
-    /// Nanoseconds elapsed on the clock since the origin.
-    pub(crate) fn now_rel_ns(&mut self) -> u64 {
-        self.clock.now_ns().saturating_sub(self.origin_ns)
-    }
-
-    /// Blocks until `target` nanoseconds past the origin; returns the lag
-    /// in nanoseconds — how far *behind* the target the clock was on
-    /// arrival. When the pacer had to wait, the lag is the oversleep: the
-    /// sleep is re-measured and any OS timer slack is returned and folded
-    /// into the worst-lag diagnostic instead of being dropped.
-    pub(crate) fn pace_to_ns(&mut self, target: u64) -> u64 {
-        let now = self.now_rel_ns();
-        let lag_ns = if now < target {
-            self.clock.sleep_ns(target - now);
-            // Re-measure: `sleep` guarantees *at least* the requested
-            // duration, and timer slack routinely overshoots it.
-            self.now_rel_ns().saturating_sub(target)
-        } else {
-            now - target
-        };
-        self.worst_lag_ns = self.worst_lag_ns.max(lag_ns);
-        lag_ns
-    }
-
-    /// Blocks until the wall clock reaches simulation time `sim_time`.
-    /// Returns the lag in simulated seconds: how far the simulation was
-    /// *behind* the wall clock on arrival — including, after a wait, the
-    /// measured oversleep. Extreme `sim_time / rate` ratios saturate the
-    /// wall-clock target instead of panicking.
-    pub fn pace(&mut self, sim_time: f64) -> f64 {
-        let lag_ns = self.pace_to_ns(target_ns(sim_time, self.rate));
-        lag_ns as f64 * 1e-9 * self.rate
-    }
-
-    /// Worst lag observed so far, in simulated seconds.
-    pub fn lag_seconds(&self) -> f64 {
-        self.worst_lag_ns as f64 * 1e-9 * self.rate
-    }
-
-    /// Worst lag observed so far, in wall nanoseconds.
-    pub fn lag_ns(&self) -> u64 {
-        self.worst_lag_ns
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-/// Per-macro-step deadline accounting against a declared budget.
-///
-/// The static cost pass proves (from declared or calibrated costs) that
-/// a model *can* meet its budget before anything runs; `StepBudget` is
-/// the runtime half of the same contract: feed it the measured wall
-/// time of each macro step and it counts deadline misses and tracks the
-/// worst observed step. Construct it from the budget the compiled
-/// artifact carries
-/// ([`CompiledSystem::step_budget_ns`](crate::elaborate::CompiledSystem::step_budget_ns)),
-/// or let [`HybridEngine::run_paced`](crate::engine::HybridEngine::run_paced)
-/// do both ends for you.
-///
-/// Non-finite samples (a poisoned timer, an uninitialised measurement)
-/// are counted as misses and tracked separately — a deadline that cannot
-/// be shown met is a missed deadline.
-///
-/// # Examples
-///
-/// ```
-/// use urt_core::pacer::StepBudget;
-///
-/// let mut budget = StepBudget::new(1_000_000.0); // 1 ms per macro step
-/// assert!(!budget.record(800_000.0)); // met
-/// assert!(budget.record(1_200_000.0)); // missed
-/// assert!(budget.record(f64::NAN)); // unmeasurable: also a miss
-/// assert_eq!(budget.misses(), 2);
-/// assert_eq!(budget.non_finite(), 1);
-/// assert_eq!(budget.worst_ns(), 1_200_000.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StepBudget {
-    budget_ns: f64,
-    steps: u64,
-    misses: u64,
-    non_finite: u64,
-    worst_ns: f64,
-}
-
-impl StepBudget {
-    /// Creates a budget of `budget_ns` nanoseconds per macro step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget_ns` is not positive and finite.
-    pub fn new(budget_ns: f64) -> Self {
-        assert!(budget_ns.is_finite() && budget_ns > 0.0, "budget must be positive ns");
-        StepBudget { budget_ns, steps: 0, misses: 0, non_finite: 0, worst_ns: 0.0 }
-    }
-
-    /// Records one macro step's measured wall time; returns `true` when
-    /// the step missed its deadline. A non-finite sample is a miss:
-    /// `NaN > budget` is false, so without this rule an unmeasurable
-    /// step would silently count as a met deadline.
-    pub fn record(&mut self, elapsed_ns: f64) -> bool {
-        self.steps += 1;
-        if !elapsed_ns.is_finite() {
-            self.non_finite += 1;
-            self.misses += 1;
-            return true;
-        }
-        self.worst_ns = self.worst_ns.max(elapsed_ns);
-        let missed = elapsed_ns > self.budget_ns;
-        if missed {
-            self.misses += 1;
-        }
-        missed
-    }
-
-    /// Number of steps recorded so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Number of deadline misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of non-finite (unmeasurable) samples, each also counted in
-    /// [`StepBudget::misses`].
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
-    /// Worst observed *finite* step, in nanoseconds.
-    pub fn worst_ns(&self) -> f64 {
-        self.worst_ns
-    }
-
-    /// The configured budget, in nanoseconds per macro step.
-    pub fn budget_ns(&self) -> f64 {
-        self.budget_ns
-    }
-
-    /// Resets the accounting (budget unchanged).
-    pub fn reset(&mut self) {
-        self.steps = 0;
-        self.misses = 0;
-        self.non_finite = 0;
-        self.worst_ns = 0.0;
-    }
-}
-
 /// Buckets: exact singletons below 16 ns, then 16 linear sub-buckets per
 /// power of two up to `u64::MAX` — ≤ 1/16 relative quantisation error.
 const HIST_BUCKETS: usize = 976;
@@ -311,48 +99,16 @@ const HIST_BUCKETS: usize = 976;
 /// allocation-free and O(1). Percentiles resolve to a bucket's upper
 /// bound — conservative for latency reporting — clamped to the exact
 /// observed maximum.
-///
-/// # Examples
-///
-/// ```
-/// use urt_core::pacer::LatencyHistogram;
-///
-/// let mut h = LatencyHistogram::new();
-/// for ns in [100, 120, 130, 90_000] {
-///     h.record(ns);
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert!(h.percentile(0.5) >= 120 && h.percentile(0.5) < 136);
-/// assert_eq!(h.percentile(1.0), 90_000);
-/// assert_eq!(h.max_ns(), 90_000);
-/// ```
-#[derive(Clone)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     counts: [u64; HIST_BUCKETS],
     total: u64,
     min_ns: u64,
     max_ns: u64,
 }
 
-impl fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.total)
-            .field("min_ns", &self.min_ns)
-            .field("max_ns", &self.max_ns)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram { counts: [0; HIST_BUCKETS], total: 0, min_ns: u64::MAX, max_ns: 0 }
     }
 
@@ -378,36 +134,22 @@ impl LatencyHistogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         self.counts[Self::bucket_index(ns)] += 1;
         self.total += 1;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// Exact observed maximum (0 when empty).
-    pub fn max_ns(&self) -> u64 {
+    pub(crate) fn max_ns(&self) -> u64 {
         self.max_ns
-    }
-
-    /// Exact observed minimum (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min_ns
-        }
     }
 
     /// The `q`-quantile (`q` in `0.0..=1.0`) as a conservative upper
     /// bound, clamped to the exact observed extrema. Returns 0 when no
     /// samples were recorded.
-    pub fn percentile(&self, q: f64) -> u64 {
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -512,6 +254,23 @@ impl PacedConfig {
         self.clock = Some(clock);
         self
     }
+
+    /// Refuses a rate or an explicit budget that is not a positive,
+    /// finite number. The engines call this before they start, so a
+    /// refused configuration leaves them untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidPacing`] naming the offending field.
+    pub(crate) fn check(&self) -> Result<(), CoreError> {
+        let fields = [("rate", Some(self.rate)), ("budget_ns", self.budget_ns)];
+        for (field, value) in fields {
+            if let Some(value) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
+                return Err(CoreError::InvalidPacing { field, value });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What a paced run measured: deadline accounting plus the cycle-time
@@ -554,21 +313,28 @@ pub struct PacedReport {
     pub batched: bool,
 }
 
-/// The engine-side driver of a paced run: owns the pacer, the budget,
+/// The engine-side driver of a paced run: owns the clock, the budget,
 /// the histogram and the overrun-policy state. Engines call
 /// [`PacedRunner::begin`] / [`PacedRunner::end`] around each macro step
 /// (or batch, at the batch barrier) — everything in between is plain
 /// field arithmetic on inline storage, so the steady state allocates
 /// nothing.
 pub(crate) struct PacedRunner {
-    pacer: RealTimePacer,
-    budget: StepBudget,
+    clock: Box<dyn TimeSource>,
+    /// Clock reading at the wall-clock origin of the run.
+    origin_ns: u64,
+    /// Simulated seconds per wall second.
+    rate: f64,
+    /// Deadline per macro step, wall ns.
+    budget_ns: f64,
     policy: OverrunPolicy,
+    /// Per-step cycle times; its exact maximum is the worst cycle.
     hist: LatencyHistogram,
     /// Pacing period per macro step, wall ns (`step / rate`).
     period_ns: u64,
     steps: u64,
     samples: u64,
+    misses: u64,
     consecutive: u64,
     max_consecutive: u64,
     skipped_slack_ns: u64,
@@ -580,35 +346,32 @@ pub(crate) struct PacedRunner {
 }
 
 impl PacedRunner {
-    /// Builds a runner for macro steps of `step_s` simulated seconds.
-    /// The budget resolves explicit config > compiled system declaration
-    /// (`compiled_budget_ns`) > the pacing period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate or the resolved budget is not positive and
-    /// finite (same contracts as [`RealTimePacer::new`] /
-    /// [`StepBudget::new`]).
+    /// Builds a runner for macro steps of `step_s` simulated seconds and
+    /// reads the clock once for the run's origin. The budget resolves
+    /// explicit config > compiled system declaration
+    /// (`compiled_budget_ns`) > the pacing period. The config must have
+    /// passed [`PacedConfig::check`]; a declared budget is positive by
+    /// construction.
     pub(crate) fn new(config: PacedConfig, compiled_budget_ns: Option<f64>, step_s: f64) -> Self {
         let PacedConfig { rate, budget_ns, policy, clock } = config;
-        let pacer = match clock {
-            Some(clock) => RealTimePacer::with_clock(rate, clock),
-            None => RealTimePacer::new(rate),
-        };
+        debug_assert!(rate.is_finite() && rate > 0.0, "unchecked pacing rate {rate}");
+        let mut clock = clock.unwrap_or_else(|| Box::new(WallClock::new()));
+        let origin_ns = clock.now_ns();
         let period_ns = target_ns(step_s, rate);
         // The period fallback clamps to 1 ns: at extreme rates the pacing
         // period rounds to zero, which is not a representable budget.
-        let budget = StepBudget::new(
-            budget_ns.or(compiled_budget_ns).unwrap_or((period_ns as f64).max(1.0)),
-        );
+        let budget_ns = budget_ns.or(compiled_budget_ns).unwrap_or((period_ns as f64).max(1.0));
         PacedRunner {
-            pacer,
-            budget,
+            clock,
+            origin_ns,
+            rate,
+            budget_ns,
             policy,
             hist: LatencyHistogram::new(),
             period_ns,
             steps: 0,
             samples: 0,
+            misses: 0,
             consecutive: 0,
             max_consecutive: 0,
             skipped_slack_ns: 0,
@@ -619,9 +382,14 @@ impl PacedRunner {
         }
     }
 
+    /// Nanoseconds elapsed on the clock since the origin.
+    fn now_rel_ns(&mut self) -> u64 {
+        self.clock.now_ns().saturating_sub(self.origin_ns)
+    }
+
     /// Marks the start of a cycle (one macro step, or one batch).
     pub(crate) fn begin(&mut self) {
-        self.cycle_start_ns = self.pacer.now_rel_ns();
+        self.cycle_start_ns = self.now_rel_ns();
     }
 
     /// Closes a cycle covering `k` macro steps that advanced simulation
@@ -636,7 +404,7 @@ impl PacedRunner {
     /// is exhausted.
     pub(crate) fn end(&mut self, k: u64, sim_time: f64) -> Result<(), CoreError> {
         let k = k.max(1);
-        let now = self.pacer.now_rel_ns();
+        let now = self.now_rel_ns();
         let elapsed = now.saturating_sub(self.cycle_start_ns);
         // Batch budget attributed as K x the step budget: comparing the
         // per-step share against one step's budget is the same test.
@@ -647,7 +415,8 @@ impl PacedRunner {
         if k > 1 {
             self.batched = true;
         }
-        if self.budget.record(cycle as f64) {
+        if cycle as f64 > self.budget_ns {
+            self.misses += 1;
             self.consecutive += 1;
             self.max_consecutive = self.max_consecutive.max(self.consecutive);
             if let OverrunPolicy::SafetyStop { max_consecutive } = self.policy {
@@ -655,9 +424,9 @@ impl PacedRunner {
                     return Err(CoreError::DeadlineOverrun {
                         step: self.steps,
                         consecutive: self.consecutive,
-                        budget_ns: self.budget.budget_ns(),
-                        worst_ns: self.budget.worst_ns(),
-                        misses: self.budget.misses(),
+                        budget_ns: self.budget_ns,
+                        worst_ns: self.hist.max_ns() as f64,
+                        misses: self.misses,
                     });
                 }
             }
@@ -666,9 +435,9 @@ impl PacedRunner {
         }
         // Pace to the release point. `Record`/`SafetyStop` schedules may
         // have slipped; `CatchUp` keeps the absolute timeline.
-        let target = self.slip_ns.saturating_add(target_ns(sim_time, self.pacer.rate()));
+        let target = self.slip_ns.saturating_add(target_ns(sim_time, self.rate));
         if now < target {
-            let over = self.pacer.pace_to_ns(target);
+            let over = self.pace_to(target);
             self.worst_lag_ns = self.worst_lag_ns.max(over);
         } else {
             let behind = now - target;
@@ -692,20 +461,35 @@ impl PacedRunner {
         Ok(())
     }
 
+    /// Blocks until `target` nanoseconds past the origin; returns how far
+    /// past the target the clock was on arrival. After a wait that is the
+    /// oversleep: `sleep` guarantees *at least* the requested duration,
+    /// and timer slack routinely overshoots it, so the clock is
+    /// re-measured rather than the slack dropped.
+    fn pace_to(&mut self, target: u64) -> u64 {
+        let now = self.now_rel_ns();
+        if now < target {
+            self.clock.sleep_ns(target - now);
+            self.now_rel_ns().saturating_sub(target)
+        } else {
+            now - target
+        }
+    }
+
     /// The report (consumes the runner).
     pub(crate) fn finish(self) -> PacedReport {
         PacedReport {
             steps: self.steps,
             samples: self.samples,
-            misses: self.budget.misses(),
+            misses: self.misses,
             max_consecutive_misses: self.max_consecutive,
-            budget_ns: self.budget.budget_ns(),
+            budget_ns: self.budget_ns,
             p50_ns: self.hist.percentile(0.5) as f64,
             p99_ns: self.hist.percentile(0.99) as f64,
             worst_ns: self.hist.max_ns() as f64,
             worst_lag_s: self.worst_lag_ns as f64 * 1e-9,
             skipped_slack_ns: self.skipped_slack_ns,
-            rate: self.pacer.rate(),
+            rate: self.rate,
             batched: self.batched,
         }
     }
@@ -716,23 +500,16 @@ mod tests {
     use super::*;
 
     /// Scripted clock: each `now_ns` call pops the next advance off the
-    /// script (0 when exhausted) and adds it; `sleep_ns` advances by the
-    /// requested amount plus a fixed oversleep, recording the request.
+    /// script (0 when exhausted) and adds it; `sleep_ns` advances by
+    /// exactly the requested amount.
     struct ScriptClock {
         now: u64,
         advances: std::collections::VecDeque<u64>,
-        oversleep_ns: u64,
-        sleeps: Vec<u64>,
     }
 
     impl ScriptClock {
-        fn new(advances: &[u64], oversleep_ns: u64) -> Self {
-            ScriptClock {
-                now: 0,
-                advances: advances.iter().copied().collect(),
-                oversleep_ns,
-                sleeps: Vec::new(),
-            }
+        fn new(advances: &[u64]) -> Self {
+            ScriptClock { now: 0, advances: advances.iter().copied().collect() }
         }
     }
 
@@ -742,127 +519,42 @@ mod tests {
             self.now
         }
         fn sleep_ns(&mut self, ns: u64) {
-            self.sleeps.push(ns);
-            self.now += ns + self.oversleep_ns;
+            self.now += ns;
         }
     }
 
-    // Wall-clock latency bounds are inherently load-sensitive (the thread
-    // can be descheduled between `new` and `pace`), so they only run with
-    // `--features timing-tests`; the logic-only pacer tests below always run.
-    #[cfg(feature = "timing-tests")]
     #[test]
-    fn pacer_waits_for_wall_clock() {
-        // 100x real time: 0.005 sim seconds = 50 us wall.
-        let mut p = RealTimePacer::new(100.0);
+    fn runner_waits_for_wall_clock() {
+        // 100x real time: a 5 ms step is released 50 us of wall time
+        // after the origin. `sleep` never returns early, so this lower
+        // bound holds under any load.
         let start = Instant::now();
-        let lag = p.pace(0.005);
-        assert!(start.elapsed() >= Duration::from_micros(45), "waited for the wall clock");
-        // The returned lag is the measured oversleep — non-negative, and
-        // never larger than the wall time the pace actually took.
-        assert!(lag >= 0.0);
-        assert!(p.lag_seconds() >= lag);
+        let mut r = PacedRunner::new(PacedConfig::new().with_rate(100.0), None, 5e-3);
+        r.begin();
+        r.end(1, 5e-3).unwrap();
+        let waited = start.elapsed();
+        assert!(waited >= Duration::from_micros(50), "waited for the wall clock: {waited:?}");
+        let report = r.finish();
+        assert!(report.worst_lag_s <= waited.as_secs_f64(), "lag within the wall time taken");
+        assert_eq!(report.rate, 100.0);
     }
 
     #[test]
-    fn pacer_logic_invariants() {
-        // Timing-free invariants: lag is never negative, never decreases
-        // except across restart, and a generous pace target is never late
-        // by more than the elapsed wall time allows.
-        let mut p = RealTimePacer::new(100.0);
-        let lag = p.pace(0.005);
-        assert!(lag >= 0.0);
-        assert!(p.lag_seconds() >= lag);
-        let worst = p.lag_seconds();
-        let lag2 = p.pace(0.006);
-        assert!(lag2 >= 0.0);
-        assert!(p.lag_seconds() >= worst, "worst lag never decreases");
-        p.restart();
-        assert_eq!(p.lag_seconds(), 0.0, "restart resets the lag diagnostic");
-        assert_eq!(p.rate(), 100.0);
-    }
-
-    #[test]
-    fn pacer_reports_lag_when_behind() {
-        let mut p = RealTimePacer::new(1e6);
-        std::thread::sleep(Duration::from_millis(2));
-        // Asking for sim time 0: we are already late by ~2000 sim seconds.
-        let lag = p.pace(0.0);
-        assert!(lag > 0.0);
-        assert!(p.lag_seconds() >= lag * 0.99);
-        p.restart();
-        assert_eq!(p.lag_seconds(), 0.0);
-    }
-
-    #[test]
-    fn pacer_folds_oversleep_into_lag() {
-        // Regression: `pace` used to return 0.0 straight after the sleep,
-        // silently dropping OS timer slack from the lag diagnostic. The
-        // scripted clock oversleeps every sleep by exactly 0.5 ms.
-        let mut p = RealTimePacer::with_clock(1.0, Box::new(ScriptClock::new(&[], 500_000)));
-        let lag = p.pace(0.005); // target 5 ms, clock at 0: sleeps 5 ms + slack
-        assert!((lag - 5e-4).abs() < 1e-12, "oversleep surfaced as lag, got {lag}");
-        assert!((p.lag_seconds() - 5e-4).abs() < 1e-12, "and folded into worst lag");
-        assert_eq!(p.lag_ns(), 500_000);
-    }
-
-    #[test]
-    fn pacer_saturates_extreme_targets() {
+    fn runner_saturates_extreme_targets() {
         // Regression: `sim_time / rate` beyond Duration's range used to
-        // panic inside `Duration::from_secs_f64`; the target now
-        // saturates at u64::MAX nanoseconds.
-        let mut p = RealTimePacer::with_clock(1e-300, Box::new(ScriptClock::new(&[], 0)));
-        let lag = p.pace(1e300); // 1e600 wall seconds: saturates
-        assert!(lag >= 0.0);
+        // panic inside `Duration::from_secs_f64`; the release target and
+        // the pacing period now saturate at u64::MAX nanoseconds.
+        let cfg = PacedConfig::new().with_rate(1e-300).with_clock(Box::new(ScriptClock::new(&[])));
+        let mut r = PacedRunner::new(cfg, None, 1e-3);
+        assert_eq!(r.period_ns, u64::MAX);
+        r.begin();
+        r.end(1, 1e300).unwrap(); // 1e600 wall seconds: sleeps to u64::MAX
+        let report = r.finish();
+        assert_eq!((report.steps, report.misses), (1, 0));
+        assert_eq!(report.worst_lag_s, 0.0, "the saturated release point was met exactly");
         assert_eq!(target_ns(1e300, 1e-300), u64::MAX);
         assert_eq!(target_ns(f64::NAN, 1.0), 0, "NaN clamps to the origin");
         assert_eq!(target_ns(-1.0, 1.0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn pacer_validates_rate() {
-        let _ = RealTimePacer::new(0.0);
-    }
-
-    #[test]
-    fn step_budget_counts_misses_and_worst_case() {
-        let mut b = StepBudget::new(1000.0);
-        assert!(!b.record(400.0));
-        assert!(!b.record(1000.0), "exactly on budget is a met deadline");
-        assert!(b.record(1500.0));
-        assert!(b.record(2500.0));
-        assert_eq!(b.steps(), 4);
-        assert_eq!(b.misses(), 2);
-        assert_eq!(b.worst_ns(), 2500.0);
-        assert_eq!(b.budget_ns(), 1000.0);
-        b.reset();
-        assert_eq!((b.steps(), b.misses()), (0, 0));
-        assert_eq!(b.worst_ns(), 0.0);
-        assert_eq!(b.budget_ns(), 1000.0, "reset keeps the budget");
-    }
-
-    #[test]
-    fn step_budget_counts_non_finite_samples_as_misses() {
-        // Regression: `NaN > budget` is false, so a NaN sample used to
-        // count as a *met* deadline and leave `worst_ns` untouched.
-        let mut b = StepBudget::new(1000.0);
-        assert!(!b.record(400.0));
-        assert!(b.record(f64::NAN), "unmeasurable step is a miss");
-        assert!(b.record(f64::INFINITY));
-        assert!(b.record(f64::NEG_INFINITY));
-        assert_eq!(b.steps(), 4);
-        assert_eq!(b.misses(), 3);
-        assert_eq!(b.non_finite(), 3);
-        assert_eq!(b.worst_ns(), 400.0, "worst tracks finite samples only");
-        b.reset();
-        assert_eq!(b.non_finite(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget must be positive")]
-    fn step_budget_validates_budget() {
-        let _ = StepBudget::new(f64::NAN);
     }
 
     #[test]
@@ -887,9 +579,9 @@ mod tests {
         for ns in 1..=1000u64 {
             h.record(ns * 1000); // 1 us .. 1 ms
         }
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.total, 1000);
         assert_eq!(h.max_ns(), 1_000_000);
-        assert_eq!(h.min_ns(), 1000);
+        assert_eq!(h.min_ns, 1000);
         let p50 = h.percentile(0.5);
         let p99 = h.percentile(0.99);
         // Log-linear buckets: <= 1/16 relative error above the true rank.
@@ -902,11 +594,11 @@ mod tests {
     #[test]
     fn runner_resolves_budget_from_compiled_then_period() {
         let r = PacedRunner::new(PacedConfig::new(), Some(123_456.0), 1e-3);
-        assert_eq!(r.budget.budget_ns(), 123_456.0, "compiled budget wins over the period");
+        assert_eq!(r.budget_ns, 123_456.0, "compiled budget wins over the period");
         let r = PacedRunner::new(PacedConfig::new(), None, 1e-3);
-        assert_eq!(r.budget.budget_ns(), 1e6, "period fallback: 1 ms step at rate 1");
+        assert_eq!(r.budget_ns, 1e6, "period fallback: 1 ms step at rate 1");
         let r = PacedRunner::new(PacedConfig::new().with_budget_ns(5.0), Some(123.0), 1e-3);
-        assert_eq!(r.budget.budget_ns(), 5.0, "explicit config wins over everything");
+        assert_eq!(r.budget_ns, 5.0, "explicit config wins over everything");
     }
 
     #[test]
@@ -914,7 +606,7 @@ mod tests {
         // Period 1 ms; every cycle takes 2 ms (scripted: begin +0,
         // end +2 ms). Record re-anchors, so each miss adds 1 ms of slip
         // and no sleep ever happens.
-        let clock = ScriptClock::new(&[0, 0, 2_000_000, 0, 2_000_000, 0, 2_000_000], 0);
+        let clock = ScriptClock::new(&[0, 0, 2_000_000, 0, 2_000_000, 0, 2_000_000]);
         let cfg = PacedConfig::new().with_clock(Box::new(clock));
         let mut r = PacedRunner::new(cfg, None, 1e-3);
         for step in 1..=3u64 {
@@ -939,7 +631,7 @@ mod tests {
         // Step 1 takes 3 ms (2 ms over), steps 2..4 are instantaneous.
         // CatchUp keeps the absolute schedule: steps 2 and 3 forgo their
         // 1 ms sleep each (slack = 2 ms total), step 4 sleeps again.
-        let clock = ScriptClock::new(&[0, 0, 3_000_000], 0);
+        let clock = ScriptClock::new(&[0, 0, 3_000_000]);
         let cfg =
             PacedConfig::new().with_policy(OverrunPolicy::CatchUp).with_clock(Box::new(clock));
         let mut r = PacedRunner::new(cfg, None, 1e-3);
@@ -959,7 +651,7 @@ mod tests {
         // Every cycle takes 2 ms against a 1 ms budget (call pattern per
         // cycle: begin +0, end +2 ms; misses never sleep, so no extra
         // clock calls).
-        let clock = ScriptClock::new(&[0, 0, 2_000_000, 0, 2_000_000, 0, 2_000_000], 0);
+        let clock = ScriptClock::new(&[0, 0, 2_000_000, 0, 2_000_000, 0, 2_000_000]);
         let cfg = PacedConfig::new()
             .with_policy(OverrunPolicy::SafetyStop { max_consecutive: 3 })
             .with_clock(Box::new(clock));
@@ -991,7 +683,7 @@ mod tests {
     fn runner_batch_attribution_divides_by_k() {
         // One 8-step batch taking 8 ms: per-step share 1 ms, exactly on
         // a 1 ms budget — met. A second batch at 16 ms misses.
-        let clock = ScriptClock::new(&[0, 0, 8_000_000, 0, 16_000_000], 0);
+        let clock = ScriptClock::new(&[0, 0, 8_000_000, 0, 16_000_000]);
         let cfg = PacedConfig::new().with_clock(Box::new(clock));
         let mut r = PacedRunner::new(cfg, None, 1e-3);
         r.begin();

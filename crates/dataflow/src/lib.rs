@@ -9,8 +9,8 @@
 //! * [`flowtype`] — the *flow type* stereotype, with the paper's connection
 //!   rule: an output DPort's flow type must be a **subset** of the input
 //!   DPort's flow type.
-//! * [`port`] — typed data ports (DPorts) and protocol-typed signal ports
-//!   (SPorts).
+//! * [`port`] — typed data ports (DPorts); an SPort is a
+//!   `(name, protocol)` pair on the model.
 //! * [`streamer`] — the streamer behaviour trait plus [`OdeStreamer`], the
 //!   standard solver-backed streamer with zero-crossing signal emission.
 //! * [`graph`] — the [`StreamerNetwork`] builder (flows, fan-out — the
@@ -62,5 +62,5 @@ pub mod streamer;
 pub use error::FlowError;
 pub use flowtype::{FlowType, Unit};
 pub use graph::{NodeId, StreamerNetwork};
-pub use port::{DPortSpec, Direction, SPortSpec};
+pub use port::{DPortSpec, Direction};
 pub use streamer::{FnStreamer, OdeLane, OdeStreamer, StreamerBehavior};

@@ -1,13 +1,13 @@
-//! DPorts and SPorts: the two port stereotypes of the extension.
+//! DPorts: the data ports of the extension.
 //!
 //! "Streamers have two kinds of ports: data ports (DPorts) and signal ports
 //! (SPorts), which denoted by circle and square respectively. Data ports
 //! carrying dataflow, have some kind of data type (flow type). [...] SPorts
-//! convey signal message, which associated with a protocol."
+//! convey signal message, which associated with a protocol." The model
+//! keeps an SPort as its `(name, protocol)` pair; this module types DPorts.
 
 use crate::flowtype::FlowType;
 use std::fmt;
-use urt_umlrt::protocol::Protocol;
 
 /// Dataflow direction of a DPort, relative to its owning streamer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,44 +80,10 @@ impl fmt::Display for DPortSpec {
     }
 }
 
-/// A signal port: the protocol-typed bridge between a streamer and the
-/// event-driven capsule world (drawn as a square in the paper's notation).
-///
-/// "Streamers can communicate with capsules through SPorts."
-#[derive(Debug, Clone, PartialEq)]
-pub struct SPortSpec {
-    name: String,
-    protocol: Protocol,
-}
-
-impl SPortSpec {
-    /// Creates an SPort typed by `protocol`.
-    pub fn new(name: impl Into<String>, protocol: Protocol) -> Self {
-        SPortSpec { name: name.into(), protocol }
-    }
-
-    /// Port name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The associated protocol.
-    pub fn protocol(&self) -> &Protocol {
-        &self.protocol
-    }
-}
-
-impl fmt::Display for SPortSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sport {}: {}", self.name, self.protocol)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flowtype::Unit;
-    use urt_umlrt::protocol::PayloadKind;
 
     #[test]
     fn dport_accessors() {
@@ -126,15 +92,6 @@ mod tests {
         assert_eq!(p.direction(), Direction::In);
         assert_eq!(p.width(), 3);
         assert_eq!(p.to_string(), "in x: vec3[1]");
-    }
-
-    #[test]
-    fn sport_accessors() {
-        let proto = Protocol::new("Ctl").with_in("set", PayloadKind::Real);
-        let s = SPortSpec::new("ctl", proto);
-        assert_eq!(s.name(), "ctl");
-        assert_eq!(s.protocol().name(), "Ctl");
-        assert!(s.to_string().contains("sport ctl"));
     }
 
     #[test]

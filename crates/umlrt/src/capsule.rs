@@ -43,10 +43,7 @@ pub struct TimerRequest {
 ///
 /// let mut ctx = CapsuleContext::detached(1.5);
 /// assert_eq!(ctx.now(), 1.5);
-/// ctx.send("out", "ping", Value::Empty);
-/// let outbox = ctx.take_outbox();
-/// assert_eq!(outbox.len(), 1);
-/// assert_eq!(outbox[0].port(), "out");
+/// ctx.send("out", "ping", Value::Empty); // routed by the controller after the step
 /// ```
 #[derive(Debug)]
 pub struct CapsuleContext {
@@ -145,27 +142,6 @@ impl CapsuleContext {
     /// Cancels a previously armed timer.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.timer_cancels.push(id);
-    }
-
-    /// Drains recorded sends in send order; each message's
-    /// [`port`](Message::port) is the port it was sent out of.
-    pub fn take_outbox(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Drains recorded timer arms.
-    pub fn take_timer_sets(&mut self) -> Vec<TimerRequest> {
-        std::mem::take(&mut self.timer_sets)
-    }
-
-    /// Drains recorded timer cancellations.
-    pub fn take_timer_cancels(&mut self) -> Vec<TimerId> {
-        std::mem::take(&mut self.timer_cancels)
-    }
-
-    /// The next timer id to allocate (controllers persist this).
-    pub fn next_timer_id(&self) -> u64 {
-        self.next_timer_id
     }
 }
 
@@ -270,14 +246,13 @@ mod tests {
         let mut ctx = CapsuleContext::detached(2.0);
         ctx.send("a", "one", Value::Empty);
         ctx.send_with_priority("b", "two", Value::Int(5), Priority::Panic);
-        let out = ctx.take_outbox();
+        let out = std::mem::take(&mut ctx.outbox);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].port(), "a");
         assert_eq!(out[0].signal(), "one");
         assert_eq!(out[0].sent_at(), 2.0);
         assert_eq!(out[1].port(), "b");
         assert_eq!(out[1].priority(), Priority::Panic);
-        assert!(ctx.take_outbox().is_empty(), "drained");
     }
 
     #[test]
@@ -286,13 +261,13 @@ mod tests {
         let a = ctx.inform_in(1.0, "t1");
         let b = ctx.inform_every(0.5, "t2");
         assert_ne!(a, b);
-        let sets = ctx.take_timer_sets();
+        let sets = &ctx.timer_sets;
         assert_eq!(sets.len(), 2);
         assert_eq!(sets[0].period, None);
         assert_eq!(sets[1].period, Some(0.5));
         ctx.cancel_timer(a);
-        assert_eq!(ctx.take_timer_cancels(), vec![a]);
-        assert_eq!(ctx.next_timer_id(), 2);
+        assert_eq!(ctx.timer_cancels, vec![a]);
+        assert_eq!(ctx.next_timer_id, 2);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 use crate::capsule::{Capsule, CapsuleContext};
 use crate::error::RtError;
 use crate::message::{Message, MessageQueue};
-use crate::port::{PortDecl, PortKind};
-use crate::protocol::Protocol;
 use crate::timing::TimerService;
 use std::fmt;
 
@@ -30,17 +28,12 @@ enum Endpoint {
     External(usize),
 }
 
-/// One capsule's wiring. A capsule has a handful of ports, so a scan by
-/// borrowed name beats hashing and builds no key.
+/// One capsule's wiring: `(port, endpoint)`, where sends out of `port`
+/// go. A capsule has a handful of ports, so a scan by borrowed name
+/// beats hashing and builds no key.
 #[derive(Debug, Default)]
 struct PortTable {
-    /// `(port, endpoint)`: where sends out of `port` go.
     routes: Vec<(String, Endpoint)>,
-    /// `(port, capsule, target)`: messages arriving on `port` are
-    /// forwarded to port `target` of `capsule`.
-    relays: Vec<(String, usize, String)>,
-    /// Declared ports.
-    decls: Vec<PortDecl>,
 }
 
 impl PortTable {
@@ -54,29 +47,6 @@ impl PortTable {
             None => self.routes.push((port.to_owned(), endpoint)),
         }
     }
-
-    fn decl(&self, port: &str) -> Option<&PortDecl> {
-        self.decls.iter().find(|d| d.name() == port)
-    }
-}
-
-/// Follows relay chains from `(capsule, port)`, with bounded hops to
-/// survive accidental cycles.
-fn resolve_relays<'a>(
-    tables: &'a [PortTable],
-    mut capsule: usize,
-    mut port: &'a str,
-) -> (usize, &'a str) {
-    for _ in 0..16 {
-        match tables[capsule].relays.iter().find(|(p, _, _)| p == port) {
-            Some((_, c, p)) => {
-                capsule = *c;
-                port = p;
-            }
-            None => break,
-        }
-    }
-    (capsule, port)
 }
 
 /// A single-threaded UML-RT controller.
@@ -85,7 +55,7 @@ fn resolve_relays<'a>(
 pub struct Controller {
     name: String,
     capsules: Vec<Box<dyn Capsule>>,
-    /// `tables[i]`: capsule `i`'s routes, relays and declared ports.
+    /// `tables[i]`: capsule `i`'s routes.
     tables: Vec<PortTable>,
     /// External outboxes, by the index [`Controller::connect_external`]
     /// returned: messages sent out of the controller, in send order,
@@ -137,11 +107,6 @@ impl Controller {
         &self.name
     }
 
-    /// Sets the timer-service tick resolution (see [`TimerService`]).
-    pub fn set_timer_tick(&mut self, tick: f64) {
-        self.timers.set_tick(tick);
-    }
-
     /// Adds a capsule, returning its index for wiring.
     pub fn add_capsule(&mut self, capsule: Box<dyn Capsule>) -> usize {
         self.capsules.push(capsule);
@@ -172,48 +137,15 @@ impl Controller {
         self.capsules.get(index).map(|c| c.current_state()).ok_or(RtError::UnknownCapsule { index })
     }
 
-    /// Declares a typed port on a capsule, enabling protocol checks at
-    /// [`Controller::connect`] time and relay semantics at delivery.
-    ///
-    /// # Errors
-    ///
-    /// * [`RtError::UnknownCapsule`] for a bad index.
-    /// * [`RtError::BadPort`] if the port was already declared.
-    pub fn declare_port(&mut self, capsule: usize, decl: PortDecl) -> Result<(), RtError> {
-        let Some(table) = self.tables.get_mut(capsule) else {
-            return Err(RtError::UnknownCapsule { index: capsule });
-        };
-        if table.decl(decl.name()).is_some() {
-            return Err(RtError::BadPort {
-                capsule: self.capsules[capsule].name().to_owned(),
-                port: decl.name().to_owned(),
-                reason: "already declared".into(),
-            });
-        }
-        table.decls.push(decl);
-        Ok(())
-    }
-
     /// Wires two capsule ports together, bidirectionally.
     ///
-    /// If both ports were declared with protocols, the protocols must be
-    /// [compatible](Protocol::compatible).
-    ///
     /// # Errors
     ///
-    /// * [`RtError::UnknownCapsule`] for bad indices.
-    /// * [`RtError::IncompatiblePorts`] on protocol mismatch.
+    /// Returns [`RtError::UnknownCapsule`] for bad indices.
     pub fn connect(&mut self, a: (usize, &str), b: (usize, &str)) -> Result<(), RtError> {
         for (idx, _) in [a, b] {
             if idx >= self.capsules.len() {
                 return Err(RtError::UnknownCapsule { index: idx });
-            }
-        }
-        let pa = self.tables[a.0].decl(a.1).and_then(PortDecl::protocol);
-        let pb = self.tables[b.0].decl(b.1).and_then(PortDecl::protocol);
-        if let (Some(pa), Some(pb)) = (pa, pb) {
-            if !Protocol::compatible(pa, pb) {
-                return Err(RtError::IncompatiblePorts { detail: format!("{pa} vs {pb}") });
             }
         }
         self.tables[a.0].set_route(a.1, Endpoint::Capsule { index: b.0, port: b.1.to_owned() });
@@ -252,32 +184,6 @@ impl Controller {
         &mut self.outboxes[endpoint]
     }
 
-    /// Declares that messages *arriving* at `(capsule, from_port)` are
-    /// forwarded to `(target, to_port)` — UML-RT relay-port semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtError::UnknownCapsule`] for bad indices.
-    pub fn add_relay(
-        &mut self,
-        capsule: usize,
-        from_port: &str,
-        target: (usize, &str),
-    ) -> Result<(), RtError> {
-        for idx in [capsule, target.0] {
-            if idx >= self.capsules.len() {
-                return Err(RtError::UnknownCapsule { index: idx });
-            }
-        }
-        let relays = &mut self.tables[capsule].relays;
-        let relay = (from_port.to_owned(), target.0, target.1.to_owned());
-        match relays.iter_mut().find(|(p, _, _)| p == from_port) {
-            Some(slot) => *slot = relay,
-            None => relays.push(relay),
-        }
-        Ok(())
-    }
-
     /// Injects a message from outside (environment, streamer thread, test).
     ///
     /// # Errors
@@ -287,7 +193,6 @@ impl Controller {
         if capsule >= self.capsules.len() {
             return Err(RtError::UnknownCapsule { index: capsule });
         }
-        let (capsule, port) = resolve_relays(&self.tables, capsule, port);
         self.queue.push(capsule, message.with_port(port));
         Ok(())
     }
@@ -326,11 +231,6 @@ impl Controller {
     /// Messages dropped on unconnected ports so far.
     pub fn dropped_count(&self) -> u64 {
         self.dropped
-    }
-
-    /// Number of queued messages.
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Processes one queued message (one run-to-completion step).
@@ -400,51 +300,6 @@ impl Controller {
         Ok(n)
     }
 
-    /// Advances the clock without firing timers; used by external
-    /// co-simulation drivers that manage time themselves.
-    pub fn set_time(&mut self, t: f64) {
-        self.clock = self.clock.max(t);
-    }
-
-    /// Frame service: incarnates a capsule at run time. If the controller
-    /// is already running, the capsule's initial transition executes
-    /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` reserves room for resource caps.
-    pub fn incarnate(&mut self, capsule: Box<dyn Capsule>) -> Result<usize, RtError> {
-        let index = self.add_capsule(capsule);
-        if self.started {
-            self.start_capsule(index);
-        }
-        Ok(index)
-    }
-
-    /// Frame service: destroys a capsule. Its ports are unwired (messages
-    /// to them are dropped from now on) and the slot is tombstoned; the
-    /// index is never reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtError::UnknownCapsule`] for a bad index.
-    pub fn destroy(&mut self, index: usize) -> Result<(), RtError> {
-        if index >= self.capsules.len() {
-            return Err(RtError::UnknownCapsule { index });
-        }
-        self.capsules[index] = Box::new(NullCapsule);
-        let own = &mut self.tables[index];
-        own.routes.clear();
-        own.relays.clear();
-        for table in &mut self.tables {
-            table.routes.retain(
-                |(_, endpoint)| !matches!(endpoint, Endpoint::Capsule { index: dest, .. } if *dest == index),
-            );
-            table.relays.retain(|(_, dest, _)| *dest != index);
-        }
-        Ok(())
-    }
-
     /// Runs the initial transition of the capsule at `index`.
     fn start_capsule(&mut self, index: usize) {
         let capsule = &mut self.capsules[index];
@@ -479,33 +334,12 @@ impl Controller {
     fn route(&mut self, sender: usize, message: Message) {
         match self.tables[sender].route(message.port()) {
             Some(Endpoint::Capsule { index, port }) => {
-                let (index, port) = resolve_relays(&self.tables, *index, port);
-                self.queue.push(index, message.with_port(port));
+                self.queue.push(*index, message.with_port(port));
             }
             Some(Endpoint::External(endpoint)) => self.outboxes[*endpoint].push(message),
             None => self.dropped += 1,
         }
     }
-}
-
-/// Tombstone left in a destroyed capsule's slot (never receives messages).
-struct NullCapsule;
-
-impl Capsule for NullCapsule {
-    fn name(&self) -> &str {
-        "<null>"
-    }
-
-    fn on_start(&mut self, _ctx: &mut CapsuleContext) {}
-
-    fn on_message(&mut self, _msg: &Message, _ctx: &mut CapsuleContext) {}
-}
-
-/// Checks whether a port kind may terminate messages at a state machine;
-/// data-relay ports may not (paper: "no data will be processed by
-/// capsules").
-pub fn port_may_terminate(kind: PortKind) -> bool {
-    matches!(kind, PortKind::End)
 }
 
 #[cfg(test)]
@@ -541,7 +375,6 @@ mod tests {
         let i = c.add_capsule(counter_capsule("k"));
         c.start().unwrap();
         c.inject(i, "p", Message::new("inc", Value::Empty)).unwrap();
-        assert_eq!(c.queued_len(), 1);
         assert!(c.step().unwrap());
         assert!(!c.step().unwrap());
         assert_eq!(c.delivered_count(), 1);
@@ -637,51 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_checked_connect() {
-        use crate::protocol::{PayloadKind, Protocol};
-        let mut c = Controller::new("c");
-        let a = c.add_capsule(counter_capsule("a"));
-        let b = c.add_capsule(counter_capsule("b"));
-        let p = Protocol::new("P").with_out("inc", PayloadKind::Empty);
-        c.declare_port(a, PortDecl::new("out").with_protocol(p.clone())).unwrap();
-        c.declare_port(b, PortDecl::new("in").with_protocol(p.conjugated())).unwrap();
-        assert!(c.connect((a, "out"), (b, "in")).is_ok());
-
-        // Incompatible: both base forms.
-        let mut c2 = Controller::new("c2");
-        let a2 = c2.add_capsule(counter_capsule("a"));
-        let b2 = c2.add_capsule(counter_capsule("b"));
-        c2.declare_port(a2, PortDecl::new("out").with_protocol(p.clone())).unwrap();
-        c2.declare_port(b2, PortDecl::new("in").with_protocol(p.clone())).unwrap();
-        assert!(matches!(
-            c2.connect((a2, "out"), (b2, "in")),
-            Err(RtError::IncompatiblePorts { .. })
-        ));
-    }
-
-    #[test]
-    fn duplicate_port_declaration_rejected() {
-        let mut c = Controller::new("c");
-        let a = c.add_capsule(counter_capsule("a"));
-        c.declare_port(a, PortDecl::new("p")).unwrap();
-        assert!(matches!(c.declare_port(a, PortDecl::new("p")), Err(RtError::BadPort { .. })));
-    }
-
-    #[test]
-    fn relay_forwards_injected_messages() {
-        let mut c = Controller::new("c");
-        let outer = c.add_capsule(counter_capsule("outer"));
-        let inner = c.add_capsule(counter_capsule("inner"));
-        c.add_relay(outer, "boundary", (inner, "p")).unwrap();
-        c.start().unwrap();
-        c.inject(outer, "boundary", Message::new("inc", Value::Empty)).unwrap();
-        c.run_until_quiescent().unwrap();
-        // Message must have reached `inner`, not `outer`.
-        assert_eq!(c.capsule_state(inner).unwrap(), "s");
-        assert_eq!(c.delivered_count(), 1);
-    }
-
-    #[test]
     fn timers_fire_in_virtual_time() {
         let m = StateMachineBuilder::new("t")
             .state("s")
@@ -734,25 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_tick_quantisation_delays_fire() {
-        let m = StateMachineBuilder::new("t")
-            .state("s")
-            .initial("s", |_d: &mut Vec<f64>, ctx: &mut CapsuleContext| {
-                ctx.inform_in(0.015, "x");
-            })
-            .internal("s", (TIMER_PORT, "x"), |d, m, _| d.push(m.sent_at()))
-            .build()
-            .unwrap();
-        let mut c = Controller::new("c");
-        c.set_timer_tick(0.01);
-        c.add_capsule(Box::new(SmCapsule::new(m, Vec::new())));
-        c.start().unwrap();
-        c.run_until(0.1).unwrap();
-        // Fired at 0.02, not 0.015 — the paper's "unpredictable timing".
-        assert_eq!(c.now(), 0.1);
-    }
-
-    #[test]
     fn idle_run_until_only_advances_the_clock() {
         let mut c = Controller::new("idle");
         c.start().unwrap();
@@ -791,44 +560,5 @@ mod tests {
         assert_eq!(c.run_until(0.75).unwrap(), 1, "the pending timer fired");
         assert_eq!(c.now(), 0.75);
         assert_eq!(c.run_until(1.0).unwrap(), 0);
-    }
-
-    #[test]
-    fn frame_service_incarnates_at_runtime() {
-        let mut c = Controller::new("c");
-        c.start().unwrap();
-        // Incarnated after start: initial transition runs immediately.
-        let m = StateMachineBuilder::new("late")
-            .state("s")
-            .initial("s", |d: &mut bool, _| *d = true)
-            .build()
-            .unwrap();
-        let idx = c.incarnate(Box::new(SmCapsule::new(m, false))).unwrap();
-        assert_eq!(c.capsule_name(idx).unwrap(), "late");
-        assert_eq!(c.capsule_state(idx).unwrap(), "s");
-        c.inject(idx, "p", Message::new("x", Value::Empty)).unwrap();
-        c.run_until_quiescent().unwrap();
-    }
-
-    #[test]
-    fn frame_service_destroy_unwires() {
-        let mut c = Controller::new("c");
-        let a = c.add_capsule(counter_capsule("a"));
-        let b = c.add_capsule(counter_capsule("b"));
-        c.connect((a, "out"), (b, "in")).unwrap();
-        c.start().unwrap();
-        c.destroy(b).unwrap();
-        assert_eq!(c.capsule_name(b).unwrap(), "<null>");
-        // Messages towards the destroyed capsule are dropped, not routed.
-        c.inject(a, "p", Message::new("inc", Value::Empty)).unwrap();
-        c.run_until_quiescent().unwrap();
-        assert!(c.destroy(99).is_err());
-    }
-
-    #[test]
-    fn port_terminate_rule() {
-        assert!(port_may_terminate(PortKind::End));
-        assert!(!port_may_terminate(PortKind::Relay));
-        assert!(!port_may_terminate(PortKind::DataRelay));
     }
 }

@@ -24,31 +24,10 @@ pub enum RtError {
         /// The offending capsule index.
         index: usize,
     },
-    /// A port name was not declared or already wired.
-    BadPort {
-        /// The capsule the port belongs to.
-        capsule: String,
-        /// The port name.
-        port: String,
-        /// Why the port is unusable.
-        reason: String,
-    },
-    /// Two ports could not be connected (protocol/conjugation mismatch).
-    IncompatiblePorts {
-        /// Human-readable mismatch description.
-        detail: String,
-    },
     /// The controller was started twice or driven before `start`.
     BadLifecycle {
         /// What went wrong.
         detail: String,
-    },
-    /// A message was sent on a port with no wired peer.
-    Unconnected {
-        /// The capsule the port belongs to.
-        capsule: String,
-        /// The port name.
-        port: String,
     },
 }
 
@@ -59,16 +38,7 @@ impl fmt::Display for RtError {
             RtError::MissingInitial => write!(f, "state machine has no initial transition"),
             RtError::DuplicateState { name } => write!(f, "duplicate state `{name}`"),
             RtError::UnknownCapsule { index } => write!(f, "unknown capsule index {index}"),
-            RtError::BadPort { capsule, port, reason } => {
-                write!(f, "bad port `{port}` on capsule `{capsule}`: {reason}")
-            }
-            RtError::IncompatiblePorts { detail } => {
-                write!(f, "incompatible ports: {detail}")
-            }
             RtError::BadLifecycle { detail } => write!(f, "bad lifecycle: {detail}"),
-            RtError::Unconnected { capsule, port } => {
-                write!(f, "port `{port}` on capsule `{capsule}` is not connected")
-            }
         }
     }
 }
@@ -83,9 +53,7 @@ mod tests {
     fn display_messages() {
         assert_eq!(RtError::UnknownState { name: "x".into() }.to_string(), "unknown state `x`");
         assert!(RtError::MissingInitial.to_string().contains("initial"));
-        assert!(RtError::Unconnected { capsule: "c".into(), port: "p".into() }
-            .to_string()
-            .contains("not connected"));
+        assert!(RtError::UnknownCapsule { index: 3 }.to_string().contains('3'));
     }
 
     #[test]

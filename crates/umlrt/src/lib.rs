@@ -8,7 +8,7 @@
 //! repository reproduces builds its streamer extension on top of exactly
 //! such a runtime; this crate is that substrate.
 //!
-//! * [`protocol`] — signal sets with in/out direction and conjugation.
+//! * [`protocol`] — named signal sets with in/out direction.
 //! * [`value`] — message payloads.
 //! * [`message`] — prioritised signal messages and the run-to-completion
 //!   queue.
@@ -16,11 +16,11 @@
 //!   actions, guards, and internal transitions.
 //! * [`capsule`] — the capsule behaviour trait and the state-machine-backed
 //!   capsule.
-//! * [`port`] — end ports, relay ports and the data-relay ports the paper
-//!   adds to capsules.
 //! * [`controller`] — a single-threaded message loop owning a set of
-//!   capsules (UML-RT's "controller" concept); multiple controllers on
-//!   separate threads form a system.
+//!   capsules (UML-RT's "controller" concept), wired port to port;
+//!   messages leave it through external outboxes its owner drains. It
+//!   has no relay ports: the paper's capsule DPorts only relay dataflow,
+//!   and elaboration resolves them into flows.
 //! * [`timing`] — the timer service, deliberately *tick-quantised* to model
 //!   the paper's observation that "timing in UML-RT is unpredictable".
 //!
@@ -70,7 +70,6 @@ pub mod capsule;
 pub mod controller;
 pub mod error;
 pub mod message;
-pub mod port;
 pub mod protocol;
 pub mod statemachine;
 pub mod sync;

@@ -1,8 +1,8 @@
 //! Protocols: named, directed signal sets that type ports.
 //!
 //! A UML-RT protocol declares the signals a port may receive (`in`) and
-//! send (`out`). The *conjugated* form of a protocol swaps the two sets, so
-//! a client port and a server port of the same protocol plug together.
+//! send (`out`). Wiring rules match protocols by name (the model's
+//! `sport-protocol` rule); the signal sets type what a port carries.
 
 use crate::value::Value;
 use std::fmt;
@@ -78,14 +78,13 @@ impl SignalSpec {
 /// let p = Protocol::new("ControlCmd")
 ///     .with_in("setpoint", PayloadKind::Real)
 ///     .with_out("ack", PayloadKind::Empty);
-/// let q = p.conjugated();
-/// assert!(q.out_signal("setpoint").is_some());
-/// assert!(Protocol::compatible(&p, &q));
+/// assert_eq!(p.in_signal("setpoint").map(|s| s.payload()), Some(PayloadKind::Real));
+/// assert!(p.out_signal("ack").is_some());
+/// assert_eq!(p.to_string(), "ControlCmd");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Protocol {
     name: String,
-    conjugated: bool,
     in_signals: Vec<SignalSpec>,
     out_signals: Vec<SignalSpec>,
 }
@@ -93,12 +92,7 @@ pub struct Protocol {
 impl Protocol {
     /// Creates an empty protocol.
     pub fn new(name: impl Into<String>) -> Self {
-        Protocol {
-            name: name.into(),
-            conjugated: false,
-            in_signals: Vec::new(),
-            out_signals: Vec::new(),
-        }
+        Protocol { name: name.into(), in_signals: Vec::new(), out_signals: Vec::new() }
     }
 
     /// Adds an incoming signal (builder style).
@@ -113,24 +107,9 @@ impl Protocol {
         self
     }
 
-    /// Protocol name (without conjugation marker).
+    /// Protocol name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Whether this is the conjugated form.
-    pub fn is_conjugated(&self) -> bool {
-        self.conjugated
-    }
-
-    /// The conjugated protocol: in/out swapped.
-    pub fn conjugated(&self) -> Protocol {
-        Protocol {
-            name: self.name.clone(),
-            conjugated: !self.conjugated,
-            in_signals: self.out_signals.clone(),
-            out_signals: self.in_signals.clone(),
-        }
     }
 
     /// Signals this protocol can receive.
@@ -152,25 +131,11 @@ impl Protocol {
     pub fn out_signal(&self, name: &str) -> Option<&SignalSpec> {
         self.out_signals.iter().find(|s| s.name() == name)
     }
-
-    /// Whether two port protocols can be wired together: every signal one
-    /// side sends must be receivable by the other, in both directions.
-    pub fn compatible(a: &Protocol, b: &Protocol) -> bool {
-        let covers = |outs: &[SignalSpec], ins: &[SignalSpec]| {
-            outs.iter().all(|o| {
-                ins.iter().any(|i| {
-                    i.name() == o.name()
-                        && (i.payload() == o.payload() || i.payload() == PayloadKind::Any)
-                })
-            })
-        };
-        covers(&a.out_signals, &b.in_signals) && covers(&b.out_signals, &a.in_signals)
-    }
 }
 
 impl fmt::Display for Protocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.name, if self.conjugated { "~" } else { "" })
+        f.write_str(&self.name)
     }
 }
 
@@ -190,35 +155,6 @@ mod tests {
         assert!(PayloadKind::Empty.accepts(&Value::Empty));
         assert!(PayloadKind::Vector.accepts(&Value::Vector(vec![])));
         assert!(!PayloadKind::Bool.accepts(&Value::Empty));
-    }
-
-    #[test]
-    fn conjugation_swaps_directions() {
-        let p = proto();
-        let q = p.conjugated();
-        assert!(q.is_conjugated());
-        assert_eq!(q.in_signal("b").unwrap().name(), "b");
-        assert_eq!(q.out_signal("a").unwrap().name(), "a");
-        assert_eq!(q.conjugated(), p, "double conjugation is identity");
-        assert_eq!(q.to_string(), "P~");
-        assert_eq!(p.to_string(), "P");
-    }
-
-    #[test]
-    fn compatibility_base_vs_conjugate() {
-        let p = proto();
-        let q = p.conjugated();
-        assert!(Protocol::compatible(&p, &q));
-        assert!(!Protocol::compatible(&p, &p), "base-to-base cannot receive its own sends");
-    }
-
-    #[test]
-    fn compatibility_with_any_payload() {
-        let sender = Protocol::new("S").with_out("x", PayloadKind::Real);
-        let receiver = Protocol::new("S").with_in("x", PayloadKind::Any);
-        assert!(Protocol::compatible(&sender, &receiver));
-        let strict = Protocol::new("S").with_in("x", PayloadKind::Int);
-        assert!(!Protocol::compatible(&sender, &strict));
     }
 
     #[test]

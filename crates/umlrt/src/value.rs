@@ -45,26 +45,10 @@ impl Value {
         }
     }
 
-    /// Returns the boolean if the payload is `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the integer if the payload is `Int`.
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the vector if the payload is `Vector`.
-    pub fn as_vector(&self) -> Option<&[f64]> {
-        match self {
-            Value::Vector(v) => Some(v),
             _ => None,
         }
     }
@@ -157,11 +141,9 @@ mod tests {
         assert_eq!(Value::Real(1.5).as_real(), Some(1.5));
         assert_eq!(Value::Int(2).as_real(), Some(2.0));
         assert_eq!(Value::Int(2).as_int(), Some(2));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::Vector(vec![1.0]).as_vector(), Some(&[1.0][..]));
         assert_eq!(Value::Text("hi".into()).as_text(), Some("hi"));
         assert_eq!(Value::Empty.as_real(), None);
-        assert_eq!(Value::Real(1.0).as_bool(), None);
+        assert_eq!(Value::Real(1.0).as_int(), None);
     }
 
     #[test]

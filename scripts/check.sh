@@ -81,9 +81,10 @@ cargo fmt --check
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# A doc link to a renamed or deleted item fails here, not in a reader's browser.
-echo "==> cargo doc --offline --workspace --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+# A doc link to a renamed or deleted item fails here, not in a reader's browser;
+# crate-private docs are link-checked too.
+echo "==> cargo doc --offline --workspace --no-deps --document-private-items (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --document-private-items
 
 echo "==> urt-lint --json smoke"
 lint_json="$(cargo run -q --offline -p urt-analysis --bin urt-lint -- --json demo)"

@@ -4,8 +4,9 @@
 //! an injected clock — misses, catch-up slack, and the `URT115` safety
 //! abort all scripted to the nanosecond, no wall-clock flakiness.
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::ensemble::EnsembleEngine;
 use unified_rt::core::error::CoreError;
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::pacer::{OverrunPolicy, PacedConfig, TimeSource};
@@ -66,7 +67,7 @@ impl TimeSource for FakeClock {
 
 /// One free oscillator with a `y` probe (recorded as `osc`) and no
 /// capsules.
-fn osc_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
+fn osc_system() -> CompiledSystem {
     let mut b = ModelBuilder::new("free");
     let node = b.streamer("osc", "rk4");
     b.streamer_out(node, "y", FlowType::vector(2));
@@ -81,9 +82,13 @@ fn osc_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
             1e-3,
         ))
     });
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
-    let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: STEP, policy })
-        .expect("engine");
+    elaborate(&b.build(), registry, &validate_gate).expect("compiles")
+}
+
+/// [`osc_system`] on a [`HybridEngine`], recorded.
+fn osc_engine(policy: ThreadPolicy) -> (HybridEngine, Recorder) {
+    let config = EngineConfig { step: STEP, policy };
+    let mut engine = HybridEngine::from_compiled(&osc_system(), config).expect("engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
     (engine, rec)
@@ -256,4 +261,78 @@ fn threaded_batches_attribute_per_step_share_against_one_budget() {
     assert_eq!(missed.samples, 1);
     assert_eq!(missed.misses, 1, "the whole batch is one deadline test");
     assert_eq!(missed.worst_ns, 2_000_000.0);
+}
+
+/// Like [`FakeClock`] with no scripted advances, except that every
+/// `sleep_ns` overshoots by a fixed slack, as OS timer slack does.
+struct OversleepingClock {
+    now: u64,
+    slack_ns: u64,
+}
+
+impl TimeSource for OversleepingClock {
+    fn now_ns(&mut self) -> u64 {
+        self.now
+    }
+    fn sleep_ns(&mut self, ns: u64) {
+        self.now += ns + self.slack_ns;
+    }
+}
+
+/// Oversleep is lag: every instantaneous cycle sleeps to its release
+/// point, wakes `slack` late, and the report's worst lag is exactly that
+/// slack, neither dropped nor accumulated across cycles.
+#[test]
+fn oversleep_is_folded_into_the_worst_lag() {
+    const SLACK_NS: u64 = 300_000;
+    let (mut engine, _rec) = osc_engine(ThreadPolicy::CurrentThread);
+    let clock = Box::new(OversleepingClock { now: 0, slack_ns: SLACK_NS });
+    let config = PacedConfig::new().with_budget_ns(BUDGET_NS).with_clock(clock);
+    let report = engine.run_paced(5.0 * STEP, config).expect("paced run");
+
+    assert_eq!(report.steps, 5);
+    assert_eq!(report.misses, 0, "every cycle took no clock time");
+    assert!((report.worst_lag_s - 3e-4).abs() < 1e-15, "worst lag {}", report.worst_lag_s);
+}
+
+/// Pacing configurations `run_paced` must refuse: a rate or a budget
+/// that is zero, negative, NaN or infinite.
+fn bad_pacing_configs() -> Vec<(String, PacedConfig)> {
+    let mut configs = Vec::new();
+    for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        configs.push((format!("rate {v}"), PacedConfig::new().with_rate(v)));
+        configs.push((format!("budget {v}"), PacedConfig::new().with_budget_ns(v)));
+    }
+    configs
+}
+
+/// A bad rate or budget is a `URT117` error returned before the engine
+/// starts, not a panic, and the engine stays usable.
+#[test]
+fn hybrid_run_paced_refuses_bad_rate_or_budget_with_urt117() {
+    for (label, config) in bad_pacing_configs() {
+        let (mut engine, rec) = osc_engine(ThreadPolicy::CurrentThread);
+        let err = engine.run_paced(2.0 * STEP, config).expect_err(&label);
+        assert_eq!(err.code(), "URT117", "{label}: {err}");
+        assert_eq!(engine.step_count(), 0, "{label}: nothing ran");
+        engine.run_until(2.0 * STEP).expect("not failed");
+        assert_eq!(engine.step_count(), 2, "{label}");
+        assert_eq!(rec.series("osc").len(), 2, "{label}");
+    }
+}
+
+/// The same refusal on the ensemble engine.
+#[test]
+fn ensemble_run_paced_refuses_bad_rate_or_budget_with_urt117() {
+    let compiled = osc_system();
+    for (label, config) in bad_pacing_configs() {
+        let engine_config = EngineConfig { step: STEP, policy: ThreadPolicy::CurrentThread };
+        let mut engine =
+            EnsembleEngine::from_compiled(&compiled, 3, engine_config).expect("ensemble");
+        let err = engine.run_paced(2.0 * STEP, config).expect_err(&label);
+        assert_eq!(err.code(), "URT117", "{label}: {err}");
+        assert_eq!(engine.step_count(), 0, "{label}: nothing ran");
+        engine.run_until(2.0 * STEP).expect("not failed");
+        assert_eq!(engine.step_count(), 2, "{label}");
+    }
 }
