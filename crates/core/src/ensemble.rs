@@ -26,10 +26,24 @@
 //! from each instance controller's external outboxes, are delivered to
 //! their lanes (`on_signal`), cross-group channel inputs are
 //! latched, the plan is replayed, channel outputs are published and
-//! probes are recorded. Signals the behaviours emit on linked SPorts are
-//! then injected into their instance's controller — per instance in group
-//! order, then plan order, exactly as [`StreamerNetwork::step`] emits
-//! them — and every controller runs to the post-step instant.
+//! probes are recorded. Signals the behaviours of *linked* rows (rows
+//! with at least one SPort link) emit on linked SPorts are then injected
+//! into their instance's controller — per instance in group order, then
+//! plan order, exactly as [`StreamerNetwork::step`] emits them — and
+//! every controller runs to the post-step instant. An engine without
+//! SPort links skips the injection.
+//!
+//! Per-row work is done only where it can land. A row with no SPort link
+//! has nowhere to send a signal, so its lanes are not drained every step:
+//! what they emit is dropped every `DRAIN_CADENCE` (1024) macro steps and at
+//! the end of every public step call, paced cycle and threaded worker
+//! batch, so an unlinked emitter holds at most one cadence of signals. A
+//! batched row (see [`EnsembleKernel`]) owns its lanes' continuous state
+//! and solver clock while it is batched: its kernel steps them in place,
+//! and the lanes' own drivers are written back only when
+//! [`EnsembleEngine::set_kernel`] hands the row back to per-lane stepping.
+//! A batched lane's `advance` is never called, so it emits nothing and is
+//! never drained per step.
 //!
 //! Recording a step takes no lock: each group writes the post-step
 //! instant and its probes' `K` instance values as one row of its
@@ -88,6 +102,10 @@ const DEFAULT_MAX_BATCH: u64 = 4096;
 /// Values a group's [`ProbeColumn`] holds before it must flush (8 KB);
 /// a row wider than this still gets a one-row column.
 const COLUMN_VALUES: usize = 1024;
+
+/// Macro steps between drains of the rows no SPort link routes from: the
+/// most signals an unlinked lane that emits once per step ever holds.
+const DRAIN_CADENCE: u64 = 1024;
 
 /// Per-instance parameter overrides for one ensemble member: a list of
 /// `(streamer, parameter, value)` assignments applied through
@@ -163,46 +181,38 @@ pub enum EnsembleKernel {
     Batched,
 }
 
-/// Batch-stepping state for one eligible streamer row: the row's lanes
-/// share `dim`/`substep`, and the row owns its typed kernel plus the
-/// instance-major state staging.
+/// Batch-stepping state for one eligible streamer row while it is
+/// batched: the row's lanes share `dim`/`substep`, and the row owns its
+/// typed kernel plus its lanes' continuous state and solver clock. The
+/// lanes' own drivers are stale until [`BatchRow::hand_back`].
 struct BatchRow {
     dim: usize,
     substep: f64,
-    /// The row's solver clock, shared by all lanes (lockstep): the exact
-    /// mirror of the lanes' `SolverDriver` time, persistent across macro
-    /// steps. It is *not* recomputed from the group time — the driver's
-    /// end-of-interval snap can leave it one rounding shy of `t_end`, and
-    /// the next macro step's clamped final sub-step depends on that value
-    /// bit-for-bit.
+    /// The row's solver clock, shared by all lanes (lockstep): taken from
+    /// the lanes' `SolverDriver` time when the row is built and advanced
+    /// exactly as a driver would advance it. It is *not* recomputed from
+    /// the group time — the driver's end-of-interval snap can leave it
+    /// one rounding shy of `t_end`, and the next macro step's clamped
+    /// final sub-step depends on that value bit-for-bit.
     time: f64,
     kernel: Box<dyn OdeRowKernel>,
-    /// Instance-major staging, `K * dim`: gathered from the lanes' drivers
-    /// before the sub-step loop, scattered back through
-    /// [`OdeLane::lane_sync`](urt_dataflow::streamer::OdeLane::lane_sync) after.
+    /// The lanes' states, instance-major, `K * dim`: gathered once when
+    /// the row is built and stepped in place from then on.
     states: Vec<f64>,
 }
 
 impl BatchRow {
     /// Advances the row's lanes to `t_end` through the typed kernel: the
-    /// lanes' states are gathered into the staging, stepped on the
-    /// scalar path's sub-step schedule, written out through `y_at`, and
-    /// synced back into each lane's driver.
+    /// states are stepped in place on the scalar path's sub-step schedule
+    /// and written out through `y_at`.
     fn advance(
         &mut self,
-        lanes: &mut [Box<dyn StreamerBehavior>],
         t_end: f64,
         ins: &[f64],
         u_at: LaneSlots,
         outs: &mut [f64],
         y_at: LaneSlots,
     ) -> Result<(), CoreError> {
-        let dim = self.dim;
-        for (i, b) in lanes.iter().enumerate() {
-            let lane = b.as_ode_lane().expect("batch rows contain only ODE lanes");
-            let x = lane.lane_state().expect("batch rows are initialized");
-            self.states[i * dim..(i + 1) * dim].copy_from_slice(x);
-        }
         let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
         // The scalar path's sub-step schedule verbatim
         // (`OdeStreamer::advance` + `SolverDriver::advance` for a
@@ -228,15 +238,20 @@ impl BatchRow {
         }
         self.time = tl;
         self.kernel.outputs(t_end, &self.states, ins, u_at, outs, y_at);
-        for (i, b) in lanes.iter_mut().enumerate() {
-            let lane = b.as_ode_lane_mut().expect("batch rows contain only ODE lanes");
-            // Sync the driver to the row clock (which may sit one rounding
-            // shy of `t_end`), exactly where the scalar driver would have
-            // left it.
-            lane.lane_sync(self.time, &self.states[i * dim..(i + 1) * dim])
-                .map_err(|e| CoreError::Flow(e.into()))?;
-        }
         Ok(())
+    }
+
+    /// Hands the row's state back to its lanes: each lane's driver takes
+    /// its state and the row clock (which may sit one rounding shy of the
+    /// macro-step boundary), exactly where the scalar driver would have
+    /// left it.
+    fn hand_back(&self, lanes: &mut [Box<dyn StreamerBehavior>]) {
+        for (b, x) in lanes.iter_mut().zip(self.states.chunks_exact(self.dim)) {
+            b.as_ode_lane_mut()
+                .expect("batch rows contain only ODE lanes")
+                .lane_sync(self.time, x)
+                .expect("batch rows contain only initialized lanes");
+        }
     }
 }
 
@@ -379,11 +394,10 @@ struct GroupState {
     /// plan order.
     behaviours: Vec<Box<dyn StreamerBehavior>>,
     /// `batch_rows[r]` is the batch-stepping state of the `r`-th streamer
-    /// row, `None` for rows that are not batch-eligible. Built once at
-    /// start (after `initialize`), empty before.
+    /// row, `None` for rows that are not batch-eligible. Built at start
+    /// (after `initialize`) and whenever the batched kernel is selected
+    /// again; empty while the rows step lane by lane.
     batch_rows: Vec<Option<BatchRow>>,
-    /// Kernel selection for this group's solver-backed rows.
-    kernel: EnsembleKernel,
     /// Dense input lanes, `K * plan.in_width()`.
     ins: Vec<f64>,
     /// Dense output lanes, `K * plan.out_width()`.
@@ -403,24 +417,20 @@ struct GroupState {
     inbound: Inbound,
     /// `routes[node]`: the node's linked SPorts as `(sport, link)` pairs —
     /// direct indexing to the node, then a scan over its (almost always
-    /// 0–2) links.
+    /// 0–2) links. A node with none is an unlinked row.
     routes: Vec<Vec<(String, usize)>>,
     emitted: Emitted,
 }
 
-/// Routes the signals `b` emitted on linked SPorts into `out`; signals on
-/// unlinked SPorts are dropped, as on the network path. `b`'s buffer is
-/// drained either way, and a node with no linked SPort skips the scan.
+/// Drains the signals `b` emitted and routes those on linked SPorts into
+/// `out`; signals on `b`'s unlinked SPorts are dropped, as on the network
+/// path. Called for lanes of linked rows only.
 fn route_emitted(
     b: &mut dyn StreamerBehavior,
     routes: &[(String, usize)],
     out: &mut Vec<(usize, Message)>,
 ) {
-    let signals = b.take_emitted();
-    if routes.is_empty() {
-        return;
-    }
-    for (sport, msg) in signals {
+    for (sport, msg) in b.take_emitted() {
         if let Some(&(_, link)) = routes.iter().find(|(s, _)| *s == sport) {
             out.push((link, msg));
         }
@@ -438,7 +448,6 @@ impl GroupState {
             plan,
             behaviours,
             batch_rows: Vec::new(),
-            kernel: EnsembleKernel::default(),
             time: 0.0,
             incoming: Vec::new(),
             outgoing: Vec::new(),
@@ -453,7 +462,8 @@ impl GroupState {
     /// capsule messages, latch channel inputs (slot `step % 2`), replay
     /// the plan, publish channel outputs (slot `(step + 1) % 2`) and
     /// record probes at the post-step instant `t` into the probe column,
-    /// flushing it when full. `step` is the pre-step macro-step count.
+    /// flushing it when full; every [`DRAIN_CADENCE`] steps, drop what the
+    /// unlinked rows emitted. `step` is the pre-step macro-step count.
     fn macro_step(&mut self, h: f64, k: usize, step: u64, t: f64) -> Result<(), CoreError> {
         for (inbox, per_instance) in self.inboxes.iter().zip(self.inbound.chunks_mut(k)) {
             for (i, buf) in per_instance.iter_mut().enumerate() {
@@ -487,24 +497,50 @@ impl GroupState {
                 column.flush(&self.probes);
             }
         }
+        if (step + 1).is_multiple_of(DRAIN_CADENCE) {
+            self.drain_unlinked(k);
+        }
         Ok(())
     }
 
-    /// Appends the probe column to the recorder, leaving it empty.
-    fn flush_probes(&mut self) {
+    /// Ends a stretch of macro steps: appends the probe column to the
+    /// recorder, leaving it empty, and drops what the unlinked rows
+    /// emitted.
+    fn flush(&mut self, k: usize) {
         if let Some(column) = &mut self.column {
             column.flush(&self.probes);
+        }
+        self.drain_unlinked(k);
+    }
+
+    /// Drains and drops the signals of every row with no SPort link,
+    /// which have nowhere to go.
+    fn drain_unlinked(&mut self, k: usize) {
+        for (pn, lanes) in self.plan.nodes().iter().zip(self.behaviours.chunks_mut(k)) {
+            if self.routes[pn.node.index()].is_empty() {
+                lanes.iter_mut().for_each(|b| drop(b.take_emitted()));
+            }
+        }
+    }
+
+    /// Hands every batched row's state back to its lanes and drops the
+    /// rows, so the group steps lane by lane from the same state.
+    fn hand_back_rows(&mut self, k: usize) {
+        for (r, row) in self.batch_rows.drain(..).enumerate() {
+            if let Some(row) = row {
+                row.hand_back(&mut self.behaviours[r * k..(r + 1) * k]);
+            }
         }
     }
 
     /// Replays the plan once, advancing all `k` instances by `h`: the
     /// shared [`StepPlan::replay`] walk, each row stepped through its
-    /// typed row kernel when batched, lane by lane otherwise.
+    /// typed row kernel when batched, lane by lane otherwise, and the
+    /// lanes of linked rows drained.
     fn replay(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
         let t = self.time;
         let inw = self.plan.in_width();
         let outw = self.plan.out_width();
-        let batched_kernel = matches!(self.kernel, EnsembleKernel::Batched);
         let (behaviours, batch_rows) = (&mut self.behaviours, &mut self.batch_rows);
         let (routes, emitted) = (&self.routes, &mut self.emitted);
         self.plan.replay(
@@ -513,32 +549,20 @@ impl GroupState {
             &mut self.ins,
             &mut self.outs,
             |r, pn, ins, outs| -> Result<(), CoreError> {
+                if let Some(br) = batch_rows.get_mut(r).and_then(Option::as_mut) {
+                    let u_at = LaneSlots { stride: inw, offset: pn.in_offset, width: pn.in_width };
+                    let y_at =
+                        LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width };
+                    return br.advance(t + h, ins, u_at, outs, y_at);
+                }
                 let routes = &routes[pn.node.index()];
-                let lanes = &mut behaviours[r * k..(r + 1) * k];
-                match batch_rows.get_mut(r).and_then(Option::as_mut) {
-                    Some(br) if batched_kernel => {
-                        let u_at =
-                            LaneSlots { stride: inw, offset: pn.in_offset, width: pn.in_width };
-                        let y_at =
-                            LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width };
-                        br.advance(lanes, t + h, ins, u_at, outs, y_at)?;
-                        for (b, out) in lanes.iter_mut().zip(emitted.iter_mut()) {
-                            route_emitted(b.as_mut(), routes, out);
-                        }
-                    }
-                    _ => {
-                        for (i, b) in lanes.iter_mut().enumerate() {
-                            let ui = i * inw + pn.in_offset;
-                            let yi = i * outw + pn.out_offset;
-                            b.advance(
-                                t,
-                                h,
-                                &ins[ui..ui + pn.in_width],
-                                &mut outs[yi..yi + pn.out_width],
-                            )
-                            .map_err(|e| CoreError::Flow(e.into()))?;
-                            route_emitted(b.as_mut(), routes, &mut emitted[i]);
-                        }
+                for (i, b) in behaviours[r * k..(r + 1) * k].iter_mut().enumerate() {
+                    let ui = i * inw + pn.in_offset;
+                    let yi = i * outw + pn.out_offset;
+                    b.advance(t, h, &ins[ui..ui + pn.in_width], &mut outs[yi..yi + pn.out_width])
+                        .map_err(|e| CoreError::Flow(e.into()))?;
+                    if !routes.is_empty() {
+                        route_emitted(b.as_mut(), routes, &mut emitted[i]);
                     }
                 }
                 Ok(())
@@ -556,7 +580,8 @@ impl GroupState {
 /// `dim`, `substep` and clock — the lockstep schedule is shared — and all
 /// lanes' equations must be of one concrete type, which the first lane's
 /// [`lane_row_kernel`](urt_dataflow::streamer::OdeLane::lane_row_kernel)
-/// checks. Called once after `initialize`.
+/// checks. The rows gather their lanes' states here, once. Called after
+/// `initialize` and when the batched kernel is selected again mid-run.
 fn build_batch_rows(gs: &mut GroupState, k: usize) {
     gs.batch_rows.clear();
     for lanes in gs.behaviours.chunks(k) {
@@ -568,19 +593,21 @@ fn build_batch_rows(gs: &mut GroupState, k: usize) {
                 return None;
             }
             let time = first.lane_time()?;
+            let mut states = Vec::with_capacity(k * dim);
             for b in lanes {
                 let lane = b.as_ode_lane()?;
+                let x = lane.lane_state()?;
                 if !lane.lane_batchable()
                     || lane.lane_dim() != dim
                     || lane.lane_substep().to_bits() != substep.to_bits()
-                    || lane.lane_state().is_none()
                     || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
                 {
                     return None;
                 }
+                states.extend_from_slice(x);
             }
             let kernel = first.lane_row_kernel(lanes)?;
-            Some(BatchRow { dim, substep, time, kernel, states: vec![0.0; k * dim] })
+            Some(BatchRow { dim, substep, time, kernel, states })
         })();
         gs.batch_rows.push(candidate);
     }
@@ -662,6 +689,8 @@ pub struct EnsembleEngine {
     pub(crate) plain_series: bool,
     /// Upper bound on the threaded batch length; 1 disables batching.
     pub(crate) max_batch: u64,
+    /// Kernel selection for every group's solver-backed rows.
+    kernel: EnsembleKernel,
     /// Declared per-macro-step budget (ns) carried over from the
     /// compiled system — the default budget of
     /// [`EnsembleEngine::run_paced`]. The budget covers one macro step of
@@ -820,6 +849,7 @@ impl EnsembleEngine {
             links,
             plain_series: false,
             max_batch: DEFAULT_MAX_BATCH,
+            kernel: EnsembleKernel::default(),
             step_budget_ns: compiled.step_budget_ns(),
             lifecycle: Lifecycle::Fresh,
         })
@@ -905,7 +935,9 @@ impl EnsembleEngine {
             for b in &mut gs.behaviours {
                 b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
             }
-            build_batch_rows(gs, self.k);
+            if self.kernel == EnsembleKernel::Batched {
+                build_batch_rows(gs, self.k);
+            }
         }
         for controller in &mut self.controllers {
             if !controller.is_started() {
@@ -916,13 +948,20 @@ impl EnsembleEngine {
         Ok(())
     }
 
-    /// Ends a public step call: flushes every probe column, so the
-    /// recorder holds each sample taken (a failed step's included), and
-    /// marks the engine failed if `result` is a step failure. A paced
-    /// run's [`CoreError::DeadlineOverrun`] is not one: every step it
-    /// took completed, so the engine stays usable.
+    /// Flushes every group: probe columns into the recorder, unlinked
+    /// rows' signals dropped.
+    fn flush_groups(&mut self) {
+        let k = self.k;
+        self.groups.iter_mut().for_each(|gs| gs.flush(k));
+    }
+
+    /// Ends a public step call: flushes every group, so the recorder
+    /// holds each sample taken (a failed step's included), and marks the
+    /// engine failed if `result` is a step failure. A paced run's
+    /// [`CoreError::DeadlineOverrun`] is not one: every step it took
+    /// completed, so the engine stays usable.
     fn settle<T>(&mut self, result: Result<T, CoreError>) -> Result<T, CoreError> {
-        self.groups.iter_mut().for_each(GroupState::flush_probes);
+        self.flush_groups();
         if let Err(e) = &result {
             if !matches!(e, CoreError::DeadlineOverrun { .. }) {
                 self.lifecycle = Lifecycle::Failed { step: self.clock.step_count() };
@@ -935,10 +974,24 @@ impl EnsembleEngine {
     /// [`EnsembleKernel`]). The default is
     /// [`Batched`](EnsembleKernel::Batched); results are bit-identical
     /// either way, so this is a pure performance knob (and the
-    /// `bench_engine` kernel axis).
+    /// `bench_engine` kernel axis), also mid-run: leaving the batched
+    /// kernel hands each batched row's state and clock back to its lanes,
+    /// and entering it rebuilds the rows from the lanes.
     pub fn set_kernel(&mut self, kernel: EnsembleKernel) {
+        if kernel == self.kernel {
+            return;
+        }
+        self.kernel = kernel;
+        // Before start, `start_if_needed` builds the rows; a failed
+        // engine never steps again.
+        if self.lifecycle != Lifecycle::Running {
+            return;
+        }
         for gs in &mut self.groups {
-            gs.kernel = kernel;
+            match kernel {
+                EnsembleKernel::PerLane => gs.hand_back_rows(self.k),
+                EnsembleKernel::Batched => build_batch_rows(gs, self.k),
+            }
         }
     }
 
@@ -1011,7 +1064,7 @@ impl EnsembleEngine {
                 self.macro_step()?;
                 // The cycle's samples are in the recorder before its
                 // closing clock reading.
-                self.groups.iter_mut().for_each(GroupState::flush_probes);
+                self.flush_groups();
                 runner.end(1, self.clock.seconds())
             })
         };
@@ -1046,11 +1099,13 @@ impl EnsembleEngine {
             gs.macro_step(h, self.k, step, t)?;
         }
         self.clock = next;
-        inject_signals(
-            &mut self.controllers,
-            &self.links,
-            self.groups.iter_mut().map(|gs| &mut gs.emitted),
-        )?;
+        if !self.links.is_empty() {
+            inject_signals(
+                &mut self.controllers,
+                &self.links,
+                self.groups.iter_mut().map(|gs| &mut gs.emitted),
+            )?;
+        }
         run_controllers(&mut self.controllers, t)
     }
 
@@ -1152,7 +1207,7 @@ impl EnsembleEngine {
                                 completed += u64::from(result.is_ok());
                             }
                         }
-                        gs.flush_probes();
+                        gs.flush(k);
                         let emitted = std::mem::replace(&mut gs.emitted, spare);
                         let done = Done { result, completed, emitted, inbound: drained };
                         if done_tx.send(done).is_err() {
@@ -1240,6 +1295,7 @@ mod tests {
     use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
     use crate::engine::HybridEngine;
     use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use urt_dataflow::flowtype::FlowType;
     use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
     use urt_ode::solver::SolverKind;
@@ -1377,7 +1433,6 @@ mod tests {
 
     #[test]
     fn a_replica_of_another_width_is_refused_naming_streamer_and_instance() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let mut b = ModelBuilder::new("m");
         let s = b.streamer("src", "none");
         b.streamer_out(s, "y", FlowType::scalar());
@@ -1550,6 +1605,125 @@ mod tests {
             let tail =
                 |i: usize| rec.series(&EnsembleEngine::series_name("y1", i)).last().unwrap().1;
             assert!(tail(0) != tail(3), "{policy}: the variants diverge");
+        }
+    }
+
+    /// Emits one `tick` per `advance` on SPort `noise`, which no link
+    /// routes, and records how many signals it holds (`held`) and the
+    /// most it ever handed back when drained (`most`).
+    struct Chatter {
+        pending: Vec<(String, Message)>,
+        held: Arc<AtomicUsize>,
+        most: Arc<AtomicUsize>,
+    }
+
+    impl StreamerBehavior for Chatter {
+        fn name(&self) -> &str {
+            "chatter"
+        }
+        fn input_width(&self) -> usize {
+            0
+        }
+        fn output_width(&self) -> usize {
+            1
+        }
+        fn advance(
+            &mut self,
+            t: f64,
+            _h: f64,
+            _u: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), urt_ode::SolveError> {
+            y[0] = t;
+            self.pending.push(("noise".to_owned(), Message::new("tick", Value::Empty)));
+            self.held.store(self.pending.len(), Ordering::Relaxed);
+            Ok(())
+        }
+        fn take_emitted(&mut self) -> Vec<(String, Message)> {
+            self.most.fetch_max(self.pending.len(), Ordering::Relaxed);
+            self.held.store(0, Ordering::Relaxed);
+            std::mem::take(&mut self.pending)
+        }
+    }
+
+    #[test]
+    fn unlinked_emitters_stay_bounded_and_linked_rows_are_unchanged() {
+        use crate::pacer::PacedConfig;
+        // FNV-1a 64 over the (time, value) bits of the linked plant's
+        // `y` series, and its supervisor's delivered count, recorded
+        // where every row was drained every macro step.
+        const PINNED_SERIES: u64 = 0x566c_6992_27bd_0bd3;
+        const PINNED_DELIVERED: u64 = 3600;
+        for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+            let held = Arc::new(AtomicUsize::new(0));
+            let most = Arc::new(AtomicUsize::new(0));
+            let mut b = ModelBuilder::new("chatty");
+            let sup = b.capsule("sup");
+            let plant = b.streamer("plant", "none");
+            b.streamer_out(plant, "y", FlowType::scalar());
+            b.streamer_feedthrough(plant, false);
+            b.streamer_sport(plant, "ctl", "Ctl");
+            b.capsule_sport(sup, "p", "Ctl");
+            b.sport_link(sup, "p", plant, "ctl");
+            b.probe(plant, "y", "y");
+            let chatter = b.streamer("chatter", "none");
+            b.streamer_out(chatter, "y", FlowType::scalar());
+            b.streamer_sport(chatter, "noise", "Ctl");
+            let (h, m) = (Arc::clone(&held), Arc::clone(&most));
+            let registry = BehaviorRegistry::new()
+                .streamer("plant", || {
+                    let (rate, y, setpoint, emitted) = (3.0, 0.0, 1.0, Vec::new());
+                    Box::new(Reporter { name: "plant".into(), rate, y, setpoint, emitted })
+                })
+                .streamer("chatter", move || {
+                    let (held, most) = (Arc::clone(&h), Arc::clone(&m));
+                    Box::new(Chatter { pending: Vec::new(), held, most })
+                })
+                .capsule("sup", || {
+                    let machine = StateMachineBuilder::new("sup")
+                        .state("s")
+                        .initial("s", |_: &mut (), _: &mut CapsuleContext| {})
+                        .internal("s", ("p", "status"), |_: &mut (), m: &Message, ctx| {
+                            let y = m.value().as_real().unwrap_or(0.0);
+                            ctx.send("p", "setpoint", Value::Real(1.0 - 0.5 * y));
+                        })
+                        .build()
+                        .expect("machine");
+                    Box::new(SmCapsule::new(machine, ()))
+                });
+            let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+            assert_eq!(compiled.group_count(), 1, "the chatter sits beside the linked plant");
+            let mut engine =
+                HybridEngine::from_compiled(&compiled, EngineConfig { step: 1e-3, policy })
+                    .unwrap();
+            let rec = Recorder::new();
+            engine.set_recorder(rec.clone());
+            let empty_after = |call: &str| {
+                assert_eq!(held.load(Ordering::Relaxed), 0, "{policy}: held after {call}");
+            };
+            engine.run_until(3.5).unwrap();
+            empty_after("run_until");
+            let most_held = most.load(Ordering::Relaxed);
+            assert!(most_held as u64 <= DRAIN_CADENCE, "{policy}: held {most_held}");
+            if policy == ThreadPolicy::CurrentThread {
+                // No per-step drain: 3500 steps reach the cadence.
+                assert_eq!(most_held as u64, DRAIN_CADENCE, "{policy}");
+            }
+            engine.step_once().unwrap();
+            empty_after("step_once");
+            let paced = PacedConfig::new().with_rate(1e9).with_budget_ns(1e12);
+            engine.run_paced(3.6, paced).unwrap();
+            empty_after("run_paced");
+            assert!(most.load(Ordering::Relaxed) as u64 <= DRAIN_CADENCE, "{policy}");
+            assert_eq!(engine.step_count(), 3600, "{policy}");
+            let mut fnv = crate::cache::Fnv1a::new();
+            for (t, v) in rec.series("y") {
+                fnv.update(&t.to_bits().to_le_bytes());
+                fnv.update(&v.to_bits().to_le_bytes());
+            }
+            let delivered = engine.controller().delivered_count();
+            assert_eq!(fnv.finish(), PINNED_SERIES, "{policy}: linked plant series");
+            assert_eq!(delivered, PINNED_DELIVERED, "{policy}: statuses delivered");
         }
     }
 
@@ -1804,10 +1978,12 @@ mod tests {
             ensemble.set_recorder(rec.clone());
             ensemble.run_until(0.05).unwrap();
             // The plant row (Rk4 OdeStreamer) is batch-eligible; the
-            // FnStreamer doubler row is not.
-            let eligible: usize =
+            // FnStreamer doubler row is not. Rows batch under the batched
+            // kernel only.
+            let batched: usize =
                 ensemble.groups.iter().map(|g| g.batch_rows.iter().flatten().count()).sum();
-            assert_eq!(eligible, 1, "exactly the ODE row is batch-eligible");
+            let expected = usize::from(kernel == EnsembleKernel::Batched);
+            assert_eq!(batched, expected, "{kernel:?}: exactly the ODE row batches");
             rec
         };
         let scalar = run(EnsembleKernel::PerLane);
@@ -1815,6 +1991,40 @@ mod tests {
         for i in 0..variants.len() {
             let name = EnsembleEngine::series_name("out", i);
             bit_eq(&scalar.series(&name), &batched.series(&name), &format!("kernel axis lane {i}"));
+        }
+    }
+
+    #[test]
+    fn switching_kernels_mid_run_is_bit_identical() {
+        use EnsembleKernel::{Batched, PerLane};
+        let variants = [
+            VariantSpec::new(),
+            VariantSpec::new().set("plant", "x0[0]", 2.5),
+            VariantSpec::new().set("plant", "rate", 4.0).set("plant", "x0[0]", 0.5),
+        ];
+        // Runs three 0.02 s segments, selecting `kernels[s]` before
+        // segment `s`.
+        let run = |kernels: [EnsembleKernel; 3]| {
+            let compiled = compile(1.0, 1.0);
+            let mut ensemble =
+                EnsembleEngine::from_variants(&compiled, &variants, EngineConfig::default())
+                    .unwrap();
+            let rec = Recorder::new();
+            ensemble.set_recorder(rec.clone());
+            for (s, kernel) in kernels.into_iter().enumerate() {
+                ensemble.set_kernel(kernel);
+                ensemble.run_until(0.02 * (s + 1) as f64).unwrap();
+            }
+            rec
+        };
+        let uninterrupted = run([Batched; 3]);
+        for kernels in [[Batched, PerLane, Batched], [PerLane, Batched, PerLane]] {
+            let switched = run(kernels);
+            for i in 0..variants.len() {
+                let name = EnsembleEngine::series_name("out", i);
+                let what = format!("{kernels:?} lane {i}");
+                bit_eq(&uninterrupted.series(&name), &switched.series(&name), &what);
+            }
         }
     }
 

@@ -158,8 +158,9 @@ pub struct UnifiedModel {
     streamers: Vec<StreamerDecl>,
     flows: Vec<FlowDecl>,
     sport_links: Vec<SportLink>,
-    /// Protocols declared by name, from the capsule's perspective:
-    /// `in_signals` are deliverable *to* the capsule.
+    /// Protocols declared by name, from the capsule's perspective: the
+    /// `in` signals ([`Protocol::with_in`]) are deliverable *to* the
+    /// capsule.
     protocols: Vec<Protocol>,
     /// Recorder probes: named series tapped off streamer output DPorts.
     probes: Vec<ProbeDecl>,

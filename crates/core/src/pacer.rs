@@ -35,8 +35,9 @@ use std::time::{Duration, Instant};
 /// sources so miss accounting and lag folding are pinned exactly. The
 /// paced loop's call pattern is fixed — one `now_ns` for the run's
 /// origin, one when a cycle starts, one when it ends and, when it
-/// finished ahead of its release point, one `now_ns` before and one
-/// after its `sleep_ns` — so a scripted source can drive every branch.
+/// finished ahead of its release point, a `sleep_ns` from that end
+/// reading followed by one `now_ns` — so a scripted source can drive
+/// every branch.
 pub trait TimeSource: Send {
     /// Nanoseconds since an arbitrary fixed origin; never decreases.
     fn now_ns(&mut self) -> u64;
@@ -437,7 +438,7 @@ impl PacedRunner {
         // have slipped; `CatchUp` keeps the absolute timeline.
         let target = self.slip_ns.saturating_add(target_ns(sim_time, self.rate));
         if now < target {
-            let over = self.pace_to(target);
+            let over = self.pace_to(now, target);
             self.worst_lag_ns = self.worst_lag_ns.max(over);
         } else {
             let behind = now - target;
@@ -461,19 +462,14 @@ impl PacedRunner {
         Ok(())
     }
 
-    /// Blocks until `target` nanoseconds past the origin; returns how far
-    /// past the target the clock was on arrival. After a wait that is the
-    /// oversleep: `sleep` guarantees *at least* the requested duration,
-    /// and timer slack routinely overshoots it, so the clock is
-    /// re-measured rather than the slack dropped.
-    fn pace_to(&mut self, target: u64) -> u64 {
-        let now = self.now_rel_ns();
-        if now < target {
-            self.clock.sleep_ns(target - now);
-            self.now_rel_ns().saturating_sub(target)
-        } else {
-            now - target
-        }
+    /// Sleeps from `now` (the cycle's closing reading, before `target`)
+    /// until `target` nanoseconds past the origin; returns the oversleep:
+    /// `sleep` guarantees *at least* the requested duration, and timer
+    /// slack routinely overshoots it, so the clock is re-measured rather
+    /// than the slack dropped.
+    fn pace_to(&mut self, now: u64, target: u64) -> u64 {
+        self.clock.sleep_ns(target - now);
+        self.now_rel_ns().saturating_sub(target)
     }
 
     /// The report (consumes the runner).
@@ -537,6 +533,40 @@ mod tests {
         let report = r.finish();
         assert!(report.worst_lag_s <= waited.as_secs_f64(), "lag within the wall time taken");
         assert_eq!(report.rate, 100.0);
+    }
+
+    #[test]
+    fn runner_reads_the_clock_once_after_a_sleep() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        /// A clock that stands still between sleeps and counts readings.
+        struct CountingClock {
+            now: u64,
+            reads: Arc<AtomicU64>,
+        }
+        impl TimeSource for CountingClock {
+            fn now_ns(&mut self) -> u64 {
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                self.now
+            }
+            fn sleep_ns(&mut self, ns: u64) {
+                self.now += ns;
+            }
+        }
+        // Three instantaneous 1 ms cycles, each of which waits for its
+        // release point: the origin, then begin, end and one reading
+        // after the sleep per cycle.
+        let reads = Arc::new(AtomicU64::new(0));
+        let clock = CountingClock { now: 0, reads: Arc::clone(&reads) };
+        let mut r = PacedRunner::new(PacedConfig::new().with_clock(Box::new(clock)), None, 1e-3);
+        for step in 1..=3u64 {
+            r.begin();
+            r.end(1, step as f64 * 1e-3).unwrap();
+        }
+        assert_eq!(reads.load(Ordering::Relaxed), 1 + 3 * 3);
+        let report = r.finish();
+        assert_eq!((report.steps, report.misses), (3, 0));
+        assert_eq!(report.worst_lag_s, 0.0, "every sleep ended on its release point");
     }
 
     #[test]

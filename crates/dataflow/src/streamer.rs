@@ -93,7 +93,7 @@ pub trait StreamerBehavior: Send {
     }
 
     /// Mutable counterpart of [`StreamerBehavior::as_ode_lane`] (state
-    /// write-back after a batched macro step).
+    /// write-back when a batched row hands its lanes back).
     fn as_ode_lane_mut(&mut self) -> Option<&mut dyn OdeLane> {
         None
     }
@@ -101,10 +101,13 @@ pub trait StreamerBehavior: Send {
 
 /// A solver-backed behaviour viewed as one lane of a batched ODE step.
 ///
-/// The batched ensemble path gathers K lanes' states into one
-/// instance-major buffer, advances them through an [`OdeRowKernel`]
-/// built once at start by [`OdeLane::lane_row_kernel`], and scatters the
-/// result back through [`OdeLane::lane_sync`]. The per-lane arithmetic is
+/// The batched ensemble path gathers K lanes' states once into one
+/// instance-major buffer and from then on advances that buffer in place
+/// through an [`OdeRowKernel`] built by [`OdeLane::lane_row_kernel`].
+/// While the row is batched it is the lanes' source of truth: their
+/// [`StreamerBehavior::advance`] is not called and their drivers go
+/// stale, until [`OdeLane::lane_sync`] hands state and clock back when
+/// the row returns to per-lane stepping. The per-lane arithmetic is
 /// exactly the scalar [`StreamerBehavior::advance`] path, so lanes stay
 /// bit-identical to standalone runs.
 pub trait OdeLane {
@@ -142,8 +145,8 @@ pub trait OdeLane {
     /// whose equations no signal handler can change after start.
     fn lane_row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>>;
 
-    /// Writes the batched result back: state becomes `x`, clock becomes
-    /// `t` (end of the macro step).
+    /// Takes the lane back from a batched row: state becomes `x`, clock
+    /// becomes `t` (the row's clock).
     fn lane_sync(&mut self, t: f64, x: &[f64]) -> Result<(), SolveError>;
 }
 

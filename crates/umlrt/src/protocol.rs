@@ -4,10 +4,12 @@
 //! send (`out`). Wiring rules match protocols by name (the model's
 //! `sport-protocol` rule); the signal sets type what a port carries.
 
-use crate::value::Value;
 use std::fmt;
 
-/// Payload type a signal expects, checked loosely at send time.
+#[cfg(doc)]
+use crate::value::Value;
+
+/// Payload type a signal expects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum PayloadKind {
@@ -26,22 +28,6 @@ pub enum PayloadKind {
     Text,
     /// Any payload accepted.
     Any,
-}
-
-impl PayloadKind {
-    /// Whether `value` conforms to this payload kind.
-    pub fn accepts(self, value: &Value) -> bool {
-        matches!(
-            (self, value),
-            (PayloadKind::Any, _)
-                | (PayloadKind::Empty, Value::Empty)
-                | (PayloadKind::Bool, Value::Bool(_))
-                | (PayloadKind::Int, Value::Int(_))
-                | (PayloadKind::Real, Value::Real(_))
-                | (PayloadKind::Vector, Value::Vector(_))
-                | (PayloadKind::Text, Value::Text(_))
-        )
-    }
 }
 
 /// A named signal with an expected payload kind.
@@ -79,7 +65,7 @@ impl SignalSpec {
 ///     .with_in("setpoint", PayloadKind::Real)
 ///     .with_out("ack", PayloadKind::Empty);
 /// assert_eq!(p.in_signal("setpoint").map(|s| s.payload()), Some(PayloadKind::Real));
-/// assert!(p.out_signal("ack").is_some());
+/// assert!(p.in_signal("ack").is_none(), "`ack` is outgoing");
 /// assert_eq!(p.to_string(), "ControlCmd");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,24 +98,9 @@ impl Protocol {
         &self.name
     }
 
-    /// Signals this protocol can receive.
-    pub fn in_signals(&self) -> &[SignalSpec] {
-        &self.in_signals
-    }
-
-    /// Signals this protocol can send.
-    pub fn out_signals(&self) -> &[SignalSpec] {
-        &self.out_signals
-    }
-
     /// Looks up an incoming signal by name.
     pub fn in_signal(&self, name: &str) -> Option<&SignalSpec> {
         self.in_signals.iter().find(|s| s.name() == name)
-    }
-
-    /// Looks up an outgoing signal by name.
-    pub fn out_signal(&self, name: &str) -> Option<&SignalSpec> {
-        self.out_signals.iter().find(|s| s.name() == name)
     }
 }
 
@@ -148,19 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn payload_kinds_accept_values() {
-        assert!(PayloadKind::Real.accepts(&Value::Real(1.0)));
-        assert!(!PayloadKind::Real.accepts(&Value::Int(1)));
-        assert!(PayloadKind::Any.accepts(&Value::Text("x".into())));
-        assert!(PayloadKind::Empty.accepts(&Value::Empty));
-        assert!(PayloadKind::Vector.accepts(&Value::Vector(vec![])));
-        assert!(!PayloadKind::Bool.accepts(&Value::Empty));
-    }
-
-    #[test]
     fn lookup_missing_signal() {
         let p = proto();
         assert!(p.in_signal("nope").is_none());
-        assert!(p.out_signal("a").is_none());
+        assert!(p.in_signal("b").is_none(), "`b` is outgoing");
     }
 }

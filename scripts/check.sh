@@ -63,6 +63,16 @@ for workload in fig2-loop sweep-k64; do
             exit 1
             ;;
     esac
+    # A sweep whose RK4 row silently fell back to per-lane stepping stays
+    # correct but loses most of its speed: its batched kernel must run.
+    if [ "$workload" = sweep-k64 ]; then
+        case "$traced_out" in
+            *'"ode.step_batch_us": {"value": 0,'*)
+                echo "perfbench sweep-k64: the RK4 row did not batch: $traced_out" >&2
+                exit 1
+                ;;
+        esac
+    fi
 done
 
 echo "==> scripts/loc.sh HEAD (net Rust line change; output shape only)"

@@ -125,18 +125,18 @@ fn run_paced_probe_series_is_bit_identical_to_run_local() {
 /// cycle and worst lag — all scripted deterministically.
 ///
 /// Clock-call pattern per local step: `begin` 1 call, `end` 1 call, plus
-/// 2 calls (pre/post sleep) when the cycle finished ahead of its release
+/// 1 call after the sleep when the cycle finished ahead of its release
 /// point; the runner's constructor takes 1 call for the origin.
 #[test]
 fn record_policy_counts_misses_and_reanchors_deterministically() {
     let advances = [
-        0,         // origin
-        0,         // s1 begin
-        2_000_000, // s1 end: 2 ms elapsed -> miss (budget 1 ms)
-        0, 0,       // s1 paces to 10 ms (sleep is exact)
-        0,       // s2 begin
-        500_000, // s2 end: 0.5 ms -> ok
-        0, 0,          // s2 paces to 20 ms
+        0,          // origin
+        0,          // s1 begin
+        2_000_000,  // s1 end: 2 ms elapsed -> miss (budget 1 ms)
+        0,          // s1 paces to 10 ms (sleep is exact)
+        0,          // s2 begin
+        500_000,    // s2 end: 0.5 ms -> ok
+        0,          // s2 paces to 20 ms
         0,          // s3 begin
         12_000_000, // s3 end: 12 ms -> miss, 2 ms past release (schedule slips)
         0,          // s4 begin
@@ -201,7 +201,7 @@ fn safety_stop_aborts_with_urt115_through_run_paced() {
         0,         // origin
         0,         // s1 begin
         2_000_000, // s1 end: miss 1 of 2 tolerated
-        0, 0,         // s1 paces to 10 ms
+        0,         // s1 paces to 10 ms
         0,         // s2 begin
         2_000_000, // s2 end: miss 2 -> abort
     ];
