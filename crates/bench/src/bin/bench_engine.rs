@@ -30,9 +30,10 @@
 //! Nested under the ensemble axis, a **kernel** axis isolates what the
 //! batched ODE solver path buys over per-lane scalar
 //! stepping: one [`EnsembleEngine`] per configuration, stepped once with
-//! `kernel = scalar` ([`EnsembleKernel::PerLane`]) and once with
-//! `kernel = batched` (the default), over `K ∈ {16, 64, 256}` (`{16,
-//! 64}` in smoke). The workloads here must actually carry ODE lanes, so
+//! `kernel = scalar` (the ODE row's behaviour wrapped in [`PerLane`],
+//! which hides its ODE lane, so the row steps lane by lane) and once with
+//! `kernel = batched` (the plain model, whose ODE row one row kernel
+//! owns), over `K ∈ {16, 64, 256}` (`{16, 64}` in smoke). The workloads here must actually carry ODE lanes, so
 //! `fig2` on this axis is the ODE-backed variant ([`urt_bench::fig2_model`]:
 //! `sub1` integrates the oscillator with RK4 rather than evaluating
 //! `sin(2t)` in closed form) and `chain` is the usual Van der Pol-fed
@@ -92,12 +93,12 @@ use std::time::Instant;
 use urt_bench::fig2_model;
 use urt_core::elaborate::{BehaviorRegistry, CompiledSystem};
 use urt_core::engine::{EngineConfig, HybridEngine};
-use urt_core::ensemble::{EnsembleEngine, EnsembleKernel};
+use urt_core::ensemble::EnsembleEngine;
 use urt_core::model::ModelBuilder;
 use urt_core::recorder::Recorder;
 use urt_core::threading::ThreadPolicy;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
+use urt_dataflow::streamer::{FnStreamer, OdeStreamer, PerLane, StreamerBehavior};
 use urt_ode::solver::SolverKind;
 use urt_ode::system::library::VanDerPol;
 use urt_ode::system::OdeSystem;
@@ -645,37 +646,31 @@ impl KernelWorkload {
         }
     }
 
-    /// The compiled model, probed on its tail as `y0`.
-    fn compiled(self) -> CompiledSystem {
+    /// The compiled model, probed on its tail as `y0`, with its ODE row's
+    /// behaviour passed through `wrap`.
+    fn compiled(self, wrap: urt_bench::Wrap) -> CompiledSystem {
         match self {
-            KernelWorkload::Fig2 => fig2_model(true),
-            KernelWorkload::Chain => urt_bench::chain_model(CHAIN_STAGES),
+            KernelWorkload::Fig2 => urt_bench::fig2_model_with(true, wrap),
+            KernelWorkload::Chain => urt_bench::chain_model_with(CHAIN_STAGES, wrap),
         }
     }
 }
 
-fn kernel_name(kernel: EnsembleKernel) -> &'static str {
-    match kernel {
-        EnsembleKernel::PerLane => "scalar",
-        EnsembleKernel::Batched => "batched",
-    }
-}
-
-/// One K-instance ensemble engine under the chosen solver kernel. Scalar
-/// and batched sides differ only in [`EnsembleEngine::set_kernel`] and
-/// produce bit-identical series, so their throughput ratio is exactly
-/// what the batched path buys.
-fn kernel_side(workload: KernelWorkload, kernel: EnsembleKernel, k: usize) -> Side {
+/// One K-instance ensemble engine on one side of the kernel axis:
+/// `scalar` wraps the ODE row's lanes in [`PerLane`], `batched` runs the
+/// plain model. The two produce bit-identical series, so their throughput
+/// ratio is exactly what the row kernel buys.
+fn kernel_side(workload: KernelWorkload, side: &'static str, k: usize) -> Side {
+    let wrap: urt_bench::Wrap = if side == "scalar" { |b| Box::new(PerLane(b)) } else { |b| b };
     let mut engine = EnsembleEngine::from_compiled(
-        &workload.compiled(),
+        &workload.compiled(wrap),
         k,
         EngineConfig { step: STEP, policy: ThreadPolicy::CurrentThread },
     )
     .expect("kernel-axis ensemble engine");
-    engine.set_kernel(kernel);
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    Side { label: kernel_name(kernel), engines: vec![(engine, rec)] }
+    Side { label: side, engines: vec![(engine, rec)] }
 }
 
 struct InstantiateMeasurement {
@@ -940,8 +935,8 @@ fn main() {
             let (scalar, batched, ratio) = measure_pair(
                 workload.name(),
                 k,
-                kernel_side(workload, EnsembleKernel::PerLane, k),
-                kernel_side(workload, EnsembleKernel::Batched, k),
+                kernel_side(workload, "scalar", k),
+                kernel_side(workload, "batched", k),
                 steps,
                 smoke,
             );

@@ -44,20 +44,33 @@ use urt_ode::system::library::VanDerPol;
 ///
 /// Panics only on internal construction errors (it is a fixed topology).
 pub fn fig2_model(ode: bool) -> CompiledSystem {
+    fig2_model_with(ode, |b| b)
+}
+
+/// Wraps the behaviour of a model's ODE row on every instantiation; the
+/// kernel axis of `bench_engine` hides the row's ODE lanes this way.
+pub type Wrap = fn(Box<dyn StreamerBehavior>) -> Box<dyn StreamerBehavior>;
+
+/// [`fig2_model`] with `sub1`'s behaviour passed through `wrap`.
+///
+/// # Panics
+///
+/// As [`fig2_model`].
+pub fn fig2_model_with(ode: bool, wrap: Wrap) -> CompiledSystem {
     let mut b = ModelBuilder::new("fig2-axis");
     let s1 = b.streamer("sub1", if ode { "rk4" } else { "none" });
     b.streamer_out(s1, "y", FlowType::scalar());
     b.streamer_feedthrough(s1, !ode);
     let registry = BehaviorRegistry::new()
         .streamer("sub1", move || -> Box<dyn StreamerBehavior> {
-            if ode {
+            wrap(if ode {
                 let osc = SineOsc { omega: 2.0 };
                 Box::new(OdeStreamer::new("sub1", osc, SolverKind::Rk4.create(), &[0.0, 2.0], 1e-4))
             } else {
                 Box::new(FnStreamer::new("sub1", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
                     y[0] = (2.0 * t).sin()
                 }))
-            }
+            })
         })
         .streamer("sub2", || {
             Box::new(FnStreamer::new("sub2", 1, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
@@ -123,14 +136,29 @@ impl urt_ode::system::InputSystem for SineOsc {
 ///
 /// Panics if `stages == 0`.
 pub fn chain_model(stages: usize) -> CompiledSystem {
+    chain_model_with(stages, |b| b)
+}
+
+/// [`chain_model`] with `vdp0`'s behaviour passed through `wrap`.
+///
+/// # Panics
+///
+/// As [`chain_model`].
+pub fn chain_model_with(stages: usize, wrap: Wrap) -> CompiledSystem {
     assert!(stages > 0, "need at least one streamer");
     let mut b = ModelBuilder::new("chain-axis");
     let vdp = b.streamer("vdp0", "rk4");
     b.streamer_out(vdp, "y", FlowType::vector(2));
     b.streamer_feedthrough(vdp, false);
-    let mut registry = BehaviorRegistry::new().streamer("vdp0", || {
+    let mut registry = BehaviorRegistry::new().streamer("vdp0", move || {
         let system = WrappedVdp(VanDerPol { mu: 1.0 });
-        Box::new(OdeStreamer::new("vdp0", system, SolverKind::Rk4.create(), &[2.0, 0.0], 1e-3))
+        wrap(Box::new(OdeStreamer::new(
+            "vdp0",
+            system,
+            SolverKind::Rk4.create(),
+            &[2.0, 0.0],
+            1e-3,
+        )))
     });
     let mut tail = vdp;
     if stages > 1 {

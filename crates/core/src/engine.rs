@@ -130,8 +130,10 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Propagates solver, runtime and thread failures. After one, the
-    /// engine is failed: [`HybridEngine::time`] and
+    /// [`CoreError::NonFiniteTime`] (`URT118`) for a `t_end` that is not
+    /// a finite number, before anything runs; the engine stays usable.
+    /// Otherwise propagates solver, runtime and thread failures. After
+    /// one, the engine is failed: [`HybridEngine::time`] and
     /// [`HybridEngine::step_count`] report the last macro step every
     /// group completed, and every later step call returns
     /// [`CoreError::Engine`] (`URT111`) naming the failed step.
@@ -184,9 +186,11 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidPacing`] (`URT117`) for a rate or budget that
-    /// is not a positive, finite number, before anything runs (the
-    /// engine stays usable); [`CoreError::DeadlineOverrun`] when an
+    /// [`CoreError::NonFiniteTime`] (`URT118`) for a `t_end` that is not
+    /// a finite number and [`CoreError::InvalidPacing`] (`URT117`) for a
+    /// rate or budget that is not a positive, finite number, both before
+    /// anything runs (the engine stays usable);
+    /// [`CoreError::DeadlineOverrun`] when an
     /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
     /// run exhausts its consecutive-miss tolerance, plus the usual
     /// solver, runtime and thread failures.

@@ -38,12 +38,14 @@
 //! what they emit is dropped every `DRAIN_CADENCE` (1024) macro steps and at
 //! the end of every public step call, paced cycle and threaded worker
 //! batch, so an unlinked emitter holds at most one cadence of signals. A
-//! batched row (see [`EnsembleKernel`]) owns its lanes' continuous state
-//! and solver clock while it is batched: its kernel steps them in place,
-//! and the lanes' own drivers are written back only when
-//! [`EnsembleEngine::set_kernel`] hands the row back to per-lane stepping.
-//! A batched lane's `advance` is never called, so it emits nothing and is
-//! never drained per step.
+//! batched row owns its lanes' continuous state and solver clock for
+//! good: at start, right after `initialize`, each row is offered to its
+//! first lane's [`OdeLane::row_kernel`](urt_dataflow::streamer::OdeLane::row_kernel),
+//! and a row that gets a kernel is stepped by one
+//! [`OdeRowKernel::advance`] per macro step from then on. Its lanes'
+//! `advance` is never called, so they emit nothing and are never drained
+//! per step. The sub-step schedule and the row clock live in the kernel,
+//! not here.
 //!
 //! Recording a step takes no lock: each group writes the post-step
 //! instant and its probes' `K` instance values as one row of its
@@ -155,103 +157,6 @@ impl VariantSpec {
     /// Whether the spec has no overrides.
     pub fn is_empty(&self) -> bool {
         self.overrides.is_empty()
-    }
-}
-
-/// Which ODE stepping kernel ensemble groups use for solver-backed lanes.
-///
-/// [`Batched`](EnsembleKernel::Batched) (the default) routes every
-/// eligible streamer row — homogeneous, guard-free lanes of one concrete
-/// system type whose solver has a true batched kernel — through its typed
-/// [`OdeRowKernel`]: one
-/// [`Solver::step_batch`](urt_ode::solver::Solver::step_batch) call per
-/// sub-step over the row's K lanes, which the explicit scheme steps four
-/// lanes at a time with every stage in local arrays
-/// ([`ExplicitScheme::step_lanes`](urt_ode::solver::ExplicitScheme::step_lanes)),
-/// with no per-lane dynamic dispatch. Per-lane arithmetic is the
-/// exact scalar sequence, so results stay bit-identical either way;
-/// [`PerLane`](EnsembleKernel::PerLane) exists as the measurable baseline
-/// (the `bench_engine` kernel axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnsembleKernel {
-    /// Per-lane scalar stepping: K independent `advance` calls per row.
-    PerLane,
-    /// Batched stepping for eligible rows.
-    #[default]
-    Batched,
-}
-
-/// Batch-stepping state for one eligible streamer row while it is
-/// batched: the row's lanes share `dim`/`substep`, and the row owns its
-/// typed kernel plus its lanes' continuous state and solver clock. The
-/// lanes' own drivers are stale until [`BatchRow::hand_back`].
-struct BatchRow {
-    dim: usize,
-    substep: f64,
-    /// The row's solver clock, shared by all lanes (lockstep): taken from
-    /// the lanes' `SolverDriver` time when the row is built and advanced
-    /// exactly as a driver would advance it. It is *not* recomputed from
-    /// the group time — the driver's end-of-interval snap can leave it
-    /// one rounding shy of `t_end`, and the next macro step's clamped
-    /// final sub-step depends on that value bit-for-bit.
-    time: f64,
-    kernel: Box<dyn OdeRowKernel>,
-    /// The lanes' states, instance-major, `K * dim`: gathered once when
-    /// the row is built and stepped in place from then on.
-    states: Vec<f64>,
-}
-
-impl BatchRow {
-    /// Advances the row's lanes to `t_end` through the typed kernel: the
-    /// states are stepped in place on the scalar path's sub-step schedule
-    /// and written out through `y_at`.
-    fn advance(
-        &mut self,
-        t_end: f64,
-        ins: &[f64],
-        u_at: LaneSlots,
-        outs: &mut [f64],
-        y_at: LaneSlots,
-    ) -> Result<(), CoreError> {
-        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
-        // The scalar path's sub-step schedule verbatim
-        // (`OdeStreamer::advance` + `SolverDriver::advance` for a
-        // fixed-step solver), resuming from the persistent row clock, so
-        // every lane sees the exact `(t, h)` sequence of a standalone run.
-        let mut tl = self.time;
-        while tl < t_end - resolution {
-            let remaining = t_end - tl;
-            if remaining <= resolution {
-                // The driver's own entry check can disagree with the loop
-                // test by one rounding: snap without stepping.
-                tl = t_end;
-                continue;
-            }
-            let h_sub = self.substep.min(remaining);
-            self.kernel
-                .step(tl, h_sub, &mut self.states, ins, u_at)
-                .map_err(|e| CoreError::Flow(e.into()))?;
-            tl += h_sub;
-            if t_end - tl <= resolution {
-                tl = t_end;
-            }
-        }
-        self.time = tl;
-        self.kernel.outputs(t_end, &self.states, ins, u_at, outs, y_at);
-        Ok(())
-    }
-
-    /// Hands the row's state back to its lanes: each lane's driver takes
-    /// its state and the row clock (which may sit one rounding shy of the
-    /// macro-step boundary), exactly where the scalar driver would have
-    /// left it.
-    fn hand_back(&self, lanes: &mut [Box<dyn StreamerBehavior>]) {
-        for (b, x) in lanes.iter_mut().zip(self.states.chunks_exact(self.dim)) {
-            b.as_ode_lane_mut()
-                .expect("batch rows contain only ODE lanes")
-                .lane_sync(self.time, x)
-                .expect("batch rows contain only initialized lanes");
-        }
     }
 }
 
@@ -393,11 +298,10 @@ struct GroupState {
     /// `behaviours[r * K + i]` is instance `i` of plan row `r`, rows in
     /// plan order.
     behaviours: Vec<Box<dyn StreamerBehavior>>,
-    /// `batch_rows[r]` is the batch-stepping state of the `r`-th streamer
-    /// row, `None` for rows that are not batch-eligible. Built at start
-    /// (after `initialize`) and whenever the batched kernel is selected
-    /// again; empty while the rows step lane by lane.
-    batch_rows: Vec<Option<BatchRow>>,
+    /// `batch_rows[r]` is the kernel that owns the `r`-th streamer row's
+    /// lanes, `None` for a row that steps lane by lane. Built once at
+    /// start, right after `initialize`.
+    batch_rows: Vec<Option<Box<dyn OdeRowKernel>>>,
     /// Dense input lanes, `K * plan.in_width()`.
     ins: Vec<f64>,
     /// Dense output lanes, `K * plan.out_width()`.
@@ -523,16 +427,6 @@ impl GroupState {
         }
     }
 
-    /// Hands every batched row's state back to its lanes and drops the
-    /// rows, so the group steps lane by lane from the same state.
-    fn hand_back_rows(&mut self, k: usize) {
-        for (r, row) in self.batch_rows.drain(..).enumerate() {
-            if let Some(row) = row {
-                row.hand_back(&mut self.behaviours[r * k..(r + 1) * k]);
-            }
-        }
-    }
-
     /// Replays the plan once, advancing all `k` instances by `h`: the
     /// shared [`StepPlan::replay`] walk, each row stepped through its
     /// typed row kernel when batched, lane by lane otherwise, and the
@@ -549,11 +443,13 @@ impl GroupState {
             &mut self.ins,
             &mut self.outs,
             |r, pn, ins, outs| -> Result<(), CoreError> {
-                if let Some(br) = batch_rows.get_mut(r).and_then(Option::as_mut) {
+                if let Some(row) = batch_rows.get_mut(r).and_then(Option::as_mut) {
                     let u_at = LaneSlots { stride: inw, offset: pn.in_offset, width: pn.in_width };
                     let y_at =
                         LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width };
-                    return br.advance(t + h, ins, u_at, outs, y_at);
+                    return row
+                        .advance(t + h, ins, u_at, outs, y_at)
+                        .map_err(|e| CoreError::Flow(e.into()));
                 }
                 let routes = &routes[pn.node.index()];
                 for (i, b) in behaviours[r * k..(r + 1) * k].iter_mut().enumerate() {
@@ -570,46 +466,6 @@ impl GroupState {
         )?;
         self.time += h;
         Ok(())
-    }
-}
-
-/// Decides, per streamer row, whether all K lanes can step through a
-/// typed row kernel: every lane must expose itself as a batchable
-/// [`OdeLane`](urt_dataflow::streamer::OdeLane) (initialized, guard-free,
-/// handler-free, batched-kernel solver), the row must be homogeneous in
-/// `dim`, `substep` and clock — the lockstep schedule is shared — and all
-/// lanes' equations must be of one concrete type, which the first lane's
-/// [`lane_row_kernel`](urt_dataflow::streamer::OdeLane::lane_row_kernel)
-/// checks. The rows gather their lanes' states here, once. Called after
-/// `initialize` and when the batched kernel is selected again mid-run.
-fn build_batch_rows(gs: &mut GroupState, k: usize) {
-    gs.batch_rows.clear();
-    for lanes in gs.behaviours.chunks(k) {
-        let candidate = (|| {
-            let first = lanes.first()?.as_ode_lane()?;
-            let dim = first.lane_dim();
-            let substep = first.lane_substep();
-            if dim == 0 || !(substep.is_finite() && substep > 0.0) {
-                return None;
-            }
-            let time = first.lane_time()?;
-            let mut states = Vec::with_capacity(k * dim);
-            for b in lanes {
-                let lane = b.as_ode_lane()?;
-                let x = lane.lane_state()?;
-                if !lane.lane_batchable()
-                    || lane.lane_dim() != dim
-                    || lane.lane_substep().to_bits() != substep.to_bits()
-                    || lane.lane_time().map(f64::to_bits) != Some(time.to_bits())
-                {
-                    return None;
-                }
-                states.extend_from_slice(x);
-            }
-            let kernel = first.lane_row_kernel(lanes)?;
-            Some(BatchRow { dim, substep, time, kernel, states })
-        })();
-        gs.batch_rows.push(candidate);
     }
 }
 
@@ -689,8 +545,6 @@ pub struct EnsembleEngine {
     pub(crate) plain_series: bool,
     /// Upper bound on the threaded batch length; 1 disables batching.
     pub(crate) max_batch: u64,
-    /// Kernel selection for every group's solver-backed rows.
-    kernel: EnsembleKernel,
     /// Declared per-macro-step budget (ns) carried over from the
     /// compiled system — the default budget of
     /// [`EnsembleEngine::run_paced`]. The budget covers one macro step of
@@ -849,7 +703,6 @@ impl EnsembleEngine {
             links,
             plain_series: false,
             max_batch: DEFAULT_MAX_BATCH,
-            kernel: EnsembleKernel::default(),
             step_budget_ns: compiled.step_budget_ns(),
             lifecycle: Lifecycle::Fresh,
         })
@@ -935,9 +788,13 @@ impl EnsembleEngine {
             for b in &mut gs.behaviours {
                 b.initialize(t0).map_err(|e| CoreError::Flow(e.into()))?;
             }
-            if self.kernel == EnsembleKernel::Batched {
-                build_batch_rows(gs, self.k);
-            }
+            // Every lane is at t0 here: each row's first lane decides,
+            // once, whether a kernel takes the row's lanes over.
+            gs.batch_rows = gs
+                .behaviours
+                .chunks(self.k)
+                .map(|row| row[0].as_ode_lane()?.row_kernel(row))
+                .collect();
         }
         for controller in &mut self.controllers {
             if !controller.is_started() {
@@ -970,38 +827,15 @@ impl EnsembleEngine {
         result
     }
 
-    /// Selects the ODE stepping kernel for all groups (see
-    /// [`EnsembleKernel`]). The default is
-    /// [`Batched`](EnsembleKernel::Batched); results are bit-identical
-    /// either way, so this is a pure performance knob (and the
-    /// `bench_engine` kernel axis), also mid-run: leaving the batched
-    /// kernel hands each batched row's state and clock back to its lanes,
-    /// and entering it rebuilds the rows from the lanes.
-    pub fn set_kernel(&mut self, kernel: EnsembleKernel) {
-        if kernel == self.kernel {
-            return;
-        }
-        self.kernel = kernel;
-        // Before start, `start_if_needed` builds the rows; a failed
-        // engine never steps again.
-        if self.lifecycle != Lifecycle::Running {
-            return;
-        }
-        for gs in &mut self.groups {
-            match kernel {
-                EnsembleKernel::PerLane => gs.hand_back_rows(self.k),
-                EnsembleKernel::Batched => build_batch_rows(gs, self.k),
-            }
-        }
-    }
-
     /// Runs until simulation time `t_end`, in macro steps of
     /// `config.step`.
     ///
     /// # Errors
     ///
-    /// Propagates solver, runtime and thread failures. After one, the
-    /// engine is failed: [`EnsembleEngine::time`] and
+    /// [`CoreError::NonFiniteTime`] (`URT118`) for a `t_end` that is not
+    /// a finite number, before anything runs; the engine stays usable.
+    /// Otherwise propagates solver, runtime and thread failures. After
+    /// one, the engine is failed: [`EnsembleEngine::time`] and
     /// [`EnsembleEngine::step_count`] report the last macro step every
     /// group completed, and every later step call returns
     /// [`CoreError::Engine`] (`URT111`) naming the failed step.
@@ -1013,6 +847,7 @@ impl EnsembleEngine {
     /// leaves 100 samples of the first group in the recorder, against 51
     /// under [`ThreadPolicy::CurrentThread`].
     pub fn run_until(&mut self, t_end: f64) -> Result<(), CoreError> {
+        crate::time::check_finite("run horizon", t_end)?;
         self.start_if_needed()?;
         let n = crate::time::steps_until(self.clock.seconds(), t_end, self.config.step);
         let result = match self.config.policy {
@@ -1033,7 +868,7 @@ impl EnsembleEngine {
     /// against the budget, one cycle covering all `K` instances
     /// (hardware-in-the-loop ensembles release every variant at the same
     /// instant). See [`HybridEngine::run_paced`] for the budget
-    /// resolution and the overrun policies.
+    /// precedence and the overrun policies.
     ///
     /// Under [`ThreadPolicy::DedicatedThreads`] pacing happens at the
     /// batch barrier — the only rendezvous the threaded schedule has —
@@ -1043,13 +878,15 @@ impl EnsembleEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidPacing`] (`URT117`) for a rate or budget that
-    /// is not a positive, finite number, before anything runs;
-    /// [`CoreError::DeadlineOverrun`] when an
+    /// [`CoreError::NonFiniteTime`] (`URT118`) for a `t_end` that is not
+    /// a finite number and [`CoreError::InvalidPacing`] (`URT117`) for a
+    /// rate or budget that is not a positive, finite number, both before
+    /// anything runs; [`CoreError::DeadlineOverrun`] when an
     /// [`OverrunPolicy::SafetyStop`](crate::pacer::OverrunPolicy::SafetyStop)
     /// run exhausts its consecutive-miss tolerance, plus the usual solver,
     /// runtime and thread failures.
     pub fn run_paced(&mut self, t_end: f64, config: PacedConfig) -> Result<PacedReport, CoreError> {
+        crate::time::check_finite("run horizon", t_end)?;
         config.check()?;
         self.start_if_needed()?;
         let mut runner = PacedRunner::new(config, self.step_budget_ns, self.config.step);
@@ -1297,7 +1134,7 @@ mod tests {
     use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use urt_dataflow::flowtype::FlowType;
-    use urt_dataflow::streamer::{FnStreamer, OdeStreamer};
+    use urt_dataflow::streamer::{FnStreamer, OdeStreamer, PerLane};
     use urt_ode::solver::SolverKind;
     use urt_ode::system::InputSystem;
     use urt_umlrt::capsule::{CapsuleContext, SmCapsule};
@@ -1968,63 +1805,31 @@ mod tests {
             VariantSpec::new().set("plant", "x0[0]", 2.5),
             VariantSpec::new().set("plant", "rate", 4.0).set("plant", "x0[0]", 0.5),
         ];
-        let run = |kernel: EnsembleKernel| {
-            let compiled = compile(1.0, 1.0);
+        let run = |per_lane: bool| {
+            let (model, mut registry) = decay_chain(1.0, 1.0);
+            if per_lane {
+                registry = registry
+                    .streamer("plant", || Box::new(PerLane(Box::new(decay_streamer(1.0, 1.0)))));
+            }
+            let compiled = elaborate(&model, registry, &validate_gate).expect("elaborates");
             let mut ensemble =
                 EnsembleEngine::from_variants(&compiled, &variants, EngineConfig::default())
                     .unwrap();
-            ensemble.set_kernel(kernel);
             let rec = Recorder::new();
             ensemble.set_recorder(rec.clone());
             ensemble.run_until(0.05).unwrap();
-            // The plant row (Rk4 OdeStreamer) is batch-eligible; the
-            // FnStreamer doubler row is not. Rows batch under the batched
-            // kernel only.
+            // The plant row (Rk4 OdeStreamer) batches unless its lanes
+            // hide behind `PerLane`; the FnStreamer doubler row never does.
             let batched: usize =
                 ensemble.groups.iter().map(|g| g.batch_rows.iter().flatten().count()).sum();
-            let expected = usize::from(kernel == EnsembleKernel::Batched);
-            assert_eq!(batched, expected, "{kernel:?}: exactly the ODE row batches");
+            assert_eq!(batched, usize::from(!per_lane), "per lane {per_lane}: ODE row only");
             rec
         };
-        let scalar = run(EnsembleKernel::PerLane);
-        let batched = run(EnsembleKernel::Batched);
+        let scalar = run(true);
+        let batched = run(false);
         for i in 0..variants.len() {
             let name = EnsembleEngine::series_name("out", i);
             bit_eq(&scalar.series(&name), &batched.series(&name), &format!("kernel axis lane {i}"));
-        }
-    }
-
-    #[test]
-    fn switching_kernels_mid_run_is_bit_identical() {
-        use EnsembleKernel::{Batched, PerLane};
-        let variants = [
-            VariantSpec::new(),
-            VariantSpec::new().set("plant", "x0[0]", 2.5),
-            VariantSpec::new().set("plant", "rate", 4.0).set("plant", "x0[0]", 0.5),
-        ];
-        // Runs three 0.02 s segments, selecting `kernels[s]` before
-        // segment `s`.
-        let run = |kernels: [EnsembleKernel; 3]| {
-            let compiled = compile(1.0, 1.0);
-            let mut ensemble =
-                EnsembleEngine::from_variants(&compiled, &variants, EngineConfig::default())
-                    .unwrap();
-            let rec = Recorder::new();
-            ensemble.set_recorder(rec.clone());
-            for (s, kernel) in kernels.into_iter().enumerate() {
-                ensemble.set_kernel(kernel);
-                ensemble.run_until(0.02 * (s + 1) as f64).unwrap();
-            }
-            rec
-        };
-        let uninterrupted = run([Batched; 3]);
-        for kernels in [[Batched, PerLane, Batched], [PerLane, Batched, PerLane]] {
-            let switched = run(kernels);
-            for i in 0..variants.len() {
-                let name = EnsembleEngine::series_name("out", i);
-                let what = format!("{kernels:?} lane {i}");
-                bit_eq(&uninterrupted.series(&name), &switched.series(&name), &what);
-            }
         }
     }
 

@@ -66,6 +66,17 @@ pub enum CoreError {
         /// Its value.
         value: f64,
     },
+    /// A run was asked to reach a time that is not a finite number (NaN
+    /// or ±∞) — refused before any step is taken, so the engine stays
+    /// usable. Raised by `run_until` and `run_paced` on both engines, for
+    /// the horizon, and by `Scenario::run`, for the horizon and every
+    /// stimulus time.
+    NonFiniteTime {
+        /// Which time: `"run horizon"` or `"stimulus time"`.
+        what: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// A paced run under `OverrunPolicy::SafetyStop` exhausted its
     /// tolerance for consecutive deadline misses — the runtime half of
     /// the URT301 budget contract. Carries the miss report at the point
@@ -117,6 +128,7 @@ impl CoreError {
             CoreError::DeadlineOverrun { .. } => "URT115",
             CoreError::InvalidStep { .. } => "URT116",
             CoreError::InvalidPacing { .. } => "URT117",
+            CoreError::NonFiniteTime { .. } => "URT118",
         }
     }
 }
@@ -158,6 +170,9 @@ impl fmt::Display for CoreError {
                     "{}: paced-run {field} must be a positive, finite number, got {value}",
                     self.code()
                 )
+            }
+            CoreError::NonFiniteTime { what, value } => {
+                write!(f, "{}: {what} must be a finite number, got {value}", self.code())
             }
             CoreError::DeadlineOverrun { step, consecutive, budget_ns, worst_ns, misses } => {
                 write!(
@@ -247,6 +262,9 @@ mod tests {
         assert_eq!(e.code(), "URT117");
         assert!(e.to_string().starts_with("URT117: "));
         assert!(e.to_string().contains("rate"));
+        let e = CoreError::NonFiniteTime { what: "run horizon", value: f64::NAN };
+        assert_eq!(e.code(), "URT118");
+        assert!(e.to_string().starts_with("URT118: run horizon"));
     }
 
     #[test]

@@ -108,4 +108,3 @@ pub use pacer::{OverrunPolicy, PacedConfig, PacedReport, TimeSource, WallClock};
 pub use recorder::{Recorder, SeriesHandle};
 pub use stereotype::Stereotype;
 pub use threading::ThreadPolicy;
-pub use time::HybridTime;

@@ -240,11 +240,6 @@ impl UnifiedModel {
             .map(|l| (l.capsule, l.capsule_port.as_str(), l.streamer, l.sport.as_str()))
     }
 
-    /// Relay DPorts `(name, flow type)` declared on a capsule.
-    pub fn capsule_dports(&self, c: CapsuleRef) -> &[(String, FlowType)] {
-        self.capsules.get(c.0).map_or(&[], |d| d.dports.as_slice())
-    }
-
     /// SPorts `(name, protocol name)` declared on a capsule.
     pub fn capsule_sports(&self, c: CapsuleRef) -> &[(String, String)] {
         self.capsules.get(c.0).map_or(&[], |d| d.sports.as_slice())
@@ -1155,7 +1150,6 @@ mod tests {
         // Unknown refs take the conservative defaults.
         assert!(m.streamer_feedthrough(StreamerRef(9)));
         assert_eq!(m.streamer_thread(StreamerRef(9)), 0);
-        assert!(m.capsule_dports(CapsuleRef(9)).is_empty());
     }
 
     #[test]

@@ -184,17 +184,6 @@ impl Recorder {
             b.lock().clear();
         }
     }
-
-    /// Root-mean-square error between a series and a reference function
-    /// evaluated at the recorded times.
-    pub fn rms_error(&self, name: &str, reference: impl Fn(f64) -> f64) -> f64 {
-        let data = self.series(name);
-        if data.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = data.iter().map(|(t, v)| (v - reference(*t)).powi(2)).sum();
-        (sum / data.len() as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -285,19 +274,6 @@ mod tests {
     #[should_panic(expected = "whole `stride`-wide rows")]
     fn strided_columns_refuse_a_partial_row() {
         Recorder::new().handle("x").extend_strided(&[1.0, 2.0, 3.0], 2, 1);
-    }
-
-    #[test]
-    fn rms_error_against_reference() {
-        let r = Recorder::new();
-        for k in 0..100 {
-            let t = k as f64 * 0.01;
-            r.push("sin", t, t.sin());
-        }
-        assert!(r.rms_error("sin", |t| t.sin()) < 1e-12);
-        let off = r.rms_error("sin", |t| t.sin() + 1.0);
-        assert!((off - 1.0).abs() < 1e-12);
-        assert_eq!(r.rms_error("missing", |_| 0.0), 0.0);
     }
 
     #[test]

@@ -80,10 +80,16 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates engine and injection failures.
+    /// [`CoreError::NonFiniteTime`] (`URT118`) if `t_end` or a stimulus
+    /// time is not a finite number, before anything runs; otherwise
+    /// propagates engine and injection failures.
     pub fn run(&self, engine: &mut HybridEngine, t_end: f64) -> Result<(), CoreError> {
+        crate::time::check_finite("run horizon", t_end)?;
+        for s in &self.stimuli {
+            crate::time::check_finite("stimulus time", s.at)?;
+        }
         let mut ordered: Vec<&Stimulus> = self.stimuli.iter().collect();
-        ordered.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite times"));
+        ordered.sort_by(|a, b| a.at.total_cmp(&b.at));
         for s in ordered {
             if s.at > t_end {
                 break;
@@ -182,6 +188,25 @@ mod tests {
             })
             .collect();
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn non_finite_times_are_refused_before_anything_runs() {
+        let ping = |at| Scenario::new().at(at, 0, "env", "ping", Value::Empty);
+        let mut engine = counting_engine();
+        for (scenario, t_end) in [
+            (ping(0.1), f64::NAN),
+            (ping(0.1), f64::INFINITY),
+            (ping(f64::NAN), 1.0),
+            (ping(0.1).at(f64::NEG_INFINITY, 0, "env", "ping", Value::Empty), 1.0),
+        ] {
+            let err = scenario.run(&mut engine, t_end).expect_err("refused");
+            assert_eq!(err.code(), "URT118", "{err}");
+            assert_eq!(engine.step_count(), 0, "{err}: no step taken");
+            assert_eq!(engine.controller().delivered_count(), 0, "{err}: nothing injected");
+        }
+        ping(0.1).run(&mut engine, 0.5).expect("the engine stays usable");
+        assert_eq!(engine.controller().delivered_count(), 1);
     }
 
     #[test]

@@ -2,91 +2,9 @@
 //!
 //! "Timing in UML-RT is unpredictable. In this paper, we introduce a Time
 //! stereotype, which is a continuous variable, can be used as simulation
-//! clock." Hybrid systems additionally need *superdense* time — at a
-//! discrete event the clock stands still while several event iterations
-//! run — so [`HybridTime`] pairs the real-valued instant with an epoch
-//! counter.
+//! clock."
 
-use std::cmp::Ordering;
-use std::fmt;
-
-/// A superdense time point: `(seconds, epoch)`.
-///
-/// Two hybrid times at the same real instant are ordered by epoch, which
-/// counts discrete event iterations at that instant.
-///
-/// # Examples
-///
-/// ```
-/// use urt_core::time::HybridTime;
-///
-/// let a = HybridTime::new(1.0);
-/// let b = a.next_epoch();
-/// assert!(b > a);
-/// assert_eq!(b.seconds(), 1.0);
-/// assert_eq!(b.epoch(), 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HybridTime {
-    seconds: f64,
-    epoch: u64,
-}
-
-impl HybridTime {
-    /// A time point at `seconds`, epoch 0.
-    pub fn new(seconds: f64) -> Self {
-        HybridTime { seconds, epoch: 0 }
-    }
-
-    /// The real-valued instant in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.seconds
-    }
-
-    /// The event-iteration counter at this instant.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advances by `dt` seconds, resetting the epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is negative or not finite.
-    pub fn advance(&self, dt: f64) -> HybridTime {
-        assert!(dt.is_finite() && dt >= 0.0, "dt must be finite and non-negative");
-        HybridTime { seconds: self.seconds + dt, epoch: 0 }
-    }
-
-    /// The next event iteration at the same instant.
-    pub fn next_epoch(&self) -> HybridTime {
-        HybridTime { seconds: self.seconds, epoch: self.epoch + 1 }
-    }
-
-    /// A time point at `seconds` with an explicit epoch.
-    pub fn with_epoch(seconds: f64, epoch: u64) -> Self {
-        HybridTime { seconds, epoch }
-    }
-}
-
-impl PartialOrd for HybridTime {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        match self.seconds.partial_cmp(&other.seconds)? {
-            Ordering::Equal => Some(self.epoch.cmp(&other.epoch)),
-            ord => Some(ord),
-        }
-    }
-}
-
-impl fmt::Display for HybridTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.epoch == 0 {
-            write!(f, "{}s", self.seconds)
-        } else {
-            write!(f, "{}s+{}", self.seconds, self.epoch)
-        }
-    }
-}
+use crate::error::CoreError;
 
 /// The continuous simulation clock driving the hybrid engine.
 ///
@@ -113,7 +31,6 @@ pub struct SimClock {
     /// Ticks in the current uniform run.
     run_steps: u64,
     step_count: u64,
-    epoch: u64,
 }
 
 impl SimClock {
@@ -124,12 +41,7 @@ impl SimClock {
 
     /// A clock starting at `t0` seconds.
     pub fn starting_at(t0: f64) -> Self {
-        SimClock { t0, base: 0.0, run_h: 0.0, run_steps: 0, step_count: 0, epoch: 0 }
-    }
-
-    /// The current hybrid time.
-    pub fn now(&self) -> HybridTime {
-        HybridTime::with_epoch(self.seconds(), self.epoch)
+        SimClock { t0, base: 0.0, run_h: 0.0, run_steps: 0, step_count: 0 }
     }
 
     /// Current time in seconds.
@@ -158,12 +70,6 @@ impl SimClock {
         self.run_h = h;
         self.run_steps += 1;
         self.step_count += 1;
-        self.epoch = 0;
-    }
-
-    /// Begins a discrete event iteration at the current instant.
-    pub fn event_iteration(&mut self) {
-        self.epoch += 1;
     }
 
     /// How far a tick-quantised timer scheduled every `period` seconds on
@@ -196,6 +102,16 @@ impl Default for SimClock {
     }
 }
 
+/// Refuses a time that is not a finite number with
+/// [`CoreError::NonFiniteTime`] (`URT118`); `what` names it.
+pub(crate) fn check_finite(what: &'static str, t: f64) -> Result<(), CoreError> {
+    if t.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::NonFiniteTime { what, value: t })
+    }
+}
+
 /// Number of whole macro steps of size `step` needed to reach `t_end`
 /// from instant `t`. Uses a *relative* tolerance so a step landing within
 /// rounding distance of `t_end` counts as having reached it — an absolute
@@ -212,38 +128,6 @@ pub(crate) fn steps_until(t: f64, t_end: f64, step: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hybrid_time_ordering() {
-        let a = HybridTime::new(1.0);
-        let b = HybridTime::new(2.0);
-        assert!(a < b);
-        let a1 = a.next_epoch();
-        assert!(a < a1);
-        assert!(a1 < b, "epoch never outranks real time");
-        assert_eq!(a1.next_epoch().epoch(), 2);
-    }
-
-    #[test]
-    fn advance_resets_epoch() {
-        let t = HybridTime::new(0.0).next_epoch().next_epoch();
-        assert_eq!(t.epoch(), 2);
-        let t2 = t.advance(0.5);
-        assert_eq!(t2.epoch(), 0);
-        assert_eq!(t2.seconds(), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn advance_rejects_negative() {
-        let _ = HybridTime::new(0.0).advance(-1.0);
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(HybridTime::new(1.5).to_string(), "1.5s");
-        assert_eq!(HybridTime::new(1.5).next_epoch().to_string(), "1.5s+1");
-    }
 
     #[test]
     fn clock_accumulates_exactly() {
@@ -286,17 +170,6 @@ mod tests {
         }
         assert_eq!(c.seconds(), 3.25);
         assert_eq!(c.step_count(), 7);
-    }
-
-    #[test]
-    fn clock_event_iterations() {
-        let mut c = SimClock::starting_at(2.0);
-        c.event_iteration();
-        c.event_iteration();
-        assert_eq!(c.now().epoch(), 2);
-        assert_eq!(c.seconds(), 2.0);
-        c.tick(0.1);
-        assert_eq!(c.now().epoch(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::any::Any;
 use std::fmt;
 use std::ops::Range;
 use urt_ode::events::{locate_first_crossing, ZeroCrossing};
-use urt_ode::solver::{ExplicitScheme, Rk4, Solver, SolverDriver};
+use urt_ode::solver::{ExplicitScheme, Rk4, Solver, SolverDriver, StepOutcome};
 use urt_ode::system::{BatchOdeSystem, FrozenInput, InputSystem, OdeSystem};
 use urt_ode::SolveError;
 use urt_umlrt::message::Message;
@@ -83,71 +83,68 @@ pub trait StreamerBehavior: Send {
         false
     }
 
-    /// Exposes this behaviour as a batchable ODE lane, or `None` for
-    /// behaviours that are not solver-backed. Ensemble execution uses
-    /// this hook to step a homogeneous row through one typed
-    /// [`OdeRowKernel`], whose [`Solver::step_batch`] call runs the
-    /// scheme over the row's lanes in blocks of four.
+    /// Exposes this behaviour as an ODE lane, or `None` for behaviours
+    /// that are not solver-backed. An engine offers each row of lanes to
+    /// its first lane's [`OdeLane::row_kernel`] once, right after
+    /// `initialize`; a row that gets a kernel steps through it, every
+    /// other row lane by lane through [`StreamerBehavior::advance`].
     fn as_ode_lane(&self) -> Option<&dyn OdeLane> {
         None
     }
 
-    /// Mutable counterpart of [`StreamerBehavior::as_ode_lane`] (state
-    /// write-back when a batched row hands its lanes back).
+    /// Retired hook: a batched row owns its lanes' state for good and
+    /// never hands it back, so no engine calls it and no library
+    /// behaviour overrides it. It stays, returning `None`, only because
+    /// the benchmark package's tracing wrapper (`perfbench/src/trace.rs`)
+    /// forwards it; remove it together with that forwarding.
     fn as_ode_lane_mut(&mut self) -> Option<&mut dyn OdeLane> {
         None
     }
 }
 
-/// A solver-backed behaviour viewed as one lane of a batched ODE step.
+/// A solver-backed behaviour viewed as one lane of a batched ODE row.
 ///
-/// The batched ensemble path gathers K lanes' states once into one
-/// instance-major buffer and from then on advances that buffer in place
-/// through an [`OdeRowKernel`] built by [`OdeLane::lane_row_kernel`].
-/// While the row is batched it is the lanes' source of truth: their
-/// [`StreamerBehavior::advance`] is not called and their drivers go
-/// stale, until [`OdeLane::lane_sync`] hands state and clock back when
-/// the row returns to per-lane stepping. The per-lane arithmetic is
-/// exactly the scalar [`StreamerBehavior::advance`] path, so lanes stay
-/// bit-identical to standalone runs.
-pub trait OdeLane {
-    /// Continuous state dimension.
-    fn lane_dim(&self) -> usize;
+/// The `Any` supertrait lets a lane's [`OdeLane::row_kernel`] downcast
+/// the other lanes of its row to its own concrete type and decide, from
+/// their full configuration, whether the row can step as one.
+pub trait OdeLane: Any {
+    /// Builds the kernel for the row `row` this lane heads (`row[0]` is
+    /// `self`), taking over the lanes' continuous state and solver clock
+    /// for good, or `None` when the row must step lane by lane through
+    /// [`StreamerBehavior::advance`]. Called once, right after every lane
+    /// was initialized; from then on the kernel is the lanes' only
+    /// state, and their own `advance` must not be called.
+    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>>;
+}
 
-    /// Nominal internal sub-step (the `substep` configuration).
-    fn lane_substep(&self) -> f64;
+/// A behaviour that hides its ODE lane, so its row steps lane by lane
+/// through [`StreamerBehavior::advance`]: the per-lane baseline a
+/// batched row is compared against. It forwards the dataflow surface
+/// only (no SPorts).
+pub struct PerLane(pub Box<dyn StreamerBehavior>);
 
-    /// Whether this lane is eligible for batched stepping: initialized,
-    /// guard-free, handler-free, and holding a solver with a true batched
-    /// kernel.
-    fn lane_batchable(&self) -> bool;
-
-    /// Current continuous state, or `None` before `initialize`.
-    fn lane_state(&self) -> Option<&[f64]>;
-
-    /// The lane's internal solver clock, or `None` before `initialize`.
-    ///
-    /// This is *not* always the macro-step boundary: the driver's
-    /// end-of-interval snap (`t_end - t <= resolution`) and the advance
-    /// loop's exit test (`t < t_end - resolution`) can disagree by one
-    /// rounding, leaving the clock a hair before `t_end`. The batched
-    /// path must resume from this exact value — the clamped final
-    /// sub-step of the next macro step depends on it bit-for-bit.
-    fn lane_time(&self) -> Option<f64>;
-
-    /// The lane's equations, for [`OdeLane::lane_row_kernel`] to downcast.
-    fn lane_system(&self) -> &dyn Any;
-
-    /// Builds the typed kernel for the row `row` this lane heads (`row[0]`
-    /// is `self`), or `None` when some lane's equations are of another
-    /// concrete type — the row then steps lane by lane through
-    /// [`StreamerBehavior::advance`]. Sound only for batchable lanes,
-    /// whose equations no signal handler can change after start.
-    fn lane_row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>>;
-
-    /// Takes the lane back from a batched row: state becomes `x`, clock
-    /// becomes `t` (the row's clock).
-    fn lane_sync(&mut self, t: f64, x: &[f64]) -> Result<(), SolveError>;
+impl StreamerBehavior for PerLane {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn input_width(&self) -> usize {
+        self.0.input_width()
+    }
+    fn output_width(&self) -> usize {
+        self.0.output_width()
+    }
+    fn direct_feedthrough(&self) -> bool {
+        self.0.direct_feedthrough()
+    }
+    fn initialize(&mut self, t0: f64) -> Result<(), SolveError> {
+        self.0.initialize(t0)
+    }
+    fn advance(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
+        self.0.advance(t, h, u, y)
+    }
+    fn set_param(&mut self, name: &str, value: f64) -> bool {
+        self.0.set_param(name, value)
+    }
 }
 
 /// Where each lane's slice sits in a dense instance-major array: lane
@@ -171,42 +168,32 @@ impl LaneSlots {
 }
 
 /// The K lanes of one ensemble streamer row as one kernel, monomorphised
-/// on the lanes' concrete system type: each call covers every lane with
-/// no per-lane dynamic dispatch.
-///
-/// `states` is instance-major (lane `i` at `[i * dim..(i + 1) * dim]`);
-/// lane `i`'s frozen input is `u[u_at.range(i)]`.
+/// on the lanes' concrete system type: it owns the lanes' instance-major
+/// continuous states and the row's solver clock, and each call covers
+/// every lane with no per-lane dynamic dispatch.
 pub trait OdeRowKernel: Send {
-    /// Advances every lane from `t` by one sub-step `h`.
+    /// Advances every lane to `t_end`, lane `i` under the frozen input
+    /// `u[u_at.range(i)]`, and writes its output `y_i = g(t_end, x_i,
+    /// u_i)` into `y[y_at.range(i)]`.
     ///
     /// # Errors
     ///
     /// Solver failures propagate as [`SolveError`].
-    fn step(
+    fn advance(
         &mut self,
-        t: f64,
-        h: f64,
-        states: &mut [f64],
-        u: &[f64],
-        u_at: LaneSlots,
-    ) -> Result<(), SolveError>;
-
-    /// Writes every lane's output `y_i = g(t, x_i, u_i)` into
-    /// `y[y_at.range(i)]`.
-    fn outputs(
-        &self,
-        t: f64,
-        states: &[f64],
+        t_end: f64,
         u: &[f64],
         u_at: LaneSlots,
         y: &mut [f64],
         y_at: LaneSlots,
-    );
+    ) -> Result<(), SolveError>;
 }
 
 /// The [`OdeRowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
-/// one clone of each lane's system (so per-lane parameters are kept) and
-/// one solver clone. The solver stays the strategy: each sub-step is one
+/// one clone of each lane's system (so per-lane parameters are kept), one
+/// solver clone, and one [`SolverDriver`] over all the lanes' stacked
+/// states, which gives each lane exactly the sub-step schedule its own
+/// driver would. The solver stays the strategy: each sub-step is one
 /// [`Solver::step_batch`] call over the row's K real lanes, which the
 /// explicit fixed-step schemes eligible for a row hand to
 /// `StackedLanes::step_lanes`, giving each lane its own system and
@@ -219,6 +206,9 @@ struct TypedRow<S> {
     systems: Vec<S>,
     dim: usize,
     solver: Box<dyn Solver + Send>,
+    /// The lanes' states, instance-major (lane `i` at `[i * dim..(i + 1)
+    /// * dim]`), and the row clock.
+    driver: SolverDriver,
 }
 
 /// A row's K lanes as one batch system: lane `i` is evaluated by its own
@@ -238,7 +228,7 @@ impl<S: InputSystem> OdeSystem for StackedLanes<'_, S> {
 
     /// A bare one-lane call cannot say which lane it is, so it is defined
     /// for a one-lane row only. The row's solver always has a batched
-    /// kernel ([`OdeLane::lane_batchable`]), which reaches the lanes
+    /// kernel ([`OdeLane::row_kernel`] checks), which reaches the lanes
     /// through `step_lanes` below instead.
     fn derivatives(&self, t: f64, x: &[f64], dx: &mut [f64]) {
         assert_eq!(self.systems.len(), 1, "a multi-lane row has no single-lane derivative");
@@ -265,30 +255,25 @@ impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {
 }
 
 impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
-    fn step(
+    fn advance(
         &mut self,
-        t: f64,
-        h: f64,
-        states: &mut [f64],
-        u: &[f64],
-        u_at: LaneSlots,
-    ) -> Result<(), SolveError> {
-        let sys = StackedLanes { systems: &self.systems, dim: self.dim, u, u_at };
-        self.solver.step_batch(&sys, t, states, self.dim, h)
-    }
-
-    fn outputs(
-        &self,
-        t: f64,
-        states: &[f64],
+        t_end: f64,
         u: &[f64],
         u_at: LaneSlots,
         y: &mut [f64],
         y_at: LaneSlots,
-    ) {
-        for (i, (system, x)) in self.systems.iter().zip(states.chunks_exact(self.dim)).enumerate() {
-            system.output(t, x, &u[u_at.range(i)], &mut y[y_at.range(i)]);
+    ) -> Result<(), SolveError> {
+        let TypedRow { systems, dim, solver, driver } = self;
+        let sys = StackedLanes { systems, dim: *dim, u, u_at };
+        // `step_batch` lands every lane exactly on `t + h`: a fixed step.
+        driver.advance_to_with(t_end, false, |t, states, h| {
+            solver.step_batch(&sys, t, states, *dim, h).map(|()| StepOutcome::fixed(h))
+        })?;
+        let states = driver.state().as_slice();
+        for (i, (system, x)) in systems.iter().zip(states.chunks_exact(*dim)).enumerate() {
+            system.output(t_end, x, &u[u_at.range(i)], &mut y[y_at.range(i)]);
         }
+        Ok(())
     }
 }
 
@@ -456,6 +441,8 @@ impl<S: InputSystem + Clone + Send + 'static> OdeStreamer<S> {
     }
 
     /// Current continuous state (initial state before `initialize`).
+    /// Once a row kernel has taken the lane over ([`OdeLane::row_kernel`]),
+    /// the kernel holds the live state and this stays where it was then.
     pub fn state(&self) -> &[f64] {
         self.driver.as_ref().map_or(&self.x0, |d| d.state().as_slice())
     }
@@ -494,10 +481,7 @@ impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S
             self.x_before.extend_from_slice(driver.state().as_slice());
         }
         let t_end = t + h;
-        let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
-        while driver.time() < t_end - resolution {
-            driver.advance(&frozen, self.solver.as_mut(), t_end)?;
-        }
+        driver.advance_to(&frozen, self.solver.as_mut(), t_end)?;
         // Zero-crossing check over the macro step.
         let x_after = driver.state().as_slice();
         for (i, guard) in self.guards.iter().enumerate() {
@@ -558,63 +542,46 @@ impl<S: InputSystem + Clone + Send + 'static> StreamerBehavior for OdeStreamer<S
     fn as_ode_lane(&self) -> Option<&dyn OdeLane> {
         Some(self)
     }
-
-    fn as_ode_lane_mut(&mut self) -> Option<&mut dyn OdeLane> {
-        Some(self)
-    }
 }
 
 impl<S: InputSystem + Clone + Send + 'static> OdeLane for OdeStreamer<S> {
-    fn lane_dim(&self) -> usize {
-        self.system.dim()
-    }
-
-    fn lane_substep(&self) -> f64 {
-        self.substep
-    }
-
-    fn lane_batchable(&self) -> bool {
-        // Guards would need per-sub-step crossing checks and handlers can
-        // mutate state and equations mid-run; both force the scalar path.
-        // The solver must expose a true batched kernel: the row kernel
-        // hands it the row's K lanes through `step_batch`, where a
-        // fixed-step scheme steps every lane exactly as alone (an
-        // adaptive step would couple the lanes' error control).
-        self.driver.is_some()
-            && self.guards.is_empty()
-            && self.handler.is_none()
-            && self.solver.has_batched_kernel()
-    }
-
-    fn lane_state(&self) -> Option<&[f64]> {
-        self.driver.as_ref().map(|d| d.state().as_slice())
-    }
-
-    fn lane_time(&self) -> Option<f64> {
-        self.driver.as_ref().map(|d| d.time())
-    }
-
-    fn lane_system(&self) -> &dyn Any {
-        &self.system
-    }
-
-    fn lane_row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>> {
-        let systems = row
-            .iter()
-            .map(|b| b.as_ode_lane()?.lane_system().downcast_ref::<S>().cloned())
-            .collect::<Option<Vec<S>>>()?;
+    /// Builds a typed row kernel when every lane is an initialized
+    /// `OdeStreamer<S>` of this lane's `dim` and substep (bit for bit),
+    /// with no guard or signal handler, whose solver has a true batched
+    /// kernel. Guards would need per-sub-step crossing checks, and a
+    /// handler can change state and equations mid-run; a fixed-step
+    /// batched kernel steps every lane exactly as alone, where an
+    /// adaptive step would couple the lanes' error control. The system
+    /// clones cannot go stale: `set_param` runs before `initialize`.
+    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>> {
+        let dim = self.system.dim();
+        let t0 = self.driver.as_ref()?.time();
+        if dim == 0 {
+            return None;
+        }
+        let mut systems = Vec::with_capacity(row.len());
+        let mut states = Vec::with_capacity(row.len() * dim);
+        for b in row {
+            let lane: &dyn Any = b.as_ode_lane()?;
+            let lane = lane.downcast_ref::<Self>()?;
+            let driver = lane.driver.as_ref()?;
+            if !lane.guards.is_empty()
+                || lane.handler.is_some()
+                || !lane.solver.has_batched_kernel()
+                || lane.system.dim() != dim
+                || lane.substep.to_bits() != self.substep.to_bits()
+            {
+                return None;
+            }
+            systems.push(lane.system.clone());
+            states.extend_from_slice(driver.state().as_slice());
+        }
         Some(Box::new(TypedRow {
             systems,
-            dim: self.system.dim(),
+            dim,
             solver: self.solver.clone_boxed()?,
+            driver: SolverDriver::new(t0, &states, self.substep).ok()?,
         }))
-    }
-
-    fn lane_sync(&mut self, t: f64, x: &[f64]) -> Result<(), SolveError> {
-        let driver = self.driver.as_mut().ok_or(SolveError::InvalidStep { step: t })?;
-        driver.state_mut().as_mut_slice().copy_from_slice(x);
-        driver.set_time(t);
-        Ok(())
     }
 }
 

@@ -167,7 +167,7 @@ fn advance_exact<S: Solver + ?Sized>(
     t_end: f64,
 ) -> Result<(), SolveError> {
     let mut cur = t;
-    let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
+    let resolution = crate::solver::resolution(t_end);
     let sub = (t_end - t) / 4.0;
     while t_end - cur > resolution {
         let step = sub.min(t_end - cur);

@@ -28,7 +28,8 @@ pub struct StepOutcome {
 }
 
 impl StepOutcome {
-    fn fixed(h: f64) -> Self {
+    /// An accepted fixed step of `h`, suggesting `h` again.
+    pub fn fixed(h: f64) -> Self {
         StepOutcome { accepted: true, h_taken: h, h_next: h, error_estimate: None }
     }
 }
@@ -935,14 +936,21 @@ fn resize(v: &mut StateVec, n: usize) {
 }
 
 /// Drives a solver across many steps, handling adaptive rejection and
-/// end-of-interval clamping. Used by [`crate::integrate`] and by the
-/// streamer executor in `urt-dataflow`.
+/// end-of-interval clamping. Used by [`crate::integrate`], by the
+/// streamer executor in `urt-dataflow` and by its batched ODE rows, which
+/// drive one over all their lanes' stacked states: the sub-step schedule
+/// exists only here.
 #[derive(Debug, Clone)]
 pub struct SolverDriver {
     t: f64,
     x: StateVec,
     h: f64,
     h_nominal: f64,
+}
+
+/// How close to `t_end` a clock counts as having reached it.
+pub(crate) fn resolution(t_end: f64) -> f64 {
+    4.0 * f64::EPSILON * t_end.abs().max(1.0)
 }
 
 impl SolverDriver {
@@ -973,13 +981,6 @@ impl SolverDriver {
         &mut self.x
     }
 
-    /// Overwrites the current time (for executors that integrate the
-    /// state out-of-band — e.g. a batched kernel — and re-synchronize
-    /// the driver afterwards).
-    pub fn set_time(&mut self, t: f64) {
-        self.t = t;
-    }
-
     /// Advances by one *accepted* step, never past `t_end`.
     ///
     /// When the remaining interval is below floating-point resolution the
@@ -996,9 +997,73 @@ impl SolverDriver {
         solver: &mut S,
         t_end: f64,
     ) -> Result<StepOutcome, SolveError> {
+        let adaptive = solver.is_adaptive();
+        self.advance_with(t_end, adaptive, &mut |t, x, h| solver.step(sys, t, x, h))
+    }
+
+    /// Advances through the whole interval to `t_end` (a macro-step
+    /// boundary) in accepted steps, stopping once the clock is within
+    /// resolution of `t_end`.
+    ///
+    /// The clock is *not* always left at `t_end`: the end snap inside a
+    /// step (`t_end - t <= resolution`) and this loop's exit test
+    /// (`t < t_end - resolution`) can disagree by one rounding, leaving
+    /// it a hair before. The next interval's clamped final step depends
+    /// on that value bit for bit, so a driver must be kept, not rebuilt,
+    /// across intervals.
+    ///
+    /// # Errors
+    ///
+    /// As [`SolverDriver::advance`].
+    pub fn advance_to<S: Solver + ?Sized>(
+        &mut self,
+        sys: &dyn OdeSystem,
+        solver: &mut S,
+        t_end: f64,
+    ) -> Result<(), SolveError> {
+        let adaptive = solver.is_adaptive();
+        self.advance_to_with(t_end, adaptive, |t, x, h| solver.step(sys, t, x, h))
+    }
+
+    /// [`SolverDriver::advance_to`] with the step given as a closure
+    /// `step(t, x, h)` over the driver's whole state, for a strategy that
+    /// is `adaptive` or not. A batched executor stacks many lanes in one
+    /// driver and steps them all per call, so every lane follows exactly
+    /// the schedule a scalar driver gives it alone.
+    ///
+    /// # Errors
+    ///
+    /// Any error `step` returns; also errors if an adaptive step is
+    /// rejected until underflow.
+    pub fn advance_to_with<F>(
+        &mut self,
+        t_end: f64,
+        adaptive: bool,
+        mut step: F,
+    ) -> Result<(), SolveError>
+    where
+        F: FnMut(f64, &mut [f64], f64) -> Result<StepOutcome, SolveError>,
+    {
+        let resolution = resolution(t_end);
+        while self.t < t_end - resolution {
+            self.advance_with(t_end, adaptive, &mut step)?;
+        }
+        Ok(())
+    }
+
+    /// One accepted step through `step` (see [`SolverDriver::advance`]).
+    fn advance_with<F>(
+        &mut self,
+        t_end: f64,
+        adaptive: bool,
+        step: &mut F,
+    ) -> Result<StepOutcome, SolveError>
+    where
+        F: FnMut(f64, &mut [f64], f64) -> Result<StepOutcome, SolveError>,
+    {
+        let resolution = resolution(t_end);
         loop {
             let remaining = t_end - self.t;
-            let resolution = 4.0 * f64::EPSILON * t_end.abs().max(1.0);
             if remaining <= resolution {
                 self.t = t_end;
                 return Ok(StepOutcome {
@@ -1011,20 +1076,16 @@ impl SolverDriver {
             // Fixed-step solvers always restart from the nominal step —
             // only adaptive solvers carry their own step suggestion, and a
             // clamped end-of-interval step must never poison it.
-            let h = if solver.is_adaptive() {
-                self.h.min(remaining)
-            } else {
-                self.h_nominal.min(remaining)
-            };
+            let h = if adaptive { self.h.min(remaining) } else { self.h_nominal.min(remaining) };
             let h = if h <= 0.0 { remaining } else { h };
-            let outcome = solver.step(sys, self.t, self.x.as_mut_slice(), h)?;
+            let outcome = step(self.t, self.x.as_mut_slice(), h)?;
             if outcome.accepted {
                 self.t += outcome.h_taken;
                 // Snap when accumulation lands within resolution of t_end.
                 if t_end - self.t <= resolution {
                     self.t = t_end;
                 }
-                if solver.is_adaptive() && outcome.h_taken >= remaining.min(self.h) * 0.99 {
+                if adaptive && outcome.h_taken >= remaining.min(self.h) * 0.99 {
                     self.h = outcome.h_next.min(self.h_nominal * 10.0).max(1e-300);
                 }
                 return Ok(outcome);
@@ -1191,6 +1252,36 @@ mod tests {
     }
 
     #[test]
+    fn stacked_lanes_follow_the_scalar_driver_schedule() {
+        // Two lanes in one driver, stepped together through `step_batch`,
+        // land bit for bit where two scalar drivers do, macro step after
+        // macro step, although the substep divides no macro step.
+        let sys = HarmonicOscillator { omega: 1.3 };
+        let x0 = [1.0, 0.0, -0.5, 0.25];
+        let h = 0.0013;
+        let mut stacked = SolverDriver::new(0.0, &x0, h).unwrap();
+        let mut lanes =
+            [x0[..2].to_vec(), x0[2..].to_vec()].map(|x| SolverDriver::new(0.0, &x, h).unwrap());
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut solver = Rk4::new();
+        let mut t_end = 0.0;
+        for _ in 0..50 {
+            t_end += 0.01;
+            stacked
+                .advance_to_with(t_end, false, |t, x, h| {
+                    solver.step_batch(&sys, t, x, 2, h).map(|()| StepOutcome::fixed(h))
+                })
+                .unwrap();
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                lane.advance_to(&sys, &mut Rk4::new(), t_end).unwrap();
+                assert_eq!(stacked.time().to_bits(), lane.time().to_bits(), "clock at {t_end}");
+                let x = &stacked.state().as_slice()[i * 2..(i + 1) * 2];
+                assert_eq!(bits(x), bits(lane.state().as_slice()), "lane {i} at {t_end}");
+            }
+        }
+    }
+
+    #[test]
     fn clone_boxed_replicates_every_kind() {
         for kind in SolverKind::ALL {
             let proto = kind.create();
@@ -1250,13 +1341,6 @@ mod tests {
         assert!(SolverDriver::new(0.0, &[1.0], 0.0).is_err());
         assert!(SolverDriver::new(0.0, &[1.0], -1.0).is_err());
         assert!(SolverDriver::new(0.0, &[1.0], f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn driver_set_time_overwrites_the_clock() {
-        let mut driver = SolverDriver::new(0.0, &[1.0], 0.1).unwrap();
-        driver.set_time(2.5);
-        assert_eq!(driver.time(), 2.5);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl StateVec {
         self.0.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute component.
-    pub fn norm_inf(&self) -> f64 {
-        self.0.iter().fold(0.0, |m, a| m.max(a.abs()))
-    }
-
     /// Whether every component is finite.
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|a| a.is_finite())
@@ -254,7 +249,6 @@ mod tests {
     fn norms() {
         let v = StateVec::from_slice(&[3.0, -4.0]);
         assert!((v.norm() - 5.0).abs() < 1e-15);
-        assert_eq!(v.norm_inf(), 4.0);
     }
 
     #[test]

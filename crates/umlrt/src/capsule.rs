@@ -207,11 +207,6 @@ impl<D> SmCapsule<D> {
         &self.data
     }
 
-    /// Mutably borrows the capsule's extended state.
-    pub fn data_mut(&mut self) -> &mut D {
-        &mut self.data
-    }
-
     /// Borrows the underlying machine.
     pub fn machine(&self) -> &StateMachine<D> {
         &self.machine
@@ -287,8 +282,6 @@ mod tests {
         let msg = Message::new("inc", Value::Empty).with_port("p");
         cap.on_message(&msg, &mut ctx);
         assert_eq!(cap.data(), &11);
-        *cap.data_mut() = 0;
-        assert_eq!(cap.data(), &0);
     }
 
     #[test]

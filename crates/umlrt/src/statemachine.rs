@@ -246,18 +246,6 @@ impl<D> StateMachine<D> {
         &self.states[self.current].name
     }
 
-    /// Whether the machine is in `state`, directly or via a descendant.
-    pub fn is_in(&self, state: &str) -> bool {
-        let mut idx = Some(self.current);
-        while let Some(i) = idx {
-            if self.states[i].name == state {
-                return true;
-            }
-            idx = self.states[i].parent;
-        }
-        false
-    }
-
     /// Number of fired transitions (internal ones included).
     pub fn transition_count(&self) -> u64 {
         self.transition_count
@@ -860,14 +848,12 @@ mod tests {
         let mut c = ctx();
         m.start(&mut d, &mut c);
         assert_eq!(m.current_state(), "slow");
-        assert!(m.is_in("running"));
         // Child-level transition first.
         m.dispatch(&mut d, &msg("p", "faster"), &mut c);
         assert_eq!(m.current_state(), "fast");
         // Parent transition fires from any child.
         m.dispatch(&mut d, &msg("p", "stop"), &mut c);
         assert_eq!(m.current_state(), "stopped");
-        assert!(!m.is_in("running"));
     }
 
     #[test]
@@ -916,7 +902,6 @@ mod tests {
         // Parent must not be exited or re-entered for a sibling transition.
         assert!(d.0.is_empty(), "got {:?}", d.0);
         assert_eq!(m.current_state(), "b");
-        assert!(m.is_in("parent"));
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl TimerService {
     }
 
     /// Quantises an absolute due time up to the next tick boundary.
-    pub fn quantize(&self, due: f64) -> f64 {
+    fn quantize(&self, due: f64) -> f64 {
         if self.tick <= 0.0 {
             due
         } else {

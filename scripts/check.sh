@@ -85,6 +85,11 @@ if ! printf '%s\n' "$loc_out" | awk '
     exit 1
 fi
 
+# The A/B protocol builds two trees and runs for many minutes, so the
+# gate only checks that it parses.
+echo "==> sh -n scripts/ab.sh"
+sh -n scripts/ab.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -11,8 +11,12 @@
 //! parameters through [`VariantSpec`], an upstream-fed input width, a
 //! non-identity output map, the solver (Euler or RK4) and the thread
 //! policy. A row whose factory alternates between two concrete system
-//! types must fall back to per-lane stepping and still match. A lane
-//! that diverges must fail the row exactly as it fails alone.
+//! types or two substeps, or gives one instance a guard, must step lane
+//! by lane and still match. A lane that diverges must fail the row
+//! exactly as it fails alone.
+//!
+//! The per-lane side wraps each plant in [`PerLane`], which hides its
+//! ODE lane, so the row never gets a kernel.
 //!
 //! [`CONST_LANE_DIM`]: unified_rt::ode::solver::CONST_LANE_DIM
 
@@ -21,13 +25,14 @@ use std::sync::Arc;
 use unified_rt::analysis::compile;
 use unified_rt::core::elaborate::BehaviorRegistry;
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
-use unified_rt::core::ensemble::{EnsembleEngine, EnsembleKernel, VariantSpec};
+use unified_rt::core::ensemble::{EnsembleEngine, VariantSpec};
 use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
 use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
-use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, StreamerBehavior};
+use unified_rt::dataflow::streamer::{FnStreamer, OdeStreamer, PerLane, StreamerBehavior};
+use unified_rt::ode::events::{EventDirection, ZeroCrossing};
 use unified_rt::ode::rng::Pcg32;
 use unified_rt::ode::solver::{Solver, SolverKind, StepOutcome};
 use unified_rt::ode::system::{BatchOdeSystem, InputSystem, OdeSystem};
@@ -163,6 +168,15 @@ impl Solver for CountingSolver {
     }
 }
 
+/// Which side of the kernel comparison an ensemble runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kernel {
+    /// The plain model: an eligible row steps through its row kernel.
+    Batched,
+    /// Every plant wrapped in [`PerLane`]: the row steps lane by lane.
+    PerLane,
+}
+
 /// One generated row configuration.
 #[derive(Debug, Clone)]
 struct Case {
@@ -294,26 +308,30 @@ impl Case {
 
     /// Runs the `K`-instance ensemble under `kernel`; returns the recorder
     /// and the plant solver's call counts.
-    fn run_ensemble(&self, kernel: EnsembleKernel) -> (Recorder, Arc<Calls>) {
+    fn run_ensemble(&self, kernel: Kernel) -> (Recorder, Arc<Calls>) {
         let (mut ensemble, rec, calls) = self.ensemble(kernel);
         ensemble.run_until(T_END).expect("ensemble run");
         (rec, calls)
     }
 
     /// The `K`-instance ensemble under `kernel`, recorded, not yet run.
-    fn ensemble(&self, kernel: EnsembleKernel) -> (EnsembleEngine, Recorder, Arc<Calls>) {
+    fn ensemble(&self, kernel: Kernel) -> (EnsembleEngine, Recorder, Arc<Calls>) {
         let calls = Arc::new(Calls::default());
         let case = self.clone();
         let c = calls.clone();
         let (model, registry) = self.model(0, move || {
             let lane = &case.lanes[0];
-            Box::new(case.streamer(case.plant(lane.gain), &lane.x0, &c))
+            let plant: Box<dyn StreamerBehavior> =
+                Box::new(case.streamer(case.plant(lane.gain), &lane.x0, &c));
+            match kernel {
+                Kernel::Batched => plant,
+                Kernel::PerLane => Box::new(PerLane(plant)),
+            }
         });
         let compiled = compile(&model, registry).expect("typed-row model compiles");
         let config = EngineConfig { step: STEP, policy: self.policy };
         let mut ensemble =
             EnsembleEngine::from_variants(&compiled, &self.variants(), config).expect("ensemble");
-        ensemble.set_kernel(kernel);
         let rec = Recorder::new();
         ensemble.set_recorder(rec.clone());
         (ensemble, rec, calls)
@@ -406,10 +424,10 @@ fn typed_rows_match_standalone_engines_across_generated_shapes() {
             "case {index} (k={}, dim={}, in={}, out={}, {}, {})",
             case.k, case.dim, case.in_dim, case.out_dim, case.solver, case.policy
         );
-        let (typed, calls) = case.run_ensemble(EnsembleKernel::Batched);
+        let (typed, calls) = case.run_ensemble(Kernel::Batched);
         assert!(calls.batched.load(Ordering::Relaxed) > 0, "{what}: row ran its typed kernel");
         assert_eq!(calls.scalar.load(Ordering::Relaxed), 0, "{what}: no per-lane steps");
-        let (per_lane, calls) = case.run_ensemble(EnsembleKernel::PerLane);
+        let (per_lane, calls) = case.run_ensemble(Kernel::PerLane);
         assert_eq!(calls.batched.load(Ordering::Relaxed), 0, "{what}: per-lane axis");
         for i in 0..case.k {
             let standalone = case.run_standalone(i);
@@ -470,6 +488,85 @@ fn mixed_type_row_falls_back_to_per_lane_steps_and_still_matches() {
     }
 }
 
+/// Runs a six-instance row whose factory gives instance `i` the substep
+/// `lane(i).0` and, when `lane(i).1`, a guard, under both thread policies:
+/// the row must step lane by lane, never calling `step_batch`, and each
+/// instance must match a standalone engine with that instance's substep.
+fn assert_row_steps_per_lane(what: &str, lane: fn(&Case, usize) -> (f64, bool)) {
+    let mut rng = Pcg32::seed_from_u64(0x1A4E5);
+    let mut case = generate(&mut rng, 0);
+    case.k = 6;
+    case.solver = SolverKind::Rk4;
+    case.lanes = (0..case.k)
+        .map(|i| Lane { gain: 1.0 + 0.25 * i as f64, x0: vec![0.5; case.dim], drive: 1.0 })
+        .collect();
+    for policy in [ThreadPolicy::CurrentThread, ThreadPolicy::DedicatedThreads] {
+        case.policy = policy;
+        let calls = Arc::new(Calls::default());
+        // Factory calls made before the ensemble's own (compile-time
+        // checks) build instance 0's plant; the ensemble then calls the
+        // factory once per instance, in instance order.
+        let made = Arc::new(AtomicUsize::new(0));
+        let first = Arc::new(AtomicUsize::new(usize::MAX));
+        let (model, registry) = {
+            let (case, calls, made, first) =
+                (case.clone(), calls.clone(), made.clone(), first.clone());
+            case.clone().model(0, move || {
+                let n = made.fetch_add(1, Ordering::Relaxed);
+                let i = n.saturating_sub(first.load(Ordering::Relaxed));
+                let (substep, guarded) = lane(&case, i);
+                let base = &case.lanes[0];
+                let plant = Case { substep, ..case.clone() }.streamer(
+                    case.plant(base.gain),
+                    &base.x0,
+                    &calls,
+                );
+                if guarded {
+                    let guard = ZeroCrossing::new("up", EventDirection::Rising, |_t, x| x[0]);
+                    Box::new(plant.with_guard(guard))
+                } else {
+                    Box::new(plant)
+                }
+            })
+        };
+        let compiled = compile(&model, registry).expect("row model compiles");
+        first.store(made.load(Ordering::Relaxed), Ordering::Relaxed);
+        let config = EngineConfig { step: STEP, policy };
+        let mut ensemble =
+            EnsembleEngine::from_variants(&compiled, &case.variants(), config).expect("ensemble");
+        let rec = Recorder::new();
+        ensemble.set_recorder(rec.clone());
+        ensemble.run_until(T_END).expect("ensemble run");
+        let what = format!("{what}/{policy}");
+        assert_eq!(calls.batched.load(Ordering::Relaxed), 0, "{what}: no row kernel");
+        assert!(calls.scalar.load(Ordering::Relaxed) > 0, "{what}: stepped per lane");
+        for i in 0..case.k {
+            let standalone = Case { substep: lane(&case, i).0, ..case.clone() }.run_standalone(i);
+            for series in case.series() {
+                let name = EnsembleEngine::series_name(&series, i);
+                let label = format!("{what}/{name}");
+                assert_series_bit_identical(
+                    &rec.series(&name),
+                    &standalone.series(&series),
+                    &label,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_row_with_one_guarded_instance_steps_per_lane_and_still_matches() {
+    assert_row_steps_per_lane("guarded instance", |case, i| (case.substep, i == 2));
+}
+
+#[test]
+fn a_row_of_alternating_substeps_steps_per_lane_and_still_matches() {
+    assert_row_steps_per_lane("alternating substeps", |case, i| {
+        (if i % 2 == 0 { case.substep } else { 0.5 * case.substep }, false)
+    });
+}
+
 #[test]
 fn a_diverging_lane_fails_the_typed_row_as_it_fails_alone() {
     // Lane 3's negative gain makes `x' = 20000 x + ...` overflow within
@@ -505,7 +602,7 @@ fn a_diverging_lane_fails_the_typed_row_as_it_fails_alone() {
         assert!(matches!(expected, CoreError::Flow(_)), "{what}: {expected}");
         let failed_at = alone.step_count();
         assert!(failed_at < 100, "{what}: the lane failed inside the run");
-        for kernel in [EnsembleKernel::Batched, EnsembleKernel::PerLane] {
+        for kernel in [Kernel::Batched, Kernel::PerLane] {
             let (mut ensemble, _, calls) = case.ensemble(kernel);
             let err = ensemble.run_until(BLOWUP_END).expect_err("the row diverges");
             let label = format!("{what}/{kernel:?}");
@@ -513,7 +610,7 @@ fn a_diverging_lane_fails_the_typed_row_as_it_fails_alone() {
             assert_eq!(err.to_string(), expected.to_string(), "{label}: error text");
             assert_eq!(ensemble.step_count(), failed_at, "{label}: failed macro step");
             let batched = calls.batched.load(Ordering::Relaxed) > 0;
-            assert_eq!(batched, kernel == EnsembleKernel::Batched, "{label}: kernel used");
+            assert_eq!(batched, kernel == Kernel::Batched, "{label}: kernel used");
             for err in [
                 ensemble.run_until(2.0 * BLOWUP_END).expect_err("run_until after failure"),
                 ensemble.step_once().expect_err("step_once after failure"),
