@@ -5,16 +5,16 @@
 //! The paper's point is *one* model covering both the event-driven and
 //! the time-continuous half. This module closes the gap between the
 //! declarative model (what `urt-lint` and codegen consume) and the
-//! runtime (`StreamerNetwork` step plans + `Controller`): [`elaborate`]
+//! runtime ([`StepPlan`]s + [`Controller`]): [`elaborate`]
 //! resolves every name, port, flow, SPort link and probe **once**, at
 //! compile time, into dense integer ids, so the engine's hot path never
 //! compares strings or hashes keys. A [`CompiledSystem`] is the only way
 //! to build an engine.
 //!
 //! Since the artifact/instance split, elaboration output is a **pure
-//! plan**: lowered per-group topology tables and their validated
-//! [`StepPlan`]s, dense cross-flow, probe and link tables resolved
-//! against those plans, budgets, and the behaviour *factories* from the
+//! plan**: each group's validated [`StepPlan`], dense cross-flow, probe
+//! and link tables resolved against those plans, budgets, and the
+//! behaviour *factories* from the
 //! [`BehaviorRegistry`] — no live solver or capsule state. A stable
 //! content hash (canonical model rendering + registry shape, see
 //! [`crate::cache`]) identifies the artifact, so one `compile()` can be
@@ -34,26 +34,29 @@
 //!    called directly), [`validate_gate`] runs just the rules;
 //! 2. the streamer hierarchy is **flattened**: container streamers
 //!    (those owning sub-streamers, Figure 2) contribute no nodes, their
-//!    leaves become node plans of a flat [`StreamerNetwork`] per declared
-//!    solver thread, and capsule relay DPort chains (Figure 3) are
+//!    leaves become the nodes of one flat group per declared solver
+//!    thread, and capsule relay DPort chains (Figure 3) are
 //!    resolved to direct leaf-to-leaf flows; flows whose endpoints sit on
 //!    *different* declared threads are lowered into cross-group channel
 //!    entries (double-buffered, one-macro-step delay) instead of forcing
 //!    the threads to merge;
 //! 3. behaviours come from a [`BehaviorRegistry`] (streamer name →
 //!    [`StreamerBehavior`] factory, capsule name → [`Capsule`] factory);
-//!    elaboration performs one validation instantiation, cross-checking
-//!    every behaviour against the declared DPort widths and feedthrough
-//!    flag, and lowers each of its networks into the group's
-//!    [`StepPlan`] — so undriven inputs and feedthrough loops are refused
-//!    here, and a successfully elaborated artifact instantiates cleanly;
+//!    elaboration invokes every factory once, cross-checking each
+//!    behaviour against the declared DPort widths and feedthrough flag,
+//!    and lowers each group straight from the model with
+//!    [`StepPlan::lower`] — the one place the wiring rules (subset rule,
+//!    single writer, every input driven, no feedthrough loop) are
+//!    enforced — so a successfully elaborated artifact instantiates
+//!    cleanly;
 //! 4. against those plans, every cross-group flow is resolved to
 //!    `(from_group, out_offset, to_group, ext_offset, width)` — one into
 //!    a direct-feedthrough consumer is refused (`URT114`; the analyzer's
 //!    `URT207` names it ahead of time) — every SPort link to its
 //!    `(group, node, plan row)`, refusing a second link on one SPort
 //!    ([`CoreError::DuplicateSportLink`]), and every probe to its dense
-//!    output lane.
+//!    output lane. One capsule controller is built on the way, so a
+//!    machine spec that cannot be realised is refused here too.
 //!
 //! The result plugs into the engine via
 //! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled),
@@ -65,7 +68,8 @@ use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::{NodeId, StepPlan, StreamerNetwork};
+use urt_dataflow::graph::{NodeId, NodeShape, PortRef, StepPlan, StreamerNetwork};
+use urt_dataflow::port::{DPortSpec, Direction};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
 use urt_umlrt::controller::Controller;
@@ -191,37 +195,6 @@ pub(crate) struct CrossGroupFlow {
     pub(crate) width: usize,
 }
 
-/// One node of a group plan: the model streamer it realises and the
-/// declared feedthrough/DPorts to cross-check the behaviour against.
-/// Replayed in insertion order by
-/// [`CompiledSystem::instantiate`], which reproduces the artifact's dense
-/// [`NodeId`] assignment exactly.
-#[derive(Debug, Clone)]
-struct NodeSpec {
-    streamer: String,
-    feedthrough: bool,
-    in_ports: Vec<(String, FlowType)>,
-    out_ports: Vec<(String, FlowType)>,
-}
-
-/// One wiring operation of a group plan. Replayed in declaration order so
-/// instantiation reproduces the exact export-lane layout the cross-flow
-/// table was resolved against.
-#[derive(Debug, Clone)]
-enum WireOp {
-    Flow { from: NodeId, from_port: String, to: NodeId, to_port: String },
-    Export { node: NodeId, port: String },
-}
-
-/// The plan of one solver-thread group: nodes in [`NodeId`] order plus
-/// wiring in declaration order.
-#[derive(Debug, Clone)]
-struct GroupSpec {
-    name: String,
-    nodes: Vec<NodeSpec>,
-    wiring: Vec<WireOp>,
-}
-
 /// How one model capsule is realised at instantiation time, in controller
 /// insertion order.
 #[derive(Debug, Clone)]
@@ -235,8 +208,8 @@ enum CapsuleSpec {
 }
 
 /// The compiled form of a [`UnifiedModel`]: an **immutable artifact** —
-/// per-group topology plans and their validated [`StepPlan`]s, dense
-/// cross-flow/link/probe tables resolved against those plans, budgets and
+/// each group's validated [`StepPlan`], dense cross-flow/link/probe
+/// tables resolved against those plans, budgets and
 /// the behaviour factories — identified by a stable content hash.
 ///
 /// The artifact holds no live state.
@@ -247,15 +220,14 @@ enum CapsuleSpec {
 /// tables, so one compile (possibly shared through
 /// [`SystemCache`](crate::cache::SystemCache)) serves any number of
 /// engines. [`CompiledSystem::instantiate`] stamps out a fresh
-/// [`SystemInstance`] (solver networks + capsule controller) for driving
-/// the networks below the engine.
+/// [`SystemInstance`] (one [`StreamerNetwork`] per group + capsule
+/// controller) for driving the plans below the engine.
 pub struct CompiledSystem {
     model_name: String,
-    group_specs: Vec<GroupSpec>,
     capsule_specs: Vec<CapsuleSpec>,
     streamer_factories: HashMap<String, StreamerFactory>,
     capsule_factories: HashMap<String, CapsuleFactory>,
-    /// Per group, the plan of the validation instance's network.
+    /// Per group, the plan every engine runs.
     pub(crate) plans: Vec<StepPlan>,
     pub(crate) links: Vec<CompiledLink>,
     pub(crate) probes: Vec<CompiledProbe>,
@@ -270,7 +242,7 @@ impl fmt::Debug for CompiledSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledSystem")
             .field("model", &self.model_name)
-            .field("groups", &self.group_specs.len())
+            .field("groups", &self.plans.len())
             .field("capsules", &self.capsule_specs.len())
             .field("links", &self.links.len())
             .field("probes", &self.probes.len())
@@ -283,7 +255,7 @@ impl fmt::Debug for CompiledSystem {
 impl CompiledSystem {
     /// Number of streamer groups (one per declared solver thread).
     pub fn group_count(&self) -> usize {
-        self.group_specs.len()
+        self.plans.len()
     }
 
     /// Number of flows lowered into cross-group channels (each carries a
@@ -356,38 +328,18 @@ impl CompiledSystem {
         node: NodeId,
         instance: usize,
     ) -> Result<Box<dyn StreamerBehavior>, CoreError> {
-        let spec = &self.group_specs[group].nodes[node.index()];
-        let factory = self.streamer_factories.get(&spec.streamer);
-        let behavior = factory.expect("elaborate checks every placed streamer has a factory")();
-        let in_width: usize = spec.in_ports.iter().map(|(_, t)| t.width()).sum();
-        let out_width: usize = spec.out_ports.iter().map(|(_, t)| t.width()).sum();
-        if behavior.input_width() != in_width || behavior.output_width() != out_width {
-            return Err(elaborate_err(format!(
-                "streamer `{}`, instance {instance}: declared DPort widths {in_width}->{out_width} \
-                 but behaviour `{}` computes {}->{}",
-                spec.streamer,
-                behavior.name(),
-                behavior.input_width(),
-                behavior.output_width()
-            )));
-        }
-        if behavior.direct_feedthrough() != spec.feedthrough {
-            return Err(elaborate_err(format!(
-                "streamer `{}`, instance {instance}: model declares feedthrough={} but behaviour \
-                 `{}` reports {}",
-                spec.streamer,
-                spec.feedthrough,
-                behavior.name(),
-                behavior.direct_feedthrough()
-            )));
-        }
-        Ok(behavior)
+        let shape = self.plans[group].shape(node)?;
+        let factory = self.streamer_factories.get(&shape.name);
+        checked(
+            shape,
+            factory.expect("elaborate checks every placed streamer has a factory")(),
+            instance,
+        )
     }
 
-    /// Stamps out one live [`SystemInstance`]: invokes every behaviour
-    /// factory fresh, replays the group plans into [`StreamerNetwork`]s
-    /// (reproducing the artifact's dense node ids and export-lane
-    /// layout), and builds the capsule [`Controller`].
+    /// Stamps out one live [`SystemInstance`]: one [`StreamerNetwork`]
+    /// per group, running a clone of the group's plan over behaviours
+    /// fresh from their factories, plus the capsule [`Controller`].
     ///
     /// Two instances of one artifact are fully independent — no shared
     /// mutable state — and run bit-identically.
@@ -395,33 +347,18 @@ impl CompiledSystem {
     /// # Errors
     ///
     /// [`CoreError::Elaborate`] if a factory-produced behaviour disagrees
-    /// with the declared DPort widths or feedthrough flag, plus wiring
-    /// errors from the dataflow layer. [`elaborate`] performs one
-    /// validation instantiation, so a successfully compiled artifact
-    /// does not fail here.
+    /// with the declared DPort widths or feedthrough flag. [`elaborate`]
+    /// invokes every factory once, so a successfully compiled artifact
+    /// only fails here if a factory changes between calls.
     pub fn instantiate(&self) -> Result<SystemInstance, CoreError> {
-        let mut groups = Vec::with_capacity(self.group_specs.len());
-        for (gi, spec) in self.group_specs.iter().enumerate() {
-            let mut net = StreamerNetwork::new(spec.name.clone());
-            for (ni, node) in spec.nodes.iter().enumerate() {
-                let behavior = self.behavior(gi, NodeId::from_index(ni), 0)?;
-                let in_ports: Vec<(&str, FlowType)> =
-                    node.in_ports.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
-                let out_ports: Vec<(&str, FlowType)> =
-                    node.out_ports.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
-                net.add_streamer_boxed(behavior, &in_ports, &out_ports)?;
-            }
-            for op in &spec.wiring {
-                match op {
-                    WireOp::Flow { from, from_port, to, to_port } => {
-                        net.flow((*from, from_port.as_str()), (*to, to_port.as_str()))?;
-                    }
-                    WireOp::Export { node, port } => {
-                        net.export_input(*node, port)?;
-                    }
-                }
-            }
-            groups.push(net);
+        let mut groups = Vec::with_capacity(self.plans.len());
+        for (gi, plan) in self.plans.iter().enumerate() {
+            let rows = plan
+                .nodes()
+                .iter()
+                .map(|pn| self.behavior(gi, pn.node, 0))
+                .collect::<Result<_, _>>()?;
+            groups.push(StreamerNetwork::from_plan(plan.clone(), rows));
         }
         Ok(SystemInstance { groups, controller: self.controller()? })
     }
@@ -452,7 +389,7 @@ impl CompiledSystem {
 }
 
 /// One live realisation of a [`CompiledSystem`]: freshly instantiated
-/// behaviours wired into per-group [`StreamerNetwork`]s plus an
+/// behaviours running each group's plan in a [`StreamerNetwork`], plus an
 /// instantiated capsule [`Controller`]. Produced by
 /// [`CompiledSystem::instantiate`]; consumed by
 /// [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled)
@@ -575,15 +512,63 @@ fn elaborate_err(detail: String) -> CoreError {
     CoreError::Elaborate { detail }
 }
 
+/// The declared shape of leaf streamer `r`: its name, DPorts and
+/// feedthrough flag.
+fn node_shape(model: &UnifiedModel, r: StreamerRef) -> NodeShape {
+    let ports = |ps: &[(String, FlowType)], d: Direction| -> Vec<DPortSpec> {
+        ps.iter().map(|(n, t)| DPortSpec::new(n.as_str(), d, t.clone())).collect()
+    };
+    NodeShape {
+        name: model.streamer_name(r).unwrap_or("?").to_owned(),
+        in_ports: ports(model.streamer_in_dports(r), Direction::In),
+        out_ports: ports(model.streamer_out_dports(r), Direction::Out),
+        feedthrough: model.streamer_feedthrough(r),
+    }
+}
+
+/// `behavior`, made for `instance` of the streamer declared as `shape`,
+/// checked against the declared DPort widths and feedthrough flag.
+fn checked(
+    shape: &NodeShape,
+    behavior: Box<dyn StreamerBehavior>,
+    instance: usize,
+) -> Result<Box<dyn StreamerBehavior>, CoreError> {
+    let (in_width, out_width) = (shape.in_width(), shape.out_width());
+    if behavior.input_width() != in_width || behavior.output_width() != out_width {
+        return Err(elaborate_err(format!(
+            "streamer `{}`, instance {instance}: declared DPort widths {in_width}->{out_width} \
+             but behaviour `{}` computes {}->{}",
+            shape.name,
+            behavior.name(),
+            behavior.input_width(),
+            behavior.output_width()
+        )));
+    }
+    if behavior.direct_feedthrough() != shape.feedthrough {
+        return Err(elaborate_err(format!(
+            "streamer `{}`, instance {instance}: model declares feedthrough={} but behaviour \
+             `{}` reports {}",
+            shape.name,
+            shape.feedthrough,
+            behavior.name(),
+            behavior.direct_feedthrough()
+        )));
+    }
+    Ok(behavior)
+}
+
 /// Lowers `model` into a [`CompiledSystem`] artifact using `registry`
 /// for behaviours, after `gate` (the injected analysis stage) accepts
-/// it. One validation instantiation cross-checks every behaviour against
-/// its declaration and yields each group's [`StepPlan`], so
-/// [`CompiledSystem::instantiate`] cannot fail afterwards; the link,
-/// probe and channel tables are resolved against those plans.
+/// it. Every behaviour factory runs once, checked against its
+/// declaration, and each group is lowered straight from the model into
+/// its [`StepPlan`], so [`CompiledSystem::instantiate`] cannot fail
+/// afterwards; the link, probe and channel tables are resolved against
+/// those plans.
 ///
 /// See the [module docs](self) for the flattening and id-assignment
-/// rules.
+/// rules. The first error wins: the gate, then per group the factory
+/// checks and the wiring, then cross-group feedthrough, the controller,
+/// SPort links and probes.
 ///
 /// # Errors
 ///
@@ -594,9 +579,13 @@ fn elaborate_err(detail: String) -> CoreError {
 ///   width/feedthrough mismatch between declaration and behaviour, or
 ///   structure the executable form cannot realise (flows touching
 ///   container streamers, unresolvable relay chains, a cross-group flow
-///   into a direct-feedthrough consumer);
-/// * [`CoreError::Flow`] for a group whose network does not validate: an
-///   undriven input or a direct-feedthrough loop;
+///   into a direct-feedthrough consumer, a machine spec with an
+///   undeclared parent or no initial state);
+/// * [`CoreError::Rt`] for a machine spec the state-machine builder
+///   refuses;
+/// * [`CoreError::Flow`] for a group whose wiring [`StepPlan::lower`]
+///   refuses: an unknown port, a flow-type subset failure, a second
+///   writer, an undriven input or a direct-feedthrough loop;
 /// * [`CoreError::DuplicateSportLink`] if two SPort links claim the same
 ///   `(group, node, sport)`.
 pub fn elaborate(
@@ -723,19 +712,11 @@ pub fn elaborate(
     let roots: Vec<usize> =
         leaves.iter().map(|r| group_of_thread[&model.streamer_thread(*r)]).collect();
     // A pure event-driven model (no leaf streamers) gets zero groups.
-    let mut group_specs: Vec<GroupSpec> = group_of_thread
-        .keys()
-        .map(|tid| GroupSpec {
-            name: format!("{}-t{tid}", model.name()),
-            nodes: Vec::new(),
-            wiring: Vec::new(),
-        })
-        .collect();
+    let mut members: Vec<Vec<StreamerRef>> = vec![Vec::new(); group_of_thread.len()];
 
-    // --- plan leaf streamers -------------------------------------------
-    // Node ids are positional: instantiation replays the node list in
-    // order, so `NodeId::from_index(position)` is exactly the id
-    // `StreamerNetwork::add_streamer_boxed` will assign.
+    // --- place leaf streamers ------------------------------------------
+    // Node ids are positions in their group's member list, the node list
+    // `StepPlan::lower` lays out.
     let mut streamer_loc: BTreeMap<String, (usize, NodeId)> = BTreeMap::new();
     let mut loc_of: HashMap<StreamerRef, (usize, NodeId)> = HashMap::new();
     for (r, gid) in leaves.iter().zip(roots.iter()) {
@@ -743,47 +724,31 @@ pub fn elaborate(
         if !registry.streamers.contains_key(name) {
             return Err(elaborate_err(format!("no behaviour registered for streamer `{name}`")));
         }
-        let spec = &mut group_specs[*gid];
-        let node = NodeId::from_index(spec.nodes.len());
-        spec.nodes.push(NodeSpec {
-            streamer: name.to_owned(),
-            feedthrough: model.streamer_feedthrough(*r),
-            in_ports: model
-                .streamer_in_dports(*r)
-                .iter()
-                .map(|(n, t)| (n.clone(), t.clone()))
-                .collect(),
-            out_ports: model
-                .streamer_out_dports(*r)
-                .iter()
-                .map(|(n, t)| (n.clone(), t.clone()))
-                .collect(),
-        });
+        let node = NodeId::from_index(members[*gid].len());
+        members[*gid].push(*r);
         streamer_loc.insert(name.to_owned(), (*gid, node));
         loc_of.insert(*r, (*gid, node));
     }
 
-    // --- plan effective flows ------------------------------------------
-    // Same-group flows become in-network edges (zero-delay, ordered by
-    // the network's topological schedule). Cross-group flows become
-    // channel table entries: the consumer input is exported (so the
-    // engine can latch channel samples into it) and the engine backs the
-    // edge with a double-buffered channel — a deterministic one-step
-    // delay, which the analyzer's flow pass vets ahead of time.
-    let mut cross: Vec<&EffectiveFlow> = Vec::new();
+    // --- sort effective flows ------------------------------------------
+    // Same-group flows become in-plan gathers (zero-delay, ordered by the
+    // plan's topological schedule). Cross-group flows become channel
+    // table entries: the consumer input is exported (so the engine can
+    // latch channel samples into it) and the engine backs the edge with
+    // a double-buffered channel — a deterministic one-step delay, which
+    // the analyzer's flow pass vets ahead of time. Each cross flow keeps
+    // the index of its export.
+    let mut flows: Vec<Vec<(PortRef<'_>, PortRef<'_>)>> = vec![Vec::new(); members.len()];
+    let mut exports: Vec<Vec<PortRef<'_>>> = vec![Vec::new(); members.len()];
+    let mut cross: Vec<(&EffectiveFlow, usize)> = Vec::new();
     for f in &effective {
         let (gf, nf) = loc_of[&f.from];
         let (gt, nt) = loc_of[&f.to];
         if gf == gt {
-            group_specs[gf].wiring.push(WireOp::Flow {
-                from: nf,
-                from_port: f.from_port.clone(),
-                to: nt,
-                to_port: f.to_port.clone(),
-            });
+            flows[gf].push(((nf, f.from_port.as_str()), (nt, f.to_port.as_str())));
         } else {
-            group_specs[gt].wiring.push(WireOp::Export { node: nt, port: f.to_port.clone() });
-            cross.push(f);
+            cross.push((f, exports[gt].len()));
+            exports[gt].push((nt, f.to_port.as_str()));
         }
     }
 
@@ -806,36 +771,28 @@ pub fn elaborate(
         cap_of.insert(c, idx);
     }
 
-    let BehaviorRegistry { streamers, capsules } = registry;
-    let mut compiled = CompiledSystem {
-        model_name: model.name().to_owned(),
-        group_specs,
-        capsule_specs,
-        streamer_factories: streamers,
-        capsule_factories: capsules,
-        plans: Vec::new(),
-        links: Vec::new(),
-        probes: Vec::new(),
-        cross_flows: Vec::new(),
-        streamer_loc,
-        capsule_idx,
-        step_budget_ns: model.model_budget(),
-        content_hash,
-    };
-    // Validation instantiation: surfaces behaviour/declaration
-    // mismatches, wiring conflicts, undriven inputs, feedthrough loops
-    // and machine-spec errors *now*, so every later `instantiate()` on
-    // this artifact succeeds. Its plans are the ones every engine runs.
-    for net in compiled.instantiate()?.groups {
-        compiled.plans.push(net.into_plan()?.0);
+    // --- lower each group straight from the model -----------------------
+    // Every factory runs once, so a behaviour that disagrees with its
+    // declaration is refused now; then the lowering checks the group's
+    // wiring. Its plans are the ones every engine runs.
+    let mut plans = Vec::with_capacity(members.len());
+    let mut ext_offsets = Vec::with_capacity(members.len());
+    for ((nodes, flows), exports) in members.iter().zip(&flows).zip(&exports) {
+        let shapes: Vec<NodeShape> = nodes.iter().map(|&r| node_shape(model, r)).collect();
+        for shape in &shapes {
+            checked(shape, registry.streamers[&shape.name](), 0)?;
+        }
+        let (plan, ext) = StepPlan::lower(shapes, flows, exports)?;
+        plans.push(plan);
+        ext_offsets.push(ext);
     }
-    let plans = &compiled.plans;
 
     // --- resolve cross-group flows to dense lanes ----------------------
-    for f in cross {
+    let mut cross_flows = Vec::with_capacity(cross.len());
+    for (f, export) in cross {
         let (gf, nf) = loc_of[&f.from];
-        let (gt, nt) = loc_of[&f.to];
-        if plans[gt].node_feedthrough(nt)? {
+        let (gt, _) = loc_of[&f.to];
+        if model.streamer_feedthrough(f.to) {
             return Err(elaborate_err(format!(
                 "cross-group flow `{}`.`{}` -> `{}`.`{}`: the consumer declares direct \
                  feedthrough, which a one-macro-step channel cannot honour (URT207: keep both \
@@ -847,17 +804,34 @@ pub fn elaborate(
             )));
         }
         let (out_offset, src) = plans[gf].output_port(nf, &f.from_port)?;
-        let (dense_in, _) = plans[gt].input_port(nt, &f.to_port)?;
-        let ext_offset =
-            plans[gt].exported_offset(dense_in).expect("elaboration exports every channel input");
-        compiled.cross_flows.push(CrossGroupFlow {
+        cross_flows.push(CrossGroupFlow {
             from_group: gf,
             out_offset,
             to_group: gt,
-            ext_offset,
+            ext_offset: ext_offsets[gt][export],
             width: src.width(),
         });
     }
+
+    let BehaviorRegistry { streamers, capsules } = registry;
+    let mut compiled = CompiledSystem {
+        model_name: model.name().to_owned(),
+        capsule_specs,
+        streamer_factories: streamers,
+        capsule_factories: capsules,
+        plans,
+        links: Vec::new(),
+        probes: Vec::new(),
+        cross_flows,
+        streamer_loc,
+        capsule_idx,
+        step_budget_ns: model.model_budget(),
+        content_hash,
+    };
+    // One controller build surfaces machine-spec errors now, so every
+    // later controller built from this artifact succeeds.
+    compiled.controller()?;
+    let plans = &compiled.plans;
 
     // --- resolve SPort links to plan rows, refusing duplicates ---------
     let mut seen: HashSet<(usize, usize, &str)> = HashSet::new();
@@ -1145,6 +1119,89 @@ mod tests {
         let registry = BehaviorRegistry::new().streamer("a", echo("a")).streamer("c", echo("c"));
         let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
         assert_eq!(err.code(), "URT007", "{err}");
+    }
+
+    /// A non-feedthrough behaviour with `inputs` input lanes and one
+    /// output holding the step's start time.
+    struct Hold {
+        name: &'static str,
+        inputs: usize,
+    }
+
+    impl StreamerBehavior for Hold {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn input_width(&self) -> usize {
+            self.inputs
+        }
+        fn output_width(&self) -> usize {
+            1
+        }
+        fn direct_feedthrough(&self) -> bool {
+            false
+        }
+        fn advance(
+            &mut self,
+            t: f64,
+            _h: f64,
+            _u: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), urt_ode::SolveError> {
+            y[0] = t;
+            Ok(())
+        }
+    }
+
+    /// Non-feedthrough streamers `names`, each with one scalar output `y`,
+    /// and `g`, which also has one scalar input `u`; their refs, `g` last;
+    /// and their registry.
+    fn hold_model(names: &[&'static str]) -> (ModelBuilder, Vec<StreamerRef>, BehaviorRegistry) {
+        let mut b = ModelBuilder::new("m");
+        let mut refs = Vec::new();
+        let mut registry = BehaviorRegistry::new();
+        for &name in names.iter().chain(&["g"]) {
+            let s = b.streamer(name, "none");
+            refs.push(s);
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.streamer_feedthrough(s, false);
+            let inputs = usize::from(name == "g");
+            if inputs == 1 {
+                b.streamer_in(s, "u", FlowType::scalar());
+            }
+            registry = registry.streamer(name, move || Box::new(Hold { name, inputs }));
+        }
+        (b, refs, registry)
+    }
+
+    #[test]
+    fn second_writer_on_one_input_is_refused_at_compile_time() {
+        // Two flows into `g.u`: within one group, and with the first
+        // writer a cross-group channel, which exports the input.
+        for cross in [false, true] {
+            let (mut b, refs, registry) = hold_model(&["s1", "s2"]);
+            let [s1, s2, g] = refs[..] else { unreachable!() };
+            b.flow_between_streamers(s2, "y", g, "u");
+            b.flow_between_streamers(s1, "y", g, "u");
+            let mut model = b.build();
+            assert!(model.validate().is_ok(), "a second writer is no model rule");
+            if cross {
+                assert!(model.reassign_thread("s2", 1));
+            }
+            let err = elaborate(&model, registry, &validate_gate).unwrap_err();
+            assert_eq!(err.code(), "URT005", "cross = {cross}: {err}");
+            assert!(err.to_string().contains("`u` on `g`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn undriven_input_is_refused_at_compile_time() {
+        let (b, _, registry) = hold_model(&[]);
+        let model = b.build();
+        assert!(model.validate().is_ok(), "an undriven input is no model rule");
+        let err = elaborate(&model, registry, &validate_gate).unwrap_err();
+        assert_eq!(err.code(), "URT006", "{err}");
+        assert!(err.to_string().contains("`u` on `g` is unconnected"), "{err}");
     }
 
     #[test]

@@ -78,8 +78,8 @@ impl HybridEngine {
     ///
     /// [`CoreError::InvalidStep`] (URT116) if `config.step` is not
     /// positive and finite; [`CoreError::Elaborate`] (URT114) if a
-    /// factory's behaviour disagrees with its declaration (the artifact's
-    /// own validation instantiation passed, so only a factory that
+    /// factory's behaviour disagrees with its declaration (`elaborate`
+    /// checked one behaviour from every factory, so only a factory that
     /// changes between calls can).
     pub fn from_compiled(
         compiled: &CompiledSystem,

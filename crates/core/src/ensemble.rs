@@ -655,7 +655,7 @@ impl EnsembleEngine {
                             return Err(engine_err(format!(
                                 "variant {i}: streamer `{}` does not recognise parameter \
                                  `{param}`",
-                                plan.node_name(pn.node)?
+                                plan.shape(pn.node)?.name
                             )));
                         }
                     }
@@ -1274,8 +1274,8 @@ mod tests {
         let s = b.streamer("src", "none");
         b.streamer_out(s, "y", FlowType::scalar());
         b.probe(s, "y", "out");
-        // The validation instantiation and instance 0 get the declared
-        // width; every later call returns a two-lane behaviour.
+        // The compile-time check and instance 0 get the declared width;
+        // every later call returns a two-lane behaviour.
         let calls = AtomicUsize::new(0);
         let registry = BehaviorRegistry::new().streamer("src", move || {
             let width = if calls.fetch_add(1, Ordering::Relaxed) < 2 { 1 } else { 2 };

@@ -101,7 +101,7 @@ impl Stereotype {
         match self {
             Stereotype::Streamer => "urt_dataflow::streamer",
             Stereotype::DPort | Stereotype::SPort => "urt_dataflow::port",
-            Stereotype::Flow => "urt_dataflow::graph::StreamerNetwork::flow",
+            Stereotype::Flow => "urt_dataflow::graph::StepPlan::lower",
             Stereotype::Relay => "urt_core::elaborate::elaborate",
             Stereotype::FlowType => "urt_dataflow::flowtype",
             Stereotype::Solver => "urt_ode::solver",

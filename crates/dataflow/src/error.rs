@@ -1,4 +1,4 @@
-//! Errors raised while building, validating or executing streamer networks.
+//! Errors raised while lowering or executing streamer networks.
 
 use std::error::Error;
 use std::fmt;
@@ -50,15 +50,6 @@ pub enum FlowError {
         /// Names of nodes on the cycle.
         nodes: Vec<String>,
     },
-    /// A behaviour's declared width disagrees with its DPorts.
-    WidthMismatch {
-        /// Node name.
-        node: String,
-        /// Expected lane count (from ports).
-        expected: usize,
-        /// Width the behaviour declares.
-        found: usize,
-    },
     /// A duplicate name was used where uniqueness is required.
     DuplicateName {
         /// The duplicated name.
@@ -80,7 +71,6 @@ impl FlowError {
             FlowError::MultipleWriters { .. } => "URT005",
             FlowError::UnconnectedInput { .. } => "URT006",
             FlowError::AlgebraicLoop { .. } => "URT007",
-            FlowError::WidthMismatch { .. } => "URT008",
             FlowError::DuplicateName { .. } => "URT010",
             FlowError::Solve(_) => "URT011",
         }
@@ -106,9 +96,6 @@ impl fmt::Display for FlowError {
             }
             FlowError::AlgebraicLoop { nodes } => {
                 write!(f, "algebraic loop through {}", nodes.join(" -> "))
-            }
-            FlowError::WidthMismatch { node, expected, found } => {
-                write!(f, "streamer `{node}` declares width {found}, ports require {expected}")
             }
             FlowError::DuplicateName { name } => write!(f, "duplicate name `{name}`"),
             FlowError::Solve(e) => write!(f, "solver failure: {e}"),
@@ -159,7 +146,6 @@ mod tests {
             FlowError::MultipleWriters { node: "n".into(), port: "p".into() },
             FlowError::UnconnectedInput { node: "n".into(), port: "p".into() },
             FlowError::AlgebraicLoop { nodes: vec![] },
-            FlowError::WidthMismatch { node: "n".into(), expected: 1, found: 2 },
             FlowError::DuplicateName { name: "n".into() },
             FlowError::Solve(SolveError::InvalidStep { step: 0.0 }),
         ];

@@ -1,17 +1,17 @@
-//! Streamer networks: the builder of the paper's Figure 2 abstract
-//! syntax (streamers, typed flows, exported inputs), its validation, and
-//! the [`StepPlan`] it lowers into — the one dense schedule every macro
-//! step walks.
+//! Streamer networks: the one lowering of the paper's Figure 2 abstract
+//! syntax (declared streamer shapes, typed flows, exported inputs) into
+//! the [`StepPlan`] every macro step walks, with the wiring rules checked
+//! on the way, and [`StreamerNetwork`], the plan's `K = 1` runtime.
 
 use crate::error::FlowError;
-use crate::flowtype::FlowType;
-use crate::port::{DPortSpec, Direction};
+use crate::port::DPortSpec;
 use crate::streamer::StreamerBehavior;
 use std::collections::VecDeque;
 use std::fmt;
 use urt_umlrt::message::Message;
 
-/// Identifier of a streamer node within a network.
+/// Identifier of a streamer node within a plan: its position in the
+/// declared node list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(usize);
 
@@ -21,8 +21,9 @@ impl NodeId {
         self.0
     }
 
-    /// Reconstructs an id from a raw index (e.g. deserialised configs).
-    /// Validity is only checked when the id is used against a network.
+    /// Reconstructs an id from a raw index (e.g. a position in the node
+    /// list handed to [`StepPlan::lower`]). Validity is only checked when
+    /// the id is used against a plan.
     pub fn from_index(index: usize) -> Self {
         NodeId(index)
     }
@@ -33,6 +34,10 @@ impl fmt::Display for NodeId {
         write!(f, "n{}", self.0)
     }
 }
+
+/// A DPort of a plan node, `(node, port name)`: one end of a flow, or an
+/// exported input.
+pub type PortRef<'a> = (NodeId, &'a str);
 
 /// One lane copy of a [`StepPlan`], in *dense per-instance* coordinates:
 /// `len` lanes from offset `src` of one dense array to offset `dst` of
@@ -50,7 +55,7 @@ pub struct PlanCopy {
 /// One streamer row of a [`StepPlan`], in execution order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
-    /// The network node this row executes.
+    /// The node this row executes.
     pub node: NodeId,
     /// Offset of the node's input lanes in the dense input array.
     pub in_offset: usize,
@@ -66,6 +71,33 @@ pub struct PlanNode {
     pub gathers: Vec<PlanCopy>,
 }
 
+/// The declared shape of one streamer node: the input of
+/// [`StepPlan::lower`], kept in the plan so ports resolve against it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeShape {
+    /// Streamer name, unique within one plan.
+    pub name: String,
+    /// Input DPorts, in lane order.
+    pub in_ports: Vec<DPortSpec>,
+    /// Output DPorts, in lane order.
+    pub out_ports: Vec<DPortSpec>,
+    /// Declared direct feedthrough: only flows into a feedthrough node
+    /// order the rows.
+    pub feedthrough: bool,
+}
+
+impl NodeShape {
+    /// Total input lanes.
+    pub fn in_width(&self) -> usize {
+        self.in_ports.iter().map(DPortSpec::width).sum()
+    }
+
+    /// Total output lanes.
+    pub fn out_width(&self) -> usize {
+        self.out_ports.iter().map(DPortSpec::width).sum()
+    }
+}
+
 /// A validated, immutable execution schedule over *dense per-instance
 /// state arrays*: every node's input lanes are assigned a contiguous span
 /// of one flat input array (and likewise for outputs), flows become
@@ -77,11 +109,8 @@ pub struct PlanNode {
 /// step, paying the routing bookkeeping once instead of once per
 /// instance, and [`StreamerNetwork::step`] is its `K = 1` call.
 ///
-/// The plan also keeps each node's name, DPorts and feedthrough
-/// flag, so ports can be resolved against it after the network that
-/// produced it is gone.
-///
-/// Produced by [`StreamerNetwork::into_plan`].
+/// The plan also keeps each node's [`NodeShape`], so ports resolve
+/// against it. Produced by [`StepPlan::lower`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepPlan {
     nodes: Vec<PlanNode>,
@@ -89,48 +118,191 @@ pub struct StepPlan {
     in_width: usize,
     out_width: usize,
     ext_in_width: usize,
-    in_offsets: Vec<usize>,
     out_offsets: Vec<usize>,
     shapes: Vec<NodeShape>,
 }
 
-/// The structural half of one node, moved out of its network by
-/// [`StreamerNetwork::into_plan`].
-#[derive(Debug, Clone, PartialEq)]
-struct NodeShape {
-    name: String,
-    in_ports: Vec<DPortSpec>,
-    out_ports: Vec<DPortSpec>,
-    feedthrough: bool,
-}
-
-/// Lane offset and spec of the port called `port` among `ports`.
+/// Index, lane offset and spec of the port called `port` among `ports`.
 fn locate<'a>(
     ports: &'a [DPortSpec],
     node: &str,
     port: &str,
-) -> Result<(usize, &'a DPortSpec), FlowError> {
+) -> Result<(usize, usize, &'a DPortSpec), FlowError> {
     let mut offset = 0;
-    for p in ports {
+    for (i, p) in ports.iter().enumerate() {
         if p.name() == port {
-            return Ok((offset, p));
+            return Ok((i, offset, p));
         }
         offset += p.width();
     }
     Err(FlowError::UnknownPort { node: node.to_owned(), port: port.to_owned() })
 }
 
+/// Marks input `port` of `node` driven, refusing a second writer.
+fn claim(
+    driven: &mut [Vec<bool>],
+    node: NodeId,
+    port: usize,
+    shape: &NodeShape,
+) -> Result<(), FlowError> {
+    if std::mem::replace(&mut driven[node.0][port], true) {
+        return Err(FlowError::MultipleWriters {
+            node: shape.name.clone(),
+            port: shape.in_ports[port].name().to_owned(),
+        });
+    }
+    Ok(())
+}
+
 impl StepPlan {
+    /// Lowers declared node shapes, same-group flows
+    /// `((from, output port), (to, input port))` and exported inputs
+    /// `(node, input port)` into a plan. This is where the paper's
+    /// connection rules are enforced, checked in this order:
+    ///
+    /// 1. node names are unique ([`FlowError::DuplicateName`]);
+    /// 2. each flow, in order, runs from a known output DPort to a known
+    ///    input DPort ([`FlowError::UnknownNode`],
+    ///    [`FlowError::UnknownPort`]), its output flow type is a *subset*
+    ///    of its input flow type ([`FlowError::TypeMismatch`]), and its
+    ///    input has no other writer ([`FlowError::MultipleWriters`]);
+    /// 3. each export, in order, names a known input DPort with no other
+    ///    writer;
+    /// 4. every input DPort is driven, by a flow or an export
+    ///    ([`FlowError::UnconnectedInput`], the first in node and port
+    ///    order);
+    /// 5. direct-feedthrough cycles are refused as algebraic loops
+    ///    ([`FlowError::AlgebraicLoop`]).
+    ///
+    /// A relay — one flow duplicated into several similar flows — is
+    /// plain fan-out: one output DPort may feed any number of inputs.
+    ///
+    /// Node lanes sit at prefix-sum offsets in node order; rows follow a
+    /// feedthrough-aware topological order (Kahn's algorithm over the
+    /// flows into feedthrough nodes; integrator-like nodes may consume
+    /// last-step values), each row's gathers follow flow order, and the
+    /// exports take consecutive spans of the external input vector.
+    /// Returns the plan and, per export, its lane offset in that vector.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, as listed above.
+    pub fn lower(
+        shapes: Vec<NodeShape>,
+        flows: &[(PortRef<'_>, PortRef<'_>)],
+        exports: &[PortRef<'_>],
+    ) -> Result<(StepPlan, Vec<usize>), FlowError> {
+        for (i, s) in shapes.iter().enumerate() {
+            if shapes[..i].iter().any(|p| p.name == s.name) {
+                return Err(FlowError::DuplicateName { name: s.name.clone() });
+            }
+        }
+        let shape =
+            |node: NodeId| shapes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 });
+        let n = shapes.len();
+        let (mut in_offsets, mut out_offsets) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut in_width, mut out_width) = (0, 0);
+        for s in &shapes {
+            in_offsets.push(in_width);
+            out_offsets.push(out_width);
+            in_width += s.in_width();
+            out_width += s.out_width();
+        }
+        let mut driven: Vec<Vec<bool>> =
+            shapes.iter().map(|s| vec![false; s.in_ports.len()]).collect();
+
+        // Per flow: the consumer's index and its gather copy; per flow into
+        // a feedthrough consumer: an ordering edge.
+        let mut gathers = Vec::with_capacity(flows.len());
+        let mut indeg = vec![0usize; n];
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &((from, from_port), (to, to_port)) in flows {
+            let from_shape = shape(from)?;
+            let (_, src_lane, src) = locate(&from_shape.out_ports, &from_shape.name, from_port)?;
+            let to_shape = shape(to)?;
+            let (pi, dst_lane, dst) = locate(&to_shape.in_ports, &to_shape.name, to_port)?;
+            if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
+                return Err(FlowError::TypeMismatch {
+                    from: format!("{}.{from_port}", from_shape.name),
+                    to: format!("{}.{to_port}", to_shape.name),
+                    detail,
+                });
+            }
+            claim(&mut driven, to, pi, to_shape)?;
+            gathers.push((
+                to.0,
+                PlanCopy {
+                    src: out_offsets[from.0] + src_lane,
+                    dst: in_offsets[to.0] + dst_lane,
+                    len: src.width(),
+                },
+            ));
+            if to_shape.feedthrough && from != to {
+                adj[from.0].push(to.0);
+                indeg[to.0] += 1;
+            }
+        }
+
+        let mut ext_loads = Vec::with_capacity(exports.len());
+        let mut ext_in_width = 0;
+        for &(node, port) in exports {
+            let node_shape = shape(node)?;
+            let (pi, lane, spec) = locate(&node_shape.in_ports, &node_shape.name, port)?;
+            claim(&mut driven, node, pi, node_shape)?;
+            ext_loads.push(PlanCopy {
+                src: ext_in_width,
+                dst: in_offsets[node.0] + lane,
+                len: spec.width(),
+            });
+            ext_in_width += spec.width();
+        }
+
+        for (s, ports) in shapes.iter().zip(&driven) {
+            if let Some(pi) = ports.iter().position(|&d| !d) {
+                return Err(FlowError::UnconnectedInput {
+                    node: s.name.clone(),
+                    port: s.in_ports[pi].name().to_owned(),
+                });
+            }
+        }
+
+        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(u) = queue.pop_front() {
+            order.push(u);
+            for &v in &adj[u] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push_back(v);
+                }
+            }
+        }
+        if order.len() != n {
+            // Nodes with a leftover indegree sit on a feedthrough cycle.
+            let cycle = (0..n).filter(|&i| indeg[i] > 0).map(|i| shapes[i].name.clone());
+            return Err(FlowError::AlgebraicLoop { nodes: cycle.collect() });
+        }
+
+        let nodes = order
+            .into_iter()
+            .map(|i| PlanNode {
+                node: NodeId(i),
+                in_offset: in_offsets[i],
+                in_width: shapes[i].in_width(),
+                out_offset: out_offsets[i],
+                out_width: shapes[i].out_width(),
+                gathers: gathers.iter().filter(|(to, _)| *to == i).map(|&(_, c)| c).collect(),
+            })
+            .collect();
+        let ext_offsets = ext_loads.iter().map(|c| c.src).collect();
+        let plan =
+            StepPlan { nodes, ext_loads, in_width, out_width, ext_in_width, out_offsets, shapes };
+        Ok((plan, ext_offsets))
+    }
+
     /// Streamer rows in execution order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
-    }
-
-    /// Copies latching exported boundary inputs before the row loop:
-    /// `src` indexes the external input vector, `dst` the dense input
-    /// array.
-    pub fn ext_loads(&self) -> &[PlanCopy] {
-        &self.ext_loads
     }
 
     /// Total dense input lanes per instance.
@@ -146,12 +318,6 @@ impl StepPlan {
     /// Width of the external input vector the plan latches from.
     pub fn ext_in_width(&self) -> usize {
         self.ext_in_width
-    }
-
-    /// Offset of a node's output lanes in the dense output array, by raw
-    /// node index (`None` for an out-of-range index).
-    pub fn out_offset(&self, node: usize) -> Option<usize> {
-        self.out_offsets.get(node).copied()
     }
 
     /// One walk of the plan over `k` instance-major copies of the dense
@@ -197,26 +363,13 @@ impl StepPlan {
         Ok(())
     }
 
-    fn shape(&self, node: NodeId) -> Result<&NodeShape, FlowError> {
+    /// The declared shape of a node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn shape(&self, node: NodeId) -> Result<&NodeShape, FlowError> {
         self.shapes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    /// Node name lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn node_name(&self, node: NodeId) -> Result<&str, FlowError> {
-        Ok(&self.shape(node)?.name)
-    }
-
-    /// Whether a node has direct feedthrough.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn node_feedthrough(&self, node: NodeId) -> Result<bool, FlowError> {
-        Ok(self.shape(node)?.feedthrough)
     }
 
     /// Dense output-array offset and spec of an output DPort.
@@ -226,142 +379,51 @@ impl StepPlan {
     /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
     pub fn output_port(&self, node: NodeId, port: &str) -> Result<(usize, &DPortSpec), FlowError> {
         let shape = self.shape(node)?;
-        let (offset, spec) = locate(&shape.out_ports, &shape.name, port)?;
+        let (_, offset, spec) = locate(&shape.out_ports, &shape.name, port)?;
         Ok((self.out_offsets[node.0] + offset, spec))
     }
-
-    /// Dense input-array offset and spec of an input DPort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
-    pub fn input_port(&self, node: NodeId, port: &str) -> Result<(usize, &DPortSpec), FlowError> {
-        let shape = self.shape(node)?;
-        let (offset, spec) = locate(&shape.in_ports, &shape.name, port)?;
-        Ok((self.in_offsets[node.0] + offset, spec))
-    }
-
-    /// Offset inside the external input vector of the exported input whose
-    /// dense input-array offset is `dense_in` (`None` if that input is not
-    /// exported).
-    pub fn exported_offset(&self, dense_in: usize) -> Option<usize> {
-        self.ext_loads.iter().find(|c| c.dst == dense_in).map(|c| c.src)
-    }
 }
 
-struct Node {
-    name: String,
-    behavior: Box<dyn StreamerBehavior>,
-    in_ports: Vec<DPortSpec>,
-    out_ports: Vec<DPortSpec>,
-}
-
-impl Node {
-    fn in_port_offset(&self, port_idx: usize) -> usize {
-        self.in_ports[..port_idx].iter().map(DPortSpec::width).sum()
-    }
-
-    fn out_port_offset(&self, port_idx: usize) -> usize {
-        self.out_ports[..port_idx].iter().map(DPortSpec::width).sum()
-    }
-
-    fn in_width(&self) -> usize {
-        self.behavior.input_width()
-    }
-
-    fn out_width(&self) -> usize {
-        self.behavior.output_width()
-    }
-}
-
-/// A dataflow connection: `(node, output port index)` to
-/// `(node, input port index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Flow {
-    from_node: usize,
-    from_port: usize,
-    to_node: usize,
-    to_port: usize,
-}
-
-/// The builder of a network of streamers connected by typed flows.
-///
-/// See the crate-level example. The network enforces the paper's
-/// connection rules as it is built and validated:
-///
-/// 1. flows go from output DPorts to input DPorts;
-/// 2. the output flow type must be a *subset* of the input flow type;
-/// 3. each input DPort has exactly one writer;
-/// 4. direct-feedthrough cycles are rejected as algebraic loops.
-///
-/// A relay — one flow duplicated into several similar flows — is plain
-/// fan-out: one output DPort may feed any number of inputs.
-///
-/// [`StreamerNetwork::into_plan`] lowers the network into the
-/// [`StepPlan`] the engine runs. [`StreamerNetwork::step`] runs the same
-/// walk ([`StepPlan::replay`] at `K = 1`) in place, over dense arrays in
-/// the plan's layout.
+/// The `K = 1` runtime of a [`StepPlan`]: one behaviour per plan row,
+/// stepped in place over dense arrays in the plan's layout — each
+/// [`StreamerNetwork::step`] is one [`StepPlan::replay`] at `K = 1`.
+/// Exported inputs read zero lanes: their channels live in the engine.
 pub struct StreamerNetwork {
-    name: String,
-    nodes: Vec<Node>,
-    flows: Vec<Flow>,
-    /// Boundary inputs exported to a parent context: `(node, port index)`.
-    ext_inputs: Vec<(usize, usize)>,
-    /// The schedule [`StreamerNetwork::step`] walks; `None` until the
-    /// network validates and again after every topology change.
-    plan: Option<StepPlan>,
-    /// Dense input, output and external-input lanes in the plan's
-    /// node-index layout, grown as nodes and exports are added.
+    plan: StepPlan,
+    rows: Vec<Box<dyn StreamerBehavior>>,
     ins: Vec<f64>,
     outs: Vec<f64>,
     ext: Vec<f64>,
     time: f64,
-    initialized: bool,
     pending_signals: Vec<(NodeId, String, Message)>,
 }
 
 impl fmt::Debug for StreamerNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamerNetwork")
-            .field("name", &self.name)
-            .field("nodes", &self.nodes.len())
-            .field("flows", &self.flows.len())
+            .field("rows", &self.rows.len())
             .field("time", &self.time)
             .finish_non_exhaustive()
     }
 }
 
 impl StreamerNetwork {
-    /// Creates an empty network.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Runs `plan` over `rows`, its behaviours in plan-row order.
+    ///
+    /// # Panics
+    ///
+    /// If `rows` does not hold one behaviour per plan row.
+    pub fn from_plan(plan: StepPlan, rows: Vec<Box<dyn StreamerBehavior>>) -> Self {
+        assert_eq!(rows.len(), plan.nodes.len(), "one behaviour per plan row");
         StreamerNetwork {
-            name: name.into(),
-            nodes: Vec::new(),
-            flows: Vec::new(),
-            ext_inputs: Vec::new(),
-            plan: None,
-            ins: Vec::new(),
-            outs: Vec::new(),
-            ext: Vec::new(),
+            ins: vec![0.0; plan.in_width],
+            outs: vec![0.0; plan.out_width],
+            ext: vec![0.0; plan.ext_in_width],
+            plan,
+            rows,
             time: 0.0,
-            initialized: false,
             pending_signals: Vec::new(),
         }
-    }
-
-    /// Network name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of streamer nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
     }
 
     /// Current simulation time.
@@ -369,344 +431,31 @@ impl StreamerNetwork {
         self.time
     }
 
-    /// Drops the plan after a topology change; the next
-    /// [`StreamerNetwork::initialize`] validates again.
-    fn invalidate(&mut self) {
-        self.plan = None;
-        self.initialized = false;
-    }
-
-    /// Adds a streamer with the given input and output DPorts.
+    /// Initialises every behaviour at `t0`.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::DuplicateName`] if the behaviour name is taken.
-    /// * [`FlowError::WidthMismatch`] if the DPort lanes do not match the
-    ///   behaviour's declared widths.
-    pub fn add_streamer(
-        &mut self,
-        behavior: impl StreamerBehavior + 'static,
-        in_ports: &[(&str, FlowType)],
-        out_ports: &[(&str, FlowType)],
-    ) -> Result<NodeId, FlowError> {
-        self.add_streamer_boxed(Box::new(behavior), in_ports, out_ports)
-    }
-
-    /// Type-erased variant of [`StreamerNetwork::add_streamer`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamerNetwork::add_streamer`].
-    pub fn add_streamer_boxed(
-        &mut self,
-        behavior: Box<dyn StreamerBehavior>,
-        in_ports: &[(&str, FlowType)],
-        out_ports: &[(&str, FlowType)],
-    ) -> Result<NodeId, FlowError> {
-        let name = behavior.name().to_owned();
-        if self.nodes.iter().any(|n| n.name == name) {
-            return Err(FlowError::DuplicateName { name });
-        }
-        let ins: Vec<DPortSpec> =
-            in_ports.iter().map(|(n, t)| DPortSpec::new(*n, Direction::In, t.clone())).collect();
-        let outs: Vec<DPortSpec> =
-            out_ports.iter().map(|(n, t)| DPortSpec::new(*n, Direction::Out, t.clone())).collect();
-        let in_width: usize = ins.iter().map(DPortSpec::width).sum();
-        let out_width: usize = outs.iter().map(DPortSpec::width).sum();
-        if in_width != behavior.input_width() {
-            return Err(FlowError::WidthMismatch {
-                node: name,
-                expected: in_width,
-                found: behavior.input_width(),
-            });
-        }
-        if out_width != behavior.output_width() {
-            return Err(FlowError::WidthMismatch {
-                node: name,
-                expected: out_width,
-                found: behavior.output_width(),
-            });
-        }
-        self.nodes.push(Node { name, behavior, in_ports: ins, out_ports: outs });
-        self.ins.resize(self.ins.len() + in_width, 0.0);
-        self.outs.resize(self.outs.len() + out_width, 0.0);
-        self.invalidate();
-        Ok(NodeId(self.nodes.len() - 1))
-    }
-
-    /// Node name lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::UnknownNode`] for a bad id.
-    pub fn node_name(&self, node: NodeId) -> Result<&str, FlowError> {
-        self.nodes
-            .get(node.0)
-            .map(|n| n.name.as_str())
-            .ok_or(FlowError::UnknownNode { index: node.0 })
-    }
-
-    fn find_port(
-        &self,
-        node: NodeId,
-        port: &str,
-        direction: Direction,
-    ) -> Result<usize, FlowError> {
-        let n = self.nodes.get(node.0).ok_or(FlowError::UnknownNode { index: node.0 })?;
-        let ports = match direction {
-            Direction::In => &n.in_ports,
-            Direction::Out => &n.out_ports,
-        };
-        ports
-            .iter()
-            .position(|p| p.name() == port)
-            .ok_or_else(|| FlowError::UnknownPort { node: n.name.clone(), port: port.to_owned() })
-    }
-
-    /// Connects an output DPort to an input DPort, enforcing the paper's
-    /// subset rule and single-writer discipline. One output may feed any
-    /// number of inputs (the paper's relay: one flow duplicated into
-    /// similar flows).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
-    /// * [`FlowError::TypeMismatch`] if the output flow type is not a
-    ///   subset of the input flow type.
-    /// * [`FlowError::MultipleWriters`] if the input is already driven.
-    pub fn flow(&mut self, from: (NodeId, &str), to: (NodeId, &str)) -> Result<(), FlowError> {
-        let from_port = self.find_port(from.0, from.1, Direction::Out)?;
-        let to_port = self.find_port(to.0, to.1, Direction::In)?;
-        let src = &self.nodes[from.0 .0].out_ports[from_port];
-        let dst = &self.nodes[to.0 .0].in_ports[to_port];
-        if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
-            return Err(FlowError::TypeMismatch {
-                from: format!("{}.{}", self.nodes[from.0 .0].name, from.1),
-                to: format!("{}.{}", self.nodes[to.0 .0].name, to.1),
-                detail,
-            });
-        }
-        if self.flows.iter().any(|f| f.to_node == to.0 .0 && f.to_port == to_port) {
-            return Err(FlowError::MultipleWriters {
-                node: self.nodes[to.0 .0].name.clone(),
-                port: to.1.to_owned(),
-            });
-        }
-        self.flows.push(Flow { from_node: from.0 .0, from_port, to_node: to.0 .0, to_port });
-        self.invalidate();
-        Ok(())
-    }
-
-    /// Exports a node's input DPort to the parent context: in the engine
-    /// the port is fed by a cross-group channel through the plan's
-    /// external input vector ([`StepPlan::ext_loads`]). Returns the lane
-    /// offset inside that vector.
-    ///
-    /// # Errors
-    ///
-    /// * Unknown node/port errors.
-    /// * [`FlowError::MultipleWriters`] if the port is already driven.
-    pub fn export_input(&mut self, node: NodeId, port: &str) -> Result<usize, FlowError> {
-        let pi = self.find_port(node, port, Direction::In)?;
-        if self.flows.iter().any(|f| f.to_node == node.0 && f.to_port == pi)
-            || self.ext_inputs.contains(&(node.0, pi))
-        {
-            return Err(FlowError::MultipleWriters {
-                node: self.nodes[node.0].name.clone(),
-                port: port.to_owned(),
-            });
-        }
-        let offset = self.ext.len();
-        self.ext.resize(offset + self.nodes[node.0].in_ports[pi].width(), 0.0);
-        self.ext_inputs.push((node.0, pi));
-        self.invalidate();
-        Ok(offset)
-    }
-
-    /// Every input DPort driven by neither a flow nor an export.
-    fn unconnected_inputs(&self) -> impl Iterator<Item = FlowError> + '_ {
-        self.nodes.iter().enumerate().flat_map(move |(i, node)| {
-            node.in_ports
-                .iter()
-                .enumerate()
-                .filter(move |&(pi, _)| {
-                    !self.flows.iter().any(|f| f.to_node == i && f.to_port == pi)
-                        && !self.ext_inputs.contains(&(i, pi))
-                })
-                .map(move |(_, port)| FlowError::UnconnectedInput {
-                    node: node.name.clone(),
-                    port: port.name().to_owned(),
-                })
-        })
-    }
-
-    /// The execution order: every input driven, no algebraic loop.
-    fn checked_order(&self) -> Result<Vec<usize>, FlowError> {
-        if let Some(first) = self.unconnected_inputs().next() {
-            return Err(first);
-        }
-        let (order, indeg) = self.kahn();
-        if order.len() != self.nodes.len() {
-            let cycle: Vec<String> = (0..self.nodes.len())
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| self.nodes[i].name.clone())
-                .collect();
-            return Err(FlowError::AlgebraicLoop { nodes: cycle });
-        }
-        Ok(order)
-    }
-
-    /// Validates the whole network — every input driven (by a flow or an
-    /// export), no algebraic loops — and lays out the plan
-    /// [`StreamerNetwork::step`] walks.
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::UnconnectedInput`] for the first undriven input
-    ///   DPort.
-    /// * [`FlowError::AlgebraicLoop`] for a direct-feedthrough cycle.
-    pub fn validate(&mut self) -> Result<(), FlowError> {
-        self.plan = Some(self.layout(&self.checked_order()?));
-        Ok(())
-    }
-
-    /// Runs Kahn's algorithm over *feedthrough-relevant* edges: an edge
-    /// constrains order only if the downstream node has direct
-    /// feedthrough; integrator-like nodes may consume last-step values.
-    /// Returns `(order, leftover-indegrees)`; nodes with a positive
-    /// leftover indegree sit on a direct-feedthrough cycle.
-    fn kahn(&self) -> (Vec<usize>, Vec<usize>) {
-        let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for f in &self.flows {
-            if self.nodes[f.to_node].behavior.direct_feedthrough() && f.from_node != f.to_node {
-                adj[f.from_node].push(f.to_node);
-                indeg[f.to_node] += 1;
-            }
-        }
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push_back(v);
-                }
-            }
-        }
-        (order, indeg)
-    }
-
-    /// The routing half of the [`StepPlan`] for execution order `order`
-    /// (node shapes left empty; [`StreamerNetwork::into_plan`] moves them
-    /// in).
-    fn layout(&self, order: &[usize]) -> StepPlan {
-        // Dense per-instance layout: node i's buffers occupy contiguous
-        // spans at prefix-sum offsets, in node-index (not execution)
-        // order, so offsets are stable under re-planning.
-        let mut in_offsets = Vec::with_capacity(self.nodes.len());
-        let mut out_offsets = Vec::with_capacity(self.nodes.len());
-        let mut in_width = 0;
-        let mut out_width = 0;
-        for node in &self.nodes {
-            in_offsets.push(in_width);
-            out_offsets.push(out_width);
-            in_width += node.in_width();
-            out_width += node.out_width();
-        }
-
-        let mut ext_loads = Vec::with_capacity(self.ext_inputs.len());
-        let mut cursor = 0;
-        for &(n, p) in &self.ext_inputs {
-            let node = &self.nodes[n];
-            let w = node.in_ports[p].width();
-            ext_loads.push(PlanCopy {
-                src: cursor,
-                dst: in_offsets[n] + node.in_port_offset(p),
-                len: w,
-            });
-            cursor += w;
-        }
-
-        let nodes = order
-            .iter()
-            .map(|&i| {
-                let node = &self.nodes[i];
-                let gathers = self
-                    .flows
-                    .iter()
-                    .filter(|f| f.to_node == i)
-                    .map(|f| {
-                        let src_node = &self.nodes[f.from_node];
-                        PlanCopy {
-                            src: out_offsets[f.from_node] + src_node.out_port_offset(f.from_port),
-                            dst: in_offsets[i] + node.in_port_offset(f.to_port),
-                            len: src_node.out_ports[f.from_port].width(),
-                        }
-                    })
-                    .collect();
-                PlanNode {
-                    node: NodeId(i),
-                    in_offset: in_offsets[i],
-                    in_width: node.in_width(),
-                    out_offset: out_offsets[i],
-                    out_width: node.out_width(),
-                    gathers,
-                }
-            })
-            .collect();
-
-        StepPlan {
-            nodes,
-            ext_loads,
-            in_width,
-            out_width,
-            ext_in_width: cursor,
-            in_offsets,
-            out_offsets,
-            shapes: Vec::new(),
-        }
-    }
-
-    /// Initialises all behaviours at `t0`, validating first if the
-    /// topology changed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation and solver-initialisation failures.
+    /// Propagates solver-initialisation failures.
     pub fn initialize(&mut self, t0: f64) -> Result<(), FlowError> {
-        if self.plan.is_none() {
-            self.validate()?;
-        }
         self.time = t0;
-        for node in &mut self.nodes {
-            node.behavior.initialize(t0)?;
+        for b in &mut self.rows {
+            b.initialize(t0)?;
         }
-        self.initialized = true;
         Ok(())
     }
 
     /// Advances every streamer by `h` seconds — one [`StepPlan::replay`]
     /// at `K = 1` over the network's dense arrays — and collects emitted
-    /// SPort signals. Exported inputs read zero lanes: their channels
-    /// live in the engine.
+    /// SPort signals.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::Solve`] on solver failure; the time does not
-    ///   advance.
-    /// * Validation errors if the topology changed since `initialize`.
+    /// [`FlowError::Solve`] on solver failure; the time does not advance.
     pub fn step(&mut self, h: f64) -> Result<(), FlowError> {
-        if !self.initialized {
-            self.initialize(self.time)?;
-        }
-        let plan = self.plan.as_ref().expect("an initialized network has a plan");
         let t = self.time;
-        let (nodes, pending) = (&mut self.nodes, &mut self.pending_signals);
-        plan.replay(1, &self.ext, &mut self.ins, &mut self.outs, |_, pn, ins, outs| {
-            let b = &mut nodes[pn.node.0].behavior;
+        let (rows, pending) = (&mut self.rows, &mut self.pending_signals);
+        self.plan.replay(1, &self.ext, &mut self.ins, &mut self.outs, |r, pn, ins, outs| {
+            let b = &mut rows[r];
             b.advance(
                 t,
                 h,
@@ -728,38 +477,8 @@ impl StreamerNetwork {
     ///
     /// Returns [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
     pub fn output(&self, node: NodeId, port: &str) -> Result<&[f64], FlowError> {
-        let pi = self.find_port(node, port, Direction::Out)?;
-        let n = &self.nodes[node.0];
-        let off: usize =
-            self.nodes[..node.0].iter().map(Node::out_width).sum::<usize>() + n.out_port_offset(pi);
-        let w = n.out_ports[pi].width();
-        Ok(&self.outs[off..off + w])
-    }
-
-    /// Consumes the network into its dense-layout execution schedule (see
-    /// [`StepPlan`]) and its streamer behaviours, one per plan row, in
-    /// execution order. The nodes' names and ports move into the
-    /// plan, so nothing is cloned.
-    ///
-    /// # Errors
-    ///
-    /// The same structural errors as [`StreamerNetwork::validate`]:
-    /// undriven inputs and direct-feedthrough cycles.
-    pub fn into_plan(self) -> Result<(StepPlan, Vec<Box<dyn StreamerBehavior>>), FlowError> {
-        let order = self.checked_order()?;
-        let mut plan = self.layout(&order);
-        let mut behaviours = Vec::with_capacity(self.nodes.len());
-        for node in self.nodes {
-            plan.shapes.push(NodeShape {
-                feedthrough: node.behavior.direct_feedthrough(),
-                name: node.name,
-                in_ports: node.in_ports,
-                out_ports: node.out_ports,
-            });
-            behaviours.push(Some(node.behavior));
-        }
-        let rows = order.iter().filter_map(|&i| behaviours[i].take()).collect();
-        Ok((plan, rows))
+        let (offset, spec) = self.plan.output_port(node, port)?;
+        Ok(&self.outs[offset..offset + spec.width()])
     }
 
     /// Appends the signals behaviours emitted since the last drain to
@@ -773,163 +492,181 @@ impl StreamerNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowtype::Unit;
+    use crate::flowtype::{FlowType, Unit};
+    use crate::port::Direction;
     use crate::streamer::FnStreamer;
 
-    fn source(name: &str) -> impl StreamerBehavior {
-        FnStreamer::new(name, 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = t)
+    fn source(name: &str) -> Box<dyn StreamerBehavior> {
+        Box::new(FnStreamer::new(name, 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| y[0] = t))
     }
 
-    fn gain(name: &str, k: f64) -> impl StreamerBehavior {
-        FnStreamer::new(name, 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| y[0] = k * u[0])
+    fn gain(name: &str, k: f64) -> Box<dyn StreamerBehavior> {
+        Box::new(FnStreamer::new(name, 1, 1, move |_t, _h, u: &[f64], y: &mut [f64]| {
+            y[0] = k * u[0]
+        }))
     }
 
-    /// One scalar DPort `(name, type)`.
-    type Port = (&'static str, FlowType);
+    /// A node shape with the given DPorts.
+    fn shape(
+        name: &str,
+        ins: &[(&str, FlowType)],
+        outs: &[(&str, FlowType)],
+        feedthrough: bool,
+    ) -> NodeShape {
+        let ports = |ps: &[(&str, FlowType)], d| {
+            ps.iter().map(|(n, t)| DPortSpec::new(*n, d, t.clone())).collect()
+        };
+        NodeShape {
+            name: name.to_owned(),
+            in_ports: ports(ins, Direction::In),
+            out_ports: ports(outs, Direction::Out),
+            feedthrough,
+        }
+    }
 
-    fn scalar_io() -> ([Port; 1], [Port; 1]) {
-        ([("i", FlowType::scalar())], [("o", FlowType::scalar())])
+    /// A feedthrough node with one scalar input `i` and output `o`.
+    fn scalar_node(name: &str) -> NodeShape {
+        shape(name, &[("i", FlowType::scalar())], &[("o", FlowType::scalar())], true)
+    }
+
+    /// A node with one scalar output `o` and no inputs.
+    fn source_node(name: &str) -> NodeShape {
+        shape(name, &[], &[("o", FlowType::scalar())], true)
+    }
+
+    /// `n` as a node id.
+    fn id(n: usize) -> NodeId {
+        NodeId::from_index(n)
+    }
+
+    /// Lowers `shapes` and runs the plan over `behaviours`, given in node
+    /// order and moved into plan-row order.
+    fn network(
+        shapes: Vec<NodeShape>,
+        behaviours: Vec<Box<dyn StreamerBehavior>>,
+        flows: &[(PortRef<'_>, PortRef<'_>)],
+        exports: &[PortRef<'_>],
+    ) -> StreamerNetwork {
+        let (plan, _) = StepPlan::lower(shapes, flows, exports).unwrap();
+        let mut by_node: Vec<_> = behaviours.into_iter().map(Some).collect();
+        let rows = plan.nodes().iter().map(|pn| by_node[pn.node.index()].take().unwrap()).collect();
+        StreamerNetwork::from_plan(plan, rows)
     }
 
     #[test]
     fn build_and_step_chain() {
-        let mut net = StreamerNetwork::new("chain");
-        let s = net.add_streamer(source("src"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let (i, o) = scalar_io();
-        let g = net.add_streamer(gain("g", 3.0), &i, &o).unwrap();
-        net.flow((s, "o"), (g, "i")).unwrap();
-        net.validate().unwrap();
+        let mut net = network(
+            vec![source_node("src"), scalar_node("g")],
+            vec![source("src"), gain("g", 3.0)],
+            &[((id(0), "o"), (id(1), "i"))],
+            &[],
+        );
         net.initialize(0.0).unwrap();
         net.step(1.0).unwrap();
         net.step(1.0).unwrap();
         // Second step: src emitted t=1.0 (start-of-step time), gain saw it.
-        assert_eq!(net.output(g, "o").unwrap()[0], 3.0);
+        assert_eq!(net.output(id(1), "o").unwrap()[0], 3.0);
         assert_eq!(net.time(), 2.0);
-        assert_eq!(net.node_count(), 2);
-        assert_eq!(net.flow_count(), 1);
     }
 
     #[test]
     fn subset_rule_enforced_on_flow() {
-        let mut net = StreamerNetwork::new("t");
-        let a = net
-            .add_streamer(
-                FnStreamer::new("a", 0, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 1.0),
-                &[],
-                &[("o", FlowType::with_unit(Unit::Meter))],
-            )
-            .unwrap();
-        let b = net
-            .add_streamer(
-                gain("b", 1.0),
-                &[("i", FlowType::with_unit(Unit::Kelvin))],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        let err = net.flow((a, "o"), (b, "i")).unwrap_err();
-        assert!(matches!(err, FlowError::TypeMismatch { .. }));
+        let shapes = || {
+            vec![
+                shape("a", &[], &[("o", FlowType::with_unit(Unit::Meter))], true),
+                shape("b", &[("i", FlowType::with_unit(Unit::Kelvin))], &[], true),
+                shape("c", &[("i", FlowType::with_unit(Unit::Any))], &[], true),
+            ]
+        };
+        let into_c = ((id(0), "o"), (id(2), "i"));
+        let err =
+            StepPlan::lower(shapes(), &[into_c, ((id(0), "o"), (id(1), "i"))], &[]).unwrap_err();
+        assert!(
+            matches!(&err, FlowError::TypeMismatch { from, to, .. } if from == "a.o" && to == "b.i")
+        );
         // Any on the input side accepts.
-        let c = net
-            .add_streamer(
-                gain("c", 1.0),
-                &[("i", FlowType::with_unit(Unit::Any))],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap();
-        assert!(net.flow((a, "o"), (c, "i")).is_ok());
+        assert!(StepPlan::lower(shapes(), &[into_c], &[(id(1), "i")]).is_ok());
     }
 
     #[test]
     fn single_writer_enforced() {
-        let mut net = StreamerNetwork::new("t");
-        let a = net.add_streamer(source("a"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let b = net.add_streamer(source("b"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let (i, o) = scalar_io();
-        let g = net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
-        net.flow((a, "o"), (g, "i")).unwrap();
-        let err = net.flow((b, "o"), (g, "i")).unwrap_err();
+        let shapes = || vec![source_node("a"), source_node("b"), scalar_node("g")];
+        let (a, b) = (((id(0), "o"), (id(2), "i")), ((id(1), "o"), (id(2), "i")));
+        let err = StepPlan::lower(shapes(), &[a, b], &[]).unwrap_err();
+        assert!(
+            matches!(&err, FlowError::MultipleWriters { node, port } if node == "g" && port == "i")
+        );
+        // A flow and an export on one input are two writers too.
+        let err = StepPlan::lower(shapes(), &[a], &[(id(2), "i")]).unwrap_err();
         assert!(matches!(err, FlowError::MultipleWriters { .. }));
     }
 
     #[test]
     fn unconnected_input_rejected() {
-        let mut net = StreamerNetwork::new("t");
-        net.add_streamer(
-            FnStreamer::new("g2", 2, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 0.0),
+        let two_in = shape(
+            "g2",
             &[("i1", FlowType::scalar()), ("i2", FlowType::scalar())],
             &[("o", FlowType::scalar())],
-        )
-        .unwrap();
-        // validate fails on the first undriven input.
-        assert!(
-            matches!(net.validate(), Err(FlowError::UnconnectedInput { port, .. }) if port == "i1")
+            true,
         );
+        // The first undriven input, in node and port order.
+        let err = StepPlan::lower(vec![two_in], &[], &[]).unwrap_err();
+        assert!(matches!(err, FlowError::UnconnectedInput { port, .. } if port == "i1"));
     }
 
     #[test]
     fn export_rules_are_enforced() {
-        let mut net = StreamerNetwork::new("n");
-        let (i, o) = scalar_io();
-        let g = net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
-        assert_eq!(net.export_input(g, "i").unwrap(), 0);
+        let shapes = || vec![scalar_node("g"), scalar_node("h")];
+        // An exported input counts as driven; exports take consecutive
+        // spans of the external input vector.
+        let (plan, ext) = StepPlan::lower(shapes(), &[], &[(id(0), "i"), (id(1), "i")]).unwrap();
+        assert_eq!((ext, plan.ext_in_width()), (vec![0, 1], 2));
         // Double export = double driver.
-        assert!(matches!(net.export_input(g, "i"), Err(FlowError::MultipleWriters { .. })));
-        assert!(net.export_input(g, "ghost").is_err());
-        // An exported input counts as driven.
-        net.validate().unwrap();
-    }
-
-    #[test]
-    fn width_mismatch_rejected() {
-        let mut net = StreamerNetwork::new("t");
-        let err = net
-            .add_streamer(
-                gain("g", 1.0),
-                &[("i", FlowType::vector(2))],
-                &[("o", FlowType::scalar())],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FlowError::WidthMismatch { expected: 2, found: 1, .. }));
+        let err = StepPlan::lower(shapes(), &[], &[(id(0), "i"), (id(0), "i")]).unwrap_err();
+        assert!(matches!(err, FlowError::MultipleWriters { .. }));
+        let err = StepPlan::lower(shapes(), &[], &[(id(0), "ghost")]).unwrap_err();
+        assert!(matches!(err, FlowError::UnknownPort { port, .. } if port == "ghost"));
     }
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut net = StreamerNetwork::new("t");
-        net.add_streamer(source("x"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let err = net.add_streamer(source("x"), &[], &[("o", FlowType::scalar())]).unwrap_err();
-        assert!(matches!(err, FlowError::DuplicateName { .. }));
+        let err = StepPlan::lower(vec![source_node("x"), source_node("x")], &[], &[]).unwrap_err();
+        assert!(matches!(err, FlowError::DuplicateName { name } if name == "x"));
+    }
+
+    #[test]
+    fn flows_resolve_output_to_input_ports() {
+        // A reversed flow names an input as its source: an unknown port.
+        let shapes = || vec![scalar_node("a"), scalar_node("b")];
+        let err = StepPlan::lower(shapes(), &[((id(0), "i"), (id(1), "i"))], &[]).unwrap_err();
+        assert!(matches!(err, FlowError::UnknownPort { node, port } if node == "a" && port == "i"));
+        let err = StepPlan::lower(shapes(), &[((id(0), "o"), (id(1), "o"))], &[]).unwrap_err();
+        assert!(matches!(err, FlowError::UnknownPort { node, port } if node == "b" && port == "o"));
     }
 
     #[test]
     fn fan_out_duplicates_a_flow() {
         // The paper's relay: one flow duplicated into two similar flows.
-        let mut net = StreamerNetwork::new("t");
-        let s = net.add_streamer(source("s"), &[], &[("o", FlowType::scalar())]).unwrap();
-        let (i, o) = scalar_io();
-        let g1 = net.add_streamer(gain("g1", 2.0), &i, &o).unwrap();
-        let g2 = net.add_streamer(gain("g2", 5.0), &i, &o).unwrap();
-        net.flow((s, "o"), (g1, "i")).unwrap();
-        net.flow((s, "o"), (g2, "i")).unwrap();
+        let mut net = network(
+            vec![source_node("s"), scalar_node("g1"), scalar_node("g2")],
+            vec![source("s"), gain("g1", 2.0), gain("g2", 5.0)],
+            &[((id(0), "o"), (id(1), "i")), ((id(0), "o"), (id(2), "i"))],
+            &[],
+        );
         net.initialize(0.0).unwrap();
         net.step(1.0).unwrap();
         net.step(1.0).unwrap();
-        assert_eq!(net.output(g1, "o").unwrap()[0], 2.0);
-        assert_eq!(net.output(g2, "o").unwrap()[0], 5.0);
+        assert_eq!(net.output(id(1), "o").unwrap()[0], 2.0);
+        assert_eq!(net.output(id(2), "o").unwrap()[0], 5.0);
     }
 
     #[test]
     fn algebraic_loop_detected() {
-        let mut net = StreamerNetwork::new("t");
-        let (i, o) = scalar_io();
-        let a = net.add_streamer(gain("a", 1.0), &i, &o).unwrap();
-        let b = net.add_streamer(gain("b", 1.0), &i, &o).unwrap();
-        net.flow((a, "o"), (b, "i")).unwrap();
-        net.flow((b, "o"), (a, "i")).unwrap();
-        let err = net.validate().unwrap_err();
+        let flows = [((id(0), "o"), (id(1), "i")), ((id(1), "o"), (id(0), "i"))];
+        let err =
+            StepPlan::lower(vec![scalar_node("a"), scalar_node("b")], &flows, &[]).unwrap_err();
         match err {
-            FlowError::AlgebraicLoop { nodes } => {
-                assert_eq!(nodes.len(), 2);
-            }
+            FlowError::AlgebraicLoop { nodes } => assert_eq!(nodes, ["a", "b"]),
             other => panic!("expected algebraic loop, got {other}"),
         }
     }
@@ -965,18 +702,18 @@ mod tests {
                 Ok(())
             }
         }
-        let mut net = StreamerNetwork::new("t");
-        let (i, o) = scalar_io();
-        let a = net.add_streamer(gain("a", 0.5), &i, &o).unwrap();
-        let l = net.add_streamer(Lag { state: 1.0 }, &i, &o).unwrap();
-        net.flow((a, "o"), (l, "i")).unwrap();
-        net.flow((l, "o"), (a, "i")).unwrap();
-        net.validate().unwrap();
+        let lag = NodeShape { feedthrough: false, ..scalar_node("lag") };
+        let mut net = network(
+            vec![scalar_node("a"), lag],
+            vec![gain("a", 0.5), Box::new(Lag { state: 1.0 })],
+            &[((id(0), "o"), (id(1), "i")), ((id(1), "o"), (id(0), "i"))],
+            &[],
+        );
         net.initialize(0.0).unwrap();
         for _ in 0..10 {
             net.step(0.1).unwrap();
         }
-        assert!(net.output(l, "o").unwrap()[0].is_finite());
+        assert!(net.output(id(1), "o").unwrap()[0].is_finite());
     }
 
     #[test]
@@ -1015,8 +752,8 @@ mod tests {
                 std::mem::take(&mut self.emitted)
             }
         }
-        let mut net = StreamerNetwork::new("t");
-        let b = net.add_streamer(Beeper { n: 0, emitted: Vec::new() }, &[], &[]).unwrap();
+        let beeper = Box::new(Beeper { n: 0, emitted: Vec::new() });
+        let mut net = network(vec![shape("beeper", &[], &[], true)], vec![beeper], &[], &[]);
         net.initialize(0.0).unwrap();
         let mut buf = Vec::new();
         for step in 1..=3u64 {
@@ -1025,7 +762,7 @@ mod tests {
             net.drain_signals_into(&mut buf);
             assert_eq!(buf.len(), 1);
             let (node, sport, msg) = &buf[0];
-            assert_eq!(*node, b);
+            assert_eq!(*node, id(0));
             assert_eq!(sport, "ctl");
             assert_eq!(msg.value().as_real(), Some(step as f64));
         }
@@ -1036,48 +773,64 @@ mod tests {
 
     #[test]
     fn unknown_ids_error() {
-        let net = StreamerNetwork::new("t");
-        let bogus = NodeId(5);
-        assert!(matches!(net.node_name(bogus), Err(FlowError::UnknownNode { .. })));
-        assert!(net.output(bogus, "o").is_err());
+        let bogus = id(5);
+        let err = StepPlan::lower(vec![scalar_node("g")], &[((bogus, "o"), (id(0), "i"))], &[])
+            .unwrap_err();
+        assert!(matches!(err, FlowError::UnknownNode { index: 5 }));
+        let net = network(vec![source_node("s")], vec![source("s")], &[], &[]);
+        assert!(matches!(net.output(bogus, "o"), Err(FlowError::UnknownNode { .. })));
+        assert!(net.output(id(0), "ghost").is_err());
+    }
+
+    /// The declarations and behaviours of one plan, behaviours in node
+    /// order.
+    struct Parts {
+        shapes: Vec<NodeShape>,
+        flows: [(PortRef<'static>, PortRef<'static>); 4],
+        exports: [PortRef<'static>; 1],
+        behaviours: Vec<Box<dyn StreamerBehavior>>,
     }
 
     /// A fan-out source feeding two gains whose outputs meet again in a
     /// two-input node declared *before* them (so execution order differs
     /// from node order), plus a gain on an exported input: gathers,
-    /// fan-out, multi-input rows and ext loads in one topology. Returns
-    /// the network and `[sum, g1, g2, ext]`.
-    fn plan_fixture() -> (StreamerNetwork, [NodeId; 4]) {
+    /// fan-out, multi-input rows and ext loads in one topology. Node order
+    /// is `[sum, s, g1, g2, ext]`.
+    fn plan_parts() -> Parts {
         let scalar = FlowType::scalar;
-        let mut net = StreamerNetwork::new("plan");
-        let sum = net
-            .add_streamer(
-                FnStreamer::new("sum", 2, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
-                    y[0] = u[0] - 0.5 * u[1]
-                }),
-                &[("a", scalar()), ("b", scalar())],
-                &[("o", scalar())],
-            )
-            .unwrap();
-        let s = net
-            .add_streamer(
-                FnStreamer::new("s", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
-                    y[0] = (3.0 * t).sin() + 0.1
-                }),
-                &[],
-                &[("o", scalar())],
-            )
-            .unwrap();
-        let (i, o) = scalar_io();
-        let g1 = net.add_streamer(gain("g1", 2.0), &i, &o).unwrap();
-        let g2 = net.add_streamer(gain("g2", -3.0), &i, &o).unwrap();
-        let ext = net.add_streamer(gain("ext", 10.0), &i, &o).unwrap();
-        net.flow((s, "o"), (g1, "i")).unwrap();
-        net.flow((s, "o"), (g2, "i")).unwrap();
-        net.flow((g2, "o"), (sum, "b")).unwrap();
-        net.flow((g1, "o"), (sum, "a")).unwrap();
-        net.export_input(ext, "i").unwrap();
-        (net, [sum, g1, g2, ext])
+        let shapes = vec![
+            shape("sum", &[("a", scalar()), ("b", scalar())], &[("o", scalar())], true),
+            source_node("s"),
+            scalar_node("g1"),
+            scalar_node("g2"),
+            scalar_node("ext"),
+        ];
+        let (sum, s, g1, g2, ext) = (id(0), id(1), id(2), id(3), id(4));
+        let flows = [
+            ((s, "o"), (g1, "i")),
+            ((s, "o"), (g2, "i")),
+            ((g2, "o"), (sum, "b")),
+            ((g1, "o"), (sum, "a")),
+        ];
+        let behaviours: Vec<Box<dyn StreamerBehavior>> = vec![
+            Box::new(FnStreamer::new("sum", 2, 1, |_t, _h, u: &[f64], y: &mut [f64]| {
+                y[0] = u[0] - 0.5 * u[1]
+            })),
+            Box::new(FnStreamer::new("s", 0, 1, |t: f64, _h, _u: &[f64], y: &mut [f64]| {
+                y[0] = (3.0 * t).sin() + 0.1
+            })),
+            gain("g1", 2.0),
+            gain("g2", -3.0),
+            gain("ext", 10.0),
+        ];
+        Parts { shapes, flows, exports: [(ext, "i")], behaviours }
+    }
+
+    /// [`plan_parts`] as a runnable network, with the ids
+    /// `[sum, g1, g2, ext]`.
+    fn plan_fixture() -> (StreamerNetwork, [NodeId; 4]) {
+        let Parts { shapes, flows, exports, behaviours } = plan_parts();
+        (network(shapes, behaviours, &flows, &exports), [id(0), id(2), id(3), id(4)])
     }
 
     /// FNV-1a 64 over the little-endian bytes of `words`.
@@ -1113,8 +866,12 @@ mod tests {
 
     #[test]
     fn replay_latches_each_instances_external_inputs() {
-        let (net, [sum, g1, _, ext]) = plan_fixture();
-        let (plan, mut rows) = net.into_plan().unwrap();
+        let Parts { shapes, flows, exports, behaviours } = plan_parts();
+        let (sum, g1, ext) = (id(0), id(2), id(4));
+        let (plan, _) = StepPlan::lower(shapes, &flows, &exports).unwrap();
+        let mut by_node: Vec<_> = behaviours.into_iter().map(Some).collect();
+        let mut rows: Vec<_> =
+            plan.nodes().iter().map(|pn| by_node[pn.node.index()].take().unwrap()).collect();
         for b in &mut rows {
             b.initialize(0.0).unwrap();
         }
@@ -1150,35 +907,48 @@ mod tests {
 
     #[test]
     fn step_plan_rejects_invalid_topologies() {
-        let mut net = StreamerNetwork::new("bad");
-        let (i, o) = scalar_io();
-        net.add_streamer(gain("g", 1.0), &i, &o).unwrap();
-        assert!(matches!(net.into_plan(), Err(FlowError::UnconnectedInput { .. })));
+        let err = StepPlan::lower(vec![scalar_node("g")], &[], &[]).unwrap_err();
+        assert!(matches!(err, FlowError::UnconnectedInput { .. }));
     }
 
     #[test]
     fn plan_layout_is_dense_and_stable() {
-        let (net, [_, g1, _, ext]) = plan_fixture();
-        let node_count = net.node_count();
-        let (plan, rows) = net.into_plan().unwrap();
-        assert_eq!(plan.nodes().len(), node_count);
-        assert_eq!(rows.len(), node_count, "one behaviour per row");
-        assert_eq!(plan.ext_in_width(), 1);
-        assert_eq!(plan.ext_loads().len(), 1);
-        // Spans tile the dense arrays without overlap: total width equals
-        // the sum of node widths.
-        let in_sum: usize = plan.nodes().iter().map(|n| n.in_width).sum();
-        let out_sum: usize = plan.nodes().iter().map(|n| n.out_width).sum();
-        assert_eq!(plan.in_width(), in_sum);
-        assert_eq!(plan.out_width(), out_sum);
-        // Ports resolve against the plan once the network is gone.
+        let Parts { shapes, flows, exports, .. } = plan_parts();
+        let node_count = shapes.len();
+        let (plan, ext) = StepPlan::lower(shapes, &flows, &exports).unwrap();
+        let g1 = id(2);
+        assert_eq!(plan.nodes().len(), node_count, "one row per node");
+        assert_eq!((plan.ext_in_width(), ext), (1, vec![0]));
+        assert_eq!(plan.ext_loads, [PlanCopy { src: 0, dst: 4, len: 1 }]);
+        // Spans tile the dense arrays without overlap, in node order
+        // (input offsets 0, 2, 2, 3, 4; output offsets 0 to 4): total width
+        // equals the sum of node widths. Rows run in feedthrough-aware
+        // topological order, gathers in flow order.
+        assert_eq!((plan.in_width(), plan.out_width()), (5, 5));
+        let copy = |src, dst| PlanCopy { src, dst, len: 1 };
+        let row = |node, in_offset, in_width, out_offset, gathers| PlanNode {
+            node: id(node),
+            in_offset,
+            in_width,
+            out_offset,
+            out_width: 1,
+            gathers,
+        };
+        let expected = [
+            row(1, 2, 0, 1, vec![]),
+            row(4, 4, 1, 4, vec![]),
+            row(2, 2, 1, 2, vec![copy(1, 2)]),
+            row(3, 3, 1, 3, vec![copy(1, 3)]),
+            row(0, 0, 2, 0, vec![copy(3, 1), copy(2, 0)]),
+        ];
+        assert_eq!(plan.nodes(), expected);
+        // Ports resolve against the plan.
         let (dense, spec) = plan.output_port(g1, "o").unwrap();
-        assert_eq!((dense, spec.width()), (plan.out_offset(g1.index()).unwrap(), 1));
-        let (dense_in, _) = plan.input_port(ext, "i").unwrap();
-        assert_eq!(plan.exported_offset(dense_in), Some(0));
+        assert_eq!((dense, spec.width()), (2, 1));
         assert!(plan.output_port(g1, "ghost").is_err());
-        assert!(plan.node_name(NodeId(99)).is_err());
-        // Planning an identical network yields the identical plan.
-        assert_eq!(plan_fixture().0.into_plan().unwrap().0, plan);
+        assert!(plan.shape(id(99)).is_err());
+        // Lowering identical declarations yields the identical plan.
+        let Parts { shapes, flows, exports, .. } = plan_parts();
+        assert_eq!(StepPlan::lower(shapes, &flows, &exports).unwrap().0, plan);
     }
 }

@@ -6,19 +6,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+# --locked: a dependency edit must update Cargo.lock on purpose, never as a
+# side effect of a build (perfbench/Cargo.lock lists each workspace crate's
+# dependencies too).
+echo "==> cargo build --release --offline --locked"
+cargo build --release --offline --locked
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+echo "==> cargo test -q --offline --workspace --locked"
+cargo test -q --offline --workspace --locked
 
 # The benchmark package lives outside the workspace; building and testing
 # it here makes an engine API change that breaks it fail the gate.
-echo "==> perfbench: cargo build --release --offline"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> perfbench: cargo build --release --offline --locked"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench: cargo test -q --offline"
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+echo "==> perfbench: cargo test -q --offline --locked"
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 # The benchmark's own end-to-end gate: committed seed-1 checksums, the
 # sweep's edge instances against standalone runs, paced == free-running.

@@ -77,11 +77,14 @@ fn forbidden_containment_is_rejected_end_to_end() {
 
 #[test]
 fn subset_rule_is_consistent_between_model_and_network() {
-    use unified_rt::dataflow::graph::StreamerNetwork;
+    use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
+    use unified_rt::core::model::UnifiedModel;
     use unified_rt::dataflow::streamer::FnStreamer;
 
     // The same pair of types must be accepted (or rejected) by both the
-    // declarative model validation and the executable network wiring.
+    // declarative model validation and the lowering into a step plan,
+    // which a gate that accepts everything leaves as the only check.
+    let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
     let cases = [
         (FlowType::with_unit(Unit::Meter), FlowType::with_unit(Unit::Meter), true),
         (FlowType::with_unit(Unit::Meter), FlowType::with_unit(Unit::Any), true),
@@ -90,36 +93,32 @@ fn subset_rule_is_consistent_between_model_and_network() {
         (FlowType::vector(2), FlowType::vector(3), false),
     ];
     for (src, dst, expect_ok) in cases {
-        // Declarative.
         let mut b = ModelBuilder::new("m");
         let s1 = b.streamer("a", "rk4");
         let s2 = b.streamer("b", "rk4");
         b.streamer_out(s1, "y", src.clone());
         b.streamer_in(s2, "u", dst.clone());
         b.flow_between_streamers(s1, "y", s2, "u");
-        let decl_ok = b.build().validate().is_ok();
+        let model = b.build();
+
+        // Declarative.
+        let decl_ok = model.validate().is_ok();
 
         // Executable.
-        let w_src = src.width();
-        let w_dst = dst.width();
-        let mut net = StreamerNetwork::new("n");
-        let a = net
-            .add_streamer(
-                FnStreamer::new("a", 0, w_src, |_t, _h, _u, y: &mut [f64]| y.fill(0.0)),
-                &[],
-                &[("y", src.clone())],
-            )
-            .expect("a");
-        let bnode = net
-            .add_streamer(
-                FnStreamer::new("b", w_dst, 0, |_t, _h, _u, _y: &mut [f64]| {}),
-                &[("u", dst.clone())],
-                &[],
-            )
-            .expect("b");
-        let exec_ok = net.flow((a, "y"), (bnode, "u")).is_ok();
+        let (w_src, w_dst) = (src.width(), dst.width());
+        let registry = BehaviorRegistry::new()
+            .streamer("a", move || {
+                Box::new(FnStreamer::new("a", 0, w_src, |_t, _h, _u, y: &mut [f64]| y.fill(0.0)))
+            })
+            .streamer("b", move || {
+                Box::new(FnStreamer::new("b", w_dst, 0, |_t, _h, _u, _y: &mut [f64]| {}))
+            });
+        let exec = elaborate(&model, registry, &accept_all);
+        if let Err(e) = &exec {
+            assert_eq!(e.code(), "URT004", "executable: {src} -> {dst}: {e}");
+        }
 
         assert_eq!(decl_ok, expect_ok, "declarative: {src} -> {dst}");
-        assert_eq!(exec_ok, expect_ok, "executable: {src} -> {dst}");
+        assert_eq!(exec.is_ok(), expect_ok, "executable: {src} -> {dst}");
     }
 }
