@@ -72,8 +72,9 @@
 //! (hermetic, no registry deps) to `results/BENCH_engine.json` — the
 //! baseline future perf PRs are measured against. The binary also
 //! *self-asserts* invariants, exiting non-zero otherwise: the batched
-//! dedicated-threads path must not fall behind `k1` in aggregate
-//! (rendezvous amortization), the ensemble must not fall behind `K`
+//! dedicated-threads path must not fall behind `k1` at any workload and
+//! group count, judged by the median ratio over interleaved `k1`/`auto`
+//! pairs (rendezvous amortization), the ensemble must not fall behind `K`
 //! independent engines (SoA amortization), and paced runs must record
 //! zero misses at the generous budget (the budget is hundreds of
 //! milliseconds per 1 ms step precisely so OS descheduling cannot flake
@@ -369,18 +370,10 @@ fn compiled_engine(
     (engine, rec)
 }
 
-fn measure(
-    workload: Workload,
-    groups: usize,
-    policy: ThreadPolicy,
-    batch: &'static str,
-    steps: u64,
-    smoke: bool,
-) -> Measurement {
+/// Measures one `current-thread` configuration by its fastest window.
+fn measure(workload: Workload, groups: usize, steps: u64, smoke: bool) -> Measurement {
+    let policy = ThreadPolicy::CurrentThread;
     let (mut engine, rec) = compiled_engine(workload, groups, policy);
-    if batch == "k1" {
-        engine.set_max_batch(1);
-    }
     // Warm-up: spin up solver threads, fault in buffers, settle the cache.
     let warmup = (steps / 10).max(10);
     engine.run_until(warmup as f64 * STEP).expect("warm-up");
@@ -413,7 +406,7 @@ fn measure(
         workload: workload.name(),
         groups,
         policy,
-        batch,
+        batch: "n/a",
         steps: rep_steps,
         wall_ns,
         steps_per_sec,
@@ -523,19 +516,53 @@ struct AxisMeasurement {
 }
 
 /// The median over interleaved pairs of one side's rate against the
-/// other's, at one `(workload, K)`: the figure the ratio self-assertions
-/// judge.
+/// other's, at one `(workload, K)` (on the batch axis, `K` is the group
+/// count): the figure the ratio self-assertions judge.
 struct PairRatio {
     workload: &'static str,
     k: usize,
     median: f64,
 }
 
-/// One side of an A/B pair: the engines it advances each macro step,
-/// `K` instances in total, and the label it reports under.
+/// An engine one [`Side`] advances: an ensemble, or a single-instance
+/// engine under one batch setting.
+trait Stepped {
+    fn time(&self) -> f64;
+    fn run_until(&mut self, t_end: f64);
+    /// The `y0` probe series of the engine's last instance.
+    fn last_series(&self) -> String;
+}
+
+impl Stepped for EnsembleEngine {
+    fn time(&self) -> f64 {
+        EnsembleEngine::time(self)
+    }
+    fn run_until(&mut self, t_end: f64) {
+        EnsembleEngine::run_until(self, t_end).expect("measured run");
+    }
+    fn last_series(&self) -> String {
+        EnsembleEngine::series_name("y0", self.instances() - 1)
+    }
+}
+
+impl Stepped for HybridEngine {
+    fn time(&self) -> f64 {
+        HybridEngine::time(self)
+    }
+    fn run_until(&mut self, t_end: f64) {
+        HybridEngine::run_until(self, t_end).expect("measured run");
+    }
+    fn last_series(&self) -> String {
+        "y0".to_owned()
+    }
+}
+
+/// One side of an A/B pair: the engines it advances each macro step
+/// (`K` instances in total on the ensemble and kernel axes) and the
+/// label it reports under.
 struct Side {
     label: &'static str,
-    engines: Vec<(EnsembleEngine, Recorder)>,
+    engines: Vec<(Box<dyn Stepped>, Recorder)>,
 }
 
 impl Side {
@@ -548,11 +575,11 @@ impl Side {
         let start = Instant::now();
         for (engine, _) in &mut self.engines {
             let t0 = engine.time();
-            engine.run_until(t0 + steps as f64 * STEP).expect("measured run");
+            engine.run_until(t0 + steps as f64 * STEP);
         }
         let wall_ns = start.elapsed().as_nanos().max(1);
         for (engine, rec) in &self.engines {
-            let series = EnsembleEngine::series_name("y0", engine.instances() - 1);
+            let series = engine.last_series();
             assert_eq!(rec.series(&series).len() as u64, steps, "probes recorded every step");
         }
         wall_ns
@@ -622,11 +649,22 @@ fn ensemble_side(workload: EnsembleWorkload, mode: &'static str, k: usize) -> Si
         .expect("ensemble engine");
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
-        (engine, rec)
+        (Box::new(engine) as Box<dyn Stepped>, rec)
     };
     let engines =
         if mode == "ensemble" { vec![build(k)] } else { (0..k).map(|_| build(1)).collect() };
     Side { label: mode, engines }
+}
+
+/// One `dedicated-threads` engine on one side of the batch axis: `k1`
+/// rendezvouses with its workers every macro step (`set_max_batch(1)`),
+/// `auto` batches every step it can.
+fn batch_side(workload: Workload, groups: usize, batch: &'static str) -> Side {
+    let (mut engine, rec) = compiled_engine(workload, groups, ThreadPolicy::DedicatedThreads);
+    if batch == "k1" {
+        engine.set_max_batch(1);
+    }
+    Side { label: batch, engines: vec![(Box::new(engine), rec)] }
 }
 
 /// Workloads for the kernel axis. These must carry ODE lanes (a batched
@@ -671,7 +709,7 @@ fn kernel_side(workload: KernelWorkload, side: &'static str, k: usize) -> Side {
     .expect("kernel-axis ensemble engine");
     let rec = Recorder::new();
     engine.set_recorder(rec.clone());
-    Side { label: side, engines: vec![(engine, rec)] }
+    Side { label: side, engines: vec![(Box::new(engine), rec)] }
 }
 
 /// One row of the artifact/instance axis. The `instantiate_*` fields
@@ -839,8 +877,8 @@ fn render_json(
 /// streamer. The table's own fallback for unlisted solvers is twice the
 /// dearest measured solver — unknown means pessimistic, never free.
 fn emit_cost_table(path: &str) {
-    let fig2 = measure(Workload::Fig2, 1, ThreadPolicy::CurrentThread, "n/a", 20_000, false);
-    let vdp = measure(Workload::Vdp, 1, ThreadPolicy::CurrentThread, "n/a", 4_000, false);
+    let fig2 = measure(Workload::Fig2, 1, 20_000, false);
+    let vdp = measure(Workload::Vdp, 1, 4_000, false);
     let euler_ns = 1e9 / fig2.steps_per_sec / 3.0;
     let rk4_ns = 1e9 / vdp.steps_per_sec;
     let default_ns = 2.0 * euler_ns.max(rk4_ns);
@@ -890,7 +928,12 @@ fn main() {
         return;
     }
 
+    // Thread-policy axis: `current-thread` by its fastest window; under
+    // `dedicated-threads`, each group count is one interleaved pair, the
+    // per-step rendezvous (`k1`) the base and batching (`auto`) the side
+    // under test.
     let mut results = Vec::new();
+    let mut batch_ratios = Vec::new();
     for workload in [Workload::Fig2, Workload::Vdp, Workload::Chain] {
         let steps = match (workload, smoke) {
             (_, true) => 200,
@@ -898,24 +941,25 @@ fn main() {
             (Workload::Fig2 | Workload::Chain, false) => 20_000,
         };
         for groups in [1usize, 2, 4] {
-            results.push(measure(
-                workload,
+            results.push(measure(workload, groups, steps, smoke));
+            let (k1, auto, ratio) = measure_pair(
+                workload.name(),
                 groups,
-                ThreadPolicy::CurrentThread,
-                "n/a",
+                batch_side(workload, groups, "k1"),
+                batch_side(workload, groups, "auto"),
                 steps,
                 smoke,
-            ));
-            for batch in ["k1", "auto"] {
-                results.push(measure(
-                    workload,
-                    groups,
-                    ThreadPolicy::DedicatedThreads,
-                    batch,
-                    steps,
-                    smoke,
-                ));
-            }
+            );
+            results.extend([k1, auto].map(|m| Measurement {
+                workload: m.workload,
+                groups,
+                policy: ThreadPolicy::DedicatedThreads,
+                batch: m.side,
+                steps: m.steps,
+                wall_ns: m.wall_ns,
+                steps_per_sec: m.steps_per_sec,
+            }));
+            batch_ratios.push(ratio);
         }
     }
 
@@ -997,25 +1041,20 @@ fn main() {
     }
 
     // Self-assertion 1: amortizing the rendezvous must not make the
-    // dedicated-threads path slower than the per-step schedule. Smoke runs
-    // measure a few hundred steps on a possibly-shared box, so they get a
-    // 10% noise allowance; full runs are strict.
+    // dedicated-threads path slower than the per-step schedule, at any
+    // workload and group count, judged by the median pair ratio. Smoke
+    // runs measure a few hundred steps on a possibly-shared box, so they
+    // get a 10% noise allowance; full runs are strict.
     let tolerance = if smoke { 0.9 } else { 1.0 };
-    let throughput = |batch: &str| -> f64 {
-        results
-            .iter()
-            .filter(|m| m.policy == ThreadPolicy::DedicatedThreads && m.batch == batch)
-            .map(|m| m.steps_per_sec)
-            .sum()
-    };
-    let (auto_sps, k1_sps) = (throughput("auto"), throughput("k1"));
-    if auto_sps < k1_sps * tolerance {
-        eprintln!(
-            "bench_engine: batched dedicated-threads path is slower than K=1 \
-             ({auto_sps:.0} steps/s < {k1_sps:.0} steps/s aggregate) — \
-             rendezvous amortization regressed"
-        );
-        std::process::exit(1);
+    for r in &batch_ratios {
+        if r.median < tolerance {
+            eprintln!(
+                "bench_engine: batched dedicated-threads path is slower than K=1 on {}/{}g \
+                 (median pair ratio {:.3}) — rendezvous amortization regressed",
+                r.workload, r.k, r.median
+            );
+            std::process::exit(1);
+        }
     }
 
     // Self-assertion 2: at the largest common K, the SoA ensemble must
@@ -1093,6 +1132,11 @@ fn main() {
             "| {} | {} | {} | {} | {} | {:.0} |",
             m.workload, m.groups, m.policy, m.batch, m.steps, m.steps_per_sec
         );
+    }
+    println!();
+    println!("median pair ratio (dedicated-threads auto / k1):");
+    for r in &batch_ratios {
+        println!("- {} groups={}: {:.3}", r.workload, r.k, r.median);
     }
     let axes = [
         (

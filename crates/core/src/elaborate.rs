@@ -50,7 +50,9 @@
 //!    enforced — so a successfully elaborated artifact instantiates
 //!    cleanly;
 //! 4. against those plans, every cross-group flow is resolved to
-//!    `(from_group, out_offset, to_group, ext_offset, width)` — one into
+//!    `(from_group, out_offset, width, to_group, loads)`, the loads
+//!    landing the output's lanes field by field in the consumer's
+//!    external-input lanes ([`PlanCopy::for_flow`]) — one into
 //!    a direct-feedthrough consumer is refused (`URT114`; the analyzer's
 //!    `URT207` names it ahead of time) — every SPort link to its
 //!    `(group, node, plan row)`, refusing a second link on one SPort
@@ -67,8 +69,9 @@ use crate::error::CoreError;
 use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use urt_dataflow::error::FlowError;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::{NodeId, NodeShape, PortRef, StepPlan, StreamerNetwork};
+use urt_dataflow::graph::{NodeId, NodeShape, PlanCopy, PortRef, StepPlan, StreamerNetwork};
 use urt_dataflow::port::{DPortSpec, Direction};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
@@ -181,18 +184,21 @@ pub(crate) struct CompiledProbe {
     pub(crate) series: String,
 }
 
-/// One resolved cross-group flow: `width` lanes from dense output offset
-/// `out_offset` of one solver group into external-input offset
-/// `ext_offset` of a *different* group, carried by a double-buffered
-/// channel with a deterministic one-macro-step delay (the consumer reads
-/// the producer's previous step's sample; see [`crate::engine`]).
+/// One resolved cross-group flow: the `width` lanes of an output port at
+/// dense output offset `out_offset` of one solver group, carried by a
+/// double-buffered channel with a deterministic one-macro-step delay (the
+/// consumer reads the producer's previous step's sample; see
+/// [`crate::engine`]) into the external inputs of a *different* group.
+/// `loads` land the channel's lanes (`src`) in the consumer's external
+/// input lanes (`dst`) field by field, exactly as a same-group flow's
+/// gathers land them in the input port.
 #[derive(Debug, Clone)]
 pub(crate) struct CrossGroupFlow {
     pub(crate) from_group: usize,
     pub(crate) out_offset: usize,
-    pub(crate) to_group: usize,
-    pub(crate) ext_offset: usize,
     pub(crate) width: usize,
+    pub(crate) to_group: usize,
+    pub(crate) loads: Vec<PlanCopy>,
 }
 
 /// How one model capsule is realised at instantiation time, in controller
@@ -791,7 +797,7 @@ pub fn elaborate(
     let mut cross_flows = Vec::with_capacity(cross.len());
     for (f, export) in cross {
         let (gf, nf) = loc_of[&f.from];
-        let (gt, _) = loc_of[&f.to];
+        let (gt, nt) = loc_of[&f.to];
         if model.streamer_feedthrough(f.to) {
             return Err(elaborate_err(format!(
                 "cross-group flow `{}`.`{}` -> `{}`.`{}`: the consumer declares direct \
@@ -804,12 +810,29 @@ pub fn elaborate(
             )));
         }
         let (out_offset, src) = plans[gf].output_port(nf, &f.from_port)?;
+        let dst = plans[gt].shape(nt)?.in_ports.iter().find(|p| p.name() == f.to_port);
+        let dst = dst.expect("the lowering resolved every export");
+        // The lowering checks same-group flows only; the loads below rely
+        // on the subset rule too.
+        if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
+            return Err(FlowError::TypeMismatch {
+                from: format!("{}.{}", name_of(f.from), f.from_port),
+                to: format!("{}.{}", name_of(f.to), f.to_port),
+                detail,
+            }
+            .into());
+        }
+        let ext_offset = ext_offsets[gt][export];
+        let loads = PlanCopy::for_flow(src.flow_type(), dst.flow_type())
+            .into_iter()
+            .map(|c| PlanCopy { dst: ext_offset + c.dst, ..c })
+            .collect();
         cross_flows.push(CrossGroupFlow {
             from_group: gf,
             out_offset,
-            to_group: gt,
-            ext_offset: ext_offsets[gt][export],
             width: src.width(),
+            to_group: gt,
+            loads,
         });
     }
 
@@ -889,6 +912,7 @@ mod tests {
     use crate::model::ModelBuilder;
     use crate::recorder::Recorder;
     use crate::threading::ThreadPolicy;
+    use urt_dataflow::flowtype::Unit;
     use urt_dataflow::streamer::FnStreamer;
 
     fn two_stage_model() -> UnifiedModel {
@@ -1202,6 +1226,33 @@ mod tests {
         let err = elaborate(&model, registry, &validate_gate).unwrap_err();
         assert_eq!(err.code(), "URT006", "{err}");
         assert!(err.to_string().contains("`u` on `g` is unconnected"), "{err}");
+    }
+
+    #[test]
+    fn the_subset_rule_holds_for_cross_group_flows_under_any_gate() {
+        // The lowering checks same-group flows; elaboration checks the
+        // channels, whose loads lay the output out in the input's type.
+        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+        for cross in [false, true] {
+            let mut b = ModelBuilder::new("m");
+            let s = b.streamer("s", "none");
+            let g = b.streamer("g", "none");
+            b.streamer_out(s, "y", FlowType::with_unit(Unit::Meter));
+            b.streamer_in(g, "u", FlowType::with_unit(Unit::Kelvin));
+            b.streamer_out(g, "y", FlowType::scalar());
+            b.streamer_feedthrough(s, false);
+            b.streamer_feedthrough(g, false);
+            b.flow_between_streamers(s, "y", g, "u");
+            if cross {
+                b.assign_thread(g, 1);
+            }
+            let registry = BehaviorRegistry::new()
+                .streamer("s", || Box::new(Hold { name: "s", inputs: 0 }))
+                .streamer("g", || Box::new(Hold { name: "g", inputs: 1 }));
+            let err = elaborate(&b.build(), registry, &accept_all).unwrap_err();
+            assert_eq!(err.code(), "URT004", "cross = {cross}: {err}");
+            assert!(err.to_string().contains("`s.y` is not a subset of `g.u`"), "{err}");
+        }
     }
 
     #[test]

@@ -38,14 +38,15 @@
 //! what they emit is dropped every `DRAIN_CADENCE` (1024) macro steps and at
 //! the end of every public step call, paced cycle and threaded worker
 //! batch, so an unlinked emitter holds at most one cadence of signals. A
-//! batched row owns its lanes' continuous state and solver clock for
-//! good: at start, right after `initialize`, each row is offered to its
-//! first lane's [`OdeLane::row_kernel`](urt_dataflow::streamer::OdeLane::row_kernel),
+//! batched row owns its lanes' state (an ODE row's continuous states and
+//! solver clock, a closed-form row's closures) for good: at start, right
+//! after `initialize`, each row is offered to its first lane's
+//! [`OdeLane::row_kernel`](urt_dataflow::streamer::OdeLane::row_kernel),
 //! and a row that gets a kernel is stepped by one
-//! [`OdeRowKernel::advance`] per macro step from then on. Its lanes'
+//! [`RowKernel::advance`] per macro step from then on. Its lanes'
 //! `advance` is never called, so they emit nothing and are never drained
-//! per step. The sub-step schedule and the row clock live in the kernel,
-//! not here.
+//! per step. An ODE row's sub-step schedule and clock live in the
+//! kernel, not here.
 //!
 //! Recording a step takes no lock: each group writes the post-step
 //! instant and its probes' `K` instance values as one row of its
@@ -86,8 +87,8 @@ use crate::time::SimClock;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use urt_dataflow::graph::{NodeId, StepPlan};
-use urt_dataflow::streamer::{LaneSlots, OdeRowKernel, StreamerBehavior};
+use urt_dataflow::graph::{NodeId, PlanCopy, StepPlan};
+use urt_dataflow::streamer::{LaneSlots, RowKernel, StreamerBehavior};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
 
@@ -180,10 +181,13 @@ type Inbound = Vec<Vec<Message>>;
 /// One end of a cross-group channel, held by the group it touches.
 struct ChannelEnd {
     bufs: ChannelBufs,
-    /// Per-instance lane offset: into the dense output array at the
-    /// producer, into the external-input staging at the consumer.
-    offset: usize,
+    /// The channel's lanes per instance.
     width: usize,
+    /// Per-instance lane copies: from the dense output array into the
+    /// channel at the producer (one copy of the output port), from the
+    /// channel into the external-input staging at the consumer (one per
+    /// record field the input lays out elsewhere).
+    copies: Vec<PlanCopy>,
 }
 
 /// A probe on the first lane of an output DPort, recorded per instance.
@@ -301,7 +305,7 @@ struct GroupState {
     /// `batch_rows[r]` is the kernel that owns the `r`-th streamer row's
     /// lanes, `None` for a row that steps lane by lane. Built once at
     /// start, right after `initialize`.
-    batch_rows: Vec<Option<Box<dyn OdeRowKernel>>>,
+    batch_rows: Vec<Option<Box<dyn RowKernel>>>,
     /// Dense input lanes, `K * plan.in_width()`.
     ins: Vec<f64>,
     /// Dense output lanes, `K * plan.out_width()`.
@@ -379,20 +383,16 @@ impl GroupState {
         let extw = self.plan.ext_in_width();
         for ch in &self.incoming {
             let src = ch.bufs[(step % 2) as usize].lock();
-            for i in 0..k {
-                let dst = i * extw + ch.offset;
-                self.ext[dst..dst + ch.width]
-                    .copy_from_slice(&src[i * ch.width..(i + 1) * ch.width]);
+            for c in &ch.copies {
+                c.run(k, &src, ch.width, &mut self.ext, extw);
             }
         }
         self.replay(h, k)?;
         let outw = self.plan.out_width();
         for ch in &self.outgoing {
             let mut dst = ch.bufs[((step + 1) % 2) as usize].lock();
-            for i in 0..k {
-                let src = i * outw + ch.offset;
-                dst[i * ch.width..(i + 1) * ch.width]
-                    .copy_from_slice(&self.outs[src..src + ch.width]);
+            for c in &ch.copies {
+                c.run(k, &self.outs, outw, &mut dst, ch.width);
             }
         }
         if let Some(column) = &mut self.column {
@@ -429,7 +429,7 @@ impl GroupState {
 
     /// Replays the plan once, advancing all `k` instances by `h`: the
     /// shared [`StepPlan::replay`] walk, each row stepped through its
-    /// typed row kernel when batched, lane by lane otherwise, and the
+    /// row kernel when batched, lane by lane otherwise, and the
     /// lanes of linked rows drained.
     fn replay(&mut self, h: f64, k: usize) -> Result<(), CoreError> {
         let t = self.time;
@@ -448,7 +448,7 @@ impl GroupState {
                     let y_at =
                         LaneSlots { stride: outw, offset: pn.out_offset, width: pn.out_width };
                     return row
-                        .advance(t + h, ins, u_at, outs, y_at)
+                        .advance(t, h, ins, u_at, outs, y_at)
                         .map_err(|e| CoreError::Flow(e.into()));
                 }
                 let routes = &routes[pn.node.index()];
@@ -672,9 +672,11 @@ impl EnsembleEngine {
             let width = cf.width;
             let slot = || Mutex::new(vec![0.0; k * width]);
             let bufs: ChannelBufs = Arc::new([slot(), slot()]);
-            let producer = ChannelEnd { bufs: Arc::clone(&bufs), offset: cf.out_offset, width };
+            let publish = vec![PlanCopy { src: cf.out_offset, dst: 0, len: width }];
+            let producer = ChannelEnd { bufs: Arc::clone(&bufs), width, copies: publish };
             groups[cf.from_group].outgoing.push(producer);
-            groups[cf.to_group].incoming.push(ChannelEnd { bufs, offset: cf.ext_offset, width });
+            let consumer = ChannelEnd { bufs, width, copies: cf.loads.clone() };
+            groups[cf.to_group].incoming.push(consumer);
         }
         // Every instance controller is built from one compiled system, so
         // connecting a link hands each the same outbox index.
@@ -1819,10 +1821,11 @@ mod tests {
             ensemble.set_recorder(rec.clone());
             ensemble.run_until(0.05).unwrap();
             // The plant row (Rk4 OdeStreamer) batches unless its lanes
-            // hide behind `PerLane`; the FnStreamer doubler row never does.
+            // hide behind `PerLane`; the FnStreamer doubler row always does.
             let batched: usize =
                 ensemble.groups.iter().map(|g| g.batch_rows.iter().flatten().count()).sum();
-            assert_eq!(batched, usize::from(!per_lane), "per lane {per_lane}: ODE row only");
+            let expected = 1 + usize::from(!per_lane);
+            assert_eq!(batched, expected, "per lane {per_lane}: doubler row, plus the ODE row");
             rec
         };
         let scalar = run(true);

@@ -4,6 +4,7 @@
 //! on the way, and [`StreamerNetwork`], the plan's `K = 1` runtime.
 
 use crate::error::FlowError;
+use crate::flowtype::FlowType;
 use crate::port::DPortSpec;
 use crate::streamer::StreamerBehavior;
 use std::collections::VecDeque;
@@ -52,6 +53,73 @@ pub struct PlanCopy {
     pub len: usize,
 }
 
+impl PlanCopy {
+    /// The copies that carry a value of the output flow type `out` into
+    /// the input flow type `input`, lanes counted from each port's first
+    /// lane: one per record field, matched by name and recursing into
+    /// nested records, at the field's lane offset in the input (so a
+    /// reordered record lands field by field), or one for a scalar or a
+    /// vector. Adjacent copies merge, so a flow between identical types
+    /// is one copy. `out` must be a subset of `input`
+    /// ([`FlowType::subset_failure`]); input lanes no output field maps
+    /// onto get no copy.
+    pub fn for_flow(out: &FlowType, input: &FlowType) -> Vec<PlanCopy> {
+        let mut copies = Vec::new();
+        lay_out(out, 0, input, 0, &mut copies);
+        copies
+    }
+
+    /// Runs the copy for each of `k` instances: instance `i`'s lanes go
+    /// from `src[i * src_stride + self.src..]` to
+    /// `dst[i * dst_stride + self.dst..]`. A one-lane copy is a strided
+    /// scalar store, with no slice copy per instance.
+    #[inline(always)]
+    pub fn run(
+        &self,
+        k: usize,
+        src: &[f64],
+        src_stride: usize,
+        dst: &mut [f64],
+        dst_stride: usize,
+    ) {
+        if self.len == 1 {
+            for i in 0..k {
+                dst[i * dst_stride + self.dst] = src[i * src_stride + self.src];
+            }
+        } else {
+            for i in 0..k {
+                let (s, d) = (i * src_stride + self.src, i * dst_stride + self.dst);
+                dst[d..d + self.len].copy_from_slice(&src[s..s + self.len]);
+            }
+        }
+    }
+}
+
+/// Appends to `copies` the copies carrying `out`, at lane `src`, into
+/// `input`, at lane `dst` (see [`PlanCopy::for_flow`]).
+fn lay_out(out: &FlowType, src: usize, input: &FlowType, dst: usize, copies: &mut Vec<PlanCopy>) {
+    if let (FlowType::Record(fields), FlowType::Record(in_fields)) = (out, input) {
+        let mut src = src;
+        for (name, ty) in fields {
+            let mut at = dst;
+            for (in_name, in_ty) in in_fields {
+                if in_name == name {
+                    lay_out(ty, src, in_ty, at, copies);
+                    break;
+                }
+                at += in_ty.width();
+            }
+            src += ty.width();
+        }
+        return;
+    }
+    let len = out.width();
+    match copies.last_mut() {
+        Some(last) if last.src + last.len == src && last.dst + last.len == dst => last.len += len,
+        _ => copies.push(PlanCopy { src, dst, len }),
+    }
+}
+
 /// One streamer row of a [`StepPlan`], in execution order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
@@ -65,9 +133,11 @@ pub struct PlanNode {
     pub out_offset: usize,
     /// Output lane count.
     pub out_width: usize,
-    /// Flow copies feeding this node, in flow declaration order:
-    /// `src` indexes the dense *output* array, `dst` the dense *input*
-    /// array. [`StepPlan::replay`] runs them right before the row.
+    /// Flow copies feeding this node, in flow declaration order, a
+    /// record flow's fields in output field order
+    /// ([`PlanCopy::for_flow`]): `src` indexes the dense *output* array,
+    /// `dst` the dense *input* array. [`StepPlan::replay`] runs them
+    /// right before the row.
     pub gathers: Vec<PlanCopy>,
 }
 
@@ -180,7 +250,8 @@ impl StepPlan {
     /// Node lanes sit at prefix-sum offsets in node order; rows follow a
     /// feedthrough-aware topological order (Kahn's algorithm over the
     /// flows into feedthrough nodes; integrator-like nodes may consume
-    /// last-step values), each row's gathers follow flow order, and the
+    /// last-step values), each row's gathers follow flow order (a record
+    /// flow lands field by field, [`PlanCopy::for_flow`]), and the
     /// exports take consecutive spans of the external input vector.
     /// Returns the plan and, per export, its lane offset in that vector.
     ///
@@ -211,8 +282,8 @@ impl StepPlan {
         let mut driven: Vec<Vec<bool>> =
             shapes.iter().map(|s| vec![false; s.in_ports.len()]).collect();
 
-        // Per flow: the consumer's index and its gather copy; per flow into
-        // a feedthrough consumer: an ordering edge.
+        // Per flow: the consumer's index and its gather copies; per flow
+        // into a feedthrough consumer: an ordering edge.
         let mut gathers = Vec::with_capacity(flows.len());
         let mut indeg = vec![0usize; n];
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -229,13 +300,9 @@ impl StepPlan {
                 });
             }
             claim(&mut driven, to, pi, to_shape)?;
-            gathers.push((
-                to.0,
-                PlanCopy {
-                    src: out_offsets[from.0] + src_lane,
-                    dst: in_offsets[to.0] + dst_lane,
-                    len: src.width(),
-                },
+            let (src_at, dst_at) = (out_offsets[from.0] + src_lane, in_offsets[to.0] + dst_lane);
+            gathers.extend(PlanCopy::for_flow(src.flow_type(), dst.flow_type()).into_iter().map(
+                |c| (to.0, PlanCopy { src: src_at + c.src, dst: dst_at + c.dst, len: c.len }),
             ));
             if to_shape.feedthrough && from != to {
                 adj[from.0].push(to.0);
@@ -346,17 +413,11 @@ impl StepPlan {
     ) -> Result<(), E> {
         let (inw, outw, extw) = (self.in_width, self.out_width, self.ext_in_width);
         for c in &self.ext_loads {
-            for i in 0..k {
-                let (src, dst) = (i * extw + c.src, i * inw + c.dst);
-                ins[dst..dst + c.len].copy_from_slice(&ext[src..src + c.len]);
-            }
+            c.run(k, ext, extw, ins, inw);
         }
         for (r, pn) in self.nodes.iter().enumerate() {
             for c in &pn.gathers {
-                for i in 0..k {
-                    let (src, dst) = (i * outw + c.src, i * inw + c.dst);
-                    ins[dst..dst + c.len].copy_from_slice(&outs[src..src + c.len]);
-                }
+                c.run(k, outs, outw, ins, inw);
             }
             row(r, pn, ins, outs)?;
         }
@@ -586,6 +647,41 @@ mod tests {
         );
         // Any on the input side accepts.
         assert!(StepPlan::lower(shapes(), &[into_c], &[(id(1), "i")]).is_ok());
+    }
+
+    #[test]
+    fn record_flows_land_field_by_field() {
+        let scalar = FlowType::scalar;
+        let ab = FlowType::record([("a", scalar()), ("b", FlowType::vector(2))]);
+        let ba = FlowType::record([("b", FlowType::vector(2)), ("a", scalar())]);
+        let copy = |src, dst, len| PlanCopy { src, dst, len };
+        // Reordered fields: `a` lands after `b`, not in `b[0]`.
+        assert_eq!(PlanCopy::for_flow(&ab, &ba), [copy(0, 2, 1), copy(1, 0, 2)]);
+        // Identical layouts (and scalars, vectors) are one copy.
+        assert_eq!(PlanCopy::for_flow(&ab, &ab), [copy(0, 0, 3)]);
+        assert_eq!(PlanCopy::for_flow(&FlowType::vector(4), &FlowType::vector(4)), [copy(0, 0, 4)]);
+        // An input field the output lacks gets no copy; nested records
+        // land field by field too.
+        let wide = FlowType::record([("c", scalar()), ("a", scalar()), ("b", FlowType::vector(2))]);
+        assert_eq!(PlanCopy::for_flow(&ab, &wide), [copy(0, 1, 3)]);
+        let nest = |inner| FlowType::record([("x", scalar()), ("r", inner)]);
+        let nested_in = FlowType::record([("r", ba.clone()), ("x", scalar())]);
+        assert_eq!(
+            PlanCopy::for_flow(&nest(ab.clone()), &nested_in),
+            [copy(0, 3, 1), copy(1, 2, 1), copy(2, 0, 2)]
+        );
+
+        // The lowering lays a reordered record flow out the same way, at
+        // the ports' dense offsets.
+        let shapes = vec![
+            shape("pad", &[], &[("o", scalar())], true),
+            shape("src", &[], &[("y", ab.clone())], true),
+            shape("dst", &[("k", scalar()), ("u", ba)], &[], true),
+        ];
+        let flows = [((id(1), "y"), (id(2), "u")), ((id(0), "o"), (id(2), "k"))];
+        let (plan, _) = StepPlan::lower(shapes, &flows, &[]).unwrap();
+        let row = plan.nodes().iter().find(|pn| pn.node == id(2)).unwrap();
+        assert_eq!(row.gathers, [copy(1, 3, 1), copy(2, 1, 2), copy(0, 0, 1)]);
     }
 
     #[test]

@@ -83,11 +83,12 @@ pub trait StreamerBehavior: Send {
         false
     }
 
-    /// Exposes this behaviour as an ODE lane, or `None` for behaviours
-    /// that are not solver-backed. An engine offers each row of lanes to
-    /// its first lane's [`OdeLane::row_kernel`] once, right after
-    /// `initialize`; a row that gets a kernel steps through it, every
-    /// other row lane by lane through [`StreamerBehavior::advance`].
+    /// Exposes this behaviour as a lane a row kernel can take over, or
+    /// `None` for behaviours that must step on their own. An engine
+    /// offers each row of lanes to its first lane's
+    /// [`OdeLane::row_kernel`] once, right after `initialize`; a row that
+    /// gets a kernel steps through it, every other row lane by lane
+    /// through [`StreamerBehavior::advance`].
     fn as_ode_lane(&self) -> Option<&dyn OdeLane> {
         None
     }
@@ -102,19 +103,21 @@ pub trait StreamerBehavior: Send {
     }
 }
 
-/// A solver-backed behaviour viewed as one lane of a batched ODE row.
+/// A lane a row kernel can take over: one lane of a row that may step
+/// as one [`RowKernel`], an ODE row ([`OdeStreamer`]) or a closed-form
+/// one ([`FnStreamer`]).
 ///
 /// The `Any` supertrait lets a lane's [`OdeLane::row_kernel`] downcast
 /// the other lanes of its row to its own concrete type and decide, from
 /// their full configuration, whether the row can step as one.
 pub trait OdeLane: Any {
     /// Builds the kernel for the row `row` this lane heads (`row[0]` is
-    /// `self`), taking over the lanes' continuous state and solver clock
-    /// for good, or `None` when the row must step lane by lane through
-    /// [`StreamerBehavior::advance`]. Called once, right after every lane
-    /// was initialized; from then on the kernel is the lanes' only
-    /// state, and their own `advance` must not be called.
-    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>>;
+    /// `self`), taking over the lanes' state (and an ODE row's solver
+    /// clock) for good, or `None` when the row must step lane by lane
+    /// through [`StreamerBehavior::advance`]. Called once, right after
+    /// every lane was initialized; from then on the kernel is the lanes'
+    /// only state, and their own `advance` must not be called.
+    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn RowKernel>>;
 }
 
 /// A behaviour that hides its ODE lane, so its row steps lane by lane
@@ -168,20 +171,23 @@ impl LaneSlots {
 }
 
 /// The K lanes of one ensemble streamer row as one kernel, monomorphised
-/// on the lanes' concrete system type: it owns the lanes' instance-major
-/// continuous states and the row's solver clock, and each call covers
-/// every lane with no per-lane dynamic dispatch.
-pub trait OdeRowKernel: Send {
-    /// Advances every lane to `t_end`, lane `i` under the frozen input
-    /// `u[u_at.range(i)]`, and writes its output `y_i = g(t_end, x_i,
-    /// u_i)` into `y[y_at.range(i)]`.
+/// on the lanes' concrete type: it owns the lanes' state (an ODE row's
+/// instance-major continuous states and solver clock, a closed-form
+/// row's closures), and each call covers every lane with no per-lane
+/// dynamic dispatch.
+pub trait RowKernel: Send {
+    /// Advances every lane from `t` to `t + h`, lane `i` under the frozen
+    /// input `u[u_at.range(i)]`, writing its output into
+    /// `y[y_at.range(i)]` exactly as the lane's own
+    /// [`StreamerBehavior::advance`] would.
     ///
     /// # Errors
     ///
     /// Solver failures propagate as [`SolveError`].
     fn advance(
         &mut self,
-        t_end: f64,
+        t: f64,
+        h: f64,
         u: &[f64],
         u_at: LaneSlots,
         y: &mut [f64],
@@ -189,18 +195,18 @@ pub trait OdeRowKernel: Send {
     ) -> Result<(), SolveError>;
 }
 
-/// The [`OdeRowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
+/// The [`RowKernel`] of a row whose lanes all run `OdeStreamer<S>`:
 /// one clone of each lane's system (so per-lane parameters are kept), one
 /// solver clone, and one [`SolverDriver`] over all the lanes' stacked
 /// states, which gives each lane exactly the sub-step schedule its own
 /// driver would. The solver stays the strategy: each sub-step is one
 /// [`Solver::step_batch`] call over the row's K real lanes, which the
 /// explicit fixed-step schemes eligible for a row hand to
-/// `StackedLanes::step_lanes`, giving each lane its own system and
-/// input. That runs the scheme's own stage arithmetic four lanes at a
-/// time, every stage in local arrays, monomorphised on `S`, the scheme
-/// and (up to [`CONST_LANE_DIM`](urt_ode::solver::CONST_LANE_DIM)) the
-/// dimension.
+/// `StackedLanes::step_lanes`, whose one lane-indexed derivative gives
+/// each lane its own system and input. That runs the scheme's own stage
+/// arithmetic four lanes at a time, every stage in local arrays,
+/// monomorphised on `S`, the scheme and (up to
+/// [`CONST_LANE_DIM`](urt_ode::solver::CONST_LANE_DIM)) the dimension.
 /// Such schemes carry no cross-step state, so one solver serves all lanes.
 struct TypedRow<S> {
     systems: Vec<S>,
@@ -212,8 +218,8 @@ struct TypedRow<S> {
 }
 
 /// A row's K lanes as one batch system: lane `i` is evaluated by its own
-/// system under its own frozen input, exactly as the scalar path's
-/// [`FrozenInput`] evaluates it.
+/// system `systems[i]` under its own frozen input, exactly as the scalar
+/// path's [`FrozenInput`] evaluates it.
 struct StackedLanes<'a, S> {
     systems: &'a [S],
     dim: usize,
@@ -246,23 +252,24 @@ impl<S: InputSystem> BatchOdeSystem for StackedLanes<'_, S> {
         h: f64,
         scratch: &mut [f64],
     ) {
-        let lanes = self.systems.iter().enumerate().map(|(i, system)| {
-            let u = &self.u[self.u_at.range(i)];
-            move |t, x: &[f64], dx: &mut [f64]| system.derivatives(t, x, u, dx)
+        scheme.step_lanes(t, states, dim, h, scratch, |i, t, x: &[f64], dx: &mut [f64]| {
+            self.systems[i].derivatives(t, x, &self.u[self.u_at.range(i)], dx)
         });
-        scheme.step_lanes(t, states, dim, h, scratch, lanes);
     }
 }
 
-impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
+impl<S: InputSystem + Send> RowKernel for TypedRow<S> {
     fn advance(
         &mut self,
-        t_end: f64,
+        t: f64,
+        h: f64,
         u: &[f64],
         u_at: LaneSlots,
         y: &mut [f64],
         y_at: LaneSlots,
     ) -> Result<(), SolveError> {
+        // The same instant the lane's own `advance` lands on.
+        let t_end = t + h;
         let TypedRow { systems, dim, solver, driver } = self;
         let sys = StackedLanes { systems, dim: *dim, u, u_at };
         // `step_batch` lands every lane exactly on `t + h`: a fixed step.
@@ -279,6 +286,11 @@ impl<S: InputSystem + Send> OdeRowKernel for TypedRow<S> {
 
 /// A stateless (or self-contained) behaviour defined by a closure
 /// `f(t, h, u, y)`.
+///
+/// A row of lanes that all run one closure type steps as one `FnRow`,
+/// which calls each lane's closure (a clone of it, taken when the row
+/// is built, state included) in one loop with the closure inlined; a row
+/// of mixed closure types steps lane by lane.
 ///
 /// # Examples
 ///
@@ -308,14 +320,16 @@ impl<F> fmt::Debug for FnStreamer<F> {
     }
 }
 
-impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> FnStreamer<F> {
+impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Clone + Send + 'static> FnStreamer<F> {
     /// Wraps a closure as a streamer behaviour.
     pub fn new(name: impl Into<String>, input_width: usize, output_width: usize, f: F) -> Self {
         FnStreamer { name: name.into(), input_width, output_width, f }
     }
 }
 
-impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> StreamerBehavior for FnStreamer<F> {
+impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Clone + Send + 'static> StreamerBehavior
+    for FnStreamer<F>
+{
     fn name(&self) -> &str {
         &self.name
     }
@@ -330,6 +344,49 @@ impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> StreamerBehavior for FnStrea
 
     fn advance(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
         (self.f)(t, h, u, y);
+        Ok(())
+    }
+
+    fn as_ode_lane(&self) -> Option<&dyn OdeLane> {
+        Some(self)
+    }
+}
+
+impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Clone + Send + 'static> OdeLane for FnStreamer<F> {
+    /// Builds an `FnRow` when every lane is an `FnStreamer<F>` of this
+    /// lane's closure type, cloning each lane's closure.
+    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn RowKernel>> {
+        let fs = row
+            .iter()
+            .map(|b| {
+                let lane: &dyn Any = b.as_ode_lane()?;
+                Some(lane.downcast_ref::<Self>()?.f.clone())
+            })
+            .collect::<Option<_>>()?;
+        Some(Box::new(FnRow { fs }))
+    }
+}
+
+/// The [`RowKernel`] of a row whose lanes all run `FnStreamer<F>`: lane
+/// `i`'s closure is `fs[i]`, and one loop, monomorphised on `F`, calls
+/// them all.
+struct FnRow<F> {
+    fs: Vec<F>,
+}
+
+impl<F: FnMut(f64, f64, &[f64], &mut [f64]) + Send> RowKernel for FnRow<F> {
+    fn advance(
+        &mut self,
+        t: f64,
+        h: f64,
+        u: &[f64],
+        u_at: LaneSlots,
+        y: &mut [f64],
+        y_at: LaneSlots,
+    ) -> Result<(), SolveError> {
+        for (i, f) in self.fs.iter_mut().enumerate() {
+            f(t, h, &u[u_at.range(i)], &mut y[y_at.range(i)]);
+        }
         Ok(())
     }
 }
@@ -553,7 +610,7 @@ impl<S: InputSystem + Clone + Send + 'static> OdeLane for OdeStreamer<S> {
     /// batched kernel steps every lane exactly as alone, where an
     /// adaptive step would couple the lanes' error control. The system
     /// clones cannot go stale: `set_param` runs before `initialize`.
-    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn OdeRowKernel>> {
+    fn row_kernel(&self, row: &[Box<dyn StreamerBehavior>]) -> Option<Box<dyn RowKernel>> {
         let dim = self.system.dim();
         let t0 = self.driver.as_ref()?.time();
         if dim == 0 {

@@ -245,16 +245,17 @@ impl ExplicitScheme {
     /// Advances the instance-major lanes of `states` (lane `i` at
     /// `[i * dim..(i + 1) * dim]`) by one step `h` from `t`, in blocks of
     /// four lanes: a block takes its whole step, each stage across the
-    /// block, before the next block starts. `lanes` yields each lane's
-    /// derivative `f(t, x, dx)` in lane order. Lanes of dimension 1 to
+    /// block, before the next block starts. `f(i, t, x, dx)` is lane `i`'s
+    /// derivative: one lane-indexed function covers the whole row, so a
+    /// row of per-lane systems pays no per-lane closure and a shared
+    /// system ignores the index. Lanes of dimension 1 to
     /// [`CONST_LANE_DIM`] keep their stages in fixed-size local arrays;
     /// wider lanes use `scratch`. Per lane the arithmetic is exactly the
     /// scalar [`Solver::step`]'s.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` yields fewer derivatives than `states` holds
-    /// lanes, or if `dim` is wider than [`CONST_LANE_DIM`] and `scratch`
+    /// Panics if `dim` is wider than [`CONST_LANE_DIM`] and `scratch`
     /// holds fewer than [`ExplicitScheme::scratch_len`] values.
     pub fn step_lanes<F>(
         self,
@@ -263,44 +264,38 @@ impl ExplicitScheme {
         dim: usize,
         h: f64,
         scratch: &mut [f64],
-        lanes: impl IntoIterator<Item = F>,
+        f: F,
     ) where
-        F: FnMut(f64, &[f64], &mut [f64]),
+        F: FnMut(usize, f64, &[f64], &mut [f64]),
     {
-        let lanes = lanes.into_iter();
         match dim {
-            1 => self.lanes_on_arrays::<1, F>(t, states, h, lanes),
-            2 => self.lanes_on_arrays::<2, F>(t, states, h, lanes),
-            3 => self.lanes_on_arrays::<3, F>(t, states, h, lanes),
-            4 => self.lanes_on_arrays::<4, F>(t, states, h, lanes),
-            5 => self.lanes_on_arrays::<5, F>(t, states, h, lanes),
-            6 => self.lanes_on_arrays::<6, F>(t, states, h, lanes),
-            7 => self.lanes_on_arrays::<7, F>(t, states, h, lanes),
-            8 => self.lanes_on_arrays::<8, F>(t, states, h, lanes),
-            _ => self.lanes_on_slices(t, states, dim, h, scratch, lanes),
+            1 => self.lanes_on_arrays::<1, F>(t, states, h, f),
+            2 => self.lanes_on_arrays::<2, F>(t, states, h, f),
+            3 => self.lanes_on_arrays::<3, F>(t, states, h, f),
+            4 => self.lanes_on_arrays::<4, F>(t, states, h, f),
+            5 => self.lanes_on_arrays::<5, F>(t, states, h, f),
+            6 => self.lanes_on_arrays::<6, F>(t, states, h, f),
+            7 => self.lanes_on_arrays::<7, F>(t, states, h, f),
+            8 => self.lanes_on_arrays::<8, F>(t, states, h, f),
+            _ => self.lanes_on_slices(t, states, dim, h, scratch, f),
         }
     }
 
-    fn lanes_on_arrays<const D: usize, F>(
-        self,
-        t: f64,
-        states: &mut [f64],
-        h: f64,
-        mut lanes: impl Iterator<Item = F>,
-    ) where
-        F: FnMut(f64, &[f64], &mut [f64]),
+    fn lanes_on_arrays<const D: usize, F>(self, t: f64, states: &mut [f64], h: f64, mut f: F)
+    where
+        F: FnMut(usize, f64, &[f64], &mut [f64]),
     {
-        let mut next = || lanes.next().expect("one derivative per lane");
         let mut store = [[0.0; D]; ExplicitScheme::Rk4.scratch_len(1)];
         let (blocks, rest) = states.as_chunks_mut::<D>().0.as_chunks_mut::<LANE_BLOCK>();
-        for block in blocks {
+        let first_rest = blocks.len() * LANE_BLOCK;
+        for (b, block) in blocks.iter_mut().enumerate() {
             let x = block.each_mut().map(|x| &mut x[..]);
             let mut stages = store.iter_mut().map(|s| &mut s[..]);
-            self.step_block(t, h, x, std::array::from_fn(|_| next()), &mut stages);
+            self.step_block(t, h, b * LANE_BLOCK, x, &mut f, &mut stages);
         }
-        for x in rest {
+        for (j, x) in rest.iter_mut().enumerate() {
             let mut stages = store.iter_mut().map(|s| &mut s[..]);
-            self.step_block(t, h, [&mut x[..]], [next()], &mut stages);
+            self.step_block(t, h, first_rest + j, [&mut x[..]], &mut f, &mut stages);
         }
     }
 
@@ -311,38 +306,42 @@ impl ExplicitScheme {
         dim: usize,
         h: f64,
         scratch: &mut [f64],
-        mut lanes: impl Iterator<Item = F>,
+        mut f: F,
     ) where
-        F: FnMut(f64, &[f64], &mut [f64]),
+        F: FnMut(usize, f64, &[f64], &mut [f64]),
     {
-        let mut next = || lanes.next().expect("one derivative per lane");
         let mut blocks = states.chunks_exact_mut(LANE_BLOCK * dim);
+        let mut first = 0;
         for block in blocks.by_ref() {
             let mut x = block.chunks_exact_mut(dim);
             let x: [_; LANE_BLOCK] = std::array::from_fn(|_| x.next().expect("a lane per slot"));
             let mut stages = scratch.chunks_exact_mut(dim);
-            self.step_block(t, h, x, std::array::from_fn(|_| next()), &mut stages);
+            self.step_block(t, h, first, x, &mut f, &mut stages);
+            first += LANE_BLOCK;
         }
         for x in blocks.into_remainder().chunks_exact_mut(dim) {
             let mut stages = scratch.chunks_exact_mut(dim);
-            self.step_block(t, h, [x], [next()], &mut stages);
+            self.step_block(t, h, first, [x], &mut f, &mut stages);
+            first += 1;
         }
     }
 
-    /// Steps the `N` lanes `x`, lane `j` with derivative `fs[j]`, taking
-    /// each lane's stage vectors from `stages`.
+    /// Steps the `N` lanes `x`, lanes `first..first + N` of the row, lane
+    /// `first + j` at `x[j]`, taking each lane's stage vectors from
+    /// `stages`.
     #[inline(always)]
     fn step_block<'s, const N: usize, F>(
         self,
         t: f64,
         h: f64,
+        first: usize,
         x: [&mut [f64]; N],
-        mut fs: [F; N],
+        f: &mut F,
         stages: &mut impl Iterator<Item = &'s mut [f64]>,
     ) where
-        F: FnMut(f64, &[f64], &mut [f64]),
+        F: FnMut(usize, f64, &[f64], &mut [f64]),
     {
-        let f = |j: usize, t: f64, x: &[f64], dx: &mut [f64]| fs[j](t, x, dx);
+        let f = |j: usize, t: f64, x: &[f64], dx: &mut [f64]| f(first + j, t, x, dx);
         let mut stage = || stages.next().expect("scratch holds a block's stage vectors");
         match self {
             ExplicitScheme::ForwardEuler => euler_stages(f, t, h, x, stage_views(&mut stage)),
@@ -1538,11 +1537,9 @@ mod tests {
             scratch: &mut [f64],
         ) {
             self.fused.set(self.fused.get() + 1);
-            let lanes = self
-                .gains
-                .iter()
-                .map(|&g| move |t, x: &[f64], dx: &mut [f64]| gain_derivative(g, t, x, dx));
-            scheme.step_lanes(t, states, dim, h, scratch, lanes);
+            scheme.step_lanes(t, states, dim, h, scratch, |i, t, x: &[f64], dx: &mut [f64]| {
+                gain_derivative(self.gains[i], t, x, dx)
+            });
         }
     }
 

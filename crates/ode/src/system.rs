@@ -85,11 +85,12 @@ pub trait BatchOdeSystem: OdeSystem {
     /// Every implementation runs [`ExplicitScheme::step_lanes`], the
     /// scheme's own stage arithmetic four lanes at a time, so each lane
     /// stays bit-identical to a scalar
-    /// [`Solver::step`](crate::solver::Solver::step). The default gives
-    /// every lane [`OdeSystem::derivatives`]; an override gives each lane
-    /// its own. `scratch` is the solver's persistent buffer of at least
-    /// [`ExplicitScheme::scratch_len`] values, for lanes too wide for
-    /// local arrays.
+    /// [`Solver::step`](crate::solver::Solver::step). The scheme hands
+    /// one lane-indexed derivative `f(i, t, x, dx)` the lane's index: the
+    /// default ignores it and gives every lane [`OdeSystem::derivatives`];
+    /// an override gives lane `i` its own. `scratch` is the solver's
+    /// persistent buffer of at least [`ExplicitScheme::scratch_len`]
+    /// values, for lanes too wide for local arrays.
     fn step_lanes(
         &self,
         scheme: ExplicitScheme,
@@ -99,8 +100,9 @@ pub trait BatchOdeSystem: OdeSystem {
         h: f64,
         scratch: &mut [f64],
     ) {
-        let lane = |t, x: &[f64], dx: &mut [f64]| self.derivatives(t, x, dx);
-        scheme.step_lanes(t, states, dim, h, scratch, std::iter::repeat(lane));
+        scheme.step_lanes(t, states, dim, h, scratch, |_, t, x: &[f64], dx: &mut [f64]| {
+            self.derivatives(t, x, dx)
+        });
     }
 }
 
