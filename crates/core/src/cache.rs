@@ -14,11 +14,14 @@
 //!
 //! The hash is deliberately simple and dependency-free: FNV-1a 64-bit
 //! (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`) over the
-//! model's derived `Debug` rendering. Every collection in
-//! [`UnifiedModel`] is a `Vec` in declaration order — no `HashMap`
-//! iteration anywhere near the rendering — so the hash is deterministic
-//! across processes and platforms, and `urt-lint --hash` prints the same
-//! value the cache keys on.
+//! model's derived `Debug` rendering. [`Fnv1a`] implements
+//! [`fmt::Write`], so the rendering is folded into the hash as it is
+//! formatted and never collected into a `String`; FNV-1a is a byte
+//! stream, so the value is the same as hashing the rendered string.
+//! Every collection in [`UnifiedModel`] is a `Vec` in declaration order
+//! — no `HashMap` iteration anywhere near the rendering — so the hash is
+//! deterministic across processes and platforms, and `urt-lint --hash`
+//! prints the same value the cache keys on.
 
 use crate::elaborate::CompiledSystem;
 use crate::error::CoreError;
@@ -60,6 +63,16 @@ impl Fnv1a {
 impl Default for Fnv1a {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Folds formatted text into the hash as it is written, so
+/// `write!(hasher, "{value:?}")` hashes a rendering without collecting
+/// it. Never fails.
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -227,6 +240,10 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        // Written in pieces, the stream hashes the same.
+        let mut h = Fnv1a::new();
+        fmt::Write::write_fmt(&mut h, format_args!("{}{}", "foo", "bar")).unwrap();
+        assert_eq!(h.finish(), 0x85944171f73967e8);
     }
 
     #[test]

@@ -42,8 +42,10 @@
 //!    the threads to merge;
 //! 3. behaviours come from a [`BehaviorRegistry`] (streamer name →
 //!    [`StreamerBehavior`] factory, capsule name → [`Capsule`] factory);
-//!    elaboration invokes every factory once, cross-checking each
-//!    behaviour against the declared DPort widths and feedthrough flag,
+//!    elaboration invokes every streamer factory once, cross-checking
+//!    each behaviour against the declared DPort widths and feedthrough
+//!    flag (capsule factories cannot fail and first run at
+//!    instantiation),
 //!    and lowers each group straight from the model with
 //!    [`StepPlan::lower`] — the one place the wiring rules (subset rule,
 //!    single writer, every input driven, no feedthrough loop) are
@@ -57,8 +59,8 @@
 //!    `URT207` names it ahead of time) — every SPort link to its
 //!    `(group, node, plan row)`, refusing a second link on one SPort
 //!    ([`CoreError::DuplicateSportLink`]), and every probe to its dense
-//!    output lane. One capsule controller is built on the way, so a
-//!    machine spec that cannot be realised is refused here too.
+//!    output lane. Each capsule's machine spec is built once on the way,
+//!    so a machine spec that cannot be realised is refused here too.
 //!
 //! The result plugs into the engine via
 //! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled),
@@ -68,7 +70,7 @@
 use crate::error::CoreError;
 use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use urt_dataflow::error::FlowError;
 use urt_dataflow::flowtype::FlowType;
 use urt_dataflow::graph::{NodeId, NodeShape, PlanCopy, PortRef, StepPlan, StreamerNetwork};
@@ -354,8 +356,9 @@ impl CompiledSystem {
     ///
     /// [`CoreError::Elaborate`] if a factory-produced behaviour disagrees
     /// with the declared DPort widths or feedthrough flag. [`elaborate`]
-    /// invokes every factory once, so a successfully compiled artifact
-    /// only fails here if a factory changes between calls.
+    /// invokes every streamer factory and builds every machine spec once,
+    /// so a successfully compiled artifact only fails here if a factory
+    /// changes between calls.
     pub fn instantiate(&self) -> Result<SystemInstance, CoreError> {
         let mut groups = Vec::with_capacity(self.plans.len());
         for (gi, plan) in self.plans.iter().enumerate() {
@@ -372,19 +375,16 @@ impl CompiledSystem {
     /// Builds a fresh capsule [`Controller`] with every capsule
     /// instantiated and no port connected — the capsule half of
     /// [`CompiledSystem::instantiate`], and the engines' per-instance
-    /// controller factory.
+    /// controller factory. Each call runs every registered capsule
+    /// factory once (compile runs none) and rebuilds every machine spec,
+    /// which [`elaborate`] already built once, so it only fails if
+    /// [`elaborate`] would have refused the model.
     pub(crate) fn controller(&self) -> Result<Controller, CoreError> {
         let mut controller = Controller::new(self.model_name.as_str());
         for cap in &self.capsule_specs {
             let instance: Box<dyn Capsule> = match cap {
-                CapsuleSpec::Registered(name) => match self.capsule_factories.get(name) {
-                    Some(factory) => factory(),
-                    None => {
-                        return Err(elaborate_err(format!(
-                            "no factory registered for capsule `{name}`"
-                        )))
-                    }
-                },
+                // `elaborate` plans `Registered` only for registered names.
+                CapsuleSpec::Registered(name) => self.capsule_factories[name](),
                 CapsuleSpec::Machine(spec) => inert_machine(spec)?,
                 CapsuleSpec::Inert(name) => Box::new(InertCapsule { name: name.clone() }),
             };
@@ -565,16 +565,18 @@ fn checked(
 
 /// Lowers `model` into a [`CompiledSystem`] artifact using `registry`
 /// for behaviours, after `gate` (the injected analysis stage) accepts
-/// it. Every behaviour factory runs once, checked against its
-/// declaration, and each group is lowered straight from the model into
-/// its [`StepPlan`], so [`CompiledSystem::instantiate`] cannot fail
-/// afterwards; the link, probe and channel tables are resolved against
-/// those plans.
+/// it. Every streamer factory runs once, checked against its
+/// declaration, every capsule machine spec is built once, and each group
+/// is lowered straight from the model into its [`StepPlan`], so
+/// [`CompiledSystem::instantiate`] cannot fail afterwards; the link,
+/// probe and channel tables are resolved against those plans. Capsule
+/// factories cannot fail and first run at instantiation. The content
+/// hash folds the model's rendering in as it is formatted.
 ///
 /// See the [module docs](self) for the flattening and id-assignment
 /// rules. The first error wins: the gate, then per group the factory
-/// checks and the wiring, then cross-group feedthrough, the controller,
-/// SPort links and probes.
+/// checks and the wiring, then cross-group feedthrough, the machine
+/// specs, SPort links and probes.
 ///
 /// # Errors
 ///
@@ -603,12 +605,12 @@ pub fn elaborate(
 
     // --- content hash: canonical model + registry shape ----------------
     // The model component hashes the canonical (derived Debug) rendering
-    // — every model collection is a Vec in declaration order, so the
-    // rendering is deterministic. The registry component folds in the
-    // sorted factory names: same model, different bindings => different
-    // artifact identity.
+    // as it is formatted — every model collection is a Vec in declaration
+    // order, so the rendering is deterministic. The registry component
+    // folds in the sorted factory names: same model, different bindings
+    // => different artifact identity.
     let mut hasher = crate::cache::Fnv1a::new();
-    hasher.update(format!("{model:?}").as_bytes());
+    write!(hasher, "{model:?}").expect("hashing a rendering cannot fail");
     let mut streamer_names: Vec<&str> = registry.streamers.keys().map(String::as_str).collect();
     streamer_names.sort_unstable();
     for name in streamer_names {
@@ -851,9 +853,14 @@ pub fn elaborate(
         step_budget_ns: model.model_budget(),
         content_hash,
     };
-    // One controller build surfaces machine-spec errors now, so every
-    // later controller built from this artifact succeeds.
-    compiled.controller()?;
+    // Building each machine spec once surfaces its errors now, so every
+    // later controller built from this artifact succeeds. Capsule
+    // factories cannot fail; they first run at instantiation.
+    for spec in &compiled.capsule_specs {
+        if let CapsuleSpec::Machine(sm) = spec {
+            inert_machine(sm)?;
+        }
+    }
     let plans = &compiled.plans;
 
     // --- resolve SPort links to plan rows, refusing duplicates ---------

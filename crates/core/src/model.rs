@@ -175,7 +175,8 @@ impl UnifiedModel {
     }
 
     /// A stable 64-bit content hash of the model: FNV-1a over the
-    /// model's canonical (derived `Debug`) rendering. Every collection
+    /// model's canonical (derived `Debug`) rendering, folded in as it is
+    /// formatted (no `String` is built). Every collection
     /// in `UnifiedModel` is a `Vec` in declaration order, so the
     /// rendering — and therefore the hash — is deterministic across
     /// processes and platforms. This is the compile-cache key
@@ -184,7 +185,10 @@ impl UnifiedModel {
     /// registry shape on top
     /// ([`CompiledSystem::content_hash`](crate::elaborate::CompiledSystem::content_hash)).
     pub fn content_hash(&self) -> u64 {
-        crate::cache::fnv1a_64(format!("{self:?}").as_bytes())
+        use fmt::Write as _;
+        let mut hasher = crate::cache::Fnv1a::new();
+        write!(hasher, "{self:?}").expect("hashing a rendering cannot fail");
+        hasher.finish()
     }
 
     /// Summary statistics.

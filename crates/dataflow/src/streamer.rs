@@ -122,8 +122,8 @@ pub trait OdeLane: Any {
 
 /// A behaviour that hides its ODE lane, so its row steps lane by lane
 /// through [`StreamerBehavior::advance`]: the per-lane baseline a
-/// batched row is compared against. It forwards the dataflow surface
-/// only (no SPorts).
+/// batched row is compared against. It forwards the dataflow surface,
+/// SPort traffic and parameter overrides.
 pub struct PerLane(pub Box<dyn StreamerBehavior>);
 
 impl StreamerBehavior for PerLane {
@@ -144,6 +144,12 @@ impl StreamerBehavior for PerLane {
     }
     fn advance(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) -> Result<(), SolveError> {
         self.0.advance(t, h, u, y)
+    }
+    fn on_signal(&mut self, msg: &Message) {
+        self.0.on_signal(msg);
+    }
+    fn take_emitted(&mut self) -> Vec<(String, Message)> {
+        self.0.take_emitted()
     }
     fn set_param(&mut self, name: &str, value: f64) -> bool {
         self.0.set_param(name, value)

@@ -11,7 +11,10 @@
 # run_seconds each, the two sides taking turns to go first, and for every
 # end-to-end metric BENCHMARK.json declares the script prints the
 # parent's and the change's median [q1, q3] and the number of pairs the
-# change won, in the metric's own direction.
+# change won, in the metric's own direction. With AB_TRACE=1 the pairs
+# are traced (`--trace 1`) runs instead, and the same summary covers
+# every per_layer metric BENCHMARK.json lists. The script only reads
+# BENCHMARK.json.
 #
 # Usage: scripts/ab.sh BASE [WORKLOAD...]
 #   BASE        any git revision, e.g. HEAD or HEAD~1
@@ -19,6 +22,8 @@
 #               lists)
 # Environment:
 #   AB_PAIRS    pairs per workload (default 10)
+#   AB_TRACE    1 to compare the per_layer metrics of traced runs
+#               (default 0: the end-to-end metrics of untraced runs)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,12 +34,18 @@ fi
 base="$1"
 shift
 pairs="${AB_PAIRS:-10}"
+trace="${AB_TRACE:-0}"
+case "$trace" in
+    0) section=end_to_end ;;
+    1) section=per_layer ;;
+    *) echo "AB_TRACE must be 0 or 1" >&2; exit 2 ;;
+esac
 
-# The run length, "name better" per end-to-end metric, and the workload
-# names, read from BENCHMARK.json (one list entry per line).
+# The run length, "name better" per metric of the compared section, and
+# the workload names, read from BENCHMARK.json (one list entry per line).
 seconds="$(awk 'match($0, /"run_seconds": *[0-9.]+/) {
     s = substr($0, RSTART, RLENGTH); sub(/.*: */, "", s); print s }' BENCHMARK.json)"
-metrics="$(awk '/"end_to_end"/ { on = 1; next } on && /\]/ { on = 0 }
+metrics="$(awk -v section="\"$section\"" 'index($0, section) { on = 1; next } on && /\]/ { on = 0 }
     on && /"name"/ {
         match($0, /"name": *"[^"]*"/); n = substr($0, RSTART, RLENGTH)
         match($0, /"better": *"[^"]*"/); b = substr($0, RSTART, RLENGTH)
@@ -67,7 +78,7 @@ build change "$(pwd)"
 # $tmp/WORKLOAD.SIDE.METRIC, one line per run.
 run() {
     out="$(cd "$2" && "$tmp/$1-target/release/urt-perfbench" --workload "$3" \
-        --seed 1 --seconds "$seconds" --trace 0 | tail -n 1)"
+        --seed 1 --seconds "$seconds" --trace "$trace" | tail -n 1)"
     case "$out" in
         '{"correct": true,'*'"failed": 0,'*) ;;
         *) echo "warning: $1 $3 run not clean: $out" >&2 ;;
@@ -103,7 +114,7 @@ summary() {
         END { if (NR == 0) print "n/a"; else printf "%.6g [%.6g, %.6g]", q(0.5), q(0.25), q(0.75) }'
 }
 
-echo "A/B $base -> working tree: $pairs pairs, ${seconds} s per run, seed 1"
+echo "A/B $base -> working tree: $pairs pairs, ${seconds} s per run, seed 1, trace $trace"
 for w in $workloads; do
     printf '%s\n' "$metrics" | while read -r name better; do
         wins="$(paste "$tmp/$w.parent.$name" "$tmp/$w.change.$name" | awk -v better="$better" '

@@ -12,13 +12,21 @@
 //!   (pointer equality), count hits/misses, and never cache errors.
 //! * The model content hash — the cache key — is stable across
 //!   processes (the fig2 catalogue constant below was computed in a
-//!   separate process) and sensitive to any model edit.
+//!   separate process) and sensitive to any model edit. It is streamed
+//!   into the hasher as the model is rendered, and must equal the hash
+//!   of the collected rendering.
+//! * Compile runs each streamer factory once and builds each machine
+//!   spec once, refusing the ones that cannot be realised, but runs no
+//!   capsule factory: those first run at instantiation, once per
+//!   engine instance.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use unified_rt::analysis::{compile, examples, stubs};
-use unified_rt::core::cache::SystemCache;
-use unified_rt::core::elaborate::{BehaviorRegistry, CompiledSystem};
+use unified_rt::core::cache::{fnv1a_64, SystemCache};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
+use unified_rt::core::ensemble::EnsembleEngine;
 use unified_rt::core::error::CoreError;
 use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::core::pacer::PacedConfig;
@@ -27,6 +35,9 @@ use unified_rt::core::threading::ThreadPolicy;
 use unified_rt::dataflow::flowtype::FlowType;
 use unified_rt::dataflow::streamer::StreamerBehavior;
 use unified_rt::ode::SolveError;
+use unified_rt::umlrt::capsule::{Capsule, CapsuleContext};
+use unified_rt::umlrt::message::Message;
+use unified_rt::umlrt::statemachine::SmSpec;
 
 /// The content hash of the fig2 catalogue model, computed by a separate
 /// process (`urt-lint --hash fig2`). If this assertion ever fails the
@@ -88,6 +99,10 @@ impl StreamerBehavior for Lag {
 /// dedicated-threads policy exercises a real cross-group channel), with
 /// probes on both.
 fn two_thread_model() -> UnifiedModel {
+    two_thread_builder().build()
+}
+
+fn two_thread_builder() -> ModelBuilder {
     let mut b = ModelBuilder::new("artifact-cache");
     let src = b.streamer("src", "none");
     let lag = b.streamer("lag", "none");
@@ -101,7 +116,7 @@ fn two_thread_model() -> UnifiedModel {
     b.flow_between_streamers(src, "y", lag, "u");
     b.probe(src, "y", "src");
     b.probe(lag, "y", "lag");
-    b.build()
+    b
 }
 
 fn registry() -> BehaviorRegistry {
@@ -240,4 +255,103 @@ fn fig2_catalogue_hash_is_pinned_across_processes() {
     assert!(artifact.content_hash() != 0, "artifact hash folds registry shape");
     cache.get_or_compile(&fig2, |_| unreachable!("hit must not recompile")).expect("hit");
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
+}
+
+#[test]
+fn streamed_hashes_equal_the_hash_of_the_collected_rendering() {
+    for (name, model) in examples::all() {
+        // The old definition, kept only as this test's oracle.
+        let rendered = format!("{model:?}");
+        assert_eq!(model.content_hash(), fnv1a_64(rendered.as_bytes()), "{name}: model hash");
+
+        // The artifact appends the NUL-tagged, sorted registry names. A
+        // capsule factory per capsule makes the capsule half non-empty;
+        // compile must not call them.
+        let mut capsules: Vec<String> = model.iter_capsules().map(|(_, c)| c.to_owned()).collect();
+        capsules.sort_unstable();
+        capsules.dedup();
+        let mut registry = stubs::stub_registry(&model);
+        for c in &capsules {
+            registry = registry.capsule(c, || -> Box<dyn Capsule> {
+                unreachable!("compile runs no capsule factory")
+            });
+        }
+        let artifact = compile(&model, registry).expect("catalogue model compiles");
+        let mut streamers: Vec<&str> = model.iter_streamers().map(|(_, s, _)| s).collect();
+        streamers.sort_unstable();
+        streamers.dedup();
+        let mut oracle = rendered.into_bytes();
+        for s in streamers {
+            oracle.extend_from_slice(b"\0streamer\0");
+            oracle.extend_from_slice(s.as_bytes());
+        }
+        for c in &capsules {
+            oracle.extend_from_slice(b"\0capsule\0");
+            oracle.extend_from_slice(c.as_bytes());
+        }
+        assert_eq!(artifact.content_hash(), fnv1a_64(&oracle), "{name}: artifact hash");
+    }
+}
+
+/// A capsule that ignores everything.
+struct Quiet;
+
+impl Capsule for Quiet {
+    fn name(&self) -> &str {
+        "sup"
+    }
+    fn on_start(&mut self, _ctx: &mut CapsuleContext) {}
+    fn on_message(&mut self, _msg: &Message, _ctx: &mut CapsuleContext) {}
+}
+
+#[test]
+fn compile_refuses_unrealisable_machines_and_runs_no_capsule_factory() {
+    // Under a gate that accepts everything, building the machine at
+    // compile is the only guard left.
+    let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+    let refused = [
+        (
+            SmSpec::new("m").state("a").substate("b", "ghost").initial("a"),
+            "machine `m`: state `b` has an undeclared parent",
+        ),
+        (SmSpec::new("m").state("a"), "machine `m` declares no initial state"),
+    ];
+    for (machine, message) in refused {
+        let mut b = two_thread_builder();
+        let sup = b.capsule("sup");
+        b.capsule_machine(sup, machine);
+        let err = elaborate(&b.build(), registry(), &accept_all).unwrap_err();
+        assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
+        assert!(err.to_string().contains(message), "{err}");
+    }
+
+    // A registered capsule factory runs once per engine instance, never
+    // at compile; each streamer factory runs exactly once at compile.
+    let capsules = Arc::new(AtomicUsize::new(0));
+    let (srcs, lags) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut b = two_thread_builder();
+    b.capsule("sup");
+    let (c, s, l) = (Arc::clone(&capsules), Arc::clone(&srcs), Arc::clone(&lags));
+    let registry = BehaviorRegistry::new()
+        .streamer("src", move || {
+            s.fetch_add(1, Ordering::Relaxed);
+            Box::new(Src)
+        })
+        .streamer("lag", move || {
+            l.fetch_add(1, Ordering::Relaxed);
+            Box::new(Lag { state: 0.25 })
+        })
+        .capsule("sup", move || {
+            c.fetch_add(1, Ordering::Relaxed);
+            Box::new(Quiet)
+        });
+    let compiled = elaborate(&b.build(), registry, &accept_all).expect("compiles");
+    let count = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+    assert_eq!((count(&srcs), count(&lags)), (1, 1), "streamer factories at compile");
+    assert_eq!(count(&capsules), 0, "compile runs no capsule factory");
+    let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
+    HybridEngine::from_compiled(&compiled, config).expect("engine");
+    assert_eq!(count(&capsules), 1, "one engine instance");
+    EnsembleEngine::from_compiled(&compiled, 3, config).expect("ensemble");
+    assert_eq!(count(&capsules), 4, "three more instances");
 }

@@ -16,7 +16,8 @@
 //! lane and still match.
 //!
 //! The per-lane side wraps each behaviour in [`PerLane`], which hides its
-//! lane from the row kernels.
+//! lane from the row kernels but forwards its SPort traffic, so both
+//! sides see the same deliveries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -298,6 +299,8 @@ impl Case {
         assert_eq!(calls.signals.load(Ordering::Relaxed), linked, "{what}: SPort deliveries");
         let (per_lane, calls) = self.run_ensemble(Kernel::PerLane);
         assert_eq!(calls.advance.load(Ordering::Relaxed), self.k * steps, "{what}: per-lane axis");
+        let signals = calls.signals.load(Ordering::Relaxed);
+        assert_eq!(signals, linked, "{what}: per-lane SPort deliveries");
         for i in 0..self.k {
             let standalone = self.run_standalone(i);
             for series in self.series() {
