@@ -231,6 +231,78 @@ mod tests {
     }
 
     #[test]
+    fn a_self_flow_is_refused_into_a_feedthrough_streamer_and_runs_into_a_stateful_one() {
+        use urt_core::elaborate::elaborate;
+        use urt_core::engine::{EngineConfig, HybridEngine};
+        use urt_core::model::ModelBuilder;
+        use urt_core::recorder::Recorder;
+        use urt_dataflow::flowtype::FlowType;
+        use urt_dataflow::streamer::StreamerBehavior;
+
+        /// `y = u + 1`, its input wired to its own output.
+        struct Count {
+            feedthrough: bool,
+        }
+        impl StreamerBehavior for Count {
+            fn name(&self) -> &str {
+                "count"
+            }
+            fn input_width(&self) -> usize {
+                1
+            }
+            fn output_width(&self) -> usize {
+                1
+            }
+            fn direct_feedthrough(&self) -> bool {
+                self.feedthrough
+            }
+            fn advance(
+                &mut self,
+                _t: f64,
+                _h: f64,
+                u: &[f64],
+                y: &mut [f64],
+            ) -> Result<(), urt_ode::SolveError> {
+                y[0] = u[0] + 1.0;
+                Ok(())
+            }
+        }
+        let build = |feedthrough: bool| {
+            let mut b = ModelBuilder::new("self");
+            let s = b.streamer("count", "none");
+            b.streamer_in(s, "u", FlowType::scalar());
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.flow_between_streamers(s, "y", s, "u");
+            b.streamer_feedthrough(s, feedthrough);
+            b.probe(s, "y", "count.y");
+            let registry =
+                BehaviorRegistry::new().streamer("count", move || Box::new(Count { feedthrough }));
+            (b.build(), registry)
+        };
+
+        let (model, registry) = build(true);
+        assert!(analyze(&model).iter().any(|d| d.code == "URT007"), "analyze names the loop");
+        let err = compile(&model, registry).unwrap_err();
+        assert!(err.to_string().contains("[URT007]"), "compile refuses: {err}");
+        let (model, registry) = build(true);
+        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+        let err = elaborate(&model, registry, &accept_all).unwrap_err();
+        assert_eq!(err.code(), "URT007", "the lowering refuses under any gate: {err}");
+
+        // Non-feedthrough: the input latches the previous step's output.
+        let (model, registry) = build(false);
+        let compiled = compile(&model, registry).expect("a stateful self-flow compiles");
+        let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig::default()).unwrap();
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        for _ in 0..3 {
+            engine.step_once().unwrap();
+        }
+        let values: Vec<f64> = rec.series("count.y").iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
     fn compile_refuses_seeded_model() {
         let model = examples::seeded_violations();
         let err = compile(&model, stubs::stub_registry(&model)).unwrap_err();

@@ -154,7 +154,7 @@ fn algebraic_loops(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for (a, b) in effective_streamer_edges(model) {
-        if a != b && model.streamer_feedthrough(b) {
+        if model.streamer_feedthrough(b) {
             adj[index[&a]].push(index[&b]);
             indeg[index[&b]] += 1;
         }
@@ -312,6 +312,27 @@ mod tests {
         let mut out = Vec::new();
         run(&build(true), &mut out);
         assert!(!out.iter().any(|d| d.code == "URT007"), "integrator breaks the loop");
+    }
+
+    #[test]
+    fn a_feedthrough_self_flow_is_an_algebraic_loop() {
+        let build = |feedthrough: bool| {
+            let mut b = ModelBuilder::new("echo");
+            let s = b.streamer("s", "none");
+            b.streamer_out(s, "y", FlowType::scalar());
+            b.streamer_in(s, "u", FlowType::scalar());
+            b.flow_between_streamers(s, "y", s, "u");
+            b.streamer_feedthrough(s, feedthrough);
+            b.build()
+        };
+        let mut out = Vec::new();
+        run(&build(true), &mut out);
+        let lp = out.iter().find(|d| d.code == "URT007").expect("self-loop reported");
+        assert_eq!(lp.path, "echo/s");
+
+        let mut out = Vec::new();
+        run(&build(false), &mut out);
+        assert!(!out.iter().any(|d| d.code == "URT007"), "a stateful self-flow is no loop");
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! The paper motivates its extension by the status quo: "modeling these
 //! kinds of systems needs use several tools together, such as UML and
-//! Simulink". This crate is the Simulink-shaped substrate — a library of
-//! causal signal blocks and a diagram builder — used three ways:
+//! Simulink". This crate is the Simulink-shaped substrate — the five causal
+//! signal blocks that workflow needs ([`sources::Constant`],
+//! [`math::Gain`], [`math::Sum`], [`math::Saturation`],
+//! [`continuous::Integrator`]) and a diagram builder — used three ways:
 //!
-//! 1. examples model their plants with it,
+//! 1. the cruise-control example models its plant with it,
 //! 2. [`diagram::BlockDiagram::into_streamer`] compiles a diagram into a
 //!    single streamer behaviour for the unified model (the paper's way),
 //! 3. the Kühl baseline (`urt-baselines`) translates each block into its
-//!    own capsule object (the related-work way the paper criticises).
+//!    own capsule object (the related-work way the paper criticises),
+//!    via [`diagram::BlockDiagram::into_parts`].
+//!
+//! A further block kind belongs here once an example or test wires it.
 //!
 //! # Examples
 //!
@@ -34,11 +39,8 @@
 pub mod block;
 pub mod continuous;
 pub mod diagram;
-pub mod discrete;
 pub mod error;
 pub mod math;
-pub mod nonlinear;
-pub mod sinks;
 pub mod sources;
 
 pub use block::Block;

@@ -1,7 +1,6 @@
 //! Source blocks: signal generators with no inputs.
 
 use crate::block::Block;
-use urt_ode::rng::Pcg32;
 
 /// Emits a constant value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,218 +37,6 @@ impl Block for Constant {
     }
 }
 
-/// Step input: `before` until `t0`, then `after`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Step {
-    t0: f64,
-    before: f64,
-    after: f64,
-}
-
-impl Step {
-    /// Creates a step that switches at `t0`.
-    pub fn new(t0: f64, before: f64, after: f64) -> Self {
-        Step { t0, before, after }
-    }
-}
-
-impl Block for Step {
-    fn name(&self) -> &str {
-        "step"
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn outputs(&self) -> usize {
-        1
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-
-    fn step(&mut self, t: f64, _h: f64, _u: &[f64], y: &mut [f64]) {
-        y[0] = if t >= self.t0 { self.after } else { self.before };
-    }
-}
-
-/// Ramp: `slope * (t - start)` once `t >= start`, zero before.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ramp {
-    slope: f64,
-    start: f64,
-}
-
-impl Ramp {
-    /// Creates a ramp starting at `start`.
-    pub fn new(slope: f64, start: f64) -> Self {
-        Ramp { slope, start }
-    }
-}
-
-impl Block for Ramp {
-    fn name(&self) -> &str {
-        "ramp"
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn outputs(&self) -> usize {
-        1
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-
-    fn step(&mut self, t: f64, _h: f64, _u: &[f64], y: &mut [f64]) {
-        y[0] = if t >= self.start { self.slope * (t - self.start) } else { 0.0 };
-    }
-}
-
-/// Sine wave `bias + amplitude * sin(2π f t + phase)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sine {
-    amplitude: f64,
-    frequency: f64,
-    phase: f64,
-    bias: f64,
-}
-
-impl Sine {
-    /// Creates a sine source with `frequency` in hertz.
-    pub fn new(amplitude: f64, frequency: f64) -> Self {
-        Sine { amplitude, frequency, phase: 0.0, bias: 0.0 }
-    }
-
-    /// Sets the phase offset in radians (builder style).
-    pub fn with_phase(mut self, phase: f64) -> Self {
-        self.phase = phase;
-        self
-    }
-
-    /// Sets a constant bias (builder style).
-    pub fn with_bias(mut self, bias: f64) -> Self {
-        self.bias = bias;
-        self
-    }
-}
-
-impl Block for Sine {
-    fn name(&self) -> &str {
-        "sine"
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn outputs(&self) -> usize {
-        1
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-
-    fn step(&mut self, t: f64, _h: f64, _u: &[f64], y: &mut [f64]) {
-        y[0] = self.bias
-            + self.amplitude * (2.0 * std::f64::consts::PI * self.frequency * t + self.phase).sin();
-    }
-}
-
-/// Pulse train: `amplitude` for the first `duty` fraction of each period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pulse {
-    period: f64,
-    duty: f64,
-    amplitude: f64,
-}
-
-impl Pulse {
-    /// Creates a pulse train.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period <= 0` or `duty` is outside `[0, 1]`.
-    pub fn new(period: f64, duty: f64, amplitude: f64) -> Self {
-        assert!(period > 0.0, "period must be positive");
-        assert!((0.0..=1.0).contains(&duty), "duty must be in [0, 1]");
-        Pulse { period, duty, amplitude }
-    }
-}
-
-impl Block for Pulse {
-    fn name(&self) -> &str {
-        "pulse"
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn outputs(&self) -> usize {
-        1
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-
-    fn step(&mut self, t: f64, _h: f64, _u: &[f64], y: &mut [f64]) {
-        let frac = (t / self.period).rem_euclid(1.0);
-        y[0] = if frac < self.duty { self.amplitude } else { 0.0 };
-    }
-}
-
-/// Band-limited-ish white noise: one gaussian-ish sample per step
-/// (sum of uniforms), reproducible from a seed.
-#[derive(Debug, Clone)]
-pub struct Noise {
-    std_dev: f64,
-    rng: Pcg32,
-    seed: u64,
-}
-
-impl Noise {
-    /// Creates a reproducible noise source.
-    pub fn new(std_dev: f64, seed: u64) -> Self {
-        Noise { std_dev, rng: Pcg32::seed_from_u64(seed), seed }
-    }
-}
-
-impl Block for Noise {
-    fn name(&self) -> &str {
-        "noise"
-    }
-
-    fn inputs(&self) -> usize {
-        0
-    }
-
-    fn outputs(&self) -> usize {
-        1
-    }
-
-    fn direct_feedthrough(&self) -> bool {
-        false
-    }
-
-    fn reset(&mut self) {
-        self.rng = Pcg32::seed_from_u64(self.seed);
-    }
-
-    fn step(&mut self, _t: f64, _h: f64, _u: &[f64], y: &mut [f64]) {
-        // Irwin–Hall approximation of a standard normal.
-        let sum: f64 = (0..12).map(|_| self.rng.next_f64()).sum();
-        y[0] = self.std_dev * (sum - 6.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,57 +54,5 @@ mod tests {
         assert_eq!(out1(&mut c, 100.0), 4.2);
         assert_eq!(c.inputs(), 0);
         assert_eq!(c.outputs(), 1);
-    }
-
-    #[test]
-    fn step_switches_at_t0() {
-        let mut s = Step::new(1.0, 0.0, 5.0);
-        assert_eq!(out1(&mut s, 0.99), 0.0);
-        assert_eq!(out1(&mut s, 1.0), 5.0);
-    }
-
-    #[test]
-    fn ramp_slopes_after_start() {
-        let mut r = Ramp::new(2.0, 1.0);
-        assert_eq!(out1(&mut r, 0.5), 0.0);
-        assert_eq!(out1(&mut r, 2.0), 2.0);
-    }
-
-    #[test]
-    fn sine_at_known_points() {
-        let mut s = Sine::new(1.0, 1.0);
-        assert!((out1(&mut s, 0.0)).abs() < 1e-12);
-        assert!((out1(&mut s, 0.25) - 1.0).abs() < 1e-12);
-        let mut s = Sine::new(1.0, 1.0).with_bias(10.0).with_phase(std::f64::consts::FRAC_PI_2);
-        assert!((out1(&mut s, 0.0) - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pulse_duty_cycle() {
-        let mut p = Pulse::new(1.0, 0.25, 2.0);
-        assert_eq!(out1(&mut p, 0.1), 2.0);
-        assert_eq!(out1(&mut p, 0.3), 0.0);
-        assert_eq!(out1(&mut p, 1.1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duty must be in")]
-    fn pulse_validates_duty() {
-        let _ = Pulse::new(1.0, 1.5, 1.0);
-    }
-
-    #[test]
-    fn noise_is_reproducible_and_resettable() {
-        let mut a = Noise::new(1.0, 42);
-        let mut b = Noise::new(1.0, 42);
-        let va: Vec<f64> = (0..10).map(|i| out1(&mut a, i as f64)).collect();
-        let vb: Vec<f64> = (0..10).map(|i| out1(&mut b, i as f64)).collect();
-        assert_eq!(va, vb);
-        a.reset();
-        assert_eq!(out1(&mut a, 0.0), va[0]);
-        // Zero mean-ish over many samples.
-        let mut n = Noise::new(1.0, 7);
-        let mean: f64 = (0..5000).map(|i| out1(&mut n, i as f64)).sum::<f64>() / 5000.0;
-        assert!(mean.abs() < 0.1, "mean {mean}");
     }
 }

@@ -1263,6 +1263,60 @@ mod tests {
     }
 
     #[test]
+    fn structure_the_plans_cannot_realise_is_refused_under_any_gate() {
+        // `s` sits inside the container streamer `pack`; `s.y -> g.u` is
+        // the one valid flow. Each case adds one unrealisable element.
+        type Case = (&'static str, fn(&mut ModelBuilder, [StreamerRef; 3]));
+        let cases: [Case; 8] = [
+            ("container streamer `pack` declares DPorts", |b, [_, _, pack]| {
+                b.streamer_out(pack, "y", FlowType::scalar());
+            }),
+            ("flow targets container streamer `pack`", |b, [s, _, pack]| {
+                b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Streamer(pack, "u".into()));
+            }),
+            ("flow originates at container streamer `pack`", |b, [_, g, pack]| {
+                b.flow(FlowEnd::Streamer(pack, "y".into()), FlowEnd::Streamer(g, "u".into()));
+            }),
+            ("capsule DPort `relay`.`d` relays nothing", |b, [_, g, _]| {
+                let c = b.capsule("relay");
+                b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
+            }),
+            ("capsule DPort `relay`.`d` has multiple sources", |b, [s, g, _]| {
+                let c = b.capsule("relay");
+                b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Capsule(c, "d".into()));
+                b.flow(FlowEnd::Streamer(g, "y".into()), FlowEnd::Capsule(c, "d".into()));
+                b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
+            }),
+            ("relay chain through capsule DPort `d2` does not terminate", |b, [_, g, _]| {
+                let c = b.capsule("relay");
+                b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Capsule(c, "d2".into()));
+                b.flow(FlowEnd::Capsule(c, "d2".into()), FlowEnd::Capsule(c, "d1".into()));
+                b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Streamer(g, "u".into()));
+            }),
+            ("sport link targets container streamer `pack`", |b, [_, _, pack]| {
+                let c = b.capsule("sup");
+                b.sport_link(c, "p", pack, "ctl");
+            }),
+            ("probe `pack.y` taps container streamer `pack`", |b, [_, _, pack]| {
+                b.probe(pack, "y", "pack.y");
+            }),
+        ];
+        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+        for (needle, add) in cases {
+            let (mut b, refs, registry) = hold_model(&["s"]);
+            let [s, g] = refs[..] else { unreachable!() };
+            let pack = b.streamer("pack", "none");
+            b.contain_streamer(s, pack);
+            b.flow_between_streamers(s, "y", g, "u");
+            add(&mut b, [s, g, pack]);
+            let err = elaborate(&b.build(), registry, &accept_all).unwrap_err();
+            assert!(matches!(err, CoreError::Elaborate { .. }), "{needle}: {err}");
+            assert_eq!(err.code(), "URT114", "{needle}: {err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
     fn gate_refusal_propagates() {
         let model = two_stage_model();
         let gate = |_m: &UnifiedModel| -> Result<(), CoreError> {

@@ -15,7 +15,7 @@ use crate::error::CoreError;
 ///
 /// The clock is *drift-free*: instead of accumulating `t += h` once per
 /// tick (whose rounding error grows with the step count), the current
-/// instant is derived as `t0 + base + run_steps * run_h`, where
+/// instant is derived as `base + run_steps * run_h`, where
 /// `run_steps` counts the ticks of the current uniform run of step size
 /// `run_h` and `base` folds in any earlier runs with a different step.
 /// For the common case of a fixed macro step from t = 0 this makes
@@ -23,7 +23,6 @@ use crate::error::CoreError;
 /// are taken.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimClock {
-    t0: f64,
     /// Seconds accumulated by completed uniform runs before the current one.
     base: f64,
     /// Step size of the current uniform run of ticks.
@@ -36,17 +35,12 @@ pub struct SimClock {
 impl SimClock {
     /// A clock at t = 0.
     pub fn new() -> Self {
-        Self::starting_at(0.0)
-    }
-
-    /// A clock starting at `t0` seconds.
-    pub fn starting_at(t0: f64) -> Self {
-        SimClock { t0, base: 0.0, run_h: 0.0, run_steps: 0, step_count: 0 }
+        SimClock { base: 0.0, run_h: 0.0, run_steps: 0, step_count: 0 }
     }
 
     /// Current time in seconds.
     pub fn seconds(&self) -> f64 {
-        self.t0 + self.base + self.run_steps as f64 * self.run_h
+        self.base + self.run_steps as f64 * self.run_h
     }
 
     /// Number of macro steps taken.
@@ -158,17 +152,17 @@ mod tests {
 
     #[test]
     fn clock_handles_step_size_changes() {
-        let mut c = SimClock::starting_at(1.0);
+        let mut c = SimClock::new();
         c.tick(0.5);
         c.tick(0.5);
         c.tick(0.25);
-        assert_eq!(c.seconds(), 2.25);
+        assert_eq!(c.seconds(), 1.25);
         assert_eq!(c.step_count(), 3);
         // Back to a uniform run: the new run is again a drift-free product.
         for _ in 0..4 {
             c.tick(0.25);
         }
-        assert_eq!(c.seconds(), 3.25);
+        assert_eq!(c.seconds(), 2.25);
         assert_eq!(c.step_count(), 7);
     }
 

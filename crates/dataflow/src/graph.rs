@@ -304,7 +304,7 @@ impl StepPlan {
             gathers.extend(PlanCopy::for_flow(src.flow_type(), dst.flow_type()).into_iter().map(
                 |c| (to.0, PlanCopy { src: src_at + c.src, dst: dst_at + c.dst, len: c.len }),
             ));
-            if to_shape.feedthrough && from != to {
+            if to_shape.feedthrough {
                 adj[from.0].push(to.0);
                 indeg[to.0] += 1;
             }
@@ -765,6 +765,19 @@ mod tests {
             FlowError::AlgebraicLoop { nodes } => assert_eq!(nodes, ["a", "b"]),
             other => panic!("expected algebraic loop, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_feedthrough_self_flow_is_an_algebraic_loop() {
+        let flows = [((id(0), "o"), (id(0), "i"))];
+        match StepPlan::lower(vec![scalar_node("echo")], &flows, &[]).unwrap_err() {
+            FlowError::AlgebraicLoop { nodes } => assert_eq!(nodes, ["echo"]),
+            other => panic!("expected algebraic loop, got {other}"),
+        }
+        // Into a non-feedthrough node the same flow adds no ordering edge.
+        let lag = NodeShape { feedthrough: false, ..scalar_node("lag") };
+        let (plan, _) = StepPlan::lower(vec![lag], &flows, &[]).unwrap();
+        assert_eq!(plan.nodes()[0].gathers, [PlanCopy { src: 0, dst: 0, len: 1 }]);
     }
 
     #[test]

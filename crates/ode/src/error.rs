@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error raised by solvers, systems and linear algebra routines.
+/// Error raised by solvers and systems.
 ///
 /// # Examples
 ///
@@ -46,11 +46,6 @@ pub enum SolveError {
         /// Iterations performed before giving up.
         iterations: usize,
     },
-    /// A matrix was singular (or numerically so) during factorisation.
-    SingularMatrix {
-        /// Pivot column where elimination broke down.
-        pivot: usize,
-    },
     /// An event function never bracketed a root it reported.
     EventNotBracketed,
 }
@@ -73,9 +68,6 @@ impl fmt::Display for SolveError {
             SolveError::NoConvergence { iterations } => {
                 write!(f, "implicit iteration failed to converge after {iterations} iterations")
             }
-            SolveError::SingularMatrix { pivot } => {
-                write!(f, "singular matrix at pivot {pivot}")
-            }
             SolveError::EventNotBracketed => {
                 write!(f, "event root was not bracketed by the step")
             }
@@ -97,7 +89,6 @@ mod tests {
             SolveError::NonFiniteState { time: 1.0 },
             SolveError::StepSizeUnderflow { time: 1.0, step: 1e-18 },
             SolveError::NoConvergence { iterations: 50 },
-            SolveError::SingularMatrix { pivot: 3 },
             SolveError::EventNotBracketed,
         ];
         for c in cases {

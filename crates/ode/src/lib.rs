@@ -9,12 +9,10 @@
 //! * [`solver`] — integration strategies (the *strategy* stereotype of the
 //!   paper's Figure 1): explicit Euler, Heun, classic RK4, adaptive
 //!   Dormand–Prince RK45 and a fixed-point backward Euler.
-//! * [`difference`] — time-discrete systems described by difference
-//!   equations, which UML-RT can already host inside capsule actions.
 //! * [`events`] — zero-crossing detection and bisection localisation, the
 //!   mechanism by which continuous trajectories raise discrete signals.
-//! * [`linalg`] — small dense matrices with LU decomposition, enough for
-//!   state-space models.
+//! * [`linalg`] — a small dense matrix, enough to hold the system matrix
+//!   of a linear or affine system.
 //! * [`state`] — the state-vector type shared by all of the above.
 //!
 //! # Examples
@@ -33,7 +31,6 @@
 //! # }
 //! ```
 
-pub mod difference;
 pub mod error;
 pub mod events;
 pub mod hybrid;

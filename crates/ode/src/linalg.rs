@@ -1,13 +1,9 @@
-//! Small dense linear algebra: just enough for state-space blocks and
-//! implicit methods — a row-major [`Matrix`] with LU factorisation.
+//! Small dense linear algebra: just enough to hold the system matrix of a
+//! [`LinearSystem`](crate::system::LinearSystem) or
+//! [`AffineSystem`](crate::system::AffineSystem) — a row-major [`Matrix`]
+//! read by `(row, column)` index.
 
-// Row/column elimination indexes matrices and permutation vectors in
-// lockstep; indexed loops read closer to the math than iterator chains.
-#![allow(clippy::needless_range_loop)]
-
-use crate::error::SolveError;
-use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::Index;
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -16,10 +12,9 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use urt_ode::linalg::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-/// let x = a.solve(&[2.0, 8.0])?;
-/// assert_eq!(x, vec![1.0, 2.0]);
-/// # Ok::<(), urt_ode::SolveError>(())
+/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// assert_eq!(a, Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+/// assert_eq!(a[(1, 0)], 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -29,20 +24,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Creates an identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Panics
@@ -83,128 +64,6 @@ impl Matrix {
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
     }
-
-    /// Matrix–vector product `A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            y[i] = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        y
-    }
-
-    /// Matrix–matrix product `A B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Scales every entry by `alpha`, in place.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
-    /// Solves `A x = b` by LU decomposition with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// * [`SolveError::DimensionMismatch`] if `b.len() != rows` or the
-    ///   matrix is not square.
-    /// * [`SolveError::SingularMatrix`] if a pivot vanishes.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
-        if !self.is_square() {
-            return Err(SolveError::DimensionMismatch { expected: self.rows, found: self.cols });
-        }
-        if b.len() != self.rows {
-            return Err(SolveError::DimensionMismatch { expected: self.rows, found: b.len() });
-        }
-        let n = self.rows;
-        let mut lu = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for col in 0..n {
-            // Partial pivot.
-            let mut pivot_row = col;
-            let mut pivot_val = lu[perm[col] * n + col].abs();
-            for row in (col + 1)..n {
-                let v = lu[perm[row] * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = row;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return Err(SolveError::SingularMatrix { pivot: col });
-            }
-            perm.swap(col, pivot_row);
-            let p = perm[col];
-            for row in (col + 1)..n {
-                let r = perm[row];
-                let factor = lu[r * n + col] / lu[p * n + col];
-                lu[r * n + col] = factor;
-                for j in (col + 1)..n {
-                    lu[r * n + j] -= factor * lu[p * n + j];
-                }
-            }
-        }
-
-        // Forward substitution (L has unit diagonal), applying permutation.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let r = perm[i];
-            let mut acc = x[r];
-            for j in 0..i {
-                acc -= lu[r * n + j] * y[j];
-            }
-            y[i] = acc;
-        }
-        // Back substitution with U.
-        for i in (0..n).rev() {
-            let r = perm[i];
-            let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= lu[r * n + j] * x[j];
-            }
-            x[i] = acc / lu[r * n + i];
-        }
-        Ok(x)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -215,108 +74,23 @@ impl Index<(usize, usize)> for Matrix {
     }
 }
 
-impl IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.data[i * self.cols + j]
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            write!(f, "[")?;
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", self[(i, j)])?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn identity_and_indexing() {
-        let id = Matrix::identity(3);
-        assert_eq!(id[(0, 0)], 1.0);
-        assert_eq!(id[(0, 1)], 0.0);
-        assert!(id.is_square());
-        assert_eq!(id.rows(), 3);
-        assert_eq!(id.cols(), 3);
-    }
-
-    #[test]
-    fn matvec_works() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]));
-    }
-
-    #[test]
-    fn transpose_round_trips() {
+    fn shapes_and_indexing() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
+        assert_eq!((a.rows(), a.cols()), (2, 3));
+        assert!(!a.is_square());
+        assert_eq!(a[(1, 2)], 6.0);
+        assert_eq!(a, Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        assert!(Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).is_square());
     }
 
     #[test]
-    fn solve_diagonal() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(a.solve(&[2.0, 8.0]).unwrap(), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = a.solve(&[3.0, 7.0]).unwrap();
-        assert!((x[0] - 7.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_general_3x3() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 1.0], &[1.0, 3.0, 2.0], &[1.0, 0.0, 0.0]]);
-        let x = a.solve(&[4.0, 5.0, 6.0]).unwrap();
-        // Verify by substitution.
-        let b = a.matvec(&x);
-        for (bi, expect) in b.iter().zip([4.0, 5.0, 6.0]) {
-            assert!((bi - expect).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn solve_detects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(a.solve(&[1.0, 2.0]), Err(SolveError::SingularMatrix { .. })));
-    }
-
-    #[test]
-    fn solve_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(a.solve(&[1.0, 1.0]), Err(SolveError::DimensionMismatch { .. })));
-        let a = Matrix::identity(2);
-        assert!(matches!(a.solve(&[1.0]), Err(SolveError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut a = Matrix::identity(2);
-        a.scale(3.0);
-        assert_eq!(a[(0, 0)], 3.0);
-        assert_eq!(a[(1, 1)], 3.0);
+    #[should_panic(expected = "equal length")]
+    fn from_rows_rejects_ragged_rows() {
+        let _ = Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]);
     }
 }

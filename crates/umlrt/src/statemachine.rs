@@ -85,9 +85,9 @@ pub struct SmTransitionSpec {
 ///
 /// This is what static analysis (the `urt_analysis` crate) lints —
 /// reachability, trigger deliverability, missing initial state — and what
-/// a `UnifiedModel` attaches to capsule declarations. Extract one from a
-/// built machine with [`StateMachine::spec`], or describe a machine that
-/// only exists on the drawing board with the builder-style methods.
+/// a `UnifiedModel` attaches to capsule declarations. Describe one with
+/// the builder-style methods; `urt_core` builds the running machine of a
+/// capsule that has no registered factory from its spec.
 ///
 /// # Examples
 ///
@@ -249,34 +249,6 @@ impl<D> StateMachine<D> {
     /// Number of fired transitions (internal ones included).
     pub fn transition_count(&self) -> u64 {
         self.transition_count
-    }
-
-    /// Extracts the declarative shape of this machine (names, hierarchy,
-    /// triggers — not the guard/action closures) for static analysis.
-    pub fn spec(&self) -> SmSpec {
-        SmSpec {
-            name: self.name.clone(),
-            states: self
-                .states
-                .iter()
-                .map(|s| SmStateSpec {
-                    name: s.name.clone(),
-                    parent: s.parent.map(|p| self.states[p].name.clone()),
-                    initial_child: s.initial_child.map(|c| self.states[c].name.clone()),
-                })
-                .collect(),
-            initial: Some(self.states[self.initial].name.clone()),
-            transitions: self
-                .transitions
-                .iter()
-                .map(|t| SmTransitionSpec {
-                    source: self.states[t.source].name.clone(),
-                    target: t.target.map(|i| self.states[i].name.clone()),
-                    port: t.trigger.port().to_owned(),
-                    signal: t.trigger.signal().to_owned(),
-                })
-                .collect(),
-        }
     }
 
     /// Runs the initial transition and enters the initial state chain.
@@ -943,43 +915,6 @@ mod tests {
         m.dispatch(&mut d, &msg("p", "pause"), &mut c);
         m.dispatch(&mut d, &msg("p", "resume"), &mut c);
         assert_eq!(m.current_state(), "phase1", "no history restarts phase1");
-    }
-
-    #[test]
-    fn spec_extraction_mirrors_structure() {
-        let m = StateMachineBuilder::new("m")
-            .state("running")
-            .substate("fast", "running")
-            .substate("slow", "running")
-            .state("stopped")
-            .initial_child("running", "slow")
-            .initial("running", |_d: &mut (), _| {})
-            .on("running", ("p", "stop"), "stopped", |_, _, _| {})
-            .internal("stopped", ("p", "ping"), |_, _, _| {})
-            .build()
-            .unwrap();
-        let spec = m.spec();
-        assert_eq!(spec.name, "m");
-        assert_eq!(spec.initial.as_deref(), Some("running"));
-        assert_eq!(spec.states.len(), 4);
-        assert_eq!(spec.find_state("fast").unwrap().parent.as_deref(), Some("running"));
-        assert_eq!(spec.find_state("running").unwrap().initial_child.as_deref(), Some("slow"));
-        assert_eq!(spec.transitions.len(), 2);
-        assert_eq!(spec.transitions[0].source, "running");
-        assert_eq!(spec.transitions[0].target.as_deref(), Some("stopped"));
-        assert_eq!(spec.transitions[0].signal, "stop");
-        assert_eq!(spec.transitions[1].target, None, "internal transition has no target");
-        // The builder-style spec produces the same shape.
-        let by_hand = SmSpec::new("m")
-            .state("running")
-            .substate("fast", "running")
-            .substate("slow", "running")
-            .state("stopped")
-            .initial_child("running", "slow")
-            .initial("running")
-            .on("running", ("p", "stop"), "stopped")
-            .internal("stopped", ("p", "ping"));
-        assert_eq!(spec, by_hand);
     }
 
     #[test]

@@ -93,6 +93,11 @@ fi
 echo "==> sh -n scripts/ab.sh"
 sh -n scripts/ab.sh
 
+# The unused-public-item audit lists candidates for deletion; it has no
+# pass/fail verdict, so the gate only checks that it parses.
+echo "==> sh -n scripts/unused_pub.sh"
+sh -n scripts/unused_pub.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
