@@ -10,6 +10,7 @@
 use crate::diagnostic::{Diagnostic, Severity};
 use std::collections::{HashMap, HashSet, VecDeque};
 use urt_core::model::{CapsuleRef, FlowEnd, Owner, StreamerRef, UnifiedModel};
+use urt_dataflow::graph::topo_order;
 
 /// Effective streamer-to-streamer edges with capsule relay chains
 /// resolved.
@@ -143,38 +144,23 @@ fn dead_outputs(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
 }
 
 /// `URT007`: a cycle of direct-feedthrough streamers (relay chains
-/// resolved) has no valid same-step evaluation order.
+/// resolved) has no valid same-step evaluation order. One diagnostic
+/// names every streamer on a cycle ([`topo_order`]), and no streamer
+/// that only reads one.
 fn algebraic_loops(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
     let streamers: Vec<StreamerRef> = model.iter_streamers().map(|(s, _, _)| s).collect();
     let index: HashMap<StreamerRef, usize> =
         streamers.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     // Only direct-feedthrough streamers propagate a same-step dependency;
     // an edge into a non-feedthrough streamer imposes no ordering.
-    let n = streamers.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for (a, b) in effective_streamer_edges(model) {
-        if model.streamer_feedthrough(b) {
-            adj[index[&a]].push(index[&b]);
-            indeg[index[&b]] += 1;
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut done = 0;
-    while let Some(u) = queue.pop_front() {
-        done += 1;
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push_back(v);
-            }
-        }
-    }
-    if done < n {
-        let names: Vec<&str> = (0..n)
-            .filter(|&i| indeg[i] > 0)
-            .filter_map(|i| model.streamer_name(streamers[i]))
-            .collect();
+    let edges: Vec<(usize, usize)> = effective_streamer_edges(model)
+        .into_iter()
+        .filter(|&(_, b)| model.streamer_feedthrough(b))
+        .map(|(a, b)| (index[&a], index[&b]))
+        .collect();
+    if let Err(cycle) = topo_order(streamers.len(), &edges) {
+        let names: Vec<&str> =
+            cycle.into_iter().filter_map(|i| model.streamer_name(streamers[i])).collect();
         out.push(
             Diagnostic::new(
                 "URT007",
@@ -333,6 +319,32 @@ mod tests {
         let mut out = Vec::new();
         run(&build(false), &mut out);
         assert!(!out.iter().any(|d| d.code == "URT007"), "a stateful self-flow is no loop");
+    }
+
+    #[test]
+    fn a_loop_report_names_neither_downstream_nor_in_between_streamers() {
+        // Feedthrough streamers s0.. with one input per incoming flow.
+        let loop_path = |n: usize, flows: &[(usize, usize)]| {
+            let mut b = ModelBuilder::new("m");
+            let s: Vec<_> = (0..n).map(|i| b.streamer(format!("s{i}"), "none")).collect();
+            for &sref in &s {
+                b.streamer_out(sref, "y", FlowType::scalar());
+            }
+            for (k, &(from, to)) in flows.iter().enumerate() {
+                b.streamer_in(s[to], format!("u{k}"), FlowType::scalar());
+                b.flow_between_streamers(s[from], "y", s[to], format!("u{k}"));
+            }
+            let mut out = Vec::new();
+            run(&b.build(), &mut out);
+            let loops: Vec<_> = out.iter().filter(|d| d.code == "URT007").collect();
+            assert_eq!(loops.len(), 1, "{out:#?}");
+            loops[0].path.clone()
+        };
+        // s0 <-> s1 -> s2: s2 only reads the loop.
+        assert_eq!(loop_path(3, &[(0, 1), (1, 0), (1, 2)]), "m/s0,s1");
+        // s2 sits between the s0 <-> s1 and s3 <-> s4 loops.
+        let between = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3)];
+        assert_eq!(loop_path(5, &between), "m/s0,s1,s3,s4");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::model_pass::effective_streamer_edges;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use urt_core::model::UnifiedModel;
+use urt_dataflow::graph::topo_order;
 
 /// Runs the thread-plan deadlock pass.
 pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
@@ -29,32 +30,12 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
             wait_for.entry(ta).or_default();
         }
     }
-    // Kahn over the wait-for graph; leftover threads sit on a cycle.
     let threads: Vec<usize> = wait_for.keys().copied().collect();
     let index: BTreeMap<usize, usize> = threads.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-    let n = threads.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for (&t, waits) in &wait_for {
-        for w in waits {
-            adj[index[w]].push(index[&t]);
-            indeg[index[&t]] += 1;
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut done = 0;
-    while let Some(u) = queue.pop_front() {
-        done += 1;
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push_back(v);
-            }
-        }
-    }
-    if done < n {
-        let stuck: Vec<String> =
-            (0..n).filter(|&i| indeg[i] > 0).map(|i| threads[i].to_string()).collect();
+    let edges: Vec<(usize, usize)> =
+        wait_for.iter().flat_map(|(t, waits)| waits.iter().map(|w| (index[w], index[t]))).collect();
+    if let Err(cycle) = topo_order(threads.len(), &edges) {
+        let stuck: Vec<String> = cycle.into_iter().map(|i| threads[i].to_string()).collect();
         out.push(
             Diagnostic::new(
                 "URT206",
@@ -105,6 +86,32 @@ mod tests {
         let d = out.iter().find(|d| d.code == "URT206").expect("URT206 reported");
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains('0') && d.message.contains('1'));
+    }
+
+    #[test]
+    fn a_deadlock_report_names_neither_downstream_nor_in_between_threads() {
+        // Feedthrough streamer s{i} on thread i, one input per flow.
+        let stuck = |n: usize, flows: &[(usize, usize)]| {
+            let mut b = ModelBuilder::new("plan");
+            let s: Vec<_> = (0..n).map(|i| b.streamer(format!("s{i}"), "rk4")).collect();
+            for (i, &sref) in s.iter().enumerate() {
+                b.streamer_out(sref, "y", FlowType::scalar());
+                b.assign_thread(sref, i);
+            }
+            for (k, &(from, to)) in flows.iter().enumerate() {
+                b.streamer_in(s[to], format!("u{k}"), FlowType::scalar());
+                b.flow_between_streamers(s[from], "y", s[to], format!("u{k}"));
+            }
+            let mut out = Vec::new();
+            run(&b.build(), &mut out);
+            assert_eq!(out.len(), 1, "{out:#?}");
+            out.remove(0).message
+        };
+        // Threads 0 <-> 1, and 2 waits on 1 without being waited on.
+        assert!(stuck(3, &[(0, 1), (1, 0), (1, 2)]).contains("threads 0, 1 wait"));
+        // Thread 2 sits between the 0 <-> 1 and 3 <-> 4 cycles.
+        let between = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3)];
+        assert!(stuck(5, &between).contains("threads 0, 1, 3, 4 wait"));
     }
 
     #[test]

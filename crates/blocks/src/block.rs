@@ -6,6 +6,13 @@
 /// integrate internally (exactly or with an embedded method). This is the
 /// "Simulink block" abstraction the paper's introduction refers to.
 ///
+/// In a [`BlockDiagram`](crate::diagram::BlockDiagram) a block is one
+/// plan node with scalar input DPorts `u0…` and output DPorts `y0…`, and
+/// [`Block::direct_feedthrough`] is the node's feedthrough flag: only
+/// connections into a feedthrough block order the diagram's rows, so a
+/// non-feedthrough block (an integrator) may close a loop and reads the
+/// previous step's value there.
+///
 /// # Examples
 ///
 /// ```

@@ -1,29 +1,21 @@
-//! Block diagrams: wiring blocks together, and compiling a diagram into a
-//! single streamer behaviour for the unified model.
+//! Block diagrams: wiring blocks together, lowering a diagram through the
+//! dataflow crate's [`StepPlan`], and compiling a diagram into a single
+//! streamer behaviour for the unified model.
 
 use crate::block::Block;
-use crate::error::BlockError;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::fmt;
+use urt_dataflow::error::FlowError;
+use urt_dataflow::flowtype::FlowType;
+use urt_dataflow::graph::{NodeId, NodeShape, StepPlan};
+use urt_dataflow::port::{DPortSpec, Direction};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_ode::SolveError;
-
-/// Identifier of a block within a diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId(usize);
-
-impl BlockId {
-    /// The raw index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 struct BlockInst {
     label: String,
     block: Box<dyn Block>,
-    in_buf: Vec<f64>,
-    out_buf: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,20 +26,36 @@ struct Conn {
     to_port: usize,
 }
 
+/// The plan-node port name of block input (`u0`, `u1`, ...) or output
+/// (`y0`, `y1`, ...) `port`.
+fn port_name(input: bool, port: usize) -> String {
+    format!("{}{port}", if input { 'u' } else { 'y' })
+}
+
 /// A wired set of blocks with designated external inputs and outputs.
 ///
 /// See the crate-level example. Diagrams are the Simulink-shaped modeling
 /// surface; [`BlockDiagram::into_streamer`] turns a whole diagram into one
 /// streamer for the unified model, while the Kühl baseline instead turns
 /// *each block* into a capsule.
+///
+/// [`BlockDiagram::validate`] lowers the diagram through
+/// [`StepPlan::lower`], the lowering streamer groups take: each block is a
+/// plan node named by its label, with scalar input DPorts `u0…` and
+/// output DPorts `y0…`, each connection a flow and each marked input an
+/// export. So a diagram is refused by the same rules, with the same
+/// [`FlowError`] codes (URT001/002/005/006/007/010), and
+/// [`BlockDiagram::step`] is one [`StepPlan::replay`] of that plan.
 pub struct BlockDiagram {
     name: String,
     blocks: Vec<BlockInst>,
     conns: Vec<Conn>,
     ext_inputs: Vec<(usize, usize)>,
     ext_outputs: Vec<(usize, usize)>,
-    order: Vec<usize>,
-    validated: bool,
+    /// The plan and each block's first dense output lane, once validated.
+    plan: Option<(StepPlan, Vec<usize>)>,
+    ins: Vec<f64>,
+    outs: Vec<f64>,
     outputs: Vec<f64>,
 }
 
@@ -70,8 +78,9 @@ impl BlockDiagram {
             conns: Vec::new(),
             ext_inputs: Vec::new(),
             ext_outputs: Vec::new(),
-            order: Vec::new(),
-            validated: false,
+            plan: None,
+            ins: Vec::new(),
+            outs: Vec::new(),
             outputs: Vec::new(),
         }
     }
@@ -82,27 +91,21 @@ impl BlockDiagram {
     }
 
     /// Adds a block, labelling it with its type name plus index.
-    pub fn add_block(&mut self, block: impl Block + 'static) -> BlockId {
+    pub fn add_block(&mut self, block: impl Block + 'static) -> NodeId {
         let label = format!("{}_{}", block.name(), self.blocks.len());
         self.add_block_labeled(label, block)
     }
 
-    /// Adds a block with an explicit label.
+    /// Adds a block with an explicit label. Labels must be unique by the
+    /// time the diagram is validated.
     pub fn add_block_labeled(
         &mut self,
         label: impl Into<String>,
         block: impl Block + 'static,
-    ) -> BlockId {
-        let block: Box<dyn Block> = Box::new(block);
-        let (ni, no) = (block.inputs(), block.outputs());
-        self.blocks.push(BlockInst {
-            label: label.into(),
-            block,
-            in_buf: vec![0.0; ni],
-            out_buf: vec![0.0; no],
-        });
-        self.validated = false;
-        BlockId(self.blocks.len() - 1)
+    ) -> NodeId {
+        self.blocks.push(BlockInst { label: label.into(), block: Box::new(block) });
+        self.plan = None;
+        NodeId::from_index(self.blocks.len() - 1)
     }
 
     /// Number of blocks.
@@ -119,19 +122,36 @@ impl BlockDiagram {
     ///
     /// # Errors
     ///
-    /// Returns [`BlockError::UnknownBlock`] for a bad id.
-    pub fn label(&self, id: BlockId) -> Result<&str, BlockError> {
+    /// Returns [`FlowError::UnknownNode`] for a bad id.
+    pub fn label(&self, id: NodeId) -> Result<&str, FlowError> {
         self.blocks
-            .get(id.0)
+            .get(id.index())
             .map(|b| b.label.as_str())
-            .ok_or(BlockError::UnknownBlock { index: id.0 })
+            .ok_or(FlowError::UnknownNode { index: id.index() })
     }
 
-    fn check_port(&self, id: BlockId, port: usize, input: bool) -> Result<(), BlockError> {
-        let b = self.blocks.get(id.0).ok_or(BlockError::UnknownBlock { index: id.0 })?;
+    fn check_port(&self, id: NodeId, port: usize, input: bool) -> Result<(), FlowError> {
+        let b = self.blocks.get(id.index()).ok_or(FlowError::UnknownNode { index: id.index() })?;
         let count = if input { b.block.inputs() } else { b.block.outputs() };
         if port >= count {
-            return Err(BlockError::BadPort { block: b.label.clone(), port, input });
+            return Err(FlowError::UnknownPort {
+                node: b.label.clone(),
+                port: port_name(input, port),
+            });
+        }
+        Ok(())
+    }
+
+    /// Refuses a second writer on input `port` of `block`.
+    fn check_undriven(&self, block: NodeId, port: usize) -> Result<(), FlowError> {
+        let b = block.index();
+        if self.conns.iter().any(|c| c.to_block == b && c.to_port == port)
+            || self.ext_inputs.contains(&(b, port))
+        {
+            return Err(FlowError::MultipleWriters {
+                node: self.blocks[b].label.clone(),
+                port: port_name(true, port),
+            });
         }
         Ok(())
     }
@@ -140,31 +160,26 @@ impl BlockDiagram {
     ///
     /// # Errors
     ///
-    /// * [`BlockError::UnknownBlock`] / [`BlockError::BadPort`].
-    /// * [`BlockError::MultipleWriters`] if the input is already driven.
+    /// * [`FlowError::UnknownNode`] / [`FlowError::UnknownPort`].
+    /// * [`FlowError::MultipleWriters`] if the input is already driven.
     pub fn connect(
         &mut self,
-        from: BlockId,
+        from: NodeId,
         from_port: usize,
-        to: BlockId,
+        to: NodeId,
         to_port: usize,
-    ) -> Result<(), BlockError> {
+    ) -> Result<(), FlowError> {
         self.check_port(from, from_port, false)?;
         self.check_port(to, to_port, true)?;
-        if self.input_is_driven(to.0, to_port) {
-            return Err(BlockError::MultipleWriters {
-                block: self.blocks[to.0].label.clone(),
-                port: to_port,
-            });
-        }
-        self.conns.push(Conn { from_block: from.0, from_port, to_block: to.0, to_port });
-        self.validated = false;
+        self.check_undriven(to, to_port)?;
+        self.conns.push(Conn {
+            from_block: from.index(),
+            from_port,
+            to_block: to.index(),
+            to_port,
+        });
+        self.plan = None;
         Ok(())
-    }
-
-    fn input_is_driven(&self, block: usize, port: usize) -> bool {
-        self.conns.iter().any(|c| c.to_block == block && c.to_port == port)
-            || self.ext_inputs.contains(&(block, port))
     }
 
     /// Exposes a block input as diagram input number
@@ -174,16 +189,11 @@ impl BlockDiagram {
     ///
     /// Bad ids/ports and already-driven inputs error as in
     /// [`BlockDiagram::connect`].
-    pub fn mark_input(&mut self, block: BlockId, port: usize) -> Result<(), BlockError> {
+    pub fn mark_input(&mut self, block: NodeId, port: usize) -> Result<(), FlowError> {
         self.check_port(block, port, true)?;
-        if self.input_is_driven(block.0, port) {
-            return Err(BlockError::MultipleWriters {
-                block: self.blocks[block.0].label.clone(),
-                port,
-            });
-        }
-        self.ext_inputs.push((block.0, port));
-        self.validated = false;
+        self.check_undriven(block, port)?;
+        self.ext_inputs.push((block.index(), port));
+        self.plan = None;
         Ok(())
     }
 
@@ -193,9 +203,9 @@ impl BlockDiagram {
     /// # Errors
     ///
     /// Returns bad-id/bad-port errors as in [`BlockDiagram::connect`].
-    pub fn mark_output(&mut self, block: BlockId, port: usize) -> Result<(), BlockError> {
+    pub fn mark_output(&mut self, block: NodeId, port: usize) -> Result<(), FlowError> {
         self.check_port(block, port, false)?;
-        self.ext_outputs.push((block.0, port));
+        self.ext_outputs.push((block.index(), port));
         self.outputs.push(0.0);
         Ok(())
     }
@@ -210,88 +220,82 @@ impl BlockDiagram {
         self.ext_outputs.len()
     }
 
-    /// Validates connectivity and computes the execution order.
+    /// Lowers the diagram through [`StepPlan::lower`] and keeps the plan.
+    /// Validating again after adding blocks keeps every earlier block's
+    /// lanes.
     ///
     /// # Errors
     ///
-    /// * [`BlockError::UnconnectedInput`] for an undriven input.
-    /// * [`BlockError::AlgebraicLoop`] for a feedthrough cycle.
-    pub fn validate(&mut self) -> Result<(), BlockError> {
-        for (i, inst) in self.blocks.iter().enumerate() {
-            for p in 0..inst.block.inputs() {
-                if !self.input_is_driven(i, p) {
-                    return Err(BlockError::UnconnectedInput {
-                        block: inst.label.clone(),
-                        port: p,
-                    });
-                }
-            }
+    /// The lowering's first refusal: [`FlowError::DuplicateName`] for two
+    /// equal labels, [`FlowError::UnconnectedInput`] for the first
+    /// undriven input, [`FlowError::AlgebraicLoop`] naming the blocks on
+    /// a feedthrough cycle.
+    pub fn validate(&mut self) -> Result<(), FlowError> {
+        let ports = |count: usize, dir: Direction| -> Vec<DPortSpec> {
+            let name = |p| port_name(dir == Direction::In, p);
+            (0..count).map(|p| DPortSpec::new(name(p), dir, FlowType::scalar())).collect()
+        };
+        let shapes = self
+            .blocks
+            .iter()
+            .map(|b| NodeShape {
+                name: b.label.clone(),
+                in_ports: ports(b.block.inputs(), Direction::In),
+                out_ports: ports(b.block.outputs(), Direction::Out),
+                feedthrough: b.block.direct_feedthrough(),
+            })
+            .collect();
+        let conns: Vec<_> = self
+            .conns
+            .iter()
+            .map(|c| {
+                let (from, to) = (NodeId::from_index(c.from_block), NodeId::from_index(c.to_block));
+                (from, port_name(false, c.from_port), to, port_name(true, c.to_port))
+            })
+            .collect();
+        let flows: Vec<_> =
+            conns.iter().map(|(from, y, to, u)| ((*from, y.as_str()), (*to, u.as_str()))).collect();
+        let inputs: Vec<_> = self
+            .ext_inputs
+            .iter()
+            .map(|&(b, p)| (NodeId::from_index(b), port_name(true, p)))
+            .collect();
+        let exports: Vec<_> = inputs.iter().map(|(b, u)| (*b, u.as_str())).collect();
+        let (plan, _) = StepPlan::lower(shapes, &flows, &exports)?;
+        let mut out_base = vec![0; self.blocks.len()];
+        for pn in plan.nodes() {
+            out_base[pn.node.index()] = pn.out_offset;
         }
-        self.order = self.compute_order()?;
-        self.validated = true;
+        // Blocks are only ever appended, and lanes sit in block order.
+        self.ins.resize(plan.in_width(), 0.0);
+        self.outs.resize(plan.out_width(), 0.0);
+        self.plan = Some((plan, out_base));
         Ok(())
     }
 
-    fn compute_order(&self) -> Result<Vec<usize>, BlockError> {
-        let n = self.blocks.len();
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for c in &self.conns {
-            // A feedthrough block wired to its own input is a loop too.
-            if self.blocks[c.to_block].block.direct_feedthrough() {
-                adj[c.from_block].push(c.to_block);
-                indeg[c.to_block] += 1;
-            }
-        }
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push_back(v);
-                }
-            }
-        }
-        if order.len() != n {
-            let cycle =
-                (0..n).filter(|&i| indeg[i] > 0).map(|i| self.blocks[i].label.clone()).collect();
-            return Err(BlockError::AlgebraicLoop { blocks: cycle });
-        }
-        Ok(order)
-    }
-
-    /// Advances every block by `h`, feeding `ext_u` into the marked inputs.
+    /// Advances every block by `h`, feeding `ext_u` into the marked
+    /// inputs: one [`StepPlan::replay`] of the validated plan, then a copy
+    /// of the marked outputs.
     ///
     /// # Panics
     ///
-    /// Panics if the diagram was never successfully validated or
-    /// `ext_u.len() != self.input_count()`.
+    /// Panics if the diagram changed since it was last successfully
+    /// validated, or `ext_u.len() != self.input_count()`.
     pub fn step(&mut self, t: f64, h: f64, ext_u: &[f64]) {
-        assert!(self.validated, "validate() the diagram before stepping");
+        let (plan, out_base) = self.plan.as_ref().expect("validate() the diagram before stepping");
         assert_eq!(ext_u.len(), self.ext_inputs.len(), "external input arity mismatch");
-        // Latch external inputs.
-        for (k, &(b, p)) in self.ext_inputs.iter().enumerate() {
-            self.blocks[b].in_buf[p] = ext_u[k];
-        }
-        let order = std::mem::take(&mut self.order);
-        for &i in &order {
-            for c in &self.conns {
-                if c.to_block != i {
-                    continue;
-                }
-                let v = self.blocks[c.from_block].out_buf[c.from_port];
-                self.blocks[c.to_block].in_buf[c.to_port] = v;
-            }
-            let inst = &mut self.blocks[i];
-            let in_buf = std::mem::take(&mut inst.in_buf);
-            inst.block.step(t, h, &in_buf, &mut inst.out_buf);
-            inst.in_buf = in_buf;
-        }
-        self.order = order;
-        for (k, &(b, p)) in self.ext_outputs.iter().enumerate() {
-            self.outputs[k] = self.blocks[b].out_buf[p];
+        let blocks = &mut self.blocks;
+        let Ok(()) = plan.replay(1, ext_u, &mut self.ins, &mut self.outs, |_, pn, ins, outs| {
+            blocks[pn.node.index()].block.step(
+                t,
+                h,
+                &ins[pn.in_offset..pn.in_offset + pn.in_width],
+                &mut outs[pn.out_offset..pn.out_offset + pn.out_width],
+            );
+            Ok::<(), Infallible>(())
+        });
+        for (y, &(b, p)) in self.outputs.iter_mut().zip(&self.ext_outputs) {
+            *y = self.outs[out_base[b] + p];
         }
     }
 
@@ -304,9 +308,9 @@ impl BlockDiagram {
     pub fn reset(&mut self) {
         for inst in &mut self.blocks {
             inst.block.reset();
-            inst.in_buf.fill(0.0);
-            inst.out_buf.fill(0.0);
         }
+        self.ins.fill(0.0);
+        self.outs.fill(0.0);
         self.outputs.fill(0.0);
     }
 
@@ -348,7 +352,6 @@ impl BlockDiagram {
                 .map(|c| (c.from_block, c.from_port, c.to_block, c.to_port))
                 .collect(),
             ext_inputs: self.ext_inputs,
-            ext_outputs: self.ext_outputs,
         }
     }
 
@@ -358,7 +361,7 @@ impl BlockDiagram {
     /// # Errors
     ///
     /// Validation errors if the diagram is incomplete.
-    pub fn into_streamer(mut self, name: impl Into<String>) -> Result<DiagramStreamer, BlockError> {
+    pub fn into_streamer(mut self, name: impl Into<String>) -> Result<DiagramStreamer, FlowError> {
         self.validate()?;
         Ok(DiagramStreamer {
             name: name.into(),
@@ -379,8 +382,6 @@ pub struct DiagramParts {
     pub connections: Vec<(usize, usize, usize, usize)>,
     /// External inputs as `(block, input port)` indices.
     pub ext_inputs: Vec<(usize, usize)>,
-    /// External outputs as `(block, output port)` indices.
-    pub ext_outputs: Vec<(usize, usize)>,
 }
 
 impl fmt::Debug for DiagramParts {
@@ -472,19 +473,24 @@ mod tests {
         let mut d = BlockDiagram::new("d");
         let c = d.add_block(Constant::new(1.0));
         let g = d.add_block(Gain::new(1.0));
-        assert!(matches!(d.connect(c, 1, g, 0), Err(BlockError::BadPort { input: false, .. })));
-        assert!(matches!(d.connect(c, 0, g, 5), Err(BlockError::BadPort { input: true, .. })));
+        assert!(
+            matches!(d.connect(c, 1, g, 0), Err(FlowError::UnknownPort { port, .. }) if port == "y1")
+        );
+        assert!(
+            matches!(d.connect(c, 0, g, 5), Err(FlowError::UnknownPort { port, .. }) if port == "u5")
+        );
         d.connect(c, 0, g, 0).unwrap();
-        assert!(matches!(d.connect(c, 0, g, 0), Err(BlockError::MultipleWriters { .. })));
-        assert!(matches!(d.mark_input(g, 0), Err(BlockError::MultipleWriters { .. })));
-        assert!(matches!(d.connect(BlockId(9), 0, g, 0), Err(BlockError::UnknownBlock { .. })));
+        assert!(matches!(d.connect(c, 0, g, 0), Err(FlowError::MultipleWriters { .. })));
+        assert!(matches!(d.mark_input(g, 0), Err(FlowError::MultipleWriters { .. })));
+        let ghost = NodeId::from_index(9);
+        assert!(matches!(d.connect(ghost, 0, g, 0), Err(FlowError::UnknownNode { .. })));
     }
 
     #[test]
     fn unconnected_input_detected() {
         let mut d = BlockDiagram::new("d");
         d.add_block(Gain::new(1.0));
-        assert!(matches!(d.validate(), Err(BlockError::UnconnectedInput { .. })));
+        assert!(matches!(d.validate(), Err(FlowError::UnconnectedInput { .. })));
     }
 
     #[test]
@@ -495,7 +501,7 @@ mod tests {
         let g2 = d.add_block(Gain::new(0.5));
         d.connect(g1, 0, g2, 0).unwrap();
         d.connect(g2, 0, g1, 0).unwrap();
-        assert!(matches!(d.validate(), Err(BlockError::AlgebraicLoop { .. })));
+        assert!(matches!(d.validate(), Err(FlowError::AlgebraicLoop { .. })));
 
         // feedback through an integrator: fine.
         let mut d = BlockDiagram::new("ok");
@@ -523,7 +529,7 @@ mod tests {
         d.connect(s, 0, s, 0).unwrap();
         d.connect(c, 0, s, 1).unwrap();
         match d.validate() {
-            Err(BlockError::AlgebraicLoop { blocks }) => assert_eq!(blocks, ["sum_0"]),
+            Err(FlowError::AlgebraicLoop { nodes }) => assert_eq!(nodes, ["sum_0"]),
             other => panic!("expected an algebraic loop, got {other:?}"),
         }
 
@@ -541,6 +547,49 @@ mod tests {
             })
             .collect();
         assert_eq!(outs, [1.0, 1.0, 1.5]);
+    }
+
+    #[test]
+    fn a_loop_report_names_only_blocks_on_a_cycle() {
+        let loop_blocks = |d: &mut BlockDiagram| match d.validate() {
+            Err(FlowError::AlgebraicLoop { nodes }) => nodes,
+            other => panic!("expected an algebraic loop, got {other:?}"),
+        };
+        // gain_0 <-> gain_1 -> gain_2: gain_2 only reads the loop.
+        let mut d = BlockDiagram::new("downstream");
+        let g: Vec<NodeId> = (0..3).map(|_| d.add_block(Gain::new(0.5))).collect();
+        d.connect(g[0], 0, g[1], 0).unwrap();
+        d.connect(g[1], 0, g[0], 0).unwrap();
+        d.connect(g[1], 0, g[2], 0).unwrap();
+        assert_eq!(loop_blocks(&mut d), ["gain_0", "gain_1"]);
+
+        // gain_0 <-> sum_1 -> gain_2 -> sum_3 <-> gain_4: gain_2 sits
+        // between two loops.
+        let mut d = BlockDiagram::new("between");
+        let a = d.add_block(Gain::new(0.5));
+        let b = d.add_block(Sum::new(&[1.0, 1.0]));
+        let c = d.add_block(Gain::new(0.5));
+        let e = d.add_block(Sum::new(&[1.0, 1.0]));
+        let f = d.add_block(Gain::new(0.5));
+        d.connect(a, 0, b, 0).unwrap();
+        d.connect(b, 0, a, 0).unwrap();
+        d.mark_input(b, 1).unwrap();
+        d.connect(b, 0, c, 0).unwrap();
+        d.connect(c, 0, e, 0).unwrap();
+        d.connect(f, 0, e, 1).unwrap();
+        d.connect(e, 0, f, 0).unwrap();
+        assert_eq!(loop_blocks(&mut d), ["gain_0", "sum_1", "sum_3", "gain_4"]);
+    }
+
+    #[test]
+    fn equal_labels_are_refused_with_urt010() {
+        let mut d = BlockDiagram::new("twins");
+        let c = d.add_block_labeled("k", Constant::new(1.0));
+        let g = d.add_block_labeled("k", Gain::new(2.0));
+        d.connect(c, 0, g, 0).unwrap();
+        let err = d.validate().unwrap_err();
+        assert_eq!(err.code(), "URT010");
+        assert!(matches!(err, FlowError::DuplicateName { name } if name == "k"));
     }
 
     #[test]
@@ -601,6 +650,6 @@ mod tests {
         d.connect(c, 0, g, 0).unwrap();
         assert_eq!(d.label(c).unwrap(), "my_const");
         assert_eq!(d.label(g).unwrap(), "gain_1");
-        assert!(d.label(BlockId(9)).is_err());
+        assert!(d.label(NodeId::from_index(9)).is_err());
     }
 }

@@ -14,6 +14,11 @@
 //!    own capsule object (the related-work way the paper criticises),
 //!    via [`diagram::BlockDiagram::into_parts`].
 //!
+//! A diagram keeps no graph runtime of its own: it lowers through the
+//! dataflow crate's `StepPlan::lower`, as a streamer group does, so its
+//! wiring is refused with the same `FlowError` codes (an algebraic loop is
+//! URT007), and each step is one `StepPlan::replay`.
+//!
 //! A further block kind belongs here once an example or test wires it.
 //!
 //! # Examples
@@ -23,7 +28,7 @@
 //! use urt_blocks::math::Gain;
 //! use urt_blocks::sources::Constant;
 //!
-//! # fn main() -> Result<(), urt_blocks::BlockError> {
+//! # fn main() -> Result<(), urt_dataflow::FlowError> {
 //! let mut d = BlockDiagram::new("twice");
 //! let c = d.add_block(Constant::new(21.0));
 //! let g = d.add_block(Gain::new(2.0));
@@ -39,10 +44,8 @@
 pub mod block;
 pub mod continuous;
 pub mod diagram;
-pub mod error;
 pub mod math;
 pub mod sources;
 
 pub use block::Block;
-pub use diagram::{BlockDiagram, BlockId};
-pub use error::BlockError;
+pub use diagram::BlockDiagram;

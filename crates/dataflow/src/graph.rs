@@ -2,6 +2,8 @@
 //! syntax (declared streamer shapes, typed flows, exported inputs) into
 //! the [`StepPlan`] every macro step walks, with the wiring rules checked
 //! on the way, and [`StreamerNetwork`], the plan's `K = 1` runtime.
+//! [`topo_order`] is the workspace's one cycle finder: the lowering orders
+//! its rows with it, and the analyzer's loop and deadlock lints use it.
 
 use crate::error::FlowError;
 use crate::flowtype::FlowType;
@@ -39,6 +41,54 @@ impl fmt::Display for NodeId {
 /// A DPort of a plan node, `(node, port name)`: one end of a flow, or an
 /// exported input.
 pub type PortRef<'a> = (NodeId, &'a str);
+
+/// Orders nodes `0..n` so every edge `(from, to)` runs forward: Kahn's
+/// algorithm, its queue seeded in index order and each node's successors
+/// taken in edge order, so equal inputs give one order.
+///
+/// # Errors
+///
+/// If the edges close a cycle, returns the nodes that lie on one, in
+/// ascending order: a node only downstream of a cycle, or only on a path
+/// between two cycles, is not named.
+pub fn topo_order(n: usize, edges: &[(usize, usize)]) -> Result<Vec<usize>, Vec<usize>> {
+    let mut indeg = vec![0usize; n];
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(from, to) in edges {
+        adj[from].push(to);
+        indeg[to] += 1;
+    }
+    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = queue.pop_front() {
+        order.push(u);
+        for &v in &adj[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                queue.push_back(v);
+            }
+        }
+    }
+    if order.len() == n {
+        return Ok(order);
+    }
+    // Kahn's leftovers are the cycles plus everything downstream of one;
+    // of those, keep the nodes that reach themselves.
+    let reaches_itself = |start: usize| {
+        let mut seen = vec![false; n];
+        let mut stack = adj[start].clone();
+        while let Some(u) = stack.pop() {
+            if u == start {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[u], true) {
+                stack.extend(&adj[u]);
+            }
+        }
+        false
+    };
+    Err((0..n).filter(|&i| indeg[i] > 0 && reaches_itself(i)).collect())
+}
 
 /// One lane copy of a [`StepPlan`], in *dense per-instance* coordinates:
 /// `len` lanes from offset `src` of one dense array to offset `dst` of
@@ -242,15 +292,16 @@ impl StepPlan {
     ///    ([`FlowError::UnconnectedInput`], the first in node and port
     ///    order);
     /// 5. direct-feedthrough cycles are refused as algebraic loops
-    ///    ([`FlowError::AlgebraicLoop`]).
+    ///    ([`FlowError::AlgebraicLoop`], naming the nodes on a cycle,
+    ///    [`topo_order`]).
     ///
     /// A relay — one flow duplicated into several similar flows — is
     /// plain fan-out: one output DPort may feed any number of inputs.
     ///
     /// Node lanes sit at prefix-sum offsets in node order; rows follow a
-    /// feedthrough-aware topological order (Kahn's algorithm over the
-    /// flows into feedthrough nodes; integrator-like nodes may consume
-    /// last-step values), each row's gathers follow flow order (a record
+    /// feedthrough-aware topological order ([`topo_order`] over the flows
+    /// into feedthrough nodes, in flow order; integrator-like nodes may
+    /// consume last-step values), each row's gathers follow flow order (a record
     /// flow lands field by field, [`PlanCopy::for_flow`]), and the
     /// exports take consecutive spans of the external input vector.
     /// Returns the plan and, per export, its lane offset in that vector.
@@ -285,8 +336,7 @@ impl StepPlan {
         // Per flow: the consumer's index and its gather copies; per flow
         // into a feedthrough consumer: an ordering edge.
         let mut gathers = Vec::with_capacity(flows.len());
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut edges = Vec::new();
         for &((from, from_port), (to, to_port)) in flows {
             let from_shape = shape(from)?;
             let (_, src_lane, src) = locate(&from_shape.out_ports, &from_shape.name, from_port)?;
@@ -305,8 +355,7 @@ impl StepPlan {
                 |c| (to.0, PlanCopy { src: src_at + c.src, dst: dst_at + c.dst, len: c.len }),
             ));
             if to_shape.feedthrough {
-                adj[from.0].push(to.0);
-                indeg[to.0] += 1;
+                edges.push((from.0, to.0));
             }
         }
 
@@ -333,22 +382,9 @@ impl StepPlan {
             }
         }
 
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push_back(v);
-                }
-            }
-        }
-        if order.len() != n {
-            // Nodes with a leftover indegree sit on a feedthrough cycle.
-            let cycle = (0..n).filter(|&i| indeg[i] > 0).map(|i| shapes[i].name.clone());
-            return Err(FlowError::AlgebraicLoop { nodes: cycle.collect() });
-        }
+        let order = topo_order(n, &edges).map_err(|cycle| FlowError::AlgebraicLoop {
+            nodes: cycle.into_iter().map(|i| shapes[i].name.clone()).collect(),
+        })?;
 
         let nodes = order
             .into_iter()
@@ -765,6 +801,63 @@ mod tests {
             FlowError::AlgebraicLoop { nodes } => assert_eq!(nodes, ["a", "b"]),
             other => panic!("expected algebraic loop, got {other}"),
         }
+    }
+
+    #[test]
+    fn topo_order_names_only_nodes_on_a_cycle() {
+        // Kahn's order: the queue seeded in index order, successors in
+        // edge order.
+        assert_eq!(topo_order(4, &[(3, 1), (0, 2), (0, 1)]), Ok(vec![0, 3, 2, 1]));
+        assert_eq!(topo_order(0, &[]), Ok(vec![]));
+        // 0 <-> 1 with 1 -> 2 downstream: 2 is stuck behind the loop but
+        // not on it.
+        assert_eq!(topo_order(3, &[(0, 1), (1, 0), (1, 2)]), Err(vec![0, 1]));
+        // 2 sits on the path from the 0 <-> 1 loop into the 3 <-> 4 loop,
+        // and 5 hangs off a self-loop at 4.
+        let between = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 3), (4, 4), (4, 5)];
+        assert_eq!(topo_order(6, &between), Err(vec![0, 1, 3, 4]));
+        assert_eq!(topo_order(2, &[(1, 1), (0, 1)]), Err(vec![1]));
+    }
+
+    #[test]
+    fn a_loop_report_names_neither_downstream_nor_in_between_nodes() {
+        let names =
+            |shapes: Vec<NodeShape>, flows: &[(PortRef<'_>, PortRef<'_>)]| match StepPlan::lower(
+                shapes,
+                flows,
+                &[],
+            )
+            .unwrap_err()
+            {
+                FlowError::AlgebraicLoop { nodes } => nodes,
+                other => panic!("expected algebraic loop, got {other}"),
+            };
+        let flow = |a: usize, b: usize| ((id(a), "o"), (id(b), "i"));
+        // a <-> b, b -> c: `c` only reads the loop.
+        let shapes = vec![scalar_node("a"), scalar_node("b"), scalar_node("c")];
+        let flows = [flow(0, 1), flow(1, 0), flow(1, 2)];
+        assert_eq!(names(shapes, &flows), ["a", "b"]);
+        // a <-> b, b -> c -> d, d <-> e: `c` sits between two loops.
+        let two_in = |name: &str| {
+            let ins = [("i", FlowType::scalar()), ("j", FlowType::scalar())];
+            shape(name, &ins, &[("o", FlowType::scalar())], true)
+        };
+        let shapes = vec![
+            scalar_node("a"),
+            scalar_node("b"),
+            scalar_node("c"),
+            two_in("d"),
+            scalar_node("e"),
+        ];
+        let flows = [
+            flow(0, 1),
+            flow(1, 0),
+            flow(1, 2),
+            flow(2, 3),
+            ((id(4), "o"), (id(3), "j")),
+            flow(3, 4),
+        ];
+        assert_eq!(names(shapes, &flows), ["a", "b", "d", "e"]);
     }
 
     #[test]
