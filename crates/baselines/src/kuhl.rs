@@ -7,6 +7,13 @@
 //! class, port and message counts; [`annotation_loss`] counts the typed
 //! flow annotations (units, record field names) that the untyped signal
 //! translation erases.
+//!
+//! The translation computes what the diagram computes: a generated
+//! scheduler ticks the sources and the non-feedthrough blocks each step
+//! and feeds the marked inputs, and each feedthrough block fires once its
+//! inputs for the step have arrived. So every block fires once per step,
+//! feedback loops included, and the measured messages per step count a
+//! working translation.
 
 use std::collections::HashSet;
 use urt_blocks::block::Block;
@@ -38,7 +45,13 @@ pub struct KuhlReport {
 struct BlockCapsule {
     name: String,
     block: Box<dyn Block>,
-    inputs: Vec<Option<f64>>,
+    /// The latest value on each input (0.0 before any arrives).
+    inputs: Vec<f64>,
+    /// Inputs arrived this step; a feedthrough block fires once all have.
+    arrived: usize,
+    /// Whether the block fires on the scheduler's tick: a source, or a
+    /// block whose outputs do not depend on this step's inputs.
+    on_tick: bool,
     /// Outgoing routes: `(output index, port name)`.
     out_routes: Vec<(usize, String)>,
     t: f64,
@@ -47,13 +60,10 @@ struct BlockCapsule {
 
 impl BlockCapsule {
     fn fire(&mut self, ctx: &mut CapsuleContext) {
-        let u: Vec<f64> = self.inputs.iter().map(|v| v.unwrap_or(0.0)).collect();
         let mut y = vec![0.0; self.block.outputs()];
-        self.block.step(self.t, self.h, &u, &mut y);
+        self.block.step(self.t, self.h, &self.inputs, &mut y);
         self.t += self.h;
-        for slot in &mut self.inputs {
-            *slot = None;
-        }
+        self.arrived = 0;
         for (out_idx, port) in &self.out_routes {
             ctx.send(port, "data", Value::Real(y[*out_idx]));
         }
@@ -69,8 +79,7 @@ impl Capsule for BlockCapsule {
 
     fn on_message(&mut self, msg: &Message, ctx: &mut CapsuleContext) {
         if msg.port() == "tick" {
-            // Source blocks fire on the scheduler's tick.
-            if self.block.inputs() == 0 {
+            if self.on_tick {
                 self.fire(ctx);
             }
             return;
@@ -78,8 +87,9 @@ impl Capsule for BlockCapsule {
         if let Some(rest) = msg.port().strip_prefix("in") {
             if let (Ok(idx), Some(v)) = (rest.parse::<usize>(), msg.value().as_real()) {
                 if idx < self.inputs.len() {
-                    self.inputs[idx] = Some(v);
-                    if self.inputs.iter().all(Option::is_some) {
+                    self.inputs[idx] = v;
+                    self.arrived += 1;
+                    if !self.on_tick && self.arrived == self.inputs.len() {
                         self.fire(ctx);
                     }
                 }
@@ -88,12 +98,13 @@ impl Capsule for BlockCapsule {
     }
 }
 
-/// The generated scheduler capsule: broadcasts a tick to all source blocks
-/// every `h` seconds.
+/// The generated scheduler capsule: every `h` seconds, ticks each block
+/// that fires on the tick and feeds 0.0 to each marked diagram input.
 struct SchedulerCapsule {
     name: String,
     h: f64,
-    fanout: usize,
+    ticks: usize,
+    ext_inputs: usize,
 }
 
 impl Capsule for SchedulerCapsule {
@@ -107,8 +118,11 @@ impl Capsule for SchedulerCapsule {
 
     fn on_message(&mut self, msg: &Message, ctx: &mut CapsuleContext) {
         if msg.port() == TIMER_PORT && msg.signal() == "tick" {
-            for k in 0..self.fanout {
+            for k in 0..self.ticks {
                 ctx.send(&format!("tick{k}"), "tick", Value::Empty);
+            }
+            for k in 0..self.ext_inputs {
+                ctx.send(&format!("ext{k}"), "data", Value::Real(0.0));
             }
         }
     }
@@ -117,8 +131,12 @@ impl Capsule for SchedulerCapsule {
 /// Translates a block diagram into one capsule per block plus a generated
 /// scheduler, wired inside a fresh [`Controller`].
 ///
-/// `h` is the simulated macro step. External diagram inputs are fed with
-/// constant zero by the scheduler.
+/// `h` is the simulated macro step. On each step's timer the scheduler
+/// ticks every source and every non-feedthrough block, which fire with
+/// the inputs they last received (0.0 before any arrive), and feeds 0.0
+/// to every marked diagram input. A feedthrough block fires once all of
+/// the step's inputs have arrived, so a feedback loop closed through an
+/// integrator computes every block once per step, as the diagram does.
 ///
 /// # Errors
 ///
@@ -162,20 +180,23 @@ pub fn translate_diagram(
         out_routes[fb].push((fp, format!("out{fp}_c{ci}")));
     }
 
-    let mut sources: Vec<usize> = Vec::new();
+    let mut ticked: Vec<usize> = Vec::new();
     let mut port_count = 0usize;
     let block_count = parts.blocks.len();
     let mut capsule_ids = Vec::with_capacity(block_count);
     for (bi, (label, block)) in parts.blocks.into_iter().enumerate() {
         let n_in = block.inputs();
-        if n_in == 0 {
-            sources.push(bi);
+        let on_tick = n_in == 0 || !block.direct_feedthrough();
+        if on_tick {
+            ticked.push(bi);
             port_count += 1; // tick port
         }
         port_count += n_in + out_routes[bi].len();
         let capsule = BlockCapsule {
             name: label,
-            inputs: vec![None; n_in],
+            inputs: vec![0.0; n_in],
+            arrived: 0,
+            on_tick,
             out_routes: std::mem::take(&mut out_routes[bi]),
             block,
             t: 0.0,
@@ -187,9 +208,10 @@ pub fn translate_diagram(
     let scheduler = controller.add_capsule(Box::new(SchedulerCapsule {
         name: "scheduler".into(),
         h,
-        fanout: sources.len(),
+        ticks: ticked.len(),
+        ext_inputs: parts.ext_inputs.len(),
     }));
-    port_count += sources.len();
+    port_count += ticked.len() + parts.ext_inputs.len();
 
     // Wire data connections.
     for (ci, &(fb, fp, tb, tp)) in parts.connections.iter().enumerate() {
@@ -198,15 +220,19 @@ pub fn translate_diagram(
             (capsule_ids[tb], &format!("in{tp}")),
         )?;
     }
-    // Wire scheduler ticks to sources.
-    for (k, &bi) in sources.iter().enumerate() {
+    // Wire scheduler ticks and marked inputs.
+    for (k, &bi) in ticked.iter().enumerate() {
         controller.connect((scheduler, &format!("tick{k}")), (capsule_ids[bi], "tick"))?;
+    }
+    for (k, &(bi, p)) in parts.ext_inputs.iter().enumerate() {
+        controller
+            .connect((scheduler, &format!("ext{k}")), (capsule_ids[bi], &format!("in{p}")))?;
     }
     let report = KuhlReport {
         capsule_count: block_count + 1,
         class_count,
         port_count,
-        connection_count: parts.connections.len() + sources.len(),
+        connection_count: parts.connections.len() + ticked.len() + parts.ext_inputs.len(),
         messages_per_step: 0.0,
     };
     Ok((controller, report))
@@ -255,10 +281,12 @@ pub fn measure_messages_per_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
     use urt_blocks::continuous::Integrator;
     use urt_blocks::math::{Gain, Sum};
     use urt_blocks::sources::Constant;
     use urt_dataflow::flowtype::Unit;
+    use urt_dataflow::graph::NodeId;
 
     fn chain_diagram(n_gains: usize) -> BlockDiagram {
         let mut d = BlockDiagram::new("chain");
@@ -324,6 +352,118 @@ mod tests {
         controller.start().unwrap();
         controller.run_until(0.1).unwrap();
         assert!(controller.delivered_count() > 0);
+    }
+
+    /// Wraps a block, logging the first output of every step it takes.
+    struct Logged {
+        block: Box<dyn Block>,
+        log: Arc<Mutex<Vec<f64>>>,
+    }
+
+    impl Block for Logged {
+        fn name(&self) -> &str {
+            self.block.name()
+        }
+        fn inputs(&self) -> usize {
+            self.block.inputs()
+        }
+        fn outputs(&self) -> usize {
+            self.block.outputs()
+        }
+        fn direct_feedthrough(&self) -> bool {
+            self.block.direct_feedthrough()
+        }
+        fn step(&mut self, t: f64, h: f64, u: &[f64], y: &mut [f64]) {
+            self.block.step(t, h, u, y);
+            self.log.lock().unwrap().push(y[0]);
+        }
+    }
+
+    type Logs = Vec<Arc<Mutex<Vec<f64>>>>;
+
+    /// `blocks`, each logging, wired by `wire`.
+    fn logged(
+        blocks: Vec<Box<dyn Block>>,
+        wire: fn(&mut BlockDiagram, &[NodeId]),
+    ) -> (BlockDiagram, Logs) {
+        let mut d = BlockDiagram::new("logged");
+        let logs: Logs = blocks.iter().map(|_| Arc::default()).collect();
+        let ids: Vec<NodeId> = blocks
+            .into_iter()
+            .zip(&logs)
+            .map(|(block, log)| d.add_block(Logged { block, log: Arc::clone(log) }))
+            .collect();
+        wire(&mut d, &ids);
+        (d, logs)
+    }
+
+    /// Runs the diagram translated for 0.1 s of 0.01 s steps, then
+    /// natively for as many steps with every marked input at 0.0: each
+    /// block must fire on every translated step and compute what it
+    /// computes in the diagram.
+    fn assert_every_block_fires_every_step(
+        blocks: fn() -> Vec<Box<dyn Block>>,
+        wire: fn(&mut BlockDiagram, &[NodeId]),
+    ) {
+        let (d, translated) = logged(blocks(), wire);
+        let (mut controller, _) = translate_diagram(d, 0.01).unwrap();
+        controller.start().unwrap();
+        controller.run_until(0.1).unwrap();
+        let steps = translated[0].lock().unwrap().len();
+        assert!(steps >= 9, "the first block fired {steps} times");
+
+        let (mut d, native) = logged(blocks(), wire);
+        d.validate().unwrap();
+        let zeros = vec![0.0; d.input_count()];
+        for k in 0..steps {
+            d.step(k as f64 * 0.01, 0.01, &zeros);
+        }
+        for (i, (t, n)) in translated.iter().zip(&native).enumerate() {
+            assert_eq!(*t.lock().unwrap(), *n.lock().unwrap(), "block {i}");
+        }
+    }
+
+    #[test]
+    fn a_translated_feedback_loop_fires_every_block_every_step() {
+        // ref -> err -> kp -> plant, plant -> err: the E3 PI loop.
+        assert_every_block_fires_every_step(
+            || {
+                vec![
+                    Box::new(Constant::new(1.0)),
+                    Box::new(Sum::error()),
+                    Box::new(Gain::new(2.0)),
+                    Box::new(Integrator::new(0.0)),
+                ]
+            },
+            |d, b| {
+                d.connect(b[0], 0, b[1], 0).unwrap();
+                d.connect(b[3], 0, b[1], 1).unwrap();
+                d.connect(b[1], 0, b[2], 0).unwrap();
+                d.connect(b[2], 0, b[3], 0).unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn a_translated_marked_input_diagram_fires_every_block_every_step() {
+        // A gain on a marked input, and a sum of a constant and a marked
+        // input feeding an integrator.
+        assert_every_block_fires_every_step(
+            || {
+                vec![
+                    Box::new(Constant::new(0.5)),
+                    Box::new(Gain::new(3.0)),
+                    Box::new(Sum::new(&[1.0, 1.0])),
+                    Box::new(Integrator::new(1.0)),
+                ]
+            },
+            |d, b| {
+                d.mark_input(b[1], 0).unwrap();
+                d.connect(b[0], 0, b[2], 0).unwrap();
+                d.mark_input(b[2], 1).unwrap();
+                d.connect(b[2], 0, b[3], 0).unwrap();
+            },
+        );
     }
 
     #[test]
