@@ -3,20 +3,14 @@
 //! streamer behaviour for the unified model.
 
 use crate::block::Block;
-use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::fmt;
 use urt_dataflow::error::FlowError;
 use urt_dataflow::flowtype::FlowType;
-use urt_dataflow::graph::{NodeId, NodeShape, StepPlan};
+use urt_dataflow::graph::{NodeId, NodeShape, PortRef, StepPlan};
 use urt_dataflow::port::{DPortSpec, Direction};
 use urt_dataflow::streamer::StreamerBehavior;
 use urt_ode::SolveError;
-
-struct BlockInst {
-    label: String,
-    block: Box<dyn Block>,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Conn {
@@ -30,6 +24,11 @@ struct Conn {
 /// (`y0`, `y1`, ...) `port`.
 fn port_name(input: bool, port: usize) -> String {
     format!("{}{port}", if input { 'u' } else { 'y' })
+}
+
+/// Borrows an owned `(node, port name)` as the lowering's [`PortRef`].
+fn port_ref((node, name): &(NodeId, String)) -> PortRef<'_> {
+    (*node, name)
 }
 
 /// A wired set of blocks with designated external inputs and outputs.
@@ -48,7 +47,8 @@ fn port_name(input: bool, port: usize) -> String {
 /// [`BlockDiagram::step`] is one [`StepPlan::replay`] of that plan.
 pub struct BlockDiagram {
     name: String,
-    blocks: Vec<BlockInst>,
+    /// `(label, block)` pairs in id order.
+    blocks: Vec<(String, Box<dyn Block>)>,
     conns: Vec<Conn>,
     ext_inputs: Vec<(usize, usize)>,
     ext_outputs: Vec<(usize, usize)>,
@@ -103,7 +103,7 @@ impl BlockDiagram {
         label: impl Into<String>,
         block: impl Block + 'static,
     ) -> NodeId {
-        self.blocks.push(BlockInst { label: label.into(), block: Box::new(block) });
+        self.blocks.push((label.into(), Box::new(block)));
         self.plan = None;
         NodeId::from_index(self.blocks.len() - 1)
     }
@@ -126,16 +126,17 @@ impl BlockDiagram {
     pub fn label(&self, id: NodeId) -> Result<&str, FlowError> {
         self.blocks
             .get(id.index())
-            .map(|b| b.label.as_str())
+            .map(|(label, _)| label.as_str())
             .ok_or(FlowError::UnknownNode { index: id.index() })
     }
 
     fn check_port(&self, id: NodeId, port: usize, input: bool) -> Result<(), FlowError> {
-        let b = self.blocks.get(id.index()).ok_or(FlowError::UnknownNode { index: id.index() })?;
-        let count = if input { b.block.inputs() } else { b.block.outputs() };
+        let (label, block) =
+            self.blocks.get(id.index()).ok_or(FlowError::UnknownNode { index: id.index() })?;
+        let count = if input { block.inputs() } else { block.outputs() };
         if port >= count {
             return Err(FlowError::UnknownPort {
-                node: b.label.clone(),
+                node: label.clone(),
                 port: port_name(input, port),
             });
         }
@@ -149,7 +150,7 @@ impl BlockDiagram {
             || self.ext_inputs.contains(&(b, port))
         {
             return Err(FlowError::MultipleWriters {
-                node: self.blocks[b].label.clone(),
+                node: self.blocks[b].0.clone(),
                 port: port_name(true, port),
             });
         }
@@ -238,29 +239,22 @@ impl BlockDiagram {
         let shapes = self
             .blocks
             .iter()
-            .map(|b| NodeShape {
-                name: b.label.clone(),
-                in_ports: ports(b.block.inputs(), Direction::In),
-                out_ports: ports(b.block.outputs(), Direction::Out),
-                feedthrough: b.block.direct_feedthrough(),
+            .map(|(label, block)| NodeShape {
+                name: label.clone(),
+                in_ports: ports(block.inputs(), Direction::In),
+                out_ports: ports(block.outputs(), Direction::Out),
+                feedthrough: block.direct_feedthrough(),
             })
             .collect();
+        let at = |b: usize, input: bool, p: usize| (NodeId::from_index(b), port_name(input, p));
         let conns: Vec<_> = self
             .conns
             .iter()
-            .map(|c| {
-                let (from, to) = (NodeId::from_index(c.from_block), NodeId::from_index(c.to_block));
-                (from, port_name(false, c.from_port), to, port_name(true, c.to_port))
-            })
+            .map(|c| (at(c.from_block, false, c.from_port), at(c.to_block, true, c.to_port)))
             .collect();
-        let flows: Vec<_> =
-            conns.iter().map(|(from, y, to, u)| ((*from, y.as_str()), (*to, u.as_str()))).collect();
-        let inputs: Vec<_> = self
-            .ext_inputs
-            .iter()
-            .map(|&(b, p)| (NodeId::from_index(b), port_name(true, p)))
-            .collect();
-        let exports: Vec<_> = inputs.iter().map(|(b, u)| (*b, u.as_str())).collect();
+        let inputs: Vec<_> = self.ext_inputs.iter().map(|&(b, p)| at(b, true, p)).collect();
+        let flows: Vec<_> = conns.iter().map(|(from, to)| (port_ref(from), port_ref(to))).collect();
+        let exports: Vec<_> = inputs.iter().map(port_ref).collect();
         let (plan, _) = StepPlan::lower(shapes, &flows, &exports)?;
         let mut out_base = vec![0; self.blocks.len()];
         for pn in plan.nodes() {
@@ -286,7 +280,7 @@ impl BlockDiagram {
         assert_eq!(ext_u.len(), self.ext_inputs.len(), "external input arity mismatch");
         let blocks = &mut self.blocks;
         let Ok(()) = plan.replay(1, ext_u, &mut self.ins, &mut self.outs, |_, pn, ins, outs| {
-            blocks[pn.node.index()].block.step(
+            blocks[pn.node.index()].1.step(
                 t,
                 h,
                 &ins[pn.in_offset..pn.in_offset + pn.in_width],
@@ -306,8 +300,8 @@ impl BlockDiagram {
 
     /// Resets every block to initial conditions.
     pub fn reset(&mut self) {
-        for inst in &mut self.blocks {
-            inst.block.reset();
+        for (_, block) in &mut self.blocks {
+            block.reset();
         }
         self.ins.fill(0.0);
         self.outs.fill(0.0);
@@ -317,24 +311,14 @@ impl BlockDiagram {
     /// Whether a same-step path connects a marked input to a marked output
     /// through direct-feedthrough blocks only.
     pub fn has_direct_feedthrough(&self) -> bool {
-        let n = self.blocks.len();
-        let mut tainted = vec![false; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &(b, _) in &self.ext_inputs {
-            if self.blocks[b].block.direct_feedthrough() && !tainted[b] {
-                tainted[b] = true;
-                queue.push_back(b);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for c in &self.conns {
-                if c.from_block == u
-                    && self.blocks[c.to_block].block.direct_feedthrough()
-                    && !tainted[c.to_block]
-                {
-                    tainted[c.to_block] = true;
-                    queue.push_back(c.to_block);
-                }
+        let feedthrough = |b: usize| self.blocks[b].1.direct_feedthrough();
+        let mut tainted = vec![false; self.blocks.len()];
+        let mut stack: Vec<usize> =
+            self.ext_inputs.iter().map(|&(b, _)| b).filter(|&b| feedthrough(b)).collect();
+        while let Some(u) = stack.pop() {
+            if !std::mem::replace(&mut tainted[u], true) {
+                let next = self.conns.iter().filter(|c| c.from_block == u).map(|c| c.to_block);
+                stack.extend(next.filter(|&b| feedthrough(b)));
             }
         }
         self.ext_outputs.iter().any(|&(b, _)| tainted[b])
@@ -345,7 +329,7 @@ impl BlockDiagram {
     pub fn into_parts(self) -> DiagramParts {
         DiagramParts {
             name: self.name,
-            blocks: self.blocks.into_iter().map(|b| (b.label, b.block)).collect(),
+            blocks: self.blocks,
             connections: self
                 .conns
                 .iter()

@@ -151,6 +151,23 @@ for report in fig1 fig2 fig3 table1 e3 e5; do
     fi
 done
 
+# Examples whose stdout prints no wall time must exit 0 and reproduce
+# their committed output byte for byte (hard_realtime prints cycle times,
+# so it stays out). cruise_control is the one that steps a block diagram.
+echo "==> deterministic examples vs results/"
+for example in quickstart inverted_pendulum cruise_control tank_level bouncing_ball; do
+    committed="results/example_$example.txt"
+    if ! out="$(cargo run -q --release --offline --example "$example")"; then
+        echo "example $example exited non-zero" >&2
+        exit 1
+    fi
+    if ! printf '%s\n' "$out" | diff -u "$committed" - >&2; then
+        echo "example drift for $example — after an intentional change, regenerate with:" >&2
+        echo "  cargo run --release --example $example > $committed" >&2
+        exit 1
+    fi
+done
+
 echo "==> urt-elab-smoke (model -> analyze -> compile -> run, + K=8 ensemble replay)"
 elab_out="$(cargo run -q --offline -p urt-analysis --bin urt-elab-smoke)"
 case "$elab_out" in
