@@ -8,12 +8,10 @@
 //! flow annotations (units, record field names) that the untyped signal
 //! translation erases.
 //!
-//! The translation computes what the diagram computes: a generated
-//! scheduler ticks the sources and the non-feedthrough blocks each step
-//! and feeds the marked inputs, and each feedthrough block fires once its
-//! inputs for the step have arrived. So every block fires once per step,
-//! feedback loops included, and the measured messages per step count a
-//! working translation.
+//! The translation computes what the diagram computes, firing every
+//! block once per step, feedback loops and marked inputs included (see
+//! [`translate_diagram`]), so its message counts are those of a working
+//! translation.
 
 use std::collections::HashSet;
 use urt_blocks::block::Block;

@@ -301,8 +301,8 @@ impl StepPlan {
     /// Node lanes sit at prefix-sum offsets in node order; rows follow a
     /// feedthrough-aware topological order ([`topo_order`] over the flows
     /// into feedthrough nodes, in flow order; integrator-like nodes may
-    /// consume last-step values), each row's gathers follow flow order (a record
-    /// flow lands field by field, [`PlanCopy::for_flow`]), and the
+    /// consume last-step values), each row's gathers follow flow order (a
+    /// record flow lands field by field, [`PlanCopy::for_flow`]), and the
     /// exports take consecutive spans of the external input vector.
     /// Returns the plan and, per export, its lane offset in that vector.
     ///
