@@ -333,9 +333,9 @@ impl StepPlan {
         let mut driven: Vec<Vec<bool>> =
             shapes.iter().map(|s| vec![false; s.in_ports.len()]).collect();
 
-        // Per flow: the consumer's index and its gather copies; per flow
-        // into a feedthrough consumer: an ordering edge.
-        let mut gathers = Vec::with_capacity(flows.len());
+        // Per consumer: its gather copies, in flow order; per flow into a
+        // feedthrough consumer: an ordering edge.
+        let mut gathers: Vec<Vec<PlanCopy>> = vec![Vec::new(); n];
         let mut edges = Vec::new();
         for &((from, from_port), (to, to_port)) in flows {
             let from_shape = shape(from)?;
@@ -351,9 +351,11 @@ impl StepPlan {
             }
             claim(&mut driven, to, pi, to_shape)?;
             let (src_at, dst_at) = (out_offsets[from.0] + src_lane, in_offsets[to.0] + dst_lane);
-            gathers.extend(PlanCopy::for_flow(src.flow_type(), dst.flow_type()).into_iter().map(
-                |c| (to.0, PlanCopy { src: src_at + c.src, dst: dst_at + c.dst, len: c.len }),
-            ));
+            gathers[to.0].extend(
+                PlanCopy::for_flow(src.flow_type(), dst.flow_type())
+                    .into_iter()
+                    .map(|c| PlanCopy { src: src_at + c.src, dst: dst_at + c.dst, len: c.len }),
+            );
             if to_shape.feedthrough {
                 edges.push((from.0, to.0));
             }
@@ -394,7 +396,7 @@ impl StepPlan {
                 in_width: shapes[i].in_width(),
                 out_offset: out_offsets[i],
                 out_width: shapes[i].out_width(),
-                gathers: gathers.iter().filter(|(to, _)| *to == i).map(|&(_, c)| c).collect(),
+                gathers: std::mem::take(&mut gathers[i]),
             })
             .collect();
         let ext_offsets = ext_loads.iter().map(|c| c.src).collect();
