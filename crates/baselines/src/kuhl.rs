@@ -257,7 +257,8 @@ pub fn annotation_loss(flow_types: &[FlowType]) -> usize {
 }
 
 /// Measures messages-per-step of a translated controller by running it for
-/// `n_steps` macro steps of `h`.
+/// `n_steps` macro steps of `h`: the window holds the next `n_steps`
+/// scheduler ticks, which fall due every `h` from the controller's start.
 ///
 /// # Errors
 ///
@@ -272,7 +273,11 @@ pub fn measure_messages_per_step(
     }
     let before = controller.delivered_count();
     let t0 = controller.now();
-    controller.run_until(t0 + h * n_steps as f64)?;
+    // The periodic timer re-arms at `due + h`, so the n-th tick falls due
+    // a rounding error either side of `t0 + n·h` (the 20th 0.01 s tick at
+    // 0.20000000000000004); half a step of slack keeps it in the window
+    // and the next one out.
+    controller.run_until(t0 + h * (n_steps as f64 + 0.5))?;
     Ok((controller.delivered_count() - before) as f64 / n_steps as f64)
 }
 
@@ -333,6 +338,22 @@ mod tests {
         let m4 = measure_messages_per_step(&mut c4, 0.01, 20).unwrap();
         let m32 = measure_messages_per_step(&mut c32, 0.01, 20).unwrap();
         assert!(m32 > m4 * 4.0, "messages/step {m4} -> {m32}");
+    }
+
+    #[test]
+    fn a_feedback_loop_step_carries_seven_messages() {
+        // Per step: the timer, 2 ticks (reference, integrator), 4 wires.
+        let mut d = BlockDiagram::new("loop");
+        let r = d.add_block(Constant::new(1.0));
+        let s = d.add_block(Sum::error());
+        let g = d.add_block(Gain::new(2.0));
+        let i = d.add_block(Integrator::new(0.0));
+        d.connect(r, 0, s, 0).unwrap();
+        d.connect(i, 0, s, 1).unwrap();
+        d.connect(s, 0, g, 0).unwrap();
+        d.connect(g, 0, i, 0).unwrap();
+        let (mut controller, _) = translate_diagram(d, 0.01).unwrap();
+        assert_eq!(measure_messages_per_step(&mut controller, 0.01, 20).unwrap(), 7.0);
     }
 
     #[test]
