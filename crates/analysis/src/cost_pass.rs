@@ -17,8 +17,9 @@
 //! (`bench_engine --emit-cost-table` → `results/COST_table.json`), or
 //! conservative defaults when no table is present. The pass aggregates
 //! worst-case per-macro-step cost per solver-thread group over the
-//! *effective* flattened edge graph (the same machinery `URT007`/`URT207`
-//! use, so relays and containers can't hide cost) and emits:
+//! flattened model ([`UnifiedModel::flatten`]: leaf streamers and
+//! relay-resolved flows, the same reading `URT007`/`URT207` use, so
+//! relays and containers can't hide cost) and emits:
 //!
 //! * **`URT301`** (error) — a thread group's worst-case macro-step cost
 //!   exceeds the budget binding it; refused by the elaboration gate like
@@ -29,10 +30,10 @@
 //! * **`URT303`** (warning) — partition imbalance above threshold, with
 //!   per-group cost shares.
 //! * **`URT304`** (info) — the recommended `assign_thread` partition:
-//!   greedy bin-packing over the effective edges, feasibility-pruned so
-//!   no suggested cut creates a zero-delay cross-group path (`URT207`)
-//!   or a rendezvous deadlock (`URT206`), with predicted per-group costs
-//!   and the one-macro-step delays each cut induces.
+//!   greedy bin-packing over the flattened flows, feasibility-pruned so
+//!   no suggested cut creates a zero-delay cross-group path (`URT207`),
+//!   with predicted per-group costs and the one-macro-step delays each
+//!   cut induces.
 //! * **`URT305`** (warning) — a declared cost contradicts the
 //!   calibration table by more than 10× (a stale-annotation smell).
 //!
@@ -47,12 +48,11 @@
 //! *was not* met on this machine.
 
 use crate::diagnostic::{json_string, Diagnostic, Severity};
-use crate::model_pass::effective_streamer_edges;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::OnceLock;
-use urt_core::model::{Owner, StreamerRef, UnifiedModel};
+use urt_core::model::{Flattening, StreamerRef, UnifiedModel};
 
 /// Conservative per-streamer macro-step cost (ns) assumed when neither a
 /// declaration nor a calibration entry exists. Chosen well above the
@@ -382,30 +382,23 @@ fn render_plan(plan: &PartitionPlan) -> String {
     )
 }
 
-/// Leaf streamers (declaration order): containers contribute no runtime
-/// nodes, so they carry no cost and take no partition slot.
-fn leaves(model: &UnifiedModel) -> Vec<StreamerRef> {
-    let containers: HashSet<StreamerRef> = model
-        .iter_streamers()
-        .filter_map(|(r, _, _)| match model.streamer_owner(r) {
-            Some(Owner::Streamer(parent)) => Some(parent),
-            _ => None,
-        })
-        .collect();
-    model.iter_streamers().map(|(r, _, _)| r).filter(|r| !containers.contains(r)).collect()
-}
-
 /// Computes the budget report for a model, or `None` when the model
 /// declares no budgets (the pass is opt-in).
 pub fn budget_report(model: &UnifiedModel, cost: &CostModel) -> Option<BudgetReport> {
+    report(model, &model.flatten(), cost)
+}
+
+/// [`budget_report`] over the flattening `flat` of `model`: only leaf
+/// streamers run, so containers carry no cost and take no partition slot.
+fn report(model: &UnifiedModel, flat: &Flattening, cost: &CostModel) -> Option<BudgetReport> {
     if !model.has_budgets() {
         return None;
     }
-    let leaf_refs = leaves(model);
+    let leaf_refs = &flat.leaves;
 
     // --- worst case per declared thread ---------------------------------
     let mut by_thread: BTreeMap<usize, GroupCost> = BTreeMap::new();
-    for &s in &leaf_refs {
+    for &s in leaf_refs {
         let t = model.streamer_thread(s);
         let (ns, _) = cost.streamer_cost(model, s);
         let entry = by_thread.entry(t).or_insert_with(|| GroupCost {
@@ -419,12 +412,12 @@ pub fn budget_report(model: &UnifiedModel, cost: &CostModel) -> Option<BudgetRep
     }
 
     // --- recommendation: feasibility-pruned greedy bin-packing ----------
-    // Contract every effective edge into a feedthrough consumer: cutting
-    // it would create a zero-delay cross-group path (URT207 error) and a
-    // same-step rendezvous wait (URT206 fuel), so those endpoints must
-    // share a thread. What remains are the units the packer may place
-    // freely; every cut edge then has a non-feedthrough consumer, which
-    // tolerates the channel's one-macro-step delay by construction.
+    // Contract every flow into a feedthrough consumer: cutting it would
+    // create a zero-delay cross-group path (URT207 error), so those
+    // endpoints must share a thread. What remains are the units the
+    // packer may place freely; every cut edge then has a non-feedthrough
+    // consumer, which tolerates the channel's one-macro-step delay by
+    // construction.
     let index: HashMap<StreamerRef, usize> =
         leaf_refs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let mut parent: Vec<usize> = (0..leaf_refs.len()).collect();
@@ -435,16 +428,12 @@ pub fn budget_report(model: &UnifiedModel, cost: &CostModel) -> Option<BudgetRep
         }
         parent[i]
     }
-    let edges: Vec<(StreamerRef, StreamerRef)> = effective_streamer_edges(model);
-    for &(a, b) in &edges {
-        if a == b {
-            continue;
-        }
-        if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-            if model.streamer_feedthrough(b) {
-                let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
-                parent[ra] = rb;
-            }
+    let edges: Vec<(usize, usize)> =
+        flat.flows.iter().map(|f| (index[&f.from], index[&f.to])).collect();
+    for &(ia, ib) in &edges {
+        if model.streamer_feedthrough(leaf_refs[ib]) {
+            let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
+            parent[ra] = rb;
         }
     }
     let mut units: BTreeMap<usize, (f64, Vec<usize>)> = BTreeMap::new();
@@ -496,14 +485,9 @@ pub fn budget_report(model: &UnifiedModel, cost: &CostModel) -> Option<BudgetRep
         .collect();
     let mut cut_edges: Vec<(String, String)> = Vec::new();
     let mut seen = HashSet::new();
-    for &(a, b) in &edges {
-        if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-            if assignment_of[ia] != assignment_of[ib] && seen.insert((ia, ib)) {
-                cut_edges.push((
-                    model.streamer_name(a).unwrap_or("?").to_owned(),
-                    model.streamer_name(b).unwrap_or("?").to_owned(),
-                ));
-            }
+    for &(ia, ib) in &edges {
+        if assignment_of[ia] != assignment_of[ib] && seen.insert((ia, ib)) {
+            cut_edges.push((assignments[ia].0.clone(), assignments[ib].0.clone()));
         }
     }
 
@@ -520,20 +504,26 @@ pub fn budget_report(model: &UnifiedModel, cost: &CostModel) -> Option<BudgetRep
     })
 }
 
-/// Runs the cost pass with the process-wide default [`CostModel`].
-pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
-    run_with(model, CostModel::shared(), out);
+/// Runs the cost pass over the flattening `flat` of `model` with the
+/// process-wide default [`CostModel`].
+pub fn run(model: &UnifiedModel, flat: &Flattening, out: &mut Vec<Diagnostic>) {
+    check(model, flat, CostModel::shared(), out);
 }
 
 /// Runs the cost pass with an explicit cost model.
 pub fn run_with(model: &UnifiedModel, cost: &CostModel, out: &mut Vec<Diagnostic>) {
-    let Some(report) = budget_report(model, cost) else {
+    check(model, &model.flatten(), cost, out);
+}
+
+/// The cost pass over the flattening `flat` of `model`.
+fn check(model: &UnifiedModel, flat: &Flattening, cost: &CostModel, out: &mut Vec<Diagnostic>) {
+    let Some(report) = report(model, flat, cost) else {
         return; // no declared budgets: the pass is opt-in
     };
     let mpath = model.name();
 
     // URT302 / URT305: per-streamer cost hygiene on budgeted threads.
-    for &s in &leaves(model) {
+    for &s in &flat.leaves {
         let t = model.streamer_thread(s);
         if model.budget_for_thread(t).is_none() {
             continue;

@@ -305,7 +305,7 @@ pub fn seeded_violations() -> UnifiedModel {
 
 /// A model seeded with an **illegal zero-delay cross-group algebraic
 /// loop**: two direct-feedthrough streamers on different threads feeding
-/// each other (`URT007` + `URT206` + `URT207`). It passes the fail-fast
+/// each other (`URT007` + `URT207`). It passes the fail-fast
 /// Table 1 `validate()` — only the whole-model analyzer catches it, so
 /// the elaboration gate must refuse it.
 pub fn seeded_cross_loop() -> UnifiedModel {
@@ -386,7 +386,6 @@ mod tests {
         let diags = crate::analyze(&seeded_cross_loop());
         let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"URT007"), "algebraic loop, got {codes:?}");
-        assert!(codes.contains(&"URT206"), "rendezvous deadlock, got {codes:?}");
         assert!(codes.contains(&"URT207"), "cross-group feedthrough, got {codes:?}");
     }
 }

@@ -10,8 +10,8 @@
 //! That delay is only sound when the consumer is **non**-feedthrough: a
 //! direct-feedthrough consumer's same-step output would silently read a
 //! stale sample, breaking the zero-delay algebraic path the flow
-//! declares. The pass walks the effective streamer-to-streamer edges
-//! (capsule relay chains resolved, the same machinery as `URT007`) and
+//! declares. The pass walks the flattened leaf-to-leaf flows (capsule
+//! relay chains resolved, the same flows as `URT007`) and
 //!
 //! * **errors** (`URT207`) on every cross-group edge into a
 //!   direct-feedthrough consumer, and
@@ -20,16 +20,17 @@
 //!   trades latency for parallelism.
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::model_pass::effective_streamer_edges;
 use std::collections::HashSet;
-use urt_core::model::{StreamerRef, UnifiedModel};
+use urt_core::model::{Flattening, StreamerRef, UnifiedModel};
 
-/// Runs the cross-group flow classification pass.
-pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
-    // Relay fan-out can surface the same streamer pair more than once;
-    // report each pair at most once, in first-seen (deterministic) order.
+/// Runs the cross-group flow classification pass over the flattening
+/// `flat` of `model`.
+pub fn run(model: &UnifiedModel, flat: &Flattening, out: &mut Vec<Diagnostic>) {
+    // Several flows (one per port pair, or relay fan-out) can join the
+    // same streamer pair; report each pair at most once, in first-seen
+    // (deterministic) order.
     let mut seen: HashSet<(StreamerRef, StreamerRef)> = HashSet::new();
-    for (a, b) in effective_streamer_edges(model) {
+    for (a, b) in flat.flows.iter().map(|f| (f.from, f.to)) {
         if !seen.insert((a, b)) {
             continue;
         }
@@ -76,6 +77,11 @@ mod tests {
     use super::*;
     use urt_core::model::ModelBuilder;
     use urt_dataflow::flowtype::FlowType;
+
+    /// The pass over `model` and its flattening.
+    fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
+        super::run(model, &model.flatten(), out);
+    }
 
     fn chain(threads: (usize, usize), consumer_feedthrough: bool) -> UnifiedModel {
         let mut b = ModelBuilder::new("plan");

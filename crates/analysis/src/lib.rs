@@ -2,31 +2,32 @@
 //!
 //! The paper's Table 1 well-formedness rules are enforced fail-fast by
 //! [`urt_core::model::UnifiedModel::validate`]; this crate runs the same
-//! rules — plus graph, state-machine and thread-plan lints — over a model
-//! and returns **all** findings at once as structured [`Diagnostic`]
-//! values, each with a stable `URTxxx` code, a severity, a model path and
-//! a suggestion.
+//! rules — plus graph, state-machine, cross-group flow and timing lints —
+//! over a model and returns **all** findings at once as structured
+//! [`Diagnostic`] values, each with a stable `URTxxx` code, a severity, a
+//! model path and a suggestion.
 //!
-//! Passes over a [`UnifiedModel`]:
+//! [`analyze`] flattens the model once ([`UnifiedModel::flatten`]: leaf
+//! streamers and leaf-to-leaf flows with capsule relay chains resolved,
+//! the same reading `elaborate` lowers) and runs these passes over it:
 //!
 //! 1. **Well-formedness** ([`model_pass`]) — every Table 1 rule collected
 //!    instead of fail-fast: flow-type subset violations with field-level
 //!    explanations, capsule-in-streamer containment,
-//!    capsule-DPorts-are-relay-only, SPort protocol compatibility.
+//!    capsule-DPorts-are-relay-only, SPort protocol compatibility — plus
+//!    every structure the flattening refuses (`URT114`).
 //! 2. **Graph lints** ([`model_pass`]) — algebraic loops through
-//!    direct-feedthrough streamers (capsule relay chains resolved),
-//!    unconnected inputs, dead outputs, isolated elements.
+//!    direct-feedthrough streamers, inputs with no writer or with several
+//!    (`URT006`, `URT005`), dead outputs, isolated elements.
 //! 3. **State-machine lints** ([`machine_pass`]) — unreachable states,
 //!    transitions on signals no connected protocol can deliver, missing
 //!    initial states.
-//! 4. **Thread-plan deadlock** ([`thread_pass`]) — a wait-for graph over
-//!    the solver threads' data rendezvous; cycles are deadlocks.
-//! 5. **Cross-group flows** ([`flow_pass`]) — classifies every effective
+//! 4. **Cross-group flows** ([`flow_pass`]) — classifies every effective
 //!    flow as intra- or cross-thread-group: cross-group flows into
 //!    direct-feedthrough consumers are errors (`URT207`, the channel's
 //!    one-macro-step delay would break a zero-delay algebraic path);
 //!    legal ones report the induced delay.
-//! 6. **Static timing** ([`cost_pass`]) — budgets worst-case macro-step
+//! 5. **Static timing** ([`cost_pass`]) — budgets worst-case macro-step
 //!    cost per solver thread from declared or calibrated per-streamer
 //!    costs (`URT301`–`URT305`): over-budget threads are errors the gate
 //!    refuses, and `URT304` recommends a feasibility-pruned
@@ -59,7 +60,6 @@ pub mod flow_pass;
 pub mod machine_pass;
 pub mod model_pass;
 pub mod stubs;
-pub mod thread_pass;
 
 pub use diagnostic::{render_json_report, Diagnostic, Severity};
 
@@ -71,12 +71,12 @@ use urt_core::CoreError;
 /// findings sorted by (severity, code, path, message) — deterministic
 /// regardless of pass-registration order.
 pub fn analyze(model: &UnifiedModel) -> Vec<Diagnostic> {
+    let flat = model.flatten();
     let mut out = Vec::new();
-    model_pass::run(model, &mut out);
+    model_pass::run(model, &flat, &mut out);
     machine_pass::run(model, &mut out);
-    thread_pass::run(model, &mut out);
-    flow_pass::run(model, &mut out);
-    cost_pass::run(model, &mut out);
+    flow_pass::run(model, &flat, &mut out);
+    cost_pass::run(model, &flat, &mut out);
     sort_report(&mut out);
     out
 }

@@ -1,54 +1,16 @@
-//! Model-level passes: Table 1 well-formedness (collected) and graph
-//! lints over the declarative flow topology.
+//! Model-level passes: Table 1 well-formedness (collected), the
+//! structure the flattening refuses, and graph lints over the flattened
+//! flows.
 //!
-//! Capsule DPorts are relay-only (Figure 3), so for connectivity purposes
-//! a capsule port is a pass-through: a chain
-//! `streamer -> capsule.dport -> streamer` is one effective edge. The
-//! algebraic-loop and thread-plan passes both work on these effective
-//! streamer-to-streamer edges.
+//! Capsule DPorts are relay-only (Figure 3), so a chain
+//! `streamer -> capsule.dport -> streamer` is one effective flow
+//! ([`UnifiedModel::flatten`]); the algebraic-loop and input-writer lints
+//! read those flows.
 
 use crate::diagnostic::{Diagnostic, Severity};
-use std::collections::{HashMap, HashSet, VecDeque};
-use urt_core::model::{CapsuleRef, FlowEnd, Owner, StreamerRef, UnifiedModel};
+use std::collections::{HashMap, HashSet};
+use urt_core::model::{Flattening, FlowEnd, Owner, StreamerRef, UnifiedModel};
 use urt_dataflow::graph::topo_order;
-
-/// Effective streamer-to-streamer edges with capsule relay chains
-/// resolved.
-pub(crate) fn effective_streamer_edges(model: &UnifiedModel) -> Vec<(StreamerRef, StreamerRef)> {
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    enum Node {
-        Streamer(StreamerRef),
-        CapsulePort(CapsuleRef, String),
-    }
-    let key = |end: &FlowEnd| match end {
-        FlowEnd::Streamer(s, _) => Node::Streamer(*s),
-        FlowEnd::Capsule(c, p) => Node::CapsulePort(*c, p.clone()),
-    };
-    let mut adj: HashMap<Node, Vec<Node>> = HashMap::new();
-    for (from, to) in model.iter_flows() {
-        adj.entry(key(from)).or_default().push(key(to));
-    }
-    let mut edges = Vec::new();
-    for (sref, _, _) in model.iter_streamers() {
-        let mut seen = HashSet::new();
-        let mut queue: VecDeque<Node> =
-            adj.get(&Node::Streamer(sref)).cloned().unwrap_or_default().into();
-        while let Some(node) = queue.pop_front() {
-            if !seen.insert(node.clone()) {
-                continue;
-            }
-            match node {
-                Node::Streamer(target) => edges.push((sref, target)),
-                Node::CapsulePort(..) => {
-                    for next in adj.get(&node).into_iter().flatten() {
-                        queue.push_back(next.clone());
-                    }
-                }
-            }
-        }
-    }
-    edges
-}
 
 /// Drops the `URTxxx: ` prefix an error's display string already carries
 /// — the diagnostic holds the code in its own field.
@@ -77,12 +39,14 @@ fn suggestion_for(code: &str) -> Option<&'static str> {
     }
 }
 
-/// Runs the model-level passes, appending findings to `out`.
-pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
+/// Runs the model-level passes over `model` and its flattening `flat`,
+/// appending findings to `out`.
+pub fn run(model: &UnifiedModel, flat: &Flattening, out: &mut Vec<Diagnostic>) {
     let mpath = model.name().to_string();
 
-    // Pass 1: Table 1 well-formedness, collected instead of fail-fast.
-    for e in model.violations() {
+    // Pass 1: Table 1 well-formedness, collected instead of fail-fast,
+    // and the structure `elaborate` refuses to flatten.
+    for e in model.violations().iter().chain(&flat.refusals) {
         let mut d = Diagnostic::new(e.code(), Severity::Error, &mpath, strip_code(&e.to_string()));
         if let Some(s) = suggestion_for(e.code()) {
             d = d.suggest(s);
@@ -90,32 +54,44 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
         out.push(d);
     }
 
-    // Pass 2: graph lints over the declarative flow topology.
-    unconnected_inputs(model, out);
+    // Pass 2: graph lints over the flow topology.
+    input_writers(model, flat, out);
     dead_outputs(model, out);
-    algebraic_loops(model, out);
+    algebraic_loops(model, flat, out);
     isolated_elements(model, out);
 }
 
-/// `URT208`: streamer input DPorts no flow drives. A declarative model
-/// has no export notion, so this is a warning, unlike the network-level
-/// `URT006` error.
-fn unconnected_inputs(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
-    for (sref, name, _) in model.iter_streamers() {
+/// `URT006` / `URT005`: leaf input DPorts with no writer, or with
+/// several, among the flattened flows — the lowering refuses both.
+fn input_writers(model: &UnifiedModel, flat: &Flattening, out: &mut Vec<Diagnostic>) {
+    let mut writers: HashMap<(StreamerRef, &str), usize> = HashMap::new();
+    for f in &flat.flows {
+        *writers.entry((f.to, f.to_port.as_str())).or_default() += 1;
+    }
+    for &sref in &flat.leaves {
+        let name = model.streamer_name(sref).unwrap_or("?");
         for (port, _) in model.streamer_in_dports(sref) {
-            let driven = model
-                .iter_flows()
-                .any(|(_, to)| matches!(to, FlowEnd::Streamer(s, p) if *s == sref && p == port));
-            if !driven {
-                out.push(
+            let path = format!("{}/{name}.dport:{port}", model.name());
+            match writers.get(&(sref, port.as_str())).copied().unwrap_or(0) {
+                0 => out.push(
                     Diagnostic::new(
-                        "URT208",
-                        Severity::Warning,
-                        format!("{}/{name}.dport:{port}", model.name()),
+                        "URT006",
+                        Severity::Error,
+                        path,
                         format!("input DPort `{port}` of streamer `{name}` has no incoming flow"),
                     )
                     .suggest("connect a flow into this input or remove the port"),
-                );
+                ),
+                1 => {}
+                n => out.push(
+                    Diagnostic::new(
+                        "URT005",
+                        Severity::Error,
+                        path,
+                        format!("input DPort `{port}` of streamer `{name}` has {n} writers"),
+                    )
+                    .suggest("keep one flow into this input; combine the sources in a streamer"),
+                ),
             }
         }
     }
@@ -143,24 +119,24 @@ fn dead_outputs(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `URT007`: a cycle of direct-feedthrough streamers (relay chains
+/// `URT007`: a cycle of direct-feedthrough leaf streamers (relay chains
 /// resolved) has no valid same-step evaluation order. One diagnostic
 /// names every streamer on a cycle ([`topo_order`]), and no streamer
 /// that only reads one.
-fn algebraic_loops(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
-    let streamers: Vec<StreamerRef> = model.iter_streamers().map(|(s, _, _)| s).collect();
+fn algebraic_loops(model: &UnifiedModel, flat: &Flattening, out: &mut Vec<Diagnostic>) {
     let index: HashMap<StreamerRef, usize> =
-        streamers.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        flat.leaves.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     // Only direct-feedthrough streamers propagate a same-step dependency;
-    // an edge into a non-feedthrough streamer imposes no ordering.
-    let edges: Vec<(usize, usize)> = effective_streamer_edges(model)
-        .into_iter()
-        .filter(|&(_, b)| model.streamer_feedthrough(b))
-        .map(|(a, b)| (index[&a], index[&b]))
+    // a flow into a non-feedthrough streamer imposes no ordering.
+    let edges: Vec<(usize, usize)> = flat
+        .flows
+        .iter()
+        .filter(|f| model.streamer_feedthrough(f.to))
+        .map(|f| (index[&f.from], index[&f.to]))
         .collect();
-    if let Err(cycle) = topo_order(streamers.len(), &edges) {
+    if let Err(cycle) = topo_order(flat.leaves.len(), &edges) {
         let names: Vec<&str> =
-            cycle.into_iter().filter_map(|i| model.streamer_name(streamers[i])).collect();
+            cycle.into_iter().filter_map(|i| model.streamer_name(flat.leaves[i])).collect();
         out.push(
             Diagnostic::new(
                 "URT007",
@@ -239,6 +215,11 @@ mod tests {
 
     use urt_core::model::ModelBuilder;
 
+    /// The model-level passes over `model` and its flattening.
+    fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
+        super::run(model, &model.flatten(), out);
+    }
+
     #[test]
     fn collects_well_formedness_with_suggestions() {
         let mut b = ModelBuilder::new("bad");
@@ -253,23 +234,6 @@ mod tests {
         assert_eq!(subset.severity, Severity::Error);
         assert!(subset.message.contains("unit"), "{}", subset.message);
         assert!(subset.suggestion.as_deref().unwrap().contains("subset"));
-    }
-
-    #[test]
-    fn relay_chains_resolve_to_effective_edges() {
-        // s1 -> c.d -> s2: one effective edge s1 -> s2.
-        let mut b = ModelBuilder::new("relay");
-        let c = b.capsule("c");
-        let s1 = b.streamer("s1", "rk4");
-        let s2 = b.streamer("s2", "rk4");
-        b.contain_streamer_in_capsule(s2, c);
-        b.capsule_dport(c, "d", FlowType::scalar());
-        b.streamer_out(s1, "y", FlowType::scalar());
-        b.streamer_in(s2, "u", FlowType::scalar());
-        b.flow(FlowEnd::Streamer(s1, "y".into()), FlowEnd::Capsule(c, "d".into()));
-        b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(s2, "u".into()));
-        let model = b.build();
-        assert_eq!(effective_streamer_edges(&model), vec![(s1, s2)]);
     }
 
     #[test]
@@ -348,18 +312,39 @@ mod tests {
     }
 
     #[test]
-    fn unconnected_and_dead_ports_warned() {
+    fn an_undriven_input_is_an_error_and_a_dead_output_a_warning() {
         let mut b = ModelBuilder::new("m");
         let s = b.streamer("s", "rk4");
         b.streamer_in(s, "u", FlowType::scalar());
         b.streamer_out(s, "y", FlowType::scalar());
         let mut out = Vec::new();
         run(&b.build(), &mut out);
-        let undriven = out.iter().find(|d| d.code == "URT208").expect("URT208");
+        let undriven = out.iter().find(|d| d.code == "URT006").expect("URT006");
         assert_eq!(undriven.path, "m/s.dport:u");
-        assert_eq!(undriven.severity, Severity::Warning);
+        assert_eq!(undriven.severity, Severity::Error);
         let dead = out.iter().find(|d| d.code == "URT201").expect("URT201");
         assert_eq!(dead.path, "m/s.dport:y");
+        assert_eq!(dead.severity, Severity::Warning);
+    }
+
+    #[test]
+    fn writers_are_counted_through_relays() {
+        // src.y feeds g.u directly and through the relay c.d.
+        let mut b = ModelBuilder::new("m");
+        let c = b.capsule("c");
+        let src = b.streamer("src", "rk4");
+        let g = b.streamer("g", "rk4");
+        b.capsule_dport(c, "d", FlowType::scalar());
+        b.streamer_out(src, "y", FlowType::scalar());
+        b.streamer_in(g, "u", FlowType::scalar());
+        b.flow(FlowEnd::Streamer(src, "y".into()), FlowEnd::Capsule(c, "d".into()));
+        b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
+        b.flow_between_streamers(src, "y", g, "u");
+        let mut out = Vec::new();
+        run(&b.build(), &mut out);
+        let d = out.iter().find(|d| d.code == "URT005").expect("URT005");
+        assert_eq!((d.severity, d.path.as_str()), (Severity::Error, "m/g.dport:u"));
+        assert!(d.message.contains("2 writers"), "{}", d.message);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use urt_core::model::UnifiedModel;
 ///
 /// The whole `urt_analysis` analyzer runs first: code is only generated
 /// when **no error-severity diagnostic** is reported (a superset of
-/// `validate()` — e.g. algebraic loops and thread-plan deadlocks also
+/// `validate()` — e.g. algebraic loops and zero-delay cross-group flows also
 /// block generation). The lint summary is embedded as a header comment
 /// in the generated file.
 ///

@@ -32,12 +32,14 @@
 //!    error-severity finding (the crate DAG points
 //!    `urt_analysis → urt_core`, so the analyzer is injected instead of
 //!    called directly), [`validate_gate`] runs just the rules;
-//! 2. the streamer hierarchy is **flattened**: container streamers
-//!    (those owning sub-streamers, Figure 2) contribute no nodes, their
-//!    leaves become the nodes of one flat group per declared solver
-//!    thread, and capsule relay DPort chains (Figure 3) are
-//!    resolved to direct leaf-to-leaf flows; flows whose endpoints sit on
-//!    *different* declared threads are lowered into cross-group channel
+//! 2. the streamer hierarchy is **flattened**
+//!    ([`UnifiedModel::flatten`], the reading the analyzer lints too):
+//!    container streamers (those owning sub-streamers, Figure 2)
+//!    contribute no nodes, their leaves become the nodes of one flat
+//!    group per declared solver thread, and capsule relay DPort chains
+//!    (Figure 3) are resolved to direct leaf-to-leaf flows (the first
+//!    refusal of the flattening is the error); flows whose endpoints sit
+//!    on *different* declared threads are lowered into cross-group channel
 //!    entries (double-buffered, one-macro-step delay) instead of forcing
 //!    the threads to merge;
 //! 3. behaviours come from a [`BehaviorRegistry`] (streamer name →
@@ -68,7 +70,7 @@
 //! factory once per instance and fills its state from the tables.
 
 use crate::error::CoreError;
-use crate::model::{FlowEnd, Owner, StreamerRef, UnifiedModel};
+use crate::model::{EffectiveFlow, Flattening, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use urt_dataflow::error::FlowError;
@@ -506,14 +508,6 @@ fn inert_machine(spec: &SmSpec) -> Result<Box<dyn Capsule>, CoreError> {
     Ok(Box::new(SmCapsule::new(machine, ())))
 }
 
-/// An effective leaf-to-leaf flow after capsule relay resolution.
-struct EffectiveFlow {
-    from: StreamerRef,
-    from_port: String,
-    to: StreamerRef,
-    to_port: String,
-}
-
 fn elaborate_err(detail: String) -> CoreError {
     CoreError::Elaborate { detail }
 }
@@ -625,93 +619,17 @@ pub fn elaborate(
     }
     let content_hash = hasher.finish();
 
-    // --- hierarchy: container streamers contribute no nodes ------------
-    let refs: Vec<(StreamerRef, String)> =
-        model.iter_streamers().map(|(r, name, _)| (r, name.to_owned())).collect();
-    let containers: HashSet<StreamerRef> = refs
-        .iter()
-        .filter_map(|(r, _)| match model.streamer_owner(*r) {
-            Some(Owner::Streamer(parent)) => Some(parent),
-            _ => None,
-        })
-        .collect();
+    // --- flatten: leaves, relay-resolved leaf-to-leaf flows -------------
+    let Flattening { leaves, flows: effective, refusals } = model.flatten();
+    if let Some(first) = refusals.into_iter().next() {
+        return Err(first);
+    }
     let name_of = |r: StreamerRef| -> &str { model.streamer_name(r).unwrap_or("?") };
-    for r in &containers {
-        if !model.streamer_in_dports(*r).is_empty() || !model.streamer_out_dports(*r).is_empty() {
-            return Err(elaborate_err(format!(
-                "container streamer `{}` declares DPorts; flatten flows to its leaves instead",
-                name_of(*r)
-            )));
-        }
-    }
-
-    // --- flows: resolve capsule relay chains to leaf-to-leaf edges -----
-    let trace_source = |mut end: FlowEnd| -> Result<(StreamerRef, String), CoreError> {
-        let mut hops = 0usize;
-        loop {
-            match end {
-                FlowEnd::Streamer(s, port) => return Ok((s, port)),
-                FlowEnd::Capsule(c, port) => {
-                    hops += 1;
-                    if hops > model.stats().flows + 1 {
-                        return Err(elaborate_err(format!(
-                            "relay chain through capsule DPort `{port}` does not terminate"
-                        )));
-                    }
-                    let mut sources = model.iter_flows().filter(|&(_, to)| match to {
-                        FlowEnd::Capsule(tc, tp) => *tc == c && *tp == port,
-                        FlowEnd::Streamer(..) => false,
-                    });
-                    let Some((from, _)) = sources.next() else {
-                        return Err(elaborate_err(format!(
-                            "capsule DPort `{}`.`{port}` relays nothing",
-                            model.capsule_name(c).unwrap_or("?")
-                        )));
-                    };
-                    if sources.next().is_some() {
-                        return Err(elaborate_err(format!(
-                            "capsule DPort `{}`.`{port}` has multiple sources",
-                            model.capsule_name(c).unwrap_or("?")
-                        )));
-                    }
-                    end = from.clone();
-                }
-            }
-        }
-    };
-    let mut effective: Vec<EffectiveFlow> = Vec::new();
-    for (from, to) in model.iter_flows() {
-        let FlowEnd::Streamer(to_s, to_port) = to else {
-            // Flows *into* capsule DPorts are consumed by relay tracing.
-            continue;
-        };
-        if containers.contains(to_s) {
-            return Err(elaborate_err(format!(
-                "flow targets container streamer `{}`",
-                name_of(*to_s)
-            )));
-        }
-        let (from_s, from_port) = trace_source(from.clone())?;
-        if containers.contains(&from_s) {
-            return Err(elaborate_err(format!(
-                "flow originates at container streamer `{}`",
-                name_of(from_s)
-            )));
-        }
-        effective.push(EffectiveFlow {
-            from: from_s,
-            from_port,
-            to: *to_s,
-            to_port: to_port.clone(),
-        });
-    }
 
     // --- thread groups: one group per declared solver thread ------------
     // Flows no longer coalesce their endpoints: a flow between streamers
     // on distinct declared threads is lowered into a cross-group channel
     // below, so `assign_thread` is an actual partition, not a hint.
-    let leaves: Vec<StreamerRef> =
-        refs.iter().map(|(r, _)| *r).filter(|r| !containers.contains(r)).collect();
     let mut group_of_thread: BTreeMap<usize, usize> = BTreeMap::new();
     for tid in leaves.iter().map(|r| model.streamer_thread(*r)).collect::<BTreeSet<_>>() {
         let next = group_of_thread.len();
@@ -916,7 +834,7 @@ pub fn elaborate(
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, HybridEngine};
-    use crate::model::ModelBuilder;
+    use crate::model::{FlowEnd, ModelBuilder};
     use crate::recorder::Recorder;
     use crate::threading::ThreadPolicy;
     use urt_dataflow::flowtype::Unit;

@@ -21,6 +21,7 @@
 //! [`crate::engine::HybridEngine`].
 
 use crate::error::CoreError;
+use std::collections::HashSet;
 use std::fmt;
 use urt_dataflow::flowtype::FlowType;
 use urt_umlrt::protocol::Protocol;
@@ -146,6 +147,38 @@ pub struct ModelStats {
     pub dports: usize,
     /// Total SPorts.
     pub sports: usize,
+}
+
+/// A leaf-to-leaf flow with capsule relay chains resolved: output DPort
+/// `from_port` of leaf streamer `from` feeds input DPort `to_port` of
+/// leaf streamer `to`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EffectiveFlow {
+    /// The producing leaf streamer.
+    pub from: StreamerRef,
+    /// Its output DPort.
+    pub from_port: String,
+    /// The consuming leaf streamer.
+    pub to: StreamerRef,
+    /// Its input DPort.
+    pub to_port: String,
+}
+
+/// The model flattened to what runs ([`UnifiedModel::flatten`]).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Flattening {
+    /// Leaf streamers in declaration order; container streamers own
+    /// sub-streamers and contribute none.
+    pub leaves: Vec<StreamerRef>,
+    /// Every flow into a leaf streamer, in declaration order, with its
+    /// source traced to a leaf output; flows the tracing refuses are
+    /// left out.
+    pub flows: Vec<EffectiveFlow>,
+    /// Structure the executable form cannot realise, as
+    /// [`CoreError::Elaborate`] (`URT114`), in the order met: containers
+    /// declaring DPorts, then per flow a container endpoint or a relay
+    /// chain that relays nothing, has multiple sources or never ends.
+    pub refusals: Vec<CoreError>,
 }
 
 /// A validated-or-validatable unified model.
@@ -412,7 +445,7 @@ impl UnifiedModel {
     }
 
     fn collect_unique_names(&self, found: &mut Vec<CoreError>) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for d in &self.capsules {
             if !seen.insert(&d.name) {
                 found.push(CoreError::Validation {
@@ -421,7 +454,7 @@ impl UnifiedModel {
                 });
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for d in &self.streamers {
             if !seen.insert(&d.name) {
                 found.push(CoreError::Validation {
@@ -620,6 +653,99 @@ impl UnifiedModel {
                         p.series, st.name, p.port
                     ),
                 });
+            }
+        }
+    }
+
+    /// Flattens the model to what runs: container streamers (Figure 2)
+    /// give way to their leaves, and each flow into a leaf has its source
+    /// traced back through capsule relay DPorts (Figure 3) to a leaf
+    /// output. [`crate::elaborate::elaborate`] fails on the first refusal;
+    /// the analyzer reports them all and lints the resolved flows.
+    pub fn flatten(&self) -> Flattening {
+        let containers: HashSet<StreamerRef> = self
+            .streamers
+            .iter()
+            .filter_map(|d| match d.owner {
+                Owner::Streamer(parent) => Some(parent),
+                _ => None,
+            })
+            .collect();
+        let name_of = |r: StreamerRef| self.streamer_name(r).unwrap_or("?");
+        let refuse = |detail: String| CoreError::Elaborate { detail };
+        let mut flat = Flattening::default();
+        for (i, d) in self.streamers.iter().enumerate() {
+            if !containers.contains(&StreamerRef(i)) {
+                flat.leaves.push(StreamerRef(i));
+            } else if !d.in_dports.is_empty() || !d.out_dports.is_empty() {
+                flat.refusals.push(refuse(format!(
+                    "container streamer `{}` declares DPorts; flatten flows to its leaves instead",
+                    d.name
+                )));
+            }
+        }
+        for f in &self.flows {
+            // Flows *into* capsule DPorts are consumed by relay tracing.
+            let FlowEnd::Streamer(to, to_port) = &f.to else { continue };
+            let traced = if containers.contains(to) {
+                Err(refuse(format!("flow targets container streamer `{}`", name_of(*to))))
+            } else {
+                self.relay_source(&f.from).and_then(|(from, from_port)| {
+                    if containers.contains(&from) {
+                        return Err(refuse(format!(
+                            "flow originates at container streamer `{}`",
+                            name_of(from)
+                        )));
+                    }
+                    Ok(EffectiveFlow { from, from_port, to: *to, to_port: to_port.clone() })
+                })
+            };
+            match traced {
+                Ok(flow) => flat.flows.push(flow),
+                // A broken relay read by several inputs is one refusal.
+                Err(e) if !flat.refusals.contains(&e) => flat.refusals.push(e),
+                Err(_) => {}
+            }
+        }
+        flat
+    }
+
+    /// The leaf output DPort a flow from `end` carries: `end` itself, or
+    /// the source of the relay chain through capsule DPorts that ends
+    /// there.
+    fn relay_source<'a>(
+        &'a self,
+        mut end: &'a FlowEnd,
+    ) -> Result<(StreamerRef, String), CoreError> {
+        let refuse = |detail: String| CoreError::Elaborate { detail };
+        let mut hops = 0usize;
+        loop {
+            match end {
+                FlowEnd::Streamer(s, port) => return Ok((*s, port.clone())),
+                FlowEnd::Capsule(c, port) => {
+                    hops += 1;
+                    if hops > self.flows.len() + 1 {
+                        return Err(refuse(format!(
+                            "relay chain through capsule DPort `{port}` does not terminate"
+                        )));
+                    }
+                    let mut sources = self.flows.iter().filter(|f| match &f.to {
+                        FlowEnd::Capsule(tc, tp) => tc == c && tp == port,
+                        FlowEnd::Streamer(..) => false,
+                    });
+                    let capsule = self.capsule_name(*c).unwrap_or("?");
+                    let Some(source) = sources.next() else {
+                        return Err(refuse(format!(
+                            "capsule DPort `{capsule}`.`{port}` relays nothing"
+                        )));
+                    };
+                    if sources.next().is_some() {
+                        return Err(refuse(format!(
+                            "capsule DPort `{capsule}`.`{port}` has multiple sources"
+                        )));
+                    }
+                    end = &source.from;
+                }
             }
         }
     }
@@ -944,6 +1070,65 @@ mod tests {
         let s = m.render_structure();
         assert!(s.contains("streamer top"));
         assert!(s.contains("  streamer sub1") || s.contains("streamer sub1"));
+    }
+
+    #[test]
+    fn relay_chains_resolve_to_effective_flows() {
+        // s1 -> c.d -> s2: one effective flow s1.y -> s2.u.
+        let mut b = ModelBuilder::new("relay");
+        let c = b.capsule("c");
+        let s1 = b.streamer("s1", "rk4");
+        let s2 = b.streamer("s2", "rk4");
+        b.contain_streamer_in_capsule(s2, c);
+        b.capsule_dport(c, "d", FlowType::scalar());
+        b.streamer_out(s1, "y", FlowType::scalar());
+        b.streamer_in(s2, "u", FlowType::scalar());
+        b.flow(FlowEnd::Streamer(s1, "y".into()), FlowEnd::Capsule(c, "d".into()));
+        b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(s2, "u".into()));
+        let flat = b.build().flatten();
+        assert_eq!(flat.leaves, [s1, s2]);
+        let flow = EffectiveFlow { from: s1, from_port: "y".into(), to: s2, to_port: "u".into() };
+        assert_eq!(flat.flows, [flow]);
+        assert!(flat.refusals.is_empty());
+    }
+
+    #[test]
+    fn flattening_collects_every_refusal_once_and_keeps_the_rest() {
+        // fig2's container `top` declaring a DPort, and a relay `c.d` with
+        // two sources read by both sub2 and sub3.
+        let mut b = ModelBuilder::new("m");
+        let top = b.streamer("top", "rk4");
+        let sub1 = b.streamer("sub1", "rk4");
+        let sub2 = b.streamer("sub2", "euler");
+        let sub3 = b.streamer("sub3", "euler");
+        for s in [sub1, sub2, sub3] {
+            b.contain_streamer(s, top);
+        }
+        b.streamer_out(top, "y", FlowType::scalar());
+        b.streamer_out(sub1, "y", FlowType::scalar());
+        b.streamer_in(sub2, "u", FlowType::scalar());
+        b.streamer_in(sub3, "u", FlowType::scalar());
+        b.streamer_in(sub3, "v", FlowType::scalar());
+        let c = b.capsule("c");
+        b.flow(FlowEnd::Streamer(sub1, "y".into()), FlowEnd::Capsule(c, "d".into()));
+        b.flow(FlowEnd::Streamer(sub1, "y".into()), FlowEnd::Capsule(c, "d".into()));
+        b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(sub2, "u".into()));
+        b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(sub3, "u".into()));
+        b.flow_between_streamers(sub1, "y", sub3, "v");
+        let flat = b.build().flatten();
+        assert_eq!(flat.leaves, [sub1, sub2, sub3]);
+        let flow =
+            EffectiveFlow { from: sub1, from_port: "y".into(), to: sub3, to_port: "v".into() };
+        assert_eq!(flat.flows, [flow]);
+        let refusals: Vec<String> = flat.refusals.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            refusals,
+            [
+                "URT114: elaboration error: container streamer `top` declares DPorts; flatten \
+                 flows to its leaves instead",
+                "URT114: elaboration error: capsule DPort `c`.`d` has multiple sources",
+            ]
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   declared budget, with `Record`/`CatchUp`/`SafetyStop` overrun
 //!   policies.
 //! * [`analysis`] — whole-model static analysis: every Table-1 rule plus
-//!   graph, state-machine and thread-plan lints, collected as structured
-//!   `URTxxx` diagnostics (the `urt-lint` binary fronts it) — and
+//!   graph, state-machine, cross-group flow and timing lints, collected
+//!   as structured `URTxxx` diagnostics (the `urt-lint` binary fronts it) — and
 //!   [`compile`], the gated `model → analyze → compile → run` entry
 //!   point.
 //! * [`codegen`] — model-to-Rust code generation.

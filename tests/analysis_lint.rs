@@ -1,10 +1,15 @@
 //! End-to-end checks of the `urt_analysis` static analyzer: the clean
 //! example catalogue lints without errors, the seeded model collects
-//! multiple distinct violations, and the codegen pipeline honours the
-//! analyzer's verdict.
+//! multiple distinct violations, the analyzer refuses every structure
+//! compilation refuses, and the codegen pipeline honours the analyzer's
+//! verdict.
 
+use unified_rt::analysis::stubs::stub_registry;
 use unified_rt::analysis::{analyze, examples, has_errors, severity_counts, Severity};
 use unified_rt::codegen::generate_model;
+use unified_rt::core::model::{CapsuleRef, FlowEnd, ModelBuilder, StreamerRef};
+use unified_rt::core::CoreError;
+use unified_rt::dataflow::flowtype::FlowType;
 
 #[test]
 fn every_example_model_lints_clean() {
@@ -91,4 +96,90 @@ fn lint_snapshots_are_current() {
         checked += 1;
     }
     assert_eq!(checked, examples::NAMES.len() + 3, "every model has a snapshot");
+}
+
+/// A capsule `relay` declaring scalar relay DPorts `ports`.
+fn relay(b: &mut ModelBuilder, ports: &[&str]) -> CapsuleRef {
+    let c = b.capsule("relay");
+    for &port in ports {
+        b.capsule_dport(c, port, FlowType::scalar());
+    }
+    c
+}
+
+#[test]
+fn the_analyzer_refuses_every_structure_compile_refuses() {
+    // Non-feedthrough `s` (inside the container streamer `pack`) feeds
+    // `g.u`; each case adds one element elaboration cannot realise.
+    type Case = (&'static str, fn(&mut ModelBuilder, [StreamerRef; 3]));
+    let cases: [Case; 10] = [
+        ("container with DPorts", |b, [_, _, pack]| {
+            b.streamer_out(pack, "y", FlowType::scalar());
+        }),
+        ("flow into a container", |b, [s, _, pack]| {
+            b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Streamer(pack, "u".into()));
+        }),
+        ("flow out of a container", |b, [_, g, pack]| {
+            b.flow(FlowEnd::Streamer(pack, "y".into()), FlowEnd::Streamer(g, "u".into()));
+        }),
+        ("relay that relays nothing", |b, [_, g, _]| {
+            let c = relay(b, &["d"]);
+            b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
+        }),
+        ("relay with two sources", |b, [s, g, _]| {
+            let c = relay(b, &["d"]);
+            b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Capsule(c, "d".into()));
+            b.flow(FlowEnd::Streamer(g, "y".into()), FlowEnd::Capsule(c, "d".into()));
+            b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
+        }),
+        ("relay chain that never ends", |b, [_, g, _]| {
+            let c = relay(b, &["d1", "d2"]);
+            b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Capsule(c, "d2".into()));
+            b.flow(FlowEnd::Capsule(c, "d2".into()), FlowEnd::Capsule(c, "d1".into()));
+            b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Streamer(g, "u".into()));
+        }),
+        ("SPort link to a container", |b, [_, _, pack]| {
+            let c = b.capsule("sup");
+            b.sport_link(c, "p", pack, "ctl");
+        }),
+        ("probe on a container", |b, [_, _, pack]| {
+            b.probe(pack, "y", "pack.y");
+        }),
+        ("second writer on one input", |b, [_, g, _]| {
+            let t = b.streamer("t", "none");
+            b.streamer_out(t, "y", FlowType::scalar());
+            b.streamer_feedthrough(t, false);
+            b.flow_between_streamers(t, "y", g, "u");
+        }),
+        ("undriven input", |b, [_, g, _]| {
+            b.streamer_in(g, "v", FlowType::scalar());
+        }),
+    ];
+    let build = |add: fn(&mut ModelBuilder, [StreamerRef; 3])| {
+        let mut b = ModelBuilder::new("m");
+        let s = b.streamer("s", "none");
+        let g = b.streamer("g", "none");
+        let pack = b.streamer("pack", "none");
+        b.contain_streamer(s, pack);
+        b.streamer_out(s, "y", FlowType::scalar());
+        b.streamer_in(g, "u", FlowType::scalar());
+        b.streamer_out(g, "y", FlowType::scalar());
+        b.streamer_feedthrough(s, false);
+        b.streamer_feedthrough(g, false);
+        b.flow_between_streamers(s, "y", g, "u");
+        add(&mut b, [s, g, pack]);
+        b.build()
+    };
+    let clean = build(|_, _| {});
+    assert!(!has_errors(&analyze(&clean)), "{:#?}", analyze(&clean));
+    unified_rt::compile(&clean, stub_registry(&clean)).expect("the base model compiles");
+    for (case, add) in cases {
+        let model = build(add);
+        assert!(has_errors(&analyze(&model)), "{case}: {:#?}", analyze(&model));
+        let err = unified_rt::compile(&model, stub_registry(&model)).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Elaborate { detail } if detail.starts_with("analysis found")),
+            "{case}: the gate refuses, not the lowering: {err}"
+        );
+    }
 }
