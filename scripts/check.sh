@@ -168,6 +168,21 @@ for example in quickstart inverted_pendulum cruise_control tank_level bouncing_b
     fi
 done
 
+# hard_realtime prints wall-clock cycle times, so its output cannot be
+# diffed; it must still exit 0 and end on its summary line.
+echo "==> hard_realtime example (exit 0, summary line)"
+if ! hard_out="$(cargo run -q --release --offline --example hard_realtime)"; then
+    echo "example hard_realtime exited non-zero" >&2
+    exit 1
+fi
+case "$(printf '%s\n' "$hard_out" | tail -n 1)" in
+    'ok: paced run completed'*) ;;
+    *)
+        echo "unexpected hard_realtime output: $hard_out" >&2
+        exit 1
+        ;;
+esac
+
 echo "==> urt-elab-smoke (model -> analyze -> compile -> run, + K=8 ensemble replay)"
 elab_out="$(cargo run -q --offline -p urt-analysis --bin urt-elab-smoke)"
 case "$elab_out" in
