@@ -3,14 +3,15 @@
 //! Pushes every clean built-in model through the full
 //! `model → analyze → compile → run` pipeline with stub behaviours:
 //! each model is compiled via [`urt_analysis::compile`] (so the
-//! whole-model analyzer gates it), handed to
+//! whole-model analyzer vets it first), handed to
 //! `HybridEngine::from_compiled`, and run for a few macro steps.
 //! Every model additionally runs as a K-instance [`EnsembleEngine`]
 //! (SPort links included), whose instance 0 must replay the standalone
 //! run bit-identically — probe series and controller message counts
 //! (the ensemble determinism anchor).
-//! The seeded negative models (`seeded-violations`, `seeded-cross-loop`,
-//! `seeded-over-budget`) must **refuse** to compile. Any deviation exits
+//! The seeded negative models ([`examples::SEEDED`]: `seeded-violations`,
+//! `seeded-cross-loop`, `seeded-over-budget`, `seeded-unrealisable`)
+//! must **refuse** to compile. Any deviation exits
 //! non-zero, which is what `scripts/check.sh` keys on.
 
 use std::process::ExitCode;
@@ -109,15 +110,15 @@ fn main() -> ExitCode {
         );
     }
 
-    // The seeded models must be refused by the analysis gate — including
-    // the cross-group algebraic loop and the over-budget timing plan
-    // that fail-fast `validate()` misses.
-    for name in ["seeded-violations", "seeded-cross-loop", "seeded-over-budget"] {
+    // The seeded models must be refused by the analyzer — including the
+    // cross-group algebraic loop and the over-budget timing plan that
+    // fail-fast `validate()` misses, and the machine that cannot be built.
+    for &name in examples::SEEDED {
         let seeded = examples::by_name(name).expect("catalogue name");
         match compile(&seeded, stubs::stub_registry(&seeded)) {
             Err(e) => println!("urt-elab-smoke: `{name}` refused as expected: {e}"),
             Ok(_) => {
-                eprintln!("urt-elab-smoke: `{name}` compiled — the gate is broken");
+                eprintln!("urt-elab-smoke: `{name}` compiled — the analyzer missed it");
                 failed = true;
             }
         }

@@ -90,12 +90,9 @@ fn main() -> ExitCode {
     }
 
     if list {
-        for name in examples::NAMES {
+        for name in examples::NAMES.iter().chain(examples::SEEDED) {
             println!("{name}");
         }
-        println!("seeded-violations");
-        println!("seeded-cross-loop");
-        println!("seeded-over-budget");
         return ExitCode::SUCCESS;
     }
 

@@ -22,8 +22,8 @@
 //! relays and containers can't hide cost) and emits:
 //!
 //! * **`URT301`** (error) — a thread group's worst-case macro-step cost
-//!   exceeds the budget binding it; refused by the elaboration gate like
-//!   any other error.
+//!   exceeds the budget binding it; [`compile`](crate::compile) refuses
+//!   it like any other error.
 //! * **`URT302`** (warning) — a budget is declared but a streamer on the
 //!   critical path has neither a declared nor a calibrated cost; the
 //!   conservative default was assumed.

@@ -9,7 +9,8 @@
 //! whole-model analyzer (not fail-fast `validate()`) can refuse, and
 //! [`seeded_over_budget`] a structurally sound model whose declared
 //! worst-case step cost exceeds its real-time budget — `validate()`
-//! passes, the static timing pass (`URT301`) refuses it.
+//! passes, the static timing pass (`URT301`) refuses it — and
+//! [`seeded_unrealisable`] a supervisor no running system can realise.
 
 use urt_core::model::{BudgetScope, FlowEnd, ModelBuilder, UnifiedModel};
 use urt_dataflow::flowtype::{FlowType, Unit};
@@ -20,13 +21,17 @@ use urt_umlrt::statemachine::SmSpec;
 pub const NAMES: &[&str] =
     &["demo", "fig2", "fig3", "cruise-control", "tank-level", "inverted-pendulum", "bouncing-ball"];
 
+/// Names of the seeded negative models, each refused by the analyzer.
+pub const SEEDED: &[&str] =
+    &["seeded-violations", "seeded-cross-loop", "seeded-over-budget", "seeded-unrealisable"];
+
 /// The clean catalogue as `(name, model)` pairs.
 pub fn all() -> Vec<(&'static str, UnifiedModel)> {
     NAMES.iter().map(|&n| (n, by_name(n).expect("catalogue name"))).collect()
 }
 
-/// Looks up a built-in model by name (the clean catalogue plus
-/// `seeded-violations`).
+/// Looks up a built-in model by name (the clean catalogue plus the
+/// [`SEEDED`] models).
 pub fn by_name(name: &str) -> Option<UnifiedModel> {
     match name {
         "demo" => Some(demo()),
@@ -39,6 +44,7 @@ pub fn by_name(name: &str) -> Option<UnifiedModel> {
         "seeded-violations" => Some(seeded_violations()),
         "seeded-cross-loop" => Some(seeded_cross_loop()),
         "seeded-over-budget" => Some(seeded_over_budget()),
+        "seeded-unrealisable" => Some(seeded_unrealisable()),
         _ => None,
     }
 }
@@ -307,7 +313,7 @@ pub fn seeded_violations() -> UnifiedModel {
 /// loop**: two direct-feedthrough streamers on different threads feeding
 /// each other (`URT007` + `URT207`). It passes the fail-fast
 /// Table 1 `validate()` — only the whole-model analyzer catches it, so
-/// the elaboration gate must refuse it.
+/// `compile` refuses it before anything is lowered.
 pub fn seeded_cross_loop() -> UnifiedModel {
     let mut b = ModelBuilder::new("seeded-cross-loop");
     let s1 = b.streamer("alpha", "rk4");
@@ -346,6 +352,25 @@ pub fn seeded_over_budget() -> UnifiedModel {
     b.build()
 }
 
+/// A model seeded with **structure no running system can realise**: a
+/// machine transition into an undeclared state (`URT110`) and two links
+/// on one streamer SPort (`URT113`).
+pub fn seeded_unrealisable() -> UnifiedModel {
+    let mut b = ModelBuilder::new("seeded-unrealisable");
+    let sup = b.capsule("supervisor");
+    let plant = b.streamer("plant", "rk4");
+    b.streamer_out(plant, "y", FlowType::scalar());
+    b.streamer_feedthrough(plant, false);
+    b.streamer_sport(plant, "ctl", "Ctl");
+    for port in ["p", "q"] {
+        b.capsule_sport(sup, port, "Ctl");
+        b.sport_link(sup, port, plant, "ctl");
+    }
+    let sm = SmSpec::new("supervisor_sm").state("idle").initial("idle");
+    b.capsule_machine(sup, sm.on("idle", ("p", "go"), "ghost"));
+    b.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,9 +381,7 @@ mod tests {
             assert_eq!(model.name(), name);
             model.validate().unwrap_or_else(|e| panic!("example `{name}`: {e}"));
         }
-        assert!(by_name("seeded-violations").is_some());
-        assert!(by_name("seeded-cross-loop").is_some());
-        assert!(by_name("seeded-over-budget").is_some());
+        assert!(SEEDED.iter().all(|name| by_name(name).is_some()));
         assert!(by_name("nope").is_none());
     }
 
@@ -371,6 +394,16 @@ mod tests {
         assert!(codes.contains(&"URT301"), "budget violation, got {codes:?}");
         assert!(codes.contains(&"URT304"), "partition recommendation, got {codes:?}");
         assert!(crate::has_errors(&diags));
+    }
+
+    #[test]
+    fn seeded_unrealisable_is_refused_for_its_machine_and_its_links() {
+        let err = seeded_unrealisable().validate().unwrap_err();
+        assert_eq!(err.code(), "URT113", "{err}");
+        let diags = crate::analyze(&seeded_unrealisable());
+        let errors: Vec<&str> =
+            diags.iter().filter(|d| d.severity == crate::Severity::Error).map(|d| d.code).collect();
+        assert_eq!(errors, ["URT110", "URT113"], "{diags:#?}");
     }
 
     #[test]

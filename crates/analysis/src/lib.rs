@@ -14,14 +14,16 @@
 //! 1. **Well-formedness** ([`model_pass`]) — every Table 1 rule collected
 //!    instead of fail-fast: flow-type subset violations with field-level
 //!    explanations, capsule-in-streamer containment,
-//!    capsule-DPorts-are-relay-only, SPort protocol compatibility — plus
-//!    every structure the flattening refuses (`URT114`).
+//!    capsule-DPorts-are-relay-only, SPort protocol compatibility, one
+//!    link per streamer SPort (`URT113`) — plus every structure the
+//!    flattening refuses (`URT114`).
 //! 2. **Graph lints** ([`model_pass`]) — algebraic loops through
 //!    direct-feedthrough streamers, inputs with no writer or with several
 //!    (`URT006`, `URT005`), dead outputs, isolated elements.
-//! 3. **State-machine lints** ([`machine_pass`]) — unreachable states,
-//!    transitions on signals no connected protocol can deliver, missing
-//!    initial states.
+//! 3. **State-machine lints** ([`machine_pass`]) — missing initial
+//!    states, specs the machine build `elaborate` runs refuses,
+//!    unreachable states, transitions on signals no connected protocol
+//!    can deliver.
 //! 4. **Cross-group flows** ([`flow_pass`]) — classifies every effective
 //!    flow as intra- or cross-thread-group: cross-group flows into
 //!    direct-feedthrough consumers are errors (`URT207`, the channel's
@@ -29,14 +31,13 @@
 //!    legal ones report the induced delay.
 //! 5. **Static timing** ([`cost_pass`]) — budgets worst-case macro-step
 //!    cost per solver thread from declared or calibrated per-streamer
-//!    costs (`URT301`–`URT305`): over-budget threads are errors the gate
-//!    refuses, and `URT304` recommends a feasibility-pruned
+//!    costs (`URT301`–`URT305`): over-budget threads are errors
+//!    [`compile`] refuses, and `URT304` recommends a feasibility-pruned
 //!    `assign_thread` partition before anything runs.
 //!
-//! [`compile`] is the pipeline front door: it injects the analyzer as
-//! the elaboration gate and lowers a clean model plus a behaviour
-//! registry into an executable `CompiledSystem` — error-severity
-//! findings refuse to compile. [`stubs`] provides width- and
+//! [`compile`] is the pipeline front door: it runs the analyzer, refuses
+//! any error-severity finding, and lowers a clean model plus a behaviour
+//! registry into an executable `CompiledSystem`. [`stubs`] provides width- and
 //! feedthrough-faithful placeholder behaviours so structure-only models
 //! (e.g. the [`examples`] catalogue) can ride the whole pipeline.
 //!
@@ -90,44 +91,42 @@ fn sort_report(out: &mut [Diagnostic]) {
     });
 }
 
-/// The full pipeline gate: compiles `model` into an executable
+/// The pipeline front door: compiles `model` into an executable
 /// [`CompiledSystem`], refusing any model the analyzer flags with an
 /// error-severity diagnostic.
 ///
-/// This is the front door of `model → analyze → compile → run`: it
-/// injects [`analyze`] as the elaboration gate (the crate DAG points
-/// `urt_analysis → urt_core`, so `urt_core::elaborate` takes the gate as
-/// an argument) and then lowers the model with the given behaviour
-/// `registry`. Pass the result to
+/// This is the front door of `model → analyze → compile → run`: it runs
+/// [`analyze`], refuses the model if any finding is an error, and then
+/// lowers it with [`urt_core::elaborate::elaborate`] and the given
+/// behaviour `registry`. The analyzer reports every structure `elaborate`
+/// refuses, so what `elaborate` can still refuse here needs the registry:
+/// a missing behaviour, or one whose widths or feedthrough differ from
+/// its declaration. Pass the result to
 /// [`HybridEngine::from_compiled`](urt_core::engine::HybridEngine::from_compiled).
 ///
 /// # Errors
 ///
-/// [`CoreError::Elaborate`] when the analyzer reports errors, plus every
-/// failure mode of [`urt_core::elaborate::elaborate`] (validation
-/// violations, missing behaviours, width or feedthrough mismatches,
-/// duplicate SPort links).
+/// [`CoreError::Elaborate`] (`analysis found N error(s)…`, naming the
+/// first) when the analyzer reports errors, then every failure mode of
+/// [`urt_core::elaborate::elaborate`].
 pub fn compile(
     model: &UnifiedModel,
     registry: BehaviorRegistry,
 ) -> Result<CompiledSystem, CoreError> {
-    urt_core::elaborate::elaborate(model, registry, &|m| {
-        let diags = analyze(m);
-        if has_errors(&diags) {
-            let (errors, _, _) = severity_counts(&diags);
-            let first = diags.iter().find(|d| d.severity == Severity::Error).expect("has errors");
-            return Err(CoreError::Elaborate {
-                detail: format!(
-                    "analysis found {errors} error(s) in model `{}`; first: [{}] {} ({})",
-                    m.name(),
-                    first.code,
-                    first.message,
-                    first.path
-                ),
-            });
-        }
-        Ok(())
-    })
+    let diags = analyze(model);
+    if let Some(first) = diags.iter().find(|d| d.severity == Severity::Error) {
+        let (errors, _, _) = severity_counts(&diags);
+        return Err(CoreError::Elaborate {
+            detail: format!(
+                "analysis found {errors} error(s) in model `{}`; first: [{}] {} ({})",
+                model.name(),
+                first.code,
+                first.message,
+                first.path
+            ),
+        });
+    }
+    urt_core::elaborate::elaborate(model, registry)
 }
 
 /// Whether any diagnostic is an [`Severity::Error`].
@@ -177,8 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn both_gates_refuse_each_model_rule() {
-        use urt_core::elaborate::{elaborate, validate_gate};
+    fn elaborate_and_compile_refuse_each_model_rule() {
+        use urt_core::elaborate::elaborate;
         use urt_core::model::{FlowEnd, ModelBuilder};
         use urt_dataflow::flowtype::{FlowType, Unit};
 
@@ -205,10 +204,10 @@ mod tests {
         cases.push(("probe-port", b.build()));
 
         for (rule, model) in cases {
-            let err = elaborate(&model, BehaviorRegistry::new(), &validate_gate).unwrap_err();
+            let err = elaborate(&model, BehaviorRegistry::new()).unwrap_err();
             assert!(
                 matches!(err, CoreError::Validation { rule: r, .. } if r == rule),
-                "validate_gate on {rule}: {err}"
+                "elaborate on {rule}: {err}"
             );
             let err = compile(&model, BehaviorRegistry::new()).unwrap_err();
             let code = CoreError::validation_code(rule);
@@ -285,9 +284,8 @@ mod tests {
         let err = compile(&model, registry).unwrap_err();
         assert!(err.to_string().contains("[URT007]"), "compile refuses: {err}");
         let (model, registry) = build(true);
-        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
-        let err = elaborate(&model, registry, &accept_all).unwrap_err();
-        assert_eq!(err.code(), "URT007", "the lowering refuses under any gate: {err}");
+        let err = elaborate(&model, registry).unwrap_err();
+        assert_eq!(err.code(), "URT007", "the lowering refuses it without the analyzer: {err}");
 
         // Non-feedthrough: the input latches the previous step's output.
         let (model, registry) = build(false);

@@ -1,7 +1,8 @@
 //! State-machine lints over the declarative [`SmSpec`] attached to
-//! capsules: missing initial states (`URT205`), unreachable states
-//! (`URT203`) and transitions triggered by signals no connected protocol
-//! can deliver (`URT204`).
+//! capsules: missing initial states (`URT205`), specs the machine build
+//! refuses (the same [`inert_machine`] `elaborate` runs, so its code:
+//! `URT110` or `URT114`), unreachable states (`URT203`) and transitions
+//! triggered by signals no connected protocol can deliver (`URT204`).
 //!
 //! The deliverability lint is deliberately conservative: a trigger is only
 //! flagged when its port names a **declared** capsule SPort whose protocol
@@ -10,7 +11,9 @@
 //! reserved `timer` port — are skipped, not flagged.
 
 use crate::diagnostic::{Diagnostic, Severity};
+use crate::model_pass::strip_code;
 use std::collections::HashSet;
+use urt_core::elaborate::inert_machine;
 use urt_core::model::UnifiedModel;
 use urt_umlrt::statemachine::SmSpec;
 
@@ -19,34 +22,31 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
     for (cref, cname) in model.iter_capsules() {
         let Some(spec) = model.capsule_machine(cref) else { continue };
         let base = format!("{}/{cname}.sm", model.name());
-
-        match &spec.initial {
-            None => {
-                out.push(
-                    Diagnostic::new(
-                        "URT205",
-                        Severity::Error,
-                        base.clone(),
-                        format!("state machine `{}` has no initial state", spec.name),
-                    )
-                    .suggest("mark one state as initial"),
-                );
-            }
-            Some(init) if spec.find_state(init).is_none() => {
-                out.push(
-                    Diagnostic::new(
-                        "URT205",
-                        Severity::Error,
-                        base.clone(),
-                        format!(
-                            "initial state `{init}` of machine `{}` is not a declared state",
-                            spec.name
-                        ),
-                    )
-                    .suggest("point the initial marker at a declared state"),
-                );
-            }
-            Some(init) => {
+        let error = |code, message: String, hint: &str| {
+            Diagnostic::new(code, Severity::Error, base.clone(), message).suggest(hint)
+        };
+        // The build refuses a missing or undeclared initial state too;
+        // URT205 names those.
+        match (&spec.initial, inert_machine(spec)) {
+            (None, _) => out.push(error(
+                "URT205",
+                format!("state machine `{}` has no initial state", spec.name),
+                "mark one state as initial",
+            )),
+            (Some(init), _) if spec.find_state(init).is_none() => out.push(error(
+                "URT205",
+                format!(
+                    "initial state `{init}` of machine `{}` is not a declared state",
+                    spec.name
+                ),
+                "point the initial marker at a declared state",
+            )),
+            (_, Err(e)) => out.push(error(
+                e.code(),
+                format!("machine `{}`: {}", spec.name, strip_code(&e.to_string())),
+                "declare every state a transition, parent or initial child names, once",
+            )),
+            (Some(init), Ok(_)) => {
                 for state in unreachable_states(spec, init) {
                     out.push(
                         Diagnostic::new(
@@ -77,20 +77,20 @@ fn unreachable_states(spec: &SmSpec, init: &str) -> Vec<String> {
     let mut reached: HashSet<&str> = HashSet::new();
     enter(spec, init, &mut reached);
     // Worklist to a fixpoint: any transition whose source is active can
-    // fire and activate its target.
+    // fire and activate its target. Entering an undeclared target
+    // activates nothing, so only a growing set goes round again.
     loop {
-        let mut grew = false;
+        let before = reached.len();
         for t in &spec.transitions {
             if reached.contains(t.source.as_str()) {
                 if let Some(target) = &t.target {
                     if !reached.contains(target.as_str()) {
                         enter(spec, target, &mut reached);
-                        grew = true;
                     }
                 }
             }
         }
-        if !grew {
+        if reached.len() == before {
             break;
         }
     }
@@ -220,6 +220,47 @@ mod tests {
         let d = out.iter().find(|d| d.code == "URT203").expect("URT203");
         assert_eq!(d.severity, Severity::Warning);
         assert_eq!(d.path, "m/ctl.sm:orphan");
+    }
+
+    #[test]
+    fn analyze_returns_on_an_undeclared_transition_target() {
+        // The reachability fixpoint once went round forever on a target
+        // it could not enter; a hang fails here instead of stalling.
+        let spec = SmSpec::new("m").state("a").initial("a").on("a", ("p", "go"), "ghost");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut b = ModelBuilder::new("m");
+            let c = b.capsule("ctl");
+            b.capsule_machine(c, spec.clone());
+            tx.send((crate::analyze(&b.build()), unreachable_states(&spec, "a"))).unwrap();
+        });
+        let (diags, unreachable) =
+            rx.recv_timeout(std::time::Duration::from_secs(10)).expect("analyze returns");
+        let d = diags.iter().find(|d| d.code == "URT110").expect("the build refuses it");
+        assert_eq!((d.severity, d.path.as_str()), (Severity::Error, "m/ctl.sm"));
+        assert!(d.message.contains("unknown state `ghost`"), "{}", d.message);
+        assert!(unreachable.is_empty(), "{unreachable:?}");
+    }
+
+    #[test]
+    fn every_spec_the_machine_build_refuses_is_an_error() {
+        let base = || SmSpec::new("m").state("a").initial("a");
+        let refused = [
+            (base().on("ghost", ("p", "go"), "a"), "URT110", "unknown state `ghost`"),
+            (base().substate("b", "ghost"), "URT114", "state `b` has an undeclared parent"),
+            (base().initial_child("a", "ghost"), "URT110", "unknown state `ghost`"),
+            (base().state("a"), "URT110", "duplicate state `a`"),
+            (base().internal("ghost", ("p", "go")), "URT110", "unknown state `ghost`"),
+        ];
+        for (spec, code, needle) in refused {
+            let out = run_over(spec);
+            let errors: Vec<_> = out.iter().filter(|d| d.severity == Severity::Error).collect();
+            assert_eq!(errors.len(), 1, "{needle}: {out:#?}");
+            assert_eq!(errors[0].code, code, "{needle}: {out:#?}");
+            assert!(errors[0].message.contains(needle), "{needle}: {out:#?}");
+            // The reachability lint reads no spec the build refused.
+            assert!(!out.iter().any(|d| d.code == "URT203"), "{needle}: {out:#?}");
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ fn suggestion_for(code: &str) -> Option<&'static str> {
             "give the capsule DPort both an incoming and an outgoing flow, or move the port to a streamer",
         ),
         "URT107" => Some("use the same protocol on both SPort ends"),
+        "URT113" => Some("link each streamer SPort to one capsule port"),
         _ => None,
     }
 }

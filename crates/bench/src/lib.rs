@@ -22,7 +22,7 @@ use urt_blocks::continuous::Integrator;
 use urt_blocks::diagram::BlockDiagram;
 use urt_blocks::math::{Gain, Sum};
 use urt_blocks::sources::Constant;
-use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+use urt_core::elaborate::{elaborate, BehaviorRegistry, CompiledSystem};
 use urt_core::model::ModelBuilder;
 use urt_core::threading::GroupingPolicy;
 use urt_dataflow::flowtype::FlowType;
@@ -240,7 +240,7 @@ pub fn vdp_grouping_system(n: usize, grouping: GroupingPolicy, substep: f64) -> 
             ))
         });
     }
-    elaborate(&b.build(), registry, &validate_gate).expect("E4 system compiles")
+    elaborate(&b.build(), registry).expect("E4 system compiles")
 }
 
 /// One first-order lag streamer (x' = 1 - x, x0 = 0, RK4 at `substep`)
@@ -272,7 +272,7 @@ pub fn lag_system(substep: f64) -> CompiledSystem {
     let registry = BehaviorRegistry::new().streamer("lag", move || {
         Box::new(OdeStreamer::new("lag", Lag, SolverKind::Rk4.create(), &[0.0], substep))
     });
-    elaborate(&b.build(), registry, &validate_gate).expect("lag system compiles")
+    elaborate(&b.build(), registry).expect("lag system compiles")
 }
 
 /// Builds the standard feedback block diagram of `n_loops` independent

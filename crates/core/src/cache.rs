@@ -94,7 +94,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 ///
 /// ```
 /// use urt_core::cache::SystemCache;
-/// use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+/// use urt_core::elaborate::{elaborate, BehaviorRegistry};
 /// use urt_core::model::ModelBuilder;
 /// use urt_dataflow::flowtype::FlowType;
 /// use urt_dataflow::streamer::FnStreamer;
@@ -112,7 +112,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 ///             y[0] = t.cos()
 ///         }))
 ///     });
-///     elaborate(m, registry, &validate_gate)
+///     elaborate(m, registry)
 /// };
 /// let first = cache.get_or_compile(&model, compile)?;
 /// let second = cache.get_or_compile(&model, compile)?;
@@ -212,7 +212,7 @@ impl fmt::Debug for SystemCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+    use crate::elaborate::{elaborate, BehaviorRegistry};
     use crate::model::ModelBuilder;
     use urt_dataflow::flowtype::FlowType;
     use urt_dataflow::streamer::FnStreamer;
@@ -231,7 +231,7 @@ mod tests {
                 y[0] = t.cos()
             }))
         });
-        elaborate(model, registry, &validate_gate)
+        elaborate(model, registry)
     }
 
     #[test]

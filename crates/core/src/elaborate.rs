@@ -26,12 +26,13 @@
 //!
 //! The pipeline is `model → analyze → compile → instantiate → run`:
 //!
-//! 1. an injected [analysis gate](AnalysisGate) vets the model and
-//!    enforces its well-formedness rules — `urt_analysis::compile`
-//!    passes the full whole-model analyzer here and refuses any
-//!    error-severity finding (the crate DAG points
-//!    `urt_analysis → urt_core`, so the analyzer is injected instead of
-//!    called directly), [`validate_gate`] runs just the rules;
+//! 1. the model's own well-formedness rules
+//!    ([`UnifiedModel::validate`]) run first, so nothing below lowers a
+//!    model whose names repeat, whose flow types break the subset rule,
+//!    whose SPort protocols differ or whose SPort takes two links
+//!    (`urt_analysis::compile` runs the whole-model analyzer, which
+//!    reports the same rules among its errors, before it calls
+//!    [`elaborate`]);
 //! 2. the streamer hierarchy is **flattened**
 //!    ([`UnifiedModel::flatten`], the reading the analyzer lints too):
 //!    container streamers (those owning sub-streamers, Figure 2)
@@ -49,20 +50,19 @@
 //!    flag (capsule factories cannot fail and first run at
 //!    instantiation),
 //!    and lowers each group straight from the model with
-//!    [`StepPlan::lower`] — the one place the wiring rules (subset rule,
-//!    single writer, every input driven, no feedthrough loop) are
-//!    enforced — so a successfully elaborated artifact instantiates
-//!    cleanly;
+//!    [`StepPlan::lower`] — the one place the wiring rules (single
+//!    writer, every input driven, no feedthrough loop) are enforced — so
+//!    a successfully elaborated artifact instantiates cleanly;
 //! 4. against those plans, every cross-group flow is resolved to
 //!    `(from_group, out_offset, width, to_group, loads)`, the loads
 //!    landing the output's lanes field by field in the consumer's
 //!    external-input lanes ([`PlanCopy::for_flow`]) — one into
 //!    a direct-feedthrough consumer is refused (`URT114`; the analyzer's
 //!    `URT207` names it ahead of time) — every SPort link to its
-//!    `(group, node, plan row)`, refusing a second link on one SPort
-//!    ([`CoreError::DuplicateSportLink`]), and every probe to its dense
-//!    output lane. Each capsule's machine spec is built once on the way,
-//!    so a machine spec that cannot be realised is refused here too.
+//!    `(group, node, plan row)`, and every probe to its dense output
+//!    lane. Each capsule's machine spec is built once on the way
+//!    ([`inert_machine`], which the analyzer builds too), so a machine
+//!    spec that cannot be realised is refused here too.
 //!
 //! The result plugs into the engine via
 //! [`HybridEngine::from_compiled`](crate::engine::HybridEngine::from_compiled),
@@ -73,7 +73,6 @@ use crate::error::CoreError;
 use crate::model::{EffectiveFlow, Flattening, StreamerRef, UnifiedModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::{self, Write as _};
-use urt_dataflow::error::FlowError;
 use urt_dataflow::flowtype::FlowType;
 use urt_dataflow::graph::{NodeId, NodeShape, PlanCopy, PortRef, StepPlan, StreamerNetwork};
 use urt_dataflow::port::{DPortSpec, Direction};
@@ -81,7 +80,7 @@ use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
-use urt_umlrt::statemachine::{SmSpec, StateMachineBuilder};
+use urt_umlrt::statemachine::{SmSpec, StateMachine, StateMachineBuilder};
 
 /// Factory producing the executable behaviour of one model streamer.
 ///
@@ -144,24 +143,6 @@ impl BehaviorRegistry {
         self.capsules.insert(name.into(), Box::new(factory));
         self
     }
-}
-
-/// The analysis stage injected into [`elaborate`] — returns `Err` to
-/// refuse compilation. A gate must enforce the model's well-formedness
-/// rules ([`UnifiedModel::violations`]): [`elaborate`] does not run them
-/// again, and its lowering relies on them (flow subsets, SPort protocols,
-/// probe ports). `urt_analysis::compile` passes the whole-model analyzer,
-/// which reports every violation as an error; callers without the
-/// analysis crate pass [`validate_gate`] (model rules only).
-pub type AnalysisGate<'a> = &'a dyn Fn(&UnifiedModel) -> Result<(), CoreError>;
-
-/// The minimal gate: just the model's own well-formedness rules.
-///
-/// # Errors
-///
-/// Returns the first [`CoreError::Validation`] violation.
-pub fn validate_gate(model: &UnifiedModel) -> Result<(), CoreError> {
-    model.validate()
 }
 
 /// One resolved SPort link: the plan row and node of a streamer's SPort
@@ -387,7 +368,7 @@ impl CompiledSystem {
             let instance: Box<dyn Capsule> = match cap {
                 // `elaborate` plans `Registered` only for registered names.
                 CapsuleSpec::Registered(name) => self.capsule_factories[name](),
-                CapsuleSpec::Machine(spec) => inert_machine(spec)?,
+                CapsuleSpec::Machine(spec) => Box::new(SmCapsule::new(inert_machine(spec)?, ())),
                 CapsuleSpec::Inert(name) => Box::new(InertCapsule { name: name.clone() }),
             };
             controller.add_capsule(instance);
@@ -451,11 +432,20 @@ impl Capsule for InertCapsule {
     fn on_message(&mut self, _msg: &Message, _ctx: &mut CapsuleContext) {}
 }
 
-/// Compiles an [`SmSpec`] into a runnable machine with no-op actions —
+/// Builds an [`SmSpec`] into a runnable machine with no-op actions —
 /// states and transitions fire exactly as declared, so supervisors built
 /// this way still change state on SPort signals, they just cause no side
-/// effects.
-fn inert_machine(spec: &SmSpec) -> Result<Box<dyn Capsule>, CoreError> {
+/// effects. [`elaborate`] builds every capsule spec with no registered
+/// factory once, and the analyzer builds every spec, so a spec this
+/// refuses is an analyzer error too.
+///
+/// # Errors
+///
+/// [`CoreError::Elaborate`] for a state with an undeclared parent (or a
+/// parent cycle) or no initial state; [`CoreError::Rt`] for whatever
+/// [`StateMachineBuilder::build`] refuses: a duplicate state, or an
+/// undeclared initial state, initial child, transition source or target.
+pub fn inert_machine(spec: &SmSpec) -> Result<StateMachine<()>, CoreError> {
     // Parents must exist before their children: order states in waves.
     let mut ordered: Vec<&urt_umlrt::statemachine::SmStateSpec> = Vec::new();
     let mut remaining: Vec<&_> = spec.states.iter().collect();
@@ -504,8 +494,7 @@ fn inert_machine(spec: &SmSpec) -> Result<Box<dyn Capsule>, CoreError> {
             None => b.internal(&t.source, trigger, |_d, _m, _ctx| {}),
         };
     }
-    let machine = b.build()?;
-    Ok(Box::new(SmCapsule::new(machine, ())))
+    Ok(b.build()?)
 }
 
 fn elaborate_err(detail: String) -> CoreError {
@@ -558,8 +547,9 @@ fn checked(
 }
 
 /// Lowers `model` into a [`CompiledSystem`] artifact using `registry`
-/// for behaviours, after `gate` (the injected analysis stage) accepts
-/// it. Every streamer factory runs once, checked against its
+/// for behaviours, once the model's own rules
+/// ([`UnifiedModel::validate`]) accept it. Every streamer factory runs
+/// once, checked against its
 /// declaration, every capsule machine spec is built once, and each group
 /// is lowered straight from the model into its [`StepPlan`], so
 /// [`CompiledSystem::instantiate`] cannot fail afterwards; the link,
@@ -568,34 +558,30 @@ fn checked(
 /// hash folds the model's rendering in as it is formatted.
 ///
 /// See the [module docs](self) for the flattening and id-assignment
-/// rules. The first error wins: the gate, then per group the factory
-/// checks and the wiring, then cross-group feedthrough, the machine
-/// specs, SPort links and probes.
+/// rules. The first error wins: the model rules, then the flattening,
+/// then per group the factory checks and the wiring, then cross-group
+/// feedthrough and the machine specs.
 ///
 /// # Errors
 ///
-/// * whatever `gate` returns — `urt_analysis::compile` refuses any
-///   error-severity finding, [`validate_gate`] any model rule violation
-///   ([`CoreError::Validation`]);
-/// * [`CoreError::Elaborate`] for a missing behaviour factory, a
-///   width/feedthrough mismatch between declaration and behaviour, or
-///   structure the executable form cannot realise (flows touching
-///   container streamers, unresolvable relay chains, a cross-group flow
-///   into a direct-feedthrough consumer, a machine spec with an
-///   undeclared parent or no initial state);
+/// * the first model rule violation ([`UnifiedModel::violations`]):
+///   [`CoreError::Validation`], or [`CoreError::DuplicateSportLink`] for
+///   a streamer SPort with two links;
+/// * [`CoreError::Elaborate`] for structure the executable form cannot
+///   realise (the first [`UnifiedModel::flatten`] refusal, a cross-group
+///   flow into a direct-feedthrough consumer, a machine spec with an
+///   undeclared parent or no initial state), a missing behaviour factory
+///   or a width/feedthrough mismatch between declaration and behaviour;
 /// * [`CoreError::Rt`] for a machine spec the state-machine builder
 ///   refuses;
 /// * [`CoreError::Flow`] for a group whose wiring [`StepPlan::lower`]
-///   refuses: an unknown port, a flow-type subset failure, a second
-///   writer, an undriven input or a direct-feedthrough loop;
-/// * [`CoreError::DuplicateSportLink`] if two SPort links claim the same
-///   `(group, node, sport)`.
+///   refuses: a second writer, an undriven input or a direct-feedthrough
+///   loop.
 pub fn elaborate(
     model: &UnifiedModel,
     registry: BehaviorRegistry,
-    gate: AnalysisGate<'_>,
 ) -> Result<CompiledSystem, CoreError> {
-    gate(model)?;
+    model.validate()?;
 
     // --- content hash: canonical model + registry shape ----------------
     // The model component hashes the canonical (derived Debug) rendering
@@ -732,16 +718,9 @@ pub fn elaborate(
         let (out_offset, src) = plans[gf].output_port(nf, &f.from_port)?;
         let dst = plans[gt].shape(nt)?.in_ports.iter().find(|p| p.name() == f.to_port);
         let dst = dst.expect("the lowering resolved every export");
-        // The lowering checks same-group flows only; the loads below rely
-        // on the subset rule too.
-        if let Some(detail) = src.flow_type().subset_failure(dst.flow_type()) {
-            return Err(FlowError::TypeMismatch {
-                from: format!("{}.{}", name_of(f.from), f.from_port),
-                to: format!("{}.{}", name_of(f.to), f.to_port),
-                detail,
-            }
-            .into());
-        }
+        // The loads rely on the subset rule, which the model rules check
+        // on every declared flow; it is transitive, so it holds through
+        // relay chains too.
         let ext_offset = ext_offsets[gt][export];
         let loads = PlanCopy::for_flow(src.flow_type(), dst.flow_type())
             .into_iter()
@@ -781,22 +760,11 @@ pub fn elaborate(
     }
     let plans = &compiled.plans;
 
-    // --- resolve SPort links to plan rows, refusing duplicates ---------
-    let mut seen: HashSet<(usize, usize, &str)> = HashSet::new();
+    // --- resolve SPort links to plan rows ------------------------------
+    // The model rules refuse a second link on one SPort, and the
+    // flattening a link to a container, so every link lands on a leaf.
     for (c, cport, s, sport) in model.iter_sport_links() {
-        let Some(&(gid, node)) = loc_of.get(&s) else {
-            return Err(elaborate_err(format!(
-                "sport link targets container streamer `{}`",
-                name_of(s)
-            )));
-        };
-        if !seen.insert((gid, node.index(), sport)) {
-            return Err(CoreError::DuplicateSportLink {
-                group: gid,
-                node: name_of(s).to_owned(),
-                sport: sport.to_owned(),
-            });
-        }
+        let (gid, node) = loc_of[&s];
         let row = plans[gid]
             .nodes()
             .iter()
@@ -813,13 +781,10 @@ pub fn elaborate(
     }
 
     // --- resolve probes to dense output lanes --------------------------
+    // A probe taps a declared output DPort, and a container declaring one
+    // is a flattening refusal, so every probe taps a leaf.
     for (s, port, series) in model.iter_probes() {
-        let Some(&(gid, node)) = loc_of.get(&s) else {
-            return Err(elaborate_err(format!(
-                "probe `{series}` taps container streamer `{}`",
-                name_of(s)
-            )));
-        };
+        let (gid, node) = loc_of[&s];
         let (lane, spec) = plans[gid].output_port(node, port)?;
         compiled.probes.push(CompiledProbe {
             group: gid,
@@ -890,7 +855,7 @@ mod tests {
     #[test]
     fn elaborates_and_runs_model_first() {
         let model = two_stage_model();
-        let compiled = elaborate(&model, two_stage_registry(), &validate_gate).expect("elaborates");
+        let compiled = elaborate(&model, two_stage_registry()).expect("elaborates");
         assert_eq!(compiled.group_count(), 1);
         assert!(compiled.streamer_node("src").is_some());
         assert_eq!(compiled.probe_series().collect::<Vec<_>>(), vec!["out"]);
@@ -911,7 +876,7 @@ mod tests {
     #[test]
     fn artifact_instantiates_many_independent_instances() {
         let model = two_stage_model();
-        let compiled = elaborate(&model, two_stage_registry(), &validate_gate).expect("elaborates");
+        let compiled = elaborate(&model, two_stage_registry()).expect("elaborates");
         // The artifact is not consumed: instantiate as often as needed.
         let run = |compiled: &CompiledSystem| {
             let mut engine = HybridEngine::from_compiled(
@@ -938,27 +903,27 @@ mod tests {
     #[test]
     fn content_hash_is_stable_and_sensitive() {
         let model = two_stage_model();
-        let a = elaborate(&model, two_stage_registry(), &validate_gate).unwrap();
-        let b = elaborate(&model, two_stage_registry(), &validate_gate).unwrap();
+        let a = elaborate(&model, two_stage_registry()).unwrap();
+        let b = elaborate(&model, two_stage_registry()).unwrap();
         assert_eq!(a.content_hash(), b.content_hash(), "same model+registry, same hash");
         // A model edit changes the hash (both streamers move, so the
         // feedthrough `dbl` is not fed across a channel).
         let mut edited = two_stage_model();
         assert!(edited.reassign_thread("src", 7) && edited.reassign_thread("dbl", 7));
-        let c = elaborate(&edited, two_stage_registry(), &validate_gate).unwrap();
+        let c = elaborate(&edited, two_stage_registry()).unwrap();
         assert_ne!(a.content_hash(), c.content_hash(), "model edit changes the hash");
         // A registry-shape change (extra binding) changes the hash too.
         let padded = two_stage_registry().streamer("ghost", || {
             Box::new(FnStreamer::new("ghost", 0, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 0.0))
         });
-        let d = elaborate(&model, padded, &validate_gate).unwrap();
+        let d = elaborate(&model, padded).unwrap();
         assert_ne!(a.content_hash(), d.content_hash(), "registry shape changes the hash");
     }
 
     #[test]
     fn missing_behaviour_is_an_elaboration_error() {
         let model = two_stage_model();
-        let err = elaborate(&model, BehaviorRegistry::new(), &validate_gate).unwrap_err();
+        let err = elaborate(&model, BehaviorRegistry::new()).unwrap_err();
         assert!(matches!(err, CoreError::Elaborate { .. }));
         assert!(err.to_string().starts_with("URT114: "), "{err}");
     }
@@ -973,7 +938,7 @@ mod tests {
         let registry = BehaviorRegistry::new().streamer("s", || {
             Box::new(FnStreamer::new("s", 0, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 1.0))
         });
-        let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
+        let err = elaborate(&b.build(), registry).unwrap_err();
         assert!(err.to_string().contains("feedthrough"), "{err}");
     }
 
@@ -985,7 +950,7 @@ mod tests {
         let registry = BehaviorRegistry::new().streamer("s", || {
             Box::new(FnStreamer::new("s", 0, 1, |_t, _h, _u: &[f64], y: &mut [f64]| y[0] = 1.0))
         });
-        let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
+        let err = elaborate(&b.build(), registry).unwrap_err();
         assert!(err.to_string().contains("width"), "{err}");
     }
 
@@ -1029,7 +994,7 @@ mod tests {
             }
             Box::new(P)
         });
-        let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
+        let err = elaborate(&b.build(), registry).unwrap_err();
         assert!(matches!(err, CoreError::DuplicateSportLink { .. }), "{err}");
         assert!(err.to_string().starts_with("URT113: "), "{err}");
     }
@@ -1038,7 +1003,7 @@ mod tests {
     fn cross_group_flow_into_a_feedthrough_consumer_is_refused_at_compile_time() {
         let mut model = two_stage_model();
         assert!(model.reassign_thread("dbl", 1));
-        let err = elaborate(&model, two_stage_registry(), &validate_gate).unwrap_err();
+        let err = elaborate(&model, two_stage_registry()).unwrap_err();
         assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
         let msg = err.to_string();
         assert!(msg.starts_with("URT114: "), "{msg}");
@@ -1066,7 +1031,7 @@ mod tests {
             }
         };
         let registry = BehaviorRegistry::new().streamer("a", echo("a")).streamer("c", echo("c"));
-        let err = elaborate(&b.build(), registry, &validate_gate).unwrap_err();
+        let err = elaborate(&b.build(), registry).unwrap_err();
         assert_eq!(err.code(), "URT007", "{err}");
     }
 
@@ -1137,7 +1102,7 @@ mod tests {
             if cross {
                 assert!(model.reassign_thread("s2", 1));
             }
-            let err = elaborate(&model, registry, &validate_gate).unwrap_err();
+            let err = elaborate(&model, registry).unwrap_err();
             assert_eq!(err.code(), "URT005", "cross = {cross}: {err}");
             assert!(err.to_string().contains("`u` on `g`"), "{err}");
         }
@@ -1148,17 +1113,17 @@ mod tests {
         let (b, _, registry) = hold_model(&[]);
         let model = b.build();
         assert!(model.validate().is_ok(), "an undriven input is no model rule");
-        let err = elaborate(&model, registry, &validate_gate).unwrap_err();
+        let err = elaborate(&model, registry).unwrap_err();
         assert_eq!(err.code(), "URT006", "{err}");
         assert!(err.to_string().contains("`u` on `g` is unconnected"), "{err}");
     }
 
     #[test]
-    fn the_subset_rule_holds_for_cross_group_flows_under_any_gate() {
-        // The lowering checks same-group flows; elaboration checks the
-        // channels, whose loads lay the output out in the input's type.
-        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
-        for cross in [false, true] {
+    fn the_subset_rule_holds_for_direct_and_relayed_flows_across_groups() {
+        // The model rules check every declared flow, and the channels'
+        // loads rely on them: `s.y` (m) reaches `g.u` (K) directly or
+        // through the relay `c.d` (any), in one group or across two.
+        for (relayed, cross) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut b = ModelBuilder::new("m");
             let s = b.streamer("s", "none");
             let g = b.streamer("g", "none");
@@ -1167,81 +1132,94 @@ mod tests {
             b.streamer_out(g, "y", FlowType::scalar());
             b.streamer_feedthrough(s, false);
             b.streamer_feedthrough(g, false);
-            b.flow_between_streamers(s, "y", g, "u");
+            let (src, dst) = (FlowEnd::Streamer(s, "y".into()), FlowEnd::Streamer(g, "u".into()));
+            if relayed {
+                let c = b.capsule("c");
+                b.capsule_dport(c, "d", FlowType::with_unit(Unit::Any));
+                b.flow(src, FlowEnd::Capsule(c, "d".into()));
+                b.flow(FlowEnd::Capsule(c, "d".into()), dst);
+            } else {
+                b.flow(src, dst);
+            }
             if cross {
                 b.assign_thread(g, 1);
             }
             let registry = BehaviorRegistry::new()
                 .streamer("s", || Box::new(Hold { name: "s", inputs: 0 }))
                 .streamer("g", || Box::new(Hold { name: "g", inputs: 1 }));
-            let err = elaborate(&b.build(), registry, &accept_all).unwrap_err();
-            assert_eq!(err.code(), "URT004", "cross = {cross}: {err}");
-            assert!(err.to_string().contains("`s.y` is not a subset of `g.u`"), "{err}");
+            let err = elaborate(&b.build(), registry).unwrap_err();
+            assert_eq!(err.code(), "URT105", "relayed = {relayed}, cross = {cross}: {err}");
+            let to = if relayed { "c.dport:d -> g.dport:u" } else { "s.dport:y -> g.dport:u" };
+            assert!(err.to_string().contains(to), "{err}");
         }
     }
 
     #[test]
-    fn structure_the_plans_cannot_realise_is_refused_under_any_gate() {
+    fn structure_the_plans_cannot_realise_is_refused() {
         // `s` sits inside the container streamer `pack`; `s.y -> g.u` is
-        // the one valid flow. Each case adds one unrealisable element.
-        type Case = (&'static str, fn(&mut ModelBuilder, [StreamerRef; 3]));
+        // the one valid flow. Each case adds one unrealisable element,
+        // refused by the flattening (URT114) or, where the element also
+        // breaks a model rule, by that rule first.
+        type Case = (&'static str, &'static str, fn(&mut ModelBuilder, [StreamerRef; 3]));
         let cases: [Case; 8] = [
-            ("container streamer `pack` declares DPorts", |b, [_, _, pack]| {
+            ("URT114", "container streamer `pack` declares DPorts", |b, [_, _, pack]| {
                 b.streamer_out(pack, "y", FlowType::scalar());
             }),
-            ("flow targets container streamer `pack`", |b, [s, _, pack]| {
+            ("URT104", "streamer `pack` has no input DPort `u`", |b, [s, _, pack]| {
                 b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Streamer(pack, "u".into()));
             }),
-            ("flow originates at container streamer `pack`", |b, [_, g, pack]| {
+            ("URT104", "streamer `pack` has no output DPort `y`", |b, [_, g, pack]| {
                 b.flow(FlowEnd::Streamer(pack, "y".into()), FlowEnd::Streamer(g, "u".into()));
             }),
-            ("capsule DPort `relay`.`d` relays nothing", |b, [_, g, _]| {
+            ("URT106", "capsule `relay` DPort `d` must relay", |b, [_, g, _]| {
                 let c = b.capsule("relay");
+                b.capsule_dport(c, "d", FlowType::scalar());
                 b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
             }),
-            ("capsule DPort `relay`.`d` has multiple sources", |b, [s, g, _]| {
+            ("URT114", "capsule DPort `relay`.`d` has multiple sources", |b, [s, g, _]| {
                 let c = b.capsule("relay");
+                b.capsule_dport(c, "d", FlowType::scalar());
                 b.flow(FlowEnd::Streamer(s, "y".into()), FlowEnd::Capsule(c, "d".into()));
                 b.flow(FlowEnd::Streamer(g, "y".into()), FlowEnd::Capsule(c, "d".into()));
                 b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(g, "u".into()));
             }),
-            ("relay chain through capsule DPort `d2` does not terminate", |b, [_, g, _]| {
-                let c = b.capsule("relay");
-                b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Capsule(c, "d2".into()));
-                b.flow(FlowEnd::Capsule(c, "d2".into()), FlowEnd::Capsule(c, "d1".into()));
-                b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Streamer(g, "u".into()));
-            }),
-            ("sport link targets container streamer `pack`", |b, [_, _, pack]| {
+            (
+                "URT114",
+                "relay chain through capsule DPort `d2` does not terminate",
+                |b, [_, g, _]| {
+                    let c = b.capsule("relay");
+                    b.capsule_dport(c, "d1", FlowType::scalar());
+                    b.capsule_dport(c, "d2", FlowType::scalar());
+                    b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Capsule(c, "d2".into()));
+                    b.flow(FlowEnd::Capsule(c, "d2".into()), FlowEnd::Capsule(c, "d1".into()));
+                    b.flow(FlowEnd::Capsule(c, "d1".into()), FlowEnd::Streamer(g, "u".into()));
+                },
+            ),
+            ("URT114", "sport link targets container streamer `pack`", |b, [_, _, pack]| {
                 let c = b.capsule("sup");
+                b.capsule_sport(c, "p", "Ctl");
+                b.streamer_sport(pack, "ctl", "Ctl");
                 b.sport_link(c, "p", pack, "ctl");
             }),
-            ("probe `pack.y` taps container streamer `pack`", |b, [_, _, pack]| {
-                b.probe(pack, "y", "pack.y");
-            }),
+            (
+                "URT108",
+                "probe `pack.y` taps streamer `pack` output DPort `y`",
+                |b, [_, _, pack]| {
+                    b.probe(pack, "y", "pack.y");
+                },
+            ),
         ];
-        let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
-        for (needle, add) in cases {
+        for (code, needle, add) in cases {
             let (mut b, refs, registry) = hold_model(&["s"]);
             let [s, g] = refs[..] else { unreachable!() };
             let pack = b.streamer("pack", "none");
             b.contain_streamer(s, pack);
             b.flow_between_streamers(s, "y", g, "u");
             add(&mut b, [s, g, pack]);
-            let err = elaborate(&b.build(), registry, &accept_all).unwrap_err();
-            assert!(matches!(err, CoreError::Elaborate { .. }), "{needle}: {err}");
-            assert_eq!(err.code(), "URT114", "{needle}: {err}");
+            let err = elaborate(&b.build(), registry).unwrap_err();
+            assert_eq!(err.code(), code, "{needle}: {err}");
             assert!(err.to_string().contains(needle), "{needle}: {err}");
         }
-    }
-
-    #[test]
-    fn gate_refusal_propagates() {
-        let model = two_stage_model();
-        let gate = |_m: &UnifiedModel| -> Result<(), CoreError> {
-            Err(CoreError::Elaborate { detail: "analysis says no".into() })
-        };
-        let err = elaborate(&model, two_stage_registry(), &gate).unwrap_err();
-        assert!(err.to_string().contains("analysis says no"));
     }
 
     #[test]
@@ -1293,7 +1271,7 @@ mod tests {
                     y[0] = u[0] * 10.0
                 }))
             });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig::default()).unwrap();
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
@@ -1349,7 +1327,7 @@ mod tests {
             }
             Box::new(P)
         });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let cap_idx = compiled.capsule_index("sup").expect("capsule");
         let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig::default()).unwrap();
         engine.run_until(1e-2).expect("run");

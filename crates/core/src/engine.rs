@@ -213,7 +213,7 @@ impl HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+    use crate::elaborate::{elaborate, BehaviorRegistry};
     use crate::model::ModelBuilder;
     use crate::threading::ThreadPolicy;
     use urt_dataflow::flowtype::FlowType;
@@ -239,14 +239,14 @@ mod tests {
                 y[0] = t.sin()
             }))
         });
-        elaborate(&b.build(), registry, &validate_gate).unwrap()
+        elaborate(&b.build(), registry).unwrap()
     }
 
     /// A model with one capsule and no streamers: a pure event run.
     fn event_only_model() -> CompiledSystem {
         let mut b = ModelBuilder::new("events");
         b.capsule("idle");
-        elaborate(&b.build(), BehaviorRegistry::new(), &validate_gate).unwrap()
+        elaborate(&b.build(), BehaviorRegistry::new()).unwrap()
     }
 
     /// One streamer `plant` SPort-linked (`ctl`) to one capsule `driver`
@@ -268,7 +268,7 @@ mod tests {
         b.sport_link(c, "plant", s, "ctl");
         let registry =
             BehaviorRegistry::new().streamer("plant", streamer).capsule("driver", capsule);
-        elaborate(&b.build(), registry, &validate_gate).unwrap()
+        elaborate(&b.build(), registry).unwrap()
     }
 
     #[test]
@@ -557,7 +557,7 @@ mod tests {
         let registry = BehaviorRegistry::new()
             .streamer("ramp", || Box::new(Ramp))
             .streamer("witness", || Box::new(Witness));
-        let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+        let compiled = elaborate(&b.build(), registry).unwrap();
         assert_eq!(compiled.cross_flow_count(), 1);
         let mut e = engine(&compiled, policy);
         let rec = Recorder::new();

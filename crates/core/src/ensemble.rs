@@ -507,7 +507,7 @@ fn run_controllers(controllers: &mut [Controller], t: f64) -> Result<(), CoreErr
 ///
 /// ```
 /// use urt_core::ensemble::EnsembleEngine;
-/// # use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+/// # use urt_core::elaborate::{elaborate, BehaviorRegistry};
 /// # use urt_core::engine::EngineConfig;
 /// # use urt_core::model::ModelBuilder;
 /// # use urt_core::recorder::Recorder;
@@ -522,7 +522,7 @@ fn run_controllers(controllers: &mut [Controller], t: f64) -> Result<(), CoreErr
 /// #         y[0] = t.sin()
 /// #     }))
 /// # });
-/// # let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+/// # let compiled = elaborate(&b.build(), registry).unwrap();
 /// let mut ensemble = EnsembleEngine::from_compiled(&compiled, 8, EngineConfig::default())?;
 /// let rec = Recorder::new();
 /// ensemble.set_recorder(rec.clone());
@@ -1131,7 +1131,7 @@ impl EnsembleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+    use crate::elaborate::{elaborate, BehaviorRegistry};
     use crate::engine::HybridEngine;
     use crate::model::{FlowEnd, ModelBuilder, UnifiedModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1196,7 +1196,7 @@ mod tests {
 
     fn compile(rate: f64, x0: f64) -> CompiledSystem {
         let (model, registry) = decay_chain(rate, x0);
-        elaborate(&model, registry, &validate_gate).expect("elaborates")
+        elaborate(&model, registry).expect("elaborates")
     }
 
     fn bit_eq(a: &[(f64, f64)], b: &[(f64, f64)], what: &str) {
@@ -1285,7 +1285,7 @@ mod tests {
                 y[0] = t
             }))
         });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let err = EnsembleEngine::from_compiled(&compiled, 3, EngineConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
         let msg = err.to_string();
@@ -1401,7 +1401,7 @@ mod tests {
                 .expect("machine");
             Box::new(SmCapsule::new(machine, 0u32))
         });
-        elaborate(&b.build(), registry, &validate_gate).expect("elaborates")
+        elaborate(&b.build(), registry).expect("elaborates")
     }
 
     #[test]
@@ -1530,7 +1530,7 @@ mod tests {
                         .expect("machine");
                     Box::new(SmCapsule::new(machine, ()))
                 });
-            let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+            let compiled = elaborate(&b.build(), registry).expect("elaborates");
             assert_eq!(compiled.group_count(), 1, "the chatter sits beside the linked plant");
             let mut engine =
                 HybridEngine::from_compiled(&compiled, EngineConfig { step: 1e-3, policy })
@@ -1599,7 +1599,7 @@ mod tests {
                 .expect("machine");
             Box::new(SmCapsule::new(machine, ()))
         });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         assert_eq!(compiled.group_count(), 1);
         let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
         let mut engine = HybridEngine::from_compiled(&compiled, config).unwrap();
@@ -1645,7 +1645,7 @@ mod tests {
         b.streamer_feedthrough(s, false);
         b.probe(s, "y", "out");
         let registry = BehaviorRegistry::new().streamer("opaque", || Box::new(Opaque));
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let mut ensemble =
             EnsembleEngine::from_compiled(&compiled, 2, EngineConfig::default()).unwrap();
         let rec = Recorder::new();
@@ -1743,7 +1743,7 @@ mod tests {
                     y[0] = u[0] * u[0]
                 }))
             });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
         let mut ensemble = EnsembleEngine::from_compiled(&compiled, 3, config).unwrap();
         let rec = Recorder::new();
@@ -1813,7 +1813,7 @@ mod tests {
                 registry = registry
                     .streamer("plant", || Box::new(PerLane(Box::new(decay_streamer(1.0, 1.0)))));
             }
-            let compiled = elaborate(&model, registry, &validate_gate).expect("elaborates");
+            let compiled = elaborate(&model, registry).expect("elaborates");
             let mut ensemble =
                 EnsembleEngine::from_variants(&compiled, &variants, EngineConfig::default())
                     .unwrap();
@@ -1852,7 +1852,7 @@ mod tests {
                 1e-3,
             ))
         });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let mut ensemble =
             EnsembleEngine::from_compiled(&compiled, 3, EngineConfig::default()).unwrap();
         let rec = Recorder::new();
@@ -1890,7 +1890,7 @@ mod tests {
     fn threaded_ensemble_matches_local_with_channels() {
         let run = |policy| {
             let (model, registry) = cross_thread_model();
-            let compiled = elaborate(&model, registry, &validate_gate).expect("elaborates");
+            let compiled = elaborate(&model, registry).expect("elaborates");
             assert_eq!(compiled.group_count(), 2);
             assert_eq!(compiled.cross_flow_count(), 1);
             let variants = [
@@ -1964,7 +1964,7 @@ mod tests {
             .streamer("slow", ramp("slow", 1.0))
             .streamer("fast", ramp("fast", 100.0))
             .streamer("witness", || Box::new(Witness));
-        let compiled = elaborate(&b.build(), registry, &validate_gate).expect("elaborates");
+        let compiled = elaborate(&b.build(), registry).expect("elaborates");
         let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
         let mut engine = HybridEngine::from_compiled(&compiled, config).unwrap();
         let rec = Recorder::new();

@@ -30,21 +30,20 @@ pub enum CoreError {
         /// Index of the streamer group whose thread died.
         group: usize,
     },
-    /// A second SPort link was registered for the same
-    /// `(group, node, sport)` key — each streamer SPort routes to exactly
-    /// one capsule port, so the duplicate would silently shadow the first.
+    /// A second SPort link claims the same streamer SPort — each
+    /// streamer SPort routes to exactly one capsule port, so the duplicate
+    /// would silently shadow the first. A model rule
+    /// (`UnifiedModel::violations`).
     DuplicateSportLink {
-        /// Streamer group index.
-        group: usize,
-        /// Node name (or index rendering) within the group.
-        node: String,
+        /// The streamer whose SPort is linked twice.
+        streamer: String,
         /// The SPort that was linked twice.
         sport: String,
     },
     /// Elaboration of a `UnifiedModel` into a `CompiledSystem` failed:
-    /// the model was rejected by the analysis gate, referenced a behavior
-    /// the registry does not provide, or declared structure the executable
-    /// form cannot realise.
+    /// the analyzer found errors (`urt_analysis::compile`), the model
+    /// referenced a behavior the registry does not provide, or declared
+    /// structure the executable form cannot realise.
     Elaborate {
         /// What went wrong.
         detail: String,
@@ -146,11 +145,11 @@ impl fmt::Display for CoreError {
             CoreError::ThreadLost { group } => {
                 write!(f, "{}: solver thread for group {group} was lost", self.code())
             }
-            CoreError::DuplicateSportLink { group, node, sport } => {
+            CoreError::DuplicateSportLink { streamer, sport } => {
                 write!(
                     f,
-                    "{}: duplicate SPort link: group {group} node `{node}` sport `{sport}` \
-                     is already linked to a capsule port",
+                    "{}: duplicate SPort link: streamer `{streamer}` sport `{sport}` is already \
+                     linked to a capsule port",
                     self.code()
                 )
             }
@@ -236,8 +235,7 @@ mod tests {
         assert!(e.to_string().starts_with("URT111: "));
         let e = CoreError::ThreadLost { group: 3 };
         assert!(e.to_string().starts_with("URT112: "));
-        let e =
-            CoreError::DuplicateSportLink { group: 0, node: "tank".into(), sport: "ctl".into() };
+        let e = CoreError::DuplicateSportLink { streamer: "tank".into(), sport: "ctl".into() };
         assert_eq!(e.code(), "URT113");
         assert!(e.to_string().starts_with("URT113: "));
         let e = CoreError::Elaborate { detail: "x".into() };

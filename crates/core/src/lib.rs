@@ -11,8 +11,9 @@
 //! * [`model`] — the declarative unified model (capsules + streamers +
 //!   containment + connections) with the paper's well-formedness rules
 //!   from Figures 2 and 3.
-//! * [`elaborate`](mod@elaborate) — lowering a validated model plus a behaviour
-//!   registry into an immutable `CompiledSystem` artifact (hierarchy
+//! * [`elaborate`](mod@elaborate) — checking a model's own rules and
+//!   lowering it plus a behaviour registry into an immutable
+//!   `CompiledSystem` artifact (hierarchy
 //!   flattening, dense id assignment, resolved link/probe tables, a
 //!   stable content hash) whose `instantiate()` stamps out live
 //!   `SystemInstance`s.
@@ -44,7 +45,7 @@
 //! model, compiled, and run:
 //!
 //! ```
-//! use urt_core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+//! use urt_core::elaborate::{elaborate, BehaviorRegistry};
 //! use urt_core::engine::{EngineConfig, HybridEngine};
 //! use urt_core::model::ModelBuilder;
 //! use urt_core::recorder::Recorder;
@@ -70,7 +71,7 @@
 //!             .expect("well-formed machine");
 //!         Box::new(SmCapsule::new(sm, ()))
 //!     });
-//! let compiled = elaborate(&b.build(), registry, &validate_gate)?;
+//! let compiled = elaborate(&b.build(), registry)?;
 //! let config = EngineConfig { step: 0.001, policy: ThreadPolicy::CurrentThread };
 //! let mut engine = HybridEngine::from_compiled(&compiled, config)?;
 //! let rec = Recorder::new();

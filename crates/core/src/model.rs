@@ -177,7 +177,8 @@ pub struct Flattening {
     /// Structure the executable form cannot realise, as
     /// [`CoreError::Elaborate`] (`URT114`), in the order met: containers
     /// declaring DPorts, then per flow a container endpoint or a relay
-    /// chain that relays nothing, has multiple sources or never ends.
+    /// chain that relays nothing, has multiple sources or never ends,
+    /// then SPort links to a container.
     pub refusals: Vec<CoreError>,
 }
 
@@ -582,7 +583,7 @@ impl UnifiedModel {
     }
 
     fn collect_sport_links(&self, found: &mut Vec<CoreError>) {
-        for link in &self.sport_links {
+        for (i, link) in self.sport_links.iter().enumerate() {
             let (Some(cap), Some(st)) =
                 (self.capsules.get(link.capsule.0), self.streamers.get(link.streamer.0))
             else {
@@ -611,6 +612,12 @@ impl UnifiedModel {
                         ),
                     });
                 }
+            }
+            // A streamer SPort routes to one capsule port.
+            let earlier = &self.sport_links[..i];
+            if earlier.iter().any(|l| (l.streamer, &l.sport) == (link.streamer, &link.sport)) {
+                let (streamer, sport) = (st.name.clone(), link.sport.clone());
+                found.push(CoreError::DuplicateSportLink { streamer, sport });
             }
         }
     }
@@ -684,23 +691,31 @@ impl UnifiedModel {
                 )));
             }
         }
-        for f in &self.flows {
+        let traced = self.flows.iter().filter_map(|f| {
             // Flows *into* capsule DPorts are consumed by relay tracing.
-            let FlowEnd::Streamer(to, to_port) = &f.to else { continue };
-            let traced = if containers.contains(to) {
-                Err(refuse(format!("flow targets container streamer `{}`", name_of(*to))))
-            } else {
-                self.relay_source(&f.from).and_then(|(from, from_port)| {
-                    if containers.contains(&from) {
-                        return Err(refuse(format!(
-                            "flow originates at container streamer `{}`",
-                            name_of(from)
-                        )));
-                    }
-                    Ok(EffectiveFlow { from, from_port, to: *to, to_port: to_port.clone() })
-                })
-            };
-            match traced {
+            let FlowEnd::Streamer(to, to_port) = &f.to else { return None };
+            if containers.contains(to) {
+                return Some(Err(refuse(format!(
+                    "flow targets container streamer `{}`",
+                    name_of(*to)
+                ))));
+            }
+            Some(self.relay_source(&f.from).and_then(|(from, from_port)| {
+                if containers.contains(&from) {
+                    return Err(refuse(format!(
+                        "flow originates at container streamer `{}`",
+                        name_of(from)
+                    )));
+                }
+                Ok(EffectiveFlow { from, from_port, to: *to, to_port: to_port.clone() })
+            }))
+        });
+        let linked = self.sport_links.iter().filter(|l| containers.contains(&l.streamer));
+        let linked = linked.map(|l| {
+            Err(refuse(format!("sport link targets container streamer `{}`", name_of(l.streamer))))
+        });
+        for result in traced.chain(linked) {
+            match result {
                 Ok(flow) => flat.flows.push(flow),
                 // A broken relay read by several inputs is one refusal.
                 Err(e) if !flat.refusals.contains(&e) => flat.refusals.push(e),
@@ -1115,6 +1130,12 @@ mod tests {
         b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(sub2, "u".into()));
         b.flow(FlowEnd::Capsule(c, "d".into()), FlowEnd::Streamer(sub3, "u".into()));
         b.flow_between_streamers(sub1, "y", sub3, "v");
+        // Two SPort links to the container are one refusal.
+        for port in ["p", "q"] {
+            b.capsule_sport(c, port, "Ctl");
+            b.streamer_sport(top, port, "Ctl");
+            b.sport_link(c, port, top, port);
+        }
         let flat = b.build().flatten();
         assert_eq!(flat.leaves, [sub1, sub2, sub3]);
         let flow =
@@ -1127,6 +1148,7 @@ mod tests {
                 "URT114: elaboration error: container streamer `top` declares DPorts; flatten \
                  flows to its leaves instead",
                 "URT114: elaboration error: capsule DPort `c`.`d` has multiple sources",
+                "URT114: elaboration error: sport link targets container streamer `top`",
             ]
         );
     }
@@ -1235,6 +1257,24 @@ mod tests {
         b.streamer_sport(s, "ctl", "Proto");
         b.sport_link(c, "ctl", s, "ctl");
         b.build().validate().unwrap();
+    }
+
+    #[test]
+    fn a_streamer_sport_takes_one_link() {
+        let mut b = ModelBuilder::new("m");
+        let c = b.capsule("c");
+        let s = b.streamer("s", "rk4");
+        b.capsule_sport(c, "p", "Proto");
+        b.capsule_sport(c, "q", "Proto");
+        b.streamer_sport(s, "ctl", "Proto");
+        b.sport_link(c, "p", s, "ctl");
+        b.sport_link(c, "q", s, "ctl");
+        let found = b.build().violations();
+        assert_eq!(
+            found,
+            [CoreError::DuplicateSportLink { streamer: "s".into(), sport: "ctl".into() }]
+        );
+        assert!(found[0].to_string().starts_with("URT113: "), "{}", found[0]);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl FromIterator<Stimulus> for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+    use crate::elaborate::{elaborate, BehaviorRegistry};
     use crate::engine::EngineConfig;
     use crate::model::ModelBuilder;
     use crate::threading::ThreadPolicy;
@@ -136,7 +136,7 @@ mod tests {
                 .unwrap();
             Box::new(SmCapsule::new(sm, Vec::new()))
         });
-        let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+        let compiled = elaborate(&b.build(), registry).unwrap();
         let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
         HybridEngine::from_compiled(&compiled, config).unwrap()
     }

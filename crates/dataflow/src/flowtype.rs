@@ -232,22 +232,7 @@ impl FlowType {
     /// * a scalar is a subset of a single-field record's field? No —
     ///   structure must match at the top level.
     pub fn is_subset_of(&self, other: &FlowType) -> bool {
-        match (self, other) {
-            (FlowType::Scalar(a), FlowType::Scalar(b)) => a.is_subset_of(b),
-            (FlowType::Vector { len: la, unit: ua }, FlowType::Vector { len: lb, unit: ub }) => {
-                la == lb && ua.is_subset_of(ub)
-            }
-            (FlowType::Record(a), FlowType::Record(b)) => {
-                self.is_well_formed()
-                    && other.is_well_formed()
-                    && a.iter().all(|(name, ta)| {
-                        b.iter()
-                            .find(|(nb, _)| nb == name)
-                            .is_some_and(|(_, tb)| ta.is_subset_of(tb))
-                    })
-            }
-            _ => false,
-        }
+        self.subset_failure(other).is_none()
     }
 
     /// Counts the typed annotations (unit + field names) this type carries;
@@ -286,6 +271,7 @@ impl fmt::Display for FlowType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use urt_ode::rng::Pcg32;
 
     #[test]
     fn widths() {
@@ -409,31 +395,43 @@ mod tests {
         assert!(why.contains("field `inner`: field `vel`"), "nested path: {why}");
     }
 
+    /// A random flow type over a small pool of units and field names, so
+    /// subset relations between independent draws are common; records
+    /// may repeat a field name (ill-formed) at any level.
+    fn random_type(rng: &mut Pcg32, depth: usize) -> FlowType {
+        const UNITS: [Unit; 3] = [Unit::Any, Unit::Meter, Unit::Kelvin];
+        let unit = |rng: &mut Pcg32| UNITS[rng.gen_range_usize(0, UNITS.len())].clone();
+        match rng.gen_range_usize(0, if depth == 0 { 2 } else { 3 }) {
+            0 => FlowType::Scalar(unit(rng)),
+            1 => FlowType::Vector { len: rng.gen_range_usize(1, 3), unit: unit(rng) },
+            _ => FlowType::Record(
+                (0..rng.gen_range_usize(0, 3))
+                    .map(|_| {
+                        let name = ["a", "b"][rng.gen_range_usize(0, 2)];
+                        (name.to_owned(), random_type(rng, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     #[test]
-    fn subset_failure_agrees_with_is_subset_of() {
-        let dup = FlowType::Record(vec![
-            ("x".to_owned(), FlowType::scalar()),
-            ("x".to_owned(), FlowType::scalar()),
-        ]);
-        let cases = [
-            FlowType::scalar(),
-            FlowType::with_unit(Unit::Meter),
-            FlowType::with_unit(Unit::Any),
-            FlowType::vector(2),
-            FlowType::vector(3),
-            FlowType::record([("a", FlowType::scalar())]),
-            FlowType::record([("a", FlowType::scalar()), ("b", FlowType::vector(2))]),
-            dup,
-        ];
-        for a in &cases {
-            for b in &cases {
-                assert_eq!(
-                    a.is_subset_of(b),
-                    a.subset_failure(b).is_none(),
-                    "disagreement for {a} vs {b}"
-                );
+    fn the_subset_rule_is_one_rule_and_transitive() {
+        let mut rng = Pcg32::seed_from_u64(0x5B5E7);
+        let (mut chains, mut ill_formed) = (0, 0);
+        for _ in 0..20_000 {
+            let [a, b, c] = [0; 3].map(|_| random_type(&mut rng, 2));
+            ill_formed += usize::from(!a.is_well_formed());
+            for (x, y) in [(&a, &b), (&b, &c), (&a, &c)] {
+                assert_eq!(x.is_subset_of(y), x.subset_failure(y).is_none(), "{x} vs {y}");
+            }
+            if a.is_subset_of(&b) && b.is_subset_of(&c) {
+                chains += 1;
+                assert!(a.is_subset_of(&c), "{a} <= {b} <= {c}, but not {a} <= {c}");
             }
         }
+        // The draws exercise the premise and the ill-formed records.
+        assert!(chains >= 200 && ill_formed >= 200, "chains {chains}, ill-formed {ill_formed}");
     }
 
     #[test]

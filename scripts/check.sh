@@ -120,7 +120,7 @@ case "$lint_json" in
 esac
 # The seeded negative models must fail linting even under the stricter
 # --deny-warnings contract (they all carry at least one error anyway).
-for seeded in seeded-violations seeded-cross-loop seeded-over-budget; do
+for seeded in seeded-violations seeded-cross-loop seeded-over-budget seeded-unrealisable; do
     if cargo run -q --offline -p urt-analysis --bin urt-lint -- --deny-warnings "$seeded" >/dev/null 2>&1; then
         echo "urt-lint --deny-warnings should exit non-zero on $seeded" >&2
         exit 1

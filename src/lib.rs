@@ -23,8 +23,8 @@
 //! * [`analysis`] — whole-model static analysis: every Table-1 rule plus
 //!   graph, state-machine, cross-group flow and timing lints, collected
 //!   as structured `URTxxx` diagnostics (the `urt-lint` binary fronts it) — and
-//!   [`compile`], the gated `model → analyze → compile → run` entry
-//!   point.
+//!   [`compile`], the `model → analyze → compile → run` entry point,
+//!   which refuses a model the analyzer finds any error in.
 //! * [`codegen`] — model-to-Rust code generation.
 //! * [`baselines`] — the Bichler and Kühl related-work baselines.
 //!
@@ -32,8 +32,9 @@
 //!
 //! The one pipeline is `model → analyze → compile → instantiate → run`:
 //! declare the system once, bind behaviour *factories* to its names, and
-//! let [`compile`] gate the model through the whole-model analyzer
-//! before lowering it into an immutable
+//! let [`compile`] run the whole-model analyzer, which reports every
+//! structure the lowering refuses, before lowering the model into an
+//! immutable
 //! [`core::elaborate::CompiledSystem`] **artifact**. The artifact is
 //! compiled once and instantiated many times: every engine built from it
 //! (`HybridEngine::from_compiled` borrows, it does not consume) stamps

@@ -7,9 +7,11 @@
 use unified_rt::analysis::stubs::stub_registry;
 use unified_rt::analysis::{analyze, examples, has_errors, severity_counts, Severity};
 use unified_rt::codegen::generate_model;
+use unified_rt::core::elaborate::elaborate;
 use unified_rt::core::model::{CapsuleRef, FlowEnd, ModelBuilder, StreamerRef};
 use unified_rt::core::CoreError;
 use unified_rt::dataflow::flowtype::FlowType;
+use unified_rt::umlrt::statemachine::SmSpec;
 
 #[test]
 fn every_example_model_lints_clean() {
@@ -73,11 +75,7 @@ fn lint_snapshots_are_current() {
     // report order. Regenerate with scripts/check.sh's printed hint after
     // an intentional analyzer change.
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/lint_snapshots");
-    let all_names = examples::NAMES.iter().copied().chain([
-        "seeded-violations",
-        "seeded-cross-loop",
-        "seeded-over-budget",
-    ]);
+    let all_names = examples::NAMES.iter().chain(examples::SEEDED);
     let mut checked = 0;
     for name in all_names {
         let path = format!("{dir}/{name}.json");
@@ -95,7 +93,11 @@ fn lint_snapshots_are_current() {
         );
         checked += 1;
     }
-    assert_eq!(checked, examples::NAMES.len() + 3, "every model has a snapshot");
+    assert_eq!(
+        checked,
+        examples::NAMES.len() + examples::SEEDED.len(),
+        "every model has a snapshot"
+    );
 }
 
 /// A capsule `relay` declaring scalar relay DPorts `ports`.
@@ -107,12 +109,23 @@ fn relay(b: &mut ModelBuilder, ports: &[&str]) -> CapsuleRef {
     c
 }
 
+/// A capsule `sup` running the machine `spec`.
+fn supervised(b: &mut ModelBuilder, spec: SmSpec) {
+    let c = b.capsule("sup");
+    b.capsule_machine(c, spec);
+}
+
+/// A machine spec with the one state `a`, initial.
+fn machine() -> SmSpec {
+    SmSpec::new("m").state("a").initial("a")
+}
+
 #[test]
 fn the_analyzer_refuses_every_structure_compile_refuses() {
     // Non-feedthrough `s` (inside the container streamer `pack`) feeds
     // `g.u`; each case adds one element elaboration cannot realise.
     type Case = (&'static str, fn(&mut ModelBuilder, [StreamerRef; 3]));
-    let cases: [Case; 10] = [
+    let cases: [Case; 18] = [
         ("container with DPorts", |b, [_, _, pack]| {
             b.streamer_out(pack, "y", FlowType::scalar());
         }),
@@ -154,6 +167,38 @@ fn the_analyzer_refuses_every_structure_compile_refuses() {
         ("undriven input", |b, [_, g, _]| {
             b.streamer_in(g, "v", FlowType::scalar());
         }),
+        ("SPort link to a container, ports declared and matching", |b, [_, _, pack]| {
+            let c = b.capsule("sup");
+            b.capsule_sport(c, "p", "Ctl");
+            b.streamer_sport(pack, "ctl", "Ctl");
+            b.sport_link(c, "p", pack, "ctl");
+        }),
+        ("two links on one streamer SPort", |b, [_, g, _]| {
+            let c = b.capsule("sup");
+            b.capsule_sport(c, "p", "Ctl");
+            b.capsule_sport(c, "q", "Ctl");
+            b.streamer_sport(g, "ctl", "Ctl");
+            b.sport_link(c, "p", g, "ctl");
+            b.sport_link(c, "q", g, "ctl");
+        }),
+        ("machine: undeclared transition source", |b, _| {
+            supervised(b, machine().on("ghost", ("p", "go"), "a"));
+        }),
+        ("machine: undeclared parent", |b, _| {
+            supervised(b, machine().substate("b", "ghost"));
+        }),
+        ("machine: undeclared initial child", |b, _| {
+            supervised(b, machine().initial_child("a", "ghost"));
+        }),
+        ("machine: duplicate state", |b, _| {
+            supervised(b, machine().state("a"));
+        }),
+        ("machine: internal transition on an undeclared state", |b, _| {
+            supervised(b, machine().internal("ghost", ("p", "go")));
+        }),
+        ("machine: undeclared transition target", |b, _| {
+            supervised(b, machine().on("a", ("p", "go"), "ghost"));
+        }),
     ];
     let build = |add: fn(&mut ModelBuilder, [StreamerRef; 3])| {
         let mut b = ModelBuilder::new("m");
@@ -179,7 +224,8 @@ fn the_analyzer_refuses_every_structure_compile_refuses() {
         let err = unified_rt::compile(&model, stub_registry(&model)).unwrap_err();
         assert!(
             matches!(&err, CoreError::Elaborate { detail } if detail.starts_with("analysis found")),
-            "{case}: the gate refuses, not the lowering: {err}"
+            "{case}: the analyzer refuses, not the lowering: {err}"
         );
+        assert!(elaborate(&model, stub_registry(&model)).is_err(), "{case}: elaborate refuses");
     }
 }

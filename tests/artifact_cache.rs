@@ -306,9 +306,8 @@ impl Capsule for Quiet {
 
 #[test]
 fn compile_refuses_unrealisable_machines_and_runs_no_capsule_factory() {
-    // Under a gate that accepts everything, building the machine at
-    // compile is the only guard left.
-    let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+    // Without the analyzer, building the machine at compile is the
+    // guard.
     let refused = [
         (
             SmSpec::new("m").state("a").substate("b", "ghost").initial("a"),
@@ -320,7 +319,7 @@ fn compile_refuses_unrealisable_machines_and_runs_no_capsule_factory() {
         let mut b = two_thread_builder();
         let sup = b.capsule("sup");
         b.capsule_machine(sup, machine);
-        let err = elaborate(&b.build(), registry(), &accept_all).unwrap_err();
+        let err = elaborate(&b.build(), registry()).unwrap_err();
         assert!(matches!(err, CoreError::Elaborate { .. }), "{err}");
         assert!(err.to_string().contains(message), "{err}");
     }
@@ -345,7 +344,7 @@ fn compile_refuses_unrealisable_machines_and_runs_no_capsule_factory() {
             c.fetch_add(1, Ordering::Relaxed);
             Box::new(Quiet)
         });
-    let compiled = elaborate(&b.build(), registry, &accept_all).expect("compiles");
+    let compiled = elaborate(&b.build(), registry).expect("compiles");
     let count = |n: &AtomicUsize| n.load(Ordering::Relaxed);
     assert_eq!((count(&srcs), count(&lags)), (1, 1), "streamer factories at compile");
     assert_eq!(count(&capsules), 0, "compile runs no capsule factory");

@@ -3,7 +3,7 @@
 //! thread policies. Cases are drawn from the in-tree seeded PRNG with a
 //! fixed case count, so every run exercises the same inputs.
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
@@ -42,7 +42,7 @@ fn run_chain(factors: &[f64], steps: usize, policy: ThreadPolicy) -> Vec<(f64, f
         });
     }
     b.probe(prev, "y", "out");
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("chain compiles");
+    let compiled = elaborate(&b.build(), registry).expect("chain compiles");
     let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
         .expect("engine");
     let rec = Recorder::new();

@@ -2,7 +2,7 @@
 //! lifecycle misuse must surface as errors, not hangs or silent
 //! corruption.
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::pacer::PacedConfig;
@@ -40,7 +40,7 @@ fn exploding_engine(policy: ThreadPolicy) -> HybridEngine {
         });
         Box::new(OdeStreamer::new("bomb", sys, SolverKind::Rk4.create(), &[1.0], 1e-3))
     });
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
+    let compiled = elaborate(&b.build(), registry).expect("compiles");
     HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy }).expect("engine")
 }
 
@@ -119,7 +119,7 @@ fn behaviour_error_mid_run_is_recoverable_state() {
     let s = b.streamer("flaky", "none");
     b.streamer_out(s, "y", FlowType::scalar());
     let registry = BehaviorRegistry::new().streamer("flaky", || Box::new(FailsAtFive { count: 0 }));
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("compiles");
+    let compiled = elaborate(&b.build(), registry).expect("compiles");
     let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
     let mut engine = HybridEngine::from_compiled(&compiled, config).expect("engine");
     for _ in 0..4 {

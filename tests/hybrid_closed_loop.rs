@@ -1,7 +1,7 @@
 //! Integration: a full hybrid closed loop (plant streamer + supervisor
 //! capsule) through the engine, under both thread policies.
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
@@ -82,7 +82,7 @@ fn build_loop(policy: ThreadPolicy) -> (HybridEngine, Recorder, usize) {
                 .expect("machine");
             Box::new(SmCapsule::new(machine, 0u32))
         });
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("loop compiles");
+    let compiled = elaborate(&b.build(), registry).expect("loop compiles");
     let cap = compiled.capsule_index("bang").expect("supervisor");
     let mut engine = HybridEngine::from_compiled(&compiled, EngineConfig { step: 0.01, policy })
         .expect("engine");

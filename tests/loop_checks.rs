@@ -14,7 +14,7 @@ use unified_rt::blocks::continuous::Integrator;
 use unified_rt::blocks::diagram::BlockDiagram;
 use unified_rt::blocks::math::{Gain, Sum};
 use unified_rt::blocks::sources::Constant;
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::error::CoreError;
 use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::dataflow::error::FlowError;
@@ -163,7 +163,7 @@ fn analyzer_lowering_and_diagrams_name_the_same_loops() {
             d.path.strip_prefix("m/").expect("model path").split(',').map(str::to_owned).collect()
         });
 
-        let elaborated = loop_names(match elaborate(&model, registry, &validate_gate) {
+        let elaborated = loop_names(match elaborate(&model, registry) {
             Ok(_) => Ok(()),
             Err(CoreError::Flow(e)) => Err(e),
             Err(other) => panic!("seed {seed}: {other}"),

@@ -4,7 +4,7 @@
 //! an injected clock — misses, catch-up slack, and the `URT115` safety
 //! abort all scripted to the nanosecond, no wall-clock flakiness.
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::ensemble::EnsembleEngine;
 use unified_rt::core::error::CoreError;
@@ -82,7 +82,7 @@ fn osc_system() -> CompiledSystem {
             1e-3,
         ))
     });
-    elaborate(&b.build(), registry, &validate_gate).expect("compiles")
+    elaborate(&b.build(), registry).expect("compiles")
 }
 
 /// [`osc_system`] on a [`HybridEngine`], recorded.

@@ -78,13 +78,11 @@ fn forbidden_containment_is_rejected_end_to_end() {
 #[test]
 fn subset_rule_is_consistent_between_model_and_network() {
     use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
-    use unified_rt::core::model::UnifiedModel;
     use unified_rt::dataflow::streamer::FnStreamer;
 
     // The same pair of types must be accepted (or rejected) by both the
-    // declarative model validation and the lowering into a step plan,
-    // which a gate that accepts everything leaves as the only check.
-    let accept_all = |_: &UnifiedModel| -> Result<(), CoreError> { Ok(()) };
+    // declarative model validation and elaboration, which runs the model
+    // rules before it lowers anything.
     let cases = [
         (FlowType::with_unit(Unit::Meter), FlowType::with_unit(Unit::Meter), true),
         (FlowType::with_unit(Unit::Meter), FlowType::with_unit(Unit::Any), true),
@@ -113,9 +111,9 @@ fn subset_rule_is_consistent_between_model_and_network() {
             .streamer("b", move || {
                 Box::new(FnStreamer::new("b", w_dst, 0, |_t, _h, _u, _y: &mut [f64]| {}))
             });
-        let exec = elaborate(&model, registry, &accept_all);
+        let exec = elaborate(&model, registry);
         if let Err(e) = &exec {
-            assert_eq!(e.code(), "URT004", "executable: {src} -> {dst}: {e}");
+            assert_eq!(e.code(), "URT105", "executable: {src} -> {dst}: {e}");
         }
 
         assert_eq!(decl_ok, expect_ok, "declarative: {src} -> {dst}");

@@ -5,7 +5,7 @@
 //! termination (`run_until` takes an exact number of macro steps, immune
 //! to f64 clock drift).
 
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::{ModelBuilder, UnifiedModel};
 use unified_rt::core::recorder::Recorder;
@@ -21,7 +21,7 @@ use unified_rt::umlrt::value::Value;
 
 /// Compiles `model` against `registry` and builds its engine.
 fn engine(model: &UnifiedModel, registry: BehaviorRegistry, config: EngineConfig) -> HybridEngine {
-    let compiled = elaborate(model, registry, &validate_gate).expect("model compiles");
+    let compiled = elaborate(model, registry).expect("model compiles");
     HybridEngine::from_compiled(&compiled, config).expect("engine")
 }
 

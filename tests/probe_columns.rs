@@ -6,7 +6,7 @@
 //! per-sample push would have left there, in the same order.
 
 use std::sync::{Arc, Mutex};
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::ensemble::{EnsembleEngine, VariantSpec};
 use unified_rt::core::model::ModelBuilder;
@@ -119,7 +119,7 @@ fn two_group_system() -> CompiledSystem {
             )
         })
         .streamer("wit", || Box::new(closed("wit", 2, 5.0)));
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("model compiles");
+    let compiled = elaborate(&b.build(), registry).expect("model compiles");
     assert_eq!(compiled.cross_flow_count(), 1);
     compiled
 }
@@ -246,7 +246,7 @@ fn fusing_engine(policy: ThreadPolicy, recorder: &Recorder) -> HybridEngine {
         .streamer("fuse", || {
             Box::new(Closed { name: "fuse", inputs: 0, rate: 2.0, fail_from: 0.0495 })
         });
-    let compiled = elaborate(&b.build(), registry, &validate_gate).expect("model compiles");
+    let compiled = elaborate(&b.build(), registry).expect("model compiles");
     let config = EngineConfig { step: STEP, policy };
     let mut e = HybridEngine::from_compiled(&compiled, config).expect("engine");
     e.set_recorder(recorder.clone());

@@ -20,7 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry, CompiledSystem};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry, CompiledSystem};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::ensemble::{EnsembleEngine, VariantSpec};
 use unified_rt::core::model::ModelBuilder;
@@ -229,7 +229,7 @@ fn model() -> CompiledSystem {
                 }),
         )
     });
-    elaborate(&b.build(), registry, &validate_gate).expect("model elaborates")
+    elaborate(&b.build(), registry).expect("model elaborates")
 }
 
 /// How the measured steps are driven.
@@ -396,7 +396,7 @@ fn fig2_groups() -> CompiledSystem {
                 Box::new(FnStreamer::new(n3.clone(), 1, 1, square))
             });
     }
-    elaborate(&b.build(), registry, &validate_gate).expect("model compiles")
+    elaborate(&b.build(), registry).expect("model compiles")
 }
 
 /// `x'' = -4 x`: the `sweep-k64` benchmark's source.
@@ -451,7 +451,7 @@ fn sweep_group() -> CompiledSystem {
             let square = |_t, _h, u: &[f64], y: &mut [f64]| y[0] = u[0] * u[0];
             Box::new(FnStreamer::new("sub3", 1, 1, square))
         });
-    elaborate(&b.build(), registry, &validate_gate).expect("model compiles")
+    elaborate(&b.build(), registry).expect("model compiles")
 }
 
 /// Counts the allocations of `MEASURED` macro steps taken by one

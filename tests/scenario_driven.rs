@@ -3,7 +3,7 @@
 
 use unified_rt::codegen::dot_gen::to_dot;
 use unified_rt::codegen::generate_model;
-use unified_rt::core::elaborate::{elaborate, validate_gate, BehaviorRegistry};
+use unified_rt::core::elaborate::{elaborate, BehaviorRegistry};
 use unified_rt::core::engine::{EngineConfig, HybridEngine};
 use unified_rt::core::model::ModelBuilder;
 use unified_rt::core::recorder::Recorder;
@@ -77,7 +77,7 @@ fn scripted_setpoint_profile_is_tracked() {
                 .unwrap();
             Box::new(SmCapsule::new(machine, ()))
         });
-    let compiled = elaborate(&b.build(), registry, &validate_gate).unwrap();
+    let compiled = elaborate(&b.build(), registry).unwrap();
     let op = compiled.capsule_index("operator").unwrap();
     let config = EngineConfig { step: 0.01, policy: ThreadPolicy::CurrentThread };
     let mut engine = HybridEngine::from_compiled(&compiled, config).unwrap();
