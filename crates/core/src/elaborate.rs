@@ -71,7 +71,7 @@
 
 use crate::error::CoreError;
 use crate::model::{EffectiveFlow, Flattening, StreamerRef, UnifiedModel};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
 use urt_dataflow::flowtype::FlowType;
 use urt_dataflow::graph::{NodeId, NodeShape, PlanCopy, PortRef, StepPlan, StreamerNetwork};
@@ -80,7 +80,7 @@ use urt_dataflow::streamer::StreamerBehavior;
 use urt_umlrt::capsule::{Capsule, CapsuleContext, SmCapsule};
 use urt_umlrt::controller::Controller;
 use urt_umlrt::message::Message;
-use urt_umlrt::statemachine::{SmSpec, StateMachine, StateMachineBuilder};
+use urt_umlrt::statemachine::{SmSpec, SmStateSpec, StateMachine, StateMachineBuilder};
 
 /// Factory producing the executable behaviour of one model streamer.
 ///
@@ -446,25 +446,26 @@ impl Capsule for InertCapsule {
 /// [`StateMachineBuilder::build`] refuses: a duplicate state, or an
 /// undeclared initial state, initial child, transition source or target.
 pub fn inert_machine(spec: &SmSpec) -> Result<StateMachine<()>, CoreError> {
-    // Parents must exist before their children: order states in waves.
-    let mut ordered: Vec<&urt_umlrt::statemachine::SmStateSpec> = Vec::new();
-    let mut remaining: Vec<&_> = spec.states.iter().collect();
-    let mut declared: HashSet<&str> = HashSet::new();
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        remaining.retain(|s| {
-            let ready = s.parent.as_ref().is_none_or(|p| declared.contains(p.as_str()));
-            if ready {
-                declared.insert(s.name.as_str());
+    // Parents must exist before their children: order states in waves,
+    // each placing the states whose parent an earlier one placed.
+    let mut placed = vec![false; spec.states.len()];
+    let mut ordered: Vec<&SmStateSpec> = Vec::with_capacity(placed.len());
+    while ordered.len() < placed.len() {
+        let before = ordered.len();
+        for (s, placed) in spec.states.iter().zip(&mut placed) {
+            let ready = s.parent.as_ref().is_none_or(|p| ordered.iter().any(|o| &o.name == p));
+            if !*placed && ready {
+                *placed = true;
                 ordered.push(s);
             }
-            !ready
-        });
-        if remaining.len() == before {
+        }
+        if ordered.len() == before {
+            let first = spec.states.iter().zip(&placed).find(|(_, placed)| !**placed);
             return Err(CoreError::Elaborate {
                 detail: format!(
                     "machine `{}`: state `{}` has an undeclared parent",
-                    spec.name, remaining[0].name
+                    spec.name,
+                    first.expect("a state is unplaced").0.name
                 ),
             });
         }

@@ -182,6 +182,19 @@ pub struct Flattening {
     pub refusals: Vec<CoreError>,
 }
 
+/// Each name that repeats an earlier one, in declaration order. Sorted
+/// names show whether any repeats, so a model without one pays a sort and
+/// no hashing; `validate` runs on every `elaborate`.
+fn repeats<'a>(names: impl Iterator<Item = &'a str> + Clone) -> Vec<&'a str> {
+    let mut sorted: Vec<&str> = names.clone().collect();
+    sorted.sort_unstable();
+    if sorted.windows(2).all(|w| w[0] != w[1]) {
+        return Vec::new();
+    }
+    let mut seen = HashSet::new();
+    names.filter(|name| !seen.insert(*name)).collect()
+}
+
 /// A validated-or-validatable unified model.
 ///
 /// Build with [`ModelBuilder`]; check with [`UnifiedModel::validate`].
@@ -446,23 +459,13 @@ impl UnifiedModel {
     }
 
     fn collect_unique_names(&self, found: &mut Vec<CoreError>) {
-        let mut seen = HashSet::new();
-        for d in &self.capsules {
-            if !seen.insert(&d.name) {
-                found.push(CoreError::Validation {
-                    rule: "unique-names",
-                    detail: format!("capsule `{}` declared twice", d.name),
-                });
-            }
-        }
-        let mut seen = HashSet::new();
-        for d in &self.streamers {
-            if !seen.insert(&d.name) {
-                found.push(CoreError::Validation {
-                    rule: "unique-names",
-                    detail: format!("streamer `{}` declared twice", d.name),
-                });
-            }
+        let capsules = repeats(self.capsules.iter().map(|d| d.name.as_str()));
+        let streamers = repeats(self.streamers.iter().map(|d| d.name.as_str()));
+        for (kind, names) in [("capsule", capsules), ("streamer", streamers)] {
+            found.extend(names.into_iter().map(|name| CoreError::Validation {
+                rule: "unique-names",
+                detail: format!("{kind} `{name}` declared twice"),
+            }));
         }
     }
 
