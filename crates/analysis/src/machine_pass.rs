@@ -12,7 +12,6 @@
 
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::model_pass::strip_code;
-use std::collections::HashSet;
 use urt_core::elaborate::inert_machine;
 use urt_core::model::UnifiedModel;
 use urt_umlrt::statemachine::SmSpec;
@@ -21,9 +20,10 @@ use urt_umlrt::statemachine::SmSpec;
 pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
     for (cref, cname) in model.iter_capsules() {
         let Some(spec) = model.capsule_machine(cref) else { continue };
-        let base = format!("{}/{cname}.sm", model.name());
+        // Paths are formatted only for a finding.
+        let base = || format!("{}/{cname}.sm", model.name());
         let error = |code, message: String, hint: &str| {
-            Diagnostic::new(code, Severity::Error, base.clone(), message).suggest(hint)
+            Diagnostic::new(code, Severity::Error, base(), message).suggest(hint)
         };
         // The build refuses a missing or undeclared initial state too;
         // URT205 names those.
@@ -52,7 +52,7 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
                         Diagnostic::new(
                             "URT203",
                             Severity::Warning,
-                            format!("{base}:{state}"),
+                            format!("{}:{state}", base()),
                             format!(
                                 "state `{state}` of machine `{}` is unreachable from `{init}`",
                                 spec.name
@@ -64,7 +64,7 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
             }
         }
 
-        undeliverable_triggers(model, cref, cname, spec, &base, out);
+        undeliverable_triggers(model, cref, cname, spec, out);
     }
 }
 
@@ -74,51 +74,54 @@ pub fn run(model: &UnifiedModel, out: &mut Vec<Diagnostic>) {
 /// states through their `initial_child` chain; a transition fires from
 /// any reachable source state.
 fn unreachable_states(spec: &SmSpec, init: &str) -> Vec<String> {
-    let mut reached: HashSet<&str> = HashSet::new();
-    enter(spec, init, &mut reached);
+    let mut reached = vec![false; spec.states.len()];
+    if let Some(init) = index(spec, init) {
+        enter(spec, init, &mut reached);
+    }
     // Worklist to a fixpoint: any transition whose source is active can
-    // fire and activate its target. Entering an undeclared target
-    // activates nothing, so only a growing set goes round again.
+    // fire and activate its target. An undeclared target activates
+    // nothing, so only a newly entered target goes round again.
     loop {
-        let before = reached.len();
+        let mut grew = false;
         for t in &spec.transitions {
-            if reached.contains(t.source.as_str()) {
-                if let Some(target) = &t.target {
-                    if !reached.contains(target.as_str()) {
+            if index(spec, &t.source).is_some_and(|i| reached[i]) {
+                if let Some(target) = t.target.as_deref().and_then(|t| index(spec, t)) {
+                    if !reached[target] {
                         enter(spec, target, &mut reached);
+                        grew = true;
                     }
                 }
             }
         }
-        if reached.len() == before {
+        if !grew {
             break;
         }
     }
-    spec.states
-        .iter()
-        .filter(|s| !reached.contains(s.name.as_str()))
-        .map(|s| s.name.clone())
-        .collect()
+    spec.states.iter().zip(reached).filter(|(_, r)| !r).map(|(s, _)| s.name.clone()).collect()
+}
+
+/// The position of state `name` in `spec`.
+fn index(spec: &SmSpec, name: &str) -> Option<usize> {
+    spec.states.iter().position(|s| s.name == name)
 }
 
 /// Activates `state`, its ancestors, and its default-child chain.
-fn enter<'a>(spec: &'a SmSpec, state: &str, reached: &mut HashSet<&'a str>) {
+fn enter(spec: &SmSpec, state: usize, reached: &mut [bool]) {
     // Ancestor chain upward.
-    let mut cur = spec.find_state(state);
-    while let Some(s) = cur {
-        if !reached.insert(s.name.as_str()) {
+    let mut cur = Some(state);
+    while let Some(i) = cur {
+        if std::mem::replace(&mut reached[i], true) {
             break;
         }
-        cur = s.parent.as_deref().and_then(|p| spec.find_state(p));
+        cur = spec.states[i].parent.as_deref().and_then(|p| index(spec, p));
     }
     // Default-entry chain downward.
-    let mut cur = spec.find_state(state).and_then(|s| s.initial_child.as_deref());
-    while let Some(child) = cur {
-        let Some(s) = spec.find_state(child) else { break };
-        if !reached.insert(s.name.as_str()) {
+    let mut cur = spec.states[state].initial_child.as_deref();
+    while let Some(i) = cur.and_then(|child| index(spec, child)) {
+        if std::mem::replace(&mut reached[i], true) {
             break;
         }
-        cur = s.initial_child.as_deref();
+        cur = spec.states[i].initial_child.as_deref();
     }
 }
 
@@ -129,7 +132,6 @@ fn undeliverable_triggers(
     cref: urt_core::model::CapsuleRef,
     cname: &str,
     spec: &SmSpec,
-    base: &str,
     out: &mut Vec<Diagnostic>,
 ) {
     let sports = model.capsule_sports(cref);
@@ -158,7 +160,7 @@ fn undeliverable_triggers(
                 Diagnostic::new(
                     "URT204",
                     Severity::Warning,
-                    format!("{base}:{}", t.source),
+                    format!("{}/{cname}.sm:{}", model.name(), t.source),
                     format!(
                         "transition from `{}` waits for signal `{}` on port `{}` of capsule `{cname}`, but no connected protocol delivers it",
                         t.source, t.signal, t.port
